@@ -5,7 +5,7 @@
 //! workload with `sync_wal = true` (the durability configuration where
 //! per-commit costs actually bite):
 //!
-//! * `off` — per-batch WAL append + fsync, one Replicate RPC per
+//! * `off` — per-batch WAL append + fsync, one replication RPC per
 //!   committed write set (the seed's behaviour);
 //! * `wal` — WAL group commit on, replication still per-write;
 //! * `wal+repl` — WAL group commit + per-shard replication windows

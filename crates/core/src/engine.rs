@@ -7,9 +7,12 @@
 //! write set as one atomic batch, and maintains the consistent result
 //! cache.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
+use crossbeam::channel;
+use lambda_kv::batch::BatchOp;
 use lambda_kv::{Db, WriteBatch};
 use lambda_telemetry::{Counter, InvocationContext, Registry, Stage};
 use lambda_vm::{HostError, Interpreter, Limits, VmValue};
@@ -18,8 +21,8 @@ use crate::cache::{CacheStats, ConsistentCache};
 use crate::error::{encode_error, InvokeError, Result};
 use crate::host::{NestedInvoker, ObjectHost};
 use crate::keys;
-use crate::object::{MethodSet, ObjectId, ObjectType, TypeRegistry};
-use crate::scheduler::{Scheduler, SchedulerMode, SchedulerStats};
+use crate::object::{MethodMeta, MethodSet, ObjectId, ObjectType, TypeRegistry};
+use crate::scheduler::{ObjectGuard, Scheduler, SchedulerMode, SchedulerStats};
 
 /// Routes nested cross-object invocations. In a single-node deployment the
 /// engine recurses locally; in LambdaStore the router checks the shard map
@@ -108,31 +111,35 @@ pub struct EngineStats {
     pub scheduler: SchedulerStats,
 }
 
-/// Observes every committed write batch — LambdaStore installs a hook that
-/// synchronously replicates the batch to backup replicas (§4.2.1). The hook
-/// runs after the local apply; an error is surfaced to the invoker.
 /// One replicated write set: `(key, Some(value))` puts / `(key, None)`
 /// deletes, as shipped by primary-to-backup replication.
 pub type WriteSetOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
+/// A commit hook's verdict: `Err` describes the replication failure.
+type HookResult = std::result::Result<(), String>;
+
 /// Completion for a deferred commit-hook fan-out: invoked exactly once
 /// with the replication outcome.
-pub type CommitCallback = Box<dyn FnOnce(std::result::Result<(), String>) + Send>;
-
-/// Completion for a deferred invocation: invoked exactly once with the
-/// final result.
-pub type InvokeCompletion = Box<dyn FnOnce(Result<VmValue>) + Send>;
+pub type CommitCallback = Box<dyn FnOnce(HookResult) + Send>;
 
 /// A recorded read set: keys and value hashes, as cached by the
 /// consistent result cache (§4.2.2).
 pub type ReadSet = Vec<(Vec<u8>, u64)>;
 
-/// Completion for a deferred invocation that also wants the recorded read
-/// set. The read set is `Some` only for cacheable (deterministic
-/// read-only) invocations; mutating or non-deterministic calls yield
-/// `None`.
-pub type TrackedCompletion = Box<dyn FnOnce(Result<(VmValue, Option<ReadSet>)>) + Send>;
+/// An invocation's final outcome: the result plus its recorded read set.
+/// The read set is `Some` only for cacheable (deterministic read-only)
+/// invocations — from the cache entry on a hit, from the execution's read
+/// buffer on a miss — so servers can feed client-edge result caches
+/// without a second execution.
+pub type InvokeOutcome = Result<(VmValue, Option<ReadSet>)>;
 
+/// Completion for a deferred invocation: invoked exactly once with the
+/// final outcome.
+pub type InvokeCompletion = Box<dyn FnOnce(InvokeOutcome) + Send>;
+
+/// Observes every committed write batch — LambdaStore installs a hook that
+/// synchronously replicates the batch to backup replicas (§4.2.1). The hook
+/// runs after the local apply; an error is surfaced to the invoker.
 pub trait CommitHook: Send + Sync {
     /// Called with the object and the operations just committed locally
     /// (`None` value = deletion). `ctx` carries the committing
@@ -168,6 +175,136 @@ pub trait CommitHook: Send + Sync {
 /// dedup records.
 type DedupWindow = std::collections::VecDeque<(u64, Vec<u8>)>;
 
+thread_local! {
+    /// Set while this thread finishes a deferred commit — i.e. while it may
+    /// be one of the RPC endpoint's completion threads, which must never
+    /// park (see [`Engine::invoke_deferred`]).
+    static ON_COMPLETION_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The one `WriteBatch` → [`WriteSetOps`] conversion: what a commit hook
+/// (and through it every backup) is handed for a committed batch.
+fn write_set_ops(batch: &WriteBatch) -> WriteSetOps {
+    batch
+        .iter()
+        .map(|op| match op {
+            BatchOp::Put { key, value } => (key.clone(), Some(value.clone())),
+            BatchOp::Delete { key } => (key.clone(), None),
+        })
+        .collect()
+}
+
+/// External mutations currently executing, keyed by `(object, invocation
+/// id)`, each with the completions of the re-deliveries that arrived while
+/// it ran.
+type InflightMap = HashMap<(ObjectId, u64), Vec<InvokeCompletion>>;
+type InflightTable = parking_lot::Mutex<InflightMap>;
+
+/// The in-flight table, locked, at the entry of a first delivery that is
+/// still running (the lock is what makes attaching race-free against that
+/// delivery settling).
+struct InFlight<'a> {
+    table: parking_lot::MutexGuard<'a, InflightMap>,
+    key: (ObjectId, u64),
+}
+
+impl InFlight<'_> {
+    /// Have `waiter` completed with the first delivery's outcome.
+    fn attach(mut self, waiter: InvokeCompletion) {
+        self.table.get_mut(&self.key).expect("entry checked under this lock").push(waiter);
+    }
+}
+
+/// Held by the first delivery of an external mutation from `resolve` until
+/// its outcome is final; settling hands that outcome to every attached
+/// re-delivery and frees the id (later re-deliveries find the dedup record).
+struct InflightTicket {
+    table: Arc<InflightTable>,
+    /// Taken when the ticket settles.
+    key: Option<(ObjectId, u64)>,
+}
+
+impl InflightTicket {
+    fn settle(&mut self, outcome: &InvokeOutcome) {
+        let Some(key) = self.key.take() else { return };
+        let waiters = self.table.lock().remove(&key).unwrap_or_default();
+        for waiter in waiters {
+            waiter(outcome.clone());
+        }
+    }
+}
+
+impl Drop for InflightTicket {
+    /// A ticket dropped unsettled (its invocation's continuation was
+    /// discarded, e.g. at shutdown) must not strand the attached waiters.
+    fn drop(&mut self) {
+        if self.key.is_some() {
+            self.settle(&Err(InvokeError::Nested(
+                "in-flight delivery ended without an outcome".into(),
+            )));
+        }
+    }
+}
+
+/// What [`Engine::resolve`] decided for one invocation.
+enum Resolved<'a> {
+    /// Served from the consistent cache.
+    Hit(VmValue, ReadSet),
+    /// A first delivery of this external mutation is still running.
+    InFlight(InFlight<'a>),
+    /// Run the method once the scheduler grants the object.
+    Run(Call),
+}
+
+/// A resolved invocation waiting for its object.
+struct Call {
+    ctx: InvocationContext,
+    object: ObjectId,
+    ty: Arc<ObjectType>,
+    method: String,
+    args: Vec<VmValue>,
+    depth: usize,
+    read_only: bool,
+    nests: bool,
+    cacheable: bool,
+    /// `Some` exactly for external mutations carrying an invocation id —
+    /// the ones the dedup window remembers.
+    ticket: Option<InflightTicket>,
+}
+
+/// What [`Engine::execute_granted`] left to do.
+enum Executed {
+    /// Nothing: the outcome is final and the object released.
+    Done(InvokeOutcome),
+    /// The method succeeded and wrote: commit, then finish.
+    Commit(Tail, PendingCommit),
+}
+
+impl Executed {
+    fn done(ticket: Option<InflightTicket>, outcome: InvokeOutcome) -> Executed {
+        if let Some(mut ticket) = ticket {
+            ticket.settle(&outcome);
+        }
+        Executed::Done(outcome)
+    }
+}
+
+/// What a mutating invocation carries across its commit.
+struct Tail {
+    value: VmValue,
+    guard: Option<ObjectGuard>,
+    ticket: Option<InflightTicket>,
+}
+
+/// A write set ready for either commit shell: version already bumped.
+struct PendingCommit {
+    ctx: InvocationContext,
+    object: ObjectId,
+    batch: WriteBatch,
+    /// Every key the commit changes (written keys + the version key).
+    touched: Vec<Vec<u8>>,
+}
+
 /// The LambdaObjects execution engine of one storage node.
 pub struct Engine {
     db: Db,
@@ -184,6 +321,7 @@ pub struct Engine {
     /// re-scan the dedup prefix — which walks one tombstone per record
     /// ever retired and turns sustained single-object load quadratic.
     dedup_windows: parking_lot::Mutex<std::collections::BTreeMap<ObjectId, DedupWindow>>,
+    inflight: Arc<InflightTable>,
     max_depth: usize,
     registry: Arc<Registry>,
     invocations: Counter,
@@ -231,6 +369,7 @@ impl Engine {
             router: parking_lot::RwLock::new(None),
             commit_hook: parking_lot::RwLock::new(None),
             dedup_windows: parking_lot::Mutex::new(std::collections::BTreeMap::new()),
+            inflight: Arc::default(),
             max_depth: config.max_depth,
             invocations: registry.counter("eng_invocations"),
             aborts: registry.counter("eng_aborts"),
@@ -257,68 +396,34 @@ impl Engine {
         *self.commit_hook.write() = Some(hook);
     }
 
-    /// Run the commit hook for `batch` (already applied locally), timing
-    /// the replication fan-out as the invocation's `replicate` span.
-    fn run_commit_hook(
+    /// The installed hook together with the write set it will be handed,
+    /// converted before `batch` moves into the kv write (`None` without a
+    /// hook: nothing to convert for).
+    fn hooked(&self, batch: &WriteBatch) -> Option<(Arc<dyn CommitHook>, WriteSetOps)> {
+        let hook = self.commit_hook.read().clone()?;
+        Some((hook, write_set_ops(batch)))
+    }
+
+    /// Run the commit hook for a write set already applied locally,
+    /// parking this thread for the replication fan-out (timed as the
+    /// invocation's `replicate` span).
+    fn replicate_blocking(
         &self,
         ctx: &InvocationContext,
         object: &ObjectId,
-        batch: &WriteBatch,
-    ) -> Result<()> {
-        let hook = self.commit_hook.read().clone();
-        if let Some(hook) = hook {
-            let ops: Vec<(Vec<u8>, Option<Vec<u8>>)> = batch
-                .iter()
-                .map(|op| match op {
-                    lambda_kv::batch::BatchOp::Put { key, value } => {
-                        (key.clone(), Some(value.clone()))
-                    }
-                    lambda_kv::batch::BatchOp::Delete { key } => (key.clone(), None),
-                })
-                .collect();
-            let start = Instant::now();
-            let result = hook.on_commit(ctx, object, &ops);
-            self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
-            result.map_err(crate::error::decode_hook_error)?;
-        }
-        Ok(())
+        hooked: Option<(Arc<dyn CommitHook>, WriteSetOps)>,
+    ) -> HookResult {
+        let Some((hook, ops)) = hooked else { return Ok(()) };
+        let start = Instant::now();
+        let result = hook.on_commit(ctx, object, &ops);
+        self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
+        result
     }
 
-    /// Apply a batch produced on another node (the backup side of
-    /// replication or a migration install): writes directly, bypassing the
-    /// commit hook, and invalidates overlapping cache entries.
-    ///
-    /// # Errors
-    /// Storage failures.
-    pub fn apply_replicated(
-        &self,
-        object: &ObjectId,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
-    ) -> Result<()> {
-        let _guard = self.scheduler.acquire_exclusive(object, &[]);
-        let mut batch = WriteBatch::new();
-        let mut keys: Vec<&[u8]> = Vec::with_capacity(ops.len());
-        for (key, value) in ops {
-            keys.push(key);
-            match value {
-                Some(v) => {
-                    batch.put(key.clone(), v.clone());
-                }
-                None => {
-                    batch.delete(key.clone());
-                }
-            }
-        }
-        self.db.write(batch)?;
-        self.cache.invalidate_keys(keys.into_iter().map(|k| k as &[u8]));
-        self.forget_dedup_window(object);
-        Ok(())
-    }
-
-    /// Apply a window of replicated write sets (the backup side of batched
-    /// replication): all entries land in **one** storage batch — atomically
-    /// and in commit order — under exclusive guards for every touched
-    /// object.
+    /// Apply write sets produced on another node (the backup side of
+    /// replication, or a state-transfer forward): all entries land in
+    /// **one** storage batch — atomically and in commit order — bypassing
+    /// the commit hook, under exclusive guards for every touched object.
     ///
     /// Guards are acquired in sorted object order so concurrent window
     /// appliers cannot deadlock; windows for different shards touch
@@ -335,24 +440,18 @@ impl Engine {
 
         let mut batch = WriteBatch::new();
         let mut keys: Vec<&[u8]> = Vec::new();
-        for (_, ops) in entries {
-            for (key, value) in ops {
-                keys.push(key);
-                match value {
-                    Some(v) => {
-                        batch.put(key.clone(), v.clone());
-                    }
-                    None => {
-                        batch.delete(key.clone());
-                    }
-                }
-            }
+        for (key, value) in entries.iter().flat_map(|(_, ops)| ops) {
+            keys.push(key);
+            match value {
+                Some(v) => batch.put(key.clone(), v.clone()),
+                None => batch.delete(key.clone()),
+            };
         }
         if batch.is_empty() {
             return Ok(());
         }
         self.db.write(batch)?;
-        self.cache.invalidate_keys(keys.into_iter().map(|k| k as &[u8]));
+        self.cache.invalidate_keys(keys);
         for object in objects {
             self.forget_dedup_window(object);
         }
@@ -394,9 +493,16 @@ impl Engine {
         for (field, value) in fields {
             batch.put(keys::field_key(id, field.as_bytes()), value.to_vec());
         }
-        self.db.write(batch.clone())?;
-        self.run_commit_hook(&InvocationContext::background(), id, &batch)?;
-        Ok(())
+        self.write_and_replicate(id, batch)
+    }
+
+    /// Apply a lifecycle batch (create/delete) and replicate it, outside
+    /// any invocation.
+    fn write_and_replicate(&self, id: &ObjectId, batch: WriteBatch) -> Result<()> {
+        let hooked = self.hooked(&batch);
+        self.db.write(batch)?;
+        self.replicate_blocking(&InvocationContext::background(), id, hooked)
+            .map_err(crate::error::decode_hook_error)
     }
 
     /// True when `id` exists on this node.
@@ -427,8 +533,7 @@ impl Engine {
             batch.delete(key);
         }
         if !batch.is_empty() {
-            self.db.write(batch.clone())?;
-            self.run_commit_hook(&InvocationContext::background(), id, &batch)?;
+            self.write_and_replicate(id, batch)?;
         }
         self.cache.invalidate_object(id);
         self.forget_dedup_window(id);
@@ -459,6 +564,10 @@ impl Engine {
     }
 
     // -- Invocation ----------------------------------------------------------
+    //
+    // Four shared steps — `resolve`, `execute_granted`, a commit,
+    // `finish_invocation` — hold every decision; `invoke_ctx` and
+    // `invoke_deferred` differ only in how they wait between them.
 
     /// Invoke a public method from outside (a client request) under a
     /// fresh unbounded context.
@@ -470,29 +579,13 @@ impl Engine {
         self.invoke_ctx(&InvocationContext::background(), object, method, args, true, 0)
     }
 
-    /// Full-control invocation entry used by routers and replication:
-    /// `external` enforces the `public` flag, `depth` is the nesting depth
-    /// (0 for client-facing invocations). Runs under a fresh unbounded
-    /// context; deadline-carrying callers use [`Engine::invoke_ctx`].
-    ///
-    /// # Errors
-    /// Any [`InvokeError`].
-    pub fn invoke_with_depth(
-        &self,
-        object: &ObjectId,
-        method: &str,
-        args: Vec<VmValue>,
-        external: bool,
-        depth: usize,
-    ) -> Result<VmValue> {
-        self.invoke_ctx(&InvocationContext::background(), object, method, args, external, depth)
-    }
-
-    /// Invoke under an explicit [`InvocationContext`]: the queue wait,
-    /// method execution, kv commit and replication fan-out are each
-    /// recorded as a span against `ctx.trace_id`, and an invocation whose
-    /// deadline expires while queued is shed before execution with
-    /// [`InvokeError::DeadlineExceeded`].
+    /// Invoke under an explicit [`InvocationContext`], parking this thread
+    /// at every wait: the queue wait, method execution, kv commit and
+    /// replication fan-out are each recorded as a span against
+    /// `ctx.trace_id`, and an invocation whose deadline expires while
+    /// queued is shed before execution with
+    /// [`InvokeError::DeadlineExceeded`]. `external` enforces the `public`
+    /// flag, `depth` is the nesting depth (0 for client-facing calls).
     ///
     /// # Errors
     /// Any [`InvokeError`].
@@ -505,143 +598,38 @@ impl Engine {
         external: bool,
         depth: usize,
     ) -> Result<VmValue> {
-        if depth >= self.max_depth {
-            return Err(InvokeError::DepthExceeded);
-        }
-        let ty = self.object_type(object)?;
-        let meta =
-            ty.method_meta(method).ok_or_else(|| InvokeError::UnknownMethod(method.to_string()))?;
-        if external && !meta.public {
-            return Err(InvokeError::NotPublic(method.to_string()));
-        }
-
-        let cacheable = self.cache_enabled && meta.read_only && meta.deterministic;
-        if cacheable {
-            // Plain O(1) lookup: every write path invalidates eagerly, so
-            // resident entries are valid by construction (§4.2.2).
-            if let Some(hit) = self.cache.lookup(object, method, &args) {
-                self.cache_hits.incr();
-                self.invocations.incr();
-                return Ok(hit);
+        let outcome = match self.resolve(ctx, object, method, args, external, depth)? {
+            Resolved::Hit(value, _) => return Ok(value),
+            Resolved::InFlight(first) => {
+                let (tx, rx) = channel::bounded(1);
+                first.attach(Box::new(move |outcome| {
+                    let _ = tx.send(outcome);
+                }));
+                rx.recv().expect("a first delivery always settles its ticket")
             }
-        }
-
-        // Queue span: time spent waiting behind the per-object lock. The
-        // scheduler re-checks the deadline at dequeue and sheds expired
-        // work here — before any execute/commit cycles are spent on it.
-        let queue_start = Instant::now();
-        let guard = match self.scheduler.acquire_ctx(object, &[], !meta.read_only, ctx) {
-            Ok(guard) => guard,
-            Err(e) => {
-                self.aborts.incr();
-                return Err(e);
-            }
-        };
-        self.registry.record_span(ctx.trace_id, Stage::Queue, queue_start.elapsed());
-
-        // Exactly-once under retries: a redelivered mutation (the client
-        // re-sent after a lost ack) whose invocation id is still in the
-        // object's dedup window is answered from the recorded result
-        // without re-executing. Checked under the object guard, so the
-        // first delivery's commit is fully visible here.
-        let dedup = external && !meta.read_only && ctx.invocation_id != 0;
-        if dedup {
-            if let Some(rec) = self.db.get(&keys::dedup_key(object, ctx.invocation_id))? {
-                if let Some(result) = decode_dedup_record(&rec) {
-                    self.duplicates_suppressed.incr();
-                    self.invocations.incr();
-                    return Ok(result);
-                }
-            }
-        }
-
-        let snapshot_seq = self.db.last_sequence();
-        let mut host = ObjectHost::new(
-            &self.db,
-            object.clone(),
-            snapshot_seq,
-            meta.read_only,
-            cacheable,
-            Some(self),
-            depth,
-            Some(guard),
-        );
-        host.ctx = *ctx;
-
-        // Execute span: the method body proper (nested calls and their
-        // commits run inside it; their own spans break that down).
-        let exec_start = Instant::now();
-        let outcome: std::result::Result<VmValue, InvokeError> = match &ty.methods {
-            MethodSet::Bytecode(module) => self
-                .interpreter
-                .execute(module, method, args.clone(), &mut host)
-                .map_err(InvokeError::from),
-            MethodSet::Native(reg) => {
-                reg.invoke(method, args.clone(), &mut host).map_err(InvokeError::from)
-            }
-        };
-        self.registry.record_span(ctx.trace_id, Stage::Execute, exec_start.elapsed());
-        self.nested_calls.add(host.nested_calls);
-
-        match outcome {
-            Ok(value) => {
-                let read_set = host.buffer.read_set();
-                debug_assert!(
-                    !meta.read_only || host.buffer.is_clean(),
-                    "read-only invocation buffered writes"
-                );
-                if !host.buffer.is_clean() {
-                    let written = host.buffer.written_keys();
-                    let mut batch = host.buffer.take_batch();
-                    if dedup {
-                        // The record joins the invocation's own write set,
-                        // so one atomic commit makes the effects and the
-                        // memory of them durable together — and the same
-                        // ops replicate to backups, preserving exactly-once
-                        // across failover.
-                        self.append_dedup_record(object, ctx.invocation_id, &value, &mut batch);
-                    }
-                    self.commit_batch(ctx, object, batch, &written)?;
-                }
-                // The insert happens while the object guard is still held:
-                // a concurrent exclusive apply (replication landing this
-                // object's next write) is then ordered entirely before or
-                // after this read — never between its snapshot and its
-                // cache insert, which is the window where a stale result
-                // could be recorded *after* the apply's eager invalidation
-                // already ran and serve trusted hits forever after.
-                let guard = host.guard.take();
-                drop(host);
-                self.invocations.incr();
-                if cacheable {
-                    self.cache.insert(object, method, &args, value.clone(), read_set);
-                }
-                drop(guard);
-                Ok(value)
-            }
-            Err(e) => {
-                host.buffer.discard();
-                drop(host);
-                self.aborts.incr();
-                // Unwrap nested-error encoding so callers see the original.
-                if let InvokeError::Nested(msg) = &e {
-                    if msg.contains('\x1f') {
-                        return Err(crate::error::decode_error(msg));
+            Resolved::Run(call) => {
+                let queue_start = Instant::now();
+                let granted = self.scheduler.acquire_ctx(&call.object, &[], !call.read_only, ctx);
+                match self.execute_granted(call, queue_start, granted) {
+                    Executed::Done(outcome) => outcome,
+                    Executed::Commit(tail, pending) => {
+                        let committed = self.commit_blocking(pending);
+                        self.finish_invocation(tail, committed)
                     }
                 }
-                Err(e)
             }
-        }
+        };
+        outcome.map(|(value, _)| value)
     }
 
     /// Invoke without parking this thread: `done` runs exactly once with
-    /// the invocation's result, on whichever thread drives the final step —
-    /// inline when everything is free, the lock-releasing thread when the
-    /// invocation queued behind the object, the group-commit leader's
+    /// the invocation's outcome, on whichever thread drives the final step
+    /// — inline when everything is free, the lock-releasing thread when
+    /// the invocation queued behind the object, the group-commit leader's
     /// thread after the kv write, or the replication ack thread when the
     /// commit hook defers.
     ///
-    /// Semantically identical to [`Engine::invoke_ctx`] at depth 0: same
+    /// The same steps as [`Engine::invoke_ctx`] at depth 0, so the same
     /// cache, dedup, scheduling, span and counter behaviour. Nested calls
     /// made *by* the method still run synchronously on the executing
     /// thread (they are bounded by `max_depth`, not by client fan-in).
@@ -654,139 +642,181 @@ impl Engine {
         external: bool,
         done: InvokeCompletion,
     ) {
-        self.invoke_deferred_tracked(
-            ctx,
-            object,
-            method,
-            args,
-            external,
-            Box::new(move |r| done(r.map(|(v, _)| v))),
-        );
+        let call = match self.resolve(ctx, object, method, args, external, 0) {
+            Err(e) => return done(Err(e)),
+            Ok(Resolved::Hit(value, read_set)) => return done(Ok((value, Some(read_set)))),
+            Ok(Resolved::InFlight(first)) => return first.attach(done),
+            Ok(Resolved::Run(call)) => call,
+        };
+        let this = Arc::clone(self);
+        let object = call.object.clone();
+        let (exclusive, nests) = (!call.read_only, call.nests);
+        let queue_start = Instant::now();
+        let granted = move |granted| {
+            let run = move || match this.execute_granted(call, queue_start, granted) {
+                Executed::Done(outcome) => done(outcome),
+                Executed::Commit(tail, pending) => {
+                    let engine = Arc::clone(&this);
+                    let committed = Box::new(move |committed| {
+                        // Releasing the object grants the next queued
+                        // invocation, on this thread: mark it for what it is.
+                        let outer = ON_COMPLETION_THREAD.replace(true);
+                        let outcome = engine.finish_invocation(tail, committed);
+                        ON_COMPLETION_THREAD.set(outer);
+                        done(outcome);
+                    });
+                    this.commit_deferred(pending, committed);
+                }
+            };
+            // A method body runs where its grant lands, and one that nests
+            // parks there. On a completion thread that wedges the node: the
+            // pool's threads wait for locks whose holders wait for the pool
+            // (DESIGN.md §10). Such a body starts on a thread of its own —
+            // detached, because the completion thread cannot wait for it.
+            if nests && ON_COMPLETION_THREAD.get() {
+                let _ = std::thread::Builder::new().name("granted-body".into()).spawn(run);
+            } else {
+                run();
+            }
+        };
+        self.scheduler.acquire_deferred(&object, &[], exclusive, ctx, Box::new(granted));
     }
 
-    /// [`invoke_deferred`](Engine::invoke_deferred), but the completion
-    /// also receives the invocation's recorded read set when the method is
-    /// cacheable — from the cache entry on a hit, from the execution's
-    /// read buffer on a miss. Servers use this to feed client-edge result
-    /// caches without a second execution.
-    pub fn invoke_deferred_tracked(
-        self: &Arc<Self>,
+    /// The type of `object` and the metadata of `method` on it, refusing
+    /// non-public methods to `external` callers.
+    pub(crate) fn resolve_method(
+        &self,
+        object: &ObjectId,
+        method: &str,
+        external: bool,
+    ) -> Result<(Arc<ObjectType>, MethodMeta)> {
+        let name = self.object_type_name(object)?;
+        let ty = self.types.get(&name).ok_or(InvokeError::UnknownType(name))?;
+        let meta =
+            ty.method_meta(method).ok_or_else(|| InvokeError::UnknownMethod(method.to_string()))?;
+        if external && !meta.public {
+            return Err(InvokeError::NotPublic(method.to_string()));
+        }
+        Ok((ty, meta))
+    }
+
+    /// Step 1, before any lock: everything that can be decided from the
+    /// type registry, the result cache and the in-flight table.
+    fn resolve(
+        &self,
         ctx: &InvocationContext,
         object: &ObjectId,
         method: &str,
         args: Vec<VmValue>,
         external: bool,
-        done: TrackedCompletion,
-    ) {
-        let ty = match self.object_type(object) {
-            Ok(ty) => ty,
-            Err(e) => {
-                done(Err(e));
-                return;
-            }
-        };
-        let meta = match ty.method_meta(method) {
-            Some(m) => m,
-            None => {
-                done(Err(InvokeError::UnknownMethod(method.to_string())));
-                return;
-            }
-        };
-        if external && !meta.public {
-            done(Err(InvokeError::NotPublic(method.to_string())));
-            return;
+        depth: usize,
+    ) -> Result<Resolved<'_>> {
+        if depth >= self.max_depth {
+            return Err(InvokeError::DepthExceeded);
         }
-        let read_only = meta.read_only;
-        let cacheable = self.cache_enabled && read_only && meta.deterministic;
+        let (ty, meta) = self.resolve_method(object, method, external)?;
+        let cacheable = self.cache_enabled && meta.read_only && meta.deterministic;
         if cacheable {
+            // Plain O(1) lookup: every write path invalidates eagerly, so
+            // resident entries are valid by construction (§4.2.2).
             if let Some((hit, read_set)) = self.cache.lookup_with_read_set(object, method, &args) {
                 self.cache_hits.incr();
                 self.invocations.incr();
-                done(Ok((hit, Some(read_set))));
-                return;
+                return Ok(Resolved::Hit(hit, read_set));
             }
         }
-
-        let this = Arc::clone(self);
-        let ctx = *ctx;
-        let obj = object.clone();
-        let method = method.to_string();
-        let queue_start = Instant::now();
-        self.scheduler.acquire_deferred(
-            object,
-            &[],
-            !read_only,
-            &ctx,
-            Box::new(move |granted| match granted {
-                Err(e) => {
-                    this.aborts.incr();
-                    done(Err(e));
-                }
-                Ok(guard) => {
-                    this.registry.record_span(ctx.trace_id, Stage::Queue, queue_start.elapsed());
-                    this.execute_granted(
-                        ctx, obj, ty, method, args, external, read_only, cacheable, guard, done,
-                    );
-                }
-            }),
-        );
+        // Exactly-once, first half: an external mutation that carries an
+        // invocation id claims its id for as long as it runs. The object
+        // guard cannot do this — it is released around nested calls — so a
+        // re-delivery arriving mid-fan-out would find no dedup record yet
+        // and fan out a second time. It attaches to the first delivery
+        // instead and is answered with that delivery's outcome.
+        let mut ticket = None;
+        if external && !meta.read_only && ctx.invocation_id != 0 {
+            let key = (object.clone(), ctx.invocation_id);
+            let mut table = self.inflight.lock();
+            if table.contains_key(&key) {
+                self.duplicates_suppressed.incr();
+                return Ok(Resolved::InFlight(InFlight { table, key }));
+            }
+            table.insert(key.clone(), Vec::new());
+            ticket = Some(InflightTicket { table: Arc::clone(&self.inflight), key: Some(key) });
+        }
+        Ok(Resolved::Run(Call {
+            ctx: *ctx,
+            object: object.clone(),
+            ty,
+            method: method.to_string(),
+            args,
+            depth,
+            read_only: meta.read_only,
+            nests: meta.nests,
+            cacheable,
+            ticket,
+        }))
     }
 
-    /// The execute step of a deferred invocation: runs on the thread that
-    /// was granted the object lock. The VM itself executes synchronously
-    /// here; only the commit/replicate tail defers further.
-    #[allow(clippy::too_many_arguments)]
+    /// Step 2, on the thread that was granted the object: dedup replay,
+    /// method execution, and — for a read — the cache insert. Returns the
+    /// final outcome (guard released), or the write set still to commit
+    /// (guard held through the commit).
     fn execute_granted(
-        self: &Arc<Self>,
-        ctx: InvocationContext,
-        object: ObjectId,
-        ty: Arc<ObjectType>,
-        method: String,
-        args: Vec<VmValue>,
-        external: bool,
-        read_only: bool,
-        cacheable: bool,
-        guard: crate::scheduler::ObjectGuard,
-        done: TrackedCompletion,
-    ) {
-        // Exactly-once under retries, as in the sync path: checked under
-        // the object guard so the first delivery's commit is visible.
-        let dedup = external && !read_only && ctx.invocation_id != 0;
+        &self,
+        call: Call,
+        queue_start: Instant,
+        granted: Result<ObjectGuard>,
+    ) -> Executed {
+        let Call { ctx, object, ty, method, args, depth, read_only, cacheable, ticket, .. } = call;
+        // The scheduler re-checks the deadline at dequeue and sheds
+        // expired work here — before any execute/commit cycles are spent.
+        let guard = match granted {
+            Ok(guard) => guard,
+            Err(e) => {
+                self.aborts.incr();
+                return Executed::done(ticket, Err(e));
+            }
+        };
+        self.registry.record_span(ctx.trace_id, Stage::Queue, queue_start.elapsed());
+
+        // Exactly-once, second half: a redelivered mutation (the client
+        // re-sent after a lost ack) whose invocation id is still in the
+        // object's dedup window is answered from the recorded result
+        // without re-executing. Checked under the object guard, so the
+        // first delivery's commit is fully visible here.
+        let dedup = ticket.is_some();
         if dedup {
             match self.db.get(&keys::dedup_key(&object, ctx.invocation_id)) {
-                Ok(Some(rec)) => {
-                    if let Some(result) = decode_dedup_record(&rec) {
+                Ok(rec) => {
+                    if let Some(result) = rec.as_deref().and_then(decode_dedup_record) {
                         self.duplicates_suppressed.incr();
                         self.invocations.incr();
                         drop(guard);
-                        done(Ok((result, None)));
-                        return;
+                        return Executed::done(ticket, Ok((result, None)));
                     }
                 }
-                Ok(None) => {}
                 Err(e) => {
                     drop(guard);
-                    done(Err(e.into()));
-                    return;
+                    return Executed::done(ticket, Err(e.into()));
                 }
             }
         }
 
-        let snapshot_seq = self.db.last_sequence();
         let mut host = ObjectHost::new(
             &self.db,
             object.clone(),
-            snapshot_seq,
+            self.db.last_sequence(),
             read_only,
             cacheable,
-            Some(self.as_ref()),
-            0,
+            Some(self),
+            depth,
             Some(guard),
         );
         host.ctx = ctx;
 
+        // Execute span: the method body proper (nested calls and their
+        // commits run inside it; their own spans break that down).
         let exec_start = Instant::now();
-        let outcome: std::result::Result<VmValue, InvokeError> = match &ty.methods {
+        let outcome: Result<VmValue> = match &ty.methods {
             MethodSet::Bytecode(module) => self
                 .interpreter
                 .execute(module, &method, args.clone(), &mut host)
@@ -798,145 +828,158 @@ impl Engine {
         self.registry.record_span(ctx.trace_id, Stage::Execute, exec_start.elapsed());
         self.nested_calls.add(host.nested_calls);
 
-        match outcome {
-            Ok(value) => {
-                let read_set = host.buffer.read_set();
-                debug_assert!(
-                    !read_only || host.buffer.is_clean(),
-                    "read-only invocation buffered writes"
-                );
-                if !host.buffer.is_clean() {
-                    let written = host.buffer.written_keys();
-                    let mut batch = host.buffer.take_batch();
-                    if dedup {
-                        self.append_dedup_record(&object, ctx.invocation_id, &value, &mut batch);
-                    }
-                    // Keep the object guard alive through commit and
-                    // replication: it travels into the completion chain and
-                    // is dropped (releasing the lock) wherever the chain
-                    // finishes.
-                    let guard = host.guard.take();
-                    drop(host);
-                    let done: InvokeCompletion = Box::new(move |r| done(r.map(|v| (v, None))));
-                    self.commit_deferred(ctx, object, batch, written, guard, value, done);
-                    return;
-                }
-                // Insert under the object guard — see `invoke_ctx` for why
-                // releasing first would let a concurrent replicated apply
-                // invalidate *before* the stale insert lands.
-                let guard = host.guard.take();
-                drop(host);
-                self.invocations.incr();
-                if cacheable {
-                    self.cache.insert(&object, &method, &args, value.clone(), read_set.clone());
-                }
-                drop(guard);
-                done(Ok((value, cacheable.then_some(read_set))));
-            }
+        let value = match outcome {
+            Ok(value) => value,
             Err(e) => {
                 host.buffer.discard();
                 drop(host);
                 self.aborts.incr();
-                if let InvokeError::Nested(msg) = &e {
-                    if msg.contains('\x1f') {
-                        done(Err(crate::error::decode_error(msg)));
-                        return;
+                // Unwrap nested-error encoding so callers see the original.
+                let e = match e {
+                    InvokeError::Nested(msg) if msg.contains('\x1f') => {
+                        crate::error::decode_error(&msg)
                     }
-                }
-                done(Err(e));
+                    e => e,
+                };
+                return Executed::done(ticket, Err(e));
             }
+        };
+        debug_assert!(!read_only || host.buffer.is_clean(), "read-only invocation buffered writes");
+        if !host.buffer.is_clean() {
+            let written = host.buffer.written_keys();
+            let mut batch = host.buffer.take_batch();
+            if dedup {
+                // The record joins the invocation's own write set, so one
+                // atomic commit makes the effects and the memory of them
+                // durable together — and the same ops replicate to
+                // backups, preserving exactly-once across failover.
+                self.append_dedup_record(&object, ctx.invocation_id, &value, &mut batch);
+            }
+            // The guard outlives the host: it is held through commit and
+            // replication and released wherever the invocation finishes.
+            let guard = host.guard.take();
+            drop(host);
+            let pending = self.pending_commit(&ctx, &object, batch, written);
+            return Executed::Commit(Tail { value, guard, ticket }, pending);
         }
+        // The insert happens while the object guard is still held: a
+        // concurrent exclusive apply (replication landing this object's
+        // next write) is then ordered entirely before or after this read —
+        // never between its snapshot and its cache insert, which is the
+        // window where a stale result could be recorded *after* the
+        // apply's eager invalidation already ran and serve trusted hits
+        // forever after.
+        let read_set = cacheable.then(|| host.buffer.read_set());
+        let guard = host.guard.take();
+        drop(host);
+        self.invocations.incr();
+        if let Some(read_set) = &read_set {
+            self.cache.insert(&object, &method, &args, value.clone(), read_set.clone());
+        }
+        drop(guard);
+        Executed::done(ticket, Ok((value, read_set)))
     }
 
-    /// The commit/replicate tail of a deferred invocation: hand the batch
-    /// to the deferred group commit, then (on the committing thread) run
-    /// the commit hook's deferred fan-out, and finally complete `done`.
-    #[allow(clippy::too_many_arguments)]
+    /// Step 4: a mutating invocation's write set has committed (or failed
+    /// to): count it, release the object, and answer everyone waiting.
+    fn finish_invocation(&self, tail: Tail, committed: Result<()>) -> InvokeOutcome {
+        let Tail { value, guard, ticket } = tail;
+        let outcome = committed.map(|()| (value, None));
+        if outcome.is_ok() {
+            self.invocations.incr();
+        }
+        drop(guard);
+        if let Some(mut ticket) = ticket {
+            ticket.settle(&outcome);
+        }
+        outcome
+    }
+
+    // -- Commit (step 3) -----------------------------------------------------
+
+    /// Stamp `object`'s next commit version into `batch`; returns the
+    /// version key, which the commit invalidates along with what it wrote.
+    pub(crate) fn bump_version(&self, object: &ObjectId, batch: &mut WriteBatch) -> Vec<u8> {
+        let vkey = keys::version_key(object);
+        let version = self.object_version(object) + 1;
+        batch.put(vkey.clone(), version.to_le_bytes().to_vec());
+        vkey
+    }
+
+    /// Turn an invocation's write set into a commit: called under the
+    /// object's guard, right before either commit shell.
+    fn pending_commit(
+        &self,
+        ctx: &InvocationContext,
+        object: &ObjectId,
+        mut batch: WriteBatch,
+        mut touched: Vec<Vec<u8>>,
+    ) -> PendingCommit {
+        touched.push(self.bump_version(object, &mut batch));
+        PendingCommit { ctx: *ctx, object: object.clone(), batch, touched }
+    }
+
+    /// Commit, parking this thread: the kv write is the invocation's
+    /// `commit` span, the hook call its `replicate` span.
+    fn commit_blocking(&self, pending: PendingCommit) -> Result<()> {
+        let PendingCommit { ctx, object, batch, touched } = pending;
+        let hooked = self.hooked(&batch);
+        let commit_start = Instant::now();
+        self.db.write(batch)?;
+        self.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
+        let replicated = self.replicate_blocking(&ctx, &object, hooked);
+        self.finish_commit(&touched, replicated)
+    }
+
+    /// Commit without parking: hand the batch to the deferred group
+    /// commit, then (on the committing thread) start the hook's deferred
+    /// fan-out; `done` runs wherever the last of them completes.
     fn commit_deferred(
         self: &Arc<Self>,
-        ctx: InvocationContext,
-        object: ObjectId,
-        mut batch: WriteBatch,
-        written_keys: Vec<Vec<u8>>,
-        guard: Option<crate::scheduler::ObjectGuard>,
-        value: VmValue,
-        done: InvokeCompletion,
+        pending: PendingCommit,
+        done: Box<dyn FnOnce(Result<()>) + Send>,
     ) {
-        let vkey = keys::version_key(&object);
-        let version = self.object_version(&object) + 1;
-        batch.put(vkey.clone(), version.to_le_bytes().to_vec());
-        let commit_start = Instant::now();
+        let PendingCommit { ctx, object, batch, touched } = pending;
+        let hooked = self.hooked(&batch);
         let this = Arc::clone(self);
-        let hook_batch = batch.clone();
+        let commit_start = Instant::now();
         self.db.write_deferred(
             batch,
-            Box::new(move |res| {
+            Box::new(move |written| {
                 this.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
-                if let Err(e) = res {
-                    drop(guard);
-                    done(Err(e.into()));
-                    return;
+                if let Err(e) = written {
+                    return done(Err(e.into()));
                 }
-                let hook = this.commit_hook.read().clone();
-                match hook {
-                    None => this.finish_commit(object, vkey, written_keys, guard, Ok(value), done),
-                    Some(hook) => {
-                        let ops: WriteSetOps = hook_batch
-                            .iter()
-                            .map(|op| match op {
-                                lambda_kv::batch::BatchOp::Put { key, value } => {
-                                    (key.clone(), Some(value.clone()))
-                                }
-                                lambda_kv::batch::BatchOp::Delete { key } => (key.clone(), None),
-                            })
-                            .collect();
-                        let this2 = Arc::clone(&this);
-                        let obj = object.clone();
-                        let replicate_start = Instant::now();
-                        hook.on_commit_deferred(
-                            &ctx,
-                            &object,
-                            ops,
-                            Box::new(move |hook_res| {
-                                this2.registry.record_span(
-                                    ctx.trace_id,
-                                    Stage::Replicate,
-                                    replicate_start.elapsed(),
-                                );
-                                let result = match hook_res {
-                                    Ok(()) => Ok(value),
-                                    Err(msg) => Err(crate::error::decode_hook_error(msg)),
-                                };
-                                this2.finish_commit(obj, vkey, written_keys, guard, result, done);
-                            }),
+                let Some((hook, ops)) = hooked else {
+                    return done(this.finish_commit(&touched, Ok(())));
+                };
+                let engine = Arc::clone(&this);
+                let replicate_start = Instant::now();
+                hook.on_commit_deferred(
+                    &ctx,
+                    &object,
+                    ops,
+                    Box::new(move |replicated| {
+                        engine.registry.record_span(
+                            ctx.trace_id,
+                            Stage::Replicate,
+                            replicate_start.elapsed(),
                         );
-                    }
-                }
+                        done(engine.finish_commit(&touched, replicated));
+                    }),
+                );
             }),
         );
     }
 
-    /// Last step of a deferred mutating invocation: bump counters,
-    /// invalidate overlapping cache entries, release the object lock and
-    /// complete the caller.
-    fn finish_commit(
-        &self,
-        _object: ObjectId,
-        vkey: Vec<u8>,
-        written_keys: Vec<Vec<u8>>,
-        guard: Option<crate::scheduler::ObjectGuard>,
-        result: Result<VmValue>,
-        done: InvokeCompletion,
-    ) {
-        if result.is_ok() {
-            self.commits.incr();
-            self.invocations.incr();
-        }
-        let mut all_keys: Vec<&[u8]> = written_keys.iter().map(Vec::as_slice).collect();
-        all_keys.push(&vkey);
-        self.cache.invalidate_keys(all_keys);
-        drop(guard);
-        done(result);
+    /// The local write is applied: invalidate what it touched — whether or
+    /// not replication acked, resident results over those keys are stale —
+    /// and count the commit once its replication outcome is in.
+    fn finish_commit(&self, touched: &[Vec<u8>], replicated: HookResult) -> Result<()> {
+        self.cache.invalidate_keys(touched.iter().map(Vec::as_slice));
+        replicated.map_err(crate::error::decode_hook_error)?;
+        self.commits.incr();
+        Ok(())
     }
 
     /// Add a dedup record for `invocation_id` to `batch` and evict the
@@ -1000,17 +1043,6 @@ impl Engine {
         self.dedup_windows.lock().remove(id);
     }
 
-    fn object_type(&self, id: &ObjectId) -> Result<Arc<ObjectType>> {
-        let name = self.object_type_name(id)?;
-        self.types.get(&name).ok_or(InvokeError::UnknownType(name))
-    }
-
-    /// Resolve the [`ObjectType`] of `id` (shared with the transaction
-    /// extension).
-    pub(crate) fn object_type_of(&self, id: &ObjectId) -> Result<Arc<ObjectType>> {
-        self.object_type(id)
-    }
-
     /// The interpreter (shared with the transaction extension).
     pub(crate) fn interpreter_ref(&self) -> &Interpreter {
         &self.interpreter
@@ -1022,61 +1054,25 @@ impl Engine {
         &self,
         objects: &[ObjectId],
         batch: WriteBatch,
-        written_keys: &[Vec<u8>],
+        touched: &[Vec<u8>],
     ) -> Result<()> {
-        self.db.write(batch.clone())?;
-        // Group the committed ops per object for the replication hook.
-        for object in objects {
-            let ops: Vec<(Vec<u8>, Option<Vec<u8>>)> = batch
-                .iter()
-                .filter_map(|op| {
-                    let key = op.key().to_vec();
-                    let (owner, _) = keys::split_key(&key)?;
-                    if &owner != object {
-                        return None;
-                    }
-                    Some(match op {
-                        lambda_kv::batch::BatchOp::Put { value, .. } => (key, Some(value.clone())),
-                        lambda_kv::batch::BatchOp::Delete { .. } => (key, None),
-                    })
-                })
-                .collect();
-            if !ops.is_empty() {
-                let hook = self.commit_hook.read().clone();
-                if let Some(hook) = hook {
-                    hook.on_commit(&InvocationContext::background(), object, &ops)
-                        .map_err(InvokeError::Storage)?;
+        let hooked = self.hooked(&batch);
+        self.db.write(batch)?;
+        let ctx = InvocationContext::background();
+        let replicated = hooked.map_or(Ok(()), |(hook, ops)| {
+            objects.iter().try_for_each(|object| {
+                let own: WriteSetOps = ops
+                    .iter()
+                    .filter(|(key, _)| keys::split_key(key).is_some_and(|(o, _)| &o == object))
+                    .cloned()
+                    .collect();
+                if own.is_empty() {
+                    return Ok(());
                 }
-            }
-        }
-        self.commits.incr();
-        self.cache.invalidate_keys(written_keys.iter().map(Vec::as_slice));
-        Ok(())
-    }
-
-    /// Commit an invocation's write set atomically, bumping the object's
-    /// version and invalidating overlapping cache entries. The kv write is
-    /// the invocation's `commit` span; the hook call inside
-    /// [`Engine::run_commit_hook`] is its `replicate` span.
-    fn commit_batch(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        mut batch: WriteBatch,
-        written_keys: &[Vec<u8>],
-    ) -> Result<u64> {
-        let vkey = keys::version_key(object);
-        let version = self.object_version(object) + 1;
-        batch.put(vkey.clone(), version.to_le_bytes().to_vec());
-        let commit_start = Instant::now();
-        self.db.write(batch.clone())?;
-        self.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
-        self.run_commit_hook(ctx, object, &batch)?;
-        self.commits.incr();
-        let mut all_keys: Vec<&[u8]> = written_keys.iter().map(Vec::as_slice).collect();
-        all_keys.push(&vkey);
-        self.cache.invalidate_keys(all_keys);
-        Ok(self.db.last_sequence())
+                self.replicate_blocking(&ctx, object, Some((Arc::clone(&hook), own)))
+            })
+        });
+        self.finish_commit(touched, replicated)
     }
 
     /// Counter snapshot (a view over the telemetry registry's `eng_*` and
@@ -1120,8 +1116,7 @@ impl NestedInvoker for Engine {
         batch: WriteBatch,
         written_keys: Vec<Vec<u8>>,
     ) -> std::result::Result<(), HostError> {
-        self.commit_batch(ctx, source, batch, &written_keys)
-            .map(|_| ())
+        self.commit_blocking(self.pending_commit(ctx, source, batch, written_keys))
             .map_err(|e| HostError::Storage(e.to_string()))
     }
 
@@ -1141,7 +1136,7 @@ impl NestedInvoker for Engine {
         result.map_err(|e| HostError::InvokeFailed(encode_error(&e)))
     }
 
-    fn reacquire(&self, object: &ObjectId) -> (crate::scheduler::ObjectGuard, u64) {
+    fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64) {
         let guard = self.scheduler.acquire_exclusive(object, &[]);
         (guard, self.db.last_sequence())
     }
@@ -1222,6 +1217,20 @@ mod tests {
                 load 1
                 mklist 1
                 host.invoke
+                ret
+            }
+            fn poke_then_mark(2) {
+                ; nested-invoke target, then write locally: the last part
+                ; of the invocation commits, so a dedup record is written
+                load 0
+                push.s "bump_raw"
+                load 1
+                mklist 1
+                host.invoke
+                pop
+                push.s "count"
+                push.s "marked"
+                host.put
                 ret
             }
             fn poke_then_crash(2) {
@@ -1323,7 +1332,8 @@ mod tests {
         env.engine.create_object("Counter", &id, &[]).unwrap();
         assert!(matches!(env.engine.invoke(&id, "hidden", vec![]), Err(InvokeError::NotPublic(_))));
         // Internal path allows it.
-        assert!(env.engine.invoke_with_depth(&id, "hidden", vec![], false, 0).is_ok());
+        let ctx = InvocationContext::background();
+        assert!(env.engine.invoke_ctx(&ctx, &id, "hidden", vec![], false, 0).is_ok());
     }
 
     #[test]
@@ -1457,8 +1467,9 @@ mod tests {
         env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
         env.engine.create_object("Counter", &b, &[("count", b"0")]).unwrap();
         // poke_other invoking bump_raw is depth 2 — fine. To exercise the
-        // limit, call invoke_with_depth with a synthetic deep depth.
-        let err = env.engine.invoke_with_depth(&a, "read_count", vec![], false, 4).unwrap_err();
+        // limit, call invoke_ctx with a synthetic deep depth.
+        let ctx = InvocationContext::background();
+        let err = env.engine.invoke_ctx(&ctx, &a, "read_count", vec![], false, 4).unwrap_err();
         assert_eq!(err, InvokeError::DepthExceeded);
     }
 
@@ -1594,51 +1605,235 @@ mod tests {
             .is_none());
     }
 
-    #[test]
-    fn deferred_invoke_matches_sync_semantics() {
+    /// Which shell a test drives an invocation through.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shell {
+        Blocking,
+        Completion,
+    }
+
+    impl Shell {
+        fn invoke(
+            self,
+            engine: &Arc<Engine>,
+            ctx: &InvocationContext,
+            id: &ObjectId,
+            method: &str,
+            args: Vec<VmValue>,
+        ) -> Result<VmValue> {
+            match self {
+                Shell::Blocking => engine.invoke_ctx(ctx, id, method, args, true, 0),
+                Shell::Completion => {
+                    let (tx, rx) = std::sync::mpsc::channel();
+                    engine.invoke_deferred(
+                        ctx,
+                        id,
+                        method,
+                        args,
+                        true,
+                        Box::new(move |outcome| tx.send(outcome).unwrap()),
+                    );
+                    rx.recv().unwrap().map(|(value, _)| value)
+                }
+            }
+        }
+    }
+
+    struct FailingHook;
+    impl CommitHook for FailingHook {
+        fn on_commit(
+            &self,
+            _ctx: &InvocationContext,
+            _object: &ObjectId,
+            _ops: &[(Vec<u8>, Option<Vec<u8>>)],
+        ) -> std::result::Result<(), String> {
+            Err("replica down".into())
+        }
+    }
+
+    /// Every scenario the shared steps decide, through one shell, on a
+    /// fresh engine: per scenario its result, the cumulative counters
+    /// after it, and the stages of the spans it recorded, in order.
+    fn run_scenarios(
+        shell: Shell,
+    ) -> Vec<(&'static str, Result<VmValue>, EngineStats, Vec<Stage>)> {
         let env = setup(EngineConfig::default());
-        let id = oid("c/1");
-        env.engine.create_object("Counter", &id, &[("count", b"0")]).unwrap();
-        let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
-        let (tx, rx) = std::sync::mpsc::channel();
-        env.engine.invoke_deferred(
-            &ctx,
-            &id,
-            "bump_raw",
-            vec![VmValue::str("9")],
-            true,
-            Box::new(move |res| tx.send(res).unwrap()),
-        );
-        assert!(rx.recv().unwrap().is_ok());
-        assert_eq!(env.engine.object_version(&id), 1);
-        // Same span chain as the sync path.
-        let spans = env.engine.registry().spans_for(ctx.trace_id);
-        let stages: Vec<Stage> = spans.iter().map(|s| s.stage).collect();
-        assert!(stages.contains(&Stage::Queue), "{stages:?}");
-        assert!(stages.contains(&Stage::Execute), "{stages:?}");
-        assert!(stages.contains(&Stage::Commit), "{stages:?}");
-        // And the value is durably visible afterwards.
-        assert_eq!(env.engine.invoke(&id, "read_count", vec![]).unwrap(), VmValue::str("9"));
+        let (a, b) = (oid("c/a"), oid("c/b"));
+        env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
+        env.engine.create_object("Counter", &b, &[("count", b"0")]).unwrap();
+        let client = || InvocationContext::client(std::time::Duration::from_secs(30));
+        let mutate = client();
+        let mut replay = mutate;
+        replay.attempt = 1;
+        let bump = |v: &str| vec![VmValue::str(v)];
+        let scenarios: Vec<(&'static str, InvocationContext, &str, Vec<VmValue>)> = vec![
+            ("read miss", client(), "read_count", vec![]),
+            ("read hit", client(), "read_count", vec![]),
+            ("mutate", mutate, "bump_raw", bump("9")),
+            ("dedup replay", replay, "bump_raw", bump("9")),
+            ("abort", client(), "abort_after_write", vec![]),
+            ("nested", client(), "poke_other", vec![VmValue::str("c/b"), VmValue::str("b1")]),
+            ("expired deadline", InvocationContext::from_wire(4242, 0, 0), "bump_raw", bump("x")),
+            ("failing hook", client(), "bump_raw", bump("y")),
+        ];
+        scenarios
+            .into_iter()
+            .map(|(name, ctx, method, args)| {
+                if name == "failing hook" {
+                    env.engine.set_commit_hook(Arc::new(FailingHook));
+                }
+                let result = shell.invoke(&env.engine, &ctx, &a, method, args);
+                let stages =
+                    env.engine.registry().spans_for(ctx.trace_id).iter().map(|s| s.stage).collect();
+                (name, result, env.engine.stats(), stages)
+            })
+            .collect()
     }
 
     #[test]
-    fn deferred_invoke_sheds_expired_deadline() {
+    fn both_shells_give_equal_results_counters_and_spans() {
+        let blocking = run_scenarios(Shell::Blocking);
+        let completion = run_scenarios(Shell::Completion);
+        assert_eq!(blocking, completion);
+
+        // And the shared steps decide what the paper says they should.
+        use Stage::{Commit, Execute, Queue, Replicate};
+        let expect: Vec<(&str, Result<VmValue>, Vec<Stage>)> = vec![
+            ("read miss", Ok(VmValue::str("0")), vec![Queue, Execute]),
+            ("read hit", Ok(VmValue::str("0")), vec![]),
+            ("mutate", Ok(VmValue::Unit), vec![Queue, Execute, Commit]),
+            ("dedup replay", Ok(VmValue::Unit), vec![Queue, Execute, Commit, Queue]),
+            ("abort", Err(InvokeError::Aborted("rolled back".into())), vec![Queue, Execute]),
+            // The nested call's own queue/execute/commit sit inside the
+            // caller's execute span.
+            ("nested", Ok(VmValue::Unit), vec![Queue, Queue, Execute, Commit, Execute]),
+            ("expired deadline", Err(InvokeError::DeadlineExceeded), vec![]),
+            (
+                "failing hook",
+                Err(InvokeError::Storage("replica down".into())),
+                vec![Queue, Execute, Commit, Replicate],
+            ),
+        ];
+        for ((name, result, _, stages), (want_name, want_result, want_stages)) in
+            blocking.iter().zip(&expect)
+        {
+            assert_eq!(name, want_name);
+            assert_eq!(result, want_result, "{name}");
+            assert_eq!(stages, want_stages, "{name}");
+        }
+        let last = &blocking.last().unwrap().2;
+        assert_eq!(last.cache_hits, 1);
+        assert_eq!(last.duplicates_suppressed, 1);
+        assert_eq!(last.nested_calls, 1);
+        assert_eq!(last.scheduler.shed, 1);
+        assert_eq!(last.aborts, 2, "the abort and the shed deadline");
+        assert_eq!(last.commits, 2, "mutate + the nested target; not the unreplicated one");
+    }
+
+    #[test]
+    fn redelivery_during_the_first_attempts_fanout_attaches_instead_of_executing() {
+        fn wait_for(what: &str, cond: impl Fn() -> bool) {
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::yield_now();
+            }
+        }
+        for redelivery in [Shell::Blocking, Shell::Completion] {
+            let env = setup(EngineConfig::default());
+            let (a, b) = (oid("c/a"), oid("c/b"));
+            env.engine.create_object("Counter", &a, &[("count", b"a0")]).unwrap();
+            env.engine.create_object("Counter", &b, &[("count", b"b0")]).unwrap();
+            // Hold the nested target so the first delivery stalls mid-fan-out
+            // — its own guard released, its dedup record not yet written.
+            let held = env.engine.scheduler().acquire_exclusive(&b, &[]);
+            let asked = env.engine.stats().scheduler.exclusive;
+            let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
+            let deliver = |shell: Shell, attempt: u32| {
+                let engine = Arc::clone(&env.engine);
+                let a = a.clone();
+                let mut ctx = ctx;
+                ctx.attempt = attempt;
+                std::thread::spawn(move || {
+                    let args = vec![VmValue::str("c/b"), VmValue::str("once")];
+                    shell.invoke(&engine, &ctx, &a, "poke_then_mark", args)
+                })
+            };
+            let first = deliver(Shell::Blocking, 0);
+            wait_for("the first delivery to queue behind the held target", || {
+                env.engine.stats().scheduler.exclusive == asked + 2
+            });
+            let second = deliver(redelivery, 1);
+            wait_for("the re-delivery to attach", || env.engine.stats().duplicates_suppressed == 1);
+            assert!(!first.is_finished() && !second.is_finished());
+            drop(held);
+            let first = first.join().unwrap();
+            let second = second.join().unwrap();
+            assert_eq!(first, Ok(VmValue::Unit));
+            assert_eq!(second, first, "{redelivery:?}: the re-delivery gets the first's reply");
+            assert_eq!(env.engine.object_version(&b), 1, "{redelivery:?}: one fan-out");
+            assert_eq!(env.engine.stats().nested_calls, 1);
+            // The id is free again: a later re-delivery replays the record.
+            let third = deliver(redelivery, 2).join().unwrap();
+            assert_eq!(third, first);
+            assert_eq!(env.engine.object_version(&b), 1);
+            assert_eq!(env.engine.stats().duplicates_suppressed, 2);
+        }
+    }
+
+    #[test]
+    fn a_completion_thread_never_runs_the_next_queued_method_body() {
+        // A one-thread "completion pool", played by the test: deferred
+        // commits complete only when that thread runs their callbacks, in
+        // order. If finishing Y on it ran the queued Z inline, Z's nested
+        // call would park the pool's only thread on B — held by X, whose
+        // completion is next in the same pool — and nothing would finish.
+        #[derive(Default)]
+        struct Pool(parking_lot::Mutex<Vec<CommitCallback>>);
+        impl CommitHook for Pool {
+            fn on_commit(
+                &self,
+                _: &InvocationContext,
+                _: &ObjectId,
+                _: &[(Vec<u8>, Option<Vec<u8>>)],
+            ) -> std::result::Result<(), String> {
+                Ok(())
+            }
+            fn on_commit_deferred(
+                &self,
+                _: &InvocationContext,
+                _: &ObjectId,
+                _: WriteSetOps,
+                done: CommitCallback,
+            ) {
+                self.0.lock().push(done);
+            }
+        }
         let env = setup(EngineConfig::default());
-        let id = oid("c/1");
-        env.engine.create_object("Counter", &id, &[("count", b"keep")]).unwrap();
-        let expired = InvocationContext::from_wire(777, 0, 0);
+        let (a, b) = (oid("c/a"), oid("c/b"));
+        env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
+        env.engine.create_object("Counter", &b, &[("count", b"0")]).unwrap();
+        let pool = Arc::new(Pool::default());
+        env.engine.set_commit_hook(Arc::clone(&pool) as Arc<dyn CommitHook>);
         let (tx, rx) = std::sync::mpsc::channel();
-        env.engine.invoke_deferred(
-            &expired,
-            &id,
-            "bump_raw",
-            vec![VmValue::str("x")],
-            true,
-            Box::new(move |res| tx.send(res).unwrap()),
-        );
-        assert_eq!(rx.recv().unwrap().unwrap_err(), InvokeError::DeadlineExceeded);
-        assert_eq!(env.engine.invoke(&id, "read_count", vec![]).unwrap(), VmValue::str("keep"));
-        assert_eq!(env.engine.stats().scheduler.shed, 1);
+        let start = |id: &ObjectId, method: &str, args: Vec<VmValue>| {
+            let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
+            let tx = tx.clone();
+            let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
+            env.engine.invoke_deferred(&ctx, id, method, args, true, done);
+        };
+        start(&a, "bump_raw", vec![VmValue::str("y")]); // Y: holds A, awaits the pool
+        start(&b, "bump_raw", vec![VmValue::str("x")]); // X: holds B, awaits the pool
+        start(&a, "poke_other", vec![VmValue::str("c/b"), VmValue::str("z")]); // Z: behind Y
+        assert_eq!(pool.0.lock().len(), 2, "Y and X are waiting for their acks");
+        let acks = std::mem::take(&mut *pool.0.lock());
+        let pool_thread = std::thread::spawn(move || acks.into_iter().for_each(|ack| ack(Ok(()))));
+        for _ in 0..3 {
+            let outcome = rx.recv_timeout(std::time::Duration::from_secs(10));
+            assert!(outcome.expect("the pool thread wedged").is_ok());
+        }
+        pool_thread.join().unwrap();
+        assert_eq!(env.engine.invoke(&b, "read_count", vec![]).unwrap(), VmValue::str("z"));
     }
 
     #[test]
@@ -1671,85 +1866,6 @@ mod tests {
         assert!(res.is_ok());
         assert_eq!(ran_on, releaser_id, "execution rides the releasing thread");
         assert_eq!(env.engine.invoke(&id, "read_count", vec![]).unwrap(), VmValue::str("later"));
-    }
-
-    #[test]
-    fn deferred_invoke_suppresses_duplicates() {
-        let env = setup(EngineConfig::default());
-        let id = oid("c/1");
-        env.engine.create_object("Counter", &id, &[("count", b"0")]).unwrap();
-        let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
-        let call = |ctx: &InvocationContext| {
-            let (tx, rx) = std::sync::mpsc::channel();
-            env.engine.invoke_deferred(
-                ctx,
-                &id,
-                "bump_raw",
-                vec![VmValue::str("9")],
-                true,
-                Box::new(move |res| tx.send(res).unwrap()),
-            );
-            rx.recv().unwrap().unwrap()
-        };
-        let first = call(&ctx);
-        let mut retry = ctx;
-        retry.attempt = 1;
-        let second = call(&retry);
-        assert_eq!(second, first, "recorded result served verbatim");
-        assert_eq!(env.engine.object_version(&id), 1, "no second commit");
-        assert_eq!(env.engine.stats().duplicates_suppressed, 1);
-    }
-
-    #[test]
-    fn deferred_invoke_runs_commit_hook_and_reports_failures() {
-        struct FailingHook;
-        impl CommitHook for FailingHook {
-            fn on_commit(
-                &self,
-                _ctx: &InvocationContext,
-                _object: &ObjectId,
-                _ops: &[(Vec<u8>, Option<Vec<u8>>)],
-            ) -> std::result::Result<(), String> {
-                Err("replica down".into())
-            }
-        }
-        let env = setup(EngineConfig::default());
-        let id = oid("c/1");
-        env.engine.create_object("Counter", &id, &[("count", b"0")]).unwrap();
-        env.engine.set_commit_hook(Arc::new(FailingHook));
-        let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
-        let (tx, rx) = std::sync::mpsc::channel();
-        env.engine.invoke_deferred(
-            &ctx,
-            &id,
-            "bump_raw",
-            vec![VmValue::str("1")],
-            true,
-            Box::new(move |res| tx.send(res).unwrap()),
-        );
-        let err = rx.recv().unwrap().unwrap_err();
-        assert!(matches!(err, InvokeError::Storage(_)), "{err}");
-    }
-
-    #[test]
-    fn deferred_invoke_read_only_uses_cache() {
-        let env = setup(EngineConfig::default());
-        let id = oid("c/1");
-        env.engine.create_object("Counter", &id, &[("count", b"x")]).unwrap();
-        let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
-        for _ in 0..3 {
-            let (tx, rx) = std::sync::mpsc::channel();
-            env.engine.invoke_deferred(
-                &ctx,
-                &id,
-                "read_count",
-                vec![],
-                true,
-                Box::new(move |res| tx.send(res).unwrap()),
-            );
-            assert_eq!(rx.recv().unwrap().unwrap(), VmValue::str("x"));
-        }
-        assert_eq!(env.engine.stats().cache_hits, 2, "first fills, rest hit");
     }
 
     #[test]

@@ -140,6 +140,38 @@ impl<'a> ObjectHost<'a> {
         }
     }
 
+    /// The §3.1 nested-call boundary, around `calls` nested invocations
+    /// made by `run`: the writes so far commit first; the pre-call part is
+    /// then a completed invocation, so our object lock is released and the
+    /// nested calls (and everyone else) can make progress even through
+    /// follower cycles or self-invocations; afterwards we resume as a
+    /// fresh invocation — lock re-acquired, snapshot advanced to see
+    /// everything committed in the meantime.
+    fn across_boundary<T>(
+        &mut self,
+        calls: u64,
+        run: impl FnOnce(&dyn NestedInvoker, &InvocationContext, usize) -> T,
+    ) -> Result<T, HostError> {
+        self.ensure_writable()?;
+        let Some(nested) = self.nested else {
+            return Err(HostError::InvokeFailed("no nested invoker configured".into()));
+        };
+        self.nested_calls += calls;
+        let written = self.buffer.written_keys();
+        let batch = self.buffer.take_batch();
+        if !batch.is_empty() {
+            nested.commit_source(&self.ctx, &self.object, batch, written)?;
+        }
+        let had_guard = self.guard.take().is_some();
+        let out = run(nested, &self.ctx, self.depth + 1);
+        if had_guard {
+            let (guard, seq) = nested.reacquire(&self.object);
+            self.guard = Some(guard);
+            self.snapshot_seq = seq;
+        }
+        Ok(out)
+    }
+
     fn collection_len(&mut self, field: &[u8]) -> Result<u64, HostError> {
         let ckey = keys::counter_key(&self.object, field);
         Ok(keys::decode_counter(self.read_key(&ckey)?.as_deref()))
@@ -209,31 +241,10 @@ impl Host for ObjectHost<'_> {
         method: &str,
         args: Vec<VmValue>,
     ) -> Result<VmValue, HostError> {
-        self.ensure_writable()?;
-        let Some(nested) = self.nested else {
-            return Err(HostError::InvokeFailed("no nested invoker configured".into()));
-        };
-        self.nested_calls += 1;
-        // Per §3.1: the writes so far commit before the nested call runs...
-        let written = self.buffer.written_keys();
-        let batch = self.buffer.take_batch();
-        if !batch.is_empty() {
-            nested.commit_source(&self.ctx, &self.object, batch, written)?;
-        }
-        // ...and the pre-call part is now a completed invocation: release
-        // our object lock so the nested call (and everyone else) can make
-        // progress even through follower cycles or self-invocations.
-        let had_guard = self.guard.take().is_some();
         let target = ObjectId::new(object.to_vec());
-        let result = nested.invoke_nested(&self.ctx, &target, method, args, self.depth + 1);
-        if had_guard {
-            // Resume as a fresh invocation: re-acquire and advance the
-            // snapshot to see everything committed in the meantime.
-            let (guard, seq) = nested.reacquire(&self.object);
-            self.guard = Some(guard);
-            self.snapshot_seq = seq;
-        }
-        result
+        self.across_boundary(1, |nested, ctx, depth| {
+            nested.invoke_nested(ctx, &target, method, args, depth)
+        })?
     }
 
     fn invoke_many(
@@ -242,57 +253,42 @@ impl Host for ObjectHost<'_> {
         method: &str,
         args: Vec<VmValue>,
     ) -> Result<Vec<VmValue>, HostError> {
-        self.ensure_writable()?;
-        let Some(nested) = self.nested else {
-            return Err(HostError::InvokeFailed("no nested invoker configured".into()));
-        };
         if targets.is_empty() {
+            self.ensure_writable()?;
             return Ok(Vec::new());
         }
-        self.nested_calls += targets.len() as u64;
-        // Commit the pre-call part once, release the lock once, then run
-        // the whole scatter in parallel — "updating many follower timelines
-        // at once is done quickly by running the store_post calls in
-        // parallel" (§3.2).
-        let written = self.buffer.written_keys();
-        let batch = self.buffer.take_batch();
-        if !batch.is_empty() {
-            nested.commit_source(&self.ctx, &self.object, batch, written)?;
-        }
-        let had_guard = self.guard.take().is_some();
-        let depth = self.depth + 1;
-        let ctx = self.ctx;
-        // Bounded parallelism: scatter in waves so a celebrity fan-out
-        // does not spawn thousands of threads at once.
+        // One boundary for the whole scatter, run in parallel — "updating
+        // many follower timelines at once is done quickly by running the
+        // store_post calls in parallel" (§3.2) — in bounded waves, so a
+        // celebrity fan-out does not spawn thousands of threads at once.
         const FANOUT_WAVE: usize = 8;
-        let mut results: Vec<Result<VmValue, HostError>> = Vec::with_capacity(targets.len());
-        for wave in targets.chunks(FANOUT_WAVE) {
-            let wave_results: Vec<Result<VmValue, HostError>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|target| {
-                        let args = args.clone();
-                        let target = ObjectId::new(target.clone());
-                        scope
-                            .spawn(move || nested.invoke_nested(&ctx, &target, method, args, depth))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(HostError::InvokeFailed("fan-out thread panicked".into()))
+        let results = self.across_boundary(targets.len() as u64, |nested, ctx, depth| {
+            let mut results: Vec<Result<VmValue, HostError>> = Vec::with_capacity(targets.len());
+            for wave in targets.chunks(FANOUT_WAVE) {
+                let wave_results: Vec<Result<VmValue, HostError>> = std::thread::scope(|scope| {
+                    let handles: Vec<_> = wave
+                        .iter()
+                        .map(|target| {
+                            let args = args.clone();
+                            let target = ObjectId::new(target.clone());
+                            scope.spawn(move || {
+                                nested.invoke_nested(ctx, &target, method, args, depth)
+                            })
                         })
-                    })
-                    .collect()
-            });
-            results.extend(wave_results);
-        }
-        if had_guard {
-            let (guard, seq) = nested.reacquire(&self.object);
-            self.guard = Some(guard);
-            self.snapshot_seq = seq;
-        }
+                        .collect();
+                    handles
+                        .into_iter()
+                        .map(|h| {
+                            h.join().unwrap_or_else(|_| {
+                                Err(HostError::InvokeFailed("fan-out thread panicked".into()))
+                            })
+                        })
+                        .collect()
+                });
+                results.extend(wave_results);
+            }
+            results
+        })?;
         results.into_iter().collect()
     }
 

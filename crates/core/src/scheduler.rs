@@ -11,11 +11,12 @@
 //! locking at all (unsafe, for measuring what the locks cost).
 //!
 //! The lock is a FIFO queue of waiters rather than a thread-parking
-//! rwlock: a waiter may be a parked thread (the blocking `acquire_*`
-//! calls) **or** a continuation ([`Scheduler::acquire_deferred`]) that the
-//! releasing thread runs when the grant happens. Deferred waiters are what
-//! let an RPC worker hand off a queued invocation and go serve other
-//! requests instead of parking on a hot object.
+//! rwlock: a waiter is a continuation that the releasing thread runs when
+//! the grant happens — the caller's own ([`Scheduler::acquire_deferred`]),
+//! or one that wakes a parked thread (the blocking `acquire_*` calls).
+//! Deferred waiters are what let an RPC worker hand off a queued
+//! invocation and go serve other requests instead of parking on a hot
+//! object.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -274,94 +275,24 @@ impl Scheduler {
         }
     }
 
-    /// Core acquire: immediate grant when the lock is free (FIFO — an
-    /// empty queue), else enqueue. Returns the guard (and the unused grant
-    /// callback) when immediate, or `None` after parking `grant` in the
-    /// queue.
-    fn acquire_with(
-        &self,
-        object: &ObjectId,
-        exclusive: bool,
-        ctx: Option<InvocationContext>,
-        grant: GrantCallback,
-    ) -> Option<(ObjectGuard, GrantCallback)> {
-        let lock = self.lock_for(object);
-        let mut st = lock.state.lock();
-        let free = if exclusive {
-            !st.writer && st.readers == 0 && st.queue.is_empty()
-        } else {
-            !st.writer && st.queue.is_empty()
-        };
-        if free {
-            if exclusive {
-                st.writer = true;
-            } else {
-                st.readers += 1;
-            }
-            drop(st);
-            Some((ObjectGuard { lock: Some((lock, exclusive)) }, grant))
-        } else {
-            st.queue.push_back(Waiter { exclusive, ctx, grant });
-            None
-        }
-    }
-
-    fn acquire_blocking(
-        &self,
-        object: &ObjectId,
-        exclusive: bool,
-        ctx: Option<InvocationContext>,
-    ) -> Result<ObjectGuard, InvokeError> {
-        let (tx, rx) = channel::bounded(1);
-        let grant: GrantCallback = Box::new(move |res| {
-            let _ = tx.send(res);
-        });
-        match self.acquire_with(object, exclusive, ctx, grant) {
-            Some((guard, _unused_grant)) => Ok(guard),
-            None => rx.recv().expect("lock queue never drops waiters"),
-        }
-    }
-
-    /// Acquire `object` for a mutating invocation (exclusive), blocking
-    /// until granted. If `object` appears in `held`, the caller already
-    /// owns it higher up a nested-invocation chain and no lock is taken
-    /// (re-entrancy; see §3.1 — the outer parts are separate invocations).
-    pub fn acquire_exclusive(&self, object: &ObjectId, held: &[ObjectId]) -> ObjectGuard {
-        self.exclusive.incr();
-        if self.mode == SchedulerMode::Unsafe || held.contains(object) {
-            return ObjectGuard { lock: None };
-        }
-        self.acquire_blocking(object, true, None).expect("no deadline: cannot be shed")
-    }
-
-    /// Acquire `object` for a read-only invocation (shared).
-    pub fn acquire_shared(&self, object: &ObjectId, held: &[ObjectId]) -> ObjectGuard {
-        self.shared.incr();
-        if self.mode == SchedulerMode::Unsafe || held.contains(object) {
-            return ObjectGuard { lock: None };
-        }
-        self.acquire_blocking(object, false, None).expect("no deadline: cannot be shed")
-    }
-
-    /// Deadline-aware acquire: queue for `object`, then *re-check the
-    /// deadline at dequeue time* — an invocation whose budget expired
-    /// while it waited behind the lock is shed here, before any
-    /// execute/commit work, and never reaches the engine.
-    ///
-    /// # Errors
-    /// [`InvokeError::DeadlineExceeded`] when `ctx`'s deadline has passed
-    /// (either before enqueueing or during the wait).
-    pub fn acquire_ctx(
+    /// The one acquire: every decision — deadline shed, counters, the
+    /// re-entrancy and `Unsafe` bypasses, immediate grant when the lock is
+    /// free (FIFO: an empty queue) or else a place in the queue — is made
+    /// here. `grant` runs on *this* thread when the lock is free right now,
+    /// else on whichever thread releases it. The public entry points only
+    /// choose how the caller waits for it.
+    fn acquire(
         &self,
         object: &ObjectId,
         held: &[ObjectId],
         exclusive: bool,
-        ctx: &InvocationContext,
-    ) -> Result<ObjectGuard, InvokeError> {
+        ctx: Option<&InvocationContext>,
+        grant: GrantCallback,
+    ) {
         // Already out of budget: shed without touching the lock table.
-        if ctx.expired() {
+        if ctx.is_some_and(InvocationContext::expired) {
             self.shed.incr();
-            return Err(InvokeError::DeadlineExceeded);
+            return grant(Err(InvokeError::DeadlineExceeded));
         }
         if exclusive {
             self.exclusive.incr();
@@ -369,25 +300,76 @@ impl Scheduler {
             self.shared.incr();
         }
         if self.mode == SchedulerMode::Unsafe || held.contains(object) {
-            return Ok(ObjectGuard { lock: None });
+            return grant(Ok(ObjectGuard { lock: None }));
         }
-        let guard = self.acquire_blocking(object, exclusive, Some(*ctx))?;
-        // Grant-time race: the budget may have run out right as the lock
-        // was handed over.
-        if ctx.expired() {
-            drop(guard);
-            self.shed.incr();
-            return Err(InvokeError::DeadlineExceeded);
+        let lock = self.lock_for(object);
+        let mut st = lock.state.lock();
+        let free = !st.writer && st.queue.is_empty() && (!exclusive || st.readers == 0);
+        if !free {
+            st.queue.push_back(Waiter { exclusive, ctx: ctx.copied(), grant });
+            return;
         }
-        Ok(guard)
+        if exclusive {
+            st.writer = true;
+        } else {
+            st.readers += 1;
+        }
+        drop(st);
+        run_grant(grant, Ok(ObjectGuard { lock: Some((lock, exclusive)) }));
     }
 
-    /// Deferred deadline-aware acquire: like
-    /// [`acquire_ctx`](Scheduler::acquire_ctx), but instead of parking this
-    /// thread the continuation `cont` runs when the lock is granted — on
-    /// *this* thread when the lock is free right now, else on whichever
-    /// thread releases the lock. Waiters whose deadline expires in the
-    /// queue are shed with [`InvokeError::DeadlineExceeded`] at grant time.
+    /// Parked shell: the grant is handed over a channel. (Sound here,
+    /// unlike at the engine and replication layers, as "deferred plus
+    /// `recv()`": a grant runs on the *releasing* thread, and nothing that
+    /// parks sits on the completion pool a release may come from.)
+    fn acquire_parked(
+        &self,
+        object: &ObjectId,
+        held: &[ObjectId],
+        exclusive: bool,
+        ctx: Option<&InvocationContext>,
+    ) -> Result<ObjectGuard, InvokeError> {
+        let (tx, rx) = channel::bounded(1);
+        let grant: GrantCallback = Box::new(move |res| {
+            let _ = tx.send(res);
+        });
+        self.acquire(object, held, exclusive, ctx, grant);
+        rx.recv().expect("lock queue never drops waiters")
+    }
+
+    /// Acquire `object` for a mutating invocation (exclusive), blocking
+    /// until granted. If `object` appears in `held`, the caller already
+    /// owns it higher up a nested-invocation chain and no lock is taken
+    /// (re-entrancy; see §3.1 — the outer parts are separate invocations).
+    pub fn acquire_exclusive(&self, object: &ObjectId, held: &[ObjectId]) -> ObjectGuard {
+        self.acquire_parked(object, held, true, None).expect("no deadline: cannot be shed")
+    }
+
+    /// Acquire `object` for a read-only invocation (shared).
+    pub fn acquire_shared(&self, object: &ObjectId, held: &[ObjectId]) -> ObjectGuard {
+        self.acquire_parked(object, held, false, None).expect("no deadline: cannot be shed")
+    }
+
+    /// Deadline-aware blocking acquire: an invocation whose budget expired
+    /// before enqueueing, or while it waited behind the lock, is shed
+    /// *at dequeue time* — before any execute/commit work, never reaching
+    /// the engine.
+    ///
+    /// # Errors
+    /// [`InvokeError::DeadlineExceeded`] when `ctx`'s deadline has passed.
+    pub fn acquire_ctx(
+        &self,
+        object: &ObjectId,
+        held: &[ObjectId],
+        exclusive: bool,
+        ctx: &InvocationContext,
+    ) -> Result<ObjectGuard, InvokeError> {
+        self.acquire_parked(object, held, exclusive, Some(ctx))
+    }
+
+    /// Deadline-aware acquire without parking: the continuation `cont`
+    /// runs when the lock is granted, or with
+    /// [`InvokeError::DeadlineExceeded`] when the invocation is shed.
     pub fn acquire_deferred(
         &self,
         object: &ObjectId,
@@ -396,26 +378,7 @@ impl Scheduler {
         ctx: &InvocationContext,
         cont: GrantCallback,
     ) {
-        if ctx.expired() {
-            self.shed.incr();
-            cont(Err(InvokeError::DeadlineExceeded));
-            return;
-        }
-        if exclusive {
-            self.exclusive.incr();
-        } else {
-            self.shared.incr();
-        }
-        if self.mode == SchedulerMode::Unsafe || held.contains(object) {
-            cont(Ok(ObjectGuard { lock: None }));
-            return;
-        }
-        // `acquire_with` either grants immediately (we run the
-        // continuation inline on this thread) or parks `cont` in the FIFO
-        // queue for the releasing thread to run.
-        if let Some((guard, cont)) = self.acquire_with(object, exclusive, Some(*ctx), cont) {
-            run_grant(cont, Ok(guard));
-        }
+        self.acquire(object, held, exclusive, Some(ctx), cont);
     }
 
     /// Counter snapshot.

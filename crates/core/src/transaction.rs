@@ -174,14 +174,7 @@ impl Engine {
         // Resolve types first (also validates object existence).
         let mut resolved = Vec::with_capacity(calls.len());
         for call in calls {
-            let ty = self.object_type_of(&call.object)?;
-            let meta = ty
-                .method_meta(&call.method)
-                .ok_or_else(|| InvokeError::UnknownMethod(call.method.clone()))?;
-            if !meta.public {
-                return Err(InvokeError::NotPublic(call.method.clone()));
-            }
-            resolved.push((ty, meta));
+            resolved.push(self.resolve_method(&call.object, &call.method, true)?);
         }
 
         // Lock every distinct object in global (sorted) order.
@@ -224,18 +217,16 @@ impl Engine {
 
         // Single atomic commit covering every touched object.
         if !buffer.is_clean() {
-            let written = buffer.written_keys();
+            let mut touched = buffer.written_keys();
             let mut batch = buffer.take_batch();
             for object in &objects {
-                let touched =
-                    written.iter().any(|k| keys::split_key(k).is_some_and(|(o, _)| &o == object));
-                if touched {
-                    let vkey = keys::version_key(object);
-                    let version = self.object_version(object) + 1;
-                    batch.put(vkey, version.to_le_bytes().to_vec());
+                let wrote =
+                    touched.iter().any(|k| keys::split_key(k).is_some_and(|(o, _)| &o == object));
+                if wrote {
+                    touched.push(self.bump_version(object, &mut batch));
                 }
             }
-            self.commit_transaction_batch(&objects, batch, &written)?;
+            self.commit_transaction_batch(&objects, batch, &touched)?;
         }
         Ok(results)
     }

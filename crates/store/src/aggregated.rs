@@ -14,8 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use lambda_coordinator::CoordClient;
 use lambda_coordinator::CoordEvent;
@@ -26,14 +25,15 @@ use lambda_kv::Db;
 use lambda_net::rpc::{sync_handler, AdmissionPolicy, Responder, RpcConfig};
 use lambda_net::{wire, Handler, Network, NodeId, RpcError, RpcNode};
 use lambda_objects::{
-    decode_error, encode_error, keys, CommitCallback, CommitHook, Counter, Engine, EngineConfig,
-    Gauge, InvocationContext, InvokeError, InvokeRouter, ObjectId, ObjectType, Origin, Registry,
+    decode_error, encode_error, keys, CommitHook, Counter, Engine, EngineConfig, Gauge,
+    InvocationContext, InvokeError, InvokeRouter, ObjectId, ObjectType, Origin, Registry,
     TypeRegistry, WriteSetOps,
 };
 use lambda_vm::VmValue;
 
 use crate::placement::Placement;
 use crate::proto::{self, ClientPush, NodeStatsWire, StoreRequest, StoreResponse, SyncItem};
+use crate::replication::{ReplState, Round, WriteSet};
 use crate::sync::{SyncManager, SyncPhase, SyncSession};
 
 /// Offset for a node's watch endpoint (coordinator push notifications).
@@ -95,113 +95,15 @@ impl AggregatedConfig {
     }
 }
 
-/// One committed write set parked in a shard's replication window, waiting
-/// for a window leader to ship it (or to be promoted to leader itself).
-#[derive(Debug)]
-struct ReplWaiter {
-    state: Mutex<ReplWaiterState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct ReplWaiterState {
-    /// `(object, ops)`; taken by the window leader when it forms a batch.
-    entry: Option<(Vec<u8>, WriteSetOps)>,
-    /// Epoch and backup set captured at enqueue time. The leader only
-    /// coalesces a prefix that agrees on both, so fencing stays exact
-    /// across reconfigurations.
-    epoch: Epoch,
-    backups: Vec<NodeId>,
-    /// Set when this waiter is promoted to lead the next window.
-    leader: bool,
-    /// Set (with `result`) once a leader has shipped this write set.
-    done: bool,
-    result: Option<Result<(), String>>,
-}
-
-impl ReplWaiter {
-    fn new(object: Vec<u8>, ops: WriteSetOps, epoch: Epoch, backups: Vec<NodeId>) -> Self {
-        ReplWaiter {
-            state: Mutex::new(ReplWaiterState {
-                entry: Some((object, ops)),
-                epoch,
-                backups,
-                leader: false,
-                done: false,
-                result: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-}
-
-/// Per-shard replication window: a queue of committed write sets awaiting
-/// shipment, led by the writer at its front (same leader/follower scheme as
-/// the storage engine's WAL group commit).
-#[derive(Debug, Default)]
-struct ShardWindow {
-    queue: Mutex<VecDeque<Arc<ReplWaiter>>>,
-}
-
-/// One committed write set queued in a shard's *deferred* replication
-/// window (the non-blocking commit path). Unlike [`ReplWaiter`] nothing
-/// parks: the commit completion travels with the entry and fires from the
-/// ack thread of the round that ships it.
-struct DeferredRepl {
-    object: Vec<u8>,
-    ops: WriteSetOps,
-    /// Epoch and backup set captured at enqueue time; a round only
-    /// coalesces a queue prefix that agrees on both, so epoch fencing
-    /// stays exact across reconfigurations (same rule as the blocking
-    /// window).
-    epoch: Epoch,
-    backups: Vec<NodeId>,
-    /// The committing invocation's context; the round leader's copy
-    /// bounds the fan-out timeout and rides in the batch envelope.
-    ctx: InvocationContext,
-    done: CommitCallback,
-}
-
-/// Per-shard deferred replication window. Entries accumulate while one
-/// `ReplicateBatch` fan-out is in flight; that fan-out's completion ships
-/// the next round, so the window is always driven without a parked leader
-/// thread.
-#[derive(Default)]
-struct DeferredWindow {
-    state: Mutex<DeferredWindowState>,
-}
-
-#[derive(Default)]
-struct DeferredWindowState {
-    queue: VecDeque<DeferredRepl>,
-    in_flight: bool,
-}
-
-/// Decode one ack per backup; any failure fails the whole window.
-/// The subset of `backups` whose reply was anything but a clean `Ok` ack.
-/// Replication retries re-target exactly this subset: a backup that acked
-/// has the write applied, whatever happened to its peers.
-fn failed_acks(backups: &[NodeId], replies: &[Result<Vec<u8>, RpcError>]) -> Vec<NodeId> {
-    backups
-        .iter()
-        .zip(replies)
-        .filter(|(_, reply)| {
-            !matches!(reply, Ok(bytes)
-                if matches!(wire::from_bytes::<StoreResponse>(bytes), Ok(StoreResponse::Ok)))
-        })
-        .map(|(backup, _)| *backup)
-        .collect()
-}
-
-struct NodeInner {
-    id: NodeId,
+pub(crate) struct NodeInner {
+    pub(crate) id: NodeId,
     engine: Arc<Engine>,
-    placement: Placement,
+    pub(crate) placement: Placement,
     rpc: OnceLock<Arc<RpcNode>>,
     /// Back-reference for completions that must re-enter the node after an
     /// asynchronous hop (deferred replication rounds).
     self_ref: OnceLock<Weak<NodeInner>>,
-    rpc_timeout: Duration,
+    pub(crate) rpc_timeout: Duration,
     /// The node-wide telemetry registry: shared by the kv layer, the
     /// engine/scheduler, and the counters below, so every stats surface is
     /// a view over one set of cells.
@@ -209,18 +111,9 @@ struct NodeInner {
     requests: Counter,
     replications: Counter,
     busy_nanos: Counter,
-    shutdown: AtomicBool,
-    /// When false the replication hook is skipped (single-node mode and
-    /// the ABL-REPL "no replication" ablation).
-    replicate: AtomicBool,
-    /// When false every committed write set is shipped as its own
-    /// `Replicate` RPC (the ABL-GROUPCOMMIT "wal-only" configuration).
-    repl_batching: AtomicBool,
-    /// Per-shard replication windows, created on first use (blocking
-    /// callers: raw writes and synchronous commits).
-    repl_windows: Mutex<HashMap<ShardId, Arc<ShardWindow>>>,
-    /// Per-shard deferred replication windows (non-blocking commit path).
-    deferred_windows: Mutex<HashMap<ShardId, Arc<DeferredWindow>>>,
+    pub(crate) shutdown: AtomicBool,
+    /// Replication windows, switch and counters (see [`crate::replication`]).
+    pub(crate) repl: ReplState,
     /// Instantaneous run-queue depth, mirrored from the RPC endpoint on
     /// stats reads.
     q_depth: Gauge,
@@ -228,10 +121,6 @@ struct NodeInner {
     q_inflight: Gauge,
     /// Requests refused by admission control, mirrored likewise.
     q_shed: Gauge,
-    /// Batched replication rounds issued (one `ReplicateBatch` fan-out).
-    repl_rounds: Counter,
-    /// Write sets shipped through batched rounds.
-    repl_entries: Counter,
     /// Open state-transfer sessions to syncing backups (primary side).
     sync: SyncManager,
     /// Soft payload bound per state-transfer chunk.
@@ -278,11 +167,6 @@ struct NodeInner {
     lease_rejections: Counter,
     /// Standalone `RenewLease` frames sent (primary role).
     lease_renewals: Counter,
-    /// Commits held (not failed) while a post-reconfiguration fence was up.
-    lease_fenced_commits: Counter,
-    /// Replication fan-outs re-sent to backups that missed an earlier round
-    /// (a dropped frame or lost ack never downgrades an acked write).
-    repl_retries: Counter,
     /// Invalidation frames pushed to subscribed clients.
     invalidations_published: Counter,
     /// Recent committed write sets per shard (bounded ring, newest last),
@@ -323,9 +207,12 @@ struct NodeInner {
     migrations_driving: Mutex<HashSet<Vec<u8>>>,
     /// Coordinator-owned migrations this node drove to commit as source.
     migrations_completed: Counter,
-    /// Mutations refused (admission) or fenced (commit) with `ObjectMoved`
-    /// while their object's migration was in handoff.
-    migration_fenced: Counter,
+}
+
+/// A handler outcome as the RPC layer carries it.
+fn encode_reply(reply: Result<StoreResponse, InvokeError>) -> Result<Vec<u8>, String> {
+    let resp = reply.map_err(|e| encode_error(&e))?;
+    wire::to_bytes(&resp).map_err(|e| e.to_string())
 }
 
 /// Payload bytes of one stream item (transfer-cost accounting).
@@ -341,11 +228,6 @@ fn sync_item_bytes(item: &SyncItem) -> u64 {
     }
 }
 
-/// Pause between replication retry rounds: long enough to let a transient
-/// fault clear or the failure detector evict a dead backup, short enough
-/// that a commit holding an object lock barely notices.
-const REPL_RETRY_PAUSE: Duration = Duration::from_millis(2);
-
 /// Items per `InstallShardChunk` RPC on the push path.
 const SYNC_BATCH_ITEMS: usize = 32;
 /// Send retries per chunk before a session gives up on its peer.
@@ -357,7 +239,7 @@ const RECENT_COMMITS_CAP: usize = 32;
 
 /// One shard's ring of recent committed write sets: `(object id bytes,
 /// write set)`, newest last, bounded at [`RECENT_COMMITS_CAP`].
-type RecentCommitRing = VecDeque<(Vec<u8>, WriteSetOps)>;
+type RecentCommitRing = VecDeque<WriteSet>;
 
 /// Hottest objects reported per heartbeat load report.
 const HOT_REPORT_TOP_K: usize = 8;
@@ -369,7 +251,7 @@ const MIGRATE_SHIP_RETRIES: usize = 20;
 const MIGRATE_POLL_PAUSE: Duration = Duration::from_millis(5);
 
 impl NodeInner {
-    fn rpc(&self) -> &Arc<RpcNode> {
+    pub(crate) fn rpc(&self) -> &Arc<RpcNode> {
         self.rpc.get().expect("rpc initialized during start")
     }
 
@@ -400,7 +282,7 @@ impl NodeInner {
     /// lease: a deposed primary partitioned from the coordinator must stop
     /// granting *before* the failure detector can have replaced it, so no
     /// split-brain island keeps a departed backup's lease alive.
-    fn grant_lease_nanos(&self, shard: ShardId, backups: &[NodeId]) -> u64 {
+    pub(crate) fn grant_lease_nanos(&self, shard: ShardId, backups: &[NodeId]) -> u64 {
         if !self.lease_enforce || backups.is_empty() {
             return 0;
         }
@@ -442,7 +324,7 @@ impl NodeInner {
 
     /// Remaining fence time for `shard` commits, if a post-reconfiguration
     /// fence is still draining; expired fences are removed on the way.
-    fn fence_remaining(&self, shard: ShardId) -> Option<Duration> {
+    pub(crate) fn fence_remaining(&self, shard: ShardId) -> Option<Duration> {
         let mut fences = self.commit_fences.lock();
         let until = *fences.get(&shard)?;
         let now = Instant::now();
@@ -455,7 +337,12 @@ impl NodeInner {
 
     /// Record one committed write set in `shard`'s recent ring (bounded at
     /// [`RECENT_COMMITS_CAP`]; the oldest entry falls off).
-    fn record_recent(&self, shard: ShardId, object: &[u8], ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
+    pub(crate) fn record_recent(
+        &self,
+        shard: ShardId,
+        object: &[u8],
+        ops: &[(Vec<u8>, Option<Vec<u8>>)],
+    ) {
         let mut rings = self.recent_commits.lock();
         let ring = rings.entry(shard).or_default();
         if ring.len() == RECENT_COMMITS_CAP {
@@ -530,7 +417,7 @@ impl NodeInner {
     /// survivor's ack landing is delivered here, converging the replica
     /// set on every acked write before new commits stack on top.
     fn spawn_promotion_resync(&self, shard: ShardId, epoch: Epoch, backups: Vec<NodeId>) {
-        let entries: Vec<(Vec<u8>, WriteSetOps)> = {
+        let entries: Vec<WriteSet> = {
             let rings = self.recent_commits.lock();
             rings.get(&shard).map(|r| r.iter().cloned().collect()).unwrap_or_default()
         };
@@ -542,7 +429,8 @@ impl NodeInner {
             .name(format!("store-{}-resync-{shard}", self.id))
             .spawn(move || {
                 let ctx = InvocationContext::background();
-                if this.replicate_until_acked(&ctx, shard, epoch, &entries, backups, true).is_ok() {
+                let round = Round::new(shard, epoch, backups, &ctx, entries);
+                if this.run_round_parked(round).is_ok() {
                     this.promotion_resyncs.incr();
                 }
             })
@@ -652,7 +540,7 @@ impl NodeInner {
     /// Push the written keys of a commit this node just applied to every
     /// subscribed client-edge cache (oneway; a lost frame only costs the
     /// subscriber a lazy re-validation miss later).
-    fn publish_invalidations<'a>(&self, written: impl Iterator<Item = &'a Vec<u8>>) {
+    pub(crate) fn publish_invalidations<'a>(&self, written: impl Iterator<Item = &'a Vec<u8>>) {
         let subs = self.subscribers.lock();
         if subs.is_empty() {
             return;
@@ -693,18 +581,13 @@ impl NodeInner {
 
     fn handle(
         &self,
-        _from: NodeId,
         ctx: &InvocationContext,
         req: StoreRequest,
     ) -> Result<StoreResponse, InvokeError> {
         self.requests.incr();
         match req {
-            StoreRequest::Invoke { object, method, args, read_only, internal, .. } => {
-                let oid = ObjectId::new(object);
-                self.check_role(&oid, read_only)?;
-                self.tally_invoke(oid.as_bytes());
-                let value = self.engine.invoke_ctx(ctx, &oid, &method, args, !internal, 0)?;
-                Ok(StoreResponse::Value(value))
+            StoreRequest::Invoke { .. } => {
+                unreachable!("the endpoint handler serves Invoke as a deferred reply")
             }
             StoreRequest::CreateObject { type_name, object, fields } => {
                 let oid = ObjectId::new(object);
@@ -726,28 +609,8 @@ impl NodeInner {
                 self.engine.types().register(ty);
                 Ok(StoreResponse::Ok)
             }
-            StoreRequest::Replicate { shard, epoch, object, ops, lease_nanos } => {
-                let local_epoch = self.placement.epoch_of(shard).unwrap_or(0);
-                if epoch < local_epoch {
-                    return Err(InvokeError::WrongNode(format!(
-                        "stale epoch {epoch} < {local_epoch} for shard {shard}"
-                    )));
-                }
-                self.accept_lease(shard, epoch, lease_nanos);
-                let oid = ObjectId::new(object);
-                self.engine.apply_replicated(&oid, &ops)?;
-                self.record_recent(shard, &oid.0, &ops);
-                self.publish_invalidations(ops.iter().map(|(k, _)| k));
-                self.replications.incr();
-                Ok(StoreResponse::Ok)
-            }
             StoreRequest::ReplicateBatch { shard, epoch, entries, lease_nanos } => {
-                let local_epoch = self.placement.epoch_of(shard).unwrap_or(0);
-                if epoch < local_epoch {
-                    return Err(InvokeError::WrongNode(format!(
-                        "stale epoch {epoch} < {local_epoch} for shard {shard}"
-                    )));
-                }
+                self.fence_stale_epoch(shard, epoch)?;
                 self.accept_lease(shard, epoch, lease_nanos);
                 let count = entries.len() as u64;
                 let entries: Vec<(ObjectId, WriteSetOps)> =
@@ -763,8 +626,7 @@ impl NodeInner {
                 Ok(StoreResponse::Ok)
             }
             StoreRequest::RenewLease { shard, epoch, lease_nanos } => {
-                let local_epoch = self.placement.epoch_of(shard).unwrap_or(0);
-                if epoch >= local_epoch {
+                if self.fence_stale_epoch(shard, epoch).is_ok() {
                     self.accept_lease(shard, epoch, lease_nanos);
                 }
                 Ok(StoreResponse::Ok)
@@ -773,65 +635,6 @@ impl NodeInner {
                 let mut subs = self.subscribers.lock();
                 if !subs.contains(&subscriber) {
                     subs.push(subscriber);
-                }
-                Ok(StoreResponse::Ok)
-            }
-            StoreRequest::FetchObject { object, evict } => {
-                let oid = ObjectId::new(object);
-                let snapshot = if evict {
-                    let snap = self.engine.export_object(&oid)?;
-                    // Deleting through the engine replicates the deletions
-                    // to backups, so a later failover cannot resurrect the
-                    // migrated object here.
-                    self.engine.delete_object(&oid)?;
-                    snap
-                } else {
-                    self.engine.export_object(&oid)?
-                };
-                Ok(StoreResponse::Snapshot(snapshot))
-            }
-            StoreRequest::InstallObject { snapshot, shard } => {
-                let info = self
-                    .placement
-                    .snapshot()
-                    .shard(shard)
-                    .cloned()
-                    .ok_or_else(|| InvokeError::WrongNode(format!("no shard {shard}")))?;
-                if info.primary != self.id {
-                    return Err(InvokeError::WrongNode(format!(
-                        "install target shard {shard} is served by node-{}",
-                        info.primary.0
-                    )));
-                }
-                self.engine.import_object(&snapshot)?;
-                // Propagate the imported data to the target shard's backups
-                // explicitly — the object's placement still points at the
-                // source shard until the coordinator pin lands.
-                let ops: Vec<(Vec<u8>, Option<Vec<u8>>)> = snapshot
-                    .entries
-                    .iter()
-                    .map(|(suffix, value)| {
-                        (keys::join_key(&snapshot.id, suffix), Some(value.clone()))
-                    })
-                    .collect();
-                let req = StoreRequest::Replicate {
-                    shard,
-                    epoch: info.epoch,
-                    object: snapshot.id.0.clone(),
-                    ops,
-                    // Migration install, not a lease-bearing commit: the
-                    // target shard's primary grants on its own traffic.
-                    lease_nanos: 0,
-                };
-                for backup in &info.backups {
-                    match self.call_peer(ctx, *backup, &req)? {
-                        StoreResponse::Ok => {}
-                        other => {
-                            return Err(InvokeError::Storage(format!(
-                                "install replication to {backup}: bad reply {other:?}"
-                            )))
-                        }
-                    }
                 }
                 Ok(StoreResponse::Ok)
             }
@@ -854,10 +657,16 @@ impl NodeInner {
                     .shard_for_object(&snapshot.id.0)
                     .and_then(|s| state.shard(s))
                     .is_some_and(|serving| serving.contains(self.id));
+                if !info.contains(self.id) {
+                    return Err(InvokeError::WrongNode(format!(
+                        "node-{} holds no replica of shard {shard}",
+                        self.id.0
+                    )));
+                }
+                if !holds_live {
+                    self.engine.install_object_replacing(&snapshot)?;
+                }
                 if info.primary == self.id {
-                    if !holds_live {
-                        self.engine.install_object_replacing(&snapshot)?;
-                    }
                     // Fan the replacing install out to the shard's backups
                     // with the same wholesale semantics: op-replication
                     // could leave keys of a superseded warm copy behind.
@@ -874,15 +683,6 @@ impl NodeInner {
                             }
                         }
                     }
-                } else if info.contains(self.id) {
-                    if !holds_live {
-                        self.engine.install_object_replacing(&snapshot)?;
-                    }
-                } else {
-                    return Err(InvokeError::WrongNode(format!(
-                        "node-{} holds no replica of shard {shard}",
-                        self.id.0
-                    )));
                 }
                 Ok(StoreResponse::Ok)
             }
@@ -955,12 +755,7 @@ impl NodeInner {
             }
             StoreRequest::Stats => Ok(StoreResponse::NodeStats(self.stats_wire())),
             StoreRequest::FetchShardChunk { shard, epoch, cursor, max_bytes } => {
-                let local_epoch = self.placement.epoch_of(shard).unwrap_or(0);
-                if epoch < local_epoch {
-                    return Err(InvokeError::WrongNode(format!(
-                        "stale epoch {epoch} < {local_epoch} for shard {shard}"
-                    )));
-                }
+                self.fence_stale_epoch(shard, epoch)?;
                 let state = self.placement.snapshot();
                 if let Some(info) = state.shard(shard) {
                     if info.primary != self.id {
@@ -1005,12 +800,7 @@ impl NodeInner {
                 Ok(StoreResponse::ShardChunk { objects, next_cursor })
             }
             StoreRequest::InstallShardChunk { shard, epoch, items } => {
-                let local_epoch = self.placement.epoch_of(shard).unwrap_or(0);
-                if epoch < local_epoch {
-                    return Err(InvokeError::WrongNode(format!(
-                        "stale epoch {epoch} < {local_epoch} for shard {shard}"
-                    )));
-                }
+                self.fence_stale_epoch(shard, epoch)?;
                 // A transfer onto a disk that damaged data mid-stream must
                 // not be confirmed: if the scrubber quarantined anything
                 // since this session's `Begin`, installed state may already
@@ -1060,8 +850,7 @@ impl NodeInner {
                         }
                         SyncItem::Object(snap) => self.engine.install_object_replacing(&snap)?,
                         SyncItem::Forward { object, ops } => {
-                            let oid = ObjectId::new(object);
-                            self.engine.apply_replicated(&oid, &ops)?;
+                            self.engine.apply_replicated_batch(&[(ObjectId::new(object), ops)])?;
                         }
                     }
                 }
@@ -1069,6 +858,18 @@ impl NodeInner {
                 Ok(StoreResponse::Ok)
             }
         }
+    }
+
+    /// Refuse a frame stamped with an epoch this node has already seen
+    /// superseded (a deposed primary's replication or state transfer).
+    fn fence_stale_epoch(&self, shard: ShardId, epoch: Epoch) -> Result<(), InvokeError> {
+        let local_epoch = self.placement.epoch_of(shard).unwrap_or(0);
+        if epoch < local_epoch {
+            return Err(InvokeError::WrongNode(format!(
+                "stale epoch {epoch} < {local_epoch} for shard {shard}"
+            )));
+        }
+        Ok(())
     }
 
     /// The node's wire stats, served straight from the shared registry
@@ -1151,19 +952,11 @@ impl NodeInner {
                 )));
             }
         } else if info.primary == self.id {
-            // Migration handoff fence: once the coordinator's handoff
-            // record is visible here, new mutations are refused with a
-            // retryable `ObjectMoved` so the final snapshot the driver
-            // ships is the last word. Reads keep serving from the source
-            // until the commit lands (the source copy stays authoritative).
-            if let Some(m) = self.placement.migration_of(oid.as_bytes()) {
-                if m.phase == MigrationPhase::Handoff && m.from == shard {
-                    self.migration_fenced.incr();
-                    return Err(InvokeError::ObjectMoved(format!(
-                        "object {oid} is handing off from shard {} to shard {}",
-                        m.from, m.to
-                    )));
-                }
+            // Reads keep serving from the source through a migration's
+            // handoff (its copy stays authoritative until the commit
+            // lands); mutations are fenced.
+            if let Some(moved) = self.repl.handoff_fence(&self.placement, oid, shard) {
+                return Err(moved);
             }
             return Ok(());
         }
@@ -1173,517 +966,18 @@ impl NodeInner {
         )))
     }
 
-    /// Synchronous replication for the raw (baseline) API. The baseline
-    /// "uses our prototype as its storage layer" (§5): raw writes get the
-    /// same primary-backup durability as engine commits. (What the
-    /// baseline lacks is invocation-level consistency — atomicity,
-    /// isolation, per-object scheduling — not storage replication.)
-    fn replicate_raw(
-        &self,
-        ctx: &InvocationContext,
-        ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
-    ) -> Result<(), InvokeError> {
-        // Raw writes land outside the engine's commit hook but can still
-        // overwrite keys a cached read recorded: publish them too.
-        self.publish_invalidations(ops.iter().map(|(k, _)| k));
-        if !self.replicate.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let Some((key, _)) = ops.first() else {
-            return Ok(());
-        };
-        let Some((oid, _)) = keys::split_key(key) else {
-            return Ok(());
-        };
-        loop {
-            let Some((shard, info)) = self.placement.locate(&oid) else {
-                return Ok(());
-            };
-            if info.primary != self.id {
-                return Ok(());
-            }
-            // Hold, don't fail — see `on_commit`: the raw put is already
-            // durable locally, so the fence delays its ack until departed
-            // read leases drain, then replicates against fresh placement.
-            if let Some(wait) = self.fence_remaining(shard) {
-                self.lease_fenced_commits.incr();
-                std::thread::sleep(wait);
-                continue;
-            }
-            self.record_recent(shard, &oid.0, &ops);
-            self.replicate_to_backups(ctx, shard, info.epoch, &oid, &ops, &info.backups)
-                .map_err(InvokeError::Storage)?;
-            return self
-                .forward_to_syncing(shard, info.epoch, &info.syncing, &oid, &ops)
-                .map_err(InvokeError::Storage);
-        }
-    }
-}
-
-impl NodeInner {
-    /// Ship `ops` to every backup of `shard` **in parallel** and wait for
-    /// all acks — the paper's "at most one network round-trip within the
-    /// responsible replica set" (§4.2.1).
-    ///
-    /// With replication batching on (the default) the write set joins the
-    /// shard's replication window: concurrent commits against the same
-    /// shard are coalesced by a window leader into one `ReplicateBatch`
-    /// fan-out, and this call returns only once that batch is acked by
-    /// every backup. The commit is not reported successful before then.
-    fn replicate_to_backups(
-        &self,
-        ctx: &InvocationContext,
-        shard: ShardId,
-        epoch: Epoch,
-        object: &ObjectId,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
-        backups: &[NodeId],
-    ) -> Result<(), String> {
-        if backups.is_empty() {
-            return Ok(());
-        }
-        if !self.repl_batching.load(Ordering::Relaxed) {
-            // Unbatched path: one RPC round per committed write set, retried
-            // until every still-configured backup has applied it.
-            let entries = vec![(object.0.clone(), ops.to_vec())];
-            return self.replicate_until_acked(
-                ctx,
-                shard,
-                epoch,
-                &entries,
-                backups.to_vec(),
-                false,
-            );
-        }
-
-        // Join the shard's replication window.
-        let window = {
-            let mut windows = self.repl_windows.lock();
-            Arc::clone(windows.entry(shard).or_default())
-        };
-        let waiter =
-            Arc::new(ReplWaiter::new(object.0.clone(), ops.to_vec(), epoch, backups.to_vec()));
-        let is_leader = {
-            let mut queue = window.queue.lock();
-            queue.push_back(Arc::clone(&waiter));
-            queue.len() == 1
-        };
-        if !is_leader {
-            // Follower: park until a leader ships our write set, or
-            // promotes us to lead the next window.
-            let mut st = waiter.state.lock();
-            while !st.done && !st.leader {
-                waiter.cv.wait(&mut st);
-            }
-            if st.done {
-                return st.result.take().expect("done waiter has a result");
-            }
-        }
-        self.lead_replication(ctx, shard, &window, &waiter)
-    }
-
-    /// Lead one batched replication round. `own` must be the front of the
-    /// window's queue. The leader's context bounds the fan-out timeout and
-    /// travels in the batch envelope (followers coalesced into the round
-    /// inherit the leader's budget for this one round-trip).
-    fn lead_replication(
-        &self,
-        ctx: &InvocationContext,
-        shard: ShardId,
-        window: &ShardWindow,
-        own: &Arc<ReplWaiter>,
-    ) -> Result<(), String> {
-        let (epoch, backups) = {
-            let st = own.state.lock();
-            (st.epoch, st.backups.clone())
-        };
-        // Coalesce the longest queue prefix that shares our epoch and
-        // backup set; a write set enqueued under a newer configuration
-        // leads its own round later, keeping the fencing check exact.
-        let group: Vec<Arc<ReplWaiter>> = {
-            let queue = window.queue.lock();
-            let mut group = Vec::new();
-            for w in queue.iter() {
-                let st = w.state.lock();
-                if st.epoch != epoch || st.backups != backups {
-                    break;
-                }
-                group.push(Arc::clone(w));
-            }
-            group
-        };
-        debug_assert!(!group.is_empty() && Arc::ptr_eq(&group[0], own));
-
-        let entries: Vec<(Vec<u8>, WriteSetOps)> = group
-            .iter()
-            .map(|w| w.state.lock().entry.take().expect("queued waiter has an entry"))
-            .collect();
-
-        let outcome = self.replicate_until_acked(ctx, shard, epoch, &entries, backups, true);
-
-        // Pop the group, post every waiter its result, and promote the
-        // next queued write set (if any) to lead the following round.
-        let mut queue = window.queue.lock();
-        for w in &group {
-            let popped = queue.pop_front().expect("group members stay queued until finished");
-            debug_assert!(Arc::ptr_eq(&popped, w));
-            let mut st = popped.state.lock();
-            st.done = true;
-            st.result = Some(outcome.clone());
-            drop(st);
-            popped.cv.notify_one();
-        }
-        if let Some(next) = queue.front() {
-            next.state.lock().leader = true;
-            next.cv.notify_one();
-        }
-        drop(queue);
-        outcome
-    }
-
-    /// Fan `entries` out to `backups` and drive the round to a *definite*
-    /// outcome: every backup still in the shard's configuration has applied
-    /// the write sets, or the configuration has moved on (shard lost, or
-    /// this node deposed — then the commit fails and the client re-routes).
-    ///
-    /// A transient fan-out failure — dropped frame, lost ack, slow peer —
-    /// is retried against re-read placement rather than surfaced. The write
-    /// is already durable locally and its dedup record answers any client
-    /// redelivery, so "commit failed" must never mean "some backup silently
-    /// missed it": that backup would keep serving leased follower reads of
-    /// the pre-write value after the dedup ack. Applies are idempotent
-    /// (pure key/value puts), so re-sending to a backup whose ack was lost
-    /// is harmless, and a backup that already acked is never re-targeted.
-    ///
-    /// Retry rounds deliberately run on the node's full RPC timeout, not
-    /// the invocation's remaining budget: once locally durable, finishing
-    /// replication is the system's obligation, and a budget squeezed to
-    /// zero would turn the loop into a hot spin of instant timeouts.
-    fn replicate_until_acked(
-        &self,
-        ctx: &InvocationContext,
-        shard: ShardId,
-        mut epoch: Epoch,
-        entries: &[(Vec<u8>, WriteSetOps)],
-        mut backups: Vec<NodeId>,
-        batched: bool,
-    ) -> Result<(), String> {
-        let down = ctx.for_downstream();
-        let mut attempt = 0u32;
-        loop {
-            if backups.is_empty() {
-                return Ok(());
-            }
-            let lease_nanos = self.grant_lease_nanos(shard, &backups);
-            let req = if batched {
-                StoreRequest::ReplicateBatch {
-                    shard,
-                    epoch,
-                    entries: entries.to_vec(),
-                    lease_nanos,
-                }
-            } else {
-                let (object, ops) = &entries[0];
-                StoreRequest::Replicate {
-                    shard,
-                    epoch,
-                    object: object.clone(),
-                    ops: ops.clone(),
-                    lease_nanos,
-                }
-            };
-            let body = Bytes::from(proto::encode_request(&down, &req).expect("requests serialize"));
-            let timeout =
-                if attempt == 0 { down.rpc_timeout(self.rpc_timeout) } else { self.rpc_timeout };
-            let replies = self.rpc().call_many(&backups, body, timeout);
-            if batched {
-                self.repl_rounds.incr();
-                self.repl_entries.add(entries.len() as u64);
-            }
-            let failed = failed_acks(&backups, &replies);
-            if failed.is_empty() {
-                return Ok(());
-            }
-            if self.shutdown.load(Ordering::Acquire) {
-                return Err("node shutting down".into());
-            }
-            self.repl_retries.incr();
-            attempt += 1;
-            std::thread::sleep(REPL_RETRY_PAUSE);
-            // Re-read placement: an evicted laggard leaves the required
-            // set (it re-syncs on rejoin), an epoch bump re-stamps the
-            // retry so still-configured backups accept it.
-            let Some(info) = self.placement.shard_info(shard) else {
-                return Ok(());
-            };
-            if info.lost {
-                return Err(format!(
-                    "fenced: shard {shard} lost every replica (epoch {})",
-                    info.epoch
-                ));
-            }
-            if info.primary != self.id {
-                return Err(format!(
-                    "fenced: node-{} is no longer primary for shard {shard} (epoch {})",
-                    self.id.0, info.epoch
-                ));
-            }
-            epoch = info.epoch;
-            backups = failed.into_iter().filter(|b| info.backups.contains(b)).collect();
-        }
-    }
-
     /// The owning `Arc` (for completions that outlive this call frame).
-    fn arc(&self) -> Arc<NodeInner> {
+    pub(crate) fn arc(&self) -> Arc<NodeInner> {
         self.self_ref.get().and_then(Weak::upgrade).expect("self_ref installed during start")
     }
 
-    /// Non-blocking counterpart of [`replicate_to_backups`]: enqueue the
-    /// write set on the shard's deferred window and return immediately.
-    /// `done` fires from the ack thread of the fan-out that ships it.
-    #[allow(clippy::too_many_arguments)]
-    fn replicate_deferred(
-        &self,
-        ctx: &InvocationContext,
-        shard: ShardId,
-        epoch: Epoch,
-        object: &ObjectId,
-        ops: WriteSetOps,
-        backups: Vec<NodeId>,
-        done: CommitCallback,
-    ) {
-        if !self.repl_batching.load(Ordering::Relaxed) {
-            // Unbatched ablation: one fan-out per committed write set,
-            // still without parking — the acks complete the commit.
-            let down = ctx.for_downstream();
-            let req = StoreRequest::Replicate {
-                shard,
-                epoch,
-                object: object.0.clone(),
-                ops,
-                lease_nanos: self.grant_lease_nanos(shard, &backups),
-            };
-            let body = Bytes::from(proto::encode_request(&down, &req).expect("requests serialize"));
-            let expect = backups.clone();
-            let this = self.arc();
-            let body2 = body.clone();
-            self.rpc().call_many_deferred(
-                &backups,
-                body,
-                down.rpc_timeout(self.rpc_timeout),
-                Box::new(move |replies| {
-                    this.settle_deferred_acks(
-                        shard,
-                        body2,
-                        down,
-                        expect,
-                        replies,
-                        vec![done],
-                        None,
-                    );
-                }),
-            );
-            return;
-        }
-
-        let window = {
-            let mut windows = self.deferred_windows.lock();
-            Arc::clone(windows.entry(shard).or_default())
-        };
-        let entry = DeferredRepl { object: object.0.clone(), ops, epoch, backups, ctx: *ctx, done };
-        let lead = {
-            let mut st = window.state.lock();
-            st.queue.push_back(entry);
-            !std::mem::replace(&mut st.in_flight, true)
-        };
-        if lead {
-            self.ship_deferred_round(shard, window);
-        }
-    }
-
-    /// Ship one round from the shard's deferred window: pop the longest
-    /// queue prefix agreeing on `(epoch, backups)`, fan the batch out, and
-    /// complete every member from the acks. The completion ships the next
-    /// round (if any), so the window drains without a parked leader.
-    fn ship_deferred_round(&self, shard: ShardId, window: Arc<DeferredWindow>) {
-        let round: Vec<DeferredRepl> = {
-            let mut st = window.state.lock();
-            debug_assert!(st.in_flight);
-            let mut round: Vec<DeferredRepl> = Vec::new();
-            while let Some(front) = st.queue.front() {
-                if let Some(first) = round.first() {
-                    if front.epoch != first.epoch || front.backups != first.backups {
-                        break;
-                    }
-                }
-                round.push(st.queue.pop_front().expect("front exists"));
-            }
-            if round.is_empty() {
-                st.in_flight = false;
-                return;
-            }
-            round
-        };
-        let epoch = round[0].epoch;
-        let backups = round[0].backups.clone();
-        let down = round[0].ctx.for_downstream();
-        let mut entries = Vec::with_capacity(round.len());
-        let mut dones = Vec::with_capacity(round.len());
-        for entry in round {
-            entries.push((entry.object, entry.ops));
-            dones.push(entry.done);
-        }
-        let count = entries.len() as u64;
-        // Serialize once; the refcounted body is shared by every send.
-        let lease_nanos = self.grant_lease_nanos(shard, &backups);
-        let req = StoreRequest::ReplicateBatch { shard, epoch, entries, lease_nanos };
-        let body = Bytes::from(proto::encode_request(&down, &req).expect("requests serialize"));
-        let this = self.arc();
-        let expect = backups.clone();
-        let body2 = body.clone();
-        self.rpc().call_many_deferred(
-            &backups,
-            body,
-            down.rpc_timeout(self.rpc_timeout),
-            Box::new(move |replies| {
-                this.repl_rounds.incr();
-                this.repl_entries.add(count);
-                this.settle_deferred_acks(shard, body2, down, expect, replies, dones, Some(window));
-            }),
-        );
-    }
-
-    /// Deliver `outcome` to every commit waiting on a deferred round, then
-    /// ship the next round of the window (when one is attached).
-    fn finish_deferred(
-        &self,
-        shard: ShardId,
-        outcome: &Result<(), String>,
-        dones: Vec<CommitCallback>,
-        window: Option<Arc<DeferredWindow>>,
-    ) {
-        for done in dones {
-            done(outcome.clone());
-        }
-        if let Some(window) = window {
-            self.ship_deferred_round(shard, window);
-        }
-    }
-
-    /// Non-blocking counterpart of the retry loop in
-    /// [`replicate_until_acked`]: inspect one deferred fan-out's replies
-    /// and either complete the commits or schedule a retry round for the
-    /// backups that missed it. The same definite-outcome rule applies — a
-    /// commit only completes once every still-configured backup applied
-    /// its write set, or the configuration itself moved on.
-    #[allow(clippy::too_many_arguments)]
-    fn settle_deferred_acks(
-        &self,
-        shard: ShardId,
-        body: Bytes,
-        down: InvocationContext,
-        sent_to: Vec<NodeId>,
-        replies: Vec<Result<Vec<u8>, RpcError>>,
-        dones: Vec<CommitCallback>,
-        window: Option<Arc<DeferredWindow>>,
-    ) {
-        let failed = failed_acks(&sent_to, &replies);
-        if failed.is_empty() {
-            self.finish_deferred(shard, &Ok(()), dones, window);
-            return;
-        }
-        if self.shutdown.load(Ordering::Acquire) {
-            self.finish_deferred(shard, &Err("node shutting down".into()), dones, window);
-            return;
-        }
-        self.repl_retries.incr();
-        let this = self.arc();
-        self.rpc().schedule(
-            REPL_RETRY_PAUSE,
-            Box::new(move || {
-                this.retry_deferred_round(shard, body, down, failed, dones, window);
-            }),
-        );
-    }
-
-    /// One retry fan-out for a deferred round that some backups missed,
-    /// re-targeted at the intersection of the failed set with the current
-    /// configuration and re-stamped with the current epoch and a fresh
-    /// lease grant. Runs off the RPC timer wheel, so no thread parks.
-    #[allow(clippy::too_many_arguments)]
-    fn retry_deferred_round(
-        &self,
-        shard: ShardId,
-        body: Bytes,
-        down: InvocationContext,
-        failed: Vec<NodeId>,
-        dones: Vec<CommitCallback>,
-        window: Option<Arc<DeferredWindow>>,
-    ) {
-        let Some(info) = self.placement.shard_info(shard) else {
-            self.finish_deferred(shard, &Ok(()), dones, window);
-            return;
-        };
-        if info.lost {
-            let err = format!("fenced: shard {shard} lost every replica (epoch {})", info.epoch);
-            self.finish_deferred(shard, &Err(err), dones, window);
-            return;
-        }
-        if info.primary != self.id {
-            let err = format!(
-                "fenced: node-{} is no longer primary for shard {shard} (epoch {})",
-                self.id.0, info.epoch
-            );
-            self.finish_deferred(shard, &Err(err), dones, window);
-            return;
-        }
-        let retry: Vec<NodeId> = failed.into_iter().filter(|b| info.backups.contains(b)).collect();
-        if retry.is_empty() {
-            // Every laggard left the configuration; the survivors' acks
-            // carry the commit (the laggards re-sync when they rejoin).
-            self.finish_deferred(shard, &Ok(()), dones, window);
-            return;
-        }
-        // Rebuild the frame rather than re-sending it verbatim: the epoch
-        // may have moved (backups fence stale-epoch frames) and the lease
-        // grant must be re-issued *and re-recorded* at this send time so
-        // departure fences keep covering what the backups actually hold.
-        let epoch = info.epoch;
-        let lease_nanos = self.grant_lease_nanos(shard, &retry);
-        let req = match proto::decode_request(&body) {
-            Ok((_, StoreRequest::ReplicateBatch { entries, .. })) => {
-                StoreRequest::ReplicateBatch { shard, epoch, entries, lease_nanos }
-            }
-            Ok((_, StoreRequest::Replicate { object, ops, .. })) => {
-                StoreRequest::Replicate { shard, epoch, object, ops, lease_nanos }
-            }
-            _ => unreachable!("deferred rounds carry replicate frames"),
-        };
-        let body = Bytes::from(proto::encode_request(&down, &req).expect("requests serialize"));
-        let body2 = body.clone();
-        let expect = retry.clone();
-        let this = self.arc();
-        self.rpc().call_many_deferred(
-            &retry,
-            body,
-            self.rpc_timeout,
-            Box::new(move |replies| {
-                this.settle_deferred_acks(shard, body2, down, expect, replies, dones, window);
-            }),
-        );
-    }
-
     /// Forward one committed write set to every syncing backup of `shard`.
-    /// Called after synchronous replication succeeds, still under the
-    /// object's exclusive lock, so the per-object order of forwards in
-    /// each session's stream equals commit order.
-    ///
-    /// A syncing peer in the placement with *no* open session (the scanner
-    /// hasn't caught up, or the session just closed around `ConfirmBackup`)
-    /// fails the commit: acking it without a session could strand a write
-    /// the peer never receives if the confirmation lands later. The client
-    /// retries against fresh placement.
-    fn forward_to_syncing(
+    /// Called from the commit gate, still under the object's exclusive
+    /// lock, so the per-object order of forwards in each session's stream
+    /// equals commit order. On `Err` (the placement moved under the
+    /// forward, or a session failed after admission) the gate holds the
+    /// commit and asks again.
+    pub(crate) fn forward_to_syncing(
         &self,
         shard: ShardId,
         epoch: Epoch,
@@ -2141,201 +1435,16 @@ impl NodeInner {
         }
         if let Some(info) = state.shard(from) {
             let ctx = InvocationContext::background();
-            let req = StoreRequest::Replicate {
+            let req = StoreRequest::ReplicateBatch {
                 shard: from,
                 epoch: info.epoch,
-                object: oid.0.clone(),
-                ops,
+                entries: vec![(oid.0.clone(), ops)],
                 lease_nanos: 0,
             };
             for backup in info.backups.iter().filter(|b| !in_target(**b)) {
                 let _ = self.call_peer(&ctx, *backup, &req);
             }
         }
-    }
-}
-
-impl CommitHook for NodeInner {
-    fn on_commit(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
-    ) -> Result<(), String> {
-        // The edge-cache invalidation stream fires for every local commit,
-        // before any replication gating: single-node mode and the no-repl
-        // ablation still publish (the write is already durably applied).
-        self.publish_invalidations(ops.iter().map(|(k, _)| k));
-        if !self.replicate.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let mut recorded = false;
-        loop {
-            let Some((shard, info)) = self.placement.locate(object) else {
-                return Ok(()); // no shard map: single-node mode
-            };
-            if info.lost {
-                return Err(format!(
-                    "fenced: shard {shard} lost every replica (epoch {})",
-                    info.epoch
-                ));
-            }
-            if info.primary != self.id {
-                return Err(format!(
-                    "fenced: node-{} is no longer primary for shard {shard} (epoch {})",
-                    self.id.0, info.epoch
-                ));
-            }
-            // Migration handoff fence, checked at commit time: a mutation
-            // admitted before the handoff record arrived must not ack
-            // after the driver's final snapshot. Failed — not held — so
-            // the commit is never acked and writes no replicated dedup
-            // record; the client follows `ObjectMoved` to the target and
-            // re-executes (or dedups, if this write made the snapshot).
-            if let Some(m) = self.placement.migration_of(&object.0) {
-                if m.phase == MigrationPhase::Handoff && m.from == shard {
-                    self.migration_fenced.incr();
-                    return Err(encode_error(&InvokeError::ObjectMoved(format!(
-                        "commit fenced: object handing off from shard {} to shard {}",
-                        m.from, m.to
-                    ))));
-                }
-            }
-            // A post-reconfiguration fence *holds* the commit rather than
-            // failing it: the write is already durable locally, so an error
-            // here would strand it at the primary while the client's retry
-            // dedups into an ack nobody replicated. Waiting the drain out
-            // (bounded by one lease duration) keeps the write in the ack
-            // chain; the placement is re-read afterwards so replication
-            // targets the configuration that ends the fence.
-            if let Some(wait) = self.fence_remaining(shard) {
-                self.lease_fenced_commits.incr();
-                std::thread::sleep(wait);
-                continue;
-            }
-            if !recorded {
-                self.record_recent(shard, &object.0, ops);
-                recorded = true;
-            }
-            self.replicate_to_backups(ctx, shard, info.epoch, object, ops, &info.backups)?;
-            // The forward is held-not-failed for the same reason as the
-            // fence above: the write is already durable locally, so a
-            // forward error surfaced to the client turns into a dedup'd ack
-            // on retry — without the forward. A recruit whose bulk scan
-            // already passed this object would then confirm with a hole in
-            // its state, and promoting it later loses the acked write.
-            // Retrying with fresh placement resolves every case: the
-            // session appears (offer lands), the recruit is re-streamed (a
-            // new session re-scans everything, covering this write), or the
-            // recruit left the syncing set — dropped (forward vacuous) or
-            // confirmed (the re-read places it in `backups`, and the
-            // definite-outcome replication above covers it).
-            match self.forward_to_syncing(shard, info.epoch, &info.syncing, object, ops) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    if self.shutdown.load(Ordering::Acquire) {
-                        return Err(e);
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-            }
-        }
-    }
-
-    /// Non-blocking commit hook for the deferred invocation path: the
-    /// fencing checks and the forward to syncing peers run inline on the
-    /// committing thread (still under the object's exclusive lock, so
-    /// per-object stream order equals commit order), then the write set
-    /// joins the shard's deferred replication window and `done` fires from
-    /// the ack thread. No thread parks between local commit and ack.
-    fn on_commit_deferred(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        ops: WriteSetOps,
-        done: CommitCallback,
-    ) {
-        // See `on_commit`: publish for every local commit, unconditionally.
-        self.publish_invalidations(ops.iter().map(|(k, _)| k));
-        if !self.replicate.load(Ordering::Relaxed) {
-            done(Ok(()));
-            return;
-        }
-        let Some((shard, info)) = self.placement.locate(object) else {
-            done(Ok(())); // no shard map: single-node mode
-            return;
-        };
-        if info.lost {
-            done(Err(format!("fenced: shard {shard} lost every replica (epoch {})", info.epoch)));
-            return;
-        }
-        if info.primary != self.id {
-            done(Err(format!(
-                "fenced: node-{} is no longer primary for shard {shard} (epoch {})",
-                self.id.0, info.epoch
-            )));
-            return;
-        }
-        // Migration handoff fence — see `on_commit`. Checked inline on the
-        // committing thread (still under the object's exclusive lock), so
-        // it serializes against the driver's final export.
-        if let Some(m) = self.placement.migration_of(&object.0) {
-            if m.phase == MigrationPhase::Handoff && m.from == shard {
-                self.migration_fenced.incr();
-                done(Err(encode_error(&InvokeError::ObjectMoved(format!(
-                    "commit fenced: object handing off from shard {} to shard {}",
-                    m.from, m.to
-                )))));
-                return;
-            }
-        }
-        // Hold, don't fail — see `on_commit`. The deferred path re-enters
-        // through the rpc timer wheel once the fence drains (no thread
-        // parks); the object guard rides in `done`, so per-object commit
-        // order is preserved across the hold. Re-entry re-publishes the
-        // invalidation frame, which edge caches absorb idempotently.
-        if let Some(wait) = self.fence_remaining(shard) {
-            self.lease_fenced_commits.incr();
-            let this = self.arc();
-            let ctx = *ctx;
-            let object = object.clone();
-            self.rpc().schedule(
-                wait,
-                Box::new(move || this.on_commit_deferred(&ctx, &object, ops, done)),
-            );
-            return;
-        }
-        // The forward precedes the backup acks here (the blocking path
-        // forwards after them). The write is already durable locally, so
-        // forwarding a write whose replication later fails only makes the
-        // syncing peer converge toward local state. A forward *error* is
-        // held-not-failed, exactly like the lease fence above: surfaced to
-        // the client it would dedup into an ack on retry — without the
-        // forward — and a recruit whose bulk scan already passed this
-        // object could confirm with a hole in its state. Re-entering with
-        // fresh placement resolves every case (session appears, recruit
-        // re-streamed from a new scan, recruit dropped, or recruit
-        // confirmed and covered by backup replication below).
-        if self.forward_to_syncing(shard, info.epoch, &info.syncing, object, &ops).is_err() {
-            if self.shutdown.load(Ordering::Acquire) {
-                done(Err("node shutting down".into()));
-                return;
-            }
-            let this = self.arc();
-            let ctx = *ctx;
-            let object = object.clone();
-            self.rpc().schedule(
-                Duration::from_millis(5),
-                Box::new(move || this.on_commit_deferred(&ctx, &object, ops, done)),
-            );
-            return;
-        }
-        self.record_recent(shard, &object.0, &ops);
-        if info.backups.is_empty() {
-            done(Ok(()));
-            return;
-        }
-        self.replicate_deferred(ctx, shard, info.epoch, object, ops, info.backups.clone(), done);
     }
 }
 
@@ -2416,15 +1525,10 @@ impl AggregatedNode {
             replications: registry.counter("node_replications_applied"),
             busy_nanos: registry.counter("node_busy_nanos"),
             shutdown: AtomicBool::new(false),
-            replicate: AtomicBool::new(true),
-            repl_batching: AtomicBool::new(true),
-            repl_windows: Mutex::new(HashMap::new()),
-            deferred_windows: Mutex::new(HashMap::new()),
+            repl: ReplState::new(&registry),
             q_depth: registry.gauge("rpc_queue_depth"),
             q_inflight: registry.gauge("rpc_inflight"),
             q_shed: registry.gauge("rpc_shed"),
-            repl_rounds: registry.counter("node_repl_rounds"),
-            repl_entries: registry.counter("node_repl_entries"),
             sync: SyncManager::new(),
             sync_chunk_bytes: config.sync_chunk_bytes,
             repair_chunks_sent: registry.counter("repair_chunks_sent"),
@@ -2444,8 +1548,6 @@ impl AggregatedNode {
             follower_reads: registry.counter("lease_follower_reads"),
             lease_rejections: registry.counter("lease_rejections"),
             lease_renewals: registry.counter("lease_renewals"),
-            lease_fenced_commits: registry.counter("lease_fenced_commits"),
-            repl_retries: registry.counter("node_repl_retries"),
             invalidations_published: registry.counter("invalidations_published"),
             recent_commits: Mutex::new(HashMap::new()),
             suspect_shards: Mutex::new(HashMap::new()),
@@ -2456,7 +1558,6 @@ impl AggregatedNode {
             invoke_tally: Mutex::new(HashMap::new()),
             migrations_driving: Mutex::new(HashSet::new()),
             migrations_completed: registry.counter("node_migrations_completed"),
-            migration_fenced: registry.counter("node_migration_fenced"),
             registry,
         });
 
@@ -2468,7 +1569,7 @@ impl AggregatedNode {
         // kind still replies inline.
         let handler_inner = Arc::clone(&inner);
         let handler: Handler =
-            Arc::new(move |from: NodeId, body: Vec<u8>, responder: Responder| {
+            Arc::new(move |_from: NodeId, body: Vec<u8>, responder: Responder| {
                 let started = Instant::now();
                 let (ctx, req) = match proto::decode_request(&body) {
                     Ok(decoded) => decoded,
@@ -2495,35 +1596,29 @@ impl AggregatedNode {
                     }
                     handler_inner.tally_invoke(oid.as_bytes());
                     let busy = handler_inner.busy_nanos.clone();
-                    handler_inner.engine.invoke_deferred_tracked(
+                    handler_inner.engine.invoke_deferred(
                         &ctx,
                         &oid,
                         &method,
                         args,
                         !internal,
                         Box::new(move |result| {
-                            let encoded = result
-                                .map(|(value, read_set)| match read_set {
-                                    // Only cacheable (deterministic
-                                    // read-only) invocations carry a read
-                                    // set, and only when the client asked.
-                                    Some(read_set) if collect_read_set => {
-                                        StoreResponse::CachedValue { value, read_set }
-                                    }
-                                    _ => StoreResponse::Value(value),
-                                })
-                                .map_err(|e| encode_error(&e))
-                                .and_then(|resp| wire::to_bytes(&resp).map_err(|e| e.to_string()));
+                            let reply = result.map(|(value, read_set)| match read_set {
+                                // Only cacheable (deterministic read-only)
+                                // invocations carry a read set, and only
+                                // when the client asked.
+                                Some(read_set) if collect_read_set => {
+                                    StoreResponse::CachedValue { value, read_set }
+                                }
+                                _ => StoreResponse::Value(value),
+                            });
                             busy.add(started.elapsed().as_nanos() as u64);
-                            responder.reply(encoded);
+                            responder.reply(encode_reply(reply));
                         }),
                     );
                     return;
                 }
-                let result = handler_inner
-                    .handle(from, &ctx, req)
-                    .map_err(|e| encode_error(&e))
-                    .and_then(|resp| wire::to_bytes(&resp).map_err(|e| e.to_string()));
+                let result = encode_reply(handler_inner.handle(&ctx, req));
                 handler_inner.busy_nanos.add(started.elapsed().as_nanos() as u64);
                 responder.reply(result);
             });
@@ -2713,22 +1808,17 @@ impl AggregatedNode {
         &self.inner.placement
     }
 
-    /// Enable or disable synchronous replication (ABL-REPL ablation).
-    pub fn set_replication_enabled(&self, enabled: bool) {
-        self.inner.replicate.store(enabled, Ordering::Relaxed);
-    }
-
     /// Enable or disable per-shard replication batching (ABL-GROUPCOMMIT
     /// ablation). When disabled each committed write set is shipped as its
-    /// own [`StoreRequest::Replicate`] RPC.
+    /// own RPC.
     pub fn set_replication_batching(&self, enabled: bool) {
-        self.inner.repl_batching.store(enabled, Ordering::Relaxed);
+        self.inner.repl.set_batching(enabled);
     }
 
     /// `(rounds, entries)` shipped through the batched replication path;
     /// `entries / rounds` is the mean replication window size.
     pub fn replication_batch_stats(&self) -> (u64, u64) {
-        (self.inner.repl_rounds.get(), self.inner.repl_entries.get())
+        self.inner.repl.batch_stats()
     }
 
     /// Statistics snapshot (a thin view over the registry's counters).

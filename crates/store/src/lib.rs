@@ -26,6 +26,7 @@ pub mod cluster;
 pub mod disaggregated;
 pub mod placement;
 pub mod proto;
+mod replication;
 pub mod serverless;
 pub mod sync;
 

@@ -100,25 +100,9 @@ pub enum StoreRequest {
         /// Validated module.
         module: Module,
     },
-    /// Primary→backup replication of one committed write set.
-    Replicate {
-        /// Shard the object belongs to.
-        shard: ShardId,
-        /// The primary's configuration epoch (fencing).
-        epoch: Epoch,
-        /// Object whose data changed.
-        object: Vec<u8>,
-        /// `(key, Some(value))` puts / `(key, None)` deletes.
-        ops: WriteSetOps,
-        /// Piggybacked read-lease grant: the backup may serve reads for
-        /// this shard at this epoch for `lease_nanos` from receipt. Zero
-        /// grants nothing (the primary withholds leases while its own
-        /// coordinator contact is stale).
-        lease_nanos: u64,
-    },
-    /// Primary→backup replication of a window of committed write sets,
-    /// coalesced by the primary's per-shard replication batcher into one
-    /// RPC. The backup applies the window atomically and in order.
+    /// Primary→backup replication of one or more committed write sets (a
+    /// window coalesced by the primary's per-shard replication batcher, or
+    /// a single set). The backup applies them atomically and in order.
     ReplicateBatch {
         /// Shard the objects belong to.
         shard: ShardId,
@@ -129,28 +113,15 @@ pub enum StoreRequest {
         /// `(object, ops)` per committed write set, in commit order.
         /// `(key, Some(value))` puts / `(key, None)` deletes.
         entries: Vec<(Vec<u8>, WriteSetOps)>,
-        /// Piggybacked read-lease grant (see [`StoreRequest::Replicate`]).
+        /// Piggybacked read-lease grant: the backup may serve reads for
+        /// this shard at this epoch for `lease_nanos` from receipt. Zero
+        /// grants nothing (the primary withholds leases while its own
+        /// coordinator contact is stale).
         lease_nanos: u64,
     },
-    /// Migration: export an object (source side executes `evict`).
-    FetchObject {
-        /// Object id.
-        object: Vec<u8>,
-        /// When true the source deletes its copy (move); otherwise copy.
-        evict: bool,
-    },
-    /// Migration: install an exported object here.
-    InstallObject {
-        /// The snapshot.
-        snapshot: ObjectSnapshot,
-        /// The destination shard (this node must be its primary); the
-        /// install is replicated to that shard's backups.
-        shard: ShardId,
-    },
     /// Coordinator-owned migration: install (or replace) a snapshot shipped
-    /// by the source shard's migration runner. Unlike [`InstallObject`]
-    /// (`StoreRequest::InstallObject`) this overwrites any earlier copy of
-    /// the object, so the warm pass, the final fenced pass, and any
+    /// by the source shard's migration runner. It overwrites any earlier
+    /// copy of the object, so the warm pass, the final fenced pass, and any
     /// post-crash resume are all idempotent.
     MigrateInstall {
         /// The snapshot (dedup records ride along inside the key prefix).
@@ -362,8 +333,6 @@ pub enum StoreResponse {
     Rows(Vec<Vec<u8>>),
     /// Raw count.
     Count(u64),
-    /// Migration export.
-    Snapshot(ObjectSnapshot),
     /// Statistics.
     NodeStats(NodeStatsWire),
     /// Transaction results, one per call.
@@ -425,13 +394,6 @@ mod tests {
                 fields: vec![FieldDef { name: "tl".into(), kind: FieldKind::Collection }],
                 module: Module::default(),
             },
-            StoreRequest::Replicate {
-                shard: 3,
-                epoch: 7,
-                object: b"user/1".to_vec(),
-                ops: vec![(b"k".to_vec(), Some(b"v".to_vec())), (b"d".to_vec(), None)],
-                lease_nanos: 400_000_000,
-            },
             StoreRequest::ReplicateBatch {
                 shard: 3,
                 epoch: 7,
@@ -446,14 +408,6 @@ mod tests {
             },
             StoreRequest::RenewLease { shard: 3, epoch: 7, lease_nanos: 400_000_000 },
             StoreRequest::SubscribeInvalidations { subscriber: lambda_net::NodeId(501) },
-            StoreRequest::FetchObject { object: b"user/1".to_vec(), evict: true },
-            StoreRequest::InstallObject {
-                snapshot: ObjectSnapshot {
-                    id: ObjectId::from("user/1"),
-                    entries: vec![(b"m".to_vec(), b"User".to_vec())],
-                },
-                shard: 2,
-            },
             StoreRequest::MigrateInstall {
                 snapshot: ObjectSnapshot {
                     id: ObjectId::from("user/2"),

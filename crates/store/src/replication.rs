@@ -1,0 +1,892 @@
+//! Primary→backup replication of committed write sets (§4.2.1).
+//!
+//! One mechanism, two ways to wait. Every *decision* on the path from a
+//! locally applied commit to its ack lives here exactly once:
+//!
+//! * the **commit gate** ([`ReplState::commit_gate`]): may this node
+//!   replicate the write set at all, must the commit wait, or where does
+//!   it ship;
+//! * the **window** ([`Window`]): per-shard queue of committed write sets,
+//!   coalesced into rounds by one prefix rule;
+//! * the **round** ([`Round`]): one `ReplicateBatch` frame, re-stamped per
+//!   attempt by one frame builder;
+//! * the **post-round step** ([`after_round`]): from the acks and the
+//!   current placement, is the round done, fenced, or to be re-sent.
+//!
+//! What is written twice is only how a committer waits on those
+//! decisions: the *parked* shell (`CommitHook::on_commit`: `sleep`,
+//! `call_many`, a channel) and the *completion* shell
+//! (`CommitHook::on_commit_deferred`: `schedule`, `call_many_deferred`,
+//! a callback). The two never share a window, so a parked committer is
+//! never woken by a completion — the completion-pool rule, DESIGN.md §10.
+
+use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use bytes::Bytes;
+use crossbeam::channel;
+use parking_lot::Mutex;
+
+use lambda_coordinator::{Epoch, MigrationPhase, ShardId, ShardInfo};
+use lambda_net::{wire, NodeId, RpcError};
+use lambda_objects::{
+    encode_error, keys, CommitCallback, CommitHook, Counter, InvocationContext, InvokeError,
+    ObjectId, Registry, WriteSetOps,
+};
+
+use crate::aggregated::NodeInner;
+use crate::placement::Placement;
+use crate::proto::{self, StoreRequest, StoreResponse};
+
+/// Pause between replication retry rounds: long enough to let a transient
+/// fault clear or the failure detector evict a dead backup, short enough
+/// that a commit holding an object lock barely notices.
+const REPL_RETRY_PAUSE: Duration = Duration::from_millis(2);
+
+/// Pause before re-gating a commit whose forward to a syncing recruit
+/// found the placement mid-move.
+const FORWARD_RETRY_PAUSE: Duration = Duration::from_millis(5);
+
+/// `(object id bytes, write set)` — one committed write set on the wire.
+pub(crate) type WriteSet = (Vec<u8>, WriteSetOps);
+
+// -- The commit gate -----------------------------------------------------------
+
+/// The commit gate's verdict on one locally applied write set.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Gate {
+    /// Nothing to replicate (no shard map: single-node mode).
+    Skip,
+    /// Never ack this commit: the hook error to surface.
+    Fail(String),
+    /// Ask again after this long. The write is already durable locally, so
+    /// an error here would strand it at the primary while the client's
+    /// retry dedups into an ack nobody replicated; waiting keeps it in the
+    /// ack chain, and re-gating re-reads the placement.
+    Hold(Duration),
+    /// Replicate to `info.backups` of `shard`.
+    Ship { shard: ShardId, info: ShardInfo },
+}
+
+/// The fence error for a primary whose shard moved on under it.
+fn fenced(me: NodeId, shard: ShardId, info: &ShardInfo) -> Option<String> {
+    if info.lost {
+        return Some(format!("fenced: shard {shard} lost every replica (epoch {})", info.epoch));
+    }
+    (info.primary != me).then(|| {
+        format!(
+            "fenced: node-{} is no longer primary for shard {shard} (epoch {})",
+            me.0, info.epoch
+        )
+    })
+}
+
+/// Replication state of one node: the windows, the batching switch, and
+/// the counters the decisions below feed.
+pub(crate) struct ReplState {
+    /// When false every committed write set is shipped as its own round
+    /// (the ABL-GROUPCOMMIT "wal-only" configuration).
+    batching: AtomicBool,
+    /// Per-shard windows, created on first use, keyed by whether their
+    /// committers are parked (raw writes, nested and lifecycle commits) or
+    /// completion-driven. Kept apart — see the module docs.
+    windows: Mutex<HashMap<(ShardId, bool), Arc<Window>>>,
+    /// Batched replication rounds issued (one `ReplicateBatch` fan-out).
+    rounds: Counter,
+    /// Write sets shipped through batched rounds.
+    entries: Counter,
+    /// Rounds re-sent to backups that missed an earlier one (a dropped
+    /// frame or lost ack never downgrades an acked write).
+    retries: Counter,
+    /// Commits held (not failed) while a post-reconfiguration fence was up.
+    lease_fenced_commits: Counter,
+    /// Mutations refused (admission) or fenced (commit) with `ObjectMoved`
+    /// while their object's migration was in handoff.
+    migration_fenced: Counter,
+}
+
+impl ReplState {
+    pub(crate) fn new(registry: &Registry) -> ReplState {
+        ReplState {
+            batching: AtomicBool::new(true),
+            windows: Mutex::default(),
+            rounds: registry.counter("node_repl_rounds"),
+            entries: registry.counter("node_repl_entries"),
+            retries: registry.counter("node_repl_retries"),
+            lease_fenced_commits: registry.counter("lease_fenced_commits"),
+            migration_fenced: registry.counter("node_migration_fenced"),
+        }
+    }
+
+    pub(crate) fn set_batching(&self, enabled: bool) {
+        self.batching.store(enabled, Ordering::Relaxed);
+    }
+
+    /// `(rounds, entries)` shipped through batched rounds.
+    pub(crate) fn batch_stats(&self) -> (u64, u64) {
+        (self.rounds.get(), self.entries.get())
+    }
+
+    /// Migration handoff fence: once the coordinator's handoff record for
+    /// `object` is visible here, its source shard takes no more mutations
+    /// — refused at admission, and failed (not held) at commit time for
+    /// the ones admitted earlier, so nothing acks after the driver's final
+    /// snapshot and no replicated dedup record claims otherwise. The
+    /// client follows the retryable `ObjectMoved` to the target and
+    /// re-executes (or dedups, if its write made the snapshot).
+    pub(crate) fn handoff_fence(
+        &self,
+        placement: &Placement,
+        object: &ObjectId,
+        shard: ShardId,
+    ) -> Option<InvokeError> {
+        let m = placement.migration_of(object.as_bytes())?;
+        if m.phase != MigrationPhase::Handoff || m.from != shard {
+            return None;
+        }
+        self.migration_fenced.incr();
+        Some(InvokeError::ObjectMoved(format!(
+            "object {object} is handing off from shard {} to shard {}",
+            m.from, m.to
+        )))
+    }
+
+    /// Decide what happens to a write set `me` just applied locally for
+    /// `object`. `fence_remaining` is the node's lease state (how long
+    /// commits of a shard must still wait for departed members' read
+    /// leases to drain); `forward` offers the write set to the shard's
+    /// syncing recruits. Runs on the committing thread, still under the
+    /// object's exclusive lock, so per-object forward order equals commit
+    /// order and the handoff check serializes against the migration
+    /// driver's final export.
+    pub(crate) fn commit_gate(
+        &self,
+        placement: &Placement,
+        me: NodeId,
+        shutting_down: bool,
+        object: &ObjectId,
+        fence_remaining: impl FnOnce(ShardId) -> Option<Duration>,
+        forward: impl FnOnce(ShardId, &ShardInfo) -> Result<(), String>,
+    ) -> Gate {
+        let Some((shard, info)) = placement.locate(object) else {
+            return Gate::Skip;
+        };
+        if let Some(err) = fenced(me, shard, &info) {
+            return Gate::Fail(err);
+        }
+        if let Some(moved) = self.handoff_fence(placement, object, shard) {
+            return Gate::Fail(encode_error(&moved));
+        }
+        if let Some(wait) = fence_remaining(shard) {
+            self.lease_fenced_commits.incr();
+            return Gate::Hold(wait);
+        }
+        // The forward precedes the backup acks: a write whose replication
+        // later fails has only made the syncing peer converge toward local
+        // state. A forward *error* holds for the same reason the fence
+        // does — surfaced, it would dedup into an ack on retry without the
+        // forward, and a recruit whose bulk scan already passed this
+        // object could confirm with a hole. Re-gating against fresh
+        // placement resolves every case: the session appears, the recruit
+        // is re-streamed from a new scan, it was dropped, or it was
+        // confirmed and is now covered as a backup.
+        match forward(shard, &info) {
+            Ok(()) => Gate::Ship { shard, info },
+            Err(e) if shutting_down => Gate::Fail(e),
+            Err(_) => Gate::Hold(FORWARD_RETRY_PAUSE),
+        }
+    }
+
+    fn window(&self, shard: ShardId, parked: bool) -> Arc<Window> {
+        Arc::clone(self.windows.lock().entry((shard, parked)).or_default())
+    }
+}
+
+// -- Windows and rounds --------------------------------------------------------
+
+/// How the committer behind a queued write set learns its outcome.
+enum Waiter {
+    /// A parked committer, woken with its round's outcome or with the lead
+    /// of the next round (same leader/follower scheme as the WAL group
+    /// commit).
+    Parked(channel::Sender<Wake>),
+    Completion(CommitCallback),
+}
+
+enum Wake {
+    Outcome(Result<(), String>),
+    Lead,
+}
+
+impl Waiter {
+    fn complete(self, outcome: Result<(), String>) {
+        match self {
+            // A leader's own outcome finds nobody listening; it has it already.
+            Waiter::Parked(parked) => drop(parked.send(Wake::Outcome(outcome))),
+            Waiter::Completion(done) => done(outcome),
+        }
+    }
+}
+
+/// One committed write set queued for shipment.
+struct Entry {
+    set: WriteSet,
+    /// Epoch and backup set captured at the gate; see [`Window::take_round`].
+    epoch: Epoch,
+    backups: Vec<NodeId>,
+    /// The committing invocation's context; the round leader's copy bounds
+    /// the first fan-out's timeout and rides in the frame's envelope.
+    ctx: InvocationContext,
+    waiter: Waiter,
+}
+
+impl Entry {
+    fn new(set: WriteSet, info: ShardInfo, ctx: &InvocationContext, waiter: Waiter) -> Entry {
+        Entry { set, epoch: info.epoch, backups: info.backups, ctx: *ctx, waiter }
+    }
+}
+
+/// Per-shard replication window: committed write sets accumulate while one
+/// round is in flight; whoever finishes that round starts (or hands off)
+/// the next.
+#[derive(Default)]
+pub(crate) struct Window {
+    state: Mutex<WindowState>,
+}
+
+#[derive(Default)]
+struct WindowState {
+    queue: VecDeque<Entry>,
+    /// A round is in flight, or a promoted leader is about to take one.
+    leading: bool,
+}
+
+impl Window {
+    /// Queue `entry`; true when the caller must lead (the window was idle).
+    fn push(&self, entry: Entry) -> bool {
+        let mut st = self.state.lock();
+        st.queue.push_back(entry);
+        !std::mem::replace(&mut st.leading, true)
+    }
+
+    /// The coalescing rule: a round is the longest queue prefix that
+    /// agrees on `(epoch, backups)`. A write set enqueued under a newer
+    /// configuration leads its own round later, so epoch fencing stays
+    /// exact across reconfigurations. An empty queue idles the window.
+    fn take_round(&self, shard: ShardId) -> Option<Round> {
+        let mut st = self.state.lock();
+        let Some(first) = st.queue.pop_front() else {
+            st.leading = false;
+            return None;
+        };
+        let mut round = Round::of(shard, first);
+        while st.queue.front().is_some_and(|e| e.epoch == round.epoch && e.backups == round.backups)
+        {
+            let next = st.queue.pop_front().expect("front exists");
+            round.sets.push(next.set);
+            round.waiters.push(next.waiter);
+        }
+        Some(round)
+    }
+
+    /// Parked windows only: pass the lead to the committer parked at the
+    /// front, or idle the window.
+    fn hand_off(&self) {
+        let mut st = self.state.lock();
+        match st.queue.front() {
+            Some(Entry { waiter: Waiter::Parked(next), .. }) => drop(next.send(Wake::Lead)),
+            _ => st.leading = false,
+        }
+    }
+}
+
+/// One fan-out of write sets to a shard's backups, driven to a definite
+/// outcome by either shell.
+pub(crate) struct Round {
+    shard: ShardId,
+    /// Stamped into the frame; moves with the placement across retries.
+    epoch: Epoch,
+    /// Who still has to ack: shrinks to the laggards across retries.
+    backups: Vec<NodeId>,
+    sets: Vec<WriteSet>,
+    down: InvocationContext,
+    attempt: u32,
+    waiters: Vec<Waiter>,
+}
+
+impl Round {
+    /// A round shipping `sets` to `backups` on behalf of `ctx`.
+    pub(crate) fn new(
+        shard: ShardId,
+        epoch: Epoch,
+        backups: Vec<NodeId>,
+        ctx: &InvocationContext,
+        sets: Vec<WriteSet>,
+    ) -> Round {
+        let down = ctx.for_downstream();
+        Round { shard, epoch, backups, sets, down, attempt: 0, waiters: Vec::new() }
+    }
+
+    /// A round of one queued write set (a window's round starts as one).
+    fn of(shard: ShardId, first: Entry) -> Round {
+        let mut round = Round::new(shard, first.epoch, first.backups, &first.ctx, vec![first.set]);
+        round.waiters.push(first.waiter);
+        round
+    }
+
+    /// The frame builder: this attempt's `ReplicateBatch`, stamped with
+    /// the round's current epoch and a lease grant issued (and recorded by
+    /// the caller) at this send time — backups fence stale-epoch frames,
+    /// and departure fences must cover what the backups actually hold.
+    /// Serialized once; the refcounted body is shared by every send of the
+    /// fan-out.
+    fn frame(&mut self, lease_nanos: u64) -> Bytes {
+        let entries = std::mem::take(&mut self.sets);
+        let req = StoreRequest::ReplicateBatch {
+            shard: self.shard,
+            epoch: self.epoch,
+            entries,
+            lease_nanos,
+        };
+        let body = proto::encode_request(&self.down, &req).expect("requests serialize");
+        if let StoreRequest::ReplicateBatch { entries, .. } = req {
+            self.sets = entries;
+        }
+        Bytes::from(body)
+    }
+
+    fn complete(self, outcome: &Result<(), String>) {
+        for waiter in self.waiters {
+            waiter.complete(outcome.clone());
+        }
+    }
+}
+
+// -- The post-round step -------------------------------------------------------
+
+/// The subset of `backups` whose reply was anything but a clean `Ok` ack.
+/// Retries re-target exactly this subset: a backup that acked has the
+/// write applied, whatever happened to its peers.
+fn failed_acks(backups: &[NodeId], replies: &[Result<Vec<u8>, RpcError>]) -> Vec<NodeId> {
+    backups
+        .iter()
+        .zip(replies)
+        .filter(|(_, reply)| {
+            !matches!(reply, Ok(bytes)
+                if matches!(wire::from_bytes::<StoreResponse>(bytes), Ok(StoreResponse::Ok)))
+        })
+        .map(|(backup, _)| *backup)
+        .collect()
+}
+
+/// What to do after one fan-out.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Next {
+    Done(Result<(), String>),
+    /// Re-send to `backups`, stamped `epoch`.
+    Retry {
+        epoch: Epoch,
+        backups: Vec<NodeId>,
+    },
+}
+
+/// Drive a round toward a *definite* outcome: every backup still in the
+/// shard's configuration has applied the write sets, or the configuration
+/// has moved on (shard lost, or this node deposed — then the commit fails
+/// and the client re-routes).
+///
+/// A transient fan-out failure — dropped frame, lost ack, slow peer — is
+/// retried against re-read placement rather than surfaced. The write is
+/// already durable locally and its dedup record answers any client
+/// redelivery, so "commit failed" must never mean "some backup silently
+/// missed it": that backup would keep serving leased follower reads of the
+/// pre-write value after the dedup ack. Applies are idempotent (pure
+/// key/value puts), so re-sending to a backup whose ack was lost is
+/// harmless, and a backup that already acked is never re-targeted. An
+/// evicted laggard leaves the required set (it re-syncs on rejoin); an
+/// epoch bump re-stamps the retry so still-configured backups accept it.
+pub(crate) fn after_round(
+    placement: &Placement,
+    me: NodeId,
+    shard: ShardId,
+    failed: Vec<NodeId>,
+    shutting_down: bool,
+) -> Next {
+    if failed.is_empty() {
+        return Next::Done(Ok(()));
+    }
+    if shutting_down {
+        return Next::Done(Err("node shutting down".into()));
+    }
+    let Some(info) = placement.shard_info(shard) else {
+        return Next::Done(Ok(()));
+    };
+    if let Some(err) = fenced(me, shard, &info) {
+        return Next::Done(Err(err));
+    }
+    let backups: Vec<NodeId> = failed.into_iter().filter(|b| info.backups.contains(b)).collect();
+    if backups.is_empty() {
+        return Next::Done(Ok(()));
+    }
+    Next::Retry { epoch: info.epoch, backups }
+}
+
+// -- The two shells ------------------------------------------------------------
+
+impl NodeInner {
+    /// The commit gate with this node's lease and sync state plugged in.
+    /// A write set that passes is recorded in the shard's recent ring —
+    /// exactly once, since nothing re-gates after `Ship`.
+    fn commit_gate(&self, object: &ObjectId, ops: &[(Vec<u8>, Option<Vec<u8>>)]) -> Gate {
+        let gate = self.repl.commit_gate(
+            &self.placement,
+            self.id,
+            self.shutdown.load(Ordering::Acquire),
+            object,
+            |shard| self.fence_remaining(shard),
+            |shard, info| self.forward_to_syncing(shard, info.epoch, &info.syncing, object, ops),
+        );
+        if let Gate::Ship { shard, .. } = &gate {
+            self.record_recent(*shard, &object.0, ops);
+        }
+        gate
+    }
+
+    /// One attempt's frame and timeout, with the lease grant it carries
+    /// recorded at this send time. The first attempt is bounded by the
+    /// invocation's remaining budget; retries deliberately run on the
+    /// node's full RPC timeout: once locally durable, finishing replication
+    /// is the system's obligation, and a budget squeezed to zero would turn
+    /// the retry loop into a hot spin of instant timeouts.
+    fn next_attempt(&self, round: &mut Round) -> (Bytes, Duration) {
+        let lease = self.grant_lease_nanos(round.shard, &round.backups);
+        let timeout = match round.attempt {
+            0 => round.down.rpc_timeout(self.rpc_timeout),
+            _ => self.rpc_timeout,
+        };
+        (round.frame(lease), timeout)
+    }
+
+    /// Apply the post-round step to one attempt's replies: the outcome, or
+    /// `None` after re-targeting `round` for the next attempt.
+    fn settle(
+        &self,
+        round: &mut Round,
+        replies: &[Result<Vec<u8>, RpcError>],
+    ) -> Option<Result<(), String>> {
+        if self.repl.batching.load(Ordering::Relaxed) {
+            self.repl.rounds.incr();
+            self.repl.entries.add(round.sets.len() as u64);
+        }
+        let failed = failed_acks(&round.backups, replies);
+        let shutting_down = self.shutdown.load(Ordering::Acquire);
+        match after_round(&self.placement, self.id, round.shard, failed, shutting_down) {
+            Next::Done(outcome) => Some(outcome),
+            Next::Retry { epoch, backups } => {
+                self.repl.retries.incr();
+                round.epoch = epoch;
+                round.backups = backups;
+                round.attempt += 1;
+                None
+            }
+        }
+    }
+
+    /// Parked shell of a round: `call_many` + `sleep`.
+    pub(crate) fn run_round_parked(&self, mut round: Round) -> Result<(), String> {
+        loop {
+            let (body, timeout) = self.next_attempt(&mut round);
+            let replies = self.rpc().call_many(&round.backups, body, timeout);
+            if let Some(outcome) = self.settle(&mut round, &replies) {
+                round.complete(&outcome);
+                return outcome;
+            }
+            std::thread::sleep(REPL_RETRY_PAUSE);
+        }
+    }
+
+    /// Completion shell of a round: `call_many_deferred` + `schedule`;
+    /// `then` runs once the round's waiters have their outcome.
+    fn run_round_deferred(&self, mut round: Round, then: Box<dyn FnOnce() + Send>) {
+        let (body, timeout) = self.next_attempt(&mut round);
+        let targets = round.backups.clone();
+        let this = self.arc();
+        self.rpc().call_many_deferred(
+            &targets,
+            body,
+            timeout,
+            Box::new(move |replies| match this.settle(&mut round, &replies) {
+                Some(outcome) => {
+                    round.complete(&outcome);
+                    then();
+                }
+                None => {
+                    let node = Arc::clone(&this);
+                    this.rpc().schedule(
+                        REPL_RETRY_PAUSE,
+                        Box::new(move || node.run_round_deferred(round, then)),
+                    );
+                }
+            }),
+        );
+    }
+
+    /// Ship `ops` to every backup **in parallel** and park until all still
+    /// configured ones acked — the paper's "at most one network round-trip
+    /// within the responsible replica set" (§4.2.1). With batching on, the
+    /// write set joins the shard's parked window and concurrent commits
+    /// coalesce into one round led by the committer at the front.
+    fn replicate_parked(
+        &self,
+        ctx: &InvocationContext,
+        shard: ShardId,
+        info: ShardInfo,
+        object: &ObjectId,
+        ops: &[(Vec<u8>, Option<Vec<u8>>)],
+    ) -> Result<(), String> {
+        if info.backups.is_empty() {
+            return Ok(());
+        }
+        let (wake, parked) = channel::bounded(1);
+        let set = (object.0.clone(), ops.to_vec());
+        let entry = Entry::new(set, info, ctx, Waiter::Parked(wake));
+        if !self.repl.batching.load(Ordering::Relaxed) {
+            return self.run_round_parked(Round::of(shard, entry));
+        }
+        let window = self.repl.window(shard, true);
+        if !window.push(entry) {
+            if let Wake::Outcome(outcome) = parked.recv().expect("queued waiters are always woken")
+            {
+                return outcome;
+            }
+        }
+        let round = window.take_round(shard).expect("a leader's own write set is queued");
+        let outcome = self.run_round_parked(round);
+        window.hand_off();
+        outcome
+    }
+
+    /// Completion counterpart of [`NodeInner::replicate_parked`]: queue
+    /// the write set and return; `done` fires from the ack path of the
+    /// round that ships it, and that round's completion ships the next, so
+    /// the window drains without a parked leader.
+    fn replicate_deferred(
+        &self,
+        ctx: &InvocationContext,
+        shard: ShardId,
+        info: ShardInfo,
+        object: ObjectId,
+        ops: WriteSetOps,
+        done: CommitCallback,
+    ) {
+        if info.backups.is_empty() {
+            return done(Ok(()));
+        }
+        let entry = Entry::new((object.0, ops), info, ctx, Waiter::Completion(done));
+        if !self.repl.batching.load(Ordering::Relaxed) {
+            return self.run_round_deferred(Round::of(shard, entry), Box::new(|| {}));
+        }
+        let window = self.repl.window(shard, false);
+        if window.push(entry) {
+            self.ship_next(shard, window);
+        }
+    }
+
+    fn ship_next(&self, shard: ShardId, window: Arc<Window>) {
+        let Some(round) = window.take_round(shard) else { return };
+        let this = self.arc();
+        self.run_round_deferred(round, Box::new(move || this.ship_next(shard, window)));
+    }
+
+    /// Completion shell of the gate: a held commit re-enters through the
+    /// RPC timer wheel (no thread parks); the object guard rides in
+    /// `done`, so per-object commit order is preserved across the hold.
+    fn gate_deferred(
+        &self,
+        ctx: InvocationContext,
+        object: ObjectId,
+        ops: WriteSetOps,
+        done: CommitCallback,
+    ) {
+        match self.commit_gate(&object, &ops) {
+            Gate::Skip => done(Ok(())),
+            Gate::Fail(err) => done(Err(err)),
+            Gate::Hold(wait) => {
+                let this = self.arc();
+                self.rpc()
+                    .schedule(wait, Box::new(move || this.gate_deferred(ctx, object, ops, done)));
+            }
+            Gate::Ship { shard, info } => {
+                self.replicate_deferred(&ctx, shard, info, object, ops, done);
+            }
+        }
+    }
+
+    /// Synchronous replication for the raw (baseline) API. The baseline
+    /// "uses our prototype as its storage layer" (§5): raw writes get the
+    /// same primary-backup durability as engine commits, through the same
+    /// gate. (What the baseline lacks is invocation-level consistency —
+    /// atomicity, isolation, per-object scheduling — not storage
+    /// replication.)
+    pub(crate) fn replicate_raw(
+        &self,
+        ctx: &InvocationContext,
+        ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+    ) -> Result<(), InvokeError> {
+        let Some((oid, _)) = ops.first().and_then(|(key, _)| keys::split_key(key)) else {
+            return Ok(());
+        };
+        self.on_commit(ctx, &oid, &ops).map_err(lambda_objects::error::decode_hook_error)
+    }
+}
+
+impl CommitHook for NodeInner {
+    /// Parked shell: `sleep` through holds, park for the acks.
+    fn on_commit(
+        &self,
+        ctx: &InvocationContext,
+        object: &ObjectId,
+        ops: &[(Vec<u8>, Option<Vec<u8>>)],
+    ) -> Result<(), String> {
+        // The edge-cache invalidation stream fires for every local commit,
+        // before any gating: single-node mode still publishes (the write
+        // is already durably applied).
+        self.publish_invalidations(ops.iter().map(|(k, _)| k));
+        loop {
+            match self.commit_gate(object, ops) {
+                Gate::Skip => return Ok(()),
+                Gate::Fail(err) => return Err(err),
+                Gate::Hold(wait) => std::thread::sleep(wait),
+                Gate::Ship { shard, info } => {
+                    return self.replicate_parked(ctx, shard, info, object, ops);
+                }
+            }
+        }
+    }
+
+    /// Completion shell: `schedule` through holds, `done` fires from the
+    /// ack path. No thread parks between local commit and ack.
+    fn on_commit_deferred(
+        &self,
+        ctx: &InvocationContext,
+        object: &ObjectId,
+        ops: WriteSetOps,
+        done: CommitCallback,
+    ) {
+        self.publish_invalidations(ops.iter().map(|(k, _)| k));
+        self.gate_deferred(*ctx, object.clone(), ops, done);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lambda_coordinator::{ClusterState, CoordCmd, N_SLOTS};
+    use lambda_objects::error::decode_hook_error;
+
+    const ME: NodeId = NodeId(1);
+
+    /// Shard 0 = {1 primary, 2, 3} owning every slot, plus shard 7 = {2}.
+    fn cluster() -> ClusterState {
+        let mut st = ClusterState::default();
+        for n in 1..=3 {
+            st.apply(&CoordCmd::RegisterNode { node: NodeId(n) });
+        }
+        st.apply(&CoordCmd::CreateShard { shard: 0, replicas: vec![ME, NodeId(2), NodeId(3)] });
+        st.apply(&CoordCmd::AssignSlots { shard: 0, slots: (0..N_SLOTS).collect() });
+        st.apply(&CoordCmd::CreateShard { shard: 7, replicas: vec![NodeId(2)] });
+        st
+    }
+
+    fn placement(st: &ClusterState) -> Placement {
+        let p = Placement::new();
+        p.update(st.clone());
+        p
+    }
+
+    /// Reconfigure shard 0 to `primary` + `backups` (bumps its epoch).
+    fn reconfigure(st: &mut ClusterState, primary: u32, backups: &[u32]) {
+        st.apply(&CoordCmd::Reconfigure {
+            shard: 0,
+            new_primary: NodeId(primary),
+            new_backups: backups.iter().map(|n| NodeId(*n)).collect(),
+            expected_epoch: st.shard(0).unwrap().epoch,
+        });
+    }
+
+    fn mark_lost(st: &mut ClusterState) {
+        let expected_epoch = st.shard(0).unwrap().epoch;
+        st.apply(&CoordCmd::MarkShardLost { shard: 0, expected_epoch });
+        assert!(st.shard(0).unwrap().lost);
+    }
+
+    fn after(st: &ClusterState, failed: &[u32]) -> Next {
+        after_round(&placement(st), ME, 0, failed.iter().map(|n| NodeId(*n)).collect(), false)
+    }
+
+    #[test]
+    fn post_round_all_acked_is_done_without_reading_placement() {
+        assert_eq!(after_round(&Placement::new(), ME, 0, vec![], true), Next::Done(Ok(())));
+    }
+
+    #[test]
+    fn post_round_evicted_laggard_no_longer_blocks_the_commit() {
+        let mut st = cluster();
+        reconfigure(&mut st, 1, &[2]);
+        assert_eq!(after(&st, &[3]), Next::Done(Ok(())));
+    }
+
+    #[test]
+    fn post_round_epoch_bump_restamps_the_retry_to_the_intersected_backups() {
+        let mut st = cluster();
+        assert_eq!(
+            after(&st, &[2, 3]),
+            Next::Retry { epoch: 1, backups: vec![NodeId(2), NodeId(3)] }
+        );
+        reconfigure(&mut st, 1, &[2]);
+        assert_eq!(after(&st, &[2, 3]), Next::Retry { epoch: 2, backups: vec![NodeId(2)] });
+    }
+
+    #[test]
+    fn post_round_deposed_or_lost_is_a_fenced_error() {
+        let mut st = cluster();
+        reconfigure(&mut st, 2, &[3]);
+        let Next::Done(Err(deposed)) = after(&st, &[2]) else { panic!("deposed must fence") };
+        assert!(deposed.starts_with("fenced: node-1 is no longer primary"), "{deposed}");
+        mark_lost(&mut st);
+        let Next::Done(Err(lost)) = after(&st, &[2]) else { panic!("lost must fence") };
+        assert!(lost.starts_with("fenced: shard 0 lost every replica"), "{lost}");
+    }
+
+    #[test]
+    fn post_round_shutdown_and_vanished_shard() {
+        let st = cluster();
+        let p = placement(&st);
+        let down = after_round(&p, ME, 0, vec![NodeId(2)], true);
+        assert_eq!(down, Next::Done(Err("node shutting down".into())));
+        assert_eq!(after_round(&p, ME, 99, vec![NodeId(2)], false), Next::Done(Ok(())));
+    }
+
+    fn gate_with(
+        st: &ClusterState,
+        repl: &ReplState,
+        shutting_down: bool,
+        fence: Option<Duration>,
+        forward: Result<(), String>,
+    ) -> Gate {
+        let object = ObjectId::from("user/1");
+        repl.commit_gate(&placement(st), ME, shutting_down, &object, |_| fence, |_, _| forward)
+    }
+
+    fn gate(st: &ClusterState) -> Gate {
+        gate_with(st, &ReplState::new(&Registry::new()), false, None, Ok(()))
+    }
+
+    #[test]
+    fn gate_ships_to_the_current_configuration_and_skips_without_a_map() {
+        let st = cluster();
+        assert_eq!(gate(&st), Gate::Ship { shard: 0, info: st.shard(0).unwrap().clone() });
+        assert_eq!(
+            gate(&ClusterState::default()),
+            Gate::Skip,
+            "stale (empty) states never install"
+        );
+    }
+
+    #[test]
+    fn gate_fails_a_deposed_primary_and_a_lost_shard() {
+        let mut st = cluster();
+        reconfigure(&mut st, 2, &[3]);
+        assert!(matches!(gate(&st), Gate::Fail(e) if e.contains("no longer primary")));
+        mark_lost(&mut st);
+        assert!(matches!(gate(&st), Gate::Fail(e) if e.contains("lost every replica")));
+    }
+
+    #[test]
+    fn gate_fails_a_handoff_with_object_moved_and_counts_it() {
+        let mut st = cluster();
+        let object = b"user/1".to_vec();
+        st.apply(&CoordCmd::PlanMigration { object: object.clone(), from: 0, to: 7 });
+        assert!(matches!(gate(&st), Gate::Ship { .. }), "planned migrations fence nothing");
+        st.apply(&CoordCmd::MigrationHandoff { object });
+        let registry = Registry::new();
+        let Gate::Fail(err) = gate_with(&st, &ReplState::new(&registry), false, None, Ok(()))
+        else {
+            panic!("handoff must fail the commit");
+        };
+        assert!(matches!(decode_hook_error(err), InvokeError::ObjectMoved(_)));
+        assert_eq!(registry.counter_value("node_migration_fenced"), 1);
+    }
+
+    #[test]
+    fn gate_holds_for_a_lease_fence_and_for_a_failed_forward() {
+        let st = cluster();
+        let registry = Registry::new();
+        let repl = ReplState::new(&registry);
+        let wait = Duration::from_millis(123);
+        // The fence is consulted before the forward: a held commit offers
+        // nothing to syncing recruits until it re-gates.
+        assert_eq!(
+            gate_with(&st, &repl, false, Some(wait), Err("unused".into())),
+            Gate::Hold(wait)
+        );
+        assert_eq!(registry.counter_value("lease_fenced_commits"), 1);
+        let moved = Err("placement moved".to_string());
+        assert_eq!(
+            gate_with(&st, &repl, false, None, moved.clone()),
+            Gate::Hold(FORWARD_RETRY_PAUSE)
+        );
+        assert_eq!(gate_with(&st, &repl, true, None, moved), Gate::Fail("placement moved".into()));
+    }
+
+    fn queued(epoch: Epoch, backups: &[u32], tag: &str) -> Entry {
+        Entry {
+            set: (tag.as_bytes().to_vec(), Vec::new()),
+            epoch,
+            backups: backups.iter().map(|n| NodeId(*n)).collect(),
+            ctx: InvocationContext::background(),
+            waiter: Waiter::Completion(Box::new(|_| {})),
+        }
+    }
+
+    fn objects(round: &Round) -> Vec<Vec<u8>> {
+        round.sets.iter().map(|(object, _)| object.clone()).collect()
+    }
+
+    #[test]
+    fn window_coalesces_the_prefix_that_agrees_on_epoch_and_backups() {
+        let window = Window::default();
+        assert!(window.push(queued(1, &[2, 3], "a")), "an idle window makes the pusher lead");
+        assert!(!window.push(queued(1, &[2, 3], "b")));
+        assert!(!window.push(queued(2, &[2], "c")));
+        assert!(!window.push(queued(1, &[2, 3], "d")));
+        let first = window.take_round(0).unwrap();
+        assert_eq!(objects(&first), vec![b"a".to_vec(), b"b".to_vec()]);
+        assert_eq!((first.epoch, first.waiters.len()), (1, 2));
+        let second = window.take_round(0).unwrap();
+        assert_eq!((objects(&second), second.epoch), (vec![b"c".to_vec()], 2));
+        assert_eq!(objects(&window.take_round(0).unwrap()), vec![b"d".to_vec()]);
+        assert!(window.take_round(0).is_none());
+        assert!(window.push(queued(1, &[2], "e")), "an emptied window idles");
+    }
+
+    #[test]
+    fn frame_builder_restamps_epoch_and_lease_per_attempt() {
+        let ctx = InvocationContext::background();
+        let sets = vec![(b"o".to_vec(), vec![(b"k".to_vec(), None)])];
+        let mut round = Round::new(0, 1, vec![NodeId(2)], &ctx, sets.clone());
+        round.epoch = 5;
+        for lease in [77, 0] {
+            let (_, req) = proto::decode_request(&round.frame(lease)).unwrap();
+            let want = StoreRequest::ReplicateBatch {
+                shard: 0,
+                epoch: 5,
+                entries: sets.clone(),
+                lease_nanos: lease,
+            };
+            assert_eq!(req, want);
+        }
+    }
+}
