@@ -246,6 +246,9 @@ pub enum CoordCmd {
         from_primary: NodeId,
         /// Plan-time target primary.
         to_primary: NodeId,
+        /// Why the driver gave up (diagnostic; the state machine ignores
+        /// it, the replicated log keeps it).
+        reason: String,
     },
 }
 
@@ -551,7 +554,7 @@ impl ClusterState {
                     self.pins.insert(object.clone(), to);
                 }
             }
-            CoordCmd::AbortMigration { object, from, to, from_primary, to_primary } => {
+            CoordCmd::AbortMigration { object, from, to, from_primary, to_primary, .. } => {
                 if let Some(m) = self.migrations.get(object) {
                     let same_plan = m.from == *from
                         && m.to == *to
@@ -1378,6 +1381,7 @@ mod tests {
             to: 7,
             from_primary: NodeId(0),
             to_primary: NodeId(2),
+            reason: "target unreachable".into(),
         });
         assert!(st.migrations.is_empty());
         assert_eq!(st.shard_for_object(&obj), Some(0));
@@ -1391,6 +1395,7 @@ mod tests {
             to: 7,
             from_primary: NodeId(1),
             to_primary: NodeId(2),
+            reason: "stale driver".into(),
         });
         assert!(st.migrations.contains_key(&obj), "mismatched abort is ignored");
     }

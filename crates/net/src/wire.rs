@@ -75,32 +75,25 @@ pub fn from_bytes<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, WireError> {
     Ok(value)
 }
 
-/// First byte of a headered request frame. Legacy frames start with the
-/// body directly — a `u32` enum variant index whose low byte is a small
-/// number — so any magic well above the largest variant index
-/// unambiguously marks the envelope.
+/// First byte of every request frame.
 pub const HEADER_MAGIC: u8 = 0xC7;
 
 /// Current request-header version.
 pub const HEADER_VERSION: u8 = 2;
 
-/// Length of the version-1 header payload (trace_id + budget + origin).
-const HEADER_V1_LEN: usize = 8 + 8 + 1;
-
-/// Length of the version-2 header payload (v1 + invocation_id + attempt).
-const HEADER_V2_LEN: usize = HEADER_V1_LEN + 8 + 4;
+/// Length of the header payload: trace_id + budget + origin +
+/// invocation_id + attempt.
+const HEADER_LEN: usize = 8 + 8 + 1 + 8 + 4;
 
 /// The out-of-band request envelope: per-invocation context carried ahead
 /// of the serialized request body.
 ///
-/// Layout: `magic (1) | version (1) | payload_len (u16 LE) | payload`.
-/// The payload for version 1 is `trace_id (u64 LE) | budget_nanos (u64 LE)
-/// | origin (u8)`; version 2 appends `invocation_id (u64 LE) | attempt
-/// (u32 LE)` for server-side retry dedup. Receivers skip payload bytes
-/// beyond what they understand (`payload_len` is authoritative), so future
-/// versions can append fields without breaking old nodes; v1 payloads
-/// decode with a zero invocation id (= no dedup), and old headerless
-/// frames (no magic) still decode as a bare body.
+/// Layout: `magic (1) | version (1) | payload_len (u16 LE) | payload`,
+/// the payload being `trace_id (u64 LE) | budget_nanos (u64 LE) | origin
+/// (u8) | invocation_id (u64 LE) | attempt (u32 LE)`. Receivers skip
+/// payload bytes beyond what they understand (`payload_len` is
+/// authoritative), so future versions can append fields without breaking
+/// old nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestHeader {
     /// Sender's header version.
@@ -121,10 +114,10 @@ pub struct RequestHeader {
 impl RequestHeader {
     /// Serialize the header envelope (to be followed by the body).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + HEADER_V2_LEN);
+        let mut out = Vec::with_capacity(4 + HEADER_LEN);
         out.push(HEADER_MAGIC);
         out.push(self.version);
-        out.extend_from_slice(&(HEADER_V2_LEN as u16).to_le_bytes());
+        out.extend_from_slice(&(HEADER_LEN as u16).to_le_bytes());
         out.extend_from_slice(&self.trace_id.to_le_bytes());
         out.extend_from_slice(&self.budget_nanos.to_le_bytes());
         out.push(self.origin);
@@ -141,19 +134,18 @@ impl RequestHeader {
     }
 }
 
-/// Split a request frame into its optional header and the body.
-///
-/// Frames that do not start with [`HEADER_MAGIC`] are legacy bodies:
-/// returned whole with no header. Headered frames yield the parsed
-/// [`RequestHeader`] and the remaining body; payload bytes beyond the
-/// version-1 fields are tolerated and skipped.
+/// Split a request frame into its header and the body. Payload bytes
+/// beyond the fields this version knows are skipped.
 ///
 /// # Errors
-/// Returns [`WireError`] only for frames that claim the envelope but are
-/// truncated mid-header.
-pub fn split_header(bytes: &[u8]) -> Result<(Option<RequestHeader>, &[u8]), WireError> {
-    if bytes.first() != Some(&HEADER_MAGIC) {
-        return Ok((None, bytes));
+/// Returns [`WireError`] for frames that do not start with
+/// [`HEADER_MAGIC`], are truncated mid-header, or declare a payload too
+/// short to hold every header field.
+pub fn split_header(bytes: &[u8]) -> Result<(RequestHeader, &[u8]), WireError> {
+    match bytes.first() {
+        None => return Err(WireError::UnexpectedEof),
+        Some(&HEADER_MAGIC) => {}
+        Some(b) => return Err(WireError::Malformed(format!("no request header: {b:#04x}"))),
     }
     if bytes.len() < 4 {
         return Err(WireError::UnexpectedEof);
@@ -161,31 +153,21 @@ pub fn split_header(bytes: &[u8]) -> Result<(Option<RequestHeader>, &[u8]), Wire
     let version = bytes[1];
     let payload_len = u16::from_le_bytes([bytes[2], bytes[3]]) as usize;
     let payload = bytes.get(4..4 + payload_len).ok_or(WireError::UnexpectedEof)?;
-    if payload.len() < HEADER_V1_LEN {
+    if payload.len() < HEADER_LEN {
         return Err(WireError::Malformed(format!(
             "header payload too short: {} bytes",
             payload.len()
         )));
     }
-    // v2 fields are parsed only when the payload carries them; a v1-sized
-    // payload decodes with invocation_id 0 (dedup off) and attempt 0.
-    let (invocation_id, attempt) = if payload.len() >= HEADER_V2_LEN {
-        (
-            u64::from_le_bytes(payload[17..25].try_into().expect("8 bytes")),
-            u32::from_le_bytes(payload[25..29].try_into().expect("4 bytes")),
-        )
-    } else {
-        (0, 0)
-    };
     let header = RequestHeader {
         version,
         trace_id: u64::from_le_bytes(payload[0..8].try_into().expect("8 bytes")),
         budget_nanos: u64::from_le_bytes(payload[8..16].try_into().expect("8 bytes")),
         origin: payload[16],
-        invocation_id,
-        attempt,
+        invocation_id: u64::from_le_bytes(payload[17..25].try_into().expect("8 bytes")),
+        attempt: u32::from_le_bytes(payload[25..29].try_into().expect("4 bytes")),
     };
-    Ok((Some(header), &bytes[4 + payload_len..]))
+    Ok((header, &bytes[4 + payload_len..]))
 }
 
 struct Encoder {
@@ -795,45 +777,10 @@ mod tests {
         let body = to_bytes(&sample()).unwrap();
         let frame = h.encode_with_body(&body);
         let (parsed, rest) = split_header(&frame).unwrap();
-        assert_eq!(parsed, Some(h));
+        assert_eq!(parsed, h);
         assert_eq!(rest, &body[..]);
         let back: Outer = from_bytes(rest).unwrap();
         assert_eq!(back, sample());
-    }
-
-    #[test]
-    fn v1_header_payloads_decode_with_zero_invocation_id() {
-        // A frame from a pre-dedup sender: 17-byte v1 payload.
-        let body = to_bytes(&Kind::One(7)).unwrap();
-        let mut frame = Vec::new();
-        frame.push(HEADER_MAGIC);
-        frame.push(1u8);
-        frame.extend_from_slice(&17u16.to_le_bytes());
-        frame.extend_from_slice(&99u64.to_le_bytes()); // trace_id
-        frame.extend_from_slice(&u64::MAX.to_le_bytes()); // budget
-        frame.push(0); // origin
-        frame.extend_from_slice(&body);
-
-        let (parsed, rest) = split_header(&frame).unwrap();
-        let h = parsed.expect("headered");
-        assert_eq!(h.version, 1);
-        assert_eq!(h.trace_id, 99);
-        assert_eq!(h.invocation_id, 0, "v1 senders carry no invocation id");
-        assert_eq!(h.attempt, 0);
-        let back: Kind = from_bytes(rest).unwrap();
-        assert_eq!(back, Kind::One(7));
-    }
-
-    #[test]
-    fn legacy_headerless_frames_still_decode() {
-        // An old-format frame is just the serialized body; the first byte
-        // is a small enum variant index (or struct field), never the magic.
-        let body = to_bytes(&Kind::One(7)).unwrap();
-        assert_ne!(body[0], HEADER_MAGIC);
-        let (parsed, rest) = split_header(&body).unwrap();
-        assert!(parsed.is_none());
-        let back: Kind = from_bytes(rest).unwrap();
-        assert_eq!(back, Kind::One(7));
     }
 
     #[test]
@@ -859,7 +806,7 @@ mod tests {
         frame.extend_from_slice(&body);
 
         let (parsed, rest) = split_header(&frame).unwrap();
-        assert_eq!(parsed, Some(h));
+        assert_eq!(parsed, h);
         let back: Kind = from_bytes(rest).unwrap();
         assert_eq!(back, Kind::Pair(-1, 1));
     }
@@ -875,15 +822,34 @@ mod tests {
             attempt: 1,
         };
         let frame = h.encode();
-        for cut in 1..frame.len() {
+        for cut in 0..frame.len() {
             assert!(split_header(&frame[..cut]).is_err(), "cut at {cut}");
         }
     }
 
     #[test]
     fn short_header_payload_is_malformed() {
-        // Magic + version + declared length 4, but v1 needs 17 bytes.
+        // Magic + version + declared length 4, but the header needs 29.
         let frame = [HEADER_MAGIC, 1, 4, 0, 1, 2, 3, 4];
         assert!(matches!(split_header(&frame), Err(WireError::Malformed(_))));
+
+        // A 17-byte payload (trace_id + budget + origin, no invocation
+        // identity) is too short as well, body or not.
+        let mut frame = vec![HEADER_MAGIC, 1];
+        frame.extend_from_slice(&17u16.to_le_bytes());
+        frame.extend_from_slice(&99u64.to_le_bytes());
+        frame.extend_from_slice(&u64::MAX.to_le_bytes());
+        frame.push(0);
+        frame.extend_from_slice(&to_bytes(&Kind::One(7)).unwrap());
+        assert!(matches!(split_header(&frame), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn headerless_frames_are_malformed() {
+        // A bare serialized body starts with a small enum variant index,
+        // never the magic.
+        let body = to_bytes(&Kind::One(7)).unwrap();
+        assert_ne!(body[0], HEADER_MAGIC);
+        assert!(matches!(split_header(&body), Err(WireError::Malformed(_))));
     }
 }

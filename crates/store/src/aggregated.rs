@@ -23,11 +23,10 @@ use lambda_coordinator::{
 };
 use lambda_kv::Db;
 use lambda_net::rpc::{sync_handler, AdmissionPolicy, Responder, RpcConfig};
-use lambda_net::{wire, Handler, Network, NodeId, RpcError, RpcNode};
+use lambda_net::{wire, Handler, Network, NodeId, RpcNode};
 use lambda_objects::{
-    decode_error, encode_error, keys, CommitHook, Counter, Engine, EngineConfig, Gauge,
-    InvocationContext, InvokeError, InvokeRouter, ObjectId, ObjectType, Origin, Registry,
-    TypeRegistry, WriteSetOps,
+    encode_error, keys, CommitHook, Counter, Engine, EngineConfig, Gauge, InvocationContext,
+    InvokeError, InvokeRouter, ObjectId, ObjectType, Origin, Registry, TypeRegistry, WriteSetOps,
 };
 use lambda_vm::VmValue;
 
@@ -65,8 +64,6 @@ pub struct AggregatedConfig {
     pub heartbeat_interval: Duration,
     /// Coordinator service endpoints.
     pub coordinators: Vec<NodeId>,
-    /// Soft payload bound per shard state-transfer chunk (repair).
-    pub sync_chunk_bytes: usize,
     /// Read-lease duration. A primary grants backups the right to serve
     /// read-only invocations for this long per grant (piggybacked on
     /// replication traffic and renewed from the heartbeat loop), and a
@@ -89,7 +86,6 @@ impl AggregatedConfig {
             rpc_timeout: Duration::from_millis(500),
             heartbeat_interval: Duration::from_millis(100),
             coordinators,
-            sync_chunk_bytes: 64 * 1024,
             lease_duration: Duration::from_millis(400),
         }
     }
@@ -123,8 +119,6 @@ pub(crate) struct NodeInner {
     q_shed: Gauge,
     /// Open state-transfer sessions to syncing backups (primary side).
     sync: SyncManager,
-    /// Soft payload bound per state-transfer chunk.
-    sync_chunk_bytes: usize,
     /// `InstallShardChunk` RPCs shipped to syncing backups.
     repair_chunks_sent: Counter,
     /// Payload bytes shipped through state transfer.
@@ -207,6 +201,9 @@ pub(crate) struct NodeInner {
     migrations_driving: Mutex<HashSet<Vec<u8>>>,
     /// Coordinator-owned migrations this node drove to commit as source.
     migrations_completed: Counter,
+    /// Migrations this node gave up on as source and proposed to abort
+    /// (the proposal carries the reason).
+    migrations_aborted: Counter,
 }
 
 /// A handler outcome as the RPC layer carries it.
@@ -571,12 +568,7 @@ impl NodeInner {
             return Err(InvokeError::DeadlineExceeded);
         }
         let frame = proto::encode_request(&down, req).expect("requests serialize");
-        match self.rpc().call(to, frame, down.rpc_timeout(self.rpc_timeout)) {
-            Ok(bytes) => wire::from_bytes(&bytes)
-                .map_err(|e| InvokeError::Nested(format!("bad response: {e}"))),
-            Err(RpcError::Remote(msg)) => Err(decode_error(&msg)),
-            Err(other) => Err(InvokeError::Nested(other.to_string())),
-        }
+        proto::decode_reply(self.rpc().call(to, frame, down.rpc_timeout(self.rpc_timeout)))
     }
 
     fn handle(
@@ -752,52 +744,6 @@ impl NodeInner {
                 }
                 let results = self.engine.invoke_transaction(&calls)?;
                 Ok(StoreResponse::Values(results))
-            }
-            StoreRequest::Stats => Ok(StoreResponse::NodeStats(self.stats_wire())),
-            StoreRequest::FetchShardChunk { shard, epoch, cursor, max_bytes } => {
-                self.fence_stale_epoch(shard, epoch)?;
-                let state = self.placement.snapshot();
-                if let Some(info) = state.shard(shard) {
-                    if info.primary != self.id {
-                        return Err(InvokeError::WrongNode(format!(
-                            "shard {shard} export must run at primary node-{}",
-                            info.primary.0
-                        )));
-                    }
-                }
-                let max_bytes =
-                    if max_bytes == 0 { self.sync_chunk_bytes as u64 } else { max_bytes };
-                let mut ids: Vec<ObjectId> = self
-                    .engine
-                    .list_objects()
-                    .into_iter()
-                    .filter(|o| state.shard_for_object(&o.0) == Some(shard))
-                    .filter(|o| cursor.as_ref().is_none_or(|c| o.0 > *c))
-                    .collect();
-                ids.sort_by(|a, b| a.0.cmp(&b.0));
-                let mut objects = Vec::new();
-                let mut bytes = 0u64;
-                let mut next_cursor = None;
-                for oid in ids {
-                    if !objects.is_empty() && bytes >= max_bytes {
-                        let last: &lambda_objects::migration::ObjectSnapshot =
-                            objects.last().expect("non-empty");
-                        next_cursor = Some(last.id.0.clone());
-                        break;
-                    }
-                    match self.engine.export_object(&oid) {
-                        Ok(snap) => {
-                            bytes += snap.payload_bytes() as u64;
-                            objects.push(snap);
-                        }
-                        // Deleted while we scanned: skip it.
-                        Err(InvokeError::UnknownObject(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-                self.repair_chunks_sent.incr();
-                self.repair_bytes.add(bytes);
-                Ok(StoreResponse::ShardChunk { objects, next_cursor })
             }
             StoreRequest::InstallShardChunk { shard, epoch, items } => {
                 self.fence_stale_epoch(shard, epoch)?;
@@ -1237,7 +1183,7 @@ impl NodeInner {
     /// `AbortMigration` and the source keeps serving from its own copy.
     fn drive_migration(&self, coord: &CoordClient, object: Vec<u8>, planned: MigrationInfo) {
         if let Err(reason) = self.drive_migration_steps(coord, &object, &planned) {
-            let _ = reason;
+            self.migrations_aborted.incr();
             // Identity-guarded: if this plan was already superseded by a
             // fresh one (our ship retries outlived the entry), the abort
             // must not kill the successor — mismatched fields no-op.
@@ -1247,6 +1193,7 @@ impl NodeInner {
                 to: planned.to,
                 from_primary: planned.from_primary,
                 to_primary: planned.to_primary,
+                reason,
             });
         }
         self.migrations_driving.lock().remove(&object);
@@ -1530,7 +1477,6 @@ impl AggregatedNode {
             q_inflight: registry.gauge("rpc_inflight"),
             q_shed: registry.gauge("rpc_shed"),
             sync: SyncManager::new(),
-            sync_chunk_bytes: config.sync_chunk_bytes,
             repair_chunks_sent: registry.counter("repair_chunks_sent"),
             repair_bytes: registry.counter("repair_bytes"),
             repair_chunks_applied: registry.counter("repair_chunks_applied"),
@@ -1558,6 +1504,7 @@ impl AggregatedNode {
             invoke_tally: Mutex::new(HashMap::new()),
             migrations_driving: Mutex::new(HashSet::new()),
             migrations_completed: registry.counter("node_migrations_completed"),
+            migrations_aborted: registry.counter("node_migrations_aborted"),
             registry,
         });
 
@@ -1631,11 +1578,11 @@ impl AggregatedNode {
             encode_error(&InvokeError::Overloaded(format!("node-{} run queue full", id.0)));
         let admission: AdmissionPolicy =
             Arc::new(move |body: &[u8]| match wire::split_header(body) {
-                Ok((Some(header), _)) if header.origin == Origin::Client.to_wire() => {
+                Ok((header, _)) if header.origin == Origin::Client.to_wire() => {
                     Some(shed_reply.clone())
                 }
-                // Headerless, malformed, or non-client origin: admit — only
-                // provably client-origin load is sheddable.
+                // Malformed (the handler rejects it) or non-client origin:
+                // admit — only provably client-origin load is sheddable.
                 _ => None,
             });
         let rpc = RpcNode::start_with_config(

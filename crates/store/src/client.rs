@@ -18,17 +18,25 @@ use lambda_coordinator::{CoordClient, CoordCmd, ShardId};
 use lambda_net::rpc::sync_handler;
 use lambda_net::{wire, Network, NodeId, RpcError, RpcNode};
 use lambda_objects::{
-    decode_error, CacheStats, ConsistentCache, InvocationContext, InvokeError, ObjectId, TxCall,
+    CacheStats, ConsistentCache, InvocationContext, InvokeError, ObjectId, TxCall,
 };
 use lambda_vm::{Module, VmValue};
 
 use crate::placement::Placement;
-use crate::proto::{self, ClientPush, NodeStatsWire, StoreRequest, StoreResponse};
+use crate::proto::{self, ClientPush, StoreRequest, StoreResponse};
 
 /// How long [`StoreClient::migrate_object`] waits for the coordinator's
 /// replicated state machine to drive a planned migration to commit (or
 /// abort) before reporting a timeout.
 const MIGRATE_WAIT: Duration = Duration::from_secs(30);
+
+/// Deliveries one logical invocation may make, the first included.
+const MAX_ATTEMPTS: u32 = 20;
+
+/// Pause before following an `ObjectMoved` redirect again when the refresh
+/// learned nothing: the placement has not caught up with the migration's
+/// commit yet. Fixed — a redirect is neither congestion nor failure.
+const REDIRECT_PAUSE: Duration = Duration::from_millis(2);
 
 /// A cluster client. Cheap to clone ([`Arc`] inside); safe to share across
 /// request-generator threads.
@@ -53,7 +61,6 @@ struct ClientInner {
     /// deadline — the redelivery (same invocation id) is what the server's
     /// dedup window absorbs.
     attempt_timeout: Duration,
-    retries: usize,
     round_robin: AtomicU64,
     /// Attempts beyond the first, across all operations of this client.
     client_retries: AtomicU64,
@@ -63,7 +70,7 @@ struct ClientInner {
     pin_reads_to_primary: AtomicBool,
 }
 
-/// Backoff schedule for one routing loop: exponential growth with full
+/// Backoff schedule of one [`Route`]: exponential growth with full
 /// jitter, capped, and never longer than the invocation's remaining
 /// deadline budget. Seeded from the invocation identity so a replayed
 /// simulation retries at the same instants.
@@ -86,13 +93,135 @@ impl RetryPolicy {
     /// uniform in `[0, min(cap, base·2^attempt)]` — spreads synchronized
     /// retry storms; clamping to the remaining budget keeps the last sleep
     /// from overshooting the deadline.
-    fn pause(&mut self, attempt: usize, ctx: &InvocationContext) -> Duration {
-        let exp = self.base.saturating_mul(1 << attempt.min(16) as u32).min(self.cap);
+    fn pause(&mut self, attempt: u32, ctx: &InvocationContext) -> Duration {
+        let exp = self.base.saturating_mul(1 << attempt.min(16)).min(self.cap);
         let jittered = Duration::from_nanos(self.rng.gen_range(0..exp.as_nanos() as u64 + 1));
         match ctx.remaining() {
             Some(rem) => jittered.min(rem),
             None => jittered,
         }
+    }
+}
+
+/// What the routing loop does after a failed attempt.
+#[derive(Debug, PartialEq)]
+enum Next {
+    /// The invocation is over; this is its error.
+    Done(InvokeError),
+    /// Deliver again at once (a redirect the refresh already resolved).
+    RetryNow,
+    /// Deliver again after the pause.
+    RetryAfter(Duration),
+}
+
+/// The routing loop of one *logical* invocation, as a state machine: every
+/// attempt carries the same invocation id (so servers can deduplicate
+/// redeliveries), a bumped attempt number, and spends from the one shared
+/// deadline budget — a retry never resets the clock. The two ways to wait
+/// ([`StoreClient::drive`] parks, [`AsyncInvoke`] completes) only carry
+/// out what [`begin`](Route::begin) and [`settle`](Route::settle) decide.
+struct Route {
+    /// The context each attempt travels under; `attempt` counts deliveries.
+    ctx: InvocationContext,
+    object: ObjectId,
+    read_only: bool,
+    /// `Some` = every attempt goes to this endpoint (no placement routing).
+    pinned: Option<NodeId>,
+    /// Reads stop rotating and pin to the primary after a misroute: the
+    /// primary always serves, so one refresh + fall-back beats spinning
+    /// through a replica set the local map has wrong.
+    prefer_primary: bool,
+    policy: RetryPolicy,
+}
+
+impl Route {
+    fn new(
+        mut ctx: InvocationContext,
+        object: &ObjectId,
+        read_only: bool,
+        pinned: Option<NodeId>,
+    ) -> Route {
+        ctx.attempt = 0;
+        Route {
+            ctx,
+            object: object.clone(),
+            read_only,
+            pinned,
+            prefer_primary: false,
+            policy: RetryPolicy::new(ctx.invocation_id ^ ctx.trace_id),
+        }
+    }
+
+    /// Open the next attempt: the node to deliver to, or the error this
+    /// attempt ends with before anything is sent (budget spent, shard
+    /// lost, no placement) — which [`settle`](Route::settle) classifies
+    /// like any reply.
+    fn begin(&mut self, client: &StoreClient) -> Result<NodeId, InvokeError> {
+        if self.ctx.expired() {
+            return Err(InvokeError::DeadlineExceeded);
+        }
+        if self.ctx.attempt > 0 {
+            client.inner.client_retries.fetch_add(1, Ordering::Relaxed);
+        }
+        match self.pinned {
+            Some(endpoint) => Ok(endpoint),
+            None => client.target_for(&self.object, self.read_only, self.prefer_primary),
+        }
+    }
+
+    /// Classify a failed attempt — the one retry decision table. `refresh`
+    /// re-fetches the placement and says whether it moved; it runs at most
+    /// once, and only for errors that mean the local map may be stale.
+    fn settle(&mut self, err: InvokeError, refresh: impl FnOnce() -> bool) -> Next {
+        if self.ctx.attempt + 1 >= MAX_ATTEMPTS {
+            return Next::Done(err);
+        }
+        let pause = match &err {
+            // Stale map (§4.2.1 — clients reissue after reconfiguration).
+            InvokeError::WrongNode(_) => {
+                refresh();
+                self.prefer_primary = true;
+                Some(self.backoff())
+            }
+            // A replica without a current read lease. The data is fine and
+            // the primary serves unconditionally: go straight there, with
+            // no backoff — a routing redirect, not congestion or failure.
+            // If the attempt was already pinned to the primary, though, it
+            // cannot attest its own leadership until the next coordinator
+            // heartbeat lands; that is transient unavailability, so back
+            // off instead of burning the remaining attempts in a tight loop.
+            InvokeError::LeaseExpired(_) => {
+                refresh();
+                let at_primary = self.prefer_primary;
+                self.prefer_primary = true;
+                at_primary.then(|| self.backoff())
+            }
+            // The object is mid-handoff (or just committed to its new
+            // shard): follow it.
+            InvokeError::ObjectMoved(_) => {
+                self.prefer_primary = true;
+                (!refresh()).then_some(REDIRECT_PAUSE)
+            }
+            // Unreachable node or garbled reply; a shard that lost every
+            // replica (repair revives it as soon as a former member
+            // rejoins); a replication failure at the primary (a backup
+            // died and the shard has not reconfigured yet).
+            InvokeError::Nested(_) | InvokeError::ShardUnavailable(_) | InvokeError::Storage(_) => {
+                refresh();
+                Some(self.backoff())
+            }
+            // Admission control shed us *before* burning the deadline; the
+            // placement map is not stale — back off and re-offer within
+            // the same budget.
+            InvokeError::Overloaded(_) => Some(self.backoff()),
+            _ => return Next::Done(err),
+        };
+        self.ctx.attempt += 1;
+        pause.map_or(Next::RetryNow, Next::RetryAfter)
+    }
+
+    fn backoff(&mut self) -> Duration {
+        self.policy.pause(self.ctx.attempt, &self.ctx)
     }
 }
 
@@ -142,7 +271,6 @@ impl StoreClient {
                 timeout,
                 edge,
                 attempt_timeout: (timeout / 5).max(Duration::from_millis(1)),
-                retries: 20,
                 round_robin: AtomicU64::new(0),
                 client_retries: AtomicU64::new(0),
                 pin_reads_to_primary: AtomicBool::new(false),
@@ -159,6 +287,13 @@ impl StoreClient {
                 self.inner.placement.update(state);
             }
         }
+    }
+
+    /// [`refresh`](Self::refresh), reporting whether the placement moved.
+    fn refresh_moved(&self) -> bool {
+        let before = self.inner.placement.version();
+        self.refresh();
+        self.inner.placement.version() != before
     }
 
     /// The client's placement view (also used to install static maps in
@@ -180,27 +315,28 @@ impl StoreClient {
         req: &StoreRequest,
     ) -> Result<StoreResponse, InvokeError> {
         let frame = proto::encode_request(ctx, req).expect("requests serialize");
-        match self.inner.rpc.call(node, frame, ctx.rpc_timeout(self.inner.attempt_timeout)) {
-            Ok(bytes) => wire::from_bytes(&bytes)
-                .map_err(|e| InvokeError::Nested(format!("bad response: {e}"))),
-            Err(RpcError::Remote(msg)) => Err(decode_error(&msg)),
-            Err(other) => Err(InvokeError::Nested(other.to_string())),
-        }
+        proto::decode_reply(self.inner.rpc.call(node, frame, self.attempt_timeout(ctx)))
     }
 
     /// Pick the node for the next attempt. Reads rotate across the live
     /// replica set for scaling ("read-only functions can execute at any
-    /// replica", §4.2.1); `prefer_primary` pins them to the primary after a
-    /// misroute (`WrongNode`/`LeaseExpired` from a replica) — the primary
-    /// always serves, so one refresh + fall-back beats spinning through a
-    /// replica set the local map has wrong.
+    /// replica", §4.2.1) unless `prefer_primary` pins them.
     fn target_for(
         &self,
         object: &ObjectId,
         read_only: bool,
         prefer_primary: bool,
-    ) -> Option<NodeId> {
-        let (_, info) = self.inner.placement.locate(object)?;
+    ) -> Result<NodeId, InvokeError> {
+        let Some((shard, info)) = self.inner.placement.locate(object) else {
+            return Err(InvokeError::Nested("no storage nodes known".into()));
+        };
+        if info.lost {
+            // No live replica anywhere: calling out would only burn the
+            // deadline on RPC timeouts. Surface the real condition.
+            return Err(InvokeError::ShardUnavailable(format!(
+                "shard {shard} for object {object} lost every replica"
+            )));
+        }
         if read_only
             && !prefer_primary
             && !self.inner.pin_reads_to_primary.load(Ordering::Relaxed)
@@ -213,10 +349,10 @@ impl StoreClient {
                 info.replicas().into_iter().filter(|n| self.inner.placement.is_live(*n)).collect();
             if !live.is_empty() {
                 let i = self.inner.round_robin.fetch_add(1, Ordering::Relaxed) as usize;
-                return Some(live[i % live.len()]);
+                return Ok(live[i % live.len()]);
             }
         }
-        Some(info.primary)
+        Ok(info.primary)
     }
 
     fn with_routing<T>(
@@ -225,138 +361,28 @@ impl StoreClient {
         read_only: bool,
         op: impl FnMut(&InvocationContext, NodeId) -> Result<T, InvokeError>,
     ) -> Result<T, InvokeError> {
-        self.with_routing_ctx(InvocationContext::client(self.inner.timeout), object, read_only, op)
+        let ctx = InvocationContext::client(self.inner.timeout);
+        self.drive(Route::new(ctx, object, read_only, None), op)
     }
 
-    /// The routing loop. One *logical* invocation: every attempt carries
-    /// the same invocation id (so servers can deduplicate redeliveries),
-    /// a bumped attempt number, and spends from the one shared deadline
-    /// budget — a retry never resets the clock.
-    fn with_routing_ctx<T>(
+    /// Walk `route` on this thread: `op` delivers one attempt (it parks in
+    /// `rpc.call`), pauses are sleeps.
+    fn drive<T>(
         &self,
-        mut ctx: InvocationContext,
-        object: &ObjectId,
-        read_only: bool,
+        mut route: Route,
         mut op: impl FnMut(&InvocationContext, NodeId) -> Result<T, InvokeError>,
     ) -> Result<T, InvokeError> {
-        let mut policy = RetryPolicy::new(ctx.invocation_id ^ ctx.trace_id);
-        let mut last_err = InvokeError::Nested("no storage nodes known".into());
-        let mut prefer_primary = false;
-        for attempt in 0..self.inner.retries {
-            ctx.attempt = attempt as u32;
-            if attempt > 0 {
-                self.inner.client_retries.fetch_add(1, Ordering::Relaxed);
-                if ctx.expired() {
-                    return Err(InvokeError::DeadlineExceeded);
-                }
-            }
-            let final_attempt = attempt + 1 == self.inner.retries;
-            // A shard marked lost has no live replica anywhere; calling
-            // out would only burn the deadline on RPC timeouts. Keep
-            // refreshing — the repair loop revives a lost shard as soon as
-            // a former member rejoins — and if the retry budget runs out
-            // first, surface the real condition instead of a timeout.
-            if let Some((shard, info)) = self.inner.placement.locate(object) {
-                if info.lost {
-                    last_err = InvokeError::ShardUnavailable(format!(
-                        "shard {shard} for object {object} lost every replica"
-                    ));
-                    self.refresh();
-                    if !final_attempt {
-                        std::thread::sleep(policy.pause(attempt, &ctx));
-                    }
-                    continue;
-                }
-            }
-            let Some(node) = self.target_for(object, read_only, prefer_primary) else {
-                self.refresh();
-                if !final_attempt {
-                    std::thread::sleep(policy.pause(attempt, &ctx));
-                }
-                continue;
-            };
-            match op(&ctx, node) {
+        loop {
+            let err = match route.begin(self).and_then(|node| op(&route.ctx, node)) {
                 Ok(v) => return Ok(v),
-                Err(e @ InvokeError::WrongNode(_)) => {
-                    // Stale map: refresh and retry (§4.2.1 — clients
-                    // reissue after reconfiguration), pinning reads to the
-                    // primary from here on — re-rotating through a replica
-                    // set the local map has wrong just burns attempts.
-                    last_err = e;
-                    prefer_primary = true;
-                    self.refresh();
-                    if !final_attempt {
-                        std::thread::sleep(policy.pause(attempt, &ctx));
-                    }
-                }
-                Err(e @ InvokeError::LeaseExpired(_)) => {
-                    // A replica without a current read lease. The data is
-                    // fine and the primary serves unconditionally: refresh
-                    // and go straight there, with no backoff — this is a
-                    // routing redirect, not congestion or failure. If the
-                    // *primary* answered LeaseExpired, though, it cannot
-                    // attest its own leadership until the next coordinator
-                    // heartbeat lands; that is transient unavailability,
-                    // so back off instead of burning the remaining
-                    // attempts in a tight loop.
-                    let was_primary = prefer_primary;
-                    last_err = e;
-                    prefer_primary = true;
-                    self.refresh();
-                    if was_primary && !final_attempt {
-                        std::thread::sleep(policy.pause(attempt, &ctx));
-                    }
-                }
-                Err(e @ InvokeError::ObjectMoved(_)) => {
-                    // The object is mid-handoff (or just committed to its
-                    // new shard): follow it. A redirect, not congestion or
-                    // failure — no backoff beyond a brief pause when our
-                    // placement has not caught up with the commit yet.
-                    let before = self.inner.placement.version();
-                    last_err = e;
-                    prefer_primary = true;
-                    self.refresh();
-                    if self.inner.placement.version() == before && !final_attempt {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                }
-                Err(e @ InvokeError::Nested(_)) => {
-                    // Unreachable node or garbled reply: refresh and retry.
-                    last_err = e;
-                    self.refresh();
-                    if !final_attempt {
-                        std::thread::sleep(policy.pause(attempt, &ctx));
-                    }
-                }
-                Err(e @ InvokeError::ShardUnavailable(_)) => {
-                    // The server's placement says the shard lost every
-                    // replica; keep refreshing in case repair revives it
-                    // within our budget, else surface the condition.
-                    last_err = e;
-                    self.refresh();
-                    if !final_attempt {
-                        std::thread::sleep(policy.pause(attempt, &ctx));
-                    }
-                }
-                Err(e @ InvokeError::Storage(_)) if !final_attempt => {
-                    // Replication failure at the primary (e.g. backup died
-                    // and the shard has not reconfigured yet): retry.
-                    last_err = e;
-                    self.refresh();
-                    std::thread::sleep(policy.pause(attempt, &ctx));
-                }
-                Err(e @ InvokeError::Overloaded(_)) if !final_attempt => {
-                    // Admission control shed us *before* burning the
-                    // deadline; the placement map is not stale (no refresh
-                    // needed) — back off and re-offer within the same
-                    // budget.
-                    last_err = e;
-                    std::thread::sleep(policy.pause(attempt, &ctx));
-                }
-                Err(other) => return Err(other),
+                Err(e) => e,
+            };
+            match route.settle(err, || self.refresh_moved()) {
+                Next::Done(e) => return Err(e),
+                Next::RetryNow => {}
+                Next::RetryAfter(pause) => std::thread::sleep(pause),
             }
         }
-        Err(last_err)
     }
 
     /// How many routing retries (attempts beyond an operation's first)
@@ -428,16 +454,11 @@ impl StoreClient {
         args: Vec<VmValue>,
         read_only: bool,
     ) -> Result<VmValue, InvokeError> {
-        if read_only {
-            if let Some(cache) = self.inner.edge.get() {
-                if let Some(v) = cache.lookup(object, method, &args) {
-                    return Ok(v);
-                }
-            }
+        if let Some(v) = self.edge_lookup(object, method, &args, read_only) {
+            return Ok(v);
         }
-        self.with_routing(object, read_only, |ctx, node| {
-            self.invoke_at(ctx, node, object, method, args.clone(), read_only)
-        })
+        let ctx = InvocationContext::client(self.inner.timeout);
+        self.invoke_ctx(&ctx, object, method, args, read_only)
     }
 
     /// Invoke under a caller-supplied context: same routing loop as
@@ -458,11 +479,10 @@ impl StoreClient {
         args: Vec<VmValue>,
         read_only: bool,
     ) -> Result<VmValue, InvokeError> {
-        self.with_routing_ctx(*ctx, object, read_only, |ctx, node| {
-            if ctx.expired() {
-                return Err(InvokeError::DeadlineExceeded);
-            }
-            self.invoke_at(ctx, node, object, method, args.clone(), read_only)
+        self.drive(Route::new(*ctx, object, read_only, None), |ctx, node| {
+            let frame = self.invoke_frame(ctx, object, method, &args, read_only);
+            let reply = self.inner.rpc.call(node, frame, self.attempt_timeout(ctx));
+            self.invoke_value(object, method, &args, reply)
         })
     }
 
@@ -470,11 +490,9 @@ impl StoreClient {
     /// runs on the client's RPC completion executor once the invocation
     /// succeeds, exhausts its retries, or spends its deadline budget.
     ///
-    /// Same logical-invocation semantics as [`invoke`](StoreClient::invoke)
-    /// — one invocation id across every redelivery, one shared deadline
-    /// budget, exponential-backoff retries on `WrongNode`/`Nested`/
-    /// `ShardUnavailable`/`Storage`/`Overloaded` — but backoff sleeps are
-    /// timer events, not parked threads, so an open-loop generator can keep
+    /// Same logical invocation and same routing loop as
+    /// [`invoke`](StoreClient::invoke), but backoff pauses are timer
+    /// events, not parked threads, so an open-loop generator can keep
     /// thousands of invocations in flight from a handful of threads.
     pub fn invoke_async(
         &self,
@@ -484,27 +502,11 @@ impl StoreClient {
         read_only: bool,
         done: InvokeCallback,
     ) {
-        if read_only {
-            if let Some(cache) = self.inner.edge.get() {
-                if let Some(v) = cache.lookup(object, method, &args) {
-                    done(Ok(v));
-                    return;
-                }
-            }
+        if let Some(v) = self.edge_lookup(object, method, &args, read_only) {
+            done(Ok(v));
+            return;
         }
-        let st = AsyncInvokeState {
-            client: self.clone(),
-            object: object.clone(),
-            method: method.to_string(),
-            args,
-            read_only,
-            ctx: InvocationContext::client(self.inner.timeout),
-            attempt: 0,
-            pinned: None,
-            prefer_primary: false,
-            last_err: InvokeError::Nested("no storage nodes known".into()),
-        };
-        async_invoke_step(st, done);
+        self.start_async(None, object, method, args, read_only, done);
     }
 
     /// Like [`invoke_async`](StoreClient::invoke_async), but every attempt
@@ -520,47 +522,80 @@ impl StoreClient {
         read_only: bool,
         done: InvokeCallback,
     ) {
-        let st = AsyncInvokeState {
-            client: self.clone(),
-            object: object.clone(),
-            method: method.to_string(),
-            args,
-            read_only,
-            ctx: InvocationContext::client(self.inner.timeout),
-            attempt: 0,
-            pinned: Some(endpoint),
-            prefer_primary: false,
-            last_err: InvokeError::Nested("endpoint never reached".into()),
-        };
-        async_invoke_step(st, done);
+        self.start_async(Some(endpoint), object, method, args, read_only, done);
     }
 
-    fn invoke_at(
+    fn start_async(
         &self,
-        ctx: &InvocationContext,
-        node: NodeId,
+        pinned: Option<NodeId>,
         object: &ObjectId,
         method: &str,
         args: Vec<VmValue>,
         read_only: bool,
-    ) -> Result<VmValue, InvokeError> {
-        let edge = if read_only { self.inner.edge.get() } else { None };
-        // Keep the args for the cache insert only when one can happen; the
-        // common (cache-off) path moves them into the request untouched.
-        let insert_args = edge.map(|_| args.clone());
+        done: InvokeCallback,
+    ) {
+        let ctx = InvocationContext::client(self.inner.timeout);
+        AsyncInvoke {
+            client: self.clone(),
+            route: Route::new(ctx, object, read_only, pinned),
+            method: method.to_string(),
+            args,
+            done,
+        }
+        .step();
+    }
+
+    /// A cached result for a read, when the edge cache is on and holds one.
+    fn edge_lookup(
+        &self,
+        object: &ObjectId,
+        method: &str,
+        args: &[VmValue],
+        read_only: bool,
+    ) -> Option<VmValue> {
+        self.inner.edge.get().filter(|_| read_only)?.lookup(object, method, args)
+    }
+
+    /// The transport timeout of one attempt under `ctx`.
+    fn attempt_timeout(&self, ctx: &InvocationContext) -> Duration {
+        ctx.rpc_timeout(self.inner.attempt_timeout)
+    }
+
+    /// The `Invoke` frame of one attempt. Reads ask for their read set
+    /// whenever the edge cache could store the result.
+    fn invoke_frame(
+        &self,
+        ctx: &InvocationContext,
+        object: &ObjectId,
+        method: &str,
+        args: &[VmValue],
+        read_only: bool,
+    ) -> Vec<u8> {
         let req = StoreRequest::Invoke {
             object: object.0.clone(),
             method: method.to_string(),
-            args,
+            args: args.to_vec(),
             read_only,
             internal: false,
-            collect_read_set: edge.is_some(),
+            collect_read_set: read_only && self.inner.edge.get().is_some(),
         };
-        match self.call_ctx(ctx, node, &req)? {
+        proto::encode_request(ctx, &req).expect("requests serialize")
+    }
+
+    /// What an `Invoke` attempt returned, as the invocation's value; a
+    /// result that came with its read set goes into the edge cache.
+    fn invoke_value(
+        &self,
+        object: &ObjectId,
+        method: &str,
+        args: &[VmValue],
+        reply: Result<Vec<u8>, RpcError>,
+    ) -> Result<VmValue, InvokeError> {
+        match proto::decode_reply(reply)? {
             StoreResponse::Value(v) => Ok(v),
             StoreResponse::CachedValue { value, read_set } => {
-                if let (Some(cache), Some(args)) = (edge, insert_args) {
-                    cache.insert(object, method, &args, value.clone(), read_set);
+                if let Some(cache) = self.inner.edge.get() {
+                    cache.insert(object, method, args, value.clone(), read_set);
                 }
                 Ok(value)
             }
@@ -747,96 +782,6 @@ impl StoreClient {
         }
     }
 
-    /// Rebalance one placement slot to `target_shard`: migrate every
-    /// object hashing onto `slot` from its current shard, then flip the
-    /// slot table (the Akkio-style microshard rebalancing §4.2 points at;
-    /// moving whole slots is how the cluster scales out without touching
-    /// unrelated data).
-    ///
-    /// # Errors
-    /// Any migration or coordination failure (already-moved objects keep
-    /// their pins, so a retried rebalance converges).
-    pub fn rebalance_slot(&self, slot: u16, target_shard: ShardId) -> Result<usize, InvokeError> {
-        use lambda_coordinator::ClusterState;
-        self.refresh();
-        let state = self.inner.placement.snapshot();
-        let Some(&source_shard) = state.slots.get(&slot) else {
-            return Err(InvokeError::Nested(format!("slot {slot} is unassigned")));
-        };
-        if source_shard == target_shard {
-            return Ok(0);
-        }
-        let source = state
-            .shard(source_shard)
-            .ok_or_else(|| InvokeError::Nested(format!("no shard {source_shard}")))?
-            .clone();
-        // Every object in the slot currently lives on the source primary.
-        let mut moved = Vec::new();
-        for object in self.list_objects(source.primary)? {
-            if ClusterState::slot_of(object.as_bytes()) != slot {
-                continue;
-            }
-            // Skip objects pinned elsewhere (they only *stored* here if the
-            // pin points here, in which case slot_of is irrelevant), and
-            // objects a previous half-finished rebalance already landed on
-            // another shard (stored residue, no longer placed here).
-            if state.pins.contains_key(object.as_bytes())
-                || state.shard_for_object(object.as_bytes()) != Some(source_shard)
-            {
-                continue;
-            }
-            match self.migrate_object(&object, target_shard) {
-                Ok(()) => moved.push(object),
-                Err(e) => {
-                    // Partial-failure tolerance: an object that reached the
-                    // target anyway (a concurrent or earlier interrupted
-                    // rebalance) or is mid-migration right now must not
-                    // fail the whole slot — the remaining objects still
-                    // need moving and a retried rebalance converges.
-                    self.refresh();
-                    let now = self.inner.placement.snapshot();
-                    if now.shard_for_object(object.as_bytes()) == Some(target_shard) {
-                        moved.push(object);
-                    } else if !now.migrations.contains_key(object.as_bytes()) {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        // Flip the slot table; future objects in this slot are created on
-        // the target shard. Existing moved objects stay routed by pins
-        // (equivalent destination), which keeps the cut-over race-free.
-        if let Some(coord) = &self.inner.coord {
-            coord
-                .propose(lambda_coordinator::CoordCmd::AssignSlots {
-                    shard: target_shard,
-                    slots: vec![slot],
-                })
-                .map_err(|e| InvokeError::Nested(format!("slot flip failed: {e}")))?;
-            // The flip makes the moved objects' pins redundant (pin ==
-            // hash home); retire them so the directory only holds true
-            // exceptions and the `coord_pins` gauge tracks real overrides.
-            for object in &moved {
-                coord
-                    .propose(lambda_coordinator::CoordCmd::UnpinObject { object: object.0.clone() })
-                    .map_err(|e| InvokeError::Nested(format!("unpin failed: {e}")))?;
-            }
-        }
-        self.refresh();
-        Ok(moved.len())
-    }
-
-    /// Fetch statistics from `node`.
-    ///
-    /// # Errors
-    /// RPC failures.
-    pub fn node_stats(&self, node: NodeId) -> Result<NodeStatsWire, InvokeError> {
-        match self.call(node, &StoreRequest::Stats)? {
-            StoreResponse::NodeStats(s) => Ok(s),
-            other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-        }
-    }
-
     /// Raw storage access (used by the disaggregated baseline's compute
     /// layer and by tests).
     ///
@@ -855,189 +800,581 @@ impl StoreClient {
 /// Completion for [`StoreClient::invoke_async`].
 pub type InvokeCallback = Box<dyn FnOnce(Result<VmValue, InvokeError>) + Send>;
 
-/// One in-flight logical invocation of the async path. The state walks the
-/// same routing loop as `with_routing_ctx`, but each retry is rescheduled
-/// through the RPC timer instead of sleeping, and each attempt's reply is
-/// classified in a completion callback instead of a parked thread.
-struct AsyncInvokeState {
+/// One in-flight logical invocation of the completion-driven shell: it
+/// walks its [`Route`] on the client's RPC completion executor — each
+/// attempt is a `call_deferred`, each pause a timer event.
+struct AsyncInvoke {
     client: StoreClient,
-    object: ObjectId,
+    route: Route,
     method: String,
     args: Vec<VmValue>,
-    read_only: bool,
-    ctx: InvocationContext,
-    attempt: usize,
-    /// `Some` = every attempt goes to this endpoint (no placement routing).
-    pinned: Option<NodeId>,
-    /// Reads stop rotating and pin to the primary after a misroute
-    /// (`WrongNode`/`LeaseExpired`), mirroring the blocking loop.
-    prefer_primary: bool,
-    last_err: InvokeError,
+    done: InvokeCallback,
 }
 
-fn async_invoke_step(mut st: AsyncInvokeState, done: InvokeCallback) {
-    let inner = Arc::clone(&st.client.inner);
-    {
-        if st.attempt >= inner.retries {
-            done(Err(st.last_err));
-            return;
-        }
-        st.ctx.attempt = st.attempt as u32;
-        if st.attempt > 0 {
-            inner.client_retries.fetch_add(1, Ordering::Relaxed);
-            if st.ctx.expired() {
-                done(Err(InvokeError::DeadlineExceeded));
-                return;
-            }
-        }
-        // Lost shard / unknown placement: refresh and go around (through
-        // the backoff timer, not a sleep).
-        let target = if st.pinned.is_some() {
-            st.pinned
-        } else {
-            match inner.placement.locate(&st.object) {
-                Some((shard, info)) if info.lost => {
-                    st.last_err = InvokeError::ShardUnavailable(format!(
-                        "shard {shard} for object {} lost every replica",
-                        st.object
-                    ));
-                    st.client.refresh();
-                    None
-                }
-                _ => st.client.target_for(&st.object, st.read_only, st.prefer_primary),
-            }
+impl AsyncInvoke {
+    fn step(mut self) {
+        let node = match self.route.begin(&self.client) {
+            Ok(node) => node,
+            Err(e) => return self.retry(e),
         };
-        let Some(node) = target else {
-            st.client.refresh();
-            st.attempt += 1;
-            async_invoke_backoff(st, done);
-            return;
-        };
-        let edge = if st.read_only { inner.edge.get().cloned() } else { None };
-        let req = StoreRequest::Invoke {
-            object: st.object.0.clone(),
-            method: st.method.clone(),
-            args: st.args.clone(),
-            read_only: st.read_only,
-            internal: false,
-            collect_read_set: edge.is_some(),
-        };
-        let frame = proto::encode_request(&st.ctx, &req).expect("requests serialize");
-        let rpc_timeout = st.ctx.rpc_timeout(inner.attempt_timeout);
-        let rpc = Arc::clone(&inner.rpc);
+        let Route { ctx, object, read_only, .. } = &self.route;
+        let frame = self.client.invoke_frame(ctx, object, &self.method, &self.args, *read_only);
+        let timeout = self.client.attempt_timeout(ctx);
+        let rpc = Arc::clone(&self.client.inner.rpc);
         rpc.call_deferred(
             node,
             frame,
-            rpc_timeout,
+            timeout,
             Box::new(move |reply| {
-                let result: Result<VmValue, InvokeError> = match reply {
-                    Ok(bytes) => match wire::from_bytes(&bytes) {
-                        Ok(StoreResponse::Value(v)) => Ok(v),
-                        Ok(StoreResponse::CachedValue { value, read_set }) => {
-                            if let Some(cache) = &edge {
-                                cache.insert(
-                                    &st.object,
-                                    &st.method,
-                                    &st.args,
-                                    value.clone(),
-                                    read_set,
-                                );
-                            }
-                            Ok(value)
-                        }
-                        Ok(other) => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-                        Err(e) => Err(InvokeError::Nested(format!("bad response: {e}"))),
-                    },
-                    Err(RpcError::Remote(msg)) => Err(decode_error(&msg)),
-                    Err(other) => Err(InvokeError::Nested(other.to_string())),
-                };
-                match result {
-                    Ok(v) => done(Ok(v)),
-                    Err(e @ InvokeError::LeaseExpired(_)) => {
-                        // Routing redirect, not failure: refresh, pin to
-                        // the primary, and go again without backoff. If
-                        // the primary itself answered LeaseExpired (it
-                        // cannot attest leadership until the next
-                        // coordinator heartbeat), back off like any
-                        // transient fault instead of burning attempts.
-                        let was_primary = st.prefer_primary;
-                        st.last_err = e;
-                        st.prefer_primary = true;
-                        st.client.refresh();
-                        st.attempt += 1;
-                        if was_primary {
-                            async_invoke_backoff(st, done);
-                        } else {
-                            async_invoke_step(st, done);
-                        }
-                    }
-                    Err(e @ InvokeError::ObjectMoved(_)) => {
-                        // Mid-handoff redirect: refresh and follow the
-                        // object without burning backoff budget. Only when
-                        // the refresh learned nothing does the next attempt
-                        // go through the timer (placement lag, not load).
-                        let before = st.client.inner.placement.version();
-                        st.last_err = e;
-                        st.prefer_primary = true;
-                        st.client.refresh();
-                        st.attempt += 1;
-                        if st.client.inner.placement.version() == before {
-                            async_invoke_backoff(st, done);
-                        } else {
-                            async_invoke_step(st, done);
-                        }
-                    }
-                    Err(e @ InvokeError::WrongNode(_)) => {
-                        st.last_err = e;
-                        st.prefer_primary = true;
-                        st.client.refresh();
-                        st.attempt += 1;
-                        async_invoke_backoff(st, done);
-                    }
-                    Err(
-                        e @ (InvokeError::Nested(_)
-                        | InvokeError::ShardUnavailable(_)
-                        | InvokeError::Storage(_)),
-                    ) => {
-                        st.last_err = e;
-                        st.client.refresh();
-                        st.attempt += 1;
-                        async_invoke_backoff(st, done);
-                    }
-                    Err(e @ InvokeError::Overloaded(_)) => {
-                        // Shed early by admission control: the placement
-                        // map is fine, just back off and re-offer.
-                        st.last_err = e;
-                        st.attempt += 1;
-                        async_invoke_backoff(st, done);
-                    }
-                    Err(other) => done(Err(other)),
+                let object = &self.route.object;
+                match self.client.invoke_value(object, &self.method, &self.args, reply) {
+                    Ok(v) => (self.done)(Ok(v)),
+                    Err(e) => self.retry(e),
                 }
             }),
         );
     }
+
+    fn retry(mut self, err: InvokeError) {
+        match self.route.settle(err, || self.client.refresh_moved()) {
+            Next::Done(e) => (self.done)(Err(e)),
+            Next::RetryNow => self.step(),
+            Next::RetryAfter(pause) => {
+                let rpc = Arc::clone(&self.client.inner.rpc);
+                rpc.schedule(pause, Box::new(move || self.step()));
+            }
+        }
+    }
 }
 
-/// Schedule the next attempt after the policy's jittered pause, on the RPC
-/// timer (no thread parks). The policy is rebuilt per attempt from the
-/// invocation identity + attempt number, preserving deterministic replay
-/// without holding a `!Sync` rng across callbacks.
-fn async_invoke_backoff(st: AsyncInvokeState, done: InvokeCallback) {
-    if st.attempt >= st.client.inner.retries {
-        done(Err(st.last_err));
-        return;
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+    use std::collections::{HashMap, VecDeque};
+    use std::sync::mpsc;
+
+    use parking_lot::Mutex;
+
+    use lambda_coordinator::{ClusterState, N_SLOTS};
+    use lambda_net::{Handler, LatencyModel, Responder};
+    use lambda_objects::{encode_error, Origin};
+
+    use super::*;
+
+    const P: NodeId = NodeId(1);
+    const B1: NodeId = NodeId(2);
+    const B2: NodeId = NodeId(3);
+
+    fn object() -> ObjectId {
+        ObjectId::from("user/1")
     }
-    if st.ctx.expired() {
-        // Mirror the blocking loop: once the budget is spent, report
-        // `DeadlineExceeded` now instead of scheduling a timer whose only
-        // outcome is discovering the same thing later.
-        done(Err(InvokeError::DeadlineExceeded));
-        return;
+
+    /// A context with a fixed identity and no deadline: pauses are not
+    /// clamped, so they depend on the seed alone.
+    fn fixed_ctx(invocation_id: u64) -> InvocationContext {
+        InvocationContext {
+            trace_id: 7,
+            deadline: None,
+            origin: Origin::Client,
+            invocation_id,
+            attempt: 0,
+        }
     }
-    let mut policy = RetryPolicy::new(
-        st.ctx.invocation_id ^ st.ctx.trace_id ^ (st.attempt as u64).wrapping_mul(0x9e37),
-    );
-    let pause = policy.pause(st.attempt.saturating_sub(1), &st.ctx);
-    let rpc = Arc::clone(&st.client.inner.rpc);
-    rpc.schedule(pause, Box::new(move || async_invoke_step(st, done)));
+
+    fn one_of_each_error() -> Vec<InvokeError> {
+        let s = || "x".to_string();
+        vec![
+            InvokeError::UnknownObject(s()),
+            InvokeError::UnknownType(s()),
+            InvokeError::UnknownMethod(s()),
+            InvokeError::NotPublic(s()),
+            InvokeError::AlreadyExists(s()),
+            InvokeError::Aborted(s()),
+            InvokeError::Vm(s()),
+            InvokeError::Storage(s()),
+            InvokeError::Nested(s()),
+            InvokeError::DepthExceeded,
+            InvokeError::WrongNode(s()),
+            InvokeError::DeadlineExceeded,
+            InvokeError::ShardUnavailable(s()),
+            InvokeError::Overloaded(s()),
+            InvokeError::LeaseExpired(s()),
+            InvokeError::ObjectMoved(s()),
+        ]
+    }
+
+    #[derive(Debug, PartialEq)]
+    enum Want {
+        Done,
+        RetryNow,
+        Backoff,
+        RedirectPause,
+    }
+
+    /// The documented table: `(refreshes, pins reads to the primary, next)`
+    /// for a failed attempt that was (not) already pinned to the primary
+    /// and whose refresh did (not) move the placement.
+    fn documented(err: &InvokeError, pinned: bool, moved: bool) -> (bool, bool, Want) {
+        match err {
+            InvokeError::WrongNode(_) => (true, true, Want::Backoff),
+            InvokeError::LeaseExpired(_) if pinned => (true, true, Want::Backoff),
+            InvokeError::LeaseExpired(_) => (true, true, Want::RetryNow),
+            InvokeError::ObjectMoved(_) if moved => (true, true, Want::RetryNow),
+            InvokeError::ObjectMoved(_) => (true, true, Want::RedirectPause),
+            InvokeError::Nested(_) | InvokeError::ShardUnavailable(_) | InvokeError::Storage(_) => {
+                (true, false, Want::Backoff)
+            }
+            InvokeError::Overloaded(_) => (false, false, Want::Backoff),
+            _ => (false, false, Want::Done),
+        }
+    }
+
+    #[test]
+    fn decision_table() {
+        const ATTEMPT: u32 = 3;
+        let cases = [false, true];
+        for err in one_of_each_error() {
+            for pinned in cases {
+                for last in cases {
+                    for moved in cases {
+                        let case = format!("{err:?} pinned={pinned} last={last} moved={moved}");
+                        let mut route = Route::new(fixed_ctx(42), &object(), true, None);
+                        route.prefer_primary = pinned;
+                        route.ctx.attempt = if last { MAX_ATTEMPTS - 1 } else { ATTEMPT };
+                        let refreshes = Cell::new(0);
+                        let next = route.settle(err.clone(), || {
+                            refreshes.set(refreshes.get() + 1);
+                            moved
+                        });
+                        let (refresh, prefer, want) = match last {
+                            // The last delivery's error is the invocation's.
+                            true => (false, false, Want::Done),
+                            false => documented(&err, pinned, moved),
+                        };
+                        match want {
+                            Want::Done => assert_eq!(next, Next::Done(err.clone()), "{case}"),
+                            Want::RetryNow => assert_eq!(next, Next::RetryNow, "{case}"),
+                            Want::RedirectPause => {
+                                assert_eq!(next, Next::RetryAfter(REDIRECT_PAUSE), "{case}")
+                            }
+                            Want::Backoff => {
+                                let Next::RetryAfter(pause) = next else {
+                                    panic!("{case}: {next:?}")
+                                };
+                                assert!(pause <= Duration::from_millis(2 << ATTEMPT), "{case}");
+                            }
+                        }
+                        // At most one refresh, and none where the map is
+                        // not in doubt.
+                        assert_eq!(refreshes.get(), refresh as u32, "{case}");
+                        assert_eq!(route.prefer_primary, pinned || prefer, "{case}");
+                        let delivered = if want == Want::Done { 0 } else { 1 };
+                        let before = if last { MAX_ATTEMPTS - 1 } else { ATTEMPT };
+                        assert_eq!(route.ctx.attempt, before + delivered, "{case}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// What `settle` answers to `script`, one entry per error; the refresh
+    /// never learns anything.
+    fn walk(invocation_id: u64, script: &[InvokeError]) -> Vec<Next> {
+        let mut route = Route::new(fixed_ctx(invocation_id), &object(), true, None);
+        script.iter().map(|e| route.settle(e.clone(), || false)).collect()
+    }
+
+    #[test]
+    fn pauses_follow_the_invocation_identity_alone() {
+        let s = || "x".to_string();
+        let script = [
+            InvokeError::Overloaded(s()),
+            InvokeError::WrongNode(s()),
+            InvokeError::ObjectMoved(s()),
+            InvokeError::Storage(s()),
+            InvokeError::LeaseExpired(s()),
+            InvokeError::Nested(s()),
+            InvokeError::ShardUnavailable(s()),
+            InvokeError::Overloaded(s()),
+        ];
+        // Both shells build their `Route` the same way, so the same
+        // identity draws the same pauses whichever shell waits them out.
+        let first = walk(42, &script);
+        assert_eq!(first, walk(42, &script));
+        assert_ne!(first, walk(43, &script), "jitter is seeded by the identity");
+        assert!(first.iter().all(|n| matches!(n, Next::RetryAfter(_))), "{first:?}");
+
+        // A redirect never grows into exponential backoff, however many
+        // deliveries the invocation has behind it.
+        let moved = vec![InvokeError::ObjectMoved(s()); MAX_ATTEMPTS as usize - 1];
+        for next in walk(42, &moved) {
+            assert_eq!(next, Next::RetryAfter(REDIRECT_PAUSE));
+        }
+    }
+
+    /// What a scripted node does with the next request it receives.
+    #[derive(Debug, Clone)]
+    enum Reply {
+        Value(i64),
+        Fail(InvokeError),
+        /// Keep the request unanswered: the attempt times out.
+        Hold,
+    }
+
+    /// `(node, attempt, invocation id)` per request, in arrival order.
+    type Seen = Arc<Mutex<Vec<(NodeId, u32, u64)>>>;
+
+    /// A coordinator-less client over a static one-shard placement
+    /// (primary `P`, backups `B1`, `B2`) whose nodes answer from scripts.
+    struct Scripted {
+        net: Network,
+        nodes: Vec<Arc<RpcNode>>,
+        seen: Seen,
+        client: StoreClient,
+    }
+
+    impl Scripted {
+        fn start(scripts: &[(NodeId, Vec<Reply>)], lost: bool, timeout: Duration) -> Scripted {
+            let net = Network::new(LatencyModel::instant(), 1);
+            let seen: Seen = Arc::default();
+            let mut scripts: HashMap<NodeId, Vec<Reply>> = scripts.iter().cloned().collect();
+            let nodes = [P, B1, B2]
+                .into_iter()
+                .map(|node| {
+                    let script: Mutex<VecDeque<Reply>> =
+                        Mutex::new(scripts.remove(&node).unwrap_or_default().into());
+                    let held: Mutex<Vec<Responder>> = Mutex::default();
+                    let seen = Arc::clone(&seen);
+                    let handler: Handler = Arc::new(move |_, body, responder: Responder| {
+                        let (ctx, _) = proto::decode_request(&body).expect("enveloped request");
+                        seen.lock().push((node, ctx.attempt, ctx.invocation_id));
+                        // A route that outruns its script ends on an error
+                        // no shell retries.
+                        let exhausted = Reply::Fail(InvokeError::Vm("script exhausted".into()));
+                        match script.lock().pop_front().unwrap_or(exhausted) {
+                            Reply::Value(v) => {
+                                let resp = StoreResponse::Value(VmValue::Int(v));
+                                responder.reply(Ok(wire::to_bytes(&resp).expect("serializes")));
+                            }
+                            Reply::Fail(e) => responder.reply(Err(encode_error(&e))),
+                            Reply::Hold => held.lock().push(responder),
+                        }
+                    });
+                    RpcNode::start(&net, node, handler, 1)
+                })
+                .collect();
+
+            let mut state = ClusterState::default();
+            for node in [P, B1, B2] {
+                state.apply(&CoordCmd::RegisterNode { node });
+            }
+            state.apply(&CoordCmd::CreateShard { shard: 0, replicas: vec![P, B1, B2] });
+            state.apply(&CoordCmd::AssignSlots { shard: 0, slots: (0..N_SLOTS).collect() });
+            state.shards.get_mut(&0).expect("created").lost = lost;
+            let client = StoreClient::new(&net, NodeId(900), Vec::new(), timeout);
+            assert!(client.placement().update(state));
+            Scripted { net, nodes, seen, client }
+        }
+
+        fn stop(self) {
+            self.client.shutdown();
+            for node in &self.nodes {
+                node.shutdown();
+            }
+            self.net.shutdown();
+        }
+    }
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Shell {
+        Parked,
+        Completion,
+    }
+
+    fn invoke_through(
+        shell: Shell,
+        client: &StoreClient,
+        pinned: Option<NodeId>,
+        read_only: bool,
+    ) -> Result<VmValue, InvokeError> {
+        let args = vec![VmValue::Int(1)];
+        if shell == Shell::Parked {
+            // No parked entry point takes an endpoint; the scenario that
+            // pins one pins the primary, where placement routes anyway.
+            return client.invoke(&object(), "m", args, read_only);
+        }
+        let (tx, rx) = mpsc::channel();
+        let done: InvokeCallback = Box::new(move |result| tx.send(result).expect("test waits"));
+        match pinned {
+            Some(endpoint) => {
+                client.invoke_async_at(endpoint, &object(), "m", args, read_only, done)
+            }
+            None => client.invoke_async(&object(), "m", args, read_only, done),
+        }
+        rx.recv_timeout(Duration::from_secs(5)).expect("the invocation completes")
+    }
+
+    struct Scenario {
+        name: &'static str,
+        scripts: Vec<(NodeId, Vec<Reply>)>,
+        read_only: bool,
+        /// Reads issued first to turn the replica rotation past the primary.
+        warmup_reads: usize,
+        lost: bool,
+        /// The async side sends every attempt here.
+        pinned: Option<NodeId>,
+        timeout: Duration,
+        want: Result<i64, InvokeError>,
+        /// `(node, attempt)` per delivery; `None` when the deadline, not
+        /// the script, decides how many there are.
+        want_route: Option<Vec<(NodeId, u32)>>,
+    }
+
+    impl Default for Scenario {
+        fn default() -> Scenario {
+            Scenario {
+                name: "",
+                scripts: Vec::new(),
+                read_only: false,
+                warmup_reads: 0,
+                lost: false,
+                pinned: None,
+                timeout: Duration::from_secs(5),
+                want: Ok(1),
+                want_route: None,
+            }
+        }
+    }
+
+    /// `(result, deliveries, retries performed)` of one scenario through
+    /// one shell, on a fresh client.
+    type Outcome = (Result<VmValue, InvokeError>, Vec<(NodeId, u32)>, u64);
+
+    fn run(scn: &Scenario, shell: Shell) -> Outcome {
+        let cluster = Scripted::start(&scn.scripts, scn.lost, scn.timeout);
+        for _ in 0..scn.warmup_reads {
+            invoke_through(shell, &cluster.client, None, true).expect("warm-up read");
+        }
+        cluster.seen.lock().clear();
+        let result = invoke_through(shell, &cluster.client, scn.pinned, scn.read_only);
+        let retries = cluster.client.retries_performed();
+        // A delivery whose attempt timed out at the client the moment it
+        // was sent may still be on its way to the handler's log.
+        let patience = Instant::now() + Duration::from_millis(200);
+        let sent = if scn.lost { 0 } else { retries + 1 };
+        while (cluster.seen.lock().len() as u64) < sent && Instant::now() < patience {
+            std::thread::yield_now();
+        }
+        let seen = std::mem::take(&mut *cluster.seen.lock());
+        cluster.stop();
+        let who = format!("{} through {shell:?}", scn.name);
+        if let Some((_, _, id)) = seen.first() {
+            assert!(seen.iter().all(|(_, _, i)| i == id), "{who}: one invocation id, {seen:?}");
+        }
+        (result, seen.into_iter().map(|(node, attempt, _)| (node, attempt)).collect(), retries)
+    }
+
+    #[test]
+    fn both_client_shells_take_the_same_route() {
+        use Reply::{Fail, Hold, Value};
+        let s = || "scripted".to_string();
+        let scenarios = vec![
+            Scenario {
+                name: "WrongNode, then served",
+                scripts: vec![(P, vec![Fail(InvokeError::WrongNode(s())), Value(5)])],
+                want: Ok(5),
+                want_route: Some(vec![(P, 0), (P, 1)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "a backup without a lease redirects to the primary",
+                scripts: vec![
+                    (P, vec![Value(0), Value(6)]),
+                    (B1, vec![Fail(InvokeError::LeaseExpired(s()))]),
+                ],
+                read_only: true,
+                warmup_reads: 1,
+                want: Ok(6),
+                want_route: Some(vec![(B1, 0), (P, 1)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "the primary itself cannot attest its lease",
+                scripts: vec![(
+                    P,
+                    vec![
+                        Fail(InvokeError::LeaseExpired(s())),
+                        Fail(InvokeError::LeaseExpired(s())),
+                        Value(7),
+                    ],
+                )],
+                want: Ok(7),
+                want_route: Some(vec![(P, 0), (P, 1), (P, 2)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "ObjectMoved while the placement lags",
+                scripts: vec![(
+                    P,
+                    vec![
+                        Fail(InvokeError::ObjectMoved(s())),
+                        Fail(InvokeError::ObjectMoved(s())),
+                        Fail(InvokeError::ObjectMoved(s())),
+                        Value(8),
+                    ],
+                )],
+                want: Ok(8),
+                want_route: Some(vec![(P, 0), (P, 1), (P, 2), (P, 3)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "shed three times",
+                scripts: vec![(
+                    P,
+                    vec![
+                        Fail(InvokeError::Overloaded(s())),
+                        Fail(InvokeError::Overloaded(s())),
+                        Fail(InvokeError::Overloaded(s())),
+                        Value(9),
+                    ],
+                )],
+                want: Ok(9),
+                want_route: Some(vec![(P, 0), (P, 1), (P, 2), (P, 3)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "replication failed at the primary",
+                scripts: vec![(P, vec![Fail(InvokeError::Storage(s())), Value(10)])],
+                want: Ok(10),
+                want_route: Some(vec![(P, 0), (P, 1)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "an error no one retries",
+                scripts: vec![(P, vec![Fail(InvokeError::Aborted(s()))])],
+                want: Err(InvokeError::Aborted(s())),
+                want_route: Some(vec![(P, 0)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "a reply that never comes",
+                scripts: vec![(P, vec![Hold, Value(11)])],
+                // One attempt may wait a fifth of this.
+                timeout: Duration::from_millis(250),
+                want: Ok(11),
+                want_route: Some(vec![(P, 0), (P, 1)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "every attempt to one endpoint",
+                scripts: vec![(
+                    P,
+                    vec![
+                        Fail(InvokeError::WrongNode(s())),
+                        Fail(InvokeError::Overloaded(s())),
+                        Value(12),
+                    ],
+                )],
+                pinned: Some(P),
+                want: Ok(12),
+                want_route: Some(vec![(P, 0), (P, 1), (P, 2)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "the shard lost every replica",
+                lost: true,
+                timeout: Duration::from_millis(30),
+                want: Err(InvokeError::DeadlineExceeded),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "the budget runs out mid-loop",
+                scripts: vec![(P, vec![Hold; MAX_ATTEMPTS as usize])],
+                timeout: Duration::from_millis(40),
+                want: Err(InvokeError::DeadlineExceeded),
+                ..Scenario::default()
+            },
+        ];
+        for scn in &scenarios {
+            let parked = run(scn, Shell::Parked);
+            let completion = run(scn, Shell::Completion);
+            let want = scn.want.clone().map(VmValue::Int);
+            match &scn.want_route {
+                Some(route) => {
+                    let want = (want, route.clone(), route.len() as u64 - 1);
+                    assert_eq!(parked, want, "{} parked", scn.name);
+                    assert_eq!(completion, want, "{} completion", scn.name);
+                }
+                // How many deliveries fit in the budget depends on jitter
+                // drawn from identities the entry points mint, so the two
+                // runs agree on the shape of the route, not its length.
+                None => {
+                    for (shell, (result, route, retries)) in
+                        [("parked", &parked), ("completion", &completion)]
+                    {
+                        let who = format!("{} {shell}", scn.name);
+                        assert_eq!(*result, want, "{who}");
+                        assert!(*retries >= 1, "{who}: the loop went around");
+                        if scn.lost {
+                            assert!(route.is_empty(), "{who}: a lost shard is never called");
+                        } else {
+                            let counted: Vec<(NodeId, u32)> =
+                                (0..=*retries as u32).map(|attempt| (P, attempt)).collect();
+                            assert_eq!(*route, counted, "{who}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_spent_budget_fails_before_the_first_attempt_at_every_entry_point() {
+        let cluster = Scripted::start(&[], false, Duration::ZERO);
+        let client = &cluster.client;
+        let args = || vec![VmValue::Int(1)];
+        let spent = InvocationContext::from_wire(9, 0, Origin::Client.to_wire());
+        let results = [
+            client.invoke(&object(), "m", args(), false),
+            client.invoke_ctx(&spent, &object(), "m", args(), false),
+            invoke_through(Shell::Completion, client, None, false),
+            invoke_through(Shell::Completion, client, Some(P), false),
+        ];
+        for result in results {
+            assert_eq!(result, Err(InvokeError::DeadlineExceeded));
+        }
+        assert_eq!(client.retries_performed(), 0);
+        assert!(cluster.seen.lock().is_empty(), "nothing was sent");
+        cluster.stop();
+    }
+
+    #[test]
+    fn an_attempt_that_cannot_be_sent_is_settled_like_a_reply() {
+        let lost = Scripted::start(&[], true, Duration::from_secs(5));
+        let mut route = Route::new(fixed_ctx(42), &object(), false, None);
+        let err = route.begin(&lost.client).expect_err("no replica to call");
+        assert!(
+            matches!(&err, InvokeError::ShardUnavailable(m) if m.contains("lost every replica")),
+            "{err:?}"
+        );
+        // One refresh for the attempt, not one in `begin` and one more here.
+        let refreshes = Cell::new(0);
+        let next = route.settle(err, || {
+            refreshes.set(refreshes.get() + 1);
+            false
+        });
+        assert!(matches!(next, Next::RetryAfter(_)), "{next:?}");
+        assert_eq!(refreshes.get(), 1);
+        // An endpoint is used as given, lost shard or not.
+        let mut pinned = Route::new(fixed_ctx(43), &object(), false, Some(B2));
+        assert_eq!(pinned.begin(&lost.client), Ok(B2));
+        lost.stop();
+
+        let net = Network::new(LatencyModel::instant(), 1);
+        let unplaced = StoreClient::new(&net, NodeId(901), Vec::new(), Duration::from_secs(5));
+        let mut route = Route::new(fixed_ctx(44), &object(), false, None);
+        assert!(matches!(route.begin(&unplaced), Err(InvokeError::Nested(_))));
+        unplaced.shutdown();
+        net.shutdown();
+    }
 }

@@ -223,7 +223,6 @@ impl ClusterCore {
                 rpc_timeout: Duration::from_millis(500),
                 heartbeat_interval: config.heartbeat_interval,
                 coordinators: coordinator_ids.clone(),
-                sync_chunk_bytes: 64 * 1024,
                 lease_duration: config.lease_duration,
             };
             storage.push(AggregatedNode::start(&net, id, node_config)?);
@@ -273,7 +272,6 @@ impl ClusterCore {
             rpc_timeout: Duration::from_millis(500),
             heartbeat_interval: config.heartbeat_interval,
             coordinators: self.coordinator_ids.clone(),
-            sync_chunk_bytes: 64 * 1024,
             lease_duration: config.lease_duration,
         };
         let node = AggregatedNode::start(&self.net, id, node_config)?;
@@ -414,7 +412,6 @@ impl ClusterCore {
             rpc_timeout: Duration::from_millis(500),
             heartbeat_interval: config.heartbeat_interval,
             coordinators: self.coordinator_ids.clone(),
-            sync_chunk_bytes: 64 * 1024,
             lease_duration: config.lease_duration,
         };
         let node = AggregatedNode::start(&self.net, id, node_config)?;

@@ -19,11 +19,11 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use lambda_net::rpc::{null_handler, sync_handler};
-use lambda_net::{wire, Network, NodeId, RpcError, RpcNode};
-use lambda_objects::{encode_error, keys, InvokeError, ObjectId};
+use lambda_net::{wire, Network, NodeId, RpcNode};
+use lambda_objects::{encode_error, keys, InvocationContext, InvokeError, ObjectId};
 use lambda_vm::{Host, HostError, Interpreter, Limits, Module, VmValue};
 
-use crate::proto::{NodeStatsWire, StoreRequest, StoreResponse};
+use crate::proto::{self, NodeStatsWire, StoreRequest, StoreResponse};
 
 /// Configuration of the compute layer.
 #[derive(Debug, Clone)]
@@ -110,13 +110,12 @@ impl FunctionExecutor {
 
     fn storage_call(&self, node: NodeId, req: &StoreRequest) -> Result<StoreResponse, HostError> {
         self.storage_rpcs.fetch_add(1, Ordering::Relaxed);
-        let body = wire::to_bytes(req).expect("requests serialize");
-        match self.rpc.call(node, body, self.rpc_timeout) {
-            Ok(bytes) => wire::from_bytes(&bytes)
-                .map_err(|e| HostError::Storage(format!("bad response: {e}"))),
-            Err(RpcError::Remote(msg)) => Err(HostError::Storage(msg)),
-            Err(other) => Err(HostError::Storage(other.to_string())),
-        }
+        // Node-to-node like every other hop; the baseline sets no deadline
+        // and no invocation identity.
+        let ctx = InvocationContext::background().for_downstream();
+        let frame = proto::encode_request(&ctx, req).expect("requests serialize");
+        proto::decode_reply(self.rpc.call(node, frame, self.rpc_timeout))
+            .map_err(|e| HostError::Storage(e.to_string()))
     }
 
     /// Execute `method` of `object` here on the compute node.
@@ -359,7 +358,7 @@ impl ComputeInner {
         // Strip the request envelope; the baseline ignores the carried
         // context (no deadline enforcement, no spans — it has none of the
         // aggregated path's machinery, which is the point of §5).
-        let (_ctx, req) = crate::proto::decode_request(&body).map_err(|e| e.to_string())?;
+        let (_ctx, req) = proto::decode_request(&body).map_err(|e| e.to_string())?;
         let result = match req {
             StoreRequest::Invoke { object, method, args, .. } => {
                 let oid = ObjectId::new(object);
@@ -373,7 +372,6 @@ impl ComputeInner {
                 self.executor.deploy(name, module);
                 Ok(StoreResponse::Ok)
             }
-            StoreRequest::Stats => Ok(StoreResponse::NodeStats(self.stats())),
             other => Err(InvokeError::Nested(format!("unsupported on compute node: {other:?}"))),
         };
         let encoded = result

@@ -5,7 +5,11 @@ use serde::{Deserialize, Serialize};
 
 use lambda_coordinator::{Epoch, ShardId};
 use lambda_net::wire::{self, RequestHeader, WireError, HEADER_VERSION};
-use lambda_objects::{migration::ObjectSnapshot, FieldDef, InvocationContext, TxCall, WriteSetOps};
+use lambda_net::RpcError;
+use lambda_objects::{
+    decode_error, migration::ObjectSnapshot, FieldDef, InvocationContext, InvokeError, TxCall,
+    WriteSetOps,
+};
 use lambda_vm::{Module, VmValue};
 
 /// Serialize `req` behind the versioned request envelope carrying `ctx`:
@@ -28,26 +32,35 @@ pub fn encode_request(ctx: &InvocationContext, req: &StoreRequest) -> Result<Vec
     Ok(header.encode_with_body(&body))
 }
 
-/// Parse a request frame into the sender's context and the request.
-/// Headered frames re-derive the deadline from the carried budget
-/// (`deadline = now + budget`); legacy headerless frames decode as the
-/// bare body under a fresh unbounded background context, so old senders
-/// keep working.
+/// Parse a request frame into the sender's context and the request. The
+/// deadline is re-derived from the carried budget (`deadline = now +
+/// budget`).
 ///
 /// # Errors
-/// Truncated envelopes and malformed bodies.
+/// Frames without the envelope, truncated envelopes and malformed bodies.
 pub fn decode_request(bytes: &[u8]) -> Result<(InvocationContext, StoreRequest), WireError> {
-    let (header, body) = wire::split_header(bytes)?;
-    let ctx = match header {
-        Some(h) => {
-            let mut ctx = InvocationContext::from_wire(h.trace_id, h.budget_nanos, h.origin);
-            ctx.invocation_id = h.invocation_id;
-            ctx.attempt = h.attempt;
-            ctx
-        }
-        None => InvocationContext::background(),
-    };
+    let (h, body) = wire::split_header(bytes)?;
+    let mut ctx = InvocationContext::from_wire(h.trace_id, h.budget_nanos, h.origin);
+    ctx.invocation_id = h.invocation_id;
+    ctx.attempt = h.attempt;
     Ok((ctx, wire::from_bytes(body)?))
+}
+
+/// Turn what an RPC returned into the peer's typed answer: a reply body
+/// decodes as a [`StoreResponse`], a handler error as the [`InvokeError`]
+/// it encodes, and a transport failure (timeout, unreachable, shutdown)
+/// as [`InvokeError::Nested`].
+///
+/// # Errors
+/// The peer's error, or `Nested` for transport failures and garbled bodies.
+pub fn decode_reply(reply: Result<Vec<u8>, RpcError>) -> Result<StoreResponse, InvokeError> {
+    match reply {
+        Ok(bytes) => {
+            wire::from_bytes(&bytes).map_err(|e| InvokeError::Nested(format!("bad response: {e}")))
+        }
+        Err(RpcError::Remote(msg)) => Err(decode_error(&msg)),
+        Err(other) => Err(InvokeError::Nested(other.to_string())),
+    }
 }
 
 /// Requests understood by storage nodes.
@@ -186,22 +199,6 @@ pub enum StoreRequest {
         /// The calls, executed in order under strict 2PL.
         calls: Vec<TxCall>,
     },
-    /// Node statistics snapshot.
-    Stats,
-    /// Repair: pull one bounded chunk of the shard's objects from its
-    /// primary (diagnostics / pull-based transfer). `cursor` is the last
-    /// object id of the previous chunk (exclusive); `None` starts over.
-    FetchShardChunk {
-        /// Shard to export.
-        shard: ShardId,
-        /// Requester's view of the shard epoch (fencing: stale readers are
-        /// rejected rather than fed a superseded key range).
-        epoch: Epoch,
-        /// Resume after this object id; `None` for the first chunk.
-        cursor: Option<Vec<u8>>,
-        /// Stop adding objects once the chunk payload exceeds this.
-        max_bytes: u64,
-    },
     /// Repair: install a batch of state-transfer items on a syncing
     /// backup, in stream order.
     InstallShardChunk {
@@ -266,7 +263,7 @@ pub enum SyncItem {
     },
 }
 
-/// Per-node counters returned by [`StoreRequest::Stats`].
+/// Per-node counters, as the nodes' in-process `stats()` report them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct NodeStatsWire {
     /// Requests handled.
@@ -333,19 +330,10 @@ pub enum StoreResponse {
     Rows(Vec<Vec<u8>>),
     /// Raw count.
     Count(u64),
-    /// Statistics.
-    NodeStats(NodeStatsWire),
     /// Transaction results, one per call.
     Values(Vec<VmValue>),
     /// Object ids (ListObjects).
     Objects(Vec<Vec<u8>>),
-    /// One bounded chunk of a shard export ([`StoreRequest::FetchShardChunk`]).
-    ShardChunk {
-        /// Objects in this chunk.
-        objects: Vec<ObjectSnapshot>,
-        /// Cursor for the next chunk; `None` when the export is complete.
-        next_cursor: Option<Vec<u8>>,
-    },
     /// Invocation result plus its recorded read set, answered to
     /// [`StoreRequest::Invoke`] with `collect_read_set` when the method
     /// was cacheable; non-cacheable methods still answer
@@ -438,14 +426,6 @@ mod tests {
                     vec![VmValue::Int(4)],
                 )],
             },
-            StoreRequest::Stats,
-            StoreRequest::FetchShardChunk {
-                shard: 1,
-                epoch: 4,
-                cursor: Some(b"user/1".to_vec()),
-                max_bytes: 65536,
-            },
-            StoreRequest::FetchShardChunk { shard: 1, epoch: 4, cursor: None, max_bytes: 1 },
             StoreRequest::InstallShardChunk {
                 shard: 1,
                 epoch: 4,
@@ -478,33 +458,8 @@ mod tests {
             StoreResponse::MaybeBytes(None),
             StoreResponse::Rows(vec![b"a".to_vec(), b"b".to_vec()]),
             StoreResponse::Count(42),
-            StoreResponse::NodeStats(NodeStatsWire {
-                requests: 1,
-                invocations: 2,
-                cache_hits: 3,
-                replications_applied: 4,
-                duplicates_suppressed: 6,
-                busy_nanos: 5,
-                uptime_nanos: 10,
-                run_queue_depth: 7,
-                inflight: 8,
-                shed: 9,
-                follower_reads: 11,
-                lease_rejections: 12,
-                invalidations_published: 13,
-                corruption_reports: 14,
-                promotion_resyncs: 15,
-            }),
             StoreResponse::Values(vec![VmValue::Unit, VmValue::Int(1)]),
             StoreResponse::Objects(vec![b"user/1".to_vec()]),
-            StoreResponse::ShardChunk {
-                objects: vec![ObjectSnapshot {
-                    id: ObjectId::from("user/1"),
-                    entries: vec![(b"m".to_vec(), b"User".to_vec())],
-                }],
-                next_cursor: Some(b"user/1".to_vec()),
-            },
-            StoreResponse::ShardChunk { objects: vec![], next_cursor: None },
             StoreResponse::CachedValue {
                 value: VmValue::List(vec![VmValue::Int(1)]),
                 read_set: vec![
@@ -559,13 +514,22 @@ mod tests {
     }
 
     #[test]
-    fn legacy_request_frames_decode_with_background_context() {
-        let req = StoreRequest::Stats;
-        let frame = wire::to_bytes(&req).unwrap();
-        let (ctx, back) = decode_request(&frame).unwrap();
-        assert_eq!(back, req);
-        assert!(ctx.deadline.is_none());
-        assert!(!ctx.expired());
+    fn request_frames_without_the_envelope_are_rejected() {
+        let frame = wire::to_bytes(&StoreRequest::ListObjects).unwrap();
+        assert!(matches!(decode_request(&frame), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn replies_decode_to_the_peers_answer() {
+        let body = wire::to_bytes(&StoreResponse::Count(3)).unwrap();
+        assert_eq!(decode_reply(Ok(body)), Ok(StoreResponse::Count(3)));
+        let remote = lambda_objects::encode_error(&InvokeError::WrongNode("shard 2".into()));
+        assert_eq!(
+            decode_reply(Err(RpcError::Remote(remote))),
+            Err(InvokeError::WrongNode("shard 2".into()))
+        );
+        assert!(matches!(decode_reply(Err(RpcError::Timeout)), Err(InvokeError::Nested(_))));
+        assert!(matches!(decode_reply(Ok(vec![0xff; 3])), Err(InvokeError::Nested(_))));
     }
 
     #[test]

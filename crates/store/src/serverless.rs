@@ -166,7 +166,6 @@ impl GatewayInner {
                 self.executor.deploy(name, module);
                 Ok(StoreResponse::Ok)
             }
-            StoreRequest::Stats => Ok(StoreResponse::NodeStats(self.stats())),
             other => Err(InvokeError::Nested(format!("unsupported on gateway: {other:?}"))),
         };
         let encoded = result

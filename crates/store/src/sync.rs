@@ -28,7 +28,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 
@@ -162,32 +161,11 @@ impl SyncSession {
         (items, last)
     }
 
-    /// Worker: block until the queue is non-empty or `timeout` passes.
-    /// Returns the queue length.
-    pub fn wait_for_items(&self, timeout: Duration) -> usize {
-        let mut st = self.state.lock();
-        if st.queue.is_empty() {
-            self.cv.wait_for(&mut st, timeout);
-        }
-        st.queue.len()
-    }
-
     /// Worker: record that everything up to `seq` reached the peer.
     pub fn mark_shipped(&self, seq: u64) {
         let mut st = self.state.lock();
         if seq > st.shipped_seq {
             st.shipped_seq = seq;
-        }
-        self.cv.notify_all();
-    }
-
-    /// Worker: re-queue a batch at the stream head after a failed ship
-    /// (retry without losing order).
-    pub fn requeue_front(&self, items: Vec<SyncItem>, last_seq: u64) {
-        let mut st = self.state.lock();
-        let first_seq = last_seq + 1 - items.len() as u64;
-        for (i, item) in items.into_iter().enumerate().rev() {
-            st.queue.push_front((first_seq + i as u64, item));
         }
         self.cv.notify_all();
     }
@@ -202,12 +180,6 @@ impl SyncSession {
     /// Current phase.
     pub fn phase(&self) -> SyncPhase {
         self.state.lock().phase
-    }
-
-    /// Items accepted but not yet shipped (sync lag, for telemetry).
-    pub fn lag(&self) -> u64 {
-        let st = self.state.lock();
-        st.next_seq - st.shipped_seq
     }
 }
 
@@ -247,15 +219,12 @@ impl SyncManager {
     pub fn remove(&self, shard: ShardId, peer: NodeId) {
         self.sessions.write().remove(&(shard, peer));
     }
-
-    /// Total unshipped items across all sessions (sync lag).
-    pub fn total_lag(&self) -> u64 {
-        self.sessions.read().values().map(|s| s.lag()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     fn item() -> SyncItem {
@@ -267,11 +236,11 @@ mod tests {
         let s = SyncSession::new(0, NodeId(5), 3);
         s.offer(SyncItem::Begin).unwrap();
         s.offer(item()).unwrap();
-        assert_eq!(s.lag(), 2);
         let (batch, last) = s.take_batch(10);
         assert_eq!(batch.len(), 2);
+        assert_eq!(last, 2);
         s.mark_shipped(last);
-        assert_eq!(s.lag(), 0);
+        assert!(s.take_batch(10).0.is_empty());
     }
 
     #[test]
@@ -325,20 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_preserves_order() {
-        let s = SyncSession::new(0, NodeId(5), 3);
-        s.offer(SyncItem::Begin).unwrap();
-        s.offer(item()).unwrap();
-        let (batch, last) = s.take_batch(10);
-        assert_eq!(batch.len(), 2);
-        s.requeue_front(batch, last);
-        let (batch, last2) = s.take_batch(10);
-        assert_eq!(batch.len(), 2);
-        assert!(matches!(batch[0], SyncItem::Begin));
-        assert_eq!(last2, last);
-    }
-
-    #[test]
     fn manager_tracks_sessions() {
         let m = SyncManager::new();
         let s = SyncSession::new(2, NodeId(5), 1);
@@ -346,8 +301,6 @@ mod tests {
         assert!(m.contains(2, NodeId(5)));
         assert_eq!(m.sessions_for(2).len(), 1);
         assert!(m.sessions_for(3).is_empty());
-        s.offer(SyncItem::Begin).unwrap();
-        assert_eq!(m.total_lag(), 1);
         m.remove(2, NodeId(5));
         assert!(!m.contains(2, NodeId(5)));
     }

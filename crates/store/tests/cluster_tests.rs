@@ -765,63 +765,6 @@ fn lambdaobjects_recover(path: &std::path::Path) -> usize {
 }
 
 #[test]
-fn slot_rebalancing_moves_a_whole_slot() {
-    use lambda_coordinator::ClusterState;
-    let mut config = ClusterConfig::for_tests();
-    config.shards = 2;
-    config.replication_factor = 1;
-    let cluster = AggregatedCluster::build(config).unwrap();
-    let client = cluster.client();
-    client.deploy_type("Account", account_fields(), &account_module()).unwrap();
-
-    // Create objects until one specific slot owns at least 3 of them.
-    let state = client.placement().snapshot();
-    let target_slot: u16 = *state.slots.keys().next().unwrap();
-    let mut in_slot = Vec::new();
-    let mut others = Vec::new();
-    for i in 0..200 {
-        let id = ObjectId::from(format!("acct/slot-{i}").as_str());
-        if ClusterState::slot_of(id.as_bytes()) == target_slot {
-            in_slot.push(id);
-        } else {
-            others.push(id);
-        }
-        if in_slot.len() >= 3 && others.len() >= 3 {
-            break;
-        }
-    }
-    for id in in_slot.iter().chain(others.iter().take(3)) {
-        client.create_object("Account", id, &[]).unwrap();
-        client.invoke(id, "deposit", vec![VmValue::Int(9)], false).unwrap();
-    }
-    let source_shard = *client.placement().snapshot().slots.get(&target_slot).unwrap();
-    let target_shard = 1 - source_shard; // two shards: 0 and 1
-
-    let moved = client.rebalance_slot(target_slot, target_shard).unwrap();
-    assert_eq!(moved, in_slot.len(), "every object in the slot moved");
-
-    // All moved objects now served by the target shard, state intact.
-    for id in &in_slot {
-        let (shard, _) = client.placement().locate(id).unwrap();
-        assert_eq!(shard, target_shard, "{id} must be served by the target shard");
-        assert_eq!(as_int(client.invoke(id, "balance", vec![], true).unwrap()), 9);
-    }
-    // Objects in other slots were untouched.
-    for id in others.iter().take(3) {
-        let (shard, _) = client.placement().locate(id).unwrap();
-        assert_ne!(
-            (shard, target_slot),
-            (target_shard, ClusterState::slot_of(id.as_bytes())),
-            "unrelated objects must not have moved shards via this slot"
-        );
-        assert_eq!(as_int(client.invoke(id, "balance", vec![], true).unwrap()), 9);
-    }
-    // The slot table itself flipped.
-    assert_eq!(client.placement().snapshot().slots.get(&target_slot), Some(&target_shard));
-    cluster.shutdown();
-}
-
-#[test]
 fn planned_decommission_keeps_serving() {
     // Scale-in: gracefully remove the primary via coordinator
     // reconfiguration (no failure detector involved); clients keep being

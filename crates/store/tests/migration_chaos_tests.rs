@@ -582,80 +582,3 @@ fn migration_exactly_once_under_network_chaos() {
     client.shutdown();
     cluster.shutdown();
 }
-
-/// Satellite regression: `rebalance_slot` tolerates a partially-moved
-/// slot. An object that an earlier (interrupted) rebalance already landed
-/// on the target is skipped cleanly, the rest move, and a second sweep is
-/// an idempotent no-op.
-#[test]
-fn rebalance_slot_tolerates_partially_moved_slot() {
-    let mut config = ClusterConfig::for_tests();
-    config.storage_nodes = 4;
-    config.shards = 2;
-    config.replication_factor = 2;
-    let cluster = AggregatedCluster::build(config).unwrap();
-    let client = cluster.client();
-    client.deploy_type("Account", account_fields(), &account_module()).unwrap();
-
-    // Gather several objects that hash into the same slot (so one
-    // rebalance call covers them all).
-    client.refresh();
-    let state = client.placement().snapshot();
-    let mut slot_mates: std::collections::HashMap<u16, Vec<ObjectId>> =
-        std::collections::HashMap::new();
-    let mut chosen: Option<(u16, Vec<ObjectId>)> = None;
-    for i in 0..512 {
-        let id = ObjectId::from(format!("acct/slotmate-{i}").as_str());
-        let slot = ClusterState::slot_of(id.as_bytes());
-        let mates = slot_mates.entry(slot).or_default();
-        mates.push(id);
-        if mates.len() == 3 {
-            chosen = Some((slot, mates.clone()));
-            break;
-        }
-    }
-    let (slot, objects) = chosen.expect("512 ids always yield 3 slot-mates in 64 slots");
-    let source_shard = *state.slots.get(&slot).expect("slot assigned");
-    let target_shard = other_shard(&state, source_shard);
-
-    for (i, id) in objects.iter().enumerate() {
-        client.create_object("Account", id, &[]).unwrap();
-        for _ in 0..=i {
-            client.invoke(id, "deposit", vec![VmValue::Int(1)], false).unwrap();
-        }
-    }
-
-    // Simulate an interrupted earlier rebalance: the first object already
-    // lives on the target (pinned there by its own committed migration).
-    client.migrate_object(&objects[0], target_shard).unwrap();
-    wait_routed_to(&client, &objects[0], target_shard, Duration::from_secs(10));
-
-    // The sweep must skip the already-moved object, move the other two,
-    // and flip the slot — not abort on the partial state.
-    let moved = client.rebalance_slot(slot, target_shard).unwrap();
-    assert_eq!(moved, 2, "exactly the not-yet-moved slot-mates move");
-
-    client.refresh();
-    let now = client.placement().snapshot();
-    assert_eq!(now.slots.get(&slot), Some(&target_shard), "slot table flipped");
-    for (i, id) in objects.iter().enumerate() {
-        assert_eq!(
-            now.shard_for_object(id.as_bytes()),
-            Some(target_shard),
-            "slot-mate {i} not routed to the target"
-        );
-        assert_eq!(
-            as_int(client.invoke(id, "balance", vec![], true).unwrap()),
-            (i + 1) as i64,
-            "slot-mate {i} lost state in the sweep"
-        );
-    }
-    // Pin hygiene: the swept objects' pins were retired with the flip
-    // (pin == hash home is a redundant directory entry).
-    assert!(!now.pins.contains_key(objects[1].as_bytes()), "swept object kept a redundant pin");
-    assert!(!now.pins.contains_key(objects[2].as_bytes()), "swept object kept a redundant pin");
-
-    // Idempotence: re-sweeping the now-empty slot converges to a no-op.
-    assert_eq!(client.rebalance_slot(slot, target_shard).unwrap(), 0);
-    cluster.shutdown();
-}

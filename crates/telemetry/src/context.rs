@@ -88,8 +88,8 @@ impl InvocationContext {
     }
 
     /// Rebuild a context from its wire form at the receiving hop:
-    /// `deadline = now + budget`. Pre-v2 senders carry no invocation
-    /// identity; receivers treat that as dedup-off.
+    /// `deadline = now + budget`. The caller fills in the invocation
+    /// identity the envelope carried; 0 means dedup-off.
     pub fn from_wire(trace_id: u64, budget_nanos: u64, origin: u8) -> Self {
         let deadline = if budget_nanos == NO_BUDGET {
             None
@@ -239,7 +239,8 @@ mod tests {
         assert_ne!(a.invocation_id, 0);
         assert_ne!(a.invocation_id, b.invocation_id);
         assert_eq!(a.attempt, 0);
-        // Background / wire-v1 contexts opt out of dedup.
+        // Background contexts, and wire contexts until the caller sets the
+        // carried id, opt out of dedup.
         assert_eq!(InvocationContext::background().invocation_id, 0);
         assert_eq!(InvocationContext::from_wire(1, NO_BUDGET, 0).invocation_id, 0);
     }
