@@ -56,6 +56,13 @@ impl ShardInfo {
         self.primary == node || self.backups.contains(&node)
     }
 
+    /// True when `node` leads this shard (primary of a shard that is not
+    /// lost): the one predicate for everything a placement obliges a node
+    /// to *run* — lease renewals, state transfers, migration drivers.
+    pub fn led_by(&self, node: NodeId) -> bool {
+        self.primary == node && !self.lost
+    }
+
     /// True when `node` is a recruited-but-unconfirmed backup.
     pub fn is_syncing(&self, node: NodeId) -> bool {
         self.syncing.contains(&node)
@@ -739,7 +746,7 @@ impl ClusterState {
             let target = by_load.iter().rev().map(|(n, _)| **n).find(|n| {
                 n != src_node
                     && !claimed_targets.contains(n)
-                    && self.shards.values().any(|info| !info.lost && info.primary == *n)
+                    && self.shards.values().any(|info| info.led_by(*n))
             });
             let Some(target_node) = target else { continue };
             // Hottest object actually served (as primary) by the source
@@ -751,17 +758,14 @@ impl ClusterState {
                     continue;
                 }
                 let Some(from) = self.shard_for_object(&object) else { continue };
-                let from_ok = self
-                    .shards
-                    .get(&from)
-                    .is_some_and(|info| !info.lost && info.primary == *src_node);
+                let from_ok = self.shards.get(&from).is_some_and(|info| info.led_by(*src_node));
                 if !from_ok {
                     continue;
                 }
                 let to = self
                     .shards
                     .iter()
-                    .find(|(id, info)| **id != from && !info.lost && info.primary == target_node)
+                    .find(|(id, info)| **id != from && info.led_by(target_node))
                     .map(|(id, _)| *id);
                 let Some(to) = to else { break };
                 // Anti-ping-pong hysteresis: the move must improve the

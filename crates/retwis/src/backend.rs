@@ -2,7 +2,7 @@
 
 use lambda_net::NodeId;
 use lambda_objects::{InvokeError, ObjectId};
-use lambda_store::{StoreClient, StoreRequest, StoreResponse};
+use lambda_store::{StoreClient, StoreRequest};
 use lambda_vm::VmValue;
 
 use crate::app::{account_id, user_fields, user_module, USER_TYPE};
@@ -114,10 +114,7 @@ impl EndpointBackend {
             internal: false,
             collect_read_set: false,
         };
-        match self.client.raw(self.endpoint, &req)? {
-            StoreResponse::Value(v) => Ok(v),
-            other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-        }
+        self.client.raw(self.endpoint, &req)?.into_value()
     }
 }
 
@@ -128,10 +125,7 @@ impl RetwisBackend for EndpointBackend {
             fields: user_fields(),
             module: user_module(),
         };
-        match self.client.raw(self.endpoint, &req)? {
-            StoreResponse::Ok => Ok(()),
-            other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-        }
+        self.client.raw(self.endpoint, &req)?.into_ok()
     }
 
     fn create_account(&self, i: usize, name: &str) -> Result<(), InvokeError> {
@@ -140,10 +134,7 @@ impl RetwisBackend for EndpointBackend {
             object: account_id(i),
             fields: vec![("name".into(), name.as_bytes().to_vec())],
         };
-        match self.client.raw(self.endpoint, &req)? {
-            StoreResponse::Ok => Ok(()),
-            other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-        }
+        self.client.raw(self.endpoint, &req)?.into_ok()
     }
 
     fn follow(&self, target: usize, follower: usize) -> Result<(), InvokeError> {

@@ -592,14 +592,13 @@ impl StoreClient {
         reply: Result<Vec<u8>, RpcError>,
     ) -> Result<VmValue, InvokeError> {
         match proto::decode_reply(reply)? {
-            StoreResponse::Value(v) => Ok(v),
             StoreResponse::CachedValue { value, read_set } => {
                 if let Some(cache) = self.inner.edge.get() {
                     cache.insert(object, method, args, value.clone(), read_set);
                 }
                 Ok(value)
             }
-            other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
+            other => other.into_value(),
         }
     }
 
@@ -629,11 +628,9 @@ impl StoreClient {
                 object: object.0.clone(),
                 fields: fields.iter().map(|(f, v)| (f.to_string(), v.to_vec())).collect(),
             };
-            match self.call_ctx(ctx, node, &req) {
-                Ok(StoreResponse::Ok) => Ok(()),
-                Ok(other) => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
+            match self.call_ctx(ctx, node, &req).and_then(StoreResponse::into_ok) {
                 Err(InvokeError::AlreadyExists(_)) if retrying => Ok(()),
-                Err(e) => Err(e),
+                outcome => outcome,
             }
         })
     }
@@ -645,10 +642,7 @@ impl StoreClient {
     pub fn delete_object(&self, object: &ObjectId) -> Result<(), InvokeError> {
         self.with_routing(object, false, |ctx, node| {
             let req = StoreRequest::DeleteObject { object: object.0.clone() };
-            match self.call_ctx(ctx, node, &req)? {
-                StoreResponse::Ok => Ok(()),
-                other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-            }
+            self.call_ctx(ctx, node, &req)?.into_ok()
         })
     }
 
@@ -673,10 +667,7 @@ impl StoreClient {
                 fields: fields.clone(),
                 module: module.clone(),
             };
-            match self.call(node, &req)? {
-                StoreResponse::Ok => {}
-                other => return Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-            }
+            self.call(node, &req)?.into_ok()?;
         }
         Ok(())
     }
@@ -764,10 +755,7 @@ impl StoreClient {
         let object = first.object.clone();
         self.with_routing(&object, false, |ctx, node| {
             let req = StoreRequest::Transact { calls: calls.clone() };
-            match self.call_ctx(ctx, node, &req)? {
-                StoreResponse::Values(v) => Ok(v),
-                other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-            }
+            self.call_ctx(ctx, node, &req)?.into_values()
         })
     }
 
@@ -776,10 +764,8 @@ impl StoreClient {
     /// # Errors
     /// RPC failures.
     pub fn list_objects(&self, node: NodeId) -> Result<Vec<ObjectId>, InvokeError> {
-        match self.call(node, &StoreRequest::ListObjects)? {
-            StoreResponse::Objects(ids) => Ok(ids.into_iter().map(ObjectId::new).collect()),
-            other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
-        }
+        let ids = self.call(node, &StoreRequest::ListObjects)?.into_objects()?;
+        Ok(ids.into_iter().map(ObjectId::new).collect())
     }
 
     /// Raw storage access (used by the disaggregated baseline's compute

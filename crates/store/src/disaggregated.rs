@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 use parking_lot::RwLock;
 
 use lambda_net::rpc::{null_handler, sync_handler};
-use lambda_net::{wire, Network, NodeId, RpcNode};
-use lambda_objects::{encode_error, keys, InvocationContext, InvokeError, ObjectId};
+use lambda_net::{Network, NodeId, RpcNode};
+use lambda_objects::{keys, InvocationContext, InvokeError, ObjectId};
 use lambda_vm::{Host, HostError, Interpreter, Limits, Module, VmValue};
 
 use crate::proto::{self, NodeStatsWire, StoreRequest, StoreResponse};
@@ -108,13 +108,21 @@ impl FunctionExecutor {
         self.storage[i % self.storage.len()]
     }
 
-    fn storage_call(&self, node: NodeId, req: &StoreRequest) -> Result<StoreResponse, HostError> {
+    /// One storage round-trip; `shape` picks the reply variant `req` calls
+    /// for (a [`StoreResponse`] `into_*` accessor).
+    fn storage_call<T>(
+        &self,
+        node: NodeId,
+        req: &StoreRequest,
+        shape: fn(StoreResponse) -> Result<T, InvokeError>,
+    ) -> Result<T, HostError> {
         self.storage_rpcs.fetch_add(1, Ordering::Relaxed);
         // Node-to-node like every other hop; the baseline sets no deadline
         // and no invocation identity.
         let ctx = InvocationContext::background().for_downstream();
         let frame = proto::encode_request(&ctx, req).expect("requests serialize");
         proto::decode_reply(self.rpc.call(node, frame, self.rpc_timeout))
+            .and_then(shape)
             .map_err(|e| HostError::Storage(e.to_string()))
     }
 
@@ -133,16 +141,11 @@ impl FunctionExecutor {
     ) -> Result<VmValue, InvokeError> {
         self.invocations.fetch_add(1, Ordering::Relaxed);
         // Fetch the object's type over the network (meta lookup).
-        let meta = self
-            .storage_call(self.read_target(), &StoreRequest::RawGet { key: keys::meta_key(object) })
-            .map_err(InvokeError::from)?;
-        let type_name = match meta {
-            StoreResponse::MaybeBytes(Some(bytes)) => String::from_utf8_lossy(&bytes).into_owned(),
-            StoreResponse::MaybeBytes(None) => {
-                return Err(InvokeError::UnknownObject(object.to_string()))
-            }
-            other => return Err(InvokeError::Storage(format!("bad reply {other:?}"))),
-        };
+        let meta = StoreRequest::RawGet { key: keys::meta_key(object) };
+        let type_name = self
+            .storage_call(self.read_target(), &meta, StoreResponse::into_maybe_bytes)?
+            .map(|bytes| String::from_utf8_lossy(&bytes).into_owned())
+            .ok_or_else(|| InvokeError::UnknownObject(object.to_string()))?;
         let module = self
             .modules
             .read()
@@ -169,23 +172,11 @@ impl FunctionExecutor {
         object: &ObjectId,
         fields: &[(String, Vec<u8>)],
     ) -> Result<(), InvokeError> {
-        self.storage_call(
-            self.write_target(),
-            &StoreRequest::RawPut {
-                key: keys::meta_key(object),
-                value: type_name.as_bytes().to_vec(),
-            },
-        )
-        .map_err(InvokeError::from)?;
-        for (field, value) in fields {
-            self.storage_call(
-                self.write_target(),
-                &StoreRequest::RawPut {
-                    key: keys::field_key(object, field.as_bytes()),
-                    value: value.clone(),
-                },
-            )
-            .map_err(InvokeError::from)?;
+        let meta = (keys::meta_key(object), type_name.as_bytes().to_vec());
+        let fields = fields.iter().map(|(f, v)| (keys::field_key(object, f.as_bytes()), v.clone()));
+        for (key, value) in std::iter::once(meta).chain(fields) {
+            let put = StoreRequest::RawPut { key, value };
+            self.storage_call(self.write_target(), &put, StoreResponse::into_ok)?;
         }
         Ok(())
     }
@@ -201,27 +192,22 @@ struct RemoteHost<'a> {
 impl Host for RemoteHost<'_> {
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, HostError> {
         let req = StoreRequest::RawGet { key: keys::field_key(&self.object, key) };
-        match self.executor.storage_call(self.executor.read_target(), &req)? {
-            StoreResponse::MaybeBytes(v) => Ok(v),
-            other => Err(HostError::Storage(format!("bad reply {other:?}"))),
-        }
+        self.executor.storage_call(
+            self.executor.read_target(),
+            &req,
+            StoreResponse::into_maybe_bytes,
+        )
     }
 
     fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), HostError> {
         let req =
             StoreRequest::RawPut { key: keys::field_key(&self.object, key), value: value.to_vec() };
-        match self.executor.storage_call(self.executor.write_target(), &req)? {
-            StoreResponse::Ok => Ok(()),
-            other => Err(HostError::Storage(format!("bad reply {other:?}"))),
-        }
+        self.executor.storage_call(self.executor.write_target(), &req, StoreResponse::into_ok)
     }
 
     fn delete(&mut self, key: &[u8]) -> Result<(), HostError> {
         let req = StoreRequest::RawDelete { key: keys::field_key(&self.object, key) };
-        match self.executor.storage_call(self.executor.write_target(), &req)? {
-            StoreResponse::Ok => Ok(()),
-            other => Err(HostError::Storage(format!("bad reply {other:?}"))),
-        }
+        self.executor.storage_call(self.executor.write_target(), &req, StoreResponse::into_ok)
     }
 
     fn push(&mut self, field: &[u8], value: &[u8]) -> Result<(), HostError> {
@@ -230,10 +216,7 @@ impl Host for RemoteHost<'_> {
             field: field.to_vec(),
             value: value.to_vec(),
         };
-        match self.executor.storage_call(self.executor.write_target(), &req)? {
-            StoreResponse::Ok => Ok(()),
-            other => Err(HostError::Storage(format!("bad reply {other:?}"))),
-        }
+        self.executor.storage_call(self.executor.write_target(), &req, StoreResponse::into_ok)
     }
 
     fn scan(
@@ -248,18 +231,12 @@ impl Host for RemoteHost<'_> {
             limit: limit as u64,
             newest_first,
         };
-        match self.executor.storage_call(self.executor.read_target(), &req)? {
-            StoreResponse::Rows(rows) => Ok(rows),
-            other => Err(HostError::Storage(format!("bad reply {other:?}"))),
-        }
+        self.executor.storage_call(self.executor.read_target(), &req, StoreResponse::into_rows)
     }
 
     fn count(&mut self, field: &[u8]) -> Result<u64, HostError> {
         let req = StoreRequest::RawCount { object: self.object.0.clone(), field: field.to_vec() };
-        match self.executor.storage_call(self.executor.read_target(), &req)? {
-            StoreResponse::Count(n) => Ok(n),
-            other => Err(HostError::Storage(format!("bad reply {other:?}"))),
-        }
+        self.executor.storage_call(self.executor.read_target(), &req, StoreResponse::into_count)
     }
 
     fn invoke(
@@ -374,9 +351,7 @@ impl ComputeInner {
             }
             other => Err(InvokeError::Nested(format!("unsupported on compute node: {other:?}"))),
         };
-        let encoded = result
-            .map_err(|e| encode_error(&e))
-            .and_then(|resp| wire::to_bytes(&resp).map_err(|e| e.to_string()));
+        let encoded = proto::encode_reply(result);
         self.busy_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         encoded
     }

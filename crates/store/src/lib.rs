@@ -23,12 +23,16 @@
 pub mod aggregated;
 pub mod client;
 pub mod cluster;
+mod control;
 pub mod disaggregated;
+mod lease;
+mod migrate;
 pub mod placement;
 pub mod proto;
+mod raw;
 mod replication;
 pub mod serverless;
-pub mod sync;
+mod sync;
 
 pub use aggregated::{AggregatedConfig, AggregatedNode, WATCH_ID_OFFSET};
 pub use client::{InvokeCallback, StoreClient};
@@ -39,4 +43,3 @@ pub use disaggregated::{ComputeConfig, ComputeNode, FunctionExecutor};
 pub use placement::Placement;
 pub use proto::{ClientPush, NodeStatsWire, StoreRequest, StoreResponse, SyncItem};
 pub use serverless::{ServerlessConfig, ServerlessGateway};
-pub use sync::{SyncManager, SyncPhase, SyncSession};

@@ -67,16 +67,6 @@ impl Placement {
         self.state.read().shard(shard).cloned()
     }
 
-    /// True when `node` is the primary for `object`.
-    pub fn is_primary(&self, node: NodeId, object: &ObjectId) -> bool {
-        self.locate(object).is_some_and(|(_, info)| info.primary == node)
-    }
-
-    /// True when `node` serves `object` in any role.
-    pub fn is_replica(&self, node: NodeId, object: &ObjectId) -> bool {
-        self.locate(object).is_some_and(|(_, info)| info.contains(node))
-    }
-
     /// All registered storage nodes.
     pub fn storage_nodes(&self) -> Vec<NodeId> {
         self.state.read().nodes.iter().copied().collect()
@@ -124,10 +114,8 @@ mod tests {
         let (shard, info) = p.locate(&obj).unwrap();
         assert_eq!(shard, 0);
         assert_eq!(info.primary, NodeId(1));
-        assert!(p.is_primary(NodeId(1), &obj));
-        assert!(!p.is_primary(NodeId(2), &obj));
-        assert!(p.is_replica(NodeId(2), &obj));
-        assert!(!p.is_replica(NodeId(9), &obj));
+        assert!(info.led_by(NodeId(1)) && !info.led_by(NodeId(2)));
+        assert!(info.contains(NodeId(2)) && !info.contains(NodeId(9)));
         assert_eq!(p.epoch_of(0), Some(1));
         assert_eq!(p.storage_nodes(), vec![NodeId(1), NodeId(2)]);
     }

@@ -7,8 +7,8 @@ use lambda_coordinator::{Epoch, ShardId};
 use lambda_net::wire::{self, RequestHeader, WireError, HEADER_VERSION};
 use lambda_net::RpcError;
 use lambda_objects::{
-    decode_error, migration::ObjectSnapshot, FieldDef, InvocationContext, InvokeError, TxCall,
-    WriteSetOps,
+    decode_error, encode_error, migration::ObjectSnapshot, FieldDef, InvocationContext,
+    InvokeError, TxCall, WriteSetOps,
 };
 use lambda_vm::{Module, VmValue};
 
@@ -61,6 +61,55 @@ pub fn decode_reply(reply: Result<Vec<u8>, RpcError>) -> Result<StoreResponse, I
         Err(RpcError::Remote(msg)) => Err(decode_error(&msg)),
         Err(other) => Err(InvokeError::Nested(other.to_string())),
     }
+}
+
+/// The serving end's inverse of [`decode_reply`]: a handler outcome as the
+/// RPC layer carries it.
+///
+/// # Errors
+/// The handler's error, encoded for transport (or a serialization failure).
+pub fn encode_reply(reply: Result<StoreResponse, InvokeError>) -> Result<Vec<u8>, String> {
+    let resp = reply.map_err(|e| encode_error(&e))?;
+    wire::to_bytes(&resp).map_err(|e| e.to_string())
+}
+
+/// The reply-shape accessors: each turns the response into the payload of
+/// the one variant its request calls for; any other variant is the same
+/// [`InvokeError::Nested`] error.
+macro_rules! reply_shapes {
+    ($($(#[$doc:meta])* $name:ident -> $out:ty: $variant:pat => $value:expr;)*) => {
+        impl StoreResponse {
+            $(
+                $(#[$doc])*
+                ///
+                /// # Errors
+                /// `Nested` when the peer answered with any other variant.
+                pub fn $name(self) -> Result<$out, InvokeError> {
+                    match self {
+                        $variant => Ok($value),
+                        other => Err(InvokeError::Nested(format!("bad reply {other:?}"))),
+                    }
+                }
+            )*
+        }
+    };
+}
+
+reply_shapes! {
+    /// The generic success ack.
+    into_ok -> (): StoreResponse::Ok => ();
+    /// An invocation result (without a read set).
+    into_value -> VmValue: StoreResponse::Value(v) => v;
+    /// A raw read result.
+    into_maybe_bytes -> Option<Vec<u8>>: StoreResponse::MaybeBytes(v) => v;
+    /// Raw scan rows.
+    into_rows -> Vec<Vec<u8>>: StoreResponse::Rows(rows) => rows;
+    /// A raw collection length.
+    into_count -> u64: StoreResponse::Count(n) => n;
+    /// Transaction results, one per call.
+    into_values -> Vec<VmValue>: StoreResponse::Values(vs) => vs;
+    /// Object ids (`ListObjects`).
+    into_objects -> Vec<Vec<u8>>: StoreResponse::Objects(ids) => ids;
 }
 
 /// Requests understood by storage nodes.
@@ -530,6 +579,23 @@ mod tests {
         );
         assert!(matches!(decode_reply(Err(RpcError::Timeout)), Err(InvokeError::Nested(_))));
         assert!(matches!(decode_reply(Ok(vec![0xff; 3])), Err(InvokeError::Nested(_))));
+    }
+
+    #[test]
+    fn reply_shape_accessors_yield_their_variant_and_one_error_otherwise() {
+        assert_eq!(StoreResponse::Ok.into_ok(), Ok(()));
+        assert_eq!(StoreResponse::Value(VmValue::Int(4)).into_value(), Ok(VmValue::Int(4)));
+        assert_eq!(StoreResponse::MaybeBytes(None).into_maybe_bytes(), Ok(None));
+        assert_eq!(StoreResponse::Rows(vec![b"r".to_vec()]).into_rows(), Ok(vec![b"r".to_vec()]));
+        assert_eq!(StoreResponse::Count(3).into_count(), Ok(3));
+        assert_eq!(
+            StoreResponse::Values(vec![VmValue::Unit]).into_values(),
+            Ok(vec![VmValue::Unit])
+        );
+        assert_eq!(StoreResponse::Objects(vec![]).into_objects(), Ok(vec![]));
+        let wrong = StoreResponse::Count(3).into_ok();
+        assert!(matches!(&wrong, Err(InvokeError::Nested(m)) if m.ends_with("Count(3)")));
+        assert_eq!(StoreResponse::Count(3).into_value().map(|_| ()), wrong);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use crossbeam::channel;
@@ -32,8 +32,8 @@ use parking_lot::Mutex;
 use lambda_coordinator::{Epoch, MigrationPhase, ShardId, ShardInfo};
 use lambda_net::{wire, NodeId, RpcError};
 use lambda_objects::{
-    encode_error, keys, CommitCallback, CommitHook, Counter, InvocationContext, InvokeError,
-    ObjectId, Registry, WriteSetOps,
+    encode_error, CommitCallback, CommitHook, Counter, InvocationContext, InvokeError, ObjectId,
+    Registry, WriteSetOps,
 };
 
 use crate::aggregated::NodeInner;
@@ -49,8 +49,13 @@ const REPL_RETRY_PAUSE: Duration = Duration::from_millis(2);
 /// found the placement mid-move.
 const FORWARD_RETRY_PAUSE: Duration = Duration::from_millis(5);
 
+/// Committed write sets kept per shard for promotion re-sync. Sized to
+/// cover everything the old primary could have acked between two lease
+/// renewals; replays are idempotent puts, so over-covering is harmless.
+const RECENT_COMMITS_CAP: usize = 32;
+
 /// `(object id bytes, write set)` — one committed write set on the wire.
-pub(crate) type WriteSet = (Vec<u8>, WriteSetOps);
+type WriteSet = (Vec<u8>, WriteSetOps);
 
 // -- The commit gate -----------------------------------------------------------
 
@@ -83,8 +88,8 @@ fn fenced(me: NodeId, shard: ShardId, info: &ShardInfo) -> Option<String> {
     })
 }
 
-/// Replication state of one node: the windows, the batching switch, and
-/// the counters the decisions below feed.
+/// Replication state of one node: the windows, the batching switch, the
+/// recent-commit rings, and the counters the decisions below feed.
 pub(crate) struct ReplState {
     /// When false every committed write set is shipped as its own round
     /// (the ABL-GROUPCOMMIT "wal-only" configuration).
@@ -105,6 +110,17 @@ pub(crate) struct ReplState {
     /// Mutations refused (admission) or fenced (commit) with `ObjectMoved`
     /// while their object's migration was in handoff.
     migration_fenced: Counter,
+    /// Recent committed write sets per shard (bounded ring, newest last),
+    /// fed by both roles: the primary records what it replicates, a backup
+    /// records what it applies. A backup promoted to primary replays its
+    /// ring to the surviving backups before new commits land, so a write
+    /// the old primary acked after some survivor's ack was lost still
+    /// reaches every replica (closes the DESIGN.md §11 limitation).
+    recent_commits: Mutex<HashMap<ShardId, VecDeque<WriteSet>>>,
+    /// Write sets applied here in the backup role.
+    pub(crate) applied: Counter,
+    /// Promotion re-syncs completed (ring replays after failover).
+    pub(crate) promotion_resyncs: Counter,
 }
 
 impl ReplState {
@@ -117,7 +133,21 @@ impl ReplState {
             retries: registry.counter("node_repl_retries"),
             lease_fenced_commits: registry.counter("lease_fenced_commits"),
             migration_fenced: registry.counter("node_migration_fenced"),
+            recent_commits: Mutex::default(),
+            applied: registry.counter("node_replications_applied"),
+            promotion_resyncs: registry.counter("node_promotion_resyncs"),
         }
+    }
+
+    /// Record one committed write set in `shard`'s recent ring (bounded at
+    /// [`RECENT_COMMITS_CAP`]; the oldest entry falls off).
+    fn record_recent(&self, shard: ShardId, object: &[u8], ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
+        let mut rings = self.recent_commits.lock();
+        let ring = rings.entry(shard).or_default();
+        if ring.len() == RECENT_COMMITS_CAP {
+            ring.pop_front();
+        }
+        ring.push_back((object.to_vec(), ops.to_vec()));
     }
 
     pub(crate) fn set_batching(&self, enabled: bool) {
@@ -304,7 +334,7 @@ impl Window {
 
 /// One fan-out of write sets to a shard's backups, driven to a definite
 /// outcome by either shell.
-pub(crate) struct Round {
+struct Round {
     shard: ShardId,
     /// Stamped into the frame; moves with the placement across retries.
     epoch: Epoch,
@@ -318,7 +348,7 @@ pub(crate) struct Round {
 
 impl Round {
     /// A round shipping `sets` to `backups` on behalf of `ctx`.
-    pub(crate) fn new(
+    fn new(
         shard: ShardId,
         epoch: Epoch,
         backups: Vec<NodeId>,
@@ -445,11 +475,11 @@ impl NodeInner {
             self.id,
             self.shutdown.load(Ordering::Acquire),
             object,
-            |shard| self.fence_remaining(shard),
+            |shard| self.leases.fence_remaining(shard, Instant::now()),
             |shard, info| self.forward_to_syncing(shard, info.epoch, &info.syncing, object, ops),
         );
         if let Gate::Ship { shard, .. } = &gate {
-            self.record_recent(*shard, &object.0, ops);
+            self.repl.record_recent(*shard, &object.0, ops);
         }
         gate
     }
@@ -461,7 +491,7 @@ impl NodeInner {
     /// is the system's obligation, and a budget squeezed to zero would turn
     /// the retry loop into a hot spin of instant timeouts.
     fn next_attempt(&self, round: &mut Round) -> (Bytes, Duration) {
-        let lease = self.grant_lease_nanos(round.shard, &round.backups);
+        let lease = self.leases.grant(round.shard, &round.backups, Instant::now());
         let timeout = match round.attempt {
             0 => round.down.rpc_timeout(self.rpc_timeout),
             _ => self.rpc_timeout,
@@ -495,7 +525,7 @@ impl NodeInner {
     }
 
     /// Parked shell of a round: `call_many` + `sleep`.
-    pub(crate) fn run_round_parked(&self, mut round: Round) -> Result<(), String> {
+    fn run_round_parked(&self, mut round: Round) -> Result<(), String> {
         loop {
             let (body, timeout) = self.next_attempt(&mut round);
             let replies = self.rpc().call_many(&round.backups, body, timeout);
@@ -624,21 +654,57 @@ impl NodeInner {
         }
     }
 
-    /// Synchronous replication for the raw (baseline) API. The baseline
-    /// "uses our prototype as its storage layer" (§5): raw writes get the
-    /// same primary-backup durability as engine commits, through the same
-    /// gate. (What the baseline lacks is invocation-level consistency —
-    /// atomicity, isolation, per-object scheduling — not storage
-    /// replication.)
-    pub(crate) fn replicate_raw(
+    /// Backup role: apply one `ReplicateBatch` frame — the lease grant it
+    /// carries, then its write sets, atomically and in order.
+    pub(crate) fn apply_replicated(
         &self,
-        ctx: &InvocationContext,
-        ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
+        shard: ShardId,
+        epoch: Epoch,
+        entries: Vec<WriteSet>,
+        lease_nanos: u64,
     ) -> Result<(), InvokeError> {
-        let Some((oid, _)) = ops.first().and_then(|(key, _)| keys::split_key(key)) else {
-            return Ok(());
+        self.leases.accept(shard, epoch, lease_nanos, Instant::now());
+        let entries: Vec<(ObjectId, WriteSetOps)> =
+            entries.into_iter().map(|(o, ops)| (ObjectId::new(o), ops)).collect();
+        self.engine.apply_replicated_batch(&entries)?;
+        for (oid, ops) in &entries {
+            self.repl.record_recent(shard, &oid.0, ops);
+        }
+        self.publish_invalidations(entries.iter().flat_map(|(_, ops)| ops.iter().map(|(k, _)| k)));
+        self.repl.applied.add(entries.len() as u64);
+        Ok(())
+    }
+
+    /// Just-promoted primary: replay the shard's ring of recent committed
+    /// write sets to the surviving backups before the commit fence lifts.
+    /// Applies are idempotent puts, so re-sending a set a survivor already
+    /// holds is harmless; a set the deposed primary acked without this
+    /// survivor's ack landing is delivered here, converging the replica
+    /// set on every acked write before new commits stack on top.
+    pub(crate) fn spawn_promotion_resync(
+        &self,
+        shard: ShardId,
+        epoch: Epoch,
+        backups: Vec<NodeId>,
+    ) {
+        let entries: Vec<WriteSet> = {
+            let rings = self.repl.recent_commits.lock();
+            rings.get(&shard).map(|r| r.iter().cloned().collect()).unwrap_or_default()
         };
-        self.on_commit(ctx, &oid, &ops).map_err(lambda_objects::error::decode_hook_error)
+        if entries.is_empty() || backups.is_empty() {
+            return;
+        }
+        let this = self.arc();
+        std::thread::Builder::new()
+            .name(format!("store-{}-resync-{shard}", self.id))
+            .spawn(move || {
+                let ctx = InvocationContext::background();
+                let round = Round::new(shard, epoch, backups, &ctx, entries);
+                if this.run_round_parked(round).is_ok() {
+                    this.repl.promotion_resyncs.incr();
+                }
+            })
+            .expect("spawn promotion resync");
     }
 }
 

@@ -20,8 +20,8 @@ use parking_lot::Mutex;
 
 use lambda_kv::wal::Wal;
 use lambda_net::rpc::{null_handler, sync_handler};
-use lambda_net::{wire, Network, NodeId, RpcNode};
-use lambda_objects::{encode_error, InvokeError, ObjectId};
+use lambda_net::{Network, NodeId, RpcNode};
+use lambda_objects::{InvokeError, ObjectId};
 
 use crate::disaggregated::{ComputeConfig, FunctionExecutor};
 use crate::proto::{NodeStatsWire, StoreRequest, StoreResponse};
@@ -168,9 +168,7 @@ impl GatewayInner {
             }
             other => Err(InvokeError::Nested(format!("unsupported on gateway: {other:?}"))),
         };
-        let encoded = result
-            .map_err(|e| encode_error(&e))
-            .and_then(|resp| wire::to_bytes(&resp).map_err(|e| e.to_string()));
+        let encoded = crate::proto::encode_reply(result);
         self.busy_nanos.fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
         encoded
     }

@@ -251,6 +251,23 @@ fn sum_coord_counter(cluster: &AggregatedCluster, name: &str) -> u64 {
     cluster.core.coordinators.iter().map(|c| c.registry().counter_value(name)).sum()
 }
 
+/// Wait until the highest `coord_pins` gauge over the coordinator replicas
+/// reads `want`. The gauge is per replica, and a follower applies the log
+/// a moment behind the replica that answered the client, so a single read
+/// right after the client's view flips races the lagging ones.
+fn wait_pins_gauge(cluster: &AggregatedCluster, want: i64, why: &str) {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let gauge =
+            cluster.core.coordinators.iter().map(|c| c.registry().gauge_value("coord_pins")).max();
+        if gauge == Some(want) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "{why} (coord_pins={gauge:?}, want {want})");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// The shard the migration should target: any shard other than `from`.
 fn other_shard(state: &ClusterState, from: ShardId) -> ShardId {
     *state.shards.keys().find(|&&s| s != from).expect("cluster has a second shard")
@@ -287,9 +304,7 @@ fn migration_round_trip_keeps_pin_directory_clean() {
     wait_routed_to(&client, &id, away, Duration::from_secs(10));
     let st = client.placement().snapshot();
     assert_eq!(st.pins.get(id.as_bytes()), Some(&away), "off-home landing needs a pin");
-    let pins_gauge =
-        cluster.core.coordinators.iter().map(|c| c.registry().gauge_value("coord_pins")).max();
-    assert_eq!(pins_gauge, Some(1), "coord_pins must track the directory");
+    wait_pins_gauge(&cluster, 1, "coord_pins must track the directory");
     assert_eq!(
         as_int(client.invoke(&id, "balance", vec![], true).unwrap()),
         10,
@@ -317,9 +332,7 @@ fn migration_round_trip_keeps_pin_directory_clean() {
     wait_routed_to(&client, &id, home, Duration::from_secs(10));
     let st = client.placement().snapshot();
     assert!(!st.pins.contains_key(id.as_bytes()), "hash-home landing must unpin");
-    let pins_gauge =
-        cluster.core.coordinators.iter().map(|c| c.registry().gauge_value("coord_pins")).max();
-    assert_eq!(pins_gauge, Some(0), "coord_pins must drop with the retired pin");
+    wait_pins_gauge(&cluster, 0, "coord_pins must drop with the retired pin");
     assert_eq!(as_int(client.invoke(&id, "balance", vec![], true).unwrap()), 15);
 
     assert!(sum_coord_counter(&cluster, "coord_migrations_committed") >= 2);
