@@ -10,7 +10,7 @@ use lambda_objects::{Engine, EngineConfig, ObjectId, TypeRegistry};
 use lambda_retwis::{account_id, user_type, user_type_native, USER_TYPE};
 use lambda_vm::VmValue;
 
-fn engine_with(ty: lambda_objects::ObjectType, name: &str) -> (Engine, std::path::PathBuf) {
+fn engine_with(ty: lambda_objects::ObjectType, name: &str) -> (Arc<Engine>, std::path::PathBuf) {
     let dir = std::env::temp_dir().join(format!("lambda-bench-eng-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let db = Db::open(&dir, Options::default()).unwrap();

@@ -16,7 +16,7 @@ use lambda_objects::{Engine, EngineConfig, ObjectId, TypeRegistry};
 use lambda_retwis::{account_id, user_type};
 use lambda_vm::VmValue;
 
-fn build_engine(cache_capacity: usize, dir: &std::path::Path) -> Engine {
+fn build_engine(cache_capacity: usize, dir: &std::path::Path) -> Arc<Engine> {
     let _ = std::fs::remove_dir_all(dir);
     let db = Db::open(dir, Options::default()).expect("open db");
     let types = Arc::new(TypeRegistry::new());

@@ -8,7 +8,7 @@
 //! cache.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 use crossbeam::channel;
@@ -46,6 +46,20 @@ pub trait InvokeRouter: Send + Sync {
         args: Vec<VmValue>,
         depth: usize,
     ) -> Result<VmValue>;
+
+    /// Deferred arm of [`route`](InvokeRouter::route), for the branches of
+    /// a scatter. A target served by another node is sent there without
+    /// parking — `done` runs with the reply — and `None` comes back. For a
+    /// target served here the router hands `done` back and the engine runs
+    /// the branch itself, so that its commit can join the scatter's wave.
+    fn route_deferred(
+        &self,
+        ctx: &InvocationContext,
+        target: &ObjectId,
+        method: &str,
+        args: &[VmValue],
+        done: InvokeCompletion,
+    ) -> Option<InvokeCompletion>;
 }
 
 /// Engine configuration.
@@ -169,6 +183,75 @@ pub trait CommitHook: Send + Sync {
     ) {
         done(self.on_commit(ctx, object, &ops));
     }
+
+    /// Several locally applied write sets at once — a scatter's wave, or a
+    /// transaction's objects — so that an implementation can ship them
+    /// together (LambdaStore: one `ReplicateBatch` round per shard). Each
+    /// commit still gets its own outcome.
+    fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
+        for DeferredCommit { ctx, object, ops, done } in commits {
+            self.on_commit_deferred(&ctx, &object, ops, done);
+        }
+    }
+}
+
+/// One locally applied write set on its way to
+/// [`CommitHook::on_commit_many`]: what
+/// [`on_commit_deferred`](CommitHook::on_commit_deferred) takes as arguments.
+pub struct DeferredCommit {
+    /// The committing invocation's context.
+    pub ctx: InvocationContext,
+    /// The object the write set belongs to.
+    pub object: ObjectId,
+    /// The operations just committed locally.
+    pub ops: WriteSetOps,
+    /// Invoked exactly once with the replication outcome.
+    pub done: CommitCallback,
+}
+
+/// The write sets a scatter's branches applied locally while its issue
+/// loop was still running; the loop's end hands them to the commit hook in
+/// one call. A branch that commits later (its object was busy, or another
+/// thread led its kv group) finds the wave closed and goes to the hook on
+/// its own.
+///
+/// A branch in the wave keeps its object's guard until the wave has
+/// shipped and been acked, so the wave is open only while its issue thread
+/// cannot park: a branch body that reaches a nested call on that thread
+/// closes and ships it first ([`Engine::ship_open_wave`]) — the call may
+/// need a sibling's guard.
+struct Wave {
+    open: parking_lot::Mutex<Option<Vec<DeferredCommit>>>,
+}
+
+impl Wave {
+    fn start() -> Arc<Wave> {
+        Arc::new(Wave { open: parking_lot::Mutex::new(Some(Vec::new())) })
+    }
+
+    /// Leave `commit` with the wave; a closed wave hands it back.
+    fn join(&self, commit: DeferredCommit) -> Option<DeferredCommit> {
+        match self.open.lock().as_mut() {
+            Some(wave) => {
+                wave.push(commit);
+                None
+            }
+            None => Some(commit),
+        }
+    }
+
+    /// Close the wave; what it collected is the caller's to ship.
+    fn close(&self) -> Vec<DeferredCommit> {
+        self.open.lock().take().unwrap_or_default()
+    }
+}
+
+/// Park for `n` outcomes arriving over `rx` from completions. A completion
+/// dropped unrun (its endpoint shut down) drops its sender, so the wait
+/// ends instead of hanging. Only for threads that are provably not in the
+/// completion pool (DESIGN.md §10).
+fn join_all<T>(rx: &channel::Receiver<T>, n: usize) -> Vec<T> {
+    (0..n).map_while(|_| rx.recv().ok()).collect()
 }
 
 /// Oldest-first (commit version, storage key) queue of one object's live
@@ -180,6 +263,10 @@ thread_local! {
     /// be one of the RPC endpoint's completion threads, which must never
     /// park (see [`Engine::invoke_deferred`]).
     static ON_COMPLETION_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+
+    /// The wave whose issue loop this thread is running, while it is open.
+    static OPEN_WAVE: std::cell::RefCell<Option<Arc<Wave>>> =
+        const { std::cell::RefCell::new(None) };
 }
 
 /// The one `WriteBatch` → [`WriteSetOps`] conversion: what a commit hook
@@ -307,6 +394,9 @@ struct PendingCommit {
 
 /// The LambdaObjects execution engine of one storage node.
 pub struct Engine {
+    /// The owning `Arc`, for completions that outlive a call frame: every
+    /// engine is built by [`Engine::with_registry`] inside one.
+    me: Weak<Engine>,
     db: Db,
     types: Arc<TypeRegistry>,
     cache: ConsistentCache,
@@ -341,7 +431,7 @@ impl std::fmt::Debug for Engine {
 impl Engine {
     /// Build an engine over an open database with a private telemetry
     /// registry.
-    pub fn new(db: Db, types: Arc<TypeRegistry>, config: EngineConfig) -> Engine {
+    pub fn new(db: Db, types: Arc<TypeRegistry>, config: EngineConfig) -> Arc<Engine> {
         Engine::with_registry(db, types, config, Registry::shared())
     }
 
@@ -354,8 +444,9 @@ impl Engine {
         types: Arc<TypeRegistry>,
         config: EngineConfig,
         registry: Arc<Registry>,
-    ) -> Engine {
-        Engine {
+    ) -> Arc<Engine> {
+        Arc::new_cyclic(|me| Engine {
+            me: me.clone(),
             db,
             types,
             cache: ConsistentCache::new(config.cache_capacity),
@@ -378,7 +469,11 @@ impl Engine {
             cache_hits: registry.counter("eng_cache_hits"),
             duplicates_suppressed: registry.counter("eng_duplicates_suppressed"),
             registry,
-        }
+        })
+    }
+
+    fn arc(&self) -> Arc<Engine> {
+        self.me.upgrade().expect("an engine in use is owned by its Arc")
     }
 
     /// The telemetry registry this engine reports through.
@@ -630,9 +725,11 @@ impl Engine {
     /// commit hook defers.
     ///
     /// The same steps as [`Engine::invoke_ctx`] at depth 0, so the same
-    /// cache, dedup, scheduling, span and counter behaviour. Nested calls
-    /// made *by* the method still run synchronously on the executing
-    /// thread (they are bounded by `max_depth`, not by client fan-in).
+    /// cache, dedup, scheduling, span and counter behaviour. The method
+    /// body still parks its thread at a nested call: for a single
+    /// `host.invoke` through that call's own blocking invocation, for a
+    /// scatter until the last branch of the wave has answered
+    /// ([`NestedInvoker::invoke_nested_many`]).
     pub fn invoke_deferred(
         self: &Arc<Self>,
         ctx: &InvocationContext,
@@ -642,7 +739,24 @@ impl Engine {
         external: bool,
         done: InvokeCompletion,
     ) {
-        let call = match self.resolve(ctx, object, method, args, external, 0) {
+        self.invoke_deferred_at(ctx, object, method, args, external, 0, None, done);
+    }
+
+    /// [`Engine::invoke_deferred`] at nesting depth `depth`; with `wave`,
+    /// as one branch of that scatter.
+    #[allow(clippy::too_many_arguments)]
+    fn invoke_deferred_at(
+        self: &Arc<Self>,
+        ctx: &InvocationContext,
+        object: &ObjectId,
+        method: &str,
+        args: Vec<VmValue>,
+        external: bool,
+        depth: usize,
+        wave: Option<Arc<Wave>>,
+        done: InvokeCompletion,
+    ) {
+        let call = match self.resolve(ctx, object, method, args, external, depth) {
             Err(e) => return done(Err(e)),
             Ok(Resolved::Hit(value, read_set)) => return done(Ok((value, Some(read_set)))),
             Ok(Resolved::InFlight(first)) => return first.attach(done),
@@ -665,7 +779,7 @@ impl Engine {
                         ON_COMPLETION_THREAD.set(outer);
                         done(outcome);
                     });
-                    this.commit_deferred(pending, committed);
+                    this.commit_deferred(pending, wave, committed);
                 }
             };
             // A method body runs where its grant lands, and one that nests
@@ -933,10 +1047,12 @@ impl Engine {
 
     /// Commit without parking: hand the batch to the deferred group
     /// commit, then (on the committing thread) start the hook's deferred
-    /// fan-out; `done` runs wherever the last of them completes.
+    /// fan-out — or leave the write set with the scatter's open `wave` —
+    /// and `done` runs wherever the last of them completes.
     fn commit_deferred(
         self: &Arc<Self>,
         pending: PendingCommit,
+        wave: Option<Arc<Wave>>,
         done: Box<dyn FnOnce(Result<()>) + Send>,
     ) {
         let PendingCommit { ctx, object, batch, touched } = pending;
@@ -954,22 +1070,55 @@ impl Engine {
                     return done(this.finish_commit(&touched, Ok(())));
                 };
                 let engine = Arc::clone(&this);
-                let replicate_start = Instant::now();
-                hook.on_commit_deferred(
-                    &ctx,
-                    &object,
-                    ops,
-                    Box::new(move |replicated| {
-                        engine.registry.record_span(
-                            ctx.trace_id,
-                            Stage::Replicate,
-                            replicate_start.elapsed(),
-                        );
-                        done(engine.finish_commit(&touched, replicated));
-                    }),
-                );
+                let done: CommitCallback = Box::new(move |replicated| {
+                    done(engine.finish_commit(&touched, replicated));
+                });
+                let commit = DeferredCommit { ctx, object, ops, done };
+                let alone = match wave {
+                    Some(wave) => wave.join(commit),
+                    None => Some(commit),
+                };
+                if let Some(DeferredCommit { ctx, object, ops, done }) = alone {
+                    hook.on_commit_deferred(&ctx, &object, ops, this.timed_replicate(&ctx, done));
+                }
             }),
         );
+    }
+
+    /// `done` behind the commit's `replicate` span. The span is the hook's
+    /// time: its clock starts here, right before the hook is called.
+    fn timed_replicate(
+        self: &Arc<Self>,
+        ctx: &InvocationContext,
+        done: CommitCallback,
+    ) -> CommitCallback {
+        let (engine, trace_id) = (Arc::clone(self), ctx.trace_id);
+        let replicate_start = Instant::now();
+        Box::new(move |replicated| {
+            engine.registry.record_span(trace_id, Stage::Replicate, replicate_start.elapsed());
+            done(replicated);
+        })
+    }
+
+    /// Close the wave this thread is issuing, if any, and ship it.
+    fn ship_open_wave(&self) {
+        if let Some(wave) = OPEN_WAVE.take() {
+            self.ship_wave(&wave);
+        }
+    }
+
+    /// Close `wave` and hand what it collected to the commit hook in one
+    /// call (write sets exist only with a hook installed).
+    fn ship_wave(&self, wave: &Wave) {
+        let this = self.arc();
+        let commits: Vec<DeferredCommit> = wave
+            .close()
+            .into_iter()
+            .map(|c| DeferredCommit { done: this.timed_replicate(&c.ctx, c.done), ..c })
+            .collect();
+        if let (Some(hook), false) = (self.commit_hook.read().clone(), commits.is_empty()) {
+            hook.on_commit_many(commits);
+        }
     }
 
     /// The local write is applied: invalidate what it touched — whether or
@@ -1048,8 +1197,10 @@ impl Engine {
         &self.interpreter
     }
 
-    /// Commit a multi-object transaction batch: apply atomically, run the
-    /// replication hook per touched object, invalidate caches.
+    /// Commit a multi-object transaction batch: apply atomically, hand
+    /// every touched object's write set to the replication hook in one
+    /// call (so they ship together), park until each is acked, invalidate
+    /// caches. Runs on the transaction's thread, never a completion one.
     pub(crate) fn commit_transaction_batch(
         &self,
         objects: &[ObjectId],
@@ -1060,17 +1211,33 @@ impl Engine {
         self.db.write(batch)?;
         let ctx = InvocationContext::background();
         let replicated = hooked.map_or(Ok(()), |(hook, ops)| {
-            objects.iter().try_for_each(|object| {
-                let own: WriteSetOps = ops
-                    .iter()
-                    .filter(|(key, _)| keys::split_key(key).is_some_and(|(o, _)| &o == object))
-                    .cloned()
-                    .collect();
-                if own.is_empty() {
-                    return Ok(());
-                }
-                self.replicate_blocking(&ctx, object, Some((Arc::clone(&hook), own)))
-            })
+            let (tx, rx) = channel::unbounded();
+            let commits: Vec<DeferredCommit> = objects
+                .iter()
+                .filter_map(|object| {
+                    let own: WriteSetOps = ops
+                        .iter()
+                        .filter(|(key, _)| keys::split_key(key).is_some_and(|(o, _)| &o == object))
+                        .cloned()
+                        .collect();
+                    if own.is_empty() {
+                        return None;
+                    }
+                    let tx = tx.clone();
+                    let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
+                    Some(DeferredCommit { ctx, object: object.clone(), ops: own, done })
+                })
+                .collect();
+            drop(tx);
+            let sent = commits.len();
+            let start = Instant::now();
+            hook.on_commit_many(commits);
+            let acks = join_all(&rx, sent);
+            self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
+            if acks.len() < sent {
+                return Err("replication ended without an outcome".into());
+            }
+            acks.into_iter().collect()
         });
         self.finish_commit(touched, replicated)
     }
@@ -1128,12 +1295,74 @@ impl NestedInvoker for Engine {
         args: Vec<VmValue>,
         depth: usize,
     ) -> std::result::Result<VmValue, HostError> {
+        // A branch body on a wave's issue thread: this call may park
+        // behind a sibling whose guard is held until the wave has shipped.
+        self.ship_open_wave();
         let router = self.router.read().clone();
         let result = match router {
             Some(router) => router.route(ctx, target, target, method, args, depth),
             None => self.invoke_ctx(ctx, target, method, args, false, depth),
         };
         result.map_err(|e| HostError::InvokeFailed(encode_error(&e)))
+    }
+
+    fn invoke_nested_many(
+        &self,
+        ctx: &InvocationContext,
+        targets: &[ObjectId],
+        method: &str,
+        args: &[VmValue],
+        depth: usize,
+    ) -> Vec<std::result::Result<VmValue, HostError>> {
+        // This scatter may itself be a branch body on the issue thread of
+        // an outer wave, and its join parks.
+        self.ship_open_wave();
+        let this = self.arc();
+        let router = self.router.read().clone();
+        let wave = Wave::start();
+        OPEN_WAVE.set(Some(Arc::clone(&wave)));
+        let (tx, rx) = channel::unbounded();
+        // Issue every branch from this thread. A branch whose object is
+        // free runs its body and its kv commit right here, inside the
+        // call; one whose object is busy, or lives elsewhere, answers
+        // from the thread that finishes it.
+        for (i, target) in targets.iter().enumerate() {
+            let tx = tx.clone();
+            let done: InvokeCompletion = Box::new(move |outcome| drop(tx.send((i, outcome))));
+            let local = match &router {
+                Some(router) => router.route_deferred(ctx, target, method, args, done),
+                None => Some(done),
+            };
+            if let Some(done) = local {
+                let wave = Some(Arc::clone(&wave));
+                this.invoke_deferred_at(
+                    ctx,
+                    target,
+                    method,
+                    args.to_vec(),
+                    false,
+                    depth,
+                    wave,
+                    done,
+                );
+            }
+        }
+        drop(tx);
+        // One hook call for everything the loop applied locally.
+        OPEN_WAVE.take();
+        self.ship_wave(&wave);
+        let mut results: Vec<Option<InvokeOutcome>> = targets.iter().map(|_| None).collect();
+        for (i, outcome) in join_all(&rx, targets.len()) {
+            results[i] = Some(outcome);
+        }
+        let lost = || Err(InvokeError::Nested("scatter branch ended without an outcome".into()));
+        results
+            .into_iter()
+            .map(|outcome| match outcome.unwrap_or_else(lost) {
+                Ok((value, _)) => Ok(value),
+                Err(e) => Err(HostError::InvokeFailed(encode_error(&e))),
+            })
+            .collect()
     }
 
     fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64) {
@@ -1273,7 +1502,7 @@ mod tests {
         let db = Db::open(&dir, Options::small_for_tests()).unwrap();
         let types = Arc::new(TypeRegistry::new());
         types.register(counter_module());
-        TestEnv { engine: Arc::new(Engine::new(db, types, config)), dir }
+        TestEnv { engine: Engine::new(db, types, config), dir }
     }
 
     fn oid(s: &str) -> ObjectId {
@@ -1894,7 +2123,7 @@ mod scatter_tests {
     use lambda_vm::assemble;
     use std::sync::atomic::{AtomicU32, Ordering as AtomicOrdering};
 
-    fn scatter_engine() -> (Engine, std::path::PathBuf) {
+    fn scatter_engine() -> (Arc<Engine>, std::path::PathBuf) {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
         let n = COUNTER.fetch_add(1, AtomicOrdering::Relaxed);
         let dir = std::env::temp_dir().join(format!("lambda-scatter-{}-{n}", std::process::id()));
@@ -2040,6 +2269,301 @@ mod scatter_tests {
             let id = ObjectId::new(t.as_bytes().unwrap().to_vec());
             let n = engine.invoke(&id, "inbox_count", vec![]).unwrap();
             assert_eq!(n, VmValue::Int(1));
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    // -- The wave ----------------------------------------------------------
+
+    use lambda_vm::NativeRegistry;
+    use std::thread::ThreadId;
+    use std::time::Duration;
+
+    /// What the hook saw: write sets per `on_commit_many` call, objects
+    /// that came through `on_commit_deferred`, and parked `on_commit`s.
+    #[derive(Default)]
+    struct Seen {
+        waves: Vec<Vec<ObjectId>>,
+        alone: Vec<ObjectId>,
+        parked: usize,
+    }
+
+    /// Acks everything at once and records how it was asked.
+    #[derive(Default)]
+    struct RecordingHook(parking_lot::Mutex<Seen>);
+
+    impl CommitHook for RecordingHook {
+        fn on_commit(
+            &self,
+            _: &InvocationContext,
+            _: &ObjectId,
+            _: &[(Vec<u8>, Option<Vec<u8>>)],
+        ) -> std::result::Result<(), String> {
+            self.0.lock().parked += 1;
+            Ok(())
+        }
+        fn on_commit_deferred(
+            &self,
+            _: &InvocationContext,
+            object: &ObjectId,
+            _: WriteSetOps,
+            done: CommitCallback,
+        ) {
+            self.0.lock().alone.push(object.clone());
+            done(Ok(()));
+        }
+        fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
+            self.0.lock().waves.push(commits.iter().map(|c| c.object.clone()).collect());
+            commits.into_iter().for_each(|c| (c.done)(Ok(())));
+        }
+    }
+
+    /// A native `Node`: `broadcast(targets, payload)` scatters `receive`,
+    /// which notes the thread it ran on and answers with its own id.
+    fn native_engine() -> (Arc<Engine>, Arc<parking_lot::Mutex<Vec<ThreadId>>>, std::path::PathBuf)
+    {
+        let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut reg = NativeRegistry::new();
+        reg.register("broadcast", false, false, true, |ctx| {
+            let targets = match ctx.args.first() {
+                Some(VmValue::List(ids)) => {
+                    ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec)).collect()
+                }
+                _ => Vec::new(),
+            };
+            let payload = ctx.bytes_arg(1)?;
+            let results =
+                ctx.host.invoke_many(targets, "receive", vec![VmValue::Bytes(payload)])?;
+            Ok(VmValue::List(results))
+        });
+        let threads = Arc::clone(&ran_on);
+        reg.register("receive", false, false, false, move |ctx| {
+            threads.lock().push(std::thread::current().id());
+            let payload = ctx.bytes_arg(0)?;
+            ctx.host.push(b"inbox", &payload)?;
+            Ok(VmValue::Bytes(ctx.host.self_id()))
+        });
+        reg.register("inbox_count", true, true, true, |ctx| {
+            Ok(VmValue::Int(ctx.host.count(b"inbox")? as i64))
+        });
+        // `relay_all(targets, payload)` scatters `relay(targets[0], payload)`:
+        // every branch but the first nests into the first branch's object.
+        reg.register("relay_all", false, false, true, |ctx| {
+            let Some(VmValue::List(ids)) = ctx.args.first().cloned() else {
+                return Err(HostError::Aborted("no targets".into()));
+            };
+            let targets = ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec)).collect();
+            let args = vec![ids[0].clone(), VmValue::Bytes(ctx.bytes_arg(1)?)];
+            Ok(VmValue::List(ctx.host.invoke_many(targets, "relay", args)?))
+        });
+        reg.register("relay", false, false, false, |ctx| {
+            let (to, payload) = (ctx.bytes_arg(0)?, ctx.bytes_arg(1)?);
+            ctx.host.push(b"inbox", &payload)?;
+            if to != ctx.host.self_id() {
+                let args = vec![VmValue::Bytes(payload.clone())];
+                if payload == b"scatter" {
+                    ctx.host.invoke_many(vec![to], "receive", args)?;
+                } else {
+                    ctx.host.invoke(&to, "receive", args)?;
+                }
+                ctx.host.push(b"inbox", &payload)?;
+            }
+            Ok(VmValue::Bytes(ctx.host.self_id()))
+        });
+        let (engine, dir) = scatter_engine();
+        let inbox = vec![FieldDef { name: "inbox".into(), kind: FieldKind::Collection }];
+        engine.types().register(ObjectType::from_native("Native", inbox, reg));
+        (engine, ran_on, dir)
+    }
+
+    fn create(engine: &Engine, ty: &str, names: &[&str]) -> Vec<ObjectId> {
+        names
+            .iter()
+            .map(|name| {
+                let id = oid(name);
+                engine.create_object(ty, &id, &[]).unwrap();
+                id
+            })
+            .collect()
+    }
+
+    fn ids(targets: &[ObjectId]) -> VmValue {
+        VmValue::List(targets.iter().map(|t| VmValue::Bytes(t.0.clone())).collect())
+    }
+
+    #[test]
+    fn a_scatter_over_free_targets_runs_on_the_callers_thread_and_is_one_hook_call() {
+        let (engine, ran_on, dir) = native_engine();
+        let src = create(&engine, "Native", &["w/src"]).remove(0);
+        let targets = create(&engine, "Native", &["w/0", "w/1", "w/2", "w/3", "w/4", "w/5"]);
+        let hook = Arc::new(RecordingHook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+
+        let args = vec![ids(&targets), VmValue::str("hello")];
+        let results = engine.invoke(&src, "broadcast", args).unwrap();
+
+        assert_eq!(results, ids(&targets), "one result per target, in target order");
+        let me = std::thread::current().id();
+        assert_eq!(*ran_on.lock(), vec![me; targets.len()], "no thread per target");
+        let seen = hook.0.lock();
+        assert_eq!(seen.waves, vec![targets], "one call carrying every write set");
+        assert!(seen.alone.is_empty() && seen.parked == 0, "and nothing beside it");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_busy_target_still_answers_and_commits_through_the_single_entry_hook() {
+        let (engine, _, dir) = native_engine();
+        let src = create(&engine, "Native", &["b/src"]).remove(0);
+        let targets = create(&engine, "Native", &["b/0", "b/1", "b/2", "b/3"]);
+        let hook = Arc::new(RecordingHook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+
+        let held = engine.scheduler().acquire_exclusive(&targets[2], &[]);
+        let scatter = {
+            let (engine, src, args) =
+                (Arc::clone(&engine), src.clone(), vec![ids(&targets), VmValue::str("x")]);
+            std::thread::spawn(move || engine.invoke(&src, "broadcast", args))
+        };
+        // The wave leaves without the busy branch …
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while hook.0.lock().waves.is_empty() {
+            assert!(Instant::now() < deadline, "the wave never shipped");
+            std::thread::yield_now();
+        }
+        let free = vec![targets[0].clone(), targets[1].clone(), targets[3].clone()];
+        assert_eq!(hook.0.lock().waves, vec![free]);
+        assert!(!scatter.is_finished(), "the caller waits for every branch");
+        // … which commits on its own once its object is released.
+        drop(held);
+        assert_eq!(scatter.join().unwrap().unwrap(), ids(&targets));
+        assert_eq!(hook.0.lock().alone, vec![targets[2].clone()]);
+        assert_eq!(hook.0.lock().waves.len(), 1);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_branch_that_nests_into_a_sibling_ships_the_wave_first() {
+        // A branch in the wave holds its object until the wave is acked,
+        // and the wave ships from the issue thread: a later branch whose
+        // body parks on that thread behind a sibling's guard would wait
+        // for itself. `n/b` twice also covers the second `n/b` branch
+        // running inside the first one's boundary and the first one's
+        // reacquire waiting for it. The nested call is a `host.invoke` or
+        // a scatter of its own, whose join parks just the same.
+        for (payload, waves) in [("invoke", 1), ("scatter", 4)] {
+            let (engine, _, dir) = native_engine();
+            let src = create(&engine, "Native", &["n/src"]).remove(0);
+            let nodes = create(&engine, "Native", &["n/a", "n/b", "n/c"]);
+            let (a, b, c) = (nodes[0].clone(), nodes[1].clone(), nodes[2].clone());
+            let targets = vec![a.clone(), b.clone(), b.clone(), c.clone()];
+            let hook = Arc::new(RecordingHook::default());
+            engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+
+            let (tx, rx) = std::sync::mpsc::channel();
+            {
+                let (engine, args) =
+                    (Arc::clone(&engine), vec![ids(&targets), VmValue::str(payload)]);
+                std::thread::spawn(move || tx.send(engine.invoke(&src, "relay_all", args)));
+            }
+            let results =
+                rx.recv_timeout(Duration::from_secs(10)).expect("the issue thread wedged");
+            assert_eq!(results.unwrap(), ids(&targets), "{payload}");
+            let count = |id| engine.invoke(id, "inbox_count", vec![]).unwrap();
+            assert_eq!(count(&a), VmValue::Int(4), "its own relay and one receive per sibling");
+            assert_eq!(count(&b), VmValue::Int(4), "two relays, each before and after the call");
+            assert_eq!(count(&c), VmValue::Int(2));
+            let seen = hook.0.lock();
+            // What the wave held left before the first park, and the wave
+            // stayed closed; a nested scatter's own wave carries its `n/a`.
+            assert_eq!(seen.waves, vec![vec![a]; waves], "{payload}");
+            assert_eq!(seen.alone, vec![b.clone(), b, c], "{payload}");
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn duplicate_targets_and_the_caller_itself_are_ordinary_branches() {
+        let (engine, dir) = scatter_engine();
+        let nodes = create(&engine, "Node", &["d/src", "d/a"]);
+        let (src, a) = (&nodes[0], &nodes[1]);
+        let targets = [a.clone(), a.clone(), src.clone()];
+        let results =
+            engine.invoke(src, "broadcast", vec![ids(&targets), VmValue::str("twice")]).unwrap();
+        assert_eq!(results.as_list().unwrap().len(), 3);
+        assert_eq!(engine.invoke(a, "inbox_count", vec![]).unwrap(), VmValue::Int(2));
+        assert_eq!(engine.invoke(src, "inbox_count", vec![]).unwrap(), VmValue::Int(1));
+        // A branch's error reaches the caller as the error it was.
+        let err = engine
+            .invoke(src, "broadcast_picky", vec![ids(&targets), VmValue::str("poison")])
+            .unwrap_err();
+        assert_eq!(err, InvokeError::Aborted("rejected".into()));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_scatter_granted_on_the_completion_thread_joins_off_it() {
+        // The restated completion-pool rule (DESIGN.md §10): the wave's
+        // join is a parked waiter woken by completions, so it must not sit
+        // on a pool thread. A one-thread pool, played by the test, acks
+        // deferred commits in order. Y holds A until the pool acks it; Z,
+        // a scatter, queues behind Y and is therefore granted on the pool
+        // thread. Were Z's body to run there, its join would wait for acks
+        // only that thread can deliver.
+        struct Pool(channel::Sender<CommitCallback>);
+        impl CommitHook for Pool {
+            fn on_commit(
+                &self,
+                _: &InvocationContext,
+                _: &ObjectId,
+                _: &[(Vec<u8>, Option<Vec<u8>>)],
+            ) -> std::result::Result<(), String> {
+                Ok(())
+            }
+            fn on_commit_deferred(
+                &self,
+                _: &InvocationContext,
+                _: &ObjectId,
+                _: WriteSetOps,
+                done: CommitCallback,
+            ) {
+                self.0.send(done).unwrap();
+            }
+        }
+        let (engine, dir) = scatter_engine();
+        let nodes = create(&engine, "Node", &["p/a", "p/b", "p/c"]);
+        let (acks_tx, acks) = channel::unbounded();
+        engine.set_commit_hook(Arc::new(Pool(acks_tx)));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let start = |method: &str, args: Vec<VmValue>| {
+            let ctx = InvocationContext::client(Duration::from_secs(30));
+            let tx = tx.clone();
+            let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
+            engine.invoke_deferred(&ctx, &nodes[0], method, args, true, done);
+        };
+        start("receive", vec![VmValue::str("y")]); // Y: holds A, awaits the pool
+        start("broadcast", vec![ids(&nodes[1..]), VmValue::str("z")]); // Z: behind Y
+        assert_eq!(acks.len(), 1, "Y waits for its ack, Z for Y");
+
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let pool_thread = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(AtomicOrdering::SeqCst) {
+                    if let Ok(ack) = acks.recv_timeout(Duration::from_millis(5)) {
+                        ack(Ok(()));
+                    }
+                }
+            })
+        };
+        for _ in 0..2 {
+            let outcome = rx.recv_timeout(Duration::from_secs(10));
+            assert!(outcome.expect("the pool thread wedged").is_ok());
+        }
+        stop.store(true, AtomicOrdering::SeqCst);
+        pool_thread.join().unwrap();
+        for branch in &nodes[1..] {
+            assert_eq!(engine.invoke(branch, "inbox_count", vec![]).unwrap(), VmValue::Int(1));
         }
         std::fs::remove_dir_all(dir).ok();
     }

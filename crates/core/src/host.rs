@@ -52,6 +52,20 @@ pub trait NestedInvoker: Sync {
         depth: usize,
     ) -> Result<VmValue, HostError>;
 
+    /// Run one nested invocation of `method(args)` per target as a single
+    /// scatter (called with the caller's lock released) and park until
+    /// every branch has answered; one result per target, in target order.
+    /// Each branch is an invocation of its own: own lock, own atomic
+    /// commit, own abort.
+    fn invoke_nested_many(
+        &self,
+        ctx: &InvocationContext,
+        targets: &[ObjectId],
+        method: &str,
+        args: &[VmValue],
+        depth: usize,
+    ) -> Vec<Result<VmValue, HostError>>;
+
     /// Re-acquire `object`'s exclusive lock for the caller's resumption,
     /// and report the snapshot sequence the resumed invocation reads at.
     fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64);
@@ -257,39 +271,15 @@ impl Host for ObjectHost<'_> {
             self.ensure_writable()?;
             return Ok(Vec::new());
         }
-        // One boundary for the whole scatter, run in parallel — "updating
-        // many follower timelines at once is done quickly by running the
-        // store_post calls in parallel" (§3.2) — in bounded waves, so a
-        // celebrity fan-out does not spawn thousands of threads at once.
-        const FANOUT_WAVE: usize = 8;
-        let results = self.across_boundary(targets.len() as u64, |nested, ctx, depth| {
-            let mut results: Vec<Result<VmValue, HostError>> = Vec::with_capacity(targets.len());
-            for wave in targets.chunks(FANOUT_WAVE) {
-                let wave_results: Vec<Result<VmValue, HostError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = wave
-                        .iter()
-                        .map(|target| {
-                            let args = args.clone();
-                            let target = ObjectId::new(target.clone());
-                            scope.spawn(move || {
-                                nested.invoke_nested(ctx, &target, method, args, depth)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join().unwrap_or_else(|_| {
-                                Err(HostError::InvokeFailed("fan-out thread panicked".into()))
-                            })
-                        })
-                        .collect()
-                });
-                results.extend(wave_results);
-            }
-            results
-        })?;
-        results.into_iter().collect()
+        // One boundary for the whole scatter — "updating many follower
+        // timelines at once is done quickly by running the store_post
+        // calls in parallel" (§3.2).
+        let targets: Vec<ObjectId> = targets.into_iter().map(ObjectId::new).collect();
+        self.across_boundary(targets.len() as u64, |nested, ctx, depth| {
+            nested.invoke_nested_many(ctx, &targets, method, &args, depth)
+        })?
+        .into_iter()
+        .collect()
     }
 
     fn self_id(&self) -> Vec<u8> {

@@ -79,8 +79,8 @@ pub mod transaction;
 pub use buffer::{value_hash, WriteBuffer};
 pub use cache::{args_hash, CacheStats, ConsistentCache};
 pub use engine::{
-    CommitCallback, CommitHook, Engine, EngineConfig, EngineStats, InvokeCompletion, InvokeOutcome,
-    InvokeRouter, ReadSet, WriteSetOps, DEDUP_WINDOW,
+    CommitCallback, CommitHook, DeferredCommit, Engine, EngineConfig, EngineStats,
+    InvokeCompletion, InvokeOutcome, InvokeRouter, ReadSet, WriteSetOps, DEDUP_WINDOW,
 };
 pub use error::{decode_error, encode_error, InvokeError, Result};
 pub use host::{NestedInvoker, ObjectHost};

@@ -179,7 +179,7 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
-    fn new_engine() -> (Engine, std::path::PathBuf) {
+    fn new_engine() -> (Arc<Engine>, std::path::PathBuf) {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("lambda-migrate-{}-{n}", std::process::id()));

@@ -318,10 +318,10 @@ impl Scheduler {
         run_grant(grant, Ok(ObjectGuard { lock: Some((lock, exclusive)) }));
     }
 
-    /// Parked shell: the grant is handed over a channel. (Sound here,
-    /// unlike at the engine and replication layers, as "deferred plus
-    /// `recv()`": a grant runs on the *releasing* thread, and nothing that
-    /// parks sits on the completion pool a release may come from.)
+    /// Parked shell: the grant is handed over a channel. (Sound as
+    /// "deferred plus `recv()`", although a grant runs on the *releasing*
+    /// thread and that may be a completion: nothing that parks here sits
+    /// on the completion pool — DESIGN.md §10, the completion-pool rule.)
     fn acquire_parked(
         &self,
         object: &ObjectId,

@@ -312,7 +312,7 @@ mod tests {
             )
             .unwrap(),
         );
-        (Arc::new(Engine::new(db, types, EngineConfig::default())), dir)
+        (Engine::new(db, types, EngineConfig::default()), dir)
     }
 
     fn oid(s: &str) -> ObjectId {
@@ -458,6 +458,58 @@ mod tests {
             engine.invoke_transaction(&[TxCall::new(oid("a"), "balance", vec![])]).unwrap();
         assert_eq!(results[0], VmValue::Int(0));
         assert_eq!(engine.object_version(&oid("a")), 0, "no version bump for pure reads");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_transaction_hands_all_its_write_sets_to_the_hook_in_one_call() {
+        use crate::engine::{CommitHook, DeferredCommit};
+        use lambda_telemetry::InvocationContext;
+
+        /// Records the objects of every `on_commit_many` call; a failing
+        /// one nacks the last write set it is handed.
+        #[derive(Default)]
+        struct Hook {
+            calls: parking_lot::Mutex<Vec<Vec<ObjectId>>>,
+            failing: bool,
+        }
+        impl CommitHook for Hook {
+            fn on_commit(
+                &self,
+                _: &InvocationContext,
+                _: &ObjectId,
+                _: &[(Vec<u8>, Option<Vec<u8>>)],
+            ) -> std::result::Result<(), String> {
+                Ok(())
+            }
+            fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
+                self.calls.lock().push(commits.iter().map(|c| c.object.clone()).collect());
+                let last = commits.len() - 1;
+                for (i, commit) in commits.into_iter().enumerate() {
+                    let nack = self.failing && i == last;
+                    (commit.done)(if nack { Err("replica down".into()) } else { Ok(()) });
+                }
+            }
+        }
+        let (engine, dir) = new_engine();
+        for name in ["a", "b", "c", "untouched"] {
+            engine.create_object("Account", &oid(name), &[]).unwrap();
+        }
+        let transfer = [
+            TxCall::new(oid("c"), "add", vec![VmValue::Int(1)]),
+            TxCall::new(oid("a"), "add", vec![VmValue::Int(2)]),
+            TxCall::new(oid("b"), "add", vec![VmValue::Int(3)]),
+            TxCall::new(oid("untouched"), "balance", vec![]),
+        ];
+        let hook = Arc::new(Hook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+        engine.invoke_transaction(&transfer).unwrap();
+        assert_eq!(*hook.calls.lock(), vec![vec![oid("a"), oid("b"), oid("c")]]);
+
+        // One write set that fails to replicate fails the transaction.
+        engine.set_commit_hook(Arc::new(Hook { failing: true, ..Hook::default() }));
+        let err = engine.invoke_transaction(&transfer).unwrap_err();
+        assert_eq!(err, InvokeError::Storage("replica down".into()));
         std::fs::remove_dir_all(dir).ok();
     }
 }

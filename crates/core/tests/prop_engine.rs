@@ -88,7 +88,7 @@ fn account_type() -> ObjectType {
     .unwrap()
 }
 
-fn new_engine(dir: &std::path::Path) -> Engine {
+fn new_engine(dir: &std::path::Path) -> Arc<Engine> {
     let db = Db::open(dir, Options::small_for_tests()).unwrap();
     let types = Arc::new(TypeRegistry::new());
     types.register(account_type());

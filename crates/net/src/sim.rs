@@ -409,6 +409,7 @@ impl Network {
         }
         let now = Instant::now();
         let mut queue = self.inner.queue.lock();
+        let head = queue.peek().map(|s| s.deliver_at);
         if let Some(extra) = duplicate_delay {
             queue.push(Scheduled {
                 deliver_at: now + extra,
@@ -421,8 +422,13 @@ impl Network {
             seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
             envelope: Envelope { from, to, payload },
         });
+        // The dispatcher sleeps until the head is due: only a new head
+        // changes when it must wake.
+        let new_head = queue.peek().map(|s| s.deliver_at) != head;
         drop(queue);
-        self.inner.queue_cv.notify_all();
+        if new_head {
+            self.inner.queue_cv.notify_all();
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! identical, which the tests verify.
 
 use lambda_objects::{FieldDef, FieldKind, ObjectType};
-use lambda_vm::{assemble, Module, NativeRegistry, VmValue};
+use lambda_vm::{assemble, HostError, Module, NativeCtx, NativeRegistry, VmValue};
 
 /// The type name used for ReTwis user objects.
 pub const USER_TYPE: &str = "User";
@@ -33,11 +33,10 @@ pub fn user_fields() -> Vec<FieldDef> {
 pub fn user_module() -> Module {
     assemble(
         r#"
-        ; create_post_par(msg): fan out with the parallel scatter
-        ; ("running the store_post calls in parallel", §3.2). Wins on
-        ; multi-core hosts; the ABL-FANOUT ablation compares it against
-        ; the sequential default.
-        fn create_post_par(1) locals=5 {
+        ; create_post(msg): store the post in our own timeline and posts,
+        ; then fan it out to every follower (Listing 1, lines 6-12) as one
+        ; scatter ("running the store_post calls in parallel", §3.2).
+        fn create_post(1) locals=5 {
             ; post = self_id ++ "|" ++ msg
             host.self
             push.s "|"
@@ -67,9 +66,9 @@ pub fn user_module() -> Module {
             ret
         }
 
-        ; create_post(msg): store the post in our own timeline and posts,
-        ; then fan it out to every follower (Listing 1, lines 6-12).
-        fn create_post(1) locals=5 {
+        ; create_post_seq(msg): the same post, fanned out one follower at
+        ; a time — the reference the ABL-FANOUT ablation compares against.
+        fn create_post_seq(1) locals=5 {
             host.self
             push.s "|"
             concat
@@ -175,31 +174,32 @@ pub fn user_type() -> ObjectType {
         .expect("retwis module validates")
 }
 
+/// The part both native `create_post` variants share: store the post in
+/// the author's own `posts` and `timeline`; returns it with the followers
+/// it still has to reach.
+fn store_own_post(ctx: &mut NativeCtx<'_>) -> Result<(Vec<u8>, Vec<Vec<u8>>), HostError> {
+    let msg = ctx.bytes_arg(0)?;
+    let mut post = ctx.host.self_id();
+    post.push(b'|');
+    post.extend_from_slice(&msg);
+    ctx.host.push(b"posts", &post)?;
+    ctx.host.push(b"timeline", &post)?;
+    Ok((post, ctx.host.scan(b"followers", usize::MAX, false)?))
+}
+
 /// The trusted-native implementation of the same type.
 pub fn user_type_native() -> ObjectType {
     let mut reg = NativeRegistry::new();
     reg.register("create_post", false, false, true, |ctx| {
-        let msg = ctx.bytes_arg(0)?;
-        let mut post = ctx.host.self_id();
-        post.push(b'|');
-        post.extend_from_slice(&msg);
-        ctx.host.push(b"posts", &post)?;
-        ctx.host.push(b"timeline", &post)?;
-        let followers = ctx.host.scan(b"followers", usize::MAX, false)?;
+        let (post, followers) = store_own_post(ctx)?;
+        ctx.host.invoke_many(followers, "store_post", vec![VmValue::Bytes(post)])?;
+        Ok(VmValue::Unit)
+    });
+    reg.register("create_post_seq", false, false, true, |ctx| {
+        let (post, followers) = store_own_post(ctx)?;
         for follower in followers {
             ctx.host.invoke(&follower, "store_post", vec![VmValue::Bytes(post.clone())])?;
         }
-        Ok(VmValue::Unit)
-    });
-    reg.register("create_post_par", false, false, true, |ctx| {
-        let msg = ctx.bytes_arg(0)?;
-        let mut post = ctx.host.self_id();
-        post.push(b'|');
-        post.extend_from_slice(&msg);
-        ctx.host.push(b"posts", &post)?;
-        ctx.host.push(b"timeline", &post)?;
-        let followers = ctx.host.scan(b"followers", usize::MAX, false)?;
-        ctx.host.invoke_many(followers, "store_post", vec![VmValue::Bytes(post.clone())])?;
         Ok(VmValue::Unit)
     });
     reg.register("store_post", false, false, false, |ctx| {
@@ -254,7 +254,7 @@ mod tests {
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
 
-    fn engine_with(ty: ObjectType) -> (Engine, std::path::PathBuf) {
+    fn engine_with(ty: ObjectType) -> (Arc<Engine>, std::path::PathBuf) {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
         let n = COUNTER.fetch_add(1, Ordering::Relaxed);
         let dir = std::env::temp_dir().join(format!("lambda-retwis-{}-{n}", std::process::id()));
@@ -314,6 +314,33 @@ mod tests {
         let (engine, dir) = engine_with(user_type_native());
         run_retwis_scenario(&engine);
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn the_sequential_reference_delivers_what_the_scatter_delivers() {
+        for ty in [user_type(), user_type_native()] {
+            let (engine, dir) = engine_with(ty);
+            let ids: Vec<ObjectId> = (0..4).map(|i| ObjectId::new(account_id(i))).collect();
+            for id in &ids {
+                engine.create_object(USER_TYPE, id, &[]).unwrap();
+            }
+            for follower in &ids[1..] {
+                engine.invoke(&ids[0], "follow", vec![VmValue::Bytes(follower.0.clone())]).unwrap();
+            }
+            engine.invoke(&ids[0], "create_post", vec![VmValue::str("scattered")]).unwrap();
+            engine.invoke(&ids[0], "create_post_seq", vec![VmValue::str("in turn")]).unwrap();
+            for reader in &ids {
+                let tl = engine.invoke(reader, "get_timeline", vec![VmValue::Int(10)]).unwrap();
+                let msgs: Vec<String> = tl
+                    .as_list()
+                    .unwrap()
+                    .iter()
+                    .map(|post| parse_post(post.as_bytes().unwrap()).unwrap().1)
+                    .collect();
+                assert_eq!(msgs, ["in turn", "scattered"], "{reader} timeline");
+            }
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
     #[test]

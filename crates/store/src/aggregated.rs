@@ -20,8 +20,9 @@ use lambda_kv::Db;
 use lambda_net::rpc::{sync_handler, AdmissionPolicy, Responder, RpcConfig};
 use lambda_net::{wire, Handler, Network, NodeId, RpcNode};
 use lambda_objects::{
-    encode_error, CommitHook, Counter, Engine, EngineConfig, Gauge, InvocationContext, InvokeError,
-    InvokeRouter, ObjectId, ObjectType, Origin, Registry, TypeRegistry,
+    encode_error, CommitHook, Counter, Engine, EngineConfig, Gauge, InvocationContext,
+    InvokeCompletion, InvokeError, InvokeRouter, ObjectId, ObjectType, Origin, Registry,
+    TypeRegistry,
 };
 use lambda_vm::VmValue;
 
@@ -157,22 +158,33 @@ impl NodeInner {
         }
     }
 
-    /// One node-to-node RPC on behalf of `ctx`: the context crosses the
-    /// wire in the request envelope (origin flipped to `Node`), and the
-    /// transport timeout is the remaining budget capped at the configured
-    /// per-hop timeout. An already-expired context sheds before any I/O.
+    /// `req` framed for one node-to-node hop on behalf of `ctx`, and the
+    /// hop's timeout: the context crosses the wire in the request envelope
+    /// (origin flipped to `Node`), and the transport timeout is the
+    /// remaining budget capped at the configured per-hop timeout. An
+    /// already-expired context sheds before any I/O.
+    fn peer_frame(
+        &self,
+        ctx: &InvocationContext,
+        req: &StoreRequest,
+    ) -> Result<(Vec<u8>, Duration), InvokeError> {
+        let down = ctx.for_downstream();
+        if down.expired() {
+            return Err(InvokeError::DeadlineExceeded);
+        }
+        let frame = proto::encode_request(&down, req).expect("requests serialize");
+        Ok((frame, down.rpc_timeout(self.rpc_timeout)))
+    }
+
+    /// One node-to-node RPC on behalf of `ctx`, parking for the reply.
     pub(crate) fn call_peer(
         &self,
         ctx: &InvocationContext,
         to: NodeId,
         req: &StoreRequest,
     ) -> Result<StoreResponse, InvokeError> {
-        let down = ctx.for_downstream();
-        if down.expired() {
-            return Err(InvokeError::DeadlineExceeded);
-        }
-        let frame = proto::encode_request(&down, req).expect("requests serialize");
-        proto::decode_reply(self.rpc().call(to, frame, down.rpc_timeout(self.rpc_timeout)))
+        let (frame, timeout) = self.peer_frame(ctx, req)?;
+        proto::decode_reply(self.rpc().call(to, frame, timeout))
     }
 
     /// The one shipping loop: call `to` with background work `req` until
@@ -377,6 +389,27 @@ impl NodeInner {
     }
 }
 
+/// The one-hop request a nested call on a remote `target` becomes.
+fn nested_invoke(target: &ObjectId, method: &str, args: Vec<VmValue>) -> StoreRequest {
+    StoreRequest::Invoke {
+        object: target.0.clone(),
+        method: method.to_string(),
+        args,
+        read_only: false,
+        internal: true,
+        collect_read_set: false,
+    }
+}
+
+impl NodeInner {
+    /// The primary a nested call on `target` hops to; `None` when the
+    /// object is served here (or no shard map is installed).
+    fn remote_primary(&self, target: &ObjectId) -> Option<NodeId> {
+        let (_, info) = self.placement.locate(target)?;
+        (info.primary != self.id).then_some(info.primary)
+    }
+}
+
 impl InvokeRouter for NodeInner {
     fn route(
         &self,
@@ -387,26 +420,44 @@ impl InvokeRouter for NodeInner {
         args: Vec<VmValue>,
         depth: usize,
     ) -> Result<VmValue, InvokeError> {
-        match self.placement.locate(target) {
-            Some((_, info)) if info.primary != self.id => {
-                // Remote object: one hop to its primary (§4.2.1 — "a
-                // function invocation results in at most one network
-                // round-trip within the responsible replica set"). The
-                // caller's context rides along, so the remote engine's
-                // spans join this trace and its scheduler enforces what is
-                // left of the deadline.
-                let req = StoreRequest::Invoke {
-                    object: target.0.clone(),
-                    method: method.to_string(),
-                    args,
-                    read_only: false,
-                    internal: true,
-                    collect_read_set: false,
-                };
-                self.call_peer(ctx, info.primary, &req)?.into_value()
+        match self.remote_primary(target) {
+            // Remote object: one hop to its primary (§4.2.1 — "a function
+            // invocation results in at most one network round-trip within
+            // the responsible replica set"). The caller's context rides
+            // along, so the remote engine's spans join this trace and its
+            // scheduler enforces what is left of the deadline.
+            Some(primary) => {
+                self.call_peer(ctx, primary, &nested_invoke(target, method, args))?.into_value()
             }
-            _ => self.engine.invoke_ctx(ctx, target, method, args, false, depth),
+            None => self.engine.invoke_ctx(ctx, target, method, args, false, depth),
         }
+    }
+
+    fn route_deferred(
+        &self,
+        ctx: &InvocationContext,
+        target: &ObjectId,
+        method: &str,
+        args: &[VmValue],
+        done: InvokeCompletion,
+    ) -> Option<InvokeCompletion> {
+        let Some(primary) = self.remote_primary(target) else {
+            return Some(done);
+        };
+        // The same hop as `route`, as a completion.
+        match self.peer_frame(ctx, &nested_invoke(target, method, args.to_vec())) {
+            Err(e) => done(Err(e)),
+            Ok((frame, timeout)) => self.rpc().call_deferred(
+                primary,
+                frame,
+                timeout,
+                Box::new(move |reply| {
+                    let value = proto::decode_reply(reply).and_then(StoreResponse::into_value);
+                    done(value.map(|value| (value, None)));
+                }),
+            ),
+        }
+        None
     }
 }
 
@@ -437,8 +488,7 @@ impl AggregatedNode {
         let registry = Registry::shared();
         let db = Db::open_with_registry(&config.data_dir, config.kv.clone(), &registry)?;
         let types = Arc::new(TypeRegistry::new());
-        let engine =
-            Arc::new(Engine::with_registry(db, types, config.engine, Arc::clone(&registry)));
+        let engine = Engine::with_registry(db, types, config.engine, Arc::clone(&registry));
 
         let inner = Arc::new(NodeInner {
             id,

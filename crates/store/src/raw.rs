@@ -6,7 +6,7 @@
 //! scheduling — not storage replication.
 
 use lambda_kv::WriteBatch;
-use lambda_objects::{keys, CommitHook, InvocationContext, InvokeError, ObjectId};
+use lambda_objects::{keys, InvocationContext, InvokeError, ObjectId};
 
 use crate::aggregated::NodeInner;
 use crate::proto::StoreResponse;
@@ -88,7 +88,8 @@ impl NodeInner {
         ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
     ) -> Reply {
         if let Some((oid, _)) = ops.first().and_then(|(key, _)| keys::split_key(key)) {
-            self.on_commit(ctx, &oid, &ops).map_err(lambda_objects::error::decode_hook_error)?;
+            self.commit_parked(ctx, &oid, &ops, false)
+                .map_err(lambda_objects::error::decode_hook_error)?;
         }
         Ok(StoreResponse::Ok)
     }

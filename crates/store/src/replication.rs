@@ -6,8 +6,9 @@
 //! * the **commit gate** ([`ReplState::commit_gate`]): may this node
 //!   replicate the write set at all, must the commit wait, or where does
 //!   it ship;
-//! * the **window** ([`Window`]): per-shard queue of committed write sets,
-//!   coalesced into rounds by one prefix rule;
+//! * the **window** ([`Window`]): per-shard queue of committed write sets
+//!   behind a bounded number of rounds in flight, coalesced into rounds by
+//!   one prefix rule;
 //! * the **round** ([`Round`]): one `ReplicateBatch` frame, re-stamped per
 //!   attempt by one frame builder;
 //! * the **post-round step** ([`after_round`]): from the acks and the
@@ -16,9 +17,9 @@
 //! What is written twice is only how a committer waits on those
 //! decisions: the *parked* shell (`CommitHook::on_commit`: `sleep`,
 //! `call_many`, a channel) and the *completion* shell
-//! (`CommitHook::on_commit_deferred`: `schedule`, `call_many_deferred`,
-//! a callback). The two never share a window, so a parked committer is
-//! never woken by a completion — the completion-pool rule, DESIGN.md §10.
+//! (`CommitHook::on_commit_many`: `schedule`, `call_many_deferred`,
+//! a callback). The two never share a window, so a committer parked here
+//! is never woken by a completion — the completion-pool rule, DESIGN.md §10.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -32,8 +33,8 @@ use parking_lot::Mutex;
 use lambda_coordinator::{Epoch, MigrationPhase, ShardId, ShardInfo};
 use lambda_net::{wire, NodeId, RpcError};
 use lambda_objects::{
-    encode_error, CommitCallback, CommitHook, Counter, InvocationContext, InvokeError, ObjectId,
-    Registry, WriteSetOps,
+    encode_error, CommitCallback, CommitHook, Counter, DeferredCommit, InvocationContext,
+    InvokeError, ObjectId, Registry, WriteSetOps,
 };
 
 use crate::aggregated::NodeInner;
@@ -44,6 +45,15 @@ use crate::proto::{self, StoreRequest, StoreResponse};
 /// fault clear or the failure detector evict a dead backup, short enough
 /// that a commit holding an object lock barely notices.
 const REPL_RETRY_PAUSE: Duration = Duration::from_millis(2);
+
+/// Rounds one shard's window keeps in flight at once. One (stop-and-wait)
+/// makes every commit sit out the rest of somebody else's round first;
+/// with the ~1 round a loaded shard is offered per round trip, four leave
+/// under 2 % of arrivals waiting (Erlang B), and a window that is full
+/// anyway still coalesces everything queued into the next round.
+/// Overlapping is safe because two rounds in flight never carry the same
+/// object (DESIGN.md §10).
+const MAX_ROUNDS_IN_FLIGHT: usize = 4;
 
 /// Pause before re-gating a commit whose forward to a syncing recruit
 /// found the placement mid-move.
@@ -230,7 +240,8 @@ impl ReplState {
     }
 
     fn window(&self, shard: ShardId, parked: bool) -> Arc<Window> {
-        Arc::clone(self.windows.lock().entry((shard, parked)).or_default())
+        let mut windows = self.windows.lock();
+        Arc::clone(windows.entry((shard, parked)).or_insert_with(|| Arc::new(Window::new(shard))))
     }
 }
 
@@ -238,16 +249,15 @@ impl ReplState {
 
 /// How the committer behind a queued write set learns its outcome.
 enum Waiter {
-    /// A parked committer, woken with its round's outcome or with the lead
-    /// of the next round (same leader/follower scheme as the WAL group
-    /// commit).
+    /// A parked committer, woken with its round's outcome or with a round
+    /// to lead (same leader/follower scheme as the WAL group commit).
     Parked(channel::Sender<Wake>),
     Completion(CommitCallback),
 }
 
 enum Wake {
     Outcome(Result<(), String>),
-    Lead,
+    Lead(Box<Round>),
 }
 
 impl Waiter {
@@ -263,72 +273,110 @@ impl Waiter {
 /// One committed write set queued for shipment.
 struct Entry {
     set: WriteSet,
-    /// Epoch and backup set captured at the gate; see [`Window::take_round`].
+    /// Epoch and backup set captured at the gate; see [`WindowState::start_rounds`].
     epoch: Epoch,
     backups: Vec<NodeId>,
     /// The committing invocation's context; the round leader's copy bounds
     /// the first fan-out's timeout and rides in the frame's envelope.
     ctx: InvocationContext,
     waiter: Waiter,
+    /// The committer holds the object's guard until this write set is
+    /// acked — every engine commit; not a raw write.
+    guarded: bool,
 }
 
 impl Entry {
-    fn new(set: WriteSet, info: ShardInfo, ctx: &InvocationContext, waiter: Waiter) -> Entry {
-        Entry { set, epoch: info.epoch, backups: info.backups, ctx: *ctx, waiter }
+    fn new(
+        set: WriteSet,
+        info: ShardInfo,
+        ctx: &InvocationContext,
+        waiter: Waiter,
+        guarded: bool,
+    ) -> Entry {
+        Entry { set, epoch: info.epoch, backups: info.backups, ctx: *ctx, waiter, guarded }
     }
 }
 
-/// Per-shard replication window: committed write sets accumulate while one
-/// round is in flight; whoever finishes that round starts (or hands off)
-/// the next.
-#[derive(Default)]
+/// Per-shard replication window: up to [`MAX_ROUNDS_IN_FLIGHT`] rounds are
+/// out at once; committed write sets that find every slot taken accumulate,
+/// and whoever finishes a round starts (or hands off) the next.
 pub(crate) struct Window {
+    shard: ShardId,
     state: Mutex<WindowState>,
 }
 
 #[derive(Default)]
 struct WindowState {
     queue: VecDeque<Entry>,
-    /// A round is in flight, or a promoted leader is about to take one.
-    leading: bool,
+    /// Rounds out, counting one a parked committer was handed and is about
+    /// to run. Whenever the lock is released, a non-empty queue means this
+    /// is at the bound.
+    in_flight: usize,
+    /// Debug builds: the guarded objects of the rounds in flight.
+    out: Vec<Vec<u8>>,
 }
 
 impl Window {
-    /// Queue `entry`; true when the caller must lead (the window was idle).
-    fn push(&self, entry: Entry) -> bool {
-        let mut st = self.state.lock();
-        st.queue.push_back(entry);
-        !std::mem::replace(&mut st.leading, true)
+    fn new(shard: ShardId) -> Window {
+        Window { shard, state: Mutex::default() }
     }
 
-    /// The coalescing rule: a round is the longest queue prefix that
-    /// agrees on `(epoch, backups)`. A write set enqueued under a newer
-    /// configuration leads its own round later, so epoch fencing stays
-    /// exact across reconfigurations. An empty queue idles the window.
-    fn take_round(&self, shard: ShardId) -> Option<Round> {
+    /// Queue `entries`; the rounds that leave right now are the caller's
+    /// to run. A single entry that starts a round leads it (a free slot
+    /// means the queue was empty).
+    fn push(&self, entries: impl IntoIterator<Item = Entry>) -> Vec<Round> {
         let mut st = self.state.lock();
-        let Some(first) = st.queue.pop_front() else {
-            st.leading = false;
-            return None;
-        };
-        let mut round = Round::of(shard, first);
-        while st.queue.front().is_some_and(|e| e.epoch == round.epoch && e.backups == round.backups)
-        {
-            let next = st.queue.pop_front().expect("front exists");
-            round.sets.push(next.set);
-            round.waiters.push(next.waiter);
-        }
-        Some(round)
+        st.queue.extend(entries);
+        st.start_rounds(self.shard)
     }
 
-    /// Parked windows only: pass the lead to the committer parked at the
-    /// front, or idle the window.
-    fn hand_off(&self) {
+    /// `done` has its outcome: free its slot, and hand the caller the round
+    /// that takes it when write sets are queued. Called before `done`'s
+    /// waiters learn the outcome — they release their objects' guards, and
+    /// the next commit of such an object may be pushed at once.
+    fn finish(&self, done: &Round) -> Vec<Round> {
         let mut st = self.state.lock();
-        match st.queue.front() {
-            Some(Entry { waiter: Waiter::Parked(next), .. }) => drop(next.send(Wake::Lead)),
-            _ => st.leading = false,
+        st.in_flight -= 1;
+        if cfg!(debug_assertions) {
+            st.out.retain(|object| !done.tracked.contains(object));
         }
+        st.start_rounds(self.shard)
+    }
+}
+
+impl WindowState {
+    /// The one rule, for both shells: while a slot is free and write sets
+    /// are queued, a round leaves with the longest queue prefix that agrees
+    /// on `(epoch, backups)`. A write set enqueued under a newer
+    /// configuration leads its own round, so epoch fencing stays exact
+    /// across reconfigurations.
+    fn start_rounds(&mut self, shard: ShardId) -> Vec<Round> {
+        let mut rounds = Vec::new();
+        while self.in_flight < MAX_ROUNDS_IN_FLIGHT {
+            let Some(first) = self.queue.pop_front() else { break };
+            self.in_flight += 1;
+            let mut round = Round::of(shard, first);
+            while self
+                .queue
+                .front()
+                .is_some_and(|e| e.epoch == round.epoch && e.backups == round.backups)
+            {
+                round.add(self.queue.pop_front().expect("front exists"));
+            }
+            // An object's guard is held from its commit to its ack, so its
+            // next write set cannot be here while the last one is still out.
+            // (`tracked` is empty in release builds.)
+            for object in &round.tracked {
+                debug_assert!(
+                    !self.out.contains(object),
+                    "object {:?} is in two in-flight rounds of shard {shard}",
+                    String::from_utf8_lossy(object)
+                );
+                self.out.push(object.clone());
+            }
+            rounds.push(round);
+        }
+        rounds
     }
 }
 
@@ -344,6 +392,8 @@ struct Round {
     down: InvocationContext,
     attempt: u32,
     waiters: Vec<Waiter>,
+    /// Debug builds: the objects of the guarded write sets among `sets`.
+    tracked: Vec<Vec<u8>>,
 }
 
 impl Round {
@@ -356,14 +406,34 @@ impl Round {
         sets: Vec<WriteSet>,
     ) -> Round {
         let down = ctx.for_downstream();
-        Round { shard, epoch, backups, sets, down, attempt: 0, waiters: Vec::new() }
+        let (waiters, tracked) = (Vec::new(), Vec::new());
+        Round { shard, epoch, backups, sets, down, attempt: 0, waiters, tracked }
     }
 
     /// A round of one queued write set (a window's round starts as one).
-    fn of(shard: ShardId, first: Entry) -> Round {
-        let mut round = Round::new(shard, first.epoch, first.backups, &first.ctx, vec![first.set]);
-        round.waiters.push(first.waiter);
+    fn of(shard: ShardId, mut first: Entry) -> Round {
+        let backups = std::mem::take(&mut first.backups);
+        let mut round = Round::new(shard, first.epoch, backups, &first.ctx, Vec::new());
+        round.add(first);
         round
+    }
+
+    fn add(&mut self, entry: Entry) {
+        if cfg!(debug_assertions) && entry.guarded {
+            self.tracked.push(entry.set.0.clone());
+        }
+        self.sets.push(entry.set);
+        self.waiters.push(entry.waiter);
+    }
+
+    /// Parked windows: wake the committer at the front of this round to
+    /// lead it.
+    fn wake_leader(self) {
+        let Some(Waiter::Parked(leader)) = self.waiters.first() else {
+            unreachable!("a parked window queues parked committers only");
+        };
+        let leader = leader.clone();
+        drop(leader.send(Wake::Lead(Box::new(self))));
     }
 
     /// The frame builder: this attempt's `ReplicateBatch`, stamped with
@@ -524,22 +594,23 @@ impl NodeInner {
         }
     }
 
-    /// Parked shell of a round: `call_many` + `sleep`.
-    fn run_round_parked(&self, mut round: Round) -> Result<(), String> {
+    /// Parked shell of a round: `call_many` + `sleep`. Returns the round,
+    /// its waiters still unanswered, with its outcome.
+    fn run_round_parked(&self, mut round: Round) -> (Round, Result<(), String>) {
         loop {
             let (body, timeout) = self.next_attempt(&mut round);
             let replies = self.rpc().call_many(&round.backups, body, timeout);
             if let Some(outcome) = self.settle(&mut round, &replies) {
-                round.complete(&outcome);
-                return outcome;
+                return (round, outcome);
             }
             std::thread::sleep(REPL_RETRY_PAUSE);
         }
     }
 
-    /// Completion shell of a round: `call_many_deferred` + `schedule`;
-    /// `then` runs once the round's waiters have their outcome.
-    fn run_round_deferred(&self, mut round: Round, then: Box<dyn FnOnce() + Send>) {
+    /// Completion shell of a round: `call_many_deferred` + `schedule`.
+    /// With the outcome in, `then` runs (it frees the round's slot) and the
+    /// round's waiters are answered.
+    fn run_round_deferred(&self, mut round: Round, then: Box<dyn FnOnce(&Round) + Send>) {
         let (body, timeout) = self.next_attempt(&mut round);
         let targets = round.backups.clone();
         let this = self.arc();
@@ -549,8 +620,8 @@ impl NodeInner {
             timeout,
             Box::new(move |replies| match this.settle(&mut round, &replies) {
                 Some(outcome) => {
+                    then(&round);
                     round.complete(&outcome);
-                    then();
                 }
                 None => {
                     let node = Arc::clone(&this);
@@ -566,90 +637,120 @@ impl NodeInner {
     /// Ship `ops` to every backup **in parallel** and park until all still
     /// configured ones acked — the paper's "at most one network round-trip
     /// within the responsible replica set" (§4.2.1). With batching on, the
-    /// write set joins the shard's parked window and concurrent commits
-    /// coalesce into one round led by the committer at the front.
+    /// write set joins the shard's parked window: it leads a round of its
+    /// own while a slot is free, else it leaves in the round the next ack
+    /// starts, led by the committer at that round's front.
     fn replicate_parked(
         &self,
         ctx: &InvocationContext,
         shard: ShardId,
         info: ShardInfo,
-        object: &ObjectId,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
+        set: WriteSet,
+        guarded: bool,
     ) -> Result<(), String> {
         if info.backups.is_empty() {
             return Ok(());
         }
         let (wake, parked) = channel::bounded(1);
-        let set = (object.0.clone(), ops.to_vec());
-        let entry = Entry::new(set, info, ctx, Waiter::Parked(wake));
+        let entry = Entry::new(set, info, ctx, Waiter::Parked(wake), guarded);
         if !self.repl.batching.load(Ordering::Relaxed) {
-            return self.run_round_parked(Round::of(shard, entry));
+            let (round, outcome) = self.run_round_parked(Round::of(shard, entry));
+            round.complete(&outcome);
+            return outcome;
         }
         let window = self.repl.window(shard, true);
-        if !window.push(entry) {
-            if let Wake::Outcome(outcome) = parked.recv().expect("queued waiters are always woken")
-            {
-                return outcome;
-            }
-        }
-        let round = window.take_round(shard).expect("a leader's own write set is queued");
-        let outcome = self.run_round_parked(round);
-        window.hand_off();
+        let round = match window.push([entry]).pop() {
+            Some(own) => own,
+            None => match parked.recv().expect("queued waiters are always woken") {
+                Wake::Outcome(outcome) => return outcome,
+                Wake::Lead(round) => *round,
+            },
+        };
+        let (round, outcome) = self.run_round_parked(round);
+        window.finish(&round).into_iter().for_each(Round::wake_leader);
+        round.complete(&outcome);
         outcome
     }
 
-    /// Completion counterpart of [`NodeInner::replicate_parked`]: queue
-    /// the write set and return; `done` fires from the ack path of the
-    /// round that ships it, and that round's completion ships the next, so
-    /// the window drains without a parked leader.
-    fn replicate_deferred(
+    /// Completion shell of a windowed round: its ack frees the slot and
+    /// ships what queued meanwhile, so the window drains without a parked
+    /// leader.
+    fn ship_round(&self, window: Arc<Window>, round: Round) {
+        let this = self.arc();
+        self.run_round_deferred(
+            round,
+            Box::new(move |done| {
+                for next in window.finish(done) {
+                    this.ship_round(Arc::clone(&window), next);
+                }
+            }),
+        );
+    }
+
+    /// Completion shell of the gate, for any number of write sets at once:
+    /// a held commit re-enters through the RPC timer wheel (no thread
+    /// parks; the object guard rides in `done`, so per-object commit order
+    /// is preserved across the hold), and everything that ships to one
+    /// shard is queued under one window lock — one round, while a slot is
+    /// free and the configuration did not move in between. `done` fires
+    /// from the ack path of the round that ships its write set.
+    fn gate_many(&self, commits: Vec<DeferredCommit>) {
+        let mut shipping: Vec<(ShardId, Vec<Entry>)> = Vec::new();
+        for DeferredCommit { ctx, object, ops, done } in commits {
+            match self.commit_gate(&object, &ops) {
+                Gate::Skip => done(Ok(())),
+                Gate::Fail(err) => done(Err(err)),
+                Gate::Hold(wait) => {
+                    let this = self.arc();
+                    let held = DeferredCommit { ctx, object, ops, done };
+                    self.rpc().schedule(wait, Box::new(move || this.gate_many(vec![held])));
+                }
+                Gate::Ship { info, .. } if info.backups.is_empty() => done(Ok(())),
+                Gate::Ship { shard, info } => {
+                    let waiter = Waiter::Completion(done);
+                    let entry = Entry::new((object.0, ops), info, &ctx, waiter, true);
+                    if !self.repl.batching.load(Ordering::Relaxed) {
+                        self.run_round_deferred(Round::of(shard, entry), Box::new(|_| {}));
+                        continue;
+                    }
+                    match shipping.iter_mut().find(|(s, _)| *s == shard) {
+                        Some((_, entries)) => entries.push(entry),
+                        None => shipping.push((shard, vec![entry])),
+                    }
+                }
+            }
+        }
+        for (shard, entries) in shipping {
+            let window = self.repl.window(shard, false);
+            for round in window.push(entries) {
+                self.ship_round(Arc::clone(&window), round);
+            }
+        }
+    }
+
+    /// Parked shell of the gate and the window: `sleep` through holds, park
+    /// for the acks. `guarded`: the caller holds `object`'s guard until
+    /// this returns (every engine commit; raw writes do not).
+    pub(crate) fn commit_parked(
         &self,
         ctx: &InvocationContext,
-        shard: ShardId,
-        info: ShardInfo,
-        object: ObjectId,
-        ops: WriteSetOps,
-        done: CommitCallback,
-    ) {
-        if info.backups.is_empty() {
-            return done(Ok(()));
-        }
-        let entry = Entry::new((object.0, ops), info, ctx, Waiter::Completion(done));
-        if !self.repl.batching.load(Ordering::Relaxed) {
-            return self.run_round_deferred(Round::of(shard, entry), Box::new(|| {}));
-        }
-        let window = self.repl.window(shard, false);
-        if window.push(entry) {
-            self.ship_next(shard, window);
-        }
-    }
-
-    fn ship_next(&self, shard: ShardId, window: Arc<Window>) {
-        let Some(round) = window.take_round(shard) else { return };
-        let this = self.arc();
-        self.run_round_deferred(round, Box::new(move || this.ship_next(shard, window)));
-    }
-
-    /// Completion shell of the gate: a held commit re-enters through the
-    /// RPC timer wheel (no thread parks); the object guard rides in
-    /// `done`, so per-object commit order is preserved across the hold.
-    fn gate_deferred(
-        &self,
-        ctx: InvocationContext,
-        object: ObjectId,
-        ops: WriteSetOps,
-        done: CommitCallback,
-    ) {
-        match self.commit_gate(&object, &ops) {
-            Gate::Skip => done(Ok(())),
-            Gate::Fail(err) => done(Err(err)),
-            Gate::Hold(wait) => {
-                let this = self.arc();
-                self.rpc()
-                    .schedule(wait, Box::new(move || this.gate_deferred(ctx, object, ops, done)));
-            }
-            Gate::Ship { shard, info } => {
-                self.replicate_deferred(&ctx, shard, info, object, ops, done);
+        object: &ObjectId,
+        ops: &[(Vec<u8>, Option<Vec<u8>>)],
+        guarded: bool,
+    ) -> Result<(), String> {
+        // The edge-cache invalidation stream fires for every local commit,
+        // before any gating: single-node mode still publishes (the write
+        // is already durably applied).
+        self.publish_invalidations(ops.iter().map(|(k, _)| k));
+        loop {
+            match self.commit_gate(object, ops) {
+                Gate::Skip => return Ok(()),
+                Gate::Fail(err) => return Err(err),
+                Gate::Hold(wait) => std::thread::sleep(wait),
+                Gate::Ship { shard, info } => {
+                    let set = (object.0.clone(), ops.to_vec());
+                    return self.replicate_parked(ctx, shard, info, set, guarded);
+                }
             }
         }
     }
@@ -700,7 +801,7 @@ impl NodeInner {
             .spawn(move || {
                 let ctx = InvocationContext::background();
                 let round = Round::new(shard, epoch, backups, &ctx, entries);
-                if this.run_round_parked(round).is_ok() {
+                if this.run_round_parked(round).1.is_ok() {
                     this.repl.promotion_resyncs.incr();
                 }
             })
@@ -709,31 +810,15 @@ impl NodeInner {
 }
 
 impl CommitHook for NodeInner {
-    /// Parked shell: `sleep` through holds, park for the acks.
     fn on_commit(
         &self,
         ctx: &InvocationContext,
         object: &ObjectId,
         ops: &[(Vec<u8>, Option<Vec<u8>>)],
     ) -> Result<(), String> {
-        // The edge-cache invalidation stream fires for every local commit,
-        // before any gating: single-node mode still publishes (the write
-        // is already durably applied).
-        self.publish_invalidations(ops.iter().map(|(k, _)| k));
-        loop {
-            match self.commit_gate(object, ops) {
-                Gate::Skip => return Ok(()),
-                Gate::Fail(err) => return Err(err),
-                Gate::Hold(wait) => std::thread::sleep(wait),
-                Gate::Ship { shard, info } => {
-                    return self.replicate_parked(ctx, shard, info, object, ops);
-                }
-            }
-        }
+        self.commit_parked(ctx, object, ops, true)
     }
 
-    /// Completion shell: `schedule` through holds, `done` fires from the
-    /// ack path. No thread parks between local commit and ack.
     fn on_commit_deferred(
         &self,
         ctx: &InvocationContext,
@@ -741,8 +826,16 @@ impl CommitHook for NodeInner {
         ops: WriteSetOps,
         done: CommitCallback,
     ) {
-        self.publish_invalidations(ops.iter().map(|(k, _)| k));
-        self.gate_deferred(*ctx, object.clone(), ops, done);
+        self.on_commit_many(vec![DeferredCommit { ctx: *ctx, object: object.clone(), ops, done }]);
+    }
+
+    /// Completion shell: `schedule` through holds, each `done` fires from
+    /// the ack path. No thread parks between local commit and ack.
+    fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
+        for commit in &commits {
+            self.publish_invalidations(commit.ops.iter().map(|(k, _)| k));
+        }
+        self.gate_many(commits);
     }
 }
 
@@ -907,35 +1000,122 @@ mod tests {
         assert_eq!(gate_with(&st, &repl, true, None, moved), Gate::Fail("placement moved".into()));
     }
 
-    fn queued(epoch: Epoch, backups: &[u32], tag: &str) -> Entry {
+    fn entry(epoch: Epoch, backups: &[u32], tag: &str, waiter: Waiter, guarded: bool) -> Entry {
         Entry {
             set: (tag.as_bytes().to_vec(), Vec::new()),
             epoch,
             backups: backups.iter().map(|n| NodeId(*n)).collect(),
             ctx: InvocationContext::background(),
-            waiter: Waiter::Completion(Box::new(|_| {})),
+            waiter,
+            guarded,
         }
     }
 
-    fn objects(round: &Round) -> Vec<Vec<u8>> {
-        round.sets.iter().map(|(object, _)| object.clone()).collect()
+    fn queued(epoch: Epoch, backups: &[u32], tag: &str) -> Entry {
+        entry(epoch, backups, tag, Waiter::Completion(Box::new(|_| {})), true)
+    }
+
+    /// The objects of each round, as strings.
+    fn objects(rounds: &[Round]) -> Vec<Vec<String>> {
+        let tag = |(object, _): &WriteSet| String::from_utf8_lossy(object).into_owned();
+        rounds.iter().map(|round| round.sets.iter().map(tag).collect()).collect()
+    }
+
+    /// A window with every slot taken by a one-entry round (`r0`, `r1`, …).
+    fn full_window() -> (Window, Vec<Round>) {
+        let window = Window::new(0);
+        let out: Vec<Round> = (0..MAX_ROUNDS_IN_FLIGHT)
+            .flat_map(|i| window.push([queued(1, &[2, 3], &format!("r{i}"))]))
+            .collect();
+        assert_eq!(out.len(), MAX_ROUNDS_IN_FLIGHT, "while a slot is free a push leads at once");
+        (window, out)
     }
 
     #[test]
-    fn window_coalesces_the_prefix_that_agrees_on_epoch_and_backups() {
-        let window = Window::default();
-        assert!(window.push(queued(1, &[2, 3], "a")), "an idle window makes the pusher lead");
-        assert!(!window.push(queued(1, &[2, 3], "b")));
-        assert!(!window.push(queued(2, &[2], "c")));
-        assert!(!window.push(queued(1, &[2, 3], "d")));
-        let first = window.take_round(0).unwrap();
-        assert_eq!(objects(&first), vec![b"a".to_vec(), b"b".to_vec()]);
-        assert_eq!((first.epoch, first.waiters.len()), (1, 2));
-        let second = window.take_round(0).unwrap();
-        assert_eq!((objects(&second), second.epoch), (vec![b"c".to_vec()], 2));
-        assert_eq!(objects(&window.take_round(0).unwrap()), vec![b"d".to_vec()]);
-        assert!(window.take_round(0).is_none());
-        assert!(window.push(queued(1, &[2], "e")), "an emptied window idles");
+    fn window_overlaps_rounds_up_to_the_bound_and_the_next_ack_takes_what_queued() {
+        let (window, out) = full_window();
+        assert!(out.iter().all(|round| round.sets.len() == 1 && round.waiters.len() == 1));
+        for tag in ["a", "b", "c"] {
+            assert!(window.push([queued(1, &[2, 3], tag)]).is_empty(), "every slot is taken");
+        }
+        // The first ack — of any round — starts one round with everything
+        // that queued, the earliest waiter at its front.
+        let next = window.finish(&out[2]);
+        assert_eq!(objects(&next), vec![vec!["a", "b", "c"]]);
+        assert_eq!(next[0].waiters.len(), 3);
+        assert!(window.push([queued(1, &[2, 3], "d")]).is_empty(), "the slot was re-taken");
+        assert_eq!(objects(&window.finish(&out[0])), vec![vec!["d"]]);
+        // An ack with nothing queued frees its slot for the next push.
+        assert!(window.finish(&next[0]).is_empty());
+        assert_eq!(objects(&window.push([queued(1, &[2, 3], "e")])), vec![vec!["e"]]);
+        assert!(window.push([queued(1, &[2, 3], "f")]).is_empty());
+    }
+
+    #[test]
+    fn window_round_is_the_prefix_that_agrees_on_epoch_and_backups() {
+        // Pushed together with slots free: one round per agreeing run.
+        let window = Window::new(0);
+        let wave = [queued(1, &[2, 3], "a"), queued(1, &[2, 3], "b"), queued(2, &[2], "c")];
+        let rounds = window.push(wave);
+        assert_eq!(objects(&rounds), vec![vec!["a", "b"], vec!["c"]]);
+        assert_eq!((rounds[0].epoch, rounds[1].epoch), (1, 2));
+        assert_eq!(rounds[1].backups, vec![NodeId(2)]);
+
+        // Queued behind a full window: a newer configuration still splits
+        // the prefix, and what follows it waits for the ack after.
+        let (window, out) = full_window();
+        for (epoch, backups, tag) in [(1, &[2, 3][..], "a"), (2, &[2][..], "b"), (1, &[2, 3], "c")]
+        {
+            assert!(window.push([queued(epoch, backups, tag)]).is_empty());
+        }
+        assert_eq!(objects(&window.finish(&out[0])), vec![vec!["a"]]);
+        let second = window.finish(&out[1]);
+        assert_eq!(objects(&second), vec![vec!["b"]]);
+        assert_eq!(second[0].epoch, 2);
+        assert_eq!(objects(&window.finish(&out[2])), vec![vec!["c"]]);
+        assert!(window.finish(&out[3]).is_empty());
+    }
+
+    #[test]
+    fn parked_hand_off_wakes_the_front_waiter_while_other_rounds_are_still_out() {
+        let (window, out) = full_window();
+        let parked = |tag: &str| {
+            let (wake, woken) = channel::bounded(1);
+            (entry(1, &[2, 3], tag, Waiter::Parked(wake), true), woken)
+        };
+        let (front, front_woken) = parked("front");
+        let (behind, behind_woken) = parked("behind");
+        assert!(window.push([front]).is_empty() && window.push([behind]).is_empty());
+        // One round acks; the other slots are still taken.
+        window.finish(&out[0]).into_iter().for_each(Round::wake_leader);
+        let Ok(Wake::Lead(round)) = front_woken.try_recv() else {
+            panic!("the committer at the front leads the next round");
+        };
+        assert_eq!(objects(&[*round]), vec![vec!["front", "behind"]]);
+        assert!(behind_woken.try_recv().is_err(), "a follower sleeps until the outcome");
+        assert!(window.push([queued(1, &[2, 3], "late")]).is_empty(), "the lead kept the slot");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "in two in-flight rounds")]
+    fn an_object_in_two_in_flight_rounds_trips_the_debug_assertion() {
+        let window = Window::new(0);
+        assert_eq!(window.push([queued(1, &[2, 3], "user/1")]).len(), 1);
+        window.push([queued(1, &[2, 3], "user/1")]);
+    }
+
+    #[test]
+    fn the_no_shared_object_rule_covers_guarded_commits_only_and_ends_with_the_ack() {
+        let raw = |tag: &str| entry(1, &[2, 3], tag, Waiter::Completion(Box::new(|_| {})), false);
+        let window = Window::new(0);
+        // Raw writes hold no guard: two of one key may be out at once.
+        assert_eq!(window.push([raw("user/1")]).len(), 1);
+        assert_eq!(window.push([raw("user/1")]).len(), 1);
+        // A guarded object returns as soon as its round is finished.
+        let first = window.push([queued(1, &[2, 3], "user/2")]);
+        assert!(window.finish(&first[0]).is_empty());
+        assert_eq!(window.push([queued(1, &[2, 3], "user/2")]).len(), 1);
     }
 
     #[test]

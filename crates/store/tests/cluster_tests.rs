@@ -536,20 +536,28 @@ fn transactions_commit_atomically_across_colocated_objects() {
     client.deploy_type("Account", account_fields(), &account_module()).unwrap();
     let a = ObjectId::from("acct/tx-a");
     let b = ObjectId::from("acct/tx-b");
-    client.create_object("Account", &a, &[]).unwrap();
-    client.create_object("Account", &b, &[]).unwrap();
+    let c = ObjectId::from("acct/tx-c");
+    for id in [&a, &b, &c] {
+        client.create_object("Account", id, &[]).unwrap();
+    }
     client.invoke(&a, "deposit", vec![VmValue::Int(100)], false).unwrap();
 
     // Atomic transfer as one transaction.
+    let rounds =
+        || -> u64 { cluster.core.storage.iter().map(|n| n.replication_batch_stats().0).sum() };
+    let rounds_before = rounds();
     let results = client
         .transact(vec![
             TxCall::new(a.clone(), "deposit", vec![VmValue::Int(-40)]),
             TxCall::new(b.clone(), "deposit", vec![VmValue::Int(40)]),
+            TxCall::new(c.clone(), "deposit", vec![VmValue::Int(7)]),
         ])
         .unwrap();
-    assert_eq!(results.len(), 2);
+    assert_eq!(results.len(), 3);
+    assert_eq!(rounds() - rounds_before, 1, "three objects, one replication round");
     assert_eq!(as_int(client.invoke(&a, "balance", vec![], true).unwrap()), 60);
     assert_eq!(as_int(client.invoke(&b, "balance", vec![], true).unwrap()), 40);
+    assert_eq!(as_int(client.invoke(&c, "balance", vec![], true).unwrap()), 7);
 
     // Transactions replicate like everything else: data on all replicas.
     for node in &cluster.core.storage {
@@ -998,6 +1006,142 @@ fn chaos_acked_posts_land_exactly_once() {
         "fault plan never fired; the test exercised nothing"
     );
 
+    client.shutdown();
+    cluster.shutdown();
+}
+
+/// Overlapping replication rounds under loss: a shard keeps several rounds
+/// in flight, so a round that lost a frame retries while later rounds —
+/// other posts' boundary commits and fan-out waves — go out and ack around
+/// it. Nothing an ack covered may be missing or doubled on any replica.
+#[test]
+fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
+    let module = assemble(
+        r#"
+        fn follow(1) {
+            push.s "followers"
+            load 0
+            host.push
+            ret
+        }
+        fn post(1) {
+            push.s "timeline"
+            load 0
+            host.push
+            pop
+            push.s "followers"
+            push.i 1000000
+            push.i 0
+            host.scan
+            push.s "store"
+            load 0
+            mklist 1
+            host.invoke_many
+            pop
+            unit
+            ret
+        }
+        fn store(1) priv {
+            push.s "timeline"
+            load 0
+            host.push
+            ret
+        }
+        fn feed(0) ro {
+            push.s "timeline"
+            push.i 1000000
+            push.i 0
+            host.scan
+            ret
+        }
+        "#,
+    )
+    .expect("fan-out module assembles");
+    let fields = vec![
+        FieldDef { name: "followers".into(), kind: FieldKind::Collection },
+        FieldDef { name: "timeline".into(), kind: FieldKind::Collection },
+    ];
+
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    // A budget no post outlives: an attempt is re-sent after a fifth of
+    // it, and this test is about replication retries, not client ones.
+    let client = lambda_store::StoreClient::new(
+        &cluster.core.net,
+        NodeId(9002),
+        cluster.core.coordinator_ids.clone(),
+        Duration::from_secs(120),
+    );
+    client.deploy_type("Feed", fields, &module).unwrap();
+
+    const ACCOUNTS: usize = 12;
+    const POSTERS: usize = 8;
+    const POSTS: usize = 3;
+    let account = |i: usize| ObjectId::from(format!("feed/{i:02}").as_str());
+    // Poster p is followed by p+1, p+2, p+3 and p+5: every follower set
+    // overlaps its neighbours', and posters follow each other.
+    let followers = |p: usize| [1, 2, 3, 5].map(|d| (p + d) % ACCOUNTS);
+    for i in 0..ACCOUNTS {
+        client.create_object("Feed", &account(i), &[]).unwrap();
+    }
+    for p in 0..POSTERS {
+        for f in followers(p) {
+            client
+                .invoke(&account(p), "follow", vec![VmValue::Bytes(account(f).0)], false)
+                .unwrap();
+        }
+    }
+
+    // A fifth of the primary's replication frames and a fifth of the
+    // backups' acks are lost; clients and coordinators are untouched.
+    let (_, info) = client.placement().locate(&account(0)).expect("located");
+    let mut plan = FaultPlan::new();
+    for &backup in &info.backups {
+        plan = plan
+            .link(info.primary, backup, FaultSpec { drop: 0.2, ..FaultSpec::default() })
+            .link(backup, info.primary, FaultSpec { reply_loss: 0.2, ..FaultSpec::default() });
+    }
+    cluster.core.net.set_fault_plan(plan, chaos_seed(0x0005_ca77_e2ed));
+
+    std::thread::scope(|scope| {
+        for p in 0..POSTERS {
+            let client = client.clone();
+            scope.spawn(move || {
+                for k in 0..POSTS {
+                    let text = format!("post-{p}-{k}").into_bytes();
+                    client
+                        .invoke(&account(p), "post", vec![VmValue::Bytes(text)], false)
+                        .expect("replication retries until every configured backup acked");
+                }
+            });
+        }
+    });
+    cluster.core.net.clear_fault_plan();
+
+    let retries: u64 =
+        cluster.core.storage.iter().map(|n| n.registry().counter_value("node_repl_retries")).sum();
+    assert!(retries > 0, "no round was ever retried; the test exercised nothing");
+    assert_eq!(cluster.core.storage.len(), 3);
+    for node in &cluster.core.storage {
+        for p in 0..POSTERS {
+            for reader in followers(p).into_iter().chain([p]) {
+                let feed = node.engine().invoke(&account(reader), "feed", vec![]).unwrap();
+                let VmValue::List(rows) = feed else { panic!("expected list, got {feed}") };
+                for k in 0..POSTS {
+                    let text = format!("post-{p}-{k}").into_bytes();
+                    let copies = rows
+                        .iter()
+                        .filter(|r| matches!(r, VmValue::Bytes(b) if *b == text))
+                        .count();
+                    assert_eq!(
+                        copies,
+                        1,
+                        "post-{p}-{k} in feed/{reader:02} on node-{}",
+                        node.id().0
+                    );
+                }
+            }
+        }
+    }
     client.shutdown();
     cluster.shutdown();
 }

@@ -15,7 +15,7 @@ fn fresh_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn engine_at(dir: &std::path::Path) -> Engine {
+fn engine_at(dir: &std::path::Path) -> Arc<Engine> {
     let db = Db::open(dir, Options::small_for_tests()).unwrap();
     let types = Arc::new(TypeRegistry::new());
     types.register(user_type());
