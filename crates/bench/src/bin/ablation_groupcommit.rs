@@ -1,15 +1,15 @@
-//! Ablation ABL-GROUPCOMMIT: the two-layer commit pipeline on the
-//! aggregated hot path.
+//! Ablation ABL-GROUPCOMMIT: WAL group commit on the aggregated hot path.
 //!
-//! Sweeps client count {1, 8, 32, 100} x batching mode on the Post
-//! workload with `sync_wal = true` (the durability configuration where
-//! per-commit costs actually bite):
+//! Sweeps client count {1, 8, 32, 100} x `Options::group_commit` on the
+//! Post workload with `sync_wal = true` (the durability configuration
+//! where per-commit costs actually bite):
 //!
-//! * `off` — per-batch WAL append + fsync, one replication RPC per
-//!   committed write set (the seed's behaviour);
-//! * `wal` — WAL group commit on, replication still per-write;
-//! * `wal+repl` — WAL group commit + per-shard replication windows
-//!   coalesced into ReplicateBatch RPCs (the default).
+//! * `off` — per-batch WAL append + fsync (the seed's behaviour);
+//! * `on` — leader/follower WAL group commit (the default).
+//!
+//! Replication is the same in both: per-shard windows coalescing committed
+//! write sets into `ReplicateBatch` rounds; the mean round size is
+//! reported beside the mean WAL group.
 //!
 //! Emits `BENCH_groupcommit.json` (override the path with
 //! `BENCH_JSON_PATH`) for EXPERIMENTS.md / CI.
@@ -21,36 +21,17 @@ use lambda_bench::{cluster_config, env_f64, env_usize, ms};
 use lambda_retwis::{run, setup, AggregatedBackend, Op, OpMix, WorkloadConfig};
 use lambda_store::AggregatedCluster;
 
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Off,
-    WalOnly,
-    WalRepl,
-}
-
-impl Mode {
-    const ALL: [Mode; 3] = [Mode::Off, Mode::WalOnly, Mode::WalRepl];
-
-    fn label(self) -> &'static str {
-        match self {
-            Mode::Off => "off",
-            Mode::WalOnly => "wal",
-            Mode::WalRepl => "wal+repl",
-        }
-    }
-
-    fn group_commit(self) -> bool {
-        self != Mode::Off
-    }
-
-    fn repl_batching(self) -> bool {
-        self == Mode::WalRepl
+fn label(group_commit: bool) -> &'static str {
+    if group_commit {
+        "on"
+    } else {
+        "off"
     }
 }
 
 struct Row {
     clients: usize,
-    mode: Mode,
+    group_commit: bool,
     ops_per_sec: f64,
     p50_ms: f64,
     p99_ms: f64,
@@ -59,14 +40,11 @@ struct Row {
     repl_entries: u64,
 }
 
-fn run_cell(clients: usize, mode: Mode, base: &WorkloadConfig) -> Row {
+fn run_cell(clients: usize, group_commit: bool, base: &WorkloadConfig) -> Row {
     let mut cluster_cfg = cluster_config();
     cluster_cfg.kv.sync_wal = true;
-    cluster_cfg.kv.group_commit = mode.group_commit();
+    cluster_cfg.kv.group_commit = group_commit;
     let cluster = AggregatedCluster::build(cluster_cfg).expect("cluster");
-    for node in &cluster.core.storage {
-        node.set_replication_batching(mode.repl_batching());
-    }
     let backend = Arc::new(AggregatedBackend { client: cluster.client() });
     backend
         .client
@@ -99,7 +77,7 @@ fn run_cell(clients: usize, mode: Mode, base: &WorkloadConfig) -> Row {
 
     Row {
         clients,
-        mode,
+        group_commit,
         ops_per_sec: result.throughput(),
         p50_ms: result.latency.median().as_secs_f64() * 1e3,
         p99_ms: result.latency.percentile(99.0).as_secs_f64() * 1e3,
@@ -120,7 +98,7 @@ fn write_json(path: &str, rows: &[Row]) {
              \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"wal_mean_group\": {:.2}, \
              \"repl_rounds\": {}, \"repl_entries\": {}}}{}\n",
             r.clients,
-            r.mode.label(),
+            label(r.group_commit),
             r.ops_per_sec,
             r.p50_ms,
             r.p99_ms,
@@ -155,17 +133,13 @@ fn main() {
 
     let mut rows = Vec::new();
     for clients in [1usize, 8, 32, 100] {
-        for mode in Mode::ALL {
-            let row = run_cell(clients, mode, &base);
-            let repl_win = if row.repl_rounds == 0 {
-                "-".to_string()
-            } else {
-                format!("{:.2}", row.repl_entries as f64 / row.repl_rounds as f64)
-            };
+        for group_commit in [false, true] {
+            let row = run_cell(clients, group_commit, &base);
+            let repl_win = row.repl_entries as f64 / row.repl_rounds.max(1) as f64;
             println!(
-                "{:>8} {:<10} {:>12.0} {:>10} {:>10} {:>10.2} {:>12}",
+                "{:>8} {:<10} {:>12.0} {:>10} {:>10} {:>10.2} {:>12.2}",
                 row.clients,
-                row.mode.label(),
+                label(row.group_commit),
                 row.ops_per_sec,
                 ms(Duration::from_secs_f64(row.p50_ms / 1e3)),
                 ms(Duration::from_secs_f64(row.p99_ms / 1e3)),
@@ -178,17 +152,19 @@ fn main() {
     write_json(&json_path, &rows);
     println!("\nwrote {json_path}");
 
-    // Headline: the speedup both layers buy at the highest client count.
-    let hi = rows.iter().filter(|r| r.clients == 100);
-    let off = hi.clone().find(|r| r.mode == Mode::Off).map_or(0.0, |r| r.ops_per_sec);
-    let full = hi.clone().find(|r| r.mode == Mode::WalRepl).map_or(0.0, |r| r.ops_per_sec);
-    if off > 0.0 {
-        println!("100 clients: wal+repl = {:.2}x off (expected >= 1.5x with sync_wal)", full / off);
+    // Headline: the speedup group commit buys at the highest client count.
+    let at_100 = |on: bool| {
+        rows.iter()
+            .find(|r| r.clients == 100 && r.group_commit == on)
+            .map_or(0.0, |r| r.ops_per_sec)
+    };
+    if at_100(false) > 0.0 {
+        let speedup = at_100(true) / at_100(false);
+        println!("100 clients: on = {speedup:.2}x off (expected >= 1.5x with sync_wal)");
     }
     println!(
-        "\nshape: at 1 client the three modes tie (nothing to coalesce); as\n\
-         clients grow, group commit amortizes the per-commit fsync and the\n\
-         replication window amortizes the per-commit backup round-trip, so\n\
-         the gap widens with concurrency."
+        "\nshape: at 1 client the two modes tie (nothing to coalesce); as\n\
+         clients grow, group commit amortizes the per-commit fsync, so the\n\
+         gap widens with concurrency."
     );
 }

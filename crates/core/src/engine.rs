@@ -152,60 +152,31 @@ pub type InvokeOutcome = Result<(VmValue, Option<ReadSet>)>;
 pub type InvokeCompletion = Box<dyn FnOnce(InvokeOutcome) + Send>;
 
 /// Observes every committed write batch — LambdaStore installs a hook that
-/// synchronously replicates the batch to backup replicas (§4.2.1). The hook
-/// runs after the local apply; an error is surfaced to the invoker.
+/// replicates it to the shard's backups (§4.2.1). One entry point, and it
+/// never parks: the hook starts the fan-out and runs each commit's `done`
+/// with that write set's outcome from whichever thread learns it (inline
+/// when there is nothing to wait for). A caller that must block parks on a
+/// channel of its own (`Engine::replicate_and_join`).
 pub trait CommitHook: Send + Sync {
-    /// Called with the object and the operations just committed locally
-    /// (`None` value = deletion). `ctx` carries the committing
-    /// invocation's trace identity and remaining deadline budget so
-    /// replication RPCs can be bounded by it.
-    ///
-    /// # Errors
-    /// A string describing the replication failure.
-    fn on_commit(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
-    ) -> std::result::Result<(), String>;
-
-    /// Deferred variant used by the non-blocking invocation pipeline:
-    /// implementations that replicate over the network should kick off the
-    /// fan-out and complete `done` from their ack-processing thread instead
-    /// of parking this one. The default falls back to the blocking
-    /// [`on_commit`](CommitHook::on_commit) and completes inline.
-    fn on_commit_deferred(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        ops: WriteSetOps,
-        done: CommitCallback,
-    ) {
-        done(self.on_commit(ctx, object, &ops));
-    }
-
-    /// Several locally applied write sets at once — a scatter's wave, or a
-    /// transaction's objects — so that an implementation can ship them
-    /// together (LambdaStore: one `ReplicateBatch` round per shard). Each
-    /// commit still gets its own outcome.
-    fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
-        for DeferredCommit { ctx, object, ops, done } in commits {
-            self.on_commit_deferred(&ctx, &object, ops, done);
-        }
-    }
+    /// Called after the local apply with one or more write sets — a single
+    /// commit, a scatter's wave, a transaction's objects — so that an
+    /// implementation can ship them together (LambdaStore: one
+    /// `ReplicateBatch` round per shard). Every `done` must be run exactly
+    /// once or dropped; a dropped `done` fails its commit.
+    fn on_commit(&self, commits: Vec<DeferredCommit>);
 }
 
-/// One locally applied write set on its way to
-/// [`CommitHook::on_commit_many`]: what
-/// [`on_commit_deferred`](CommitHook::on_commit_deferred) takes as arguments.
+/// One locally applied write set on its way to [`CommitHook::on_commit`].
 pub struct DeferredCommit {
-    /// The committing invocation's context.
+    /// The committing invocation's context: its trace identity and
+    /// remaining deadline budget bound the replication RPCs.
     pub ctx: InvocationContext,
     /// The object the write set belongs to.
     pub object: ObjectId,
-    /// The operations just committed locally.
+    /// The operations just committed locally (`None` value = deletion).
     pub ops: WriteSetOps,
-    /// Invoked exactly once with the replication outcome.
+    /// Invoked exactly once with the replication outcome; `Err` describes
+    /// the failure.
     pub done: CommitCallback,
 }
 
@@ -499,9 +470,44 @@ impl Engine {
         Some((hook, write_set_ops(batch)))
     }
 
-    /// Run the commit hook for a write set already applied locally,
-    /// parking this thread for the replication fan-out (timed as the
-    /// invocation's `replicate` span).
+    /// Hand `sets`, already applied locally, to `hook` and park until each
+    /// has its outcome (timed as `ctx`'s `replicate` span): a blocking
+    /// commit is the completion path plus this one join. The senders ride
+    /// in the `done`s, so a completion dropped unrun — its endpoint shut
+    /// down — ends the wait with an error instead of hanging it. Only for
+    /// threads that are provably not in the completion pool (DESIGN.md §10).
+    fn replicate_and_join(
+        &self,
+        ctx: &InvocationContext,
+        hook: &dyn CommitHook,
+        sets: Vec<(ObjectId, WriteSetOps)>,
+    ) -> HookResult {
+        debug_assert!(
+            !ON_COMPLETION_THREAD.get(),
+            "a blocking commit on a completion thread waits for itself"
+        );
+        let (tx, rx) = channel::unbounded();
+        let sent = sets.len();
+        let commits = sets
+            .into_iter()
+            .map(|(object, ops)| {
+                let tx = tx.clone();
+                let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
+                DeferredCommit { ctx: *ctx, object, ops, done }
+            })
+            .collect();
+        drop(tx);
+        let start = Instant::now();
+        hook.on_commit(commits);
+        let acks = join_all(&rx, sent);
+        self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
+        if acks.len() < sent {
+            return Err("replication ended without an outcome".into());
+        }
+        acks.into_iter().collect()
+    }
+
+    /// Replicate one object's write set, parking this thread for the acks.
     fn replicate_blocking(
         &self,
         ctx: &InvocationContext,
@@ -509,10 +515,7 @@ impl Engine {
         hooked: Option<(Arc<dyn CommitHook>, WriteSetOps)>,
     ) -> HookResult {
         let Some((hook, ops)) = hooked else { return Ok(()) };
-        let start = Instant::now();
-        let result = hook.on_commit(ctx, object, &ops);
-        self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
-        result
+        self.replicate_and_join(ctx, &*hook, vec![(object.clone(), ops)])
     }
 
     /// Apply write sets produced on another node (the backup side of
@@ -1078,8 +1081,9 @@ impl Engine {
                     Some(wave) => wave.join(commit),
                     None => Some(commit),
                 };
-                if let Some(DeferredCommit { ctx, object, ops, done }) = alone {
-                    hook.on_commit_deferred(&ctx, &object, ops, this.timed_replicate(&ctx, done));
+                if let Some(commit) = alone {
+                    let done = this.timed_replicate(&commit.ctx, commit.done);
+                    hook.on_commit(vec![DeferredCommit { done, ..commit }]);
                 }
             }),
         );
@@ -1117,7 +1121,7 @@ impl Engine {
             .map(|c| DeferredCommit { done: this.timed_replicate(&c.ctx, c.done), ..c })
             .collect();
         if let (Some(hook), false) = (self.commit_hook.read().clone(), commits.is_empty()) {
-            hook.on_commit_many(commits);
+            hook.on_commit(commits);
         }
     }
 
@@ -1209,10 +1213,8 @@ impl Engine {
     ) -> Result<()> {
         let hooked = self.hooked(&batch);
         self.db.write(batch)?;
-        let ctx = InvocationContext::background();
         let replicated = hooked.map_or(Ok(()), |(hook, ops)| {
-            let (tx, rx) = channel::unbounded();
-            let commits: Vec<DeferredCommit> = objects
+            let sets = objects
                 .iter()
                 .filter_map(|object| {
                     let own: WriteSetOps = ops
@@ -1220,24 +1222,10 @@ impl Engine {
                         .filter(|(key, _)| keys::split_key(key).is_some_and(|(o, _)| &o == object))
                         .cloned()
                         .collect();
-                    if own.is_empty() {
-                        return None;
-                    }
-                    let tx = tx.clone();
-                    let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
-                    Some(DeferredCommit { ctx, object: object.clone(), ops: own, done })
+                    (!own.is_empty()).then(|| (object.clone(), own))
                 })
                 .collect();
-            drop(tx);
-            let sent = commits.len();
-            let start = Instant::now();
-            hook.on_commit_many(commits);
-            let acks = join_all(&rx, sent);
-            self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
-            if acks.len() < sent {
-                return Err("replication ended without an outcome".into());
-            }
-            acks.into_iter().collect()
+            self.replicate_and_join(&InvocationContext::background(), &*hook, sets)
         });
         self.finish_commit(touched, replicated)
     }
@@ -1868,34 +1856,35 @@ mod tests {
         }
     }
 
-    struct FailingHook;
-    impl CommitHook for FailingHook {
-        fn on_commit(
-            &self,
-            _ctx: &InvocationContext,
-            _object: &ObjectId,
-            _ops: &[(Vec<u8>, Option<Vec<u8>>)],
-        ) -> std::result::Result<(), String> {
-            Err("replica down".into())
+    /// Answers every commit at once — `Err("replica down")` once `fail` is
+    /// set — and records the `(object, ops)` it was handed, in order.
+    #[derive(Default)]
+    struct ScriptedHook {
+        fail: std::sync::atomic::AtomicBool,
+        seen: parking_lot::Mutex<Vec<(ObjectId, WriteSetOps)>>,
+    }
+
+    impl CommitHook for ScriptedHook {
+        fn on_commit(&self, commits: Vec<DeferredCommit>) {
+            let fail = self.fail.load(std::sync::atomic::Ordering::SeqCst);
+            for DeferredCommit { object, ops, done, .. } in commits {
+                self.seen.lock().push((object, ops));
+                done(if fail { Err("replica down".into()) } else { Ok(()) });
+            }
         }
     }
 
-    /// Every scenario the shared steps decide, through one shell, on a
-    /// fresh engine: per scenario its result, the cumulative counters
-    /// after it, and the stages of the spans it recorded, in order.
-    fn run_scenarios(
-        shell: Shell,
-    ) -> Vec<(&'static str, Result<VmValue>, EngineStats, Vec<Stage>)> {
-        let env = setup(EngineConfig::default());
-        let (a, b) = (oid("c/a"), oid("c/b"));
-        env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
-        env.engine.create_object("Counter", &b, &[("count", b"0")]).unwrap();
+    type Scenario = (&'static str, InvocationContext, &'static str, Vec<VmValue>);
+
+    /// Every scenario the shared steps decide. Built once: both shells run
+    /// the same contexts, so their dedup records carry the same ids.
+    fn scenarios() -> Vec<Scenario> {
         let client = || InvocationContext::client(std::time::Duration::from_secs(30));
         let mutate = client();
         let mut replay = mutate;
         replay.attempt = 1;
         let bump = |v: &str| vec![VmValue::str(v)];
-        let scenarios: Vec<(&'static str, InvocationContext, &str, Vec<VmValue>)> = vec![
+        vec![
             ("read miss", client(), "read_count", vec![]),
             ("read hit", client(), "read_count", vec![]),
             ("mutate", mutate, "bump_raw", bump("9")),
@@ -1904,38 +1893,65 @@ mod tests {
             ("nested", client(), "poke_other", vec![VmValue::str("c/b"), VmValue::str("b1")]),
             ("expired deadline", InvocationContext::from_wire(4242, 0, 0), "bump_raw", bump("x")),
             ("failing hook", client(), "bump_raw", bump("y")),
-        ];
-        scenarios
-            .into_iter()
+        ]
+    }
+
+    type ScenarioRun = (&'static str, Result<VmValue>, EngineStats, Vec<Stage>);
+
+    /// `scenarios` through one shell, on a fresh engine: per scenario its
+    /// result, the cumulative counters after it, and the stages of the
+    /// spans it recorded, in order; then everything the hook was handed.
+    fn run_scenarios(
+        shell: Shell,
+        scenarios: &[Scenario],
+    ) -> (Vec<ScenarioRun>, Vec<(ObjectId, WriteSetOps)>) {
+        let env = setup(EngineConfig::default());
+        let hook = Arc::new(ScriptedHook::default());
+        env.engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+        let (a, b) = (oid("c/a"), oid("c/b"));
+        env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
+        env.engine.create_object("Counter", &b, &[("count", b"0")]).unwrap();
+        let runs = scenarios
+            .iter()
+            .cloned()
             .map(|(name, ctx, method, args)| {
-                if name == "failing hook" {
-                    env.engine.set_commit_hook(Arc::new(FailingHook));
-                }
+                hook.fail.store(name == "failing hook", std::sync::atomic::Ordering::SeqCst);
                 let result = shell.invoke(&env.engine, &ctx, &a, method, args);
                 let stages =
                     env.engine.registry().spans_for(ctx.trace_id).iter().map(|s| s.stage).collect();
                 (name, result, env.engine.stats(), stages)
             })
-            .collect()
+            .collect();
+        let seen = std::mem::take(&mut *hook.seen.lock());
+        (runs, seen)
     }
 
     #[test]
     fn both_shells_give_equal_results_counters_and_spans() {
-        let blocking = run_scenarios(Shell::Blocking);
-        let completion = run_scenarios(Shell::Completion);
+        let scenarios = scenarios();
+        let (blocking, blocking_saw) = run_scenarios(Shell::Blocking, &scenarios);
+        let (completion, completion_saw) = run_scenarios(Shell::Completion, &scenarios);
         assert_eq!(blocking, completion);
+        assert_eq!(blocking_saw, completion_saw, "one hook method, one sequence of write sets");
+        let objects: Vec<&str> =
+            blocking_saw.iter().map(|(o, _)| std::str::from_utf8(o.as_bytes()).unwrap()).collect();
+        assert_eq!(
+            objects,
+            ["c/a", "c/b", "c/a", "c/b", "c/a"],
+            "creates, mutate, nested, failing"
+        );
 
         // And the shared steps decide what the paper says they should.
         use Stage::{Commit, Execute, Queue, Replicate};
         let expect: Vec<(&str, Result<VmValue>, Vec<Stage>)> = vec![
             ("read miss", Ok(VmValue::str("0")), vec![Queue, Execute]),
             ("read hit", Ok(VmValue::str("0")), vec![]),
-            ("mutate", Ok(VmValue::Unit), vec![Queue, Execute, Commit]),
-            ("dedup replay", Ok(VmValue::Unit), vec![Queue, Execute, Commit, Queue]),
+            ("mutate", Ok(VmValue::Unit), vec![Queue, Execute, Commit, Replicate]),
+            ("dedup replay", Ok(VmValue::Unit), vec![Queue, Execute, Commit, Replicate, Queue]),
             ("abort", Err(InvokeError::Aborted("rolled back".into())), vec![Queue, Execute]),
-            // The nested call's own queue/execute/commit sit inside the
-            // caller's execute span.
-            ("nested", Ok(VmValue::Unit), vec![Queue, Queue, Execute, Commit, Execute]),
+            // The nested call's own queue/execute/commit/replicate sit
+            // inside the caller's execute span.
+            ("nested", Ok(VmValue::Unit), vec![Queue, Queue, Execute, Commit, Replicate, Execute]),
             ("expired deadline", Err(InvokeError::DeadlineExceeded), vec![]),
             (
                 "failing hook",
@@ -1957,6 +1973,60 @@ mod tests {
         assert_eq!(last.scheduler.shed, 1);
         assert_eq!(last.aborts, 2, "the abort and the shed deadline");
         assert_eq!(last.commits, 2, "mutate + the nested target; not the unreplicated one");
+    }
+
+    /// A hook whose acks only a "completion pool" delivers: every `done`
+    /// goes to the thread that [`run_pool`] starts, which runs them in
+    /// order — as the RPC endpoint's completion threads would.
+    pub(super) struct Pool(pub(super) channel::Sender<CommitCallback>);
+
+    impl CommitHook for Pool {
+        fn on_commit(&self, commits: Vec<DeferredCommit>) {
+            commits.into_iter().for_each(|commit| self.0.send(commit.done).unwrap());
+        }
+    }
+
+    /// Start the one-thread pool over `acks`; call the result to stop it.
+    pub(super) fn run_pool(acks: channel::Receiver<CommitCallback>) -> impl FnOnce() {
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stopped = Arc::clone(&stop);
+        let pool = std::thread::spawn(move || {
+            while !stopped.load(std::sync::atomic::Ordering::SeqCst) {
+                if let Ok(ack) = acks.recv_timeout(std::time::Duration::from_millis(5)) {
+                    ack(Ok(()));
+                }
+            }
+        });
+        move || {
+            stop.store(true, std::sync::atomic::Ordering::SeqCst);
+            pool.join().unwrap();
+        }
+    }
+
+    /// A hook that loses every `done` it is handed, unrun.
+    struct DroppingHook;
+    impl CommitHook for DroppingHook {
+        fn on_commit(&self, commits: Vec<DeferredCommit>) {
+            drop(commits);
+        }
+    }
+
+    #[test]
+    fn a_done_dropped_unrun_fails_the_blocking_commit_instead_of_hanging_it() {
+        let env = setup(EngineConfig::default());
+        let id = oid("c/lost");
+        env.engine.create_object("Counter", &id, &[("count", b"0")]).unwrap();
+        env.engine.set_commit_hook(Arc::new(DroppingHook));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let engine = Arc::clone(&env.engine);
+        std::thread::spawn(move || {
+            tx.send(engine.invoke(&id, "bump_raw", vec![VmValue::str("1")])).unwrap();
+        });
+        let outcome = rx
+            .recv_timeout(std::time::Duration::from_secs(2))
+            .expect("the parked committer hung on a lost completion");
+        let lost = "replication ended without an outcome";
+        assert_eq!(outcome, Err(InvokeError::Storage(lost.into())));
     }
 
     #[test]
@@ -2012,38 +2082,19 @@ mod tests {
 
     #[test]
     fn a_completion_thread_never_runs_the_next_queued_method_body() {
-        // A one-thread "completion pool", played by the test: deferred
-        // commits complete only when that thread runs their callbacks, in
-        // order. If finishing Y on it ran the queued Z inline, Z's nested
-        // call would park the pool's only thread on B — held by X, whose
+        // A one-thread "completion pool", played by the test: commits
+        // complete only when that thread runs their callbacks, in order.
+        // If finishing Y on it ran the queued Z inline, Z's nested call
+        // would park the pool's only thread on B — held by X, whose
         // completion is next in the same pool — and nothing would finish.
-        #[derive(Default)]
-        struct Pool(parking_lot::Mutex<Vec<CommitCallback>>);
-        impl CommitHook for Pool {
-            fn on_commit(
-                &self,
-                _: &InvocationContext,
-                _: &ObjectId,
-                _: &[(Vec<u8>, Option<Vec<u8>>)],
-            ) -> std::result::Result<(), String> {
-                Ok(())
-            }
-            fn on_commit_deferred(
-                &self,
-                _: &InvocationContext,
-                _: &ObjectId,
-                _: WriteSetOps,
-                done: CommitCallback,
-            ) {
-                self.0.lock().push(done);
-            }
-        }
+        // Z's nested target commits through a parked join, so the pool
+        // keeps running until Z has answered.
         let env = setup(EngineConfig::default());
         let (a, b) = (oid("c/a"), oid("c/b"));
         env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
         env.engine.create_object("Counter", &b, &[("count", b"0")]).unwrap();
-        let pool = Arc::new(Pool::default());
-        env.engine.set_commit_hook(Arc::clone(&pool) as Arc<dyn CommitHook>);
+        let (acks_tx, acks) = channel::unbounded();
+        env.engine.set_commit_hook(Arc::new(Pool(acks_tx)));
         let (tx, rx) = std::sync::mpsc::channel();
         let start = |id: &ObjectId, method: &str, args: Vec<VmValue>| {
             let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
@@ -2054,14 +2105,13 @@ mod tests {
         start(&a, "bump_raw", vec![VmValue::str("y")]); // Y: holds A, awaits the pool
         start(&b, "bump_raw", vec![VmValue::str("x")]); // X: holds B, awaits the pool
         start(&a, "poke_other", vec![VmValue::str("c/b"), VmValue::str("z")]); // Z: behind Y
-        assert_eq!(pool.0.lock().len(), 2, "Y and X are waiting for their acks");
-        let acks = std::mem::take(&mut *pool.0.lock());
-        let pool_thread = std::thread::spawn(move || acks.into_iter().for_each(|ack| ack(Ok(()))));
+        assert_eq!(acks.len(), 2, "Y and X are waiting for their acks");
+        let stop_pool = run_pool(acks);
         for _ in 0..3 {
             let outcome = rx.recv_timeout(std::time::Duration::from_secs(10));
             assert!(outcome.expect("the pool thread wedged").is_ok());
         }
-        pool_thread.join().unwrap();
+        stop_pool();
         assert_eq!(env.engine.invoke(&b, "read_count", vec![]).unwrap(), VmValue::str("z"));
     }
 
@@ -2279,41 +2329,13 @@ mod scatter_tests {
     use std::thread::ThreadId;
     use std::time::Duration;
 
-    /// What the hook saw: write sets per `on_commit_many` call, objects
-    /// that came through `on_commit_deferred`, and parked `on_commit`s.
+    /// Acks everything at once and records the objects of each call.
     #[derive(Default)]
-    struct Seen {
-        waves: Vec<Vec<ObjectId>>,
-        alone: Vec<ObjectId>,
-        parked: usize,
-    }
-
-    /// Acks everything at once and records how it was asked.
-    #[derive(Default)]
-    struct RecordingHook(parking_lot::Mutex<Seen>);
+    struct RecordingHook(parking_lot::Mutex<Vec<Vec<ObjectId>>>);
 
     impl CommitHook for RecordingHook {
-        fn on_commit(
-            &self,
-            _: &InvocationContext,
-            _: &ObjectId,
-            _: &[(Vec<u8>, Option<Vec<u8>>)],
-        ) -> std::result::Result<(), String> {
-            self.0.lock().parked += 1;
-            Ok(())
-        }
-        fn on_commit_deferred(
-            &self,
-            _: &InvocationContext,
-            object: &ObjectId,
-            _: WriteSetOps,
-            done: CommitCallback,
-        ) {
-            self.0.lock().alone.push(object.clone());
-            done(Ok(()));
-        }
-        fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
-            self.0.lock().waves.push(commits.iter().map(|c| c.object.clone()).collect());
+        fn on_commit(&self, commits: Vec<DeferredCommit>) {
+            self.0.lock().push(commits.iter().map(|c| c.object.clone()).collect());
             commits.into_iter().for_each(|c| (c.done)(Ok(())));
         }
     }
@@ -2405,9 +2427,7 @@ mod scatter_tests {
         assert_eq!(results, ids(&targets), "one result per target, in target order");
         let me = std::thread::current().id();
         assert_eq!(*ran_on.lock(), vec![me; targets.len()], "no thread per target");
-        let seen = hook.0.lock();
-        assert_eq!(seen.waves, vec![targets], "one call carrying every write set");
-        assert!(seen.alone.is_empty() && seen.parked == 0, "and nothing beside it");
+        assert_eq!(*hook.0.lock(), vec![targets], "one call carrying every write set, no other");
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2427,18 +2447,17 @@ mod scatter_tests {
         };
         // The wave leaves without the busy branch …
         let deadline = Instant::now() + Duration::from_secs(10);
-        while hook.0.lock().waves.is_empty() {
+        while hook.0.lock().is_empty() {
             assert!(Instant::now() < deadline, "the wave never shipped");
             std::thread::yield_now();
         }
         let free = vec![targets[0].clone(), targets[1].clone(), targets[3].clone()];
-        assert_eq!(hook.0.lock().waves, vec![free]);
+        assert_eq!(*hook.0.lock(), vec![free.clone()]);
         assert!(!scatter.is_finished(), "the caller waits for every branch");
         // … which commits on its own once its object is released.
         drop(held);
         assert_eq!(scatter.join().unwrap().unwrap(), ids(&targets));
-        assert_eq!(hook.0.lock().alone, vec![targets[2].clone()]);
-        assert_eq!(hook.0.lock().waves.len(), 1);
+        assert_eq!(*hook.0.lock(), vec![free, vec![targets[2].clone()]]);
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -2451,7 +2470,7 @@ mod scatter_tests {
         // running inside the first one's boundary and the first one's
         // reacquire waiting for it. The nested call is a `host.invoke` or
         // a scatter of its own, whose join parks just the same.
-        for (payload, waves) in [("invoke", 1), ("scatter", 4)] {
+        for payload in ["invoke", "scatter"] {
             let (engine, _, dir) = native_engine();
             let src = create(&engine, "Native", &["n/src"]).remove(0);
             let nodes = create(&engine, "Native", &["n/a", "n/b", "n/c"]);
@@ -2473,11 +2492,18 @@ mod scatter_tests {
             assert_eq!(count(&a), VmValue::Int(4), "its own relay and one receive per sibling");
             assert_eq!(count(&b), VmValue::Int(4), "two relays, each before and after the call");
             assert_eq!(count(&c), VmValue::Int(2));
-            let seen = hook.0.lock();
-            // What the wave held left before the first park, and the wave
-            // stayed closed; a nested scatter's own wave carries its `n/a`.
-            assert_eq!(seen.waves, vec![vec![a]; waves], "{payload}");
-            assert_eq!(seen.alone, vec![b.clone(), b, c], "{payload}");
+            // A nesting branch is three hook calls: its boundary commit
+            // (a parked join, which waits for an ack and for no guard), the
+            // `receive` at `n/a` — alone, or as a nested scatter's own wave
+            // — and its final part. What the wave held, `n/a`, left before
+            // the first nested call could park, and the wave stayed closed.
+            let alone = |id: &ObjectId| vec![id.clone()];
+            let mut want = vec![alone(&b), alone(&a)];
+            want.extend([alone(&a), alone(&b)]);
+            for branch in [&b, &c] {
+                want.extend([alone(branch), alone(&a), alone(branch)]);
+            }
+            assert_eq!(*hook.0.lock(), want, "{payload}");
             std::fs::remove_dir_all(dir).ok();
         }
     }
@@ -2503,68 +2529,51 @@ mod scatter_tests {
 
     #[test]
     fn a_scatter_granted_on_the_completion_thread_joins_off_it() {
-        // The restated completion-pool rule (DESIGN.md §10): the wave's
-        // join is a parked waiter woken by completions, so it must not sit
-        // on a pool thread. A one-thread pool, played by the test, acks
-        // deferred commits in order. Y holds A until the pool acks it; Z,
-        // a scatter, queues behind Y and is therefore granted on the pool
-        // thread. Were Z's body to run there, its join would wait for acks
-        // only that thread can deliver.
-        struct Pool(channel::Sender<CommitCallback>);
-        impl CommitHook for Pool {
-            fn on_commit(
-                &self,
-                _: &InvocationContext,
-                _: &ObjectId,
-                _: &[(Vec<u8>, Option<Vec<u8>>)],
-            ) -> std::result::Result<(), String> {
-                Ok(())
-            }
-            fn on_commit_deferred(
-                &self,
-                _: &InvocationContext,
-                _: &ObjectId,
-                _: WriteSetOps,
-                done: CommitCallback,
-            ) {
-                self.0.send(done).unwrap();
-            }
-        }
-        let (engine, dir) = scatter_engine();
-        let nodes = create(&engine, "Node", &["p/a", "p/b", "p/c"]);
-        let (acks_tx, acks) = channel::unbounded();
-        engine.set_commit_hook(Arc::new(Pool(acks_tx)));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let start = |method: &str, args: Vec<VmValue>| {
-            let ctx = InvocationContext::client(Duration::from_secs(30));
-            let tx = tx.clone();
-            let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
-            engine.invoke_deferred(&ctx, &nodes[0], method, args, true, done);
-        };
-        start("receive", vec![VmValue::str("y")]); // Y: holds A, awaits the pool
-        start("broadcast", vec![ids(&nodes[1..]), VmValue::str("z")]); // Z: behind Y
-        assert_eq!(acks.len(), 1, "Y waits for its ack, Z for Y");
+        // The completion-pool rule (DESIGN.md §10): a parked join woken by
+        // completions must not sit on a pool thread. A one-thread pool,
+        // played by the test, acks every commit in order. Y holds A until
+        // the pool acks it; Z queues behind Y and is therefore granted on
+        // the pool thread. Z is a scatter, whose join waits for its
+        // branches' acks, or a `relay`: a boundary commit and a single
+        // `host.invoke`, each a blocking commit's join. Were Z's body to
+        // run on the pool thread, it would wait for acks only that thread
+        // can deliver.
+        use super::tests::{run_pool, Pool};
+        for method in ["broadcast", "relay"] {
+            let (engine, _, dir) = native_engine();
+            let nodes = create(&engine, "Native", &["p/a", "p/b", "p/c"]);
+            let (acks_tx, acks) = channel::unbounded();
+            engine.set_commit_hook(Arc::new(Pool(acks_tx)));
+            let (tx, rx) = std::sync::mpsc::channel();
+            let start = |method: &str, args: Vec<VmValue>| {
+                let ctx = InvocationContext::client(Duration::from_secs(30));
+                let tx = tx.clone();
+                let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
+                engine.invoke_deferred(&ctx, &nodes[0], method, args, false, done);
+            };
+            start("receive", vec![VmValue::str("y")]); // Y: holds A, awaits the pool
+            let to = if method == "relay" {
+                VmValue::Bytes(nodes[1].0.clone())
+            } else {
+                ids(&nodes[1..])
+            };
+            start(method, vec![to, VmValue::str("z")]); // Z: behind Y
+            assert_eq!(acks.len(), 1, "Y waits for its ack, Z for Y");
 
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let pool_thread = {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                while !stop.load(AtomicOrdering::SeqCst) {
-                    if let Ok(ack) = acks.recv_timeout(Duration::from_millis(5)) {
-                        ack(Ok(()));
-                    }
-                }
-            })
-        };
-        for _ in 0..2 {
-            let outcome = rx.recv_timeout(Duration::from_secs(10));
-            assert!(outcome.expect("the pool thread wedged").is_ok());
+            let stop_pool = run_pool(acks);
+            for _ in 0..2 {
+                let outcome = rx.recv_timeout(Duration::from_secs(10));
+                assert!(outcome.expect("the pool thread wedged").is_ok(), "{method}");
+            }
+            stop_pool();
+            // Y's `receive`, then the scatter's one per branch, or the
+            // relay's two at A around the one at B.
+            let want = if method == "relay" { [3, 1, 0] } else { [1, 1, 1] };
+            for (node, inbox) in nodes.iter().zip(want) {
+                let n = engine.invoke(node, "inbox_count", vec![]).unwrap();
+                assert_eq!(n, VmValue::Int(inbox), "{method}");
+            }
+            std::fs::remove_dir_all(dir).ok();
         }
-        stop.store(true, AtomicOrdering::SeqCst);
-        pool_thread.join().unwrap();
-        for branch in &nodes[1..] {
-            assert_eq!(engine.invoke(branch, "inbox_count", vec![]).unwrap(), VmValue::Int(1));
-        }
-        std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -464,9 +464,8 @@ mod tests {
     #[test]
     fn a_transaction_hands_all_its_write_sets_to_the_hook_in_one_call() {
         use crate::engine::{CommitHook, DeferredCommit};
-        use lambda_telemetry::InvocationContext;
 
-        /// Records the objects of every `on_commit_many` call; a failing
+        /// Records the objects of every `on_commit` call; a failing
         /// one nacks the last write set it is handed.
         #[derive(Default)]
         struct Hook {
@@ -474,15 +473,7 @@ mod tests {
             failing: bool,
         }
         impl CommitHook for Hook {
-            fn on_commit(
-                &self,
-                _: &InvocationContext,
-                _: &ObjectId,
-                _: &[(Vec<u8>, Option<Vec<u8>>)],
-            ) -> std::result::Result<(), String> {
-                Ok(())
-            }
-            fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
+            fn on_commit(&self, commits: Vec<DeferredCommit>) {
                 self.calls.lock().push(commits.iter().map(|c| c.object.clone()).collect());
                 let last = commits.len() - 1;
                 for (i, commit) in commits.into_iter().enumerate() {

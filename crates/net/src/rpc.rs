@@ -651,6 +651,14 @@ impl RpcNode {
     fn start_deferred(&self, to: NodeId, body: &[u8], timeout: Duration, done: ReplyCallback) {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         self.shared.pending.lock().insert(id, PendingReply::Callback(done));
+        if self.shared.shutdown.load(Ordering::Acquire) {
+            // `shutdown` may have drained `pending` before the insert:
+            // nothing would ever complete (or drop) this call.
+            if let Some(reply) = self.shared.pending.lock().remove(&id) {
+                self.shared.complete(reply, Err(RpcError::Shutdown));
+            }
+            return;
+        }
         self.shared.schedule_at(Instant::now() + timeout, TimerKind::CallTimeout(id));
         let frame = encode_frame(KIND_REQUEST, id, body);
         self.shared.handle.send(to, frame);
@@ -785,8 +793,14 @@ impl RpcNode {
         // Wake the router; it exits and drops the job queue so workers
         // drain admitted requests and stop.
         let _ = self.ctrl.send(Ctrl::Shutdown);
-        // Stop the timer.
-        self.shared.timer.lock().shutdown = true;
+        // Stop the timer, dropping what it still held: a scheduled task
+        // may own the only sender of a channel some thread is parked on.
+        let unfired = {
+            let mut timer = self.shared.timer.lock();
+            timer.shutdown = true;
+            std::mem::take(&mut timer.heap)
+        };
+        drop(unfired);
         self.shared.timer_cv.notify_all();
         // Join router, workers, timer — skipping the current thread in case
         // shutdown was invoked from a completion or handler context.
@@ -977,6 +991,18 @@ mod tests {
         client.schedule(Duration::from_millis(5), Box::new(move || tx.send(1u32).unwrap()));
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 1);
         assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 2);
+        net.shutdown();
+    }
+
+    #[test]
+    fn shutdown_drops_the_tasks_it_will_never_fire() {
+        let net = Network::new(LatencyModel::instant(), 1);
+        let client = RpcNode::start(&net, NodeId(2), null_handler(), 1);
+        let (tx, rx) = channel::bounded::<()>(1);
+        client.schedule(Duration::from_secs(60), Box::new(move || drop(tx.send(()))));
+        client.shutdown();
+        let woken = rx.recv_timeout(Duration::from_secs(1));
+        assert_eq!(woken, Err(channel::RecvTimeoutError::Disconnected), "not left parked");
         net.shutdown();
     }
 

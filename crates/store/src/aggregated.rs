@@ -677,15 +677,8 @@ impl AggregatedNode {
         &self.inner.placement
     }
 
-    /// Enable or disable per-shard replication batching (ABL-GROUPCOMMIT
-    /// ablation). When disabled each committed write set is shipped as its
-    /// own RPC.
-    pub fn set_replication_batching(&self, enabled: bool) {
-        self.inner.repl.set_batching(enabled);
-    }
-
-    /// `(rounds, entries)` shipped through the batched replication path;
-    /// `entries / rounds` is the mean replication window size.
+    /// `(rounds, entries)` shipped by this node's replication windows;
+    /// `entries / rounds` is the mean round size.
     pub fn replication_batch_stats(&self) -> (u64, u64) {
         self.inner.repl.batch_stats()
     }
@@ -803,5 +796,80 @@ mod tests {
         });
         assert!(matches!(outcome, Err(InvokeError::Nested(m)) if m.contains("shutting down")));
         assert_eq!(rig.stop(), 1);
+    }
+
+    /// Start `cell/1 <- set("v")` on a thread of its own against a rig whose
+    /// node leads shard 0 with `PEER` as the backup that never acks; the
+    /// outcome arrives over the returned channel once `stop` has ended the
+    /// commit's replication.
+    fn blocked_commit(rig: &Rig) -> crossbeam::channel::Receiver<Result<VmValue, InvokeError>> {
+        use lambda_coordinator::{ClusterState, CoordCmd, N_SLOTS};
+        let mut reg = lambda_vm::NativeRegistry::new();
+        reg.register("set", false, false, true, |ctx| {
+            ctx.host.put(b"v", &ctx.bytes_arg(0)?)?;
+            Ok(VmValue::Unit)
+        });
+        rig.node.register_native_type(ObjectType::from_native("Cell", vec![], reg));
+        let cell = ObjectId::from("cell/1");
+        rig.node.engine().create_object("Cell", &cell, &[]).expect("no map yet: nothing to ship");
+        let mut state = ClusterState::default();
+        for node in [NodeId(1), PEER] {
+            state.apply(&CoordCmd::RegisterNode { node });
+        }
+        state.apply(&CoordCmd::CreateShard { shard: 0, replicas: vec![NodeId(1), PEER] });
+        state.apply(&CoordCmd::AssignSlots { shard: 0, slots: (0..N_SLOTS).collect() });
+        assert!(rig.node.placement().update(state));
+
+        let (tx, rx) = crossbeam::channel::bounded(1);
+        let node = Arc::clone(&rig.node);
+        std::thread::spawn(move || {
+            tx.send(node.engine().invoke(&cell, "set", vec![VmValue::str("v")])).unwrap();
+        });
+        rx
+    }
+
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// A blocking commit's join ends with a retryable `Storage` error, well
+    /// inside any client timeout, however its completion is lost.
+    fn assert_fails_fast(outcome: crossbeam::channel::Receiver<Result<VmValue, InvokeError>>) {
+        let outcome = outcome.recv_timeout(Duration::from_secs(2));
+        let outcome = outcome.expect("the parked committer hung on a lost completion");
+        assert!(matches!(outcome, Err(InvokeError::Storage(_))), "{outcome:?}");
+    }
+
+    #[test]
+    fn node_shutdown_mid_retry_fails_the_parked_commit() {
+        // The backup nacks every frame, so the round is being re-sent,
+        // `REPL_RETRY_PAUSE` apart, when the node goes down: the timer
+        // discards the scheduled retry, or the ack path sees the flag.
+        let rig = Rig::start("lost-retry", 0);
+        let outcome = blocked_commit(&rig);
+        let retries = || rig.node.registry().counter_value("node_repl_retries");
+        wait_for("a retry to be scheduled", || retries() >= 2);
+        rig.node.shutdown();
+        assert_fails_fast(outcome);
+        rig.stop();
+    }
+
+    #[test]
+    fn endpoint_shutdown_before_the_ack_fails_the_parked_commit() {
+        // The backup is gone, so the round's frames sit unanswered; only
+        // the node's RPC endpoint stops (the node's own flag stays down):
+        // the ack path wants a retry, and the endpoint refuses to schedule it.
+        let rig = Rig::start("lost-ack", 0);
+        rig.peer.shutdown();
+        let outcome = blocked_commit(&rig);
+        let cell = ObjectId::from("cell/1");
+        wait_for("the local apply", || rig.node.engine().object_version(&cell) == 1);
+        rig.node.inner.rpc().shutdown();
+        assert_fails_fast(outcome);
+        rig.stop();
     }
 }

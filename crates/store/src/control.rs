@@ -190,7 +190,7 @@ impl NodeInner {
             // the surviving backups up to everything this node applied as
             // a backup (the old primary may have acked writes the
             // survivors never saw).
-            self.spawn_promotion_resync(shard, epoch, backups);
+            self.promotion_resync(shard, epoch, backups);
         }
     }
 

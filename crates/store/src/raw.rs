@@ -88,8 +88,7 @@ impl NodeInner {
         ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
     ) -> Reply {
         if let Some((oid, _)) = ops.first().and_then(|(key, _)| keys::split_key(key)) {
-            self.commit_parked(ctx, &oid, &ops, false)
-                .map_err(lambda_objects::error::decode_hook_error)?;
+            self.commit_raw(ctx, oid, ops).map_err(lambda_objects::error::decode_hook_error)?;
         }
         Ok(StoreResponse::Ok)
     }

@@ -1,28 +1,30 @@
 //! Primary→backup replication of committed write sets (§4.2.1).
 //!
-//! One mechanism, two ways to wait. Every *decision* on the path from a
-//! locally applied commit to its ack lives here exactly once:
+//! One mechanism, one way in. Every *decision* on the path from a locally
+//! applied commit to its ack lives here exactly once:
 //!
 //! * the **commit gate** ([`ReplState::commit_gate`]): may this node
 //!   replicate the write set at all, must the commit wait, or where does
 //!   it ship;
-//! * the **window** ([`Window`]): per-shard queue of committed write sets
-//!   behind a bounded number of rounds in flight, coalesced into rounds by
-//!   one prefix rule;
+//! * the **window** ([`Window`]): one per shard, a queue of committed
+//!   write sets behind a bounded number of rounds in flight, coalesced
+//!   into rounds by one prefix rule;
 //! * the **round** ([`Round`]): one `ReplicateBatch` frame, re-stamped per
 //!   attempt by one frame builder;
 //! * the **post-round step** ([`after_round`]): from the acks and the
 //!   current placement, is the round done, fenced, or to be re-sent.
 //!
-//! What is written twice is only how a committer waits on those
-//! decisions: the *parked* shell (`CommitHook::on_commit`: `sleep`,
-//! `call_many`, a channel) and the *completion* shell
-//! (`CommitHook::on_commit_many`: `schedule`, `call_many_deferred`,
-//! a callback). The two never share a window, so a committer parked here
-//! is never woken by a completion — the completion-pool rule, DESIGN.md §10.
+//! Nothing here parks a thread: a held commit and a retry re-enter through
+//! the RPC timer (`schedule`), a round's acks arrive as a completion
+//! (`call_many_deferred`), and every write set's outcome goes to the
+//! [`CommitCallback`] it came with. A committer that must block — the
+//! engine's blocking commits, a raw write — waits on a channel of its own
+//! whose sender rides in that callback, so a callback dropped unrun (the
+//! endpoint shut down) ends its wait with an error. Who may wait that way
+//! is the completion-pool rule, DESIGN.md §10.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,19 +100,14 @@ fn fenced(me: NodeId, shard: ShardId, info: &ShardInfo) -> Option<String> {
     })
 }
 
-/// Replication state of one node: the windows, the batching switch, the
-/// recent-commit rings, and the counters the decisions below feed.
+/// Replication state of one node: the windows, the recent-commit rings,
+/// and the counters the decisions below feed.
 pub(crate) struct ReplState {
-    /// When false every committed write set is shipped as its own round
-    /// (the ABL-GROUPCOMMIT "wal-only" configuration).
-    batching: AtomicBool,
-    /// Per-shard windows, created on first use, keyed by whether their
-    /// committers are parked (raw writes, nested and lifecycle commits) or
-    /// completion-driven. Kept apart — see the module docs.
-    windows: Mutex<HashMap<(ShardId, bool), Arc<Window>>>,
-    /// Batched replication rounds issued (one `ReplicateBatch` fan-out).
+    /// One window per shard, created on first use.
+    windows: Mutex<HashMap<ShardId, Arc<Window>>>,
+    /// Replication rounds issued (one `ReplicateBatch` fan-out each).
     rounds: Counter,
-    /// Write sets shipped through batched rounds.
+    /// Write sets shipped through those rounds.
     entries: Counter,
     /// Rounds re-sent to backups that missed an earlier one (a dropped
     /// frame or lost ack never downgrades an acked write).
@@ -136,7 +133,6 @@ pub(crate) struct ReplState {
 impl ReplState {
     pub(crate) fn new(registry: &Registry) -> ReplState {
         ReplState {
-            batching: AtomicBool::new(true),
             windows: Mutex::default(),
             rounds: registry.counter("node_repl_rounds"),
             entries: registry.counter("node_repl_entries"),
@@ -160,11 +156,7 @@ impl ReplState {
         ring.push_back((object.to_vec(), ops.to_vec()));
     }
 
-    pub(crate) fn set_batching(&self, enabled: bool) {
-        self.batching.store(enabled, Ordering::Relaxed);
-    }
-
-    /// `(rounds, entries)` shipped through batched rounds.
+    /// `(rounds, entries)` shipped so far.
     pub(crate) fn batch_stats(&self) -> (u64, u64) {
         (self.rounds.get(), self.entries.get())
     }
@@ -239,36 +231,13 @@ impl ReplState {
         }
     }
 
-    fn window(&self, shard: ShardId, parked: bool) -> Arc<Window> {
+    fn window(&self, shard: ShardId) -> Arc<Window> {
         let mut windows = self.windows.lock();
-        Arc::clone(windows.entry((shard, parked)).or_insert_with(|| Arc::new(Window::new(shard))))
+        Arc::clone(windows.entry(shard).or_insert_with(|| Arc::new(Window::new(shard))))
     }
 }
 
 // -- Windows and rounds --------------------------------------------------------
-
-/// How the committer behind a queued write set learns its outcome.
-enum Waiter {
-    /// A parked committer, woken with its round's outcome or with a round
-    /// to lead (same leader/follower scheme as the WAL group commit).
-    Parked(channel::Sender<Wake>),
-    Completion(CommitCallback),
-}
-
-enum Wake {
-    Outcome(Result<(), String>),
-    Lead(Box<Round>),
-}
-
-impl Waiter {
-    fn complete(self, outcome: Result<(), String>) {
-        match self {
-            // A leader's own outcome finds nobody listening; it has it already.
-            Waiter::Parked(parked) => drop(parked.send(Wake::Outcome(outcome))),
-            Waiter::Completion(done) => done(outcome),
-        }
-    }
-}
 
 /// One committed write set queued for shipment.
 struct Entry {
@@ -276,30 +245,36 @@ struct Entry {
     /// Epoch and backup set captured at the gate; see [`WindowState::start_rounds`].
     epoch: Epoch,
     backups: Vec<NodeId>,
-    /// The committing invocation's context; the round leader's copy bounds
-    /// the first fan-out's timeout and rides in the frame's envelope.
+    /// The committing invocation's context; the copy at a round's front
+    /// bounds the first fan-out's timeout and rides in the frame's envelope.
     ctx: InvocationContext,
-    waiter: Waiter,
+    /// How the committer learns the outcome.
+    done: CommitCallback,
     /// The committer holds the object's guard until this write set is
-    /// acked — every engine commit; not a raw write.
+    /// acked (debug builds check the no-shared-object rule over these).
     guarded: bool,
 }
 
+/// What kind of committer stands behind a gated write set.
+type MakeEntry = fn(DeferredCommit, ShardInfo) -> Entry;
+
 impl Entry {
-    fn new(
-        set: WriteSet,
-        info: ShardInfo,
-        ctx: &InvocationContext,
-        waiter: Waiter,
-        guarded: bool,
-    ) -> Entry {
-        Entry { set, epoch: info.epoch, backups: info.backups, ctx: *ctx, waiter, guarded }
+    /// An engine commit: its object's guard is held until `done` runs.
+    fn guarded(commit: DeferredCommit, info: ShardInfo) -> Entry {
+        let DeferredCommit { ctx, object, ops, done } = commit;
+        let (epoch, backups) = (info.epoch, info.backups);
+        Entry { set: (object.0, ops), epoch, backups, ctx, done, guarded: true }
+    }
+
+    /// A raw write: no guard, no per-key replication order.
+    fn raw(commit: DeferredCommit, info: ShardInfo) -> Entry {
+        Entry { guarded: false, ..Entry::guarded(commit, info) }
     }
 }
 
-/// Per-shard replication window: up to [`MAX_ROUNDS_IN_FLIGHT`] rounds are
+/// A shard's replication window: up to [`MAX_ROUNDS_IN_FLIGHT`] rounds are
 /// out at once; committed write sets that find every slot taken accumulate,
-/// and whoever finishes a round starts (or hands off) the next.
+/// and the ack that finishes a round starts the next.
 pub(crate) struct Window {
     shard: ShardId,
     state: Mutex<WindowState>,
@@ -308,9 +283,8 @@ pub(crate) struct Window {
 #[derive(Default)]
 struct WindowState {
     queue: VecDeque<Entry>,
-    /// Rounds out, counting one a parked committer was handed and is about
-    /// to run. Whenever the lock is released, a non-empty queue means this
-    /// is at the bound.
+    /// Rounds out. Whenever the lock is released, a non-empty queue means
+    /// this is at the bound.
     in_flight: usize,
     /// Debug builds: the guarded objects of the rounds in flight.
     out: Vec<Vec<u8>>,
@@ -322,8 +296,7 @@ impl Window {
     }
 
     /// Queue `entries`; the rounds that leave right now are the caller's
-    /// to run. A single entry that starts a round leads it (a free slot
-    /// means the queue was empty).
+    /// to ship.
     fn push(&self, entries: impl IntoIterator<Item = Entry>) -> Vec<Round> {
         let mut st = self.state.lock();
         st.queue.extend(entries);
@@ -345,7 +318,7 @@ impl Window {
 }
 
 impl WindowState {
-    /// The one rule, for both shells: while a slot is free and write sets
+    /// The one rule: while a slot is free and write sets
     /// are queued, a round leaves with the longest queue prefix that agrees
     /// on `(epoch, backups)`. A write set enqueued under a newer
     /// configuration leads its own round, so epoch fencing stays exact
@@ -381,7 +354,7 @@ impl WindowState {
 }
 
 /// One fan-out of write sets to a shard's backups, driven to a definite
-/// outcome by either shell.
+/// outcome by [`NodeInner::ship_round`].
 struct Round {
     shard: ShardId,
     /// Stamped into the frame; moves with the placement across retries.
@@ -391,7 +364,7 @@ struct Round {
     sets: Vec<WriteSet>,
     down: InvocationContext,
     attempt: u32,
-    waiters: Vec<Waiter>,
+    waiters: Vec<CommitCallback>,
     /// Debug builds: the objects of the guarded write sets among `sets`.
     tracked: Vec<Vec<u8>>,
 }
@@ -423,17 +396,7 @@ impl Round {
             self.tracked.push(entry.set.0.clone());
         }
         self.sets.push(entry.set);
-        self.waiters.push(entry.waiter);
-    }
-
-    /// Parked windows: wake the committer at the front of this round to
-    /// lead it.
-    fn wake_leader(self) {
-        let Some(Waiter::Parked(leader)) = self.waiters.first() else {
-            unreachable!("a parked window queues parked committers only");
-        };
-        let leader = leader.clone();
-        drop(leader.send(Wake::Lead(Box::new(self))));
+        self.waiters.push(entry.done);
     }
 
     /// The frame builder: this attempt's `ReplicateBatch`, stamped with
@@ -458,8 +421,8 @@ impl Round {
     }
 
     fn complete(self, outcome: &Result<(), String>) {
-        for waiter in self.waiters {
-            waiter.complete(outcome.clone());
+        for done in self.waiters {
+            done(outcome.clone());
         }
     }
 }
@@ -533,7 +496,7 @@ pub(crate) fn after_round(
     Next::Retry { epoch: info.epoch, backups }
 }
 
-// -- The two shells ------------------------------------------------------------
+// -- Driving it: schedule, call_many_deferred, callbacks -------------------------
 
 impl NodeInner {
     /// The commit gate with this node's lease and sync state plugged in.
@@ -576,10 +539,8 @@ impl NodeInner {
         round: &mut Round,
         replies: &[Result<Vec<u8>, RpcError>],
     ) -> Option<Result<(), String>> {
-        if self.repl.batching.load(Ordering::Relaxed) {
-            self.repl.rounds.incr();
-            self.repl.entries.add(round.sets.len() as u64);
-        }
+        self.repl.rounds.incr();
+        self.repl.entries.add(round.sets.len() as u64);
         let failed = failed_acks(&round.backups, replies);
         let shutting_down = self.shutdown.load(Ordering::Acquire);
         match after_round(&self.placement, self.id, round.shard, failed, shutting_down) {
@@ -594,23 +555,13 @@ impl NodeInner {
         }
     }
 
-    /// Parked shell of a round: `call_many` + `sleep`. Returns the round,
-    /// its waiters still unanswered, with its outcome.
-    fn run_round_parked(&self, mut round: Round) -> (Round, Result<(), String>) {
-        loop {
-            let (body, timeout) = self.next_attempt(&mut round);
-            let replies = self.rpc().call_many(&round.backups, body, timeout);
-            if let Some(outcome) = self.settle(&mut round, &replies) {
-                return (round, outcome);
-            }
-            std::thread::sleep(REPL_RETRY_PAUSE);
-        }
-    }
-
-    /// Completion shell of a round: `call_many_deferred` + `schedule`.
-    /// With the outcome in, `then` runs (it frees the round's slot) and the
-    /// round's waiters are answered.
-    fn run_round_deferred(&self, mut round: Round, then: Box<dyn FnOnce(&Round) + Send>) {
+    /// Ship `round` to every backup **in parallel** — the paper's "at most
+    /// one network round-trip within the responsible replica set"
+    /// (§4.2.1) — and re-send it, [`REPL_RETRY_PAUSE`] apart, until it has
+    /// an outcome. The ack that brings the outcome frees the round's slot
+    /// in `window`, ships what queued there meanwhile, and then answers
+    /// the round's waiters.
+    fn ship_round(&self, window: Option<Arc<Window>>, mut round: Round) {
         let (body, timeout) = self.next_attempt(&mut round);
         let targets = round.backups.clone();
         let this = self.arc();
@@ -620,99 +571,41 @@ impl NodeInner {
             timeout,
             Box::new(move |replies| match this.settle(&mut round, &replies) {
                 Some(outcome) => {
-                    then(&round);
+                    if let Some(window) = &window {
+                        for next in window.finish(&round) {
+                            this.ship_round(Some(Arc::clone(window)), next);
+                        }
+                    }
                     round.complete(&outcome);
                 }
                 None => {
                     let node = Arc::clone(&this);
-                    this.rpc().schedule(
-                        REPL_RETRY_PAUSE,
-                        Box::new(move || node.run_round_deferred(round, then)),
-                    );
+                    let retry = Box::new(move || node.ship_round(window, round));
+                    this.rpc().schedule(REPL_RETRY_PAUSE, retry);
                 }
             }),
         );
     }
 
-    /// Ship `ops` to every backup **in parallel** and park until all still
-    /// configured ones acked — the paper's "at most one network round-trip
-    /// within the responsible replica set" (§4.2.1). With batching on, the
-    /// write set joins the shard's parked window: it leads a round of its
-    /// own while a slot is free, else it leaves in the round the next ack
-    /// starts, led by the committer at that round's front.
-    fn replicate_parked(
-        &self,
-        ctx: &InvocationContext,
-        shard: ShardId,
-        info: ShardInfo,
-        set: WriteSet,
-        guarded: bool,
-    ) -> Result<(), String> {
-        if info.backups.is_empty() {
-            return Ok(());
-        }
-        let (wake, parked) = channel::bounded(1);
-        let entry = Entry::new(set, info, ctx, Waiter::Parked(wake), guarded);
-        if !self.repl.batching.load(Ordering::Relaxed) {
-            let (round, outcome) = self.run_round_parked(Round::of(shard, entry));
-            round.complete(&outcome);
-            return outcome;
-        }
-        let window = self.repl.window(shard, true);
-        let round = match window.push([entry]).pop() {
-            Some(own) => own,
-            None => match parked.recv().expect("queued waiters are always woken") {
-                Wake::Outcome(outcome) => return outcome,
-                Wake::Lead(round) => *round,
-            },
-        };
-        let (round, outcome) = self.run_round_parked(round);
-        window.finish(&round).into_iter().for_each(Round::wake_leader);
-        round.complete(&outcome);
-        outcome
-    }
-
-    /// Completion shell of a windowed round: its ack frees the slot and
-    /// ships what queued meanwhile, so the window drains without a parked
-    /// leader.
-    fn ship_round(&self, window: Arc<Window>, round: Round) {
-        let this = self.arc();
-        self.run_round_deferred(
-            round,
-            Box::new(move |done| {
-                for next in window.finish(done) {
-                    this.ship_round(Arc::clone(&window), next);
-                }
-            }),
-        );
-    }
-
-    /// Completion shell of the gate, for any number of write sets at once:
-    /// a held commit re-enters through the RPC timer wheel (no thread
-    /// parks; the object guard rides in `done`, so per-object commit order
-    /// is preserved across the hold), and everything that ships to one
-    /// shard is queued under one window lock — one round, while a slot is
-    /// free and the configuration did not move in between. `done` fires
-    /// from the ack path of the round that ships its write set.
-    fn gate_many(&self, commits: Vec<DeferredCommit>) {
+    /// Gate each of `commits` (a held one re-enters through the RPC timer
+    /// wheel; the object guard rides in `done`, so per-object commit order
+    /// is preserved across the hold) and queue everything that ships to one
+    /// shard under one window lock — one round, while a slot is free and
+    /// the configuration did not move in between. `done` fires from the ack
+    /// path of the round that ships its write set.
+    fn gate(&self, commits: Vec<DeferredCommit>, entry: MakeEntry) {
         let mut shipping: Vec<(ShardId, Vec<Entry>)> = Vec::new();
-        for DeferredCommit { ctx, object, ops, done } in commits {
-            match self.commit_gate(&object, &ops) {
-                Gate::Skip => done(Ok(())),
-                Gate::Fail(err) => done(Err(err)),
+        for commit in commits {
+            match self.commit_gate(&commit.object, &commit.ops) {
+                Gate::Skip => (commit.done)(Ok(())),
+                Gate::Fail(err) => (commit.done)(Err(err)),
                 Gate::Hold(wait) => {
                     let this = self.arc();
-                    let held = DeferredCommit { ctx, object, ops, done };
-                    self.rpc().schedule(wait, Box::new(move || this.gate_many(vec![held])));
+                    self.rpc().schedule(wait, Box::new(move || this.gate(vec![commit], entry)));
                 }
-                Gate::Ship { info, .. } if info.backups.is_empty() => done(Ok(())),
+                Gate::Ship { info, .. } if info.backups.is_empty() => (commit.done)(Ok(())),
                 Gate::Ship { shard, info } => {
-                    let waiter = Waiter::Completion(done);
-                    let entry = Entry::new((object.0, ops), info, &ctx, waiter, true);
-                    if !self.repl.batching.load(Ordering::Relaxed) {
-                        self.run_round_deferred(Round::of(shard, entry), Box::new(|_| {}));
-                        continue;
-                    }
+                    let entry = entry(commit, info);
                     match shipping.iter_mut().find(|(s, _)| *s == shard) {
                         Some((_, entries)) => entries.push(entry),
                         None => shipping.push((shard, vec![entry])),
@@ -721,38 +614,35 @@ impl NodeInner {
             }
         }
         for (shard, entries) in shipping {
-            let window = self.repl.window(shard, false);
+            let window = self.repl.window(shard);
             for round in window.push(entries) {
-                self.ship_round(Arc::clone(&window), round);
+                self.ship_round(Some(Arc::clone(&window)), round);
             }
         }
     }
 
-    /// Parked shell of the gate and the window: `sleep` through holds, park
-    /// for the acks. `guarded`: the caller holds `object`'s guard until
-    /// this returns (every engine commit; raw writes do not).
-    pub(crate) fn commit_parked(
+    /// Locally applied write sets enter here. The edge-cache invalidation
+    /// stream fires for every one, before any gating: single-node mode
+    /// still publishes (the write is already durably applied).
+    fn replicate(&self, commits: Vec<DeferredCommit>, entry: MakeEntry) {
+        for commit in &commits {
+            self.publish_invalidations(commit.ops.iter().map(|(k, _)| k));
+        }
+        self.gate(commits, entry);
+    }
+
+    /// Replicate a raw write's `ops` as a commit of `object`, parking the
+    /// calling RPC worker until it is acked.
+    pub(crate) fn commit_raw(
         &self,
         ctx: &InvocationContext,
-        object: &ObjectId,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
-        guarded: bool,
+        object: ObjectId,
+        ops: WriteSetOps,
     ) -> Result<(), String> {
-        // The edge-cache invalidation stream fires for every local commit,
-        // before any gating: single-node mode still publishes (the write
-        // is already durably applied).
-        self.publish_invalidations(ops.iter().map(|(k, _)| k));
-        loop {
-            match self.commit_gate(object, ops) {
-                Gate::Skip => return Ok(()),
-                Gate::Fail(err) => return Err(err),
-                Gate::Hold(wait) => std::thread::sleep(wait),
-                Gate::Ship { shard, info } => {
-                    let set = (object.0.clone(), ops.to_vec());
-                    return self.replicate_parked(ctx, shard, info, set, guarded);
-                }
-            }
-        }
+        let (tx, rx) = channel::bounded(1);
+        let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
+        self.replicate(vec![DeferredCommit { ctx: *ctx, object, ops, done }], Entry::raw);
+        rx.recv().unwrap_or_else(|_| Err("replication ended without an outcome".into()))
     }
 
     /// Backup role: apply one `ReplicateBatch` frame — the lease grant it
@@ -782,12 +672,7 @@ impl NodeInner {
     /// holds is harmless; a set the deposed primary acked without this
     /// survivor's ack landing is delivered here, converging the replica
     /// set on every acked write before new commits stack on top.
-    pub(crate) fn spawn_promotion_resync(
-        &self,
-        shard: ShardId,
-        epoch: Epoch,
-        backups: Vec<NodeId>,
-    ) {
+    pub(crate) fn promotion_resync(&self, shard: ShardId, epoch: Epoch, backups: Vec<NodeId>) {
         let entries: Vec<WriteSet> = {
             let rings = self.repl.recent_commits.lock();
             rings.get(&shard).map(|r| r.iter().cloned().collect()).unwrap_or_default()
@@ -795,47 +680,21 @@ impl NodeInner {
         if entries.is_empty() || backups.is_empty() {
             return;
         }
+        let ctx = InvocationContext::background();
+        let mut round = Round::new(shard, epoch, backups, &ctx, entries);
         let this = self.arc();
-        std::thread::Builder::new()
-            .name(format!("store-{}-resync-{shard}", self.id))
-            .spawn(move || {
-                let ctx = InvocationContext::background();
-                let round = Round::new(shard, epoch, backups, &ctx, entries);
-                if this.run_round_parked(round).1.is_ok() {
-                    this.repl.promotion_resyncs.incr();
-                }
-            })
-            .expect("spawn promotion resync");
+        round.waiters.push(Box::new(move |outcome| {
+            if outcome.is_ok() {
+                this.repl.promotion_resyncs.incr();
+            }
+        }));
+        self.ship_round(None, round);
     }
 }
 
 impl CommitHook for NodeInner {
-    fn on_commit(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        ops: &[(Vec<u8>, Option<Vec<u8>>)],
-    ) -> Result<(), String> {
-        self.commit_parked(ctx, object, ops, true)
-    }
-
-    fn on_commit_deferred(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        ops: WriteSetOps,
-        done: CommitCallback,
-    ) {
-        self.on_commit_many(vec![DeferredCommit { ctx: *ctx, object: object.clone(), ops, done }]);
-    }
-
-    /// Completion shell: `schedule` through holds, each `done` fires from
-    /// the ack path. No thread parks between local commit and ack.
-    fn on_commit_many(&self, commits: Vec<DeferredCommit>) {
-        for commit in &commits {
-            self.publish_invalidations(commit.ops.iter().map(|(k, _)| k));
-        }
-        self.gate_many(commits);
+    fn on_commit(&self, commits: Vec<DeferredCommit>) {
+        self.replicate(commits, Entry::guarded);
     }
 }
 
@@ -1000,19 +859,18 @@ mod tests {
         assert_eq!(gate_with(&st, &repl, true, None, moved), Gate::Fail("placement moved".into()));
     }
 
-    fn entry(epoch: Epoch, backups: &[u32], tag: &str, waiter: Waiter, guarded: bool) -> Entry {
-        Entry {
-            set: (tag.as_bytes().to_vec(), Vec::new()),
-            epoch,
-            backups: backups.iter().map(|n| NodeId(*n)).collect(),
-            ctx: InvocationContext::background(),
-            waiter,
-            guarded,
-        }
+    fn commit(tag: &str, done: CommitCallback) -> DeferredCommit {
+        let ctx = InvocationContext::background();
+        DeferredCommit { ctx, object: ObjectId::from(tag), ops: Vec::new(), done }
+    }
+
+    fn info(epoch: Epoch, backups: &[u32]) -> ShardInfo {
+        let backups = backups.iter().map(|n| NodeId(*n)).collect();
+        ShardInfo { epoch, backups, ..cluster().shard(0).unwrap().clone() }
     }
 
     fn queued(epoch: Epoch, backups: &[u32], tag: &str) -> Entry {
-        entry(epoch, backups, tag, Waiter::Completion(Box::new(|_| {})), true)
+        Entry::guarded(commit(tag, Box::new(|_| {})), info(epoch, backups))
     }
 
     /// The objects of each round, as strings.
@@ -1077,23 +935,25 @@ mod tests {
     }
 
     #[test]
-    fn parked_hand_off_wakes_the_front_waiter_while_other_rounds_are_still_out() {
+    fn a_blocking_committer_and_a_completion_leave_in_the_same_round_of_the_one_window() {
+        let repl = ReplState::new(&Registry::new());
+        assert!(Arc::ptr_eq(&repl.window(0), &repl.window(0)), "one window per shard");
+
         let (window, out) = full_window();
-        let parked = |tag: &str| {
-            let (wake, woken) = channel::bounded(1);
-            (entry(1, &[2, 3], tag, Waiter::Parked(wake), true), woken)
-        };
-        let (front, front_woken) = parked("front");
-        let (behind, behind_woken) = parked("behind");
-        assert!(window.push([front]).is_empty() && window.push([behind]).is_empty());
-        // One round acks; the other slots are still taken.
-        window.finish(&out[0]).into_iter().for_each(Round::wake_leader);
-        let Ok(Wake::Lead(round)) = front_woken.try_recv() else {
-            panic!("the committer at the front leads the next round");
-        };
-        assert_eq!(objects(&[*round]), vec![vec!["front", "behind"]]);
-        assert!(behind_woken.try_recv().is_err(), "a follower sleeps until the outcome");
-        assert!(window.push([queued(1, &[2, 3], "late")]).is_empty(), "the lead kept the slot");
+        // A blocking committer is a callback that fills the channel its
+        // thread is parked on; a completion is any other callback.
+        let (tx, parked) = channel::bounded(1);
+        let blocking = commit("blocking", Box::new(move |acked| drop(tx.send(acked))));
+        let (tx, completed) = channel::bounded(1);
+        let completion = commit("completion", Box::new(move |acked| drop(tx.send(acked))));
+        assert!(window.push([Entry::guarded(blocking, info(1, &[2, 3]))]).is_empty());
+        assert!(window.push([Entry::guarded(completion, info(1, &[2, 3]))]).is_empty());
+        let mut next = window.finish(&out[0]);
+        assert_eq!(objects(&next), vec![vec!["blocking", "completion"]]);
+        assert!(parked.try_recv().is_err(), "nobody is answered before the round's outcome");
+        next.remove(0).complete(&Err("fenced".into()));
+        assert_eq!(parked.try_recv(), Ok(Err("fenced".into())));
+        assert_eq!(completed.try_recv(), Ok(Err("fenced".into())));
     }
 
     #[test]
@@ -1107,7 +967,7 @@ mod tests {
 
     #[test]
     fn the_no_shared_object_rule_covers_guarded_commits_only_and_ends_with_the_ack() {
-        let raw = |tag: &str| entry(1, &[2, 3], tag, Waiter::Completion(Box::new(|_| {})), false);
+        let raw = |tag: &str| Entry::raw(commit(tag, Box::new(|_| {})), info(1, &[2, 3]));
         let window = Window::new(0);
         // Raw writes hold no guard: two of one key may be out at once.
         assert_eq!(window.push([raw("user/1")]).len(), 1);

@@ -275,45 +275,6 @@ fn replication_batching_failover_preserves_batched_writes() {
 }
 
 #[test]
-fn replication_batching_toggle_falls_back_to_per_write_rpcs() {
-    // ABL-GROUPCOMMIT's "wal-only" configuration: with batching disabled
-    // every committed write set ships as its own Replicate RPC, and the
-    // system stays exactly as consistent.
-    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
-    for node in &cluster.core.storage {
-        node.set_replication_batching(false);
-    }
-    let client = cluster.client();
-    client.deploy_type("Account", account_fields(), &account_module()).unwrap();
-    let id = ObjectId::from("acct/unbatched");
-    client.create_object("Account", &id, &[]).unwrap();
-    std::thread::scope(|scope| {
-        for _ in 0..4 {
-            let client = client.clone();
-            let id = id.clone();
-            scope.spawn(move || {
-                for _ in 0..10 {
-                    client.invoke(&id, "deposit", vec![VmValue::Int(1)], false).unwrap();
-                }
-            });
-        }
-    });
-    assert_eq!(as_int(client.invoke(&id, "balance", vec![], true).unwrap()), 40);
-    let (rounds, _) = cluster
-        .core
-        .storage
-        .iter()
-        .map(|n| n.replication_batch_stats())
-        .fold((0, 0), |(r, e), (nr, ne)| (r + nr, e + ne));
-    assert_eq!(rounds, 0, "disabled batcher must never coalesce");
-    // Backups still received and applied every write set.
-    for node in &cluster.core.storage {
-        assert!(node.engine().object_exists(&id), "node-{} missing object", node.id().0);
-    }
-    cluster.shutdown();
-}
-
-#[test]
 fn aggregated_read_only_runs_on_replicas() {
     let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
     let client = cluster.client();
@@ -1041,6 +1002,45 @@ fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
             unit
             ret
         }
+        fn post_seq(1) locals=4 {
+            ; the same post, one `host.invoke` per follower: a boundary
+            ; commit, then each nested call's own blocking commit
+            push.s "timeline"
+            load 0
+            host.push
+            pop
+            push.s "followers"
+            push.i 1000000
+            push.i 0
+            host.scan
+            store 1
+            load 1
+            len
+            store 3
+            push.i 0
+            store 2
+        fanout:
+            load 2
+            load 3
+            lt
+            jz done
+            load 1
+            load 2
+            index
+            push.s "store"
+            load 0
+            mklist 1
+            host.invoke
+            pop
+            load 2
+            push.i 1
+            add
+            store 2
+            jmp fanout
+        done:
+            unit
+            ret
+        }
         fn store(1) priv {
             push.s "timeline"
             load 0
@@ -1074,7 +1074,10 @@ fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
     client.deploy_type("Feed", fields, &module).unwrap();
 
     const ACCOUNTS: usize = 12;
-    const POSTERS: usize = 8;
+    // Eight scatter their posts (completion commits); two more fan out
+    // one follower at a time (blocking commits) through the same window.
+    const POSTERS: usize = 10;
+    const SCATTERING: usize = 8;
     const POSTS: usize = 3;
     let account = |i: usize| ObjectId::from(format!("feed/{i:02}").as_str());
     // Poster p is followed by p+1, p+2, p+3 and p+5: every follower set
@@ -1106,10 +1109,11 @@ fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
         for p in 0..POSTERS {
             let client = client.clone();
             scope.spawn(move || {
+                let method = if p < SCATTERING { "post" } else { "post_seq" };
                 for k in 0..POSTS {
                     let text = format!("post-{p}-{k}").into_bytes();
                     client
-                        .invoke(&account(p), "post", vec![VmValue::Bytes(text)], false)
+                        .invoke(&account(p), method, vec![VmValue::Bytes(text)], false)
                         .expect("replication retries until every configured backup acked");
                 }
             });

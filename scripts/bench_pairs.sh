@@ -7,9 +7,9 @@
 #
 # "new" is the working tree's tracked state (`git stash create`, so
 # uncommitted edits count; `git add` new files first), or HEAD when it is
-# clean. Each side is a detached `git worktree` under $BENCH_PAIRS_DIR
-# (default /tmp/bench-pairs-<pid>, removed on exit) with a CARGO_TARGET_DIR
-# of its own, built once. A run is the exact `command` of BENCHMARK.json
+# clean. Each side is a `git archive` of its commit unpacked under
+# $BENCH_PAIRS_DIR (default /tmp/bench-pairs-<pid>, removed on exit) with a
+# CARGO_TARGET_DIR of its own, built once. A run is the exact `command` of BENCHMARK.json
 # plus `--workload W --seed <pair> --seconds <run_seconds> --trace 0`; pair
 # k runs the parent first when k is odd, the change first when even.
 #
@@ -19,7 +19,7 @@
 # for claiming a gain: >= 9 of 10 wins and "yes"). Exits 1 if any run says
 # `"correct": false`, has `failed` > 0, or prints no result.
 #
-# Only tools guaranteed on a stock runner are used (git, cargo, awk).
+# Only tools guaranteed on a stock runner are used (git, cargo, awk, tar).
 
 set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
@@ -72,13 +72,7 @@ new_rev=$(git stash create)
 new_rev=${new_rev:-$(git rev-parse HEAD)}
 work=${BENCH_PAIRS_DIR:-/tmp/bench-pairs-$$}
 mkdir -p "$work"
-cleanup() {
-    git worktree remove --force "$work/parent" 2>/dev/null || true
-    git worktree remove --force "$work/new" 2>/dev/null || true
-    git worktree prune
-    rm -rf "$work"
-}
-trap cleanup EXIT
+trap 'rm -rf "$work"' EXIT
 
 # The build is the command with `run` turned into `build`.
 build=("${command[@]/#run/build}")
@@ -86,7 +80,8 @@ build=("${command[@]/#run/build}")
 for side in parent new; do
     rev=$parent_rev
     [ "$side" = new ] && rev=$new_rev
-    git worktree add --quiet --detach "$work/$side" "$rev"
+    mkdir "$work/$side"
+    git archive "$rev" | tar -x -C "$work/$side"
     echo "building $side ($(git rev-parse --short "$rev")) ..." >&2
     (cd "$work/$side" && CARGO_TARGET_DIR="$work/target-$side" "${build[@]}")
 done
