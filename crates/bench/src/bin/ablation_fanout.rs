@@ -4,14 +4,14 @@
 //! each follower, which results in lower throughput compared to the other
 //! workloads". This sweep measures Post latency against follower count for
 //! the aggregated `create_post` (one scatter: every `store_post` issued as
-//! one completion-driven wave whose write sets replicate together), for
-//! its sequential reference `create_post_seq` (one `host.invoke` per
-//! follower, each waiting out its own replication round), and for the
-//! disaggregated baseline (whose compute node scatters over threads).
-//! Expectation: the sequential reference grows linearly in the fan-out,
-//! one round trip per follower; the scatter stays near two round trips
-//! whatever the fan-out; the disaggregated variant pays its per-access
-//! storage round trips on top.
+//! one completion-driven wave whose write sets replicate together with the
+//! author's own), for its sequential reference `create_post_seq` (one
+//! `host.invoke` per follower, each waiting out its own replication
+//! round), and for the disaggregated baseline (whose compute node scatters
+//! over threads). Expectation: the sequential reference grows linearly in
+//! the fan-out, one round trip per follower; the scatter stays near one
+//! replication round trip whatever the fan-out; the disaggregated variant
+//! pays its per-access storage round trips on top.
 
 use std::time::Instant;
 
@@ -120,8 +120,8 @@ fn main() {
     println!(
         "\nshape: the sequential reference pays one replication round trip per\n\
          follower; the scatter (\"running the store_post calls in parallel\", §3.2)\n\
-         issues every branch from the calling thread and ships their write sets as\n\
-         one round, so its latency stays near two round trips whatever the fan-out\n\
-         (ratio = disaggregated / aggregated)."
+         issues every branch from the calling thread and ships their write sets and\n\
+         the author's as one round, so its latency stays near one replication round\n\
+         trip whatever the fan-out (ratio = disaggregated / aggregated)."
     );
 }

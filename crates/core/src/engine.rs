@@ -19,7 +19,7 @@ use lambda_vm::{HostError, Interpreter, Limits, VmValue};
 
 use crate::cache::{CacheStats, ConsistentCache};
 use crate::error::{encode_error, InvokeError, Result};
-use crate::host::{NestedInvoker, ObjectHost};
+use crate::host::{Boundary, NestedInvoker, ObjectHost};
 use crate::keys;
 use crate::object::{MethodMeta, MethodSet, ObjectId, ObjectType, TypeRegistry};
 use crate::scheduler::{ObjectGuard, Scheduler, SchedulerMode, SchedulerStats};
@@ -60,6 +60,12 @@ pub trait InvokeRouter: Send + Sync {
         args: &[VmValue],
         done: InvokeCompletion,
     ) -> Option<InvokeCompletion>;
+
+    /// Can `source`'s boundary commit replicate in the same round as a
+    /// scatter branch on `target`? Only when one replica set applies both
+    /// in one `ReplicateBatch`, so that no replica ever holds the branch
+    /// without the boundary.
+    fn co_located(&self, source: &ObjectId, target: &ObjectId) -> bool;
 }
 
 /// Engine configuration.
@@ -181,10 +187,11 @@ pub struct DeferredCommit {
 }
 
 /// The write sets a scatter's branches applied locally while its issue
-/// loop was still running; the loop's end hands them to the commit hook in
-/// one call. A branch that commits later (its object was busy, or another
-/// thread led its kv group) finds the wave closed and goes to the hook on
-/// its own.
+/// loop was still running, behind the scatter's own boundary commit when
+/// that rides along; the loop's end hands them to the commit hook in one
+/// call. A branch that commits later (its object was busy, or another
+/// thread led its kv group) goes to the hook on its own — once the
+/// boundary is acked, so that no replica holds the branch without it.
 ///
 /// A branch in the wave keeps its object's guard until the wave has
 /// shipped and been acked, so the wave is open only while its issue thread
@@ -192,28 +199,73 @@ pub struct DeferredCommit {
 /// closes and ships it first ([`Engine::ship_open_wave`]) — the call may
 /// need a sibling's guard.
 struct Wave {
-    open: parking_lot::Mutex<Option<Vec<DeferredCommit>>>,
+    state: parking_lot::Mutex<WaveState>,
+}
+
+enum WaveState {
+    /// Collecting the shipment; `led` once the boundary is at its front.
+    Open { shipment: Vec<DeferredCommit>, led: bool },
+    /// Shipped, and the boundary is not acked yet: holding later commits.
+    Behind(Vec<DeferredCommit>),
+    /// Later commits go to the hook on their own.
+    Closed,
 }
 
 impl Wave {
     fn start() -> Arc<Wave> {
-        Arc::new(Wave { open: parking_lot::Mutex::new(Some(Vec::new())) })
+        let state = WaveState::Open { shipment: Vec::new(), led: false };
+        Arc::new(Wave { state: parking_lot::Mutex::new(state) })
+    }
+
+    /// Put the scatter's boundary commit at the front of the shipment.
+    fn lead(&self, boundary: DeferredCommit) {
+        if let WaveState::Open { shipment, led } = &mut *self.state.lock() {
+            shipment.insert(0, boundary);
+            *led = true;
+        }
     }
 
     /// Leave `commit` with the wave; a closed wave hands it back.
     fn join(&self, commit: DeferredCommit) -> Option<DeferredCommit> {
-        match self.open.lock().as_mut() {
-            Some(wave) => {
-                wave.push(commit);
+        match &mut *self.state.lock() {
+            WaveState::Open { shipment: held, .. } | WaveState::Behind(held) => {
+                held.push(commit);
                 None
             }
-            None => Some(commit),
+            WaveState::Closed => Some(commit),
         }
     }
 
-    /// Close the wave; what it collected is the caller's to ship.
+    /// Close the shipment; what it collected is the caller's to ship.
     fn close(&self) -> Vec<DeferredCommit> {
-        self.open.lock().take().unwrap_or_default()
+        let mut state = self.state.lock();
+        let WaveState::Open { shipment, led } = &mut *state else { return Vec::new() };
+        let (shipment, led) = (std::mem::take(shipment), *led);
+        *state = if led { WaveState::Behind(Vec::new()) } else { WaveState::Closed };
+        shipment
+    }
+
+    /// The boundary has its outcome: what waited behind it is the
+    /// caller's to ship.
+    fn settle(&self) -> Vec<DeferredCommit> {
+        let mut state = self.state.lock();
+        let WaveState::Behind(late) = &mut *state else { return Vec::new() };
+        let late = std::mem::take(late);
+        *state = WaveState::Closed;
+        late
+    }
+}
+
+/// Owned by a riding boundary's `done`: once that has run, or been dropped
+/// unrun, the commits that waited behind the boundary go to the hook.
+struct Behind {
+    engine: Arc<Engine>,
+    wave: Arc<Wave>,
+}
+
+impl Drop for Behind {
+    fn drop(&mut self) {
+        self.engine.ship(self.wave.settle());
     }
 }
 
@@ -223,6 +275,46 @@ impl Wave {
 /// completion pool (DESIGN.md §10).
 fn join_all<T>(rx: &channel::Receiver<T>, n: usize) -> Vec<T> {
     (0..n).map_while(|_| rx.recv().ok()).collect()
+}
+
+/// A blocking commit's error when a `done` was dropped unrun.
+const LOST: &str = "replication ended without an outcome";
+
+/// Hand `sets`, already applied locally, to `ship` as commits whose `done`s
+/// report to this thread, and park until each has its outcome: a blocking
+/// commit is the completion path plus this one join. The senders ride in
+/// the `done`s, so a completion dropped unrun — its endpoint shut down —
+/// ends the wait with an error instead of hanging it. Only for threads that
+/// are provably not in the completion pool (DESIGN.md §10).
+///
+/// # Errors
+/// The first failed set's hook error, or the lost-outcome one.
+pub fn ship_and_join(
+    ctx: &InvocationContext,
+    sets: Vec<(ObjectId, WriteSetOps)>,
+    ship: impl FnOnce(Vec<DeferredCommit>),
+) -> std::result::Result<(), String> {
+    debug_assert!(
+        !ON_COMPLETION_THREAD.get(),
+        "a blocking commit on a completion thread waits for itself"
+    );
+    let (tx, rx) = channel::unbounded();
+    let sent = sets.len();
+    let commits = sets
+        .into_iter()
+        .map(|(object, ops)| {
+            let tx = tx.clone();
+            let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
+            DeferredCommit { ctx: *ctx, object, ops, done }
+        })
+        .collect();
+    drop(tx);
+    ship(commits);
+    let acks = join_all(&rx, sent);
+    if acks.len() < sent {
+        return Err(LOST.into());
+    }
+    acks.into_iter().collect()
 }
 
 /// Oldest-first (commit version, storage key) queue of one object's live
@@ -471,51 +563,29 @@ impl Engine {
     }
 
     /// Hand `sets`, already applied locally, to `hook` and park until each
-    /// has its outcome (timed as `ctx`'s `replicate` span): a blocking
-    /// commit is the completion path plus this one join. The senders ride
-    /// in the `done`s, so a completion dropped unrun — its endpoint shut
-    /// down — ends the wait with an error instead of hanging it. Only for
-    /// threads that are provably not in the completion pool (DESIGN.md §10).
+    /// has its outcome ([`ship_and_join`]), timed as `ctx`'s `replicate`
+    /// span.
     fn replicate_and_join(
         &self,
         ctx: &InvocationContext,
         hook: &dyn CommitHook,
         sets: Vec<(ObjectId, WriteSetOps)>,
     ) -> HookResult {
-        debug_assert!(
-            !ON_COMPLETION_THREAD.get(),
-            "a blocking commit on a completion thread waits for itself"
-        );
-        let (tx, rx) = channel::unbounded();
-        let sent = sets.len();
-        let commits = sets
-            .into_iter()
-            .map(|(object, ops)| {
-                let tx = tx.clone();
-                let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
-                DeferredCommit { ctx: *ctx, object, ops, done }
-            })
-            .collect();
-        drop(tx);
         let start = Instant::now();
-        hook.on_commit(commits);
-        let acks = join_all(&rx, sent);
+        let replicated = ship_and_join(ctx, sets, |commits| hook.on_commit(commits));
         self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
-        if acks.len() < sent {
-            return Err("replication ended without an outcome".into());
-        }
-        acks.into_iter().collect()
+        replicated
     }
 
     /// Replicate one object's write set, parking this thread for the acks.
     fn replicate_blocking(
         &self,
         ctx: &InvocationContext,
-        object: &ObjectId,
+        object: ObjectId,
         hooked: Option<(Arc<dyn CommitHook>, WriteSetOps)>,
     ) -> HookResult {
         let Some((hook, ops)) = hooked else { return Ok(()) };
-        self.replicate_and_join(ctx, &*hook, vec![(object.clone(), ops)])
+        self.replicate_and_join(ctx, &*hook, vec![(object, ops)])
     }
 
     /// Apply write sets produced on another node (the backup side of
@@ -599,7 +669,7 @@ impl Engine {
     fn write_and_replicate(&self, id: &ObjectId, batch: WriteBatch) -> Result<()> {
         let hooked = self.hooked(&batch);
         self.db.write(batch)?;
-        self.replicate_blocking(&InvocationContext::background(), id, hooked)
+        self.replicate_blocking(&InvocationContext::background(), id.clone(), hooked)
             .map_err(crate::error::decode_hook_error)
     }
 
@@ -731,8 +801,8 @@ impl Engine {
     /// cache, dedup, scheduling, span and counter behaviour. The method
     /// body still parks its thread at a nested call: for a single
     /// `host.invoke` through that call's own blocking invocation, for a
-    /// scatter until the last branch of the wave has answered
-    /// ([`NestedInvoker::invoke_nested_many`]).
+    /// scatter until its boundary commit and the last branch of the wave
+    /// have answered ([`NestedInvoker::invoke_nested_many`]).
     pub fn invoke_deferred(
         self: &Arc<Self>,
         ctx: &InvocationContext,
@@ -1044,7 +1114,7 @@ impl Engine {
         let commit_start = Instant::now();
         self.db.write(batch)?;
         self.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
-        let replicated = self.replicate_blocking(&ctx, &object, hooked);
+        let replicated = self.replicate_blocking(&ctx, object, hooked);
         self.finish_commit(&touched, replicated)
     }
 
@@ -1107,22 +1177,67 @@ impl Engine {
     /// Close the wave this thread is issuing, if any, and ship it.
     fn ship_open_wave(&self) {
         if let Some(wave) = OPEN_WAVE.take() {
-            self.ship_wave(&wave);
+            self.ship(wave.close());
         }
     }
 
-    /// Close `wave` and hand what it collected to the commit hook in one
-    /// call (write sets exist only with a hook installed).
-    fn ship_wave(&self, wave: &Wave) {
+    /// Hand `commits` to the commit hook in one call, each behind its
+    /// `replicate` span (write sets exist only with a hook installed).
+    fn ship(&self, commits: Vec<DeferredCommit>) {
+        if commits.is_empty() {
+            return;
+        }
         let this = self.arc();
-        let commits: Vec<DeferredCommit> = wave
-            .close()
+        let commits = commits
             .into_iter()
             .map(|c| DeferredCommit { done: this.timed_replicate(&c.ctx, c.done), ..c })
             .collect();
-        if let (Some(hook), false) = (self.commit_hook.read().clone(), commits.is_empty()) {
+        if let Some(hook) = self.commit_hook.read().clone() {
             hook.on_commit(commits);
         }
+    }
+
+    /// Commit a scatter's boundary. When it rides in `wave`, the kv write
+    /// happens here, ahead of every branch's, and the write set leads the
+    /// wave's shipment; the returned channel brings its outcome, and the
+    /// caller's guard is released when that is known. Otherwise the commit
+    /// is acked before this returns, and the guard released then.
+    fn commit_boundary(
+        &self,
+        ctx: &InvocationContext,
+        boundary: Boundary,
+        wave: Option<&Arc<Wave>>,
+    ) -> Result<Option<channel::Receiver<Result<()>>>> {
+        let Boundary { source, batch, written_keys, guard } = boundary;
+        if batch.is_empty() {
+            return Ok(None);
+        }
+        let pending = self.pending_commit(ctx, &source, batch, written_keys);
+        let riding = wave.and_then(|wave| Some((wave, self.hooked(&pending.batch)?)));
+        let Some((wave, (_, ops))) = riding else {
+            self.commit_blocking(pending)?;
+            drop(guard);
+            return Ok(None);
+        };
+        let PendingCommit { ctx, object, batch, touched } = pending;
+        let commit_start = Instant::now();
+        self.db.write(batch)?;
+        self.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
+        let (tx, rx) = channel::bounded(1);
+        let engine = self.arc();
+        let behind = Behind { engine: Arc::clone(&engine), wave: Arc::clone(wave) };
+        let done: CommitCallback = Box::new(move |replicated| {
+            // As in `invoke_deferred_at`: releasing the object grants the
+            // next queued invocation on this thread.
+            let outer = ON_COMPLETION_THREAD.replace(true);
+            let committed = engine.finish_commit(&touched, replicated);
+            drop(behind);
+            drop(guard);
+            ON_COMPLETION_THREAD.set(outer);
+            drop(tx.send(committed));
+        });
+        wave.lead(DeferredCommit { ctx, object, ops, done });
+        Ok(Some(rx))
     }
 
     /// The local write is applied: invalidate what it touched — whether or
@@ -1297,17 +1412,27 @@ impl NestedInvoker for Engine {
     fn invoke_nested_many(
         &self,
         ctx: &InvocationContext,
+        boundary: Boundary,
         targets: &[ObjectId],
         method: &str,
         args: &[VmValue],
         depth: usize,
-    ) -> Vec<std::result::Result<VmValue, HostError>> {
+    ) -> std::result::Result<Vec<std::result::Result<VmValue, HostError>>, HostError> {
         // This scatter may itself be a branch body on the issue thread of
-        // an outer wave, and its join parks.
+        // an outer wave, and its joins park.
         self.ship_open_wave();
         let this = self.arc();
         let router = self.router.read().clone();
         let wave = Wave::start();
+        // The one decision: the boundary rides in the wave when the replica
+        // set that applies it applies every branch too, in the same round;
+        // otherwise it is acked before any branch is issued.
+        let rides = router.as_ref().is_none_or(|router| {
+            targets.iter().all(|target| router.co_located(&boundary.source, target))
+        });
+        let storage = |e: InvokeError| HostError::Storage(e.to_string());
+        let boundary =
+            self.commit_boundary(ctx, boundary, rides.then_some(&wave)).map_err(storage)?;
         OPEN_WAVE.set(Some(Arc::clone(&wave)));
         let (tx, rx) = channel::unbounded();
         // Issue every branch from this thread. A branch whose object is
@@ -1338,19 +1463,25 @@ impl NestedInvoker for Engine {
         drop(tx);
         // One hook call for everything the loop applied locally.
         OPEN_WAVE.take();
-        self.ship_wave(&wave);
+        self.ship(wave.close());
         let mut results: Vec<Option<InvokeOutcome>> = targets.iter().map(|_| None).collect();
         for (i, outcome) in join_all(&rx, targets.len()) {
             results[i] = Some(outcome);
         }
+        if let Some(acked) = boundary {
+            acked
+                .recv()
+                .unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())))
+                .map_err(storage)?;
+        }
         let lost = || Err(InvokeError::Nested("scatter branch ended without an outcome".into()));
-        results
+        Ok(results
             .into_iter()
             .map(|outcome| match outcome.unwrap_or_else(lost) {
                 Ok((value, _)) => Ok(value),
                 Err(e) => Err(HostError::InvokeFailed(encode_error(&e))),
             })
-            .collect()
+            .collect())
     }
 
     fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64) {
@@ -2004,7 +2135,7 @@ mod tests {
     }
 
     /// A hook that loses every `done` it is handed, unrun.
-    struct DroppingHook;
+    pub(super) struct DroppingHook;
     impl CommitHook for DroppingHook {
         fn on_commit(&self, commits: Vec<DeferredCommit>) {
             drop(commits);
@@ -2197,6 +2328,19 @@ mod scatter_tests {
                 host.push
                 ret
             }
+            fn post(2) {
+                ; `broadcast`, after keeping the payload itself
+                push.s "inbox"
+                load 1
+                host.push
+                pop
+                load 0
+                push.s "receive"
+                load 1
+                mklist 1
+                host.invoke_many
+                ret
+            }
             fn broadcast_picky(2) {
                 load 0
                 push.s "receive_picky"
@@ -2341,23 +2485,30 @@ mod scatter_tests {
     }
 
     /// A native `Node`: `broadcast(targets, payload)` scatters `receive`,
-    /// which notes the thread it ran on and answers with its own id.
+    /// which notes the thread it ran on and answers with its own id;
+    /// `post(targets, payload)` keeps a copy first, so that its scatter has
+    /// a boundary to commit.
     fn native_engine() -> (Arc<Engine>, Arc<parking_lot::Mutex<Vec<ThreadId>>>, std::path::PathBuf)
     {
         let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let mut reg = NativeRegistry::new();
-        reg.register("broadcast", false, false, true, |ctx| {
-            let targets = match ctx.args.first() {
-                Some(VmValue::List(ids)) => {
-                    ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec)).collect()
+        for (name, keep) in [("broadcast", false), ("post", true)] {
+            reg.register(name, false, false, true, move |ctx| {
+                let targets = match ctx.args.first() {
+                    Some(VmValue::List(ids)) => {
+                        ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec)).collect()
+                    }
+                    _ => Vec::new(),
+                };
+                let payload = ctx.bytes_arg(1)?;
+                if keep {
+                    ctx.host.push(b"inbox", &payload)?;
                 }
-                _ => Vec::new(),
-            };
-            let payload = ctx.bytes_arg(1)?;
-            let results =
-                ctx.host.invoke_many(targets, "receive", vec![VmValue::Bytes(payload)])?;
-            Ok(VmValue::List(results))
-        });
+                let results =
+                    ctx.host.invoke_many(targets, "receive", vec![VmValue::Bytes(payload)])?;
+                Ok(VmValue::List(results))
+            });
+        }
         let threads = Arc::clone(&ran_on);
         reg.register("receive", false, false, false, move |ctx| {
             threads.lock().push(std::thread::current().id());
@@ -2492,16 +2643,27 @@ mod scatter_tests {
             assert_eq!(count(&a), VmValue::Int(4), "its own relay and one receive per sibling");
             assert_eq!(count(&b), VmValue::Int(4), "two relays, each before and after the call");
             assert_eq!(count(&c), VmValue::Int(2));
-            // A nesting branch is three hook calls: its boundary commit
+            // What the wave held, `n/a`, left before the first nested call
+            // could park, and the wave stayed closed. A branch that nests by
+            // `host.invoke` is then three hook calls: its boundary commit
             // (a parked join, which waits for an ack and for no guard), the
-            // `receive` at `n/a` — alone, or as a nested scatter's own wave
-            // — and its final part. What the wave held, `n/a`, left before
-            // the first nested call could park, and the wave stayed closed.
+            // `receive` at `n/a`, and its final part. One that nests by a
+            // scatter of its own is two: its boundary rides at the front of
+            // that scatter's wave, in one call with the `receive` at `n/a`
+            // (no router: every target counts as co-located), then its
+            // final part.
             let alone = |id: &ObjectId| vec![id.clone()];
-            let mut want = vec![alone(&b), alone(&a)];
-            want.extend([alone(&a), alone(&b)]);
-            for branch in [&b, &c] {
-                want.extend([alone(branch), alone(&a), alone(branch)]);
+            let mut want = Vec::new();
+            if payload == "invoke" {
+                want.extend([alone(&b), alone(&a), alone(&a), alone(&b)]);
+                for branch in [&b, &c] {
+                    want.extend([alone(branch), alone(&a), alone(branch)]);
+                }
+            } else {
+                want.push(alone(&a));
+                for branch in [&b, &b, &c] {
+                    want.extend([vec![branch.clone(), a.clone()], alone(branch)]);
+                }
             }
             assert_eq!(*hook.0.lock(), want, "{payload}");
             std::fs::remove_dir_all(dir).ok();
@@ -2510,20 +2672,236 @@ mod scatter_tests {
 
     #[test]
     fn duplicate_targets_and_the_caller_itself_are_ordinary_branches() {
-        let (engine, dir) = scatter_engine();
-        let nodes = create(&engine, "Node", &["d/src", "d/a"]);
-        let (src, a) = (&nodes[0], &nodes[1]);
-        let targets = [a.clone(), a.clone(), src.clone()];
-        let results =
-            engine.invoke(src, "broadcast", vec![ids(&targets), VmValue::str("twice")]).unwrap();
-        assert_eq!(results.as_list().unwrap().len(), 3);
-        assert_eq!(engine.invoke(a, "inbox_count", vec![]).unwrap(), VmValue::Int(2));
-        assert_eq!(engine.invoke(src, "inbox_count", vec![]).unwrap(), VmValue::Int(1));
-        // A branch's error reaches the caller as the error it was.
-        let err = engine
-            .invoke(src, "broadcast_picky", vec![ids(&targets), VmValue::str("poison")])
-            .unwrap_err();
-        assert_eq!(err, InvokeError::Aborted("rejected".into()));
+        // Without a hook, and with acks that only another thread delivers:
+        // then the caller's own branch queues behind the boundary, which
+        // keeps the caller's object until its ack, and is granted from the
+        // ack; the second branch on `d/a` likewise from the first's.
+        use super::tests::{run_pool, Pool};
+        for pooled in [false, true] {
+            let (engine, dir) = scatter_engine();
+            let nodes = create(&engine, "Node", &["d/src", "d/a"]);
+            let stop_pool = pooled.then(|| {
+                let (acks_tx, acks) = channel::unbounded();
+                engine.set_commit_hook(Arc::new(Pool(acks_tx)));
+                run_pool(acks)
+            });
+            let (src, a) = (&nodes[0], &nodes[1]);
+            let targets = [a.clone(), a.clone(), src.clone()];
+            let results =
+                engine.invoke(src, "post", vec![ids(&targets), VmValue::str("twice")]).unwrap();
+            assert_eq!(results.as_list().unwrap().len(), 3);
+            assert_eq!(engine.invoke(a, "inbox_count", vec![]).unwrap(), VmValue::Int(2));
+            let own = engine.invoke(src, "inbox_count", vec![]).unwrap();
+            assert_eq!(own, VmValue::Int(2), "its own copy, then its own branch");
+            // A branch's error reaches the caller as the error it was.
+            let err = engine
+                .invoke(src, "broadcast_picky", vec![ids(&targets), VmValue::str("poison")])
+                .unwrap_err();
+            assert_eq!(err, InvokeError::Aborted("rejected".into()));
+            if let Some(stop_pool) = stop_pool {
+                stop_pool();
+            }
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    /// Holds every `done` until [`HeldHook::release`]; records the objects
+    /// of each call.
+    #[derive(Default)]
+    struct HeldHook {
+        calls: parking_lot::Mutex<Vec<Vec<ObjectId>>>,
+        held: parking_lot::Mutex<Vec<CommitCallback>>,
+    }
+
+    impl CommitHook for HeldHook {
+        fn on_commit(&self, commits: Vec<DeferredCommit>) {
+            self.calls.lock().push(commits.iter().map(|c| c.object.clone()).collect());
+            self.held.lock().extend(commits.into_iter().map(|c| c.done));
+        }
+    }
+
+    impl HeldHook {
+        /// Ack everything held so far.
+        fn release(&self) {
+            let held = std::mem::take(&mut *self.held.lock());
+            held.into_iter().for_each(|done| done(Ok(())));
+        }
+
+        fn calls(&self) -> Vec<Vec<ObjectId>> {
+            self.calls.lock().clone()
+        }
+    }
+
+    fn wait_for(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Start `method(targets, payload)` on `src` on a thread of its own.
+    fn spawn_invoke(
+        engine: &Arc<Engine>,
+        src: &ObjectId,
+        method: &'static str,
+        targets: &[ObjectId],
+    ) -> std::thread::JoinHandle<Result<VmValue>> {
+        let (engine, src, args) =
+            (Arc::clone(engine), src.clone(), vec![ids(targets), VmValue::str("x")]);
+        std::thread::spawn(move || engine.invoke(&src, method, args))
+    }
+
+    /// Serves every target here, and counts none as co-located.
+    struct Apart(std::sync::Weak<Engine>);
+
+    impl InvokeRouter for Apart {
+        fn route(
+            &self,
+            ctx: &InvocationContext,
+            _source: &ObjectId,
+            target: &ObjectId,
+            method: &str,
+            args: Vec<VmValue>,
+            depth: usize,
+        ) -> Result<VmValue> {
+            let engine = self.0.upgrade().expect("engine alive");
+            engine.invoke_ctx(ctx, target, method, args, false, depth)
+        }
+
+        fn route_deferred(
+            &self,
+            _: &InvocationContext,
+            _: &ObjectId,
+            _: &str,
+            _: &[VmValue],
+            done: InvokeCompletion,
+        ) -> Option<InvokeCompletion> {
+            Some(done)
+        }
+
+        fn co_located(&self, _: &ObjectId, _: &ObjectId) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn a_boundary_rides_at_the_front_of_the_wave_only_when_every_target_is_co_located() {
+        for co_located in [true, false] {
+            let (engine, _, dir) = native_engine();
+            let src = create(&engine, "Native", &["r/src"]).remove(0);
+            let targets = create(&engine, "Native", &["r/0", "r/1", "r/2"]);
+            let hook = Arc::new(RecordingHook::default());
+            engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+            if !co_located {
+                engine.set_router(Arc::new(Apart(Arc::downgrade(&engine))));
+            }
+            let results = engine.invoke(&src, "post", vec![ids(&targets), VmValue::str("p")]);
+            assert_eq!(results.unwrap(), ids(&targets));
+            let mut wave = vec![src.clone()];
+            wave.extend(targets.iter().cloned());
+            let want = match co_located {
+                true => vec![wave],
+                false => vec![vec![src.clone()], targets.clone()],
+            };
+            assert_eq!(*hook.0.lock(), want, "co-located: {co_located}");
+            assert_eq!(engine.stats().commits, 1 + targets.len() as u64, "{co_located}");
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn the_callers_next_invocation_runs_only_after_the_boundarys_ack() {
+        let (engine, ran_on, dir) = native_engine();
+        let src = create(&engine, "Native", &["q/src"]).remove(0);
+        let targets = create(&engine, "Native", &["q/0", "q/1"]);
+        let hook = Arc::new(HeldHook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+
+        let scatter = spawn_invoke(&engine, &src, "post", &targets);
+        wait_for("the wave", || !hook.calls().is_empty());
+        assert_eq!(hook.calls(), vec![vec![src.clone(), targets[0].clone(), targets[1].clone()]]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let ctx = InvocationContext::client(Duration::from_secs(30));
+        let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
+        engine.invoke_deferred(&ctx, &src, "receive", vec![VmValue::str("next")], false, done);
+        assert_eq!(ran_on.lock().len(), 2, "only the branches ran: the caller is still held");
+
+        hook.release();
+        wait_for("the queued invocation to commit", || hook.calls().len() == 2);
+        assert_eq!(hook.calls()[1], vec![src.clone()]);
+        hook.release();
+        assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap().is_ok());
+        assert_eq!(scatter.join().unwrap().unwrap(), ids(&targets));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_late_branch_ships_only_after_the_boundarys_ack() {
+        // A busy target's branch commits after the wave has left. Shipped
+        // at once, its round could overlap the boundary's and reach a
+        // replica first; it waits behind the boundary's ack instead.
+        let (engine, ran_on, dir) = native_engine();
+        let src = create(&engine, "Native", &["l/src"]).remove(0);
+        let targets = create(&engine, "Native", &["l/0", "l/1"]);
+        let hook = Arc::new(HeldHook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+
+        let busy = engine.scheduler().acquire_exclusive(&targets[1], &[]);
+        let scatter = spawn_invoke(&engine, &src, "post", &targets);
+        wait_for("the wave", || !hook.calls().is_empty());
+        assert_eq!(hook.calls(), vec![vec![src.clone(), targets[0].clone()]]);
+        // Released here, the busy branch runs and commits on this thread,
+        // and its write set stays with the wave.
+        drop(busy);
+        assert_eq!(ran_on.lock().len(), 2);
+        assert_eq!(hook.calls().len(), 1, "held behind the unacked boundary");
+        hook.release();
+        assert_eq!(hook.calls()[1], vec![targets[1].clone()], "shipped from the boundary's ack");
+        hook.release();
+        assert_eq!(scatter.join().unwrap().unwrap(), ids(&targets));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_boundary_whose_done_is_dropped_fails_the_scatter_instead_of_hanging_it() {
+        let (engine, _, dir) = native_engine();
+        let src = create(&engine, "Native", &["x/src"]).remove(0);
+        let targets = create(&engine, "Native", &["x/0", "x/1"]);
+        engine.set_commit_hook(Arc::new(super::tests::DroppingHook));
+        let scatter = spawn_invoke(&engine, &src, "post", &targets);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !scatter.is_finished() {
+            assert!(Instant::now() < deadline, "the scatter hung on a lost completion");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let err = scatter.join().unwrap().unwrap_err();
+        assert!(err.to_string().contains(LOST), "{err}");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Fails the write sets of one object, acks every other.
+    struct FailingOn(ObjectId);
+
+    impl CommitHook for FailingOn {
+        fn on_commit(&self, commits: Vec<DeferredCommit>) {
+            for c in commits {
+                (c.done)(if c.object == self.0 { Err("replica down".into()) } else { Ok(()) });
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_boundary_fails_the_scatter() {
+        let (engine, _, dir) = native_engine();
+        let src = create(&engine, "Native", &["f/src"]).remove(0);
+        let targets = create(&engine, "Native", &["f/0", "f/1"]);
+        engine.set_commit_hook(Arc::new(FailingOn(src.clone())));
+        let err = engine.invoke(&src, "post", vec![ids(&targets), VmValue::str("p")]).unwrap_err();
+        assert!(err.to_string().contains("replica down"), "{err}");
+        // The branches are invocations of their own, and they committed.
+        let n = engine.invoke(&targets[0], "inbox_count", vec![]).unwrap();
+        assert_eq!(n, VmValue::Int(1));
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -15,6 +15,20 @@ use crate::keys;
 use crate::object::ObjectId;
 use crate::scheduler::ObjectGuard;
 
+/// The caller's side of a scatter's §3.1 boundary, handed to
+/// [`NestedInvoker::invoke_nested_many`]: the writes made before the call
+/// and the object lock they were made under.
+pub struct Boundary {
+    /// The calling object.
+    pub source: ObjectId,
+    /// The pre-call write set (may be empty).
+    pub batch: WriteBatch,
+    /// Every key `batch` writes.
+    pub written_keys: Vec<Vec<u8>>,
+    /// The caller's lock; released once `batch` has committed.
+    pub guard: Option<ObjectGuard>,
+}
+
 /// The engine-side services a nested cross-object invocation needs.
 ///
 /// Per §3.1 of the paper, the parts of an invocation before and after a
@@ -52,19 +66,26 @@ pub trait NestedInvoker: Sync {
         depth: usize,
     ) -> Result<VmValue, HostError>;
 
-    /// Run one nested invocation of `method(args)` per target as a single
-    /// scatter (called with the caller's lock released) and park until
-    /// every branch has answered; one result per target, in target order.
-    /// Each branch is an invocation of its own: own lock, own atomic
-    /// commit, own abort.
+    /// Commit `boundary` and run one nested invocation of `method(args)`
+    /// per target as a single scatter, then park until the commit and
+    /// every branch have answered; one result per target, in target order.
+    /// The caller's lock travels in `boundary` and is released once its
+    /// writes are committed, before or together with the branches'. Each
+    /// branch is an invocation of its own: own lock, own atomic commit,
+    /// own abort.
+    ///
+    /// # Errors
+    /// The boundary commit's storage/replication failure, as
+    /// [`HostError::Storage`].
     fn invoke_nested_many(
         &self,
         ctx: &InvocationContext,
+        boundary: Boundary,
         targets: &[ObjectId],
         method: &str,
         args: &[VmValue],
         depth: usize,
-    ) -> Vec<Result<VmValue, HostError>>;
+    ) -> Result<Vec<Result<VmValue, HostError>>, HostError>;
 
     /// Re-acquire `object`'s exclusive lock for the caller's resumption,
     /// and report the snapshot sequence the resumed invocation reads at.
@@ -166,24 +187,36 @@ impl<'a> ObjectHost<'a> {
         calls: u64,
         run: impl FnOnce(&dyn NestedInvoker, &InvocationContext, usize) -> T,
     ) -> Result<T, HostError> {
+        let (nested, Boundary { source, batch, written_keys, .. }) = self.leave(calls)?;
+        if !batch.is_empty() {
+            nested.commit_source(&self.ctx, &source, batch, written_keys)?;
+        }
+        let had_guard = self.guard.take().is_some();
+        let out = run(nested, &self.ctx, self.depth + 1);
+        self.resume(nested, had_guard);
+        Ok(out)
+    }
+
+    /// A boundary's first half: the invoker, and the writes so far taken
+    /// out of the buffer (the guard stays with the host).
+    fn leave(&mut self, calls: u64) -> Result<(&'a dyn NestedInvoker, Boundary), HostError> {
         self.ensure_writable()?;
         let Some(nested) = self.nested else {
             return Err(HostError::InvokeFailed("no nested invoker configured".into()));
         };
         self.nested_calls += calls;
-        let written = self.buffer.written_keys();
+        let written_keys = self.buffer.written_keys();
         let batch = self.buffer.take_batch();
-        if !batch.is_empty() {
-            nested.commit_source(&self.ctx, &self.object, batch, written)?;
-        }
-        let had_guard = self.guard.take().is_some();
-        let out = run(nested, &self.ctx, self.depth + 1);
+        Ok((nested, Boundary { source: self.object.clone(), batch, written_keys, guard: None }))
+    }
+
+    /// A boundary's second half: resume as a fresh invocation.
+    fn resume(&mut self, nested: &dyn NestedInvoker, had_guard: bool) {
         if had_guard {
             let (guard, seq) = nested.reacquire(&self.object);
             self.guard = Some(guard);
             self.snapshot_seq = seq;
         }
-        Ok(out)
     }
 
     fn collection_len(&mut self, field: &[u8]) -> Result<u64, HostError> {
@@ -273,13 +306,17 @@ impl Host for ObjectHost<'_> {
         }
         // One boundary for the whole scatter — "updating many follower
         // timelines at once is done quickly by running the store_post
-        // calls in parallel" (§3.2).
+        // calls in parallel" (§3.2). The engine commits it, so that its
+        // replication can ride with the branches'.
         let targets: Vec<ObjectId> = targets.into_iter().map(ObjectId::new).collect();
-        self.across_boundary(targets.len() as u64, |nested, ctx, depth| {
-            nested.invoke_nested_many(ctx, &targets, method, &args, depth)
-        })?
-        .into_iter()
-        .collect()
+        let (nested, mut boundary) = self.leave(targets.len() as u64)?;
+        boundary.guard = self.guard.take();
+        let had_guard = boundary.guard.is_some();
+        let out =
+            nested.invoke_nested_many(&self.ctx, boundary, &targets, method, &args, self.depth + 1);
+        // Resumed even when the boundary failed: the body may go on.
+        self.resume(nested, had_guard);
+        out?.into_iter().collect()
     }
 
     fn self_id(&self) -> Vec<u8> {

@@ -79,11 +79,11 @@ pub mod transaction;
 pub use buffer::{value_hash, WriteBuffer};
 pub use cache::{args_hash, CacheStats, ConsistentCache};
 pub use engine::{
-    CommitCallback, CommitHook, DeferredCommit, Engine, EngineConfig, EngineStats,
+    ship_and_join, CommitCallback, CommitHook, DeferredCommit, Engine, EngineConfig, EngineStats,
     InvokeCompletion, InvokeOutcome, InvokeRouter, ReadSet, WriteSetOps, DEDUP_WINDOW,
 };
 pub use error::{decode_error, encode_error, InvokeError, Result};
-pub use host::{NestedInvoker, ObjectHost};
+pub use host::{Boundary, NestedInvoker, ObjectHost};
 pub use migration::ObjectSnapshot;
 pub use object::{FieldDef, FieldKind, MethodMeta, MethodSet, ObjectId, ObjectType, TypeRegistry};
 pub use scheduler::{GrantCallback, ObjectGuard, Scheduler, SchedulerMode, SchedulerStats};

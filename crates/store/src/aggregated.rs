@@ -372,7 +372,8 @@ impl NodeInner {
             // Reads keep serving from the source through a migration's
             // handoff (its copy stays authoritative until the commit
             // lands); mutations are fenced.
-            if let Some(moved) = self.repl.handoff_fence(&self.placement, oid, shard) {
+            let migration = self.placement.migration_of(oid.as_bytes());
+            if let Some(moved) = self.repl.handoff_fence(migration.as_ref(), oid, shard) {
                 return Err(moved);
             }
             return Ok(());
@@ -458,6 +459,19 @@ impl InvokeRouter for NodeInner {
             ),
         }
         None
+    }
+
+    /// Same shard, led here, and `source` not in any migration: its
+    /// boundary and the branch then share one window and one round. A
+    /// migration record means the source's gate may fence the boundary
+    /// (handoff), so it goes ahead on its own.
+    fn co_located(&self, source: &ObjectId, target: &ObjectId) -> bool {
+        let mut located = self.placement.locate_all([source, target]).into_iter();
+        match (located.next().flatten(), located.next().flatten()) {
+            (Some((from, info, None)), Some((to, ..))) => from == to && info.primary == self.id,
+            (None, None) => true,
+            _ => false,
+        }
     }
 }
 

@@ -50,6 +50,24 @@ impl Placement {
         Some((shard, info))
     }
 
+    /// [`locate`](Placement::locate) for each of `objects`, together with
+    /// its live migration entry, all under one read of the local copy: the
+    /// answers come from one version of the map.
+    pub(crate) fn locate_all<'a>(
+        &self,
+        objects: impl IntoIterator<Item = &'a ObjectId>,
+    ) -> Vec<Option<(ShardId, ShardInfo, Option<MigrationInfo>)>> {
+        let st = self.state.read();
+        objects
+            .into_iter()
+            .map(|object| {
+                let shard = st.shard_for_object(object.as_bytes())?;
+                let info = st.shard(shard)?.clone();
+                Some((shard, info, st.migrations.get(object.as_bytes()).cloned()))
+            })
+            .collect()
+    }
+
     /// The live migration entry for `object`, if any — read under the
     /// lock without cloning the whole state (this sits on the mutation
     /// admission path).

@@ -4,8 +4,9 @@
 //! applied commit to its ack lives here exactly once:
 //!
 //! * the **commit gate** ([`ReplState::commit_gate`]): may this node
-//!   replicate the write set at all, must the commit wait, or where does
-//!   it ship;
+//!   replicate a hook call's write sets at all, must they wait, or where
+//!   do they ship — one verdict per shard's group, so a group never
+//!   leaves in parts;
 //! * the **window** ([`Window`]): one per shard, a queue of committed
 //!   write sets behind a bounded number of rounds in flight, coalesced
 //!   into rounds by one prefix rule;
@@ -29,14 +30,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel;
 use parking_lot::Mutex;
 
-use lambda_coordinator::{Epoch, MigrationPhase, ShardId, ShardInfo};
+use lambda_coordinator::{Epoch, MigrationInfo, MigrationPhase, ShardId, ShardInfo};
 use lambda_net::{wire, NodeId, RpcError};
 use lambda_objects::{
-    encode_error, CommitCallback, CommitHook, Counter, DeferredCommit, InvocationContext,
-    InvokeError, ObjectId, Registry, WriteSetOps,
+    encode_error, ship_and_join, CommitCallback, CommitHook, Counter, DeferredCommit,
+    InvocationContext, InvokeError, ObjectId, Registry, WriteSetOps,
 };
 
 use crate::aggregated::NodeInner;
@@ -71,21 +71,29 @@ type WriteSet = (Vec<u8>, WriteSetOps);
 
 // -- The commit gate -----------------------------------------------------------
 
-/// The commit gate's verdict on one locally applied write set.
+/// The commit gate's verdict on a group of locally applied write sets.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Gate {
     /// Nothing to replicate (no shard map: single-node mode).
     Skip,
-    /// Never ack this commit: the hook error to surface.
+    /// Never ack these commits: the hook error to surface.
     Fail(String),
-    /// Ask again after this long. The write is already durable locally, so
-    /// an error here would strand it at the primary while the client's
-    /// retry dedups into an ack nobody replicated; waiting keeps it in the
-    /// ack chain, and re-gating re-reads the placement.
+    /// Ask again after this long. The writes are already durable locally,
+    /// so an error here would strand them at the primary while the client's
+    /// retry dedups into an ack nobody replicated; waiting keeps them in
+    /// the ack chain, and re-gating re-reads the placement.
     Hold(Duration),
     /// Replicate to `info.backups` of `shard`.
     Ship { shard: ShardId, info: ShardInfo },
 }
+
+/// What one read of the placement says about a write set's object: its
+/// shard and replica set, and its live migration (`None`: no shard map).
+pub(crate) type Located = Option<(ShardId, ShardInfo, Option<MigrationInfo>)>;
+
+/// A hook call's write sets bound for one shard, in call order, each with
+/// its object's live migration.
+type Group = (ShardId, ShardInfo, Vec<(DeferredCommit, Option<MigrationInfo>)>);
 
 /// The fence error for a primary whose shard moved on under it.
 fn fenced(me: NodeId, shard: ShardId, info: &ShardInfo) -> Option<String> {
@@ -145,15 +153,21 @@ impl ReplState {
         }
     }
 
-    /// Record one committed write set in `shard`'s recent ring (bounded at
-    /// [`RECENT_COMMITS_CAP`]; the oldest entry falls off).
-    fn record_recent(&self, shard: ShardId, object: &[u8], ops: &[(Vec<u8>, Option<Vec<u8>>)]) {
+    /// Record committed write sets, in order, in `shard`'s recent ring
+    /// (bounded at [`RECENT_COMMITS_CAP`]; the oldest entry falls off).
+    fn record_recent<'a>(
+        &self,
+        shard: ShardId,
+        sets: impl IntoIterator<Item = (&'a ObjectId, &'a WriteSetOps)>,
+    ) {
         let mut rings = self.recent_commits.lock();
         let ring = rings.entry(shard).or_default();
-        if ring.len() == RECENT_COMMITS_CAP {
-            ring.pop_front();
+        for (object, ops) in sets {
+            if ring.len() == RECENT_COMMITS_CAP {
+                ring.pop_front();
+            }
+            ring.push_back((object.0.clone(), ops.clone()));
         }
-        ring.push_back((object.to_vec(), ops.to_vec()));
     }
 
     /// `(rounds, entries)` shipped so far.
@@ -170,11 +184,11 @@ impl ReplState {
     /// re-executes (or dedups, if its write made the snapshot).
     pub(crate) fn handoff_fence(
         &self,
-        placement: &Placement,
+        migration: Option<&MigrationInfo>,
         object: &ObjectId,
         shard: ShardId,
     ) -> Option<InvokeError> {
-        let m = placement.migration_of(object.as_bytes())?;
+        let m = migration?;
         if m.phase != MigrationPhase::Handoff || m.from != shard {
             return None;
         }
@@ -185,50 +199,78 @@ impl ReplState {
         )))
     }
 
-    /// Decide what happens to a write set `me` just applied locally for
-    /// `object`. `fence_remaining` is the node's lease state (how long
-    /// commits of a shard must still wait for departed members' read
-    /// leases to drain); `forward` offers the write set to the shard's
-    /// syncing recruits. Runs on the committing thread, still under the
-    /// object's exclusive lock, so per-object forward order equals commit
-    /// order and the handoff check serializes against the migration
-    /// driver's final export.
+    /// Decide what happens to the write sets of one hook call, which `me`
+    /// just applied locally, each with what one read of the placement says
+    /// about it. The sets bound for one shard are a group, in call order,
+    /// and the group ships, holds or fails as one — a transaction's
+    /// objects, or a scatter's boundary and its branches, never leave in
+    /// parts — except that a set whose object is handing off fails alone.
+    /// `fence_remaining` is the node's lease state (how long commits of a
+    /// shard must still wait for departed members' read leases to drain),
+    /// asked once per group; `forward` offers a set to the shard's syncing
+    /// recruits. Runs on the committing thread, still under the objects'
+    /// exclusive locks, so per-object forward order equals commit order and
+    /// the handoff check serializes against the migration driver's final
+    /// export.
     pub(crate) fn commit_gate(
         &self,
-        placement: &Placement,
         me: NodeId,
         shutting_down: bool,
-        object: &ObjectId,
-        fence_remaining: impl FnOnce(ShardId) -> Option<Duration>,
-        forward: impl FnOnce(ShardId, &ShardInfo) -> Result<(), String>,
-    ) -> Gate {
-        let Some((shard, info)) = placement.locate(object) else {
-            return Gate::Skip;
-        };
-        if let Some(err) = fenced(me, shard, &info) {
-            return Gate::Fail(err);
+        commits: Vec<(DeferredCommit, Located)>,
+        mut fence_remaining: impl FnMut(ShardId) -> Option<Duration>,
+        mut forward: impl FnMut(ShardId, &ShardInfo, &DeferredCommit) -> Result<(), String>,
+    ) -> Vec<(Gate, Vec<DeferredCommit>)> {
+        let mut verdicts = Vec::new();
+        let mut groups: Vec<Group> = Vec::new();
+        for (commit, located) in commits {
+            let Some((shard, info, migration)) = located else {
+                verdicts.push((Gate::Skip, vec![commit]));
+                continue;
+            };
+            match groups.iter_mut().find(|(s, ..)| *s == shard) {
+                Some((.., group)) => group.push((commit, migration)),
+                None => groups.push((shard, info, vec![(commit, migration)])),
+            }
         }
-        if let Some(moved) = self.handoff_fence(placement, object, shard) {
-            return Gate::Fail(encode_error(&moved));
+        for (shard, info, group) in groups {
+            if let Some(err) = fenced(me, shard, &info) {
+                verdicts.push((Gate::Fail(err), group.into_iter().map(|(c, _)| c).collect()));
+                continue;
+            }
+            let mut shipping = Vec::new();
+            for (commit, migration) in group {
+                match self.handoff_fence(migration.as_ref(), &commit.object, shard) {
+                    Some(moved) => verdicts.push((Gate::Fail(encode_error(&moved)), vec![commit])),
+                    None => shipping.push(commit),
+                }
+            }
+            if shipping.is_empty() {
+                continue;
+            }
+            if let Some(wait) = fence_remaining(shard) {
+                self.lease_fenced_commits.add(shipping.len() as u64);
+                verdicts.push((Gate::Hold(wait), shipping));
+                continue;
+            }
+            // The forward precedes the backup acks: a write whose
+            // replication later fails has only made the syncing peer
+            // converge toward local state. A forward *error* holds the
+            // group for the same reason the fence does — surfaced, it would
+            // dedup into an ack on retry without the forward, and a recruit
+            // whose bulk scan already passed this object could confirm with
+            // a hole. Re-gating against fresh placement resolves every
+            // case: the session appears, the recruit is re-streamed from a
+            // new scan, it was dropped, or it was confirmed and is now
+            // covered as a backup. Sets forwarded before the error are
+            // forwarded again then: a forward is an idempotent put.
+            let gate = match shipping.iter().try_for_each(|c| forward(shard, &info, c)) {
+                Ok(()) => Gate::Ship { shard, info },
+                Err(e) if shutting_down => Gate::Fail(e),
+                Err(_) => Gate::Hold(FORWARD_RETRY_PAUSE),
+            };
+            verdicts.push((gate, shipping));
         }
-        if let Some(wait) = fence_remaining(shard) {
-            self.lease_fenced_commits.incr();
-            return Gate::Hold(wait);
-        }
-        // The forward precedes the backup acks: a write whose replication
-        // later fails has only made the syncing peer converge toward local
-        // state. A forward *error* holds for the same reason the fence
-        // does — surfaced, it would dedup into an ack on retry without the
-        // forward, and a recruit whose bulk scan already passed this
-        // object could confirm with a hole. Re-gating against fresh
-        // placement resolves every case: the session appears, the recruit
-        // is re-streamed from a new scan, it was dropped, or it was
-        // confirmed and is now covered as a backup.
-        match forward(shard, &info) {
-            Ok(()) => Gate::Ship { shard, info },
-            Err(e) if shutting_down => Gate::Fail(e),
-            Err(_) => Gate::Hold(FORWARD_RETRY_PAUSE),
-        }
+        verdicts
     }
 
     fn window(&self, shard: ShardId) -> Arc<Window> {
@@ -256,18 +298,18 @@ struct Entry {
 }
 
 /// What kind of committer stands behind a gated write set.
-type MakeEntry = fn(DeferredCommit, ShardInfo) -> Entry;
+type MakeEntry = fn(DeferredCommit, &ShardInfo) -> Entry;
 
 impl Entry {
     /// An engine commit: its object's guard is held until `done` runs.
-    fn guarded(commit: DeferredCommit, info: ShardInfo) -> Entry {
+    fn guarded(commit: DeferredCommit, info: &ShardInfo) -> Entry {
         let DeferredCommit { ctx, object, ops, done } = commit;
-        let (epoch, backups) = (info.epoch, info.backups);
+        let (epoch, backups) = (info.epoch, info.backups.clone());
         Entry { set: (object.0, ops), epoch, backups, ctx, done, guarded: true }
     }
 
     /// A raw write: no guard, no per-key replication order.
-    fn raw(commit: DeferredCommit, info: ShardInfo) -> Entry {
+    fn raw(commit: DeferredCommit, info: &ShardInfo) -> Entry {
         Entry { guarded: false, ..Entry::guarded(commit, info) }
     }
 }
@@ -499,24 +541,6 @@ pub(crate) fn after_round(
 // -- Driving it: schedule, call_many_deferred, callbacks -------------------------
 
 impl NodeInner {
-    /// The commit gate with this node's lease and sync state plugged in.
-    /// A write set that passes is recorded in the shard's recent ring —
-    /// exactly once, since nothing re-gates after `Ship`.
-    fn commit_gate(&self, object: &ObjectId, ops: &[(Vec<u8>, Option<Vec<u8>>)]) -> Gate {
-        let gate = self.repl.commit_gate(
-            &self.placement,
-            self.id,
-            self.shutdown.load(Ordering::Acquire),
-            object,
-            |shard| self.leases.fence_remaining(shard, Instant::now()),
-            |shard, info| self.forward_to_syncing(shard, info.epoch, &info.syncing, object, ops),
-        );
-        if let Gate::Ship { shard, .. } = &gate {
-            self.repl.record_recent(*shard, &object.0, ops);
-        }
-        gate
-    }
-
     /// One attempt's frame and timeout, with the lease grant it carries
     /// recorded at this send time. The first attempt is bounded by the
     /// invocation's remaining budget; retries deliberately run on the
@@ -587,36 +611,46 @@ impl NodeInner {
         );
     }
 
-    /// Gate each of `commits` (a held one re-enters through the RPC timer
-    /// wheel; the object guard rides in `done`, so per-object commit order
-    /// is preserved across the hold) and queue everything that ships to one
-    /// shard under one window lock — one round, while a slot is free and
-    /// the configuration did not move in between. `done` fires from the ack
-    /// path of the round that ships its write set.
+    /// The commit gate, over one read of the placement and one of the
+    /// clock, with this node's lease and sync state plugged in. A held
+    /// group re-enters together through the RPC timer wheel (the object
+    /// guards ride in the `done`s, so per-object commit order is preserved
+    /// across the hold). A group that ships is recorded in the shard's
+    /// recent ring — exactly once, since nothing re-gates after `Ship` —
+    /// and pushed into the window as one, with one `(epoch, backups)`: it
+    /// leaves in one round, which carries everything else queued there
+    /// that agrees. `done` fires from the ack path of that round.
     fn gate(&self, commits: Vec<DeferredCommit>, entry: MakeEntry) {
-        let mut shipping: Vec<(ShardId, Vec<Entry>)> = Vec::new();
-        for commit in commits {
-            match self.commit_gate(&commit.object, &commit.ops) {
-                Gate::Skip => (commit.done)(Ok(())),
-                Gate::Fail(err) => (commit.done)(Err(err)),
+        let located = self.placement.locate_all(commits.iter().map(|c| &c.object));
+        let now = Instant::now();
+        let verdicts = self.repl.commit_gate(
+            self.id,
+            self.shutdown.load(Ordering::Acquire),
+            commits.into_iter().zip(located).collect(),
+            |shard| self.leases.fence_remaining(shard, now),
+            |shard, info, c| {
+                self.forward_to_syncing(shard, info.epoch, &info.syncing, &c.object, &c.ops)
+            },
+        );
+        for (gate, group) in verdicts {
+            match gate {
+                Gate::Skip => group.into_iter().for_each(|c| (c.done)(Ok(()))),
+                Gate::Fail(err) => group.into_iter().for_each(|c| (c.done)(Err(err.clone()))),
                 Gate::Hold(wait) => {
                     let this = self.arc();
-                    self.rpc().schedule(wait, Box::new(move || this.gate(vec![commit], entry)));
+                    self.rpc().schedule(wait, Box::new(move || this.gate(group, entry)));
                 }
-                Gate::Ship { info, .. } if info.backups.is_empty() => (commit.done)(Ok(())),
                 Gate::Ship { shard, info } => {
-                    let entry = entry(commit, info);
-                    match shipping.iter_mut().find(|(s, _)| *s == shard) {
-                        Some((_, entries)) => entries.push(entry),
-                        None => shipping.push((shard, vec![entry])),
+                    self.repl.record_recent(shard, group.iter().map(|c| (&c.object, &c.ops)));
+                    if info.backups.is_empty() {
+                        group.into_iter().for_each(|c| (c.done)(Ok(())));
+                        continue;
+                    }
+                    let window = self.repl.window(shard);
+                    for round in window.push(group.into_iter().map(|c| entry(c, &info))) {
+                        self.ship_round(Some(Arc::clone(&window)), round);
                     }
                 }
-            }
-        }
-        for (shard, entries) in shipping {
-            let window = self.repl.window(shard);
-            for round in window.push(entries) {
-                self.ship_round(Some(Arc::clone(&window)), round);
             }
         }
     }
@@ -639,10 +673,7 @@ impl NodeInner {
         object: ObjectId,
         ops: WriteSetOps,
     ) -> Result<(), String> {
-        let (tx, rx) = channel::bounded(1);
-        let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
-        self.replicate(vec![DeferredCommit { ctx: *ctx, object, ops, done }], Entry::raw);
-        rx.recv().unwrap_or_else(|_| Err("replication ended without an outcome".into()))
+        ship_and_join(ctx, vec![(object, ops)], |commits| self.replicate(commits, Entry::raw))
     }
 
     /// Backup role: apply one `ReplicateBatch` frame — the lease grant it
@@ -658,9 +689,7 @@ impl NodeInner {
         let entries: Vec<(ObjectId, WriteSetOps)> =
             entries.into_iter().map(|(o, ops)| (ObjectId::new(o), ops)).collect();
         self.engine.apply_replicated_batch(&entries)?;
-        for (oid, ops) in &entries {
-            self.repl.record_recent(shard, &oid.0, ops);
-        }
+        self.repl.record_recent(shard, entries.iter().map(|(oid, ops)| (oid, ops)));
         self.publish_invalidations(entries.iter().flat_map(|(_, ops)| ops.iter().map(|(k, _)| k)));
         self.repl.applied.add(entries.len() as u64);
         Ok(())
@@ -701,6 +730,7 @@ impl CommitHook for NodeInner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crossbeam::channel;
     use lambda_coordinator::{ClusterState, CoordCmd, N_SLOTS};
     use lambda_objects::error::decode_hook_error;
 
@@ -787,6 +817,28 @@ mod tests {
         assert_eq!(after_round(&p, ME, 99, vec![NodeId(2)], false), Next::Done(Ok(())));
     }
 
+    /// The gate's verdicts on one hook call with a write set per `tag`
+    /// (every tag is an object of shard 0), each with its group's objects.
+    fn gate_call(
+        st: &ClusterState,
+        repl: &ReplState,
+        shutting_down: bool,
+        tags: &[&str],
+        fence: impl FnMut(ShardId) -> Option<Duration>,
+        forward: impl FnMut(ShardId, &ShardInfo, &DeferredCommit) -> Result<(), String>,
+    ) -> Vec<(Gate, Vec<String>)> {
+        let commits: Vec<DeferredCommit> =
+            tags.iter().map(|tag| commit(tag, Box::new(|_| {}))).collect();
+        let located = placement(st).locate_all(commits.iter().map(|c| &c.object));
+        let commits = commits.into_iter().zip(located).collect();
+        let name = |c: DeferredCommit| String::from_utf8_lossy(&c.object.0).into_owned();
+        let verdicts = repl.commit_gate(ME, shutting_down, commits, fence, forward);
+        verdicts
+            .into_iter()
+            .map(|(gate, group)| (gate, group.into_iter().map(name).collect()))
+            .collect()
+    }
+
     fn gate_with(
         st: &ClusterState,
         repl: &ReplState,
@@ -794,12 +846,18 @@ mod tests {
         fence: Option<Duration>,
         forward: Result<(), String>,
     ) -> Gate {
-        let object = ObjectId::from("user/1");
-        repl.commit_gate(&placement(st), ME, shutting_down, &object, |_| fence, |_, _| forward)
+        let mut verdicts =
+            gate_call(st, repl, shutting_down, &["user/1"], |_| fence, |_, _, _| forward.clone());
+        assert_eq!(verdicts.len(), 1, "one set, one verdict");
+        verdicts.remove(0).0
     }
 
     fn gate(st: &ClusterState) -> Gate {
         gate_with(st, &ReplState::new(&Registry::new()), false, None, Ok(()))
+    }
+
+    fn group(tags: &[&str]) -> Vec<String> {
+        tags.iter().map(|tag| tag.to_string()).collect()
     }
 
     #[test]
@@ -836,6 +894,65 @@ mod tests {
         };
         assert!(matches!(decode_hook_error(err), InvokeError::ObjectMoved(_)));
         assert_eq!(registry.counter_value("node_migration_fenced"), 1);
+        // In a group, the handing-off set fails alone and the rest ships.
+        let repl = ReplState::new(&registry);
+        let verdicts =
+            gate_call(&st, &repl, false, &["user/2", "user/1"], |_| None, |_, _, _| Ok(()));
+        assert!(matches!(&verdicts[0], (Gate::Fail(_), moved) if *moved == group(&["user/1"])));
+        assert!(matches!(&verdicts[1], (Gate::Ship { .. }, rest) if *rest == group(&["user/2"])));
+        assert_eq!(verdicts.len(), 2);
+    }
+
+    #[test]
+    fn a_fence_that_lapses_between_two_sets_of_one_call_holds_both() {
+        let registry = Registry::new();
+        let repl = ReplState::new(&registry);
+        let wait = Duration::from_millis(1);
+        // Still up for the first look, lapsed for any later one.
+        let mut looks = 0;
+        let fence = |_| {
+            looks += 1;
+            (looks == 1).then_some(wait)
+        };
+        let verdicts =
+            gate_call(&cluster(), &repl, false, &["user/1", "user/2"], fence, |_, _, _| Ok(()));
+        assert_eq!(verdicts, vec![(Gate::Hold(wait), group(&["user/1", "user/2"]))]);
+        assert_eq!(looks, 1, "one look at the fence per group");
+        assert_eq!(registry.counter_value("lease_fenced_commits"), 2);
+    }
+
+    #[test]
+    fn a_forward_error_on_the_second_set_holds_the_first_too() {
+        let repl = ReplState::new(&Registry::new());
+        let mut offered = Vec::new();
+        let forward = |_: ShardId, _: &ShardInfo, c: &DeferredCommit| {
+            offered.push(String::from_utf8_lossy(&c.object.0).into_owned());
+            match c.object == ObjectId::from("user/2") {
+                true => Err("no session at this epoch yet".to_string()),
+                false => Ok(()),
+            }
+        };
+        let tags = ["user/1", "user/2", "user/3"];
+        let verdicts = gate_call(&cluster(), &repl, false, &tags, |_| None, forward);
+        assert_eq!(verdicts, vec![(Gate::Hold(FORWARD_RETRY_PAUSE), group(&tags))]);
+        assert_eq!(offered, group(&["user/1", "user/2"]), "the re-gate offers the first again");
+    }
+
+    #[test]
+    fn a_three_set_call_on_an_idle_window_leaves_as_one_round() {
+        let repl = ReplState::new(&Registry::new());
+        let commits: Vec<DeferredCommit> =
+            ["user/1", "user/2", "user/3"].iter().map(|t| commit(t, Box::new(|_| {}))).collect();
+        let located = placement(&cluster()).locate_all(commits.iter().map(|c| &c.object));
+        let commits = commits.into_iter().zip(located).collect();
+        let mut verdicts = repl.commit_gate(ME, false, commits, |_| None, |_, _, _| Ok(()));
+        assert_eq!(verdicts.len(), 1);
+        let (Gate::Ship { shard, info }, shipping) = verdicts.remove(0) else {
+            panic!("a clean call ships");
+        };
+        let rounds =
+            repl.window(shard).push(shipping.into_iter().map(|c| Entry::guarded(c, &info)));
+        assert_eq!(objects(&rounds), vec![vec!["user/1", "user/2", "user/3"]]);
     }
 
     #[test]
@@ -870,7 +987,7 @@ mod tests {
     }
 
     fn queued(epoch: Epoch, backups: &[u32], tag: &str) -> Entry {
-        Entry::guarded(commit(tag, Box::new(|_| {})), info(epoch, backups))
+        Entry::guarded(commit(tag, Box::new(|_| {})), &info(epoch, backups))
     }
 
     /// The objects of each round, as strings.
@@ -946,8 +1063,8 @@ mod tests {
         let blocking = commit("blocking", Box::new(move |acked| drop(tx.send(acked))));
         let (tx, completed) = channel::bounded(1);
         let completion = commit("completion", Box::new(move |acked| drop(tx.send(acked))));
-        assert!(window.push([Entry::guarded(blocking, info(1, &[2, 3]))]).is_empty());
-        assert!(window.push([Entry::guarded(completion, info(1, &[2, 3]))]).is_empty());
+        assert!(window.push([Entry::guarded(blocking, &info(1, &[2, 3]))]).is_empty());
+        assert!(window.push([Entry::guarded(completion, &info(1, &[2, 3]))]).is_empty());
         let mut next = window.finish(&out[0]);
         assert_eq!(objects(&next), vec![vec!["blocking", "completion"]]);
         assert!(parked.try_recv().is_err(), "nobody is answered before the round's outcome");
@@ -967,7 +1084,7 @@ mod tests {
 
     #[test]
     fn the_no_shared_object_rule_covers_guarded_commits_only_and_ends_with_the_ack() {
-        let raw = |tag: &str| Entry::raw(commit(tag, Box::new(|_| {})), info(1, &[2, 3]));
+        let raw = |tag: &str| Entry::raw(commit(tag, Box::new(|_| {})), &info(1, &[2, 3]));
         let window = Window::new(0);
         // Raw writes hold no guard: two of one key may be out at once.
         assert_eq!(window.push([raw("user/1")]).len(), 1);

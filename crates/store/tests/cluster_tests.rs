@@ -971,13 +971,11 @@ fn chaos_acked_posts_land_exactly_once() {
     cluster.shutdown();
 }
 
-/// Overlapping replication rounds under loss: a shard keeps several rounds
-/// in flight, so a round that lost a frame retries while later rounds —
-/// other posts' boundary commits and fan-out waves — go out and ack around
-/// it. Nothing an ack covered may be missing or doubled on any replica.
-#[test]
-fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
-    let module = assemble(
+/// A `Feed`: `post` is ReTwis' `create_post` in miniature — a write of its
+/// own, then one scatter of `store` to every follower; `post_seq` reaches
+/// the followers one `host.invoke` at a time.
+fn feed_module() -> Module {
+    assemble(
         r#"
         fn follow(1) {
             push.s "followers"
@@ -1056,12 +1054,118 @@ fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
         }
         "#,
     )
-    .expect("fan-out module assembles");
-    let fields = vec![
+    .expect("fan-out module assembles")
+}
+
+fn feed_fields() -> Vec<FieldDef> {
+    vec![
         FieldDef { name: "followers".into(), kind: FieldKind::Collection },
         FieldDef { name: "timeline".into(), kind: FieldKind::Collection },
-    ];
+    ]
+}
 
+/// `(rounds, entries)` the storage nodes' replication windows have shipped.
+fn repl_counts(cluster: &AggregatedCluster) -> (u64, u64) {
+    let nodes = &cluster.core.storage;
+    let count = |name| nodes.iter().map(|n| n.registry().counter_value(name)).sum();
+    (count("node_repl_rounds"), count("node_repl_entries"))
+}
+
+#[test]
+fn a_colocated_post_is_one_replication_round() {
+    // One shard: the poster and its five followers share one primary, so
+    // the post's boundary commit rides in its fan-out's round.
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Feed", feed_fields(), &feed_module()).unwrap();
+    let account = |i: usize| ObjectId::from(format!("one/{i}").as_str());
+    for i in 0..6 {
+        client.create_object("Feed", &account(i), &[]).unwrap();
+    }
+    for f in 1..6 {
+        client.invoke(&account(0), "follow", vec![VmValue::Bytes(account(f).0)], false).unwrap();
+    }
+    // Every earlier write was acked before its call returned: the window
+    // is idle.
+    let before = repl_counts(&cluster);
+    client.invoke(&account(0), "post", vec![VmValue::str("hello")], false).unwrap();
+    let after = repl_counts(&cluster);
+    assert_eq!(after.0 - before.0, 1, "boundary and fan-out, one round");
+    assert_eq!(after.1 - before.1, 6, "the poster's write set and five followers'");
+    for node in &cluster.core.storage {
+        for i in 0..6 {
+            let feed = node.engine().invoke(&account(i), "feed", vec![]).unwrap();
+            assert_eq!(feed, VmValue::List(vec![VmValue::str("hello")]), "one/{i}");
+        }
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_post_with_followers_on_another_shard_acks_its_boundary_first() {
+    // Two shards, led by different nodes. A follower on the other shard
+    // is not co-located with the poster, so the boundary commit is acked
+    // on its own before the fan-out leaves; the followers on the poster's
+    // shard then share one round, and the other shard's primary commits
+    // its own.
+    let mut config = ClusterConfig::for_tests();
+    config.shards = 2;
+    let cluster = AggregatedCluster::build(config).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Feed", feed_fields(), &feed_module()).unwrap();
+    let shard_of = |id: &ObjectId| client.placement().locate(id).expect("located").0;
+    let mut by_shard: [Vec<ObjectId>; 2] = [Vec::new(), Vec::new()];
+    for i in 0.. {
+        let id = ObjectId::from(format!("two/{i}").as_str());
+        let on = &mut by_shard[shard_of(&id) as usize];
+        if on.len() < 3 {
+            on.push(id);
+        }
+        if by_shard.iter().all(|ids| ids.len() == 3) {
+            break;
+        }
+    }
+    let [home, away] = by_shard;
+    let poster = &home[0];
+    let followers: Vec<&ObjectId> = home[1..].iter().chain(&away[..2]).collect();
+    for id in home.iter().chain(&away) {
+        client.create_object("Feed", id, &[]).unwrap();
+    }
+    for f in &followers {
+        client.invoke(poster, "follow", vec![VmValue::Bytes(f.0.clone())], false).unwrap();
+    }
+    let (_, home_info) = client.placement().locate(poster).unwrap();
+    let (_, away_info) = client.placement().locate(&away[0]).unwrap();
+    assert_ne!(home_info.primary, away_info.primary, "the shards are led by different nodes");
+    let primary = cluster.core.storage.iter().find(|n| n.id() == home_info.primary).unwrap();
+
+    const POSTS: usize = 4;
+    for k in 0..POSTS {
+        let (rounds, entries) = primary.replication_batch_stats();
+        let text = format!("post-{k}").into_bytes();
+        client.invoke(poster, "post", vec![VmValue::Bytes(text)], false).unwrap();
+        let (rounds_after, entries_after) = primary.replication_batch_stats();
+        assert_eq!(rounds_after - rounds, 2, "the boundary's round, then the home followers'");
+        assert_eq!(entries_after - entries, 3, "post {k}");
+    }
+    for node in &cluster.core.storage {
+        for reader in followers.iter().copied().chain([poster]) {
+            let feed = node.engine().invoke(reader, "feed", vec![]).unwrap();
+            let VmValue::List(rows) = feed else { panic!("expected list, got {feed}") };
+            let want: Vec<VmValue> =
+                (0..POSTS).map(|k| VmValue::Bytes(format!("post-{k}").into_bytes())).collect();
+            assert_eq!(rows, want, "{reader} on node-{}", node.id().0);
+        }
+    }
+    cluster.shutdown();
+}
+
+/// Overlapping replication rounds under loss: a shard keeps several rounds
+/// in flight, so a round that lost a frame retries while later rounds —
+/// other posts' boundary commits and fan-out waves — go out and ack around
+/// it. Nothing an ack covered may be missing or doubled on any replica.
+#[test]
+fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
     let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
     // A budget no post outlives: an attempt is re-sent after a fifth of
     // it, and this test is about replication retries, not client ones.
@@ -1071,7 +1175,7 @@ fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
         cluster.core.coordinator_ids.clone(),
         Duration::from_secs(120),
     );
-    client.deploy_type("Feed", fields, &module).unwrap();
+    client.deploy_type("Feed", feed_fields(), &feed_module()).unwrap();
 
     const ACCOUNTS: usize = 12;
     // Eight scatter their posts (completion commits); two more fan out

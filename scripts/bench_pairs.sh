@@ -3,15 +3,17 @@
 # "Landing a change"): N alternating parent/new runs of the benchmark that
 # BENCHMARK.json declares, on every workload, compared metric by metric.
 #
-#   scripts/bench_pairs.sh <parent-rev> [--pairs N] [--workload W]...
+#   scripts/bench_pairs.sh <parent-rev> [--pairs N] [--first-seed S] [--workload W]...
 #
 # "new" is the working tree's tracked state (`git stash create`, so
 # uncommitted edits count; `git add` new files first), or HEAD when it is
 # clean. Each side is a `git archive` of its commit unpacked under
 # $BENCH_PAIRS_DIR (default /tmp/bench-pairs-<pid>, removed on exit) with a
 # CARGO_TARGET_DIR of its own, built once. A run is the exact `command` of BENCHMARK.json
-# plus `--workload W --seed <pair> --seconds <run_seconds> --trace 0`; pair
-# k runs the parent first when k is odd, the change first when even.
+# plus `--workload W --seed <seed> --seconds <run_seconds> --trace 0`. Pair k
+# (1..N) runs seed S+k-1, S = `--first-seed` (default 1), so re-checking a
+# claim on seeds no development run used is one flag; it runs the parent
+# first when k is odd, the change first when even.
 #
 # Prints, per workload x end-to-end metric: both medians with their
 # quartiles, wins/losses/ties of the change over the pairs, and whether the
@@ -25,7 +27,7 @@ set -euo pipefail
 cd "$(git rev-parse --show-toplevel)"
 
 usage() {
-    echo "usage: $0 <parent-rev> [--pairs N] [--workload W]..." >&2
+    echo "usage: $0 <parent-rev> [--pairs N] [--first-seed S] [--workload W]..." >&2
     exit 2
 }
 
@@ -33,10 +35,12 @@ usage() {
 parent_rev=$(git rev-parse --verify "$1^{commit}") || usage
 shift
 pairs=10
+first_seed=1
 workloads=()
 while [ $# -gt 0 ]; do
     case "$1" in
     --pairs) pairs="${2:?}"; shift 2 ;;
+    --first-seed) first_seed="${2:?}"; shift 2 ;;
     --workload) workloads+=("${2:?}"); shift 2 ;;
     *) usage ;;
     esac
@@ -91,7 +95,8 @@ bad=0
 run_one() { # side workload pair
     local out line
     out=$(cd "$work/$1" && CARGO_TARGET_DIR="$work/target-$1" \
-        "${command[@]}" --workload "$2" --seed "$3" --seconds "$run_seconds" --trace 0 2>&1) || true
+        "${command[@]}" --workload "$2" --seed $((first_seed + $3 - 1)) \
+        --seconds "$run_seconds" --trace 0 2>&1) || true
     line=$(awk '/^\{"correct"/ { last = $0 } END { print last }' <<<"$out")
     if [ -z "$line" ]; then
         echo "  $1 $2 pair $3: no result" >&2
@@ -125,7 +130,7 @@ for w in "${workloads[@]}"; do
 done
 
 echo
-echo "parent $(git rev-parse --short "$parent_rev") vs new $(git rev-parse --short "$new_rev"), $pairs pairs, ${run_seconds}s runs"
+echo "parent $(git rev-parse --short "$parent_rev") vs new $(git rev-parse --short "$new_rev"), $pairs pairs (seeds $first_seed..$((first_seed + pairs - 1))), ${run_seconds}s runs"
 printf '%-14s %-11s %28s %28s %9s %s\n' workload metric "parent median [q1, q3]" "new median [q1, q3]" "w/l/t" "> parent IQR"
 for w in "${workloads[@]}"; do
     for m in "${metrics[@]}"; do
