@@ -13,15 +13,27 @@
 //! * **lazy**: on a hit, the entry's read set is re-validated against
 //!   current value hashes (defense in depth — e.g. after a migration
 //!   import that bypassed the commit path).
+//!
+//! Beside the results sits the node's **type memo**: object id → type
+//! name, consulted before storage by every invocation's resolve step. A
+//! meta key is written at create and never again, so the memo is dropped
+//! by the same two calls that invalidate results: [`invalidate_keys`]
+//! when a written key is an object's meta key, [`invalidate_object`] when
+//! the object is deleted, moved or replaced. It stores names, not types,
+//! so a redeployed module takes effect on the next invocation.
+//!
+//! [`invalidate_keys`]: ConsistentCache::invalidate_keys
+//! [`invalidate_object`]: ConsistentCache::invalidate_object
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
 use lambda_vm::VmValue;
 
 use crate::buffer::value_hash;
+use crate::keys;
 use crate::object::ObjectId;
 
 /// Cache lookup/maintenance statistics.
@@ -82,9 +94,32 @@ struct CacheInner {
     next_seq: u64,
 }
 
+/// A miss in the type memo: the generation a name read from storage after
+/// it is recorded under ([`ConsistentCache::record_type`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct TypeMiss(u64);
+
+/// Object id → type name, one entry per object resolved on this node.
+#[derive(Default)]
+struct TypeMemo {
+    /// Bumped by every drop, so a name read from storage across one is
+    /// never recorded: the read may predate the write that dropped it.
+    generation: u64,
+    names: HashMap<Vec<u8>, String>,
+}
+
+impl TypeMemo {
+    fn forget(&mut self, id: &[u8]) {
+        self.generation += 1;
+        self.names.remove(id);
+    }
+}
+
 /// The consistent function-result cache of one storage node.
 pub struct ConsistentCache {
     inner: Mutex<CacheInner>,
+    /// Never gated by `capacity`: a capacity-0 engine still memoises types.
+    types: RwLock<TypeMemo>,
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -109,6 +144,7 @@ impl ConsistentCache {
     pub fn new(capacity: usize) -> ConsistentCache {
         ConsistentCache {
             inner: Mutex::new(CacheInner::default()),
+            types: RwLock::default(),
             capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -287,11 +323,15 @@ impl ConsistentCache {
     }
 
     /// Eagerly invalidate every entry whose read set touches any of
-    /// `written_keys` (called on each commit).
+    /// `written_keys` (called on each commit), and the memoised type of
+    /// every object whose meta key is among them.
     pub fn invalidate_keys<'a>(&self, written_keys: impl IntoIterator<Item = &'a [u8]>) {
         let mut inner = self.inner.lock();
         let mut victims: HashSet<EntryKey> = HashSet::new();
         for k in written_keys {
+            if let Some(owner) = keys::meta_owner(k) {
+                self.types.write().forget(owner);
+            }
             if let Some(set) = inner.by_key.remove(k) {
                 victims.extend(set);
             }
@@ -311,9 +351,11 @@ impl ConsistentCache {
         }
     }
 
-    /// Drop every entry of `object` (migration/deletion).
+    /// Drop every entry of `object`, and its memoised type
+    /// (migration/deletion).
     pub fn invalidate_object(&self, object: &ObjectId) {
         let mut inner = self.inner.lock();
+        self.types.write().forget(object.as_bytes());
         let victims: Vec<EntryKey> =
             inner.entries.keys().filter(|k| &k.object == object).cloned().collect();
         for victim in victims {
@@ -328,6 +370,22 @@ impl ConsistentCache {
                     }
                 }
             }
+        }
+    }
+
+    /// The memoised type name of `object`, or the miss to record a name
+    /// read from storage under.
+    pub(crate) fn type_of(&self, object: &ObjectId) -> Result<String, TypeMiss> {
+        let memo = self.types.read();
+        memo.names.get(object.as_bytes()).cloned().ok_or(TypeMiss(memo.generation))
+    }
+
+    /// Record `name`, read from storage after `miss`, unless the memo was
+    /// dropped for any object since.
+    pub(crate) fn record_type(&self, object: &ObjectId, name: &str, miss: TypeMiss) {
+        let mut memo = self.types.write();
+        if memo.generation == miss.0 {
+            memo.names.insert(object.0.clone(), name.to_string());
         }
     }
 
@@ -548,6 +606,41 @@ mod tests {
         let (v, got) = cache.lookup_with_read_set(&oid(), "get", &[]).unwrap();
         assert_eq!(v, VmValue::Int(9));
         assert_eq!(got, rs);
+    }
+
+    fn memo(cache: &ConsistentCache, id: &ObjectId, name: &str) {
+        let miss = cache.type_of(id).expect_err("not memoised yet");
+        cache.record_type(id, name, miss);
+    }
+
+    #[test]
+    fn a_type_read_across_an_invalidation_is_not_recorded() {
+        let cache = ConsistentCache::new(16);
+        let miss = cache.type_of(&oid()).unwrap_err();
+        // The object is deleted between the storage read and the record.
+        cache.invalidate_keys([keys::meta_key(&oid()).as_slice()]);
+        cache.record_type(&oid(), "User", miss);
+        assert!(cache.type_of(&oid()).is_err(), "a read from before the delete stays out");
+        memo(&cache, &oid(), "User");
+        assert_eq!(cache.type_of(&oid()), Ok("User".to_string()));
+    }
+
+    #[test]
+    fn the_type_memo_is_dropped_with_its_object_at_any_capacity() {
+        for capacity in [0, 16] {
+            let cache = ConsistentCache::new(capacity);
+            let (one, ten) = (oid(), ObjectId::from("user/10"));
+            memo(&cache, &one, "User");
+            memo(&cache, &ten, "User");
+            let (field_m, version) = (keys::field_key(&one, b"m"), keys::version_key(&one));
+            cache.invalidate_keys([field_m.as_slice(), version.as_slice()]);
+            assert_eq!(cache.type_of(&one), Ok("User".to_string()), "only a meta key drops it");
+            cache.invalidate_keys([keys::meta_key(&one).as_slice()]);
+            assert!(cache.type_of(&one).is_err());
+            assert_eq!(cache.type_of(&ten), Ok("User".to_string()), "user/10 is not user/1");
+            cache.invalidate_object(&ten);
+            assert!(cache.type_of(&ten).is_err());
+        }
     }
 
     #[test]

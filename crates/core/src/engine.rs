@@ -678,13 +678,22 @@ impl Engine {
         matches!(self.db.get(&keys::meta_key(id)), Ok(Some(_)))
     }
 
-    /// The type name of `id`.
+    /// The type name of `id`: from the cache's type memo, else from its
+    /// meta key, which then fills the memo.
     ///
     /// # Errors
     /// [`InvokeError::UnknownObject`] when absent.
     pub fn object_type_name(&self, id: &ObjectId) -> Result<String> {
+        let miss = match self.cache.type_of(id) {
+            Ok(name) => return Ok(name),
+            Err(miss) => miss,
+        };
         match self.db.get(&keys::meta_key(id))? {
-            Some(bytes) => Ok(String::from_utf8_lossy(&bytes).into_owned()),
+            Some(bytes) => {
+                let name = String::from_utf8_lossy(&bytes).into_owned();
+                self.cache.record_type(id, &name, miss);
+                Ok(name)
+            }
             None => Err(InvokeError::UnknownObject(id.to_string())),
         }
     }
@@ -700,12 +709,11 @@ impl Engine {
         for (key, _) in self.db.scan_prefix(&prefix) {
             batch.delete(key);
         }
-        if !batch.is_empty() {
-            self.write_and_replicate(id, batch)?;
-        }
+        let deleted = if batch.is_empty() { Ok(()) } else { self.write_and_replicate(id, batch) };
+        // Whether or not replication acked, the local copy may be gone.
         self.cache.invalidate_object(id);
         self.forget_dedup_window(id);
-        Ok(())
+        deleted
     }
 
     /// Enumerate every object stored on this node (admin/rebalancing use;
@@ -713,10 +721,7 @@ impl Engine {
     pub fn list_objects(&self) -> Vec<ObjectId> {
         self.db
             .scan_prefix(b"o")
-            .filter_map(|(key, _)| {
-                let (id, suffix) = keys::split_key(&key)?;
-                (suffix == b"m").then_some(id)
-            })
+            .filter_map(|(key, _)| keys::meta_owner(&key).map(ObjectId::new))
             .collect()
     }
 
@@ -2293,6 +2298,68 @@ mod tests {
         ));
         // Idempotent.
         env.engine.delete_object(&id).unwrap();
+    }
+
+    /// A type `name` whose one method, `whoami`, answers `tag` (read-only
+    /// but not deterministic, so no result is cached).
+    fn tagged(name: &str, tag: &str) -> ObjectType {
+        let module = assemble(&format!("fn whoami(0) ro {{\n push.s \"{tag}\"\n ret\n}}")).unwrap();
+        ObjectType::from_module(name, vec![], module).unwrap()
+    }
+
+    #[test]
+    fn a_deleted_id_is_unknown_until_recreated_under_another_type() {
+        for cache_capacity in [0, EngineConfig::default().cache_capacity] {
+            let env = setup(EngineConfig { cache_capacity, ..EngineConfig::default() });
+            env.engine.types().register(tagged("Other", "other"));
+            let id = oid("c/1");
+            env.engine.create_object("Counter", &id, &[("count", b"v")]).unwrap();
+            assert_eq!(env.engine.invoke(&id, "read_count", vec![]).unwrap(), VmValue::str("v"));
+            env.engine.delete_object(&id).unwrap();
+            assert!(matches!(
+                env.engine.invoke(&id, "read_count", vec![]),
+                Err(InvokeError::UnknownObject(_))
+            ));
+            env.engine.create_object("Other", &id, &[]).unwrap();
+            assert_eq!(env.engine.invoke(&id, "whoami", vec![]).unwrap(), VmValue::str("other"));
+            assert!(matches!(
+                env.engine.invoke(&id, "read_count", vec![]),
+                Err(InvokeError::UnknownMethod(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn a_redeployed_module_is_seen_by_the_next_invocation() {
+        let env = setup(EngineConfig::default());
+        env.engine.types().register(tagged("Tagged", "v1"));
+        let id = oid("t/1");
+        env.engine.create_object("Tagged", &id, &[]).unwrap();
+        assert_eq!(env.engine.invoke(&id, "whoami", vec![]).unwrap(), VmValue::str("v1"));
+        env.engine.types().register(tagged("Tagged", "v2"));
+        assert_eq!(env.engine.invoke(&id, "whoami", vec![]).unwrap(), VmValue::str("v2"));
+    }
+
+    #[test]
+    fn purge_and_install_replacing_drop_the_memoised_type() {
+        use crate::migration::ObjectSnapshot;
+        let env = setup(EngineConfig::default());
+        env.engine.types().register(tagged("Other", "other"));
+        let id = oid("c/1");
+        env.engine.create_object("Counter", &id, &[("count", b"v")]).unwrap();
+        assert_eq!(env.engine.invoke(&id, "read_count", vec![]).unwrap(), VmValue::str("v"));
+        env.engine.purge_object(&id).unwrap();
+        assert!(matches!(
+            env.engine.invoke(&id, "read_count", vec![]),
+            Err(InvokeError::UnknownObject(_))
+        ));
+        env.engine.create_object("Counter", &id, &[("count", b"w")]).unwrap();
+        assert_eq!(env.engine.invoke(&id, "read_count", vec![]).unwrap(), VmValue::str("w"));
+        // A state transfer replaces the memoised Counter with an Other.
+        let snapshot =
+            ObjectSnapshot { id: id.clone(), entries: vec![(b"m".to_vec(), b"Other".to_vec())] };
+        env.engine.install_object_replacing(&snapshot).unwrap();
+        assert_eq!(env.engine.invoke(&id, "whoami", vec![]).unwrap(), VmValue::str("other"));
     }
 }
 

@@ -109,6 +109,15 @@ pub fn split_key(key: &[u8]) -> Option<(ObjectId, Vec<u8>)> {
     Some((ObjectId(key[3..id_end].to_vec()), key[id_end..].to_vec()))
 }
 
+/// The id bytes of the object whose meta key `key` is; `None` for any
+/// other key. Reads the layout in place, without allocating: every commit
+/// on every replica asks this of each key it wrote.
+pub fn meta_owner(key: &[u8]) -> Option<&[u8]> {
+    let [TAG, hi, lo, rest @ ..] = key else { return None };
+    let (id, suffix) = rest.split_at_checked(u16::from_be_bytes([*hi, *lo]) as usize)?;
+    (suffix == b"m").then_some(id)
+}
+
 /// Rebuild a full key from an object id and a suffix produced by
 /// [`split_key`].
 pub fn join_key(id: &ObjectId, suffix: &[u8]) -> Vec<u8> {
@@ -179,6 +188,28 @@ mod tests {
             let (got_id, suffix) = split_key(&key).unwrap();
             assert_eq!(got_id, oid);
             assert_eq!(join_key(&got_id, &suffix), key);
+        }
+    }
+
+    #[test]
+    fn meta_owner_recognises_only_meta_keys() {
+        let (u1, u10) = (id("user/1"), id("user/10"));
+        let cases: [(Vec<u8>, Option<&[u8]>); 9] = [
+            (meta_key(&u1), Some(b"user/1")),
+            (meta_key(&u10), Some(b"user/10")),
+            // A field literally named "m": its suffix is "fm".
+            (field_key(&u1, b"m"), None),
+            (counter_key(&u1, b"m"), None),
+            // An entry key whose index ends in the byte `m`.
+            (entry_key(&u1, b"tl", u64::from(b'm')), None),
+            (version_key(&u1), None),
+            // Non-object keys, and a prefix too short for its length.
+            (b"xm".to_vec(), None),
+            (b"m".to_vec(), None),
+            (object_prefix(&u10)[..5].to_vec(), None),
+        ];
+        for (key, want) in cases {
+            assert_eq!(meta_owner(&key), want, "{key:?}");
         }
     }
 

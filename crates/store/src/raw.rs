@@ -80,13 +80,15 @@ impl NodeInner {
         Ok(keys::decode_counter(self.engine.db().get(counter_key)?.as_deref()))
     }
 
-    /// Replicate raw `ops` synchronously, as the commit of the object their
-    /// first key belongs to.
+    /// `ops` are applied locally: drop the cached results and memoised
+    /// types they make stale, as a commit does, then replicate them
+    /// synchronously as the commit of the object their first key belongs to.
     fn replicate_raw(
         &self,
         ctx: &InvocationContext,
         ops: Vec<(Vec<u8>, Option<Vec<u8>>)>,
     ) -> Reply {
+        self.engine.cache().invalidate_keys(ops.iter().map(|(key, _)| key.as_slice()));
         if let Some((oid, _)) = ops.first().and_then(|(key, _)| keys::split_key(key)) {
             self.commit_raw(ctx, oid, ops).map_err(lambda_objects::error::decode_hook_error)?;
         }

@@ -1253,3 +1253,99 @@ fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
     client.shutdown();
     cluster.shutdown();
 }
+
+/// Send `req` to `node` until it is served by a replica holding read
+/// authority: a lease comes with the shard's first replication traffic.
+fn read_at(
+    client: &lambda_store::StoreClient,
+    node: NodeId,
+    req: &StoreRequest,
+) -> Result<StoreResponse, InvokeError> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match client.raw(node, req) {
+            Err(InvokeError::LeaseExpired(_)) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            other => return other,
+        }
+    }
+}
+
+fn read_request(id: &ObjectId, method: &str) -> StoreRequest {
+    StoreRequest::Invoke {
+        object: id.0.clone(),
+        method: method.into(),
+        args: vec![],
+        read_only: true,
+        internal: false,
+        collect_read_set: false,
+    }
+}
+
+#[test]
+fn a_backup_that_memoised_a_type_serves_no_read_after_the_delete() {
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Account", account_fields(), &account_module()).unwrap();
+    let id = ObjectId::from("acct/memo");
+    client.create_object("Account", &id, &[]).unwrap();
+    client.invoke(&id, "deposit", vec![VmValue::Int(5)], false).unwrap();
+    let (_, info) = client.placement().locate(&id).expect("located");
+    let backup = info.backups[0];
+
+    // A follower read resolves the type at the backup, which memoises it.
+    let read = read_request(&id, "balance");
+    assert_eq!(read_at(&client, backup, &read).unwrap(), StoreResponse::Value(VmValue::Int(5)));
+    // The delete reaches the backup as a replicated write of the meta key.
+    client.delete_object(&id).unwrap();
+    let after = read_at(&client, backup, &read);
+    assert!(matches!(after, Err(InvokeError::UnknownObject(_))), "{after:?}");
+    cluster.shutdown();
+}
+
+#[test]
+fn a_raw_push_invalidates_a_cached_read_at_the_primary() {
+    let module = assemble(
+        r#"
+        fn feed(0) ro det {
+            push.s "timeline"
+            push.i 100
+            push.i 1
+            host.scan
+            ret
+        }
+        "#,
+    )
+    .expect("wall module assembles");
+    let fields = vec![FieldDef { name: "timeline".into(), kind: FieldKind::Collection }];
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Wall", fields, &module).unwrap();
+    let id = ObjectId::from("wall/raw");
+    client.create_object("Wall", &id, &[]).unwrap();
+    let (_, info) = client.placement().locate(&id).expect("located");
+    let primary = cluster.core.storage.iter().find(|n| n.id() == info.primary).unwrap();
+    let push = |text: &str| {
+        let req = StoreRequest::RawPush {
+            object: id.0.clone(),
+            field: b"timeline".to_vec(),
+            value: text.as_bytes().to_vec(),
+        };
+        assert_eq!(client.raw(info.primary, &req).unwrap(), StoreResponse::Ok);
+    };
+    let feed = |want: &[&str]| {
+        let rows = want.iter().map(|t| VmValue::str(*t)).collect();
+        let got = read_at(&client, info.primary, &read_request(&id, "feed")).unwrap();
+        assert_eq!(got, StoreResponse::Value(VmValue::List(rows)));
+    };
+
+    push("first");
+    feed(&["first"]);
+    let hits = primary.stats().cache_hits;
+    feed(&["first"]);
+    assert_eq!(primary.stats().cache_hits, hits + 1, "the second read is a cache hit");
+    push("second");
+    feed(&["second", "first"]);
+    cluster.shutdown();
+}
