@@ -5,8 +5,9 @@
 //!
 //! The LambdaObjects evaluation (§5) ran on four CloudLab machines in one
 //! rack. This crate substitutes for that testbed: nodes are threads, links
-//! carry real serialized bytes, and a dispatcher injects configurable
-//! per-message latency, jitter, bandwidth cost, loss and partitions. The
+//! carry real serialized bytes, and every message is held in its
+//! destination's deadline-ordered mailbox for a configurable per-message
+//! latency, jitter and bandwidth cost, subject to loss and partitions. The
 //! architectural effect the paper measures — a disaggregated design paying
 //! network round-trips for every storage access while the aggregated design
 //! pays none — is a function of hop counts and per-hop latency, both of

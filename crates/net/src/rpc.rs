@@ -255,10 +255,6 @@ pub struct RpcQueueStats {
 /// it as an overload, but remains a plain readable string for everyone else.
 pub const SHED_ERROR: &str = "overloaded\u{1f}rpc: run queue full";
 
-enum Ctrl {
-    Shutdown,
-}
-
 struct Job {
     from: NodeId,
     req_id: u64,
@@ -342,9 +338,15 @@ impl RpcShared {
         }
         let seq = st.seq;
         st.seq += 1;
+        let head = st.heap.peek().map(|e| e.at);
         st.heap.push(TimerEntry { at, seq, kind });
+        // The timer thread sleeps until the head is due: only a new head
+        // changes when it must wake (a call's timeout rarely is one).
+        let new_head = st.heap.peek().map(|e| e.at) != head;
         drop(st);
-        self.timer_cv.notify_all();
+        if new_head {
+            self.timer_cv.notify_all();
+        }
     }
 }
 
@@ -353,7 +355,6 @@ pub struct RpcNode {
     id: NodeId,
     net: Network,
     shared: Arc<RpcShared>,
-    ctrl: Sender<Ctrl>,
     jobs: Receiver<Job>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     exec_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -496,35 +497,18 @@ impl RpcNode {
         }
         // Router thread: demultiplexes the network mailbox, admits requests
         // into the run queue, and completes pending calls. It never blocks
-        // on a full queue and never runs completions itself.
-        let (ctrl_tx, ctrl_rx) = channel::unbounded::<Ctrl>();
+        // on a full queue and never runs completions itself. It stops when
+        // its mailbox closes: the node left, the network shut down, or
+        // `shutdown` closed it.
         {
             let shared = Arc::clone(&shared);
-            let incoming = handle.receiver();
             let queue_depth = config.queue_depth;
             let admission = config.admission.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("rpc-{id}-router"))
                     .spawn(move || {
-                        loop {
-                            let env = channel::select! {
-                                recv(ctrl_rx) -> c => {
-                                    match c {
-                                        Ok(Ctrl::Shutdown) | Err(_) => break,
-                                    }
-                                }
-                                recv(incoming) -> env => match env {
-                                    Ok(env) => env,
-                                    Err(_) => break, // left the network
-                                },
-                                default(Duration::from_millis(50)) => {
-                                    if shared.shutdown.load(Ordering::Acquire) {
-                                        break;
-                                    }
-                                    continue;
-                                }
-                            };
+                        while let Ok(env) = shared.handle.recv() {
                             match decode_frame(&env.payload) {
                                 Ok((KIND_REQUEST, req_id, body)) => {
                                     let over = queue_depth > 0 && job_tx.len() >= queue_depth;
@@ -586,7 +570,6 @@ impl RpcNode {
             id,
             net,
             shared,
-            ctrl: ctrl_tx,
             jobs: job_rx,
             threads: Mutex::new(threads),
             exec_threads: Mutex::new(exec_threads),
@@ -779,7 +762,7 @@ impl RpcNode {
     /// Stop the endpoint: fail local pending calls, stop admitting new
     /// requests, let workers drain every already-admitted request (their
     /// replies still go out), and join all pipeline threads. Prompt — the
-    /// router is woken explicitly rather than waiting for a poll tick.
+    /// router wakes as its mailbox closes.
     pub fn shutdown(&self) {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -790,9 +773,9 @@ impl RpcNode {
         for reply in drained {
             self.shared.complete(reply, Err(RpcError::Shutdown));
         }
-        // Wake the router; it exits and drops the job queue so workers
-        // drain admitted requests and stop.
-        let _ = self.ctrl.send(Ctrl::Shutdown);
+        // Close the mailbox; the router exits and drops the job queue so
+        // workers drain admitted requests and stop.
+        self.shared.handle.close();
         // Stop the timer, dropping what it still held: a scheduled task
         // may own the only sender of a channel some thread is parked on.
         let unfired = {
@@ -1164,7 +1147,7 @@ mod tests {
         // Previously the worker sent a junk KIND_RESPONSE id-0 frame back;
         // now nothing must arrive at the sender.
         assert!(
-            raw.receiver().recv_timeout(Duration::from_millis(100)).is_err(),
+            raw.recv_timeout(Duration::from_millis(100)).is_err(),
             "one-way requests must not generate response frames"
         );
         net.shutdown();
@@ -1187,6 +1170,27 @@ mod tests {
         let res = t.join().unwrap();
         assert_eq!(res.unwrap_err(), RpcError::Shutdown);
         net.shutdown();
+    }
+
+    #[test]
+    fn network_shutdown_stops_the_router_and_node_shutdown_still_returns() {
+        let net = Network::new(LatencyModel::instant(), 1);
+        let node = RpcNode::start(&net, NodeId(1), echo_handler(), 1);
+        net.shutdown();
+        let router_done = || {
+            let threads = node.threads.lock();
+            let router = threads
+                .iter()
+                .find(|t| t.thread().name() == Some("rpc-node-1-router"))
+                .expect("router thread");
+            router.is_finished()
+        };
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while !router_done() {
+            assert!(Instant::now() < deadline, "the router outlived the network");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        node.shutdown();
     }
 
     #[test]

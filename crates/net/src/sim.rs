@@ -1,11 +1,12 @@
 //! The simulated cluster network.
 //!
 //! Nodes register with a [`Network`] and exchange byte messages through it.
-//! A dispatcher thread holds a delivery queue ordered by deadline; each
-//! message is delayed by a sample from the configured [`LatencyModel`]
-//! before it reaches the destination mailbox. Links can be cut (network
-//! partitions) and the per-link/message statistics feed the evaluation
-//! harness.
+//! Each message is stamped at send with a delivery instant, sampled from the
+//! configured [`LatencyModel`], and queued in its destination's mailbox, a
+//! queue ordered by that instant. The destination's receiving thread waits
+//! for the head itself and takes it when it is due, so no thread stands
+//! between a sender and a receiver. Links can be cut (network partitions)
+//! and the per-link/message statistics feed the evaluation harness.
 //!
 //! This substitutes for the paper's CloudLab testbed (§5): the effect being
 //! measured — disaggregation paying one network round-trip per storage
@@ -14,11 +15,10 @@
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -48,9 +48,9 @@ pub struct Envelope {
 
 /// Per-message latency distribution.
 ///
-/// Samples `base + U(0, jitter)` plus a per-byte cost, approximating an
-/// intra-rack network: ~100µs propagation + switching, mild jitter, and
-/// ~10 Gbps serialization.
+/// Samples `base + U(0, jitter)` plus a per-byte cost. The default
+/// approximates an intra-rack network: 250 µs propagation + switching, up
+/// to 100 µs of uniform jitter, and ~8 Gbps serialization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyModel {
     /// Fixed one-way latency.
@@ -208,17 +208,72 @@ impl PartialOrd for Scheduled {
     }
 }
 
+/// One endpoint's incoming mail: a queue ordered by `(deliver_at, seq)` and
+/// the condvar its receiving thread waits on until the head is due.
+#[derive(Default)]
+struct Mailbox {
+    state: Mutex<MailState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct MailState {
+    queue: BinaryHeap<Scheduled>,
+    seq: u64,
+    closed: bool,
+}
+
+impl MailState {
+    fn push(&mut self, deliver_at: Instant, envelope: Envelope) {
+        self.queue.push(Scheduled { deliver_at, seq: self.seq, envelope });
+        self.seq += 1;
+    }
+}
+
+impl Mailbox {
+    /// Queue `envelope` for `deliver_at`, and a copy for `duplicate_at` when
+    /// a fault duplicated it. Returns false, queueing nothing, when the
+    /// mailbox is closed.
+    fn post(&self, deliver_at: Instant, duplicate_at: Option<Instant>, envelope: Envelope) -> bool {
+        let mut st = self.state.lock();
+        if st.closed {
+            return false;
+        }
+        let head = st.queue.peek().map(|s| s.deliver_at);
+        if let Some(at) = duplicate_at {
+            st.push(at, envelope.clone());
+        }
+        st.push(deliver_at, envelope);
+        // The receiver sleeps until the head is due: only a new head changes
+        // when it must wake.
+        let new_head = st.queue.peek().map(|s| s.deliver_at) != head;
+        drop(st);
+        if new_head {
+            self.cv.notify_all();
+        }
+        true
+    }
+
+    /// Discard the queued mail, counting it as dropped, refuse any more, and
+    /// wake every receiver with `Err`.
+    fn close(&self, stats: &NetStats) {
+        let discarded = {
+            let mut st = self.state.lock();
+            st.closed = true;
+            std::mem::take(&mut st.queue)
+        };
+        stats.messages_dropped.fetch_add(discarded.len() as u64, Ordering::Relaxed);
+        self.cv.notify_all();
+    }
+}
+
 struct NetInner {
-    mailboxes: RwLock<HashMap<NodeId, Sender<Envelope>>>,
+    mailboxes: RwLock<HashMap<NodeId, Arc<Mailbox>>>,
     cut_links: RwLock<HashSet<(NodeId, NodeId)>>,
     latency: RwLock<LatencyModel>,
-    queue: Mutex<BinaryHeap<Scheduled>>,
-    queue_cv: Condvar,
     faults: Mutex<Option<(FaultPlan, SmallRng)>>,
     rng: Mutex<SmallRng>,
-    seq: AtomicU64,
     stats: NetStats,
-    shutdown: AtomicBool,
 }
 
 /// Handle to the simulated network; cheap to clone.
@@ -241,19 +296,10 @@ impl Network {
             mailboxes: RwLock::new(HashMap::new()),
             cut_links: RwLock::new(HashSet::new()),
             latency: RwLock::new(latency),
-            queue: Mutex::new(BinaryHeap::new()),
-            queue_cv: Condvar::new(),
             faults: Mutex::new(None),
             rng: Mutex::new(SmallRng::seed_from_u64(seed)),
-            seq: AtomicU64::new(0),
             stats: NetStats::default(),
-            shutdown: AtomicBool::new(false),
         });
-        let dispatcher = Arc::clone(&inner);
-        std::thread::Builder::new()
-            .name("lambda-net-dispatcher".into())
-            .spawn(move || dispatcher_loop(dispatcher))
-            .expect("spawn dispatcher");
         Network { inner }
     }
 
@@ -267,15 +313,19 @@ impl Network {
     /// # Panics
     /// Panics if the id is already registered (configuration bug).
     pub fn join(&self, id: NodeId) -> NodeHandle {
-        let (tx, rx) = channel::unbounded();
-        let prev = self.inner.mailboxes.write().insert(id, tx);
+        let mailbox = Arc::new(Mailbox::default());
+        let prev = self.inner.mailboxes.write().insert(id, Arc::clone(&mailbox));
         assert!(prev.is_none(), "{id} joined twice");
-        NodeHandle { id, net: self.clone(), incoming: rx }
+        NodeHandle { id, net: self.clone(), mailbox }
     }
 
-    /// Remove `id` from the network; queued messages to it are dropped.
+    /// Remove `id` from the network; queued messages to it are dropped and
+    /// a thread blocked in its `recv` returns `Err`.
     pub fn leave(&self, id: NodeId) {
-        self.inner.mailboxes.write().remove(&id);
+        let mailbox = self.inner.mailboxes.write().remove(&id);
+        if let Some(mailbox) = mailbox {
+            mailbox.close(&self.inner.stats);
+        }
     }
 
     /// True when `id` is currently registered.
@@ -360,10 +410,12 @@ impl Network {
         d + du + de
     }
 
-    /// Stop the dispatcher; in-flight messages are discarded.
+    /// Close every member's mailbox: in-flight messages are discarded and
+    /// every receiver returns `Err`.
     pub fn shutdown(&self) {
-        self.inner.shutdown.store(true, Ordering::Release);
-        self.inner.queue_cv.notify_all();
+        for mailbox in self.inner.mailboxes.read().values() {
+            mailbox.close(&self.inner.stats);
+        }
     }
 
     fn send(&self, from: NodeId, to: NodeId, payload: Vec<u8>) {
@@ -407,64 +459,43 @@ impl Network {
                 }
             }
         }
+        // The destination is looked up after the rng draws, so a message to
+        // an unknown or departed node consumes the same jitter and faults as
+        // any other and the seeded schedule does not shift.
+        let mailbox = self.inner.mailboxes.read().get(&to).cloned();
         let now = Instant::now();
-        let mut queue = self.inner.queue.lock();
-        let head = queue.peek().map(|s| s.deliver_at);
-        if let Some(extra) = duplicate_delay {
-            queue.push(Scheduled {
-                deliver_at: now + extra,
-                seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-                envelope: Envelope { from, to, payload: payload.clone() },
-            });
-        }
-        queue.push(Scheduled {
-            deliver_at: now + delay + spike,
-            seq: self.inner.seq.fetch_add(1, Ordering::Relaxed),
-            envelope: Envelope { from, to, payload },
+        let envelope = Envelope { from, to, payload };
+        let queued = mailbox.is_some_and(|mailbox| {
+            mailbox.post(now + delay + spike, duplicate_delay.map(|extra| now + extra), envelope)
         });
-        // The dispatcher sleeps until the head is due: only a new head
-        // changes when it must wake.
-        let new_head = queue.peek().map(|s| s.deliver_at) != head;
-        drop(queue);
-        if new_head {
-            self.inner.queue_cv.notify_all();
+        if !queued {
+            stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-fn dispatcher_loop(inner: Arc<NetInner>) {
-    let mut queue = inner.queue.lock();
-    loop {
-        if inner.shutdown.load(Ordering::Acquire) {
-            return;
+/// Linux ends a timed wait up to 50 µs late by default (the thread's timer
+/// slack), which would land every message that long after its modelled
+/// instant. Set the calling thread's slack to 1 ns, once per thread; other
+/// platforms keep theirs.
+fn tighten_timer_slack() {
+    #[cfg(target_os = "linux")]
+    {
+        use std::cell::Cell;
+        use std::os::raw::{c_int, c_ulong};
+
+        extern "C" {
+            fn prctl(option: c_int, ...) -> c_int;
         }
-        let now = Instant::now();
-        // Deliver everything due.
-        while queue.peek().is_some_and(|s| s.deliver_at <= now) {
-            let item = queue.pop().expect("peeked");
-            // Check partitions again at delivery time: a link cut mid-flight
-            // loses the packet, like a real partition would.
-            let blocked = inner.cut_links.read().contains(&(item.envelope.from, item.envelope.to));
-            let mailbox =
-                if blocked { None } else { inner.mailboxes.read().get(&item.envelope.to).cloned() };
-            match mailbox {
-                Some(tx) if tx.send(item.envelope).is_ok() => {
-                    inner.stats.messages_delivered.fetch_add(1, Ordering::Relaxed);
-                }
-                _ => {
-                    inner.stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
-                }
+        const PR_SET_TIMERSLACK: c_int = 29;
+        thread_local!(static TIGHTENED: Cell<bool> = const { Cell::new(false) });
+        TIGHTENED.with(|done| {
+            if !done.replace(true) {
+                // SAFETY: PR_SET_TIMERSLACK takes one unsigned long and
+                // only changes the calling thread's timer slack.
+                unsafe { prctl(PR_SET_TIMERSLACK, 1 as c_ulong) };
             }
-        }
-        match queue.peek().map(|s| s.deliver_at) {
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                inner.queue_cv.wait_for(&mut queue, timeout.max(Duration::from_micros(10)));
-            }
-            None => {
-                inner.queue_cv.wait_for(&mut queue, Duration::from_millis(50));
-            }
-        }
+        });
     }
 }
 
@@ -472,7 +503,7 @@ fn dispatcher_loop(inner: Arc<NetInner>) {
 pub struct NodeHandle {
     id: NodeId,
     net: Network,
-    incoming: Receiver<Envelope>,
+    mailbox: Arc<Mailbox>,
 }
 
 impl fmt::Debug for NodeHandle {
@@ -500,31 +531,74 @@ impl NodeHandle {
     /// Block until a message arrives.
     ///
     /// # Errors
-    /// Returns `Err` when the network shut down.
+    /// Returns `Err` once the mailbox is closed: the node left, the network
+    /// shut down, or [`close`](Self::close) was called.
     pub fn recv(&self) -> Result<Envelope, RecvError> {
-        self.incoming.recv().map_err(|_| RecvError)
+        self.take(None).map_err(|_| RecvError)
     }
 
     /// Block until a message arrives or `timeout` passes.
     ///
     /// # Errors
-    /// [`RecvTimeoutError::Timeout`] on timeout, `Disconnected` on shutdown.
+    /// [`RecvTimeoutError::Timeout`] on timeout, `Disconnected` once the
+    /// mailbox is closed.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, RecvTimeoutError> {
-        self.incoming.recv_timeout(timeout).map_err(|e| match e {
-            channel::RecvTimeoutError::Timeout => RecvTimeoutError::Timeout,
-            channel::RecvTimeoutError::Disconnected => RecvTimeoutError::Disconnected,
-        })
+        self.take(Some(Instant::now() + timeout))
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<Envelope> {
-        self.incoming.try_recv().ok()
+        self.take(Some(Instant::now())).ok()
     }
 
-    /// A clone of the underlying channel receiver, for callers that need to
-    /// `select!` over the mailbox and other channels (the RPC router does).
-    pub fn receiver(&self) -> Receiver<Envelope> {
-        self.incoming.clone()
+    /// Close this endpoint's mailbox: mail queued for it is discarded and a
+    /// thread blocked in [`recv`](Self::recv) returns `Err`. The node stays
+    /// a member; later mail to it is dropped.
+    pub fn close(&self) {
+        self.mailbox.close(&self.net.inner.stats);
+    }
+
+    /// Take the head once it is due, waiting for it until `until` (forever
+    /// when `None`). The calling thread does the waiting, so a message is
+    /// delivered at its modelled instant.
+    fn take(&self, until: Option<Instant>) -> Result<Envelope, RecvTimeoutError> {
+        tighten_timer_slack();
+        let inner = &self.net.inner;
+        let mut st = self.mailbox.state.lock();
+        loop {
+            if st.closed {
+                return Err(RecvTimeoutError::Disconnected);
+            }
+            let now = Instant::now();
+            let head = st.queue.peek().map(|s| s.deliver_at);
+            if head.is_some_and(|at| at <= now) {
+                let envelope = st.queue.pop().expect("peeked").envelope;
+                // Check partitions again at delivery time: a link cut
+                // mid-flight loses the packet, like a real partition would.
+                if inner.cut_links.read().contains(&(envelope.from, envelope.to)) {
+                    inner.stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+                inner.stats.messages_delivered.fetch_add(1, Ordering::Relaxed);
+                return Ok(envelope);
+            }
+            if until.is_some_and(|until| until <= now) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            match head.into_iter().chain(until).min() {
+                Some(wake) => {
+                    self.mailbox.cv.wait_for(&mut st, wake - now);
+                }
+                None => self.mailbox.cv.wait(&mut st),
+            }
+        }
+    }
+}
+
+impl Drop for NodeHandle {
+    /// Nobody can receive any more: mail to this endpoint is dropped.
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -651,8 +725,6 @@ mod tests {
         let net = Network::new(LatencyModel::instant(), 1);
         let a = net.join(NodeId(1));
         a.send(NodeId(99), b"void".to_vec());
-        // Give the dispatcher a beat.
-        std::thread::sleep(Duration::from_millis(20));
         let (sent, _, dropped, _) = net.stats();
         assert_eq!(sent, 1);
         assert_eq!(dropped, 1);
@@ -699,6 +771,72 @@ mod tests {
         assert!(!net.is_member(NodeId(2)));
         a.send(NodeId(2), b"late".to_vec());
         assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
+        net.shutdown();
+    }
+
+    fn fixed(delay: Duration) -> LatencyModel {
+        LatencyModel { base: delay, ..LatencyModel::instant() }
+    }
+
+    #[test]
+    fn a_later_message_with_a_shorter_delay_is_delivered_first() {
+        let net = Network::new(fixed(Duration::from_millis(30)), 1);
+        let a = net.join(NodeId(1));
+        let b = net.join(NodeId(2));
+        let start = Instant::now();
+        a.send(NodeId(2), b"slow".to_vec());
+        // The receiver is already asleep until the 30 ms head when the
+        // faster message becomes the new head: it must be woken for it.
+        let sender = {
+            let net = net.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(5));
+                net.set_latency(fixed(Duration::from_millis(1)));
+                a.send(NodeId(2), b"fast".to_vec());
+            })
+        };
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap().payload, b"fast");
+        let first = start.elapsed();
+        assert!(
+            first < Duration::from_millis(25),
+            "woken for the new head, not at 30 ms: {first:?}"
+        );
+        assert_eq!(b.recv_timeout(Duration::from_secs(1)).unwrap().payload, b"slow");
+        assert!(start.elapsed() >= Duration::from_millis(29), "{:?}", start.elapsed());
+        sender.join().unwrap();
+        net.shutdown();
+    }
+
+    #[test]
+    fn a_link_cut_in_flight_drops_the_message_at_delivery() {
+        let net = Network::new(fixed(Duration::from_millis(20)), 1);
+        let a = net.join(NodeId(1));
+        let b = net.join(NodeId(2));
+        a.send(NodeId(2), b"cut".to_vec());
+        net.cut_link(NodeId(1), NodeId(2));
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(100)).unwrap_err(),
+            RecvTimeoutError::Timeout
+        );
+        let (sent, delivered, dropped, _) = net.stats();
+        assert_eq!((sent, delivered, dropped), (1, 0, 1));
+        net.shutdown();
+    }
+
+    #[test]
+    fn leave_wakes_a_blocked_receiver_and_discards_its_mail() {
+        let net = Network::new(fixed(Duration::from_millis(50)), 1);
+        let a = net.join(NodeId(1));
+        let b = net.join(NodeId(2));
+        a.send(NodeId(2), b"queued".to_vec());
+        let receiver = std::thread::spawn(move || b.recv());
+        std::thread::sleep(Duration::from_millis(10));
+        net.leave(NodeId(2));
+        assert_eq!(receiver.join().unwrap().unwrap_err(), RecvError);
+        // Past the queued message's deadline: it was never delivered.
+        std::thread::sleep(Duration::from_millis(60));
+        let (sent, delivered, dropped, _) = net.stats();
+        assert_eq!((sent, delivered, dropped), (1, 0, 1));
         net.shutdown();
     }
 

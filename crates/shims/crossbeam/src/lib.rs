@@ -1,6 +1,6 @@
-//! Vendored, minimal `crossbeam`-compatible MPMC channels plus a two-way
-//! `select!` with a `default(timeout)` arm — exactly the surface this
-//! workspace uses.
+//! Vendored, minimal `crossbeam`-compatible MPMC channels — unbounded and
+//! bounded, blocking, timed and non-blocking send and receive — exactly the
+//! surface this workspace uses.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -8,50 +8,10 @@ pub mod channel {
     use std::sync::{Arc, Condvar, Mutex, PoisonError};
     use std::time::{Duration, Instant};
 
-    /// Shared wakeup target registered by `select!` so a send on *any*
-    /// selected channel unblocks the selecting thread.
-    pub struct SelectWaker {
-        fired: Mutex<bool>,
-        cv: Condvar,
-    }
-
-    impl SelectWaker {
-        fn new() -> Arc<Self> {
-            Arc::new(SelectWaker { fired: Mutex::new(false), cv: Condvar::new() })
-        }
-
-        fn notify(&self) {
-            let mut fired = self.fired.lock().unwrap_or_else(PoisonError::into_inner);
-            *fired = true;
-            self.cv.notify_all();
-        }
-
-        /// Wait until notified or `deadline`; returns false on timeout.
-        fn wait_until(&self, deadline: Instant) -> bool {
-            let mut fired = self.fired.lock().unwrap_or_else(PoisonError::into_inner);
-            loop {
-                if *fired {
-                    *fired = false;
-                    return true;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return false;
-                }
-                let (g, _res) = self
-                    .cv
-                    .wait_timeout(fired, deadline - now)
-                    .unwrap_or_else(PoisonError::into_inner);
-                fired = g;
-            }
-        }
-    }
-
     struct ChanState<T> {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
-        wakers: Vec<Arc<SelectWaker>>,
     }
 
     struct Shared<T> {
@@ -59,14 +19,6 @@ pub mod channel {
         cap: Option<usize>,
         not_empty: Condvar,
         not_full: Condvar,
-    }
-
-    impl<T> Shared<T> {
-        fn notify_wakers(state: &mut ChanState<T>) {
-            for w in &state.wakers {
-                w.notify();
-            }
-        }
     }
 
     /// Sending half; cloneable (MPMC).
@@ -91,12 +43,7 @@ pub mod channel {
 
     fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
         let shared = Arc::new(Shared {
-            state: Mutex::new(ChanState {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-                wakers: Vec::new(),
-            }),
+            state: Mutex::new(ChanState { queue: VecDeque::new(), senders: 1, receivers: 1 }),
             cap,
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -193,7 +140,6 @@ pub mod channel {
             }
             state.queue.push_back(msg);
             self.shared.not_empty.notify_one();
-            Shared::notify_wakers(&mut state);
             Ok(())
         }
 
@@ -215,7 +161,6 @@ pub mod channel {
             }
             state.queue.push_back(msg);
             self.shared.not_empty.notify_one();
-            Shared::notify_wakers(&mut state);
             Ok(())
         }
 
@@ -245,7 +190,6 @@ pub mod channel {
             state.senders -= 1;
             if state.senders == 0 {
                 self.shared.not_empty.notify_all();
-                Shared::notify_wakers(&mut state);
             }
         }
     }
@@ -258,8 +202,7 @@ pub mod channel {
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(msg) = state.queue.pop_front() {
-                    self.shared.not_full.notify_one();
+                if let Some(msg) = self.pop(&mut state) {
                     return Ok(msg);
                 }
                 if state.senders == 0 {
@@ -277,8 +220,7 @@ pub mod channel {
             let deadline = Instant::now() + timeout;
             let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
             loop {
-                if let Some(msg) = state.queue.pop_front() {
-                    self.shared.not_full.notify_one();
+                if let Some(msg) = self.pop(&mut state) {
                     return Ok(msg);
                 }
                 if state.senders == 0 {
@@ -303,8 +245,7 @@ pub mod channel {
         /// `Empty` or `Disconnected`.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(msg) = state.queue.pop_front() {
-                self.shared.not_full.notify_one();
+            if let Some(msg) = self.pop(&mut state) {
                 return Ok(msg);
             }
             if state.senders == 0 {
@@ -323,14 +264,14 @@ pub mod channel {
             self.len() == 0
         }
 
-        fn register_waker(&self, waker: &Arc<SelectWaker>) {
-            let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.wakers.push(Arc::clone(waker));
-        }
-
-        fn unregister_waker(&self, waker: &Arc<SelectWaker>) {
-            let mut state = self.shared.state.lock().unwrap_or_else(PoisonError::into_inner);
-            state.wakers.retain(|w| !Arc::ptr_eq(w, waker));
+        /// Take the front message. Only a bounded channel can have a sender
+        /// waiting for room, so only a bounded one wakes it.
+        fn pop(&self, state: &mut ChanState<T>) -> Option<T> {
+            let msg = state.queue.pop_front()?;
+            if self.shared.cap.is_some() {
+                self.shared.not_full.notify_one();
+            }
+            Some(msg)
         }
     }
 
@@ -352,50 +293,6 @@ pub mod channel {
             }
         }
     }
-
-    /// Which `select!` arm fired (support type for the macro; not public API).
-    #[doc(hidden)]
-    pub enum SelectResult<A, B> {
-        /// First `recv` arm.
-        Recv0(Result<A, RecvError>),
-        /// Second `recv` arm.
-        Recv1(Result<B, RecvError>),
-        /// The `default(timeout)` arm.
-        Default,
-    }
-
-    /// Two-channel select with timeout (support fn for the macro).
-    #[doc(hidden)]
-    pub fn select2_timeout<A, B>(
-        r0: &Receiver<A>,
-        r1: &Receiver<B>,
-        timeout: Duration,
-    ) -> SelectResult<A, B> {
-        let deadline = Instant::now() + timeout;
-        let waker = SelectWaker::new();
-        r0.register_waker(&waker);
-        r1.register_waker(&waker);
-        let result = loop {
-            match r0.try_recv() {
-                Ok(v) => break SelectResult::Recv0(Ok(v)),
-                Err(TryRecvError::Disconnected) => break SelectResult::Recv0(Err(RecvError)),
-                Err(TryRecvError::Empty) => {}
-            }
-            match r1.try_recv() {
-                Ok(v) => break SelectResult::Recv1(Ok(v)),
-                Err(TryRecvError::Disconnected) => break SelectResult::Recv1(Err(RecvError)),
-                Err(TryRecvError::Empty) => {}
-            }
-            if !waker.wait_until(deadline) {
-                break SelectResult::Default;
-            }
-        };
-        r0.unregister_waker(&waker);
-        r1.unregister_waker(&waker);
-        result
-    }
-
-    pub use crate::select;
 
     #[cfg(test)]
     mod tests {
@@ -440,62 +337,5 @@ pub mod channel {
             drop(rx);
             assert!(matches!(tx.try_send(3), Err(TrySendError::Disconnected(3))));
         }
-
-        #[test]
-        fn select_two_channels() {
-            let (tx_a, rx_a) = unbounded::<u32>();
-            let (_tx_b, rx_b) = unbounded::<u32>();
-            let t = thread::spawn(move || {
-                thread::sleep(Duration::from_millis(10));
-                tx_a.send(42).unwrap();
-            });
-            let got = crate::select! {
-                recv(rx_a) -> v => {
-                    v.unwrap()
-                }
-                recv(rx_b) -> v => v.map(|x| x + 1).unwrap_or(0),
-                default(Duration::from_secs(2)) => {
-                    unreachable!("timed out")
-                }
-            };
-            assert_eq!(got, 42);
-            t.join().unwrap();
-        }
-
-        #[test]
-        fn select_times_out() {
-            let (_tx_a, rx_a) = unbounded::<u32>();
-            let (_tx_b, rx_b) = unbounded::<u32>();
-            let got = crate::select! {
-                recv(rx_a) -> _v => {
-                    1u32
-                }
-                recv(rx_b) -> _v => 2u32,
-                default(Duration::from_millis(5)) => {
-                    3u32
-                }
-            };
-            assert_eq!(got, 3);
-        }
     }
-}
-
-/// Two-`recv`-arm select with a `default(timeout)` arm.
-///
-/// Arm bodies expand in place inside a `match`, so `break`/`continue` in a
-/// body bind to the *caller's* enclosing loop — this matches how the RPC
-/// router uses crossbeam's `select!`.
-#[macro_export]
-macro_rules! select {
-    (
-        recv($r0:expr) -> $p0:pat => $b0:block
-        recv($r1:expr) -> $p1:pat => $b1:expr,
-        default($t:expr) => $b2:block
-    ) => {
-        match $crate::channel::select2_timeout(&$r0, &$r1, $t) {
-            $crate::channel::SelectResult::Recv0($p0) => $b0,
-            $crate::channel::SelectResult::Recv1($p1) => $b1,
-            $crate::channel::SelectResult::Default => $b2,
-        }
-    };
 }

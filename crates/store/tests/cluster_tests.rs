@@ -561,10 +561,15 @@ fn elasticity_scale_out_with_migration() {
     assert_eq!(as_int(client.invoke(&hot, "deposit", vec![VmValue::Int(1)], false).unwrap()), 56);
     // The engine on the new node really holds it.
     assert!(cluster.core.storage.last().unwrap().engine().object_exists(&hot));
-    assert!(
-        !cluster.core.storage[0].engine().list_objects().contains(&hot)
-            || !cluster.core.storage[0].engine().object_exists(&hot)
-    );
+    // The source purges its copy on the migration's next poll after the
+    // committed placement reaches it, which the two invocations above can
+    // beat: wait for it, boundedly.
+    let source = cluster.core.storage[0].engine();
+    let deadline = Instant::now() + Duration::from_secs(2);
+    while source.list_objects().contains(&hot) && source.object_exists(&hot) {
+        assert!(Instant::now() < deadline, "the source never purged its migrated copy");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     println!("scale-out + migration completed in {elapsed:?}");
     cluster.shutdown();
 }
