@@ -6,10 +6,11 @@
 //! the aggregated `create_post` (one scatter: every `store_post` issued as
 //! one completion-driven wave whose write sets replicate together with the
 //! author's own), for its sequential reference `create_post_seq` (one
-//! `host.invoke` per follower, each waiting out its own replication
-//! round), and for the disaggregated baseline (whose compute node scatters
-//! over threads). Expectation: the sequential reference grows linearly in
-//! the fan-out, one round trip per follower; the scatter stays near one
+//! `host.invoke` per follower — a scatter of one, each waiting out its own
+//! replication round, the author's write riding in the first), and for the
+//! disaggregated baseline (whose compute node scatters over threads).
+//! Expectation: the sequential reference grows linearly in the fan-out, one
+//! round trip per follower past the first; the scatter stays near one
 //! replication round trip whatever the fan-out; the disaggregated variant
 //! pays its per-access storage round trips on top.
 
@@ -119,9 +120,10 @@ fn main() {
     dis_cluster.shutdown();
     println!(
         "\nshape: the sequential reference pays one replication round trip per\n\
-         follower; the scatter (\"running the store_post calls in parallel\", §3.2)\n\
-         issues every branch from the calling thread and ships their write sets and\n\
-         the author's as one round, so its latency stays near one replication round\n\
-         trip whatever the fan-out (ratio = disaggregated / aggregated)."
+         follower, the author's write riding in the first; the scatter (\"running\n\
+         the store_post calls in parallel\", §3.2) issues every branch from the\n\
+         calling thread and ships their write sets and the author's as one round,\n\
+         so its latency stays near one replication round trip whatever the fan-out\n\
+         (ratio = disaggregated / aggregated)."
     );
 }

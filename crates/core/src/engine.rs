@@ -24,34 +24,17 @@ use crate::keys;
 use crate::object::{MethodMeta, MethodSet, ObjectId, ObjectType, TypeRegistry};
 use crate::scheduler::{ObjectGuard, Scheduler, SchedulerMode, SchedulerStats};
 
-/// Routes nested cross-object invocations. In a single-node deployment the
-/// engine recurses locally; in LambdaStore the router checks the shard map
-/// and forwards to the responsible primary.
+/// Routes nested cross-object invocations, each a branch of a scatter (a
+/// single `host.invoke` is a scatter of one). In a single-node deployment
+/// every target is served here; in LambdaStore the router checks the shard
+/// map and forwards a remote target's call to its primary.
 pub trait InvokeRouter: Send + Sync {
-    /// Invoke `method` on `target` on behalf of `source`. `ctx` is the
-    /// originating invocation's context (trace identity + remaining
-    /// deadline budget — forwarded hops must re-serialize the remaining
-    /// budget, not the original). `depth` is the nesting depth of the new
-    /// invocation (for runaway-recursion limits; no locks are held across
-    /// the boundary, §3.1).
-    ///
-    /// # Errors
-    /// Any invocation failure.
-    fn route(
-        &self,
-        ctx: &InvocationContext,
-        source: &ObjectId,
-        target: &ObjectId,
-        method: &str,
-        args: Vec<VmValue>,
-        depth: usize,
-    ) -> Result<VmValue>;
-
-    /// Deferred arm of [`route`](InvokeRouter::route), for the branches of
-    /// a scatter. A target served by another node is sent there without
-    /// parking — `done` runs with the reply — and `None` comes back. For a
-    /// target served here the router hands `done` back and the engine runs
-    /// the branch itself, so that its commit can join the scatter's wave.
+    /// A target served by another node is sent there without parking —
+    /// `done` runs with the reply — and `None` comes back. For a target
+    /// served here the router hands `done` back and the engine runs the
+    /// branch itself, so that its commit can join the scatter's wave. `ctx`
+    /// is the calling invocation's context: a forwarded hop re-serializes
+    /// its remaining deadline budget, not the original.
     fn route_deferred(
         &self,
         ctx: &InvocationContext,
@@ -277,7 +260,8 @@ fn join_all<T>(rx: &channel::Receiver<T>, n: usize) -> Vec<T> {
     (0..n).map_while(|_| rx.recv().ok()).collect()
 }
 
-/// A blocking commit's error when a `done` was dropped unrun.
+/// A parked join's error when the completion it waits for was dropped
+/// unrun.
 const LOST: &str = "replication ended without an outcome";
 
 /// Hand `sets`, already applied locally, to `ship` as commits whose `done`s
@@ -446,7 +430,7 @@ struct Tail {
     ticket: Option<InflightTicket>,
 }
 
-/// A write set ready for either commit shell: version already bumped.
+/// A write set ready to commit: version already bumped.
 struct PendingCommit {
     ctx: InvocationContext,
     object: ObjectId,
@@ -577,17 +561,6 @@ impl Engine {
         replicated
     }
 
-    /// Replicate one object's write set, parking this thread for the acks.
-    fn replicate_blocking(
-        &self,
-        ctx: &InvocationContext,
-        object: ObjectId,
-        hooked: Option<(Arc<dyn CommitHook>, WriteSetOps)>,
-    ) -> HookResult {
-        let Some((hook, ops)) = hooked else { return Ok(()) };
-        self.replicate_and_join(ctx, &*hook, vec![(object, ops)])
-    }
-
     /// Apply write sets produced on another node (the backup side of
     /// replication, or a state-transfer forward): all entries land in
     /// **one** storage batch — atomically and in commit order — bypassing
@@ -603,8 +576,7 @@ impl Engine {
         let mut objects: Vec<&ObjectId> = entries.iter().map(|(o, _)| o).collect();
         objects.sort();
         objects.dedup();
-        let _guards: Vec<_> =
-            objects.iter().map(|o| self.scheduler.acquire_exclusive(o, &[])).collect();
+        let _guards: Vec<_> = objects.iter().map(|o| self.scheduler.acquire_exclusive(o)).collect();
 
         let mut batch = WriteBatch::new();
         let mut keys: Vec<&[u8]> = Vec::new();
@@ -652,7 +624,7 @@ impl Engine {
         if self.types.get(type_name).is_none() {
             return Err(InvokeError::UnknownType(type_name.to_string()));
         }
-        let _guard = self.scheduler.acquire_exclusive(id, &[]);
+        let _guard = self.scheduler.acquire_exclusive(id);
         if self.db.get(&keys::meta_key(id))?.is_some() {
             return Err(InvokeError::AlreadyExists(id.to_string()));
         }
@@ -669,7 +641,8 @@ impl Engine {
     fn write_and_replicate(&self, id: &ObjectId, batch: WriteBatch) -> Result<()> {
         let hooked = self.hooked(&batch);
         self.db.write(batch)?;
-        self.replicate_blocking(&InvocationContext::background(), id.clone(), hooked)
+        let Some((hook, ops)) = hooked else { return Ok(()) };
+        self.replicate_and_join(&InvocationContext::background(), &*hook, vec![(id.clone(), ops)])
             .map_err(crate::error::decode_hook_error)
     }
 
@@ -703,7 +676,7 @@ impl Engine {
     /// # Errors
     /// Storage failures; deleting a missing object is a no-op.
     pub fn delete_object(&self, id: &ObjectId) -> Result<()> {
-        let _guard = self.scheduler.acquire_exclusive(id, &[]);
+        let _guard = self.scheduler.acquire_exclusive(id);
         let prefix = keys::object_prefix(id);
         let mut batch = WriteBatch::new();
         for (key, _) in self.db.scan_prefix(&prefix) {
@@ -738,9 +711,9 @@ impl Engine {
 
     // -- Invocation ----------------------------------------------------------
     //
-    // Four shared steps — `resolve`, `execute_granted`, a commit,
-    // `finish_invocation` — hold every decision; `invoke_ctx` and
-    // `invoke_deferred` differ only in how they wait between them.
+    // Four steps — `resolve`, `execute_granted`, `commit_deferred`,
+    // `finish_invocation` — hold every decision, and `invoke_deferred_at`
+    // is the one path through them; `invoke_ctx` parks for its outcome.
 
     /// Invoke a public method from outside (a client request) under a
     /// fresh unbounded context.
@@ -753,15 +726,18 @@ impl Engine {
     }
 
     /// Invoke under an explicit [`InvocationContext`], parking this thread
-    /// at every wait: the queue wait, method execution, kv commit and
-    /// replication fan-out are each recorded as a span against
-    /// `ctx.trace_id`, and an invocation whose deadline expires while
-    /// queued is shed before execution with
+    /// for the outcome: [`Engine::invoke_deferred`] at nesting depth
+    /// `depth` (0 for client-facing calls) plus one join. The queue wait,
+    /// method execution, kv commit and replication fan-out are each
+    /// recorded as a span against `ctx.trace_id`, and an invocation whose
+    /// deadline expires while queued is shed before execution with
     /// [`InvokeError::DeadlineExceeded`]. `external` enforces the `public`
-    /// flag, `depth` is the nesting depth (0 for client-facing calls).
+    /// flag. Never call it on a completion thread (DESIGN.md §10): the join
+    /// would wait for itself.
     ///
     /// # Errors
-    /// Any [`InvokeError`].
+    /// Any [`InvokeError`]; a `Storage` error when the outcome was lost
+    /// (a completion dropped unrun).
     pub fn invoke_ctx(
         &self,
         ctx: &InvocationContext,
@@ -771,27 +747,14 @@ impl Engine {
         external: bool,
         depth: usize,
     ) -> Result<VmValue> {
-        let outcome = match self.resolve(ctx, object, method, args, external, depth)? {
-            Resolved::Hit(value, _) => return Ok(value),
-            Resolved::InFlight(first) => {
-                let (tx, rx) = channel::bounded(1);
-                first.attach(Box::new(move |outcome| {
-                    let _ = tx.send(outcome);
-                }));
-                rx.recv().expect("a first delivery always settles its ticket")
-            }
-            Resolved::Run(call) => {
-                let queue_start = Instant::now();
-                let granted = self.scheduler.acquire_ctx(&call.object, &[], !call.read_only, ctx);
-                match self.execute_granted(call, queue_start, granted) {
-                    Executed::Done(outcome) => outcome,
-                    Executed::Commit(tail, pending) => {
-                        let committed = self.commit_blocking(pending);
-                        self.finish_invocation(tail, committed)
-                    }
-                }
-            }
-        };
+        debug_assert!(
+            !ON_COMPLETION_THREAD.get(),
+            "a blocking invoke on a completion thread waits for itself"
+        );
+        let (tx, rx) = channel::bounded(1);
+        let done: InvokeCompletion = Box::new(move |outcome| drop(tx.send(outcome)));
+        self.arc().invoke_deferred_at(ctx, object, method, args, external, depth, None, done);
+        let outcome = rx.recv().unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())));
         outcome.map(|(value, _)| value)
     }
 
@@ -802,12 +765,11 @@ impl Engine {
     /// thread after the kv write, or the replication ack thread when the
     /// commit hook defers.
     ///
-    /// The same steps as [`Engine::invoke_ctx`] at depth 0, so the same
-    /// cache, dedup, scheduling, span and counter behaviour. The method
-    /// body still parks its thread at a nested call: for a single
-    /// `host.invoke` through that call's own blocking invocation, for a
-    /// scatter until its boundary commit and the last branch of the wave
-    /// have answered ([`NestedInvoker::invoke_nested_many`]).
+    /// The one path every invocation takes, so the same cache, dedup,
+    /// scheduling, span and counter behaviour for all. The method body
+    /// still parks its thread at a nested call — a single `host.invoke` is
+    /// a scatter of one — until its boundary commit and every branch have
+    /// answered ([`NestedInvoker::invoke_nested_many`]).
     pub fn invoke_deferred(
         self: &Arc<Self>,
         ctx: &InvocationContext,
@@ -871,7 +833,7 @@ impl Engine {
                 run();
             }
         };
-        self.scheduler.acquire_deferred(&object, &[], exclusive, ctx, Box::new(granted));
+        self.scheduler.acquire_deferred(&object, exclusive, ctx, Box::new(granted));
     }
 
     /// The type of `object` and the metadata of `method` on it, refusing
@@ -1099,7 +1061,7 @@ impl Engine {
     }
 
     /// Turn an invocation's write set into a commit: called under the
-    /// object's guard, right before either commit shell.
+    /// object's guard, right before it commits.
     fn pending_commit(
         &self,
         ctx: &InvocationContext,
@@ -1111,22 +1073,11 @@ impl Engine {
         PendingCommit { ctx: *ctx, object: object.clone(), batch, touched }
     }
 
-    /// Commit, parking this thread: the kv write is the invocation's
-    /// `commit` span, the hook call its `replicate` span.
-    fn commit_blocking(&self, pending: PendingCommit) -> Result<()> {
-        let PendingCommit { ctx, object, batch, touched } = pending;
-        let hooked = self.hooked(&batch);
-        let commit_start = Instant::now();
-        self.db.write(batch)?;
-        self.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
-        let replicated = self.replicate_blocking(&ctx, object, hooked);
-        self.finish_commit(&touched, replicated)
-    }
-
     /// Commit without parking: hand the batch to the deferred group
     /// commit, then (on the committing thread) start the hook's deferred
     /// fan-out — or leave the write set with the scatter's open `wave` —
-    /// and `done` runs wherever the last of them completes.
+    /// and `done` runs wherever the last of them completes. The kv write is
+    /// the invocation's `commit` span, the hook call its `replicate` span.
     fn commit_deferred(
         self: &Arc<Self>,
         pending: PendingCommit,
@@ -1206,7 +1157,8 @@ impl Engine {
     /// happens here, ahead of every branch's, and the write set leads the
     /// wave's shipment; the returned channel brings its outcome, and the
     /// caller's guard is released when that is known. Otherwise the commit
-    /// is acked before this returns, and the guard released then.
+    /// takes the one commit path and this thread parks for its ack, then
+    /// releases the guard.
     fn commit_boundary(
         &self,
         ctx: &InvocationContext,
@@ -1220,7 +1172,9 @@ impl Engine {
         let pending = self.pending_commit(ctx, &source, batch, written_keys);
         let riding = wave.and_then(|wave| Some((wave, self.hooked(&pending.batch)?)));
         let Some((wave, (_, ops))) = riding else {
-            self.commit_blocking(pending)?;
+            let (tx, rx) = channel::bounded(1);
+            self.arc().commit_deferred(pending, None, Box::new(move |c| drop(tx.send(c))));
+            rx.recv().unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())))?;
             drop(guard);
             return Ok(None);
         };
@@ -1384,36 +1338,6 @@ fn decode_dedup_record(rec: &[u8]) -> Option<VmValue> {
 }
 
 impl NestedInvoker for Engine {
-    fn commit_source(
-        &self,
-        ctx: &InvocationContext,
-        source: &ObjectId,
-        batch: WriteBatch,
-        written_keys: Vec<Vec<u8>>,
-    ) -> std::result::Result<(), HostError> {
-        self.commit_blocking(self.pending_commit(ctx, source, batch, written_keys))
-            .map_err(|e| HostError::Storage(e.to_string()))
-    }
-
-    fn invoke_nested(
-        &self,
-        ctx: &InvocationContext,
-        target: &ObjectId,
-        method: &str,
-        args: Vec<VmValue>,
-        depth: usize,
-    ) -> std::result::Result<VmValue, HostError> {
-        // A branch body on a wave's issue thread: this call may park
-        // behind a sibling whose guard is held until the wave has shipped.
-        self.ship_open_wave();
-        let router = self.router.read().clone();
-        let result = match router {
-            Some(router) => router.route(ctx, target, target, method, args, depth),
-            None => self.invoke_ctx(ctx, target, method, args, false, depth),
-        };
-        result.map_err(|e| HostError::InvokeFailed(encode_error(&e)))
-    }
-
     fn invoke_nested_many(
         &self,
         ctx: &InvocationContext,
@@ -1424,7 +1348,8 @@ impl NestedInvoker for Engine {
         depth: usize,
     ) -> std::result::Result<Vec<std::result::Result<VmValue, HostError>>, HostError> {
         // This scatter may itself be a branch body on the issue thread of
-        // an outer wave, and its joins park.
+        // an outer wave, and its joins park behind a sibling whose guard is
+        // held until that wave has shipped.
         self.ship_open_wave();
         let this = self.arc();
         let router = self.router.read().clone();
@@ -1490,7 +1415,7 @@ impl NestedInvoker for Engine {
     }
 
     fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64) {
-        let guard = self.scheduler.acquire_exclusive(object, &[]);
+        let guard = self.scheduler.acquire_exclusive(object);
         (guard, self.db.last_sequence())
     }
 }
@@ -2181,7 +2106,7 @@ mod tests {
             env.engine.create_object("Counter", &b, &[("count", b"b0")]).unwrap();
             // Hold the nested target so the first delivery stalls mid-fan-out
             // — its own guard released, its dedup record not yet written.
-            let held = env.engine.scheduler().acquire_exclusive(&b, &[]);
+            let held = env.engine.scheduler().acquire_exclusive(&b);
             let asked = env.engine.stats().scheduler.exclusive;
             let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
             let deliver = |shell: Shell, attempt: u32| {
@@ -2223,8 +2148,8 @@ mod tests {
         // If finishing Y on it ran the queued Z inline, Z's nested call
         // would park the pool's only thread on B — held by X, whose
         // completion is next in the same pool — and nothing would finish.
-        // Z's nested target commits through a parked join, so the pool
-        // keeps running until Z has answered.
+        // Z's body joins its nested call on a thread of its own, so the
+        // pool keeps running until Z has answered.
         let env = setup(EngineConfig::default());
         let (a, b) = (oid("c/a"), oid("c/b"));
         env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
@@ -2257,7 +2182,7 @@ mod tests {
         let id = oid("c/hot");
         env.engine.create_object("Counter", &id, &[("count", b"0")]).unwrap();
         // Hold the object's lock so the deferred invocation must queue.
-        let guard = env.engine.scheduler().acquire_exclusive(&id, &[]);
+        let guard = env.engine.scheduler().acquire_exclusive(&id);
         let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
         let (tx, rx) = std::sync::mpsc::channel();
         env.engine.invoke_deferred(
@@ -2657,7 +2582,7 @@ mod scatter_tests {
         let hook = Arc::new(RecordingHook::default());
         engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
 
-        let held = engine.scheduler().acquire_exclusive(&targets[2], &[]);
+        let held = engine.scheduler().acquire_exclusive(&targets[2]);
         let scatter = {
             let (engine, src, args) =
                 (Arc::clone(&engine), src.clone(), vec![ids(&targets), VmValue::str("x")]);
@@ -2684,10 +2609,8 @@ mod scatter_tests {
         // A branch in the wave holds its object until the wave is acked,
         // and the wave ships from the issue thread: a later branch whose
         // body parks on that thread behind a sibling's guard would wait
-        // for itself. `n/b` twice also covers the second `n/b` branch
-        // running inside the first one's boundary and the first one's
-        // reacquire waiting for it. The nested call is a `host.invoke` or
-        // a scatter of its own, whose join parks just the same.
+        // for itself. The nested call is a `host.invoke` or a scatter of
+        // its own, whose join parks just the same.
         for payload in ["invoke", "scatter"] {
             let (engine, _, dir) = native_engine();
             let src = create(&engine, "Native", &["n/src"]).remove(0);
@@ -2711,26 +2634,16 @@ mod scatter_tests {
             assert_eq!(count(&b), VmValue::Int(4), "two relays, each before and after the call");
             assert_eq!(count(&c), VmValue::Int(2));
             // What the wave held, `n/a`, left before the first nested call
-            // could park, and the wave stayed closed. A branch that nests by
-            // `host.invoke` is then three hook calls: its boundary commit
-            // (a parked join, which waits for an ack and for no guard), the
-            // `receive` at `n/a`, and its final part. One that nests by a
-            // scatter of its own is two: its boundary rides at the front of
-            // that scatter's wave, in one call with the `receive` at `n/a`
-            // (no router: every target counts as co-located), then its
-            // final part.
-            let alone = |id: &ObjectId| vec![id.clone()];
-            let mut want = Vec::new();
-            if payload == "invoke" {
-                want.extend([alone(&b), alone(&a), alone(&a), alone(&b)]);
-                for branch in [&b, &c] {
-                    want.extend([alone(branch), alone(&a), alone(branch)]);
-                }
-            } else {
-                want.push(alone(&a));
-                for branch in [&b, &b, &c] {
-                    want.extend([vec![branch.clone(), a.clone()], alone(branch)]);
-                }
+            // could park, and the wave stayed closed. A `host.invoke` is a
+            // scatter of one, so both payloads make the same hook calls:
+            // each nesting branch's boundary rides at the front of its own
+            // call's wave, in one hook call with the `receive` at `n/a` (no
+            // router: every target counts as co-located); its final part
+            // then goes alone, and its guard is free again at once, so the
+            // second `n/b` branch is granted inline like the first.
+            let mut want = vec![vec![a.clone()]];
+            for branch in [&b, &b, &c] {
+                want.extend([vec![branch.clone(), a.clone()], vec![branch.clone()]]);
             }
             assert_eq!(*hook.0.lock(), want, "{payload}");
             std::fs::remove_dir_all(dir).ok();
@@ -2820,22 +2733,9 @@ mod scatter_tests {
     }
 
     /// Serves every target here, and counts none as co-located.
-    struct Apart(std::sync::Weak<Engine>);
+    struct Apart;
 
     impl InvokeRouter for Apart {
-        fn route(
-            &self,
-            ctx: &InvocationContext,
-            _source: &ObjectId,
-            target: &ObjectId,
-            method: &str,
-            args: Vec<VmValue>,
-            depth: usize,
-        ) -> Result<VmValue> {
-            let engine = self.0.upgrade().expect("engine alive");
-            engine.invoke_ctx(ctx, target, method, args, false, depth)
-        }
-
         fn route_deferred(
             &self,
             _: &InvocationContext,
@@ -2861,7 +2761,7 @@ mod scatter_tests {
             let hook = Arc::new(RecordingHook::default());
             engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
             if !co_located {
-                engine.set_router(Arc::new(Apart(Arc::downgrade(&engine))));
+                engine.set_router(Arc::new(Apart));
             }
             let results = engine.invoke(&src, "post", vec![ids(&targets), VmValue::str("p")]);
             assert_eq!(results.unwrap(), ids(&targets));
@@ -2914,7 +2814,7 @@ mod scatter_tests {
         let hook = Arc::new(HeldHook::default());
         engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
 
-        let busy = engine.scheduler().acquire_exclusive(&targets[1], &[]);
+        let busy = engine.scheduler().acquire_exclusive(&targets[1]);
         let scatter = spawn_invoke(&engine, &src, "post", &targets);
         wait_for("the wave", || !hook.calls().is_empty());
         assert_eq!(hook.calls(), vec![vec![src.clone(), targets[0].clone()]]);
@@ -2979,8 +2879,8 @@ mod scatter_tests {
         // played by the test, acks every commit in order. Y holds A until
         // the pool acks it; Z queues behind Y and is therefore granted on
         // the pool thread. Z is a scatter, whose join waits for its
-        // branches' acks, or a `relay`: a boundary commit and a single
-        // `host.invoke`, each a blocking commit's join. Were Z's body to
+        // branches' acks, or a `relay`: a single `host.invoke`, a scatter
+        // of one whose join also waits for its boundary's. Were Z's body to
         // run on the pool thread, it would wait for acks only that thread
         // can deliver.
         use super::tests::{run_pool, Pool};

@@ -15,7 +15,7 @@ use crate::keys;
 use crate::object::ObjectId;
 use crate::scheduler::ObjectGuard;
 
-/// The caller's side of a scatter's §3.1 boundary, handed to
+/// The caller's side of a nested call's §3.1 boundary, handed to
 /// [`NestedInvoker::invoke_nested_many`]: the writes made before the call
 /// and the object lock they were made under.
 pub struct Boundary {
@@ -36,43 +36,17 @@ pub struct Boundary {
 /// at the boundary, its object lock is *released* while the nested call
 /// runs (which is what makes cyclic fan-outs — mutual followers, a user
 /// following themselves — deadlock-free), and execution resumes as a fresh
-/// invocation under a re-acquired lock at a new snapshot.
+/// invocation under a re-acquired lock at a new snapshot. Every nested call
+/// is a scatter: a single `host.invoke` is a scatter of one target.
 pub trait NestedInvoker: Sync {
-    /// Atomically commit the caller's pending writes (called while the
-    /// caller's lock is still held).
-    ///
-    /// # Errors
-    /// Storage/replication failures, encoded as a [`HostError`].
-    fn commit_source(
-        &self,
-        ctx: &InvocationContext,
-        source: &ObjectId,
-        batch: WriteBatch,
-        written_keys: Vec<Vec<u8>>,
-    ) -> Result<(), HostError>;
-
-    /// Run the nested invocation (called with the caller's lock released).
-    /// `ctx` is the caller's context: the nested invocation inherits the
-    /// trace identity and the *remaining* deadline budget.
-    ///
-    /// # Errors
-    /// Any nested failure, encoded as a [`HostError`].
-    fn invoke_nested(
-        &self,
-        ctx: &InvocationContext,
-        target: &ObjectId,
-        method: &str,
-        args: Vec<VmValue>,
-        depth: usize,
-    ) -> Result<VmValue, HostError>;
-
     /// Commit `boundary` and run one nested invocation of `method(args)`
     /// per target as a single scatter, then park until the commit and
     /// every branch have answered; one result per target, in target order.
     /// The caller's lock travels in `boundary` and is released once its
     /// writes are committed, before or together with the branches'. Each
     /// branch is an invocation of its own: own lock, own atomic commit,
-    /// own abort.
+    /// own abort. `ctx` is the caller's context: the branches inherit the
+    /// trace identity and the *remaining* deadline budget.
     ///
     /// # Errors
     /// The boundary commit's storage/replication failure, as
@@ -175,48 +149,40 @@ impl<'a> ObjectHost<'a> {
         }
     }
 
-    /// The §3.1 nested-call boundary, around `calls` nested invocations
-    /// made by `run`: the writes so far commit first; the pre-call part is
-    /// then a completed invocation, so our object lock is released and the
-    /// nested calls (and everyone else) can make progress even through
-    /// follower cycles or self-invocations; afterwards we resume as a
-    /// fresh invocation — lock re-acquired, snapshot advanced to see
-    /// everything committed in the meantime.
-    fn across_boundary<T>(
+    /// The §3.1 nested-call boundary around one scatter of `method(args)`
+    /// to `targets`: the writes so far and our object lock go to the
+    /// engine, which commits the writes and releases the lock once they are
+    /// acked — so the nested calls (and everyone else) can make progress
+    /// even through follower cycles or self-invocations; afterwards we
+    /// resume as a fresh invocation — lock re-acquired, snapshot advanced
+    /// to see everything committed in the meantime.
+    fn scatter(
         &mut self,
-        calls: u64,
-        run: impl FnOnce(&dyn NestedInvoker, &InvocationContext, usize) -> T,
-    ) -> Result<T, HostError> {
-        let (nested, Boundary { source, batch, written_keys, .. }) = self.leave(calls)?;
-        if !batch.is_empty() {
-            nested.commit_source(&self.ctx, &source, batch, written_keys)?;
-        }
-        let had_guard = self.guard.take().is_some();
-        let out = run(nested, &self.ctx, self.depth + 1);
-        self.resume(nested, had_guard);
-        Ok(out)
-    }
-
-    /// A boundary's first half: the invoker, and the writes so far taken
-    /// out of the buffer (the guard stays with the host).
-    fn leave(&mut self, calls: u64) -> Result<(&'a dyn NestedInvoker, Boundary), HostError> {
+        targets: &[ObjectId],
+        method: &str,
+        args: &[VmValue],
+    ) -> Result<Vec<VmValue>, HostError> {
         self.ensure_writable()?;
         let Some(nested) = self.nested else {
             return Err(HostError::InvokeFailed("no nested invoker configured".into()));
         };
-        self.nested_calls += calls;
-        let written_keys = self.buffer.written_keys();
-        let batch = self.buffer.take_batch();
-        Ok((nested, Boundary { source: self.object.clone(), batch, written_keys, guard: None }))
-    }
-
-    /// A boundary's second half: resume as a fresh invocation.
-    fn resume(&mut self, nested: &dyn NestedInvoker, had_guard: bool) {
+        self.nested_calls += targets.len() as u64;
+        let boundary = Boundary {
+            source: self.object.clone(),
+            written_keys: self.buffer.written_keys(),
+            batch: self.buffer.take_batch(),
+            guard: self.guard.take(),
+        };
+        let had_guard = boundary.guard.is_some();
+        let out =
+            nested.invoke_nested_many(&self.ctx, boundary, targets, method, args, self.depth + 1);
+        // Resumed even when the boundary failed: the body may go on.
         if had_guard {
             let (guard, seq) = nested.reacquire(&self.object);
             self.guard = Some(guard);
             self.snapshot_seq = seq;
         }
+        out?.into_iter().collect()
     }
 
     fn collection_len(&mut self, field: &[u8]) -> Result<u64, HostError> {
@@ -288,10 +254,8 @@ impl Host for ObjectHost<'_> {
         method: &str,
         args: Vec<VmValue>,
     ) -> Result<VmValue, HostError> {
-        let target = ObjectId::new(object.to_vec());
-        self.across_boundary(1, |nested, ctx, depth| {
-            nested.invoke_nested(ctx, &target, method, args, depth)
-        })?
+        let mut results = self.scatter(&[ObjectId::new(object.to_vec())], method, &args)?;
+        Ok(results.pop().expect("a scatter answers once per target"))
     }
 
     fn invoke_many(
@@ -306,17 +270,9 @@ impl Host for ObjectHost<'_> {
         }
         // One boundary for the whole scatter — "updating many follower
         // timelines at once is done quickly by running the store_post
-        // calls in parallel" (§3.2). The engine commits it, so that its
-        // replication can ride with the branches'.
+        // calls in parallel" (§3.2).
         let targets: Vec<ObjectId> = targets.into_iter().map(ObjectId::new).collect();
-        let (nested, mut boundary) = self.leave(targets.len() as u64)?;
-        boundary.guard = self.guard.take();
-        let had_guard = boundary.guard.is_some();
-        let out =
-            nested.invoke_nested_many(&self.ctx, boundary, &targets, method, &args, self.depth + 1);
-        // Resumed even when the boundary failed: the body may go on.
-        self.resume(nested, had_guard);
-        out?.into_iter().collect()
+        self.scatter(&targets, method, &args)
     }
 
     fn self_id(&self) -> Vec<u8> {

@@ -38,7 +38,7 @@ impl Engine {
     /// # Errors
     /// [`InvokeError::UnknownObject`] when absent; storage failures.
     pub fn export_object(&self, id: &ObjectId) -> Result<ObjectSnapshot> {
-        let _guard = self.scheduler().acquire_exclusive(id, &[]);
+        let _guard = self.scheduler().acquire_exclusive(id);
         if !self.object_exists(id) {
             return Err(InvokeError::UnknownObject(id.to_string()));
         }
@@ -59,7 +59,7 @@ impl Engine {
     /// [`InvokeError::AlreadyExists`] when an object with this id already
     /// lives here; storage failures.
     pub fn import_object(&self, snapshot: &ObjectSnapshot) -> Result<()> {
-        let _guard = self.scheduler().acquire_exclusive(&snapshot.id, &[]);
+        let _guard = self.scheduler().acquire_exclusive(&snapshot.id);
         if self.object_exists(&snapshot.id) {
             return Err(InvokeError::AlreadyExists(snapshot.id.to_string()));
         }
@@ -87,7 +87,7 @@ impl Engine {
         id: &ObjectId,
         f: impl FnOnce(&ObjectSnapshot) -> T,
     ) -> Result<T> {
-        let _guard = self.scheduler().acquire_exclusive(id, &[]);
+        let _guard = self.scheduler().acquire_exclusive(id);
         if !self.object_exists(id) {
             return Err(InvokeError::UnknownObject(id.to_string()));
         }
@@ -110,7 +110,7 @@ impl Engine {
     /// # Errors
     /// Storage failures.
     pub fn install_object_replacing(&self, snapshot: &ObjectSnapshot) -> Result<()> {
-        let _guard = self.scheduler().acquire_exclusive(&snapshot.id, &[]);
+        let _guard = self.scheduler().acquire_exclusive(&snapshot.id);
         let prefix = keys::object_prefix(&snapshot.id);
         let mut batch = WriteBatch::new();
         for (key, _) in self.db().scan_prefix(&prefix) {
@@ -131,7 +131,7 @@ impl Engine {
     /// # Errors
     /// Storage failures. Deleting an absent object is a no-op.
     pub fn purge_object(&self, id: &ObjectId) -> Result<()> {
-        let _guard = self.scheduler().acquire_exclusive(id, &[]);
+        let _guard = self.scheduler().acquire_exclusive(id);
         let prefix = keys::object_prefix(id);
         let mut batch = WriteBatch::new();
         for (key, _) in self.db().scan_prefix(&prefix) {
@@ -150,7 +150,7 @@ impl Engine {
     /// # Errors
     /// Same as [`export_object`](Engine::export_object).
     pub fn evict_object(&self, id: &ObjectId) -> Result<ObjectSnapshot> {
-        let _guard = self.scheduler().acquire_exclusive(id, &[]);
+        let _guard = self.scheduler().acquire_exclusive(id);
         if !self.object_exists(id) {
             return Err(InvokeError::UnknownObject(id.to_string()));
         }

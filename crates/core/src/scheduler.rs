@@ -276,15 +276,14 @@ impl Scheduler {
     }
 
     /// The one acquire: every decision — deadline shed, counters, the
-    /// re-entrancy and `Unsafe` bypasses, immediate grant when the lock is
-    /// free (FIFO: an empty queue) or else a place in the queue — is made
-    /// here. `grant` runs on *this* thread when the lock is free right now,
-    /// else on whichever thread releases it. The public entry points only
-    /// choose how the caller waits for it.
+    /// `Unsafe` bypass, immediate grant when the lock is free (FIFO: an
+    /// empty queue) or else a place in the queue — is made here. `grant`
+    /// runs on *this* thread when the lock is free right now, else on
+    /// whichever thread releases it. The public entry points only choose
+    /// how the caller waits for it.
     fn acquire(
         &self,
         object: &ObjectId,
-        held: &[ObjectId],
         exclusive: bool,
         ctx: Option<&InvocationContext>,
         grant: GrantCallback,
@@ -299,7 +298,7 @@ impl Scheduler {
         } else {
             self.shared.incr();
         }
-        if self.mode == SchedulerMode::Unsafe || held.contains(object) {
+        if self.mode == SchedulerMode::Unsafe {
             return grant(Ok(ObjectGuard { lock: None }));
         }
         let lock = self.lock_for(object);
@@ -318,67 +317,42 @@ impl Scheduler {
         run_grant(grant, Ok(ObjectGuard { lock: Some((lock, exclusive)) }));
     }
 
-    /// Parked shell: the grant is handed over a channel. (Sound as
-    /// "deferred plus `recv()`", although a grant runs on the *releasing*
-    /// thread and that may be a completion: nothing that parks here sits
-    /// on the completion pool — DESIGN.md §10, the completion-pool rule.)
-    fn acquire_parked(
-        &self,
-        object: &ObjectId,
-        held: &[ObjectId],
-        exclusive: bool,
-        ctx: Option<&InvocationContext>,
-    ) -> Result<ObjectGuard, InvokeError> {
+    /// Parked shell, without a deadline: the grant is handed over a
+    /// channel. (Sound as "deferred plus `recv()`", although a grant runs
+    /// on the *releasing* thread and that may be a completion: nothing that
+    /// parks here sits on the completion pool — DESIGN.md §10, the
+    /// completion-pool rule.)
+    fn acquire_parked(&self, object: &ObjectId, exclusive: bool) -> ObjectGuard {
         let (tx, rx) = channel::bounded(1);
-        let grant: GrantCallback = Box::new(move |res| {
-            let _ = tx.send(res);
-        });
-        self.acquire(object, held, exclusive, ctx, grant);
-        rx.recv().expect("lock queue never drops waiters")
+        self.acquire(object, exclusive, None, Box::new(move |res| drop(tx.send(res))));
+        rx.recv().expect("lock queue never drops waiters").expect("no deadline: cannot be shed")
     }
 
     /// Acquire `object` for a mutating invocation (exclusive), blocking
-    /// until granted. If `object` appears in `held`, the caller already
-    /// owns it higher up a nested-invocation chain and no lock is taken
-    /// (re-entrancy; see §3.1 — the outer parts are separate invocations).
-    pub fn acquire_exclusive(&self, object: &ObjectId, held: &[ObjectId]) -> ObjectGuard {
-        self.acquire_parked(object, held, true, None).expect("no deadline: cannot be shed")
+    /// until granted.
+    pub fn acquire_exclusive(&self, object: &ObjectId) -> ObjectGuard {
+        self.acquire_parked(object, true)
     }
 
     /// Acquire `object` for a read-only invocation (shared).
-    pub fn acquire_shared(&self, object: &ObjectId, held: &[ObjectId]) -> ObjectGuard {
-        self.acquire_parked(object, held, false, None).expect("no deadline: cannot be shed")
-    }
-
-    /// Deadline-aware blocking acquire: an invocation whose budget expired
-    /// before enqueueing, or while it waited behind the lock, is shed
-    /// *at dequeue time* — before any execute/commit work, never reaching
-    /// the engine.
-    ///
-    /// # Errors
-    /// [`InvokeError::DeadlineExceeded`] when `ctx`'s deadline has passed.
-    pub fn acquire_ctx(
-        &self,
-        object: &ObjectId,
-        held: &[ObjectId],
-        exclusive: bool,
-        ctx: &InvocationContext,
-    ) -> Result<ObjectGuard, InvokeError> {
-        self.acquire_parked(object, held, exclusive, Some(ctx))
+    pub fn acquire_shared(&self, object: &ObjectId) -> ObjectGuard {
+        self.acquire_parked(object, false)
     }
 
     /// Deadline-aware acquire without parking: the continuation `cont`
     /// runs when the lock is granted, or with
-    /// [`InvokeError::DeadlineExceeded`] when the invocation is shed.
+    /// [`InvokeError::DeadlineExceeded`] when the invocation is shed — its
+    /// budget expired before enqueueing, or while it waited behind the
+    /// lock (*at dequeue time*: before any execute/commit work, never
+    /// reaching the engine's method body).
     pub fn acquire_deferred(
         &self,
         object: &ObjectId,
-        held: &[ObjectId],
         exclusive: bool,
         ctx: &InvocationContext,
         cont: GrantCallback,
     ) {
-        self.acquire(object, held, exclusive, Some(ctx), cont);
+        self.acquire(object, exclusive, Some(ctx), cont);
     }
 
     /// Counter snapshot.
@@ -431,7 +405,7 @@ mod tests {
                 let max_seen = Arc::clone(&max_seen);
                 std::thread::spawn(move || {
                     for _ in 0..50 {
-                        let _g = sched.acquire_exclusive(&oid("hot"), &[]);
+                        let _g = sched.acquire_exclusive(&oid("hot"));
                         let now = running.fetch_add(1, Ordering::SeqCst) + 1;
                         max_seen.fetch_max(now, Ordering::SeqCst);
                         std::thread::sleep(Duration::from_micros(20));
@@ -449,17 +423,17 @@ mod tests {
     #[test]
     fn different_objects_run_in_parallel() {
         let sched = Arc::new(Scheduler::default());
-        let g1 = sched.acquire_exclusive(&oid("a"), &[]);
+        let g1 = sched.acquire_exclusive(&oid("a"));
         // Must not block:
-        let g2 = sched.acquire_exclusive(&oid("b"), &[]);
+        let g2 = sched.acquire_exclusive(&oid("b"));
         drop((g1, g2));
     }
 
     #[test]
     fn readers_share() {
         let sched = Arc::new(Scheduler::default());
-        let g1 = sched.acquire_shared(&oid("a"), &[]);
-        let g2 = sched.acquire_shared(&oid("a"), &[]);
+        let g1 = sched.acquire_shared(&oid("a"));
+        let g2 = sched.acquire_shared(&oid("a"));
         drop((g1, g2));
         assert_eq!(sched.stats().shared, 2);
     }
@@ -467,10 +441,10 @@ mod tests {
     #[test]
     fn writer_blocks_reader() {
         let sched = Arc::new(Scheduler::default());
-        let g = sched.acquire_exclusive(&oid("a"), &[]);
+        let g = sched.acquire_exclusive(&oid("a"));
         let sched2 = Arc::clone(&sched);
         let t = std::thread::spawn(move || {
-            let _g = sched2.acquire_shared(&oid("a"), &[]);
+            let _g = sched2.acquire_shared(&oid("a"));
             // Reached only after the writer releases.
             true
         });
@@ -481,25 +455,15 @@ mod tests {
     }
 
     #[test]
-    fn held_objects_reenter_without_deadlock() {
-        let sched = Scheduler::default();
-        let id = oid("self-follower");
-        let g1 = sched.acquire_exclusive(&id, &[]);
-        // A nested invocation on the same object in the same chain.
-        let g2 = sched.acquire_exclusive(&id, std::slice::from_ref(&id));
-        drop((g1, g2));
-    }
-
-    #[test]
     fn global_mode_serializes_everything() {
         let sched = Scheduler::new(SchedulerMode::Global);
-        let g1 = sched.acquire_exclusive(&oid("a"), &[]);
+        let g1 = sched.acquire_exclusive(&oid("a"));
         let done = Arc::new(AtomicUsize::new(0));
         let done2 = Arc::clone(&done);
         let sched = Arc::new(sched);
         let sched2 = Arc::clone(&sched);
         let t = std::thread::spawn(move || {
-            let _g = sched2.acquire_exclusive(&oid("b"), &[]);
+            let _g = sched2.acquire_exclusive(&oid("b"));
             done2.store(1, Ordering::SeqCst);
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -511,9 +475,25 @@ mod tests {
     #[test]
     fn unsafe_mode_never_blocks() {
         let sched = Scheduler::new(SchedulerMode::Unsafe);
-        let g1 = sched.acquire_exclusive(&oid("a"), &[]);
-        let g2 = sched.acquire_exclusive(&oid("a"), &[]);
+        let g1 = sched.acquire_exclusive(&oid("a"));
+        let g2 = sched.acquire_exclusive(&oid("a"));
         drop((g1, g2));
+    }
+
+    /// `acquire_deferred` where the grant or the shed happens inline.
+    fn acquire_now(
+        sched: &Scheduler,
+        exclusive: bool,
+        ctx: &InvocationContext,
+    ) -> Result<ObjectGuard, InvokeError> {
+        let (tx, rx) = channel::bounded(1);
+        sched.acquire_deferred(
+            &oid("a"),
+            exclusive,
+            ctx,
+            Box::new(move |res| tx.send(res).unwrap()),
+        );
+        rx.try_recv().expect("a free lock grants inline")
     }
 
     #[test]
@@ -521,7 +501,7 @@ mod tests {
         let sched = Scheduler::default();
         // A context whose budget is already zero.
         let ctx = InvocationContext::from_wire(1, 0, 0);
-        let res = sched.acquire_ctx(&oid("a"), &[], true, &ctx);
+        let res = acquire_now(&sched, true, &ctx);
         assert!(matches!(res, Err(InvokeError::DeadlineExceeded)));
         assert_eq!(sched.stats().shed, 1);
         // It never materialized a lock — nothing reached the lock table.
@@ -529,34 +509,11 @@ mod tests {
     }
 
     #[test]
-    fn budget_exhausted_while_queued_is_shed_at_dequeue() {
-        let sched = Arc::new(Scheduler::default());
-        let id = oid("slow");
-        // A long-running invocation holds the object...
-        let g = sched.acquire_exclusive(&id, &[]);
-        let sched2 = Arc::clone(&sched);
-        let id2 = id.clone();
-        let t = std::thread::spawn(move || {
-            // ...while a follower with a 20ms budget queues behind it.
-            let ctx = InvocationContext::from_wire(2, 20_000_000, 0);
-            sched2.acquire_ctx(&id2, &[], true, &ctx)
-        });
-        // Hold the lock well past the follower's budget.
-        std::thread::sleep(Duration::from_millis(80));
-        drop(g);
-        let res = t.join().unwrap();
-        assert!(matches!(res, Err(InvokeError::DeadlineExceeded)), "shed at dequeue: {res:?}");
-        assert_eq!(sched.stats().shed, 1);
-    }
-
-    #[test]
     fn unexpired_context_acquires_normally() {
         let sched = Scheduler::default();
         let ctx = InvocationContext::client(Duration::from_secs(10));
-        let g = sched.acquire_ctx(&oid("a"), &[], true, &ctx).unwrap();
-        drop(g);
-        let g = sched.acquire_ctx(&oid("a"), &[], false, &ctx).unwrap();
-        drop(g);
+        drop(acquire_now(&sched, true, &ctx).unwrap());
+        drop(acquire_now(&sched, false, &ctx).unwrap());
         let s = sched.stats();
         assert_eq!((s.exclusive, s.shared, s.shed), (1, 1, 0));
     }
@@ -565,7 +522,7 @@ mod tests {
     fn background_context_never_sheds() {
         let sched = Scheduler::default();
         let ctx = InvocationContext::background();
-        assert!(sched.acquire_ctx(&oid("a"), &[], true, &ctx).is_ok());
+        assert!(acquire_now(&sched, true, &ctx).is_ok());
         assert_eq!(sched.stats().shed, 0);
     }
 
@@ -573,7 +530,7 @@ mod tests {
     fn registry_backed_counters_are_shared() {
         let reg = lambda_telemetry::Registry::new();
         let sched = Scheduler::with_registry(SchedulerMode::PerObject, &reg);
-        let _g = sched.acquire_exclusive(&oid("a"), &[]);
+        let _g = sched.acquire_exclusive(&oid("a"));
         assert_eq!(reg.counter_value("sched_exclusive"), 1);
         assert_eq!(sched.stats().exclusive, 1);
     }
@@ -582,13 +539,13 @@ mod tests {
     fn gc_reclaims_unused_locks() {
         let sched = Scheduler::default();
         for i in 0..100 {
-            let _g = sched.acquire_exclusive(&oid(&format!("tmp-{i}")), &[]);
+            let _g = sched.acquire_exclusive(&oid(&format!("tmp-{i}")));
         }
         assert_eq!(sched.tracked_objects(), 100);
         sched.gc();
         assert_eq!(sched.tracked_objects(), 0);
         // A held lock survives gc.
-        let _g = sched.acquire_exclusive(&oid("live"), &[]);
+        let _g = sched.acquire_exclusive(&oid("live"));
         sched.gc();
         assert_eq!(sched.tracked_objects(), 1);
     }
@@ -601,7 +558,6 @@ mod tests {
         let ran2 = Arc::clone(&ran);
         sched.acquire_deferred(
             &oid("a"),
-            &[],
             true,
             &ctx,
             Box::new(move |res| {
@@ -617,11 +573,10 @@ mod tests {
         let sched = Arc::new(Scheduler::default());
         let id = oid("hot");
         let ctx = InvocationContext::client(Duration::from_secs(5));
-        let g = sched.acquire_exclusive(&id, &[]);
+        let g = sched.acquire_exclusive(&id);
         let (tx, rx) = channel::unbounded();
         sched.acquire_deferred(
             &id,
-            &[],
             true,
             &ctx,
             Box::new(move |res| {
@@ -643,12 +598,11 @@ mod tests {
     fn deferred_waiter_expired_in_queue_is_shed_at_grant() {
         let sched = Arc::new(Scheduler::default());
         let id = oid("slow");
-        let g = sched.acquire_exclusive(&id, &[]);
+        let g = sched.acquire_exclusive(&id);
         let ctx = InvocationContext::from_wire(7, 20_000_000, 0); // 20ms budget
         let (tx, rx) = channel::unbounded();
         sched.acquire_deferred(
             &id,
-            &[],
             true,
             &ctx,
             Box::new(move |res| tx.send(res.map(|_| ())).unwrap()),
@@ -663,12 +617,12 @@ mod tests {
     #[test]
     fn guard_is_send_across_threads() {
         let sched = Arc::new(Scheduler::default());
-        let g = sched.acquire_exclusive(&oid("a"), &[]);
+        let g = sched.acquire_exclusive(&oid("a"));
         // Move the guard to another thread and drop it there; a blocked
         // waiter must then be granted.
         let sched2 = Arc::clone(&sched);
         let t = std::thread::spawn(move || {
-            let _g2 = sched2.acquire_exclusive(&oid("a"), &[]);
+            let _g2 = sched2.acquire_exclusive(&oid("a"));
         });
         std::thread::sleep(Duration::from_millis(20));
         assert!(!t.is_finished());
@@ -680,19 +634,19 @@ mod tests {
     fn fifo_writer_not_starved_by_readers() {
         let sched = Arc::new(Scheduler::default());
         let id = oid("a");
-        let r1 = sched.acquire_shared(&id, &[]);
+        let r1 = sched.acquire_shared(&id);
         // Writer queues behind the reader...
         let sched2 = Arc::clone(&sched);
         let id2 = id.clone();
         let w = std::thread::spawn(move || {
-            let _g = sched2.acquire_exclusive(&id2, &[]);
+            let _g = sched2.acquire_exclusive(&id2);
         });
         std::thread::sleep(Duration::from_millis(20));
         // ...so a late reader queues behind the writer (no barging).
         let sched3 = Arc::clone(&sched);
         let id3 = id.clone();
         let r2 = std::thread::spawn(move || {
-            let _g = sched3.acquire_shared(&id3, &[]);
+            let _g = sched3.acquire_shared(&id3);
         });
         std::thread::sleep(Duration::from_millis(20));
         assert!(!w.is_finished(), "writer waits for reader");

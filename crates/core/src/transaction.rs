@@ -182,7 +182,7 @@ impl Engine {
         objects.sort();
         objects.dedup();
         let _guards: Vec<_> =
-            objects.iter().map(|o| self.scheduler().acquire_exclusive(o, &[])).collect();
+            objects.iter().map(|o| self.scheduler().acquire_exclusive(o)).collect();
 
         // One snapshot + one buffer for the whole transaction.
         let snapshot_seq = self.db().last_sequence();

@@ -139,7 +139,7 @@ fn decode_response_body(body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
 
 /// Completion slot for one in-flight outbound call.
 enum PendingReply {
-    /// A thread parked in [`RpcNode::call`]/[`call_many`](RpcNode::call_many).
+    /// A thread parked in [`RpcNode::call`].
     Sync(Sender<Result<Vec<u8>, RpcError>>),
     /// A deferred call; runs on the completion executor.
     Callback(ReplyCallback),
@@ -380,29 +380,8 @@ impl RpcNode {
         handler: Handler,
         config: RpcConfig,
     ) -> Arc<RpcNode> {
-        let handle = net.join(id);
-        Self::start_with_handle_config(handle, handler, config)
-    }
-
-    /// Like [`start`](Self::start) for a pre-joined [`NodeHandle`].
-    pub fn start_with_handle(handle: NodeHandle, handler: Handler, workers: usize) -> Arc<RpcNode> {
-        Self::start_with_handle_config(
-            handle,
-            handler,
-            RpcConfig { workers, ..RpcConfig::default() },
-        )
-    }
-
-    /// Like [`start_with_config`](Self::start_with_config) for a pre-joined
-    /// [`NodeHandle`].
-    pub fn start_with_handle_config(
-        handle: NodeHandle,
-        handler: Handler,
-        config: RpcConfig,
-    ) -> Arc<RpcNode> {
-        let id = handle.id();
-        let net = handle.network().clone();
-        let handle = Arc::new(handle);
+        let handle = Arc::new(net.join(id));
+        let net = net.clone();
         let (exec_tx, exec_rx) = channel::unbounded::<Task>();
         let shared = Arc::new(RpcShared {
             pending: Mutex::new(HashMap::new()),
@@ -656,51 +635,13 @@ impl RpcNode {
         self.shared.schedule_at(Instant::now() + delay, TimerKind::Task(task));
     }
 
-    /// Send one `body` to several `targets` **concurrently** (single
-    /// thread: all requests are sent before any response is awaited) and
-    /// wait for every reply within one shared deadline. Returns one result
-    /// per target, in order. The body is a refcounted [`Bytes`], so callers
-    /// serialize a request exactly once no matter how many replicas it
-    /// fans out to. This is how the replication hook achieves the paper's
-    /// "at most one network round-trip within the responsible replica set"
-    /// without spawning threads.
-    pub fn call_many(
-        &self,
-        targets: &[NodeId],
-        body: Bytes,
-        timeout: Duration,
-    ) -> Vec<Result<Vec<u8>, RpcError>> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return targets.iter().map(|_| Err(RpcError::Shutdown)).collect();
-        }
-        let mut waiters = Vec::with_capacity(targets.len());
-        for to in targets {
-            let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-            let (tx, rx) = channel::bounded(1);
-            self.shared.pending.lock().insert(id, PendingReply::Sync(tx));
-            let frame = encode_frame(KIND_REQUEST, id, &body);
-            self.shared.handle.send(*to, frame);
-            waiters.push((id, rx));
-        }
-        let deadline = Instant::now() + timeout;
-        waiters
-            .into_iter()
-            .map(|(id, rx)| {
-                let remaining = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(remaining) {
-                    Ok(result) => result,
-                    Err(_) => {
-                        self.shared.pending.lock().remove(&id);
-                        Err(RpcError::Timeout)
-                    }
-                }
-            })
-            .collect()
-    }
-
     /// Send one `body` to several `targets` and complete `done` once with
     /// all results (in target order) as soon as the last reply, timeout, or
-    /// shutdown lands — no thread parks anywhere.
+    /// shutdown lands — no thread parks anywhere. The body is a refcounted
+    /// [`Bytes`], so callers serialize a request exactly once no matter how
+    /// many replicas it fans out to: this is how the replication hook
+    /// achieves the paper's "at most one network round-trip within the
+    /// responsible replica set".
     pub fn call_many_deferred(
         &self,
         targets: &[NodeId],
@@ -1070,50 +1011,39 @@ mod tests {
     }
 
     #[test]
-    fn call_many_shares_one_body_across_targets() {
+    fn call_many_deferred_fans_in_all_results() {
         let net = Network::new(LatencyModel::instant(), 1);
         let servers: Vec<_> =
             (1..=3).map(|i| RpcNode::start(&net, NodeId(i), echo_handler(), 1)).collect();
         let client = RpcNode::start(&net, NodeId(9), null_handler(), 1);
+        let call_many = |targets: &[NodeId], body: &[u8], timeout| {
+            let (tx, rx) = channel::unbounded();
+            let body = Bytes::from(body.to_vec());
+            client.call_many_deferred(
+                targets,
+                body,
+                timeout,
+                Box::new(move |r| tx.send(r).unwrap()),
+            );
+            rx.recv_timeout(Duration::from_secs(2)).unwrap()
+        };
+        // One body, shared by three targets.
         let targets = [NodeId(1), NodeId(2), NodeId(3)];
-        let body = Bytes::from(b"fanout".to_vec());
-        let replies = client.call_many(&targets, body, Duration::from_secs(1));
-        assert_eq!(replies.len(), 3);
-        for r in replies {
+        let results = call_many(&targets, b"fanout", Duration::from_secs(1));
+        assert_eq!(results.len(), 3);
+        for r in results {
             assert_eq!(r.unwrap(), b"from=9 fanout");
         }
         // A dead target times out without poisoning the others.
-        let replies = client.call_many(
-            &[NodeId(1), NodeId(42)],
-            Bytes::from(b"x".to_vec()),
-            Duration::from_millis(100),
-        );
-        assert!(replies[0].is_ok());
-        assert_eq!(replies[1], Err(RpcError::Timeout));
-        for s in servers {
-            s.shutdown();
-        }
-        net.shutdown();
-    }
-
-    #[test]
-    fn call_many_deferred_fans_in_all_results() {
-        let net = Network::new(LatencyModel::instant(), 1);
-        let _servers: Vec<_> =
-            (1..=2).map(|i| RpcNode::start(&net, NodeId(i), echo_handler(), 1)).collect();
-        let client = RpcNode::start(&net, NodeId(9), null_handler(), 1);
-        let (tx, rx) = channel::unbounded();
-        client.call_many_deferred(
-            &[NodeId(1), NodeId(42), NodeId(2)],
-            Bytes::from(b"x".to_vec()),
-            Duration::from_millis(150),
-            Box::new(move |results| tx.send(results).unwrap()),
-        );
-        let results = rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        let results =
+            call_many(&[NodeId(1), NodeId(42), NodeId(2)], b"x", Duration::from_millis(150));
         assert_eq!(results.len(), 3);
         assert_eq!(results[0].as_deref().unwrap(), b"from=9 x");
         assert_eq!(results[1], Err(RpcError::Timeout));
         assert_eq!(results[2].as_deref().unwrap(), b"from=9 x");
+        for s in servers {
+            s.shutdown();
+        }
         net.shutdown();
     }
 

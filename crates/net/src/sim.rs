@@ -518,11 +518,6 @@ impl NodeHandle {
         self.id
     }
 
-    /// The network this node belongs to.
-    pub fn network(&self) -> &Network {
-        &self.net
-    }
-
     /// Send `payload` to `to` (fire-and-forget, like UDP-with-ordering).
     pub fn send(&self, to: NodeId, payload: Vec<u8>) {
         self.net.send(self.id, to, payload);

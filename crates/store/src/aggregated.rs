@@ -388,21 +388,7 @@ impl NodeInner {
     pub(crate) fn arc(&self) -> Arc<NodeInner> {
         self.self_ref.get().and_then(Weak::upgrade).expect("self_ref installed during start")
     }
-}
 
-/// The one-hop request a nested call on a remote `target` becomes.
-fn nested_invoke(target: &ObjectId, method: &str, args: Vec<VmValue>) -> StoreRequest {
-    StoreRequest::Invoke {
-        object: target.0.clone(),
-        method: method.to_string(),
-        args,
-        read_only: false,
-        internal: true,
-        collect_read_set: false,
-    }
-}
-
-impl NodeInner {
     /// The primary a nested call on `target` hops to; `None` when the
     /// object is served here (or no shard map is installed).
     fn remote_primary(&self, target: &ObjectId) -> Option<NodeId> {
@@ -412,28 +398,6 @@ impl NodeInner {
 }
 
 impl InvokeRouter for NodeInner {
-    fn route(
-        &self,
-        ctx: &InvocationContext,
-        _source: &ObjectId,
-        target: &ObjectId,
-        method: &str,
-        args: Vec<VmValue>,
-        depth: usize,
-    ) -> Result<VmValue, InvokeError> {
-        match self.remote_primary(target) {
-            // Remote object: one hop to its primary (§4.2.1 — "a function
-            // invocation results in at most one network round-trip within
-            // the responsible replica set"). The caller's context rides
-            // along, so the remote engine's spans join this trace and its
-            // scheduler enforces what is left of the deadline.
-            Some(primary) => {
-                self.call_peer(ctx, primary, &nested_invoke(target, method, args))?.into_value()
-            }
-            None => self.engine.invoke_ctx(ctx, target, method, args, false, depth),
-        }
-    }
-
     fn route_deferred(
         &self,
         ctx: &InvocationContext,
@@ -445,8 +409,20 @@ impl InvokeRouter for NodeInner {
         let Some(primary) = self.remote_primary(target) else {
             return Some(done);
         };
-        // The same hop as `route`, as a completion.
-        match self.peer_frame(ctx, &nested_invoke(target, method, args.to_vec())) {
+        // Remote object: one hop to its primary (§4.2.1 — "a function
+        // invocation results in at most one network round-trip within the
+        // responsible replica set"). The caller's context rides along, so
+        // the remote engine's spans join this trace and its scheduler
+        // enforces what is left of the deadline.
+        let req = StoreRequest::Invoke {
+            object: target.0.clone(),
+            method: method.to_string(),
+            args: args.to_vec(),
+            read_only: false,
+            internal: true,
+            collect_read_set: false,
+        };
+        match self.peer_frame(ctx, &req) {
             Err(e) => done(Err(e)),
             Ok((frame, timeout)) => self.rpc().call_deferred(
                 primary,
@@ -850,7 +826,7 @@ mod tests {
         }
     }
 
-    /// A blocking commit's join ends with a retryable `Storage` error, well
+    /// A blocking invoke's join ends with a retryable `Storage` error, well
     /// inside any client timeout, however its completion is lost.
     fn assert_fails_fast(outcome: crossbeam::channel::Receiver<Result<VmValue, InvokeError>>) {
         let outcome = outcome.recv_timeout(Duration::from_secs(2));

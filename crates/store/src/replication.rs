@@ -18,9 +18,10 @@
 //! Nothing here parks a thread: a held commit and a retry re-enter through
 //! the RPC timer (`schedule`), a round's acks arrive as a completion
 //! (`call_many_deferred`), and every write set's outcome goes to the
-//! [`CommitCallback`] it came with. A committer that must block — the
-//! engine's blocking commits, a raw write — waits on a channel of its own
-//! whose sender rides in that callback, so a callback dropped unrun (the
+//! [`CommitCallback`] it came with. A committer that must block — a
+//! blocking invoke, a scatter's boundary that does not ride in its wave, a
+//! create, delete or transaction, a raw write — waits on a channel of its
+//! own whose sender rides in that callback, so a callback dropped unrun (the
 //! endpoint shut down) ends its wait with an error. Who may wait that way
 //! is the completion-pool rule, DESIGN.md §10.
 

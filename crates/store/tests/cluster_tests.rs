@@ -978,7 +978,7 @@ fn chaos_acked_posts_land_exactly_once() {
 
 /// A `Feed`: `post` is ReTwis' `create_post` in miniature — a write of its
 /// own, then one scatter of `store` to every follower; `post_seq` reaches
-/// the followers one `host.invoke` at a time.
+/// the followers one `host.invoke` — a scatter of one — at a time.
 fn feed_module() -> Module {
     assemble(
         r#"
@@ -1006,8 +1006,9 @@ fn feed_module() -> Module {
             ret
         }
         fn post_seq(1) locals=4 {
-            ; the same post, one `host.invoke` per follower: a boundary
-            ; commit, then each nested call's own blocking commit
+            ; the same post, one `host.invoke` per follower: the post's
+            ; own write is the first call's boundary, and each call
+            ; commits its follower's write as a branch of its own
             push.s "timeline"
             load 0
             host.push
@@ -1107,12 +1108,48 @@ fn a_colocated_post_is_one_replication_round() {
 }
 
 #[test]
+fn a_colocated_sequential_post_rides_its_boundary_in_the_first_calls_round() {
+    // One shard: `post_seq` reaches each follower by a `host.invoke`, a
+    // scatter of one. The post's own write rides in the first call's round,
+    // and every later call, whose boundary is empty, is a round of its own:
+    // one round per follower, one write set more than followers.
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Feed", feed_fields(), &feed_module()).unwrap();
+    for followers in [1, 5] {
+        let account = |i: usize| ObjectId::from(format!("seq{followers}/{i}").as_str());
+        for i in 0..=followers {
+            client.create_object("Feed", &account(i), &[]).unwrap();
+        }
+        for f in 1..=followers {
+            let follower = vec![VmValue::Bytes(account(f).0)];
+            client.invoke(&account(0), "follow", follower, false).unwrap();
+        }
+        let before = repl_counts(&cluster);
+        client.invoke(&account(0), "post_seq", vec![VmValue::str("hello")], false).unwrap();
+        let after = repl_counts(&cluster);
+        assert_eq!(after.0 - before.0, followers as u64, "rounds, {followers} followers");
+        assert_eq!(after.1 - before.1, followers as u64 + 1, "write sets, {followers} followers");
+        for node in &cluster.core.storage {
+            for i in 0..=followers {
+                let feed = node.engine().invoke(&account(i), "feed", vec![]).unwrap();
+                let want = VmValue::List(vec![VmValue::str("hello")]);
+                assert_eq!(feed, want, "seq{followers}/{i} on node-{}", node.id().0);
+            }
+        }
+    }
+    cluster.shutdown();
+}
+
+#[test]
 fn a_post_with_followers_on_another_shard_acks_its_boundary_first() {
     // Two shards, led by different nodes. A follower on the other shard
     // is not co-located with the poster, so the boundary commit is acked
     // on its own before the fan-out leaves; the followers on the poster's
     // shard then share one round, and the other shard's primary commits
-    // its own.
+    // its own. A sequential post whose first follower is on the other shard
+    // likewise ships its boundary first, in a round of its own; its call to
+    // the home follower is one more round.
     let mut config = ClusterConfig::for_tests();
     config.shards = 2;
     let cluster = AggregatedCluster::build(config).unwrap();
@@ -1131,34 +1168,49 @@ fn a_post_with_followers_on_another_shard_acks_its_boundary_first() {
         }
     }
     let [home, away] = by_shard;
-    let poster = &home[0];
-    let followers: Vec<&ObjectId> = home[1..].iter().chain(&away[..2]).collect();
+    // (poster, method, its followers in follow order, rounds and write sets
+    // per post at the home primary)
+    let cases = [
+        (&home[0], "post", vec![&home[1], &home[2], &away[0], &away[1]], (2, 3)),
+        (&home[1], "post_seq", vec![&away[0], &home[2]], (2, 2)),
+    ];
     for id in home.iter().chain(&away) {
         client.create_object("Feed", id, &[]).unwrap();
     }
-    for f in &followers {
-        client.invoke(poster, "follow", vec![VmValue::Bytes(f.0.clone())], false).unwrap();
+    for (poster, _, followers, _) in &cases {
+        for f in followers {
+            client.invoke(poster, "follow", vec![VmValue::Bytes(f.0.clone())], false).unwrap();
+        }
     }
-    let (_, home_info) = client.placement().locate(poster).unwrap();
+    let (_, home_info) = client.placement().locate(&home[0]).unwrap();
     let (_, away_info) = client.placement().locate(&away[0]).unwrap();
     assert_ne!(home_info.primary, away_info.primary, "the shards are led by different nodes");
     let primary = cluster.core.storage.iter().find(|n| n.id() == home_info.primary).unwrap();
 
     const POSTS: usize = 4;
-    for k in 0..POSTS {
-        let (rounds, entries) = primary.replication_batch_stats();
-        let text = format!("post-{k}").into_bytes();
-        client.invoke(poster, "post", vec![VmValue::Bytes(text)], false).unwrap();
-        let (rounds_after, entries_after) = primary.replication_batch_stats();
-        assert_eq!(rounds_after - rounds, 2, "the boundary's round, then the home followers'");
-        assert_eq!(entries_after - entries, 3, "post {k}");
+    let text = |method: &str, k: usize| format!("{method}-{k}").into_bytes();
+    for (poster, method, _, (rounds, entries)) in &cases {
+        for k in 0..POSTS {
+            let (rounds_before, entries_before) = primary.replication_batch_stats();
+            client.invoke(poster, method, vec![VmValue::Bytes(text(method, k))], false).unwrap();
+            let (rounds_after, entries_after) = primary.replication_batch_stats();
+            assert_eq!(rounds_after - rounds_before, *rounds, "{method} {k}: the boundary first");
+            assert_eq!(entries_after - entries_before, *entries, "{method} {k}");
+        }
     }
+    // Every post lands exactly once, in order, on every replica of every
+    // reader: the poster and its followers.
     for node in &cluster.core.storage {
-        for reader in followers.iter().copied().chain([poster]) {
+        for reader in home.iter().chain(&away) {
             let feed = node.engine().invoke(reader, "feed", vec![]).unwrap();
             let VmValue::List(rows) = feed else { panic!("expected list, got {feed}") };
-            let want: Vec<VmValue> =
-                (0..POSTS).map(|k| VmValue::Bytes(format!("post-{k}").into_bytes())).collect();
+            let want: Vec<VmValue> = cases
+                .iter()
+                .filter(|(poster, _, followers, _)| {
+                    *poster == reader || followers.contains(&reader)
+                })
+                .flat_map(|(_, method, ..)| (0..POSTS).map(|k| VmValue::Bytes(text(method, k))))
+                .collect();
             assert_eq!(rows, want, "{reader} on node-{}", node.id().0);
         }
     }
@@ -1183,8 +1235,8 @@ fn chaos_overlapping_rounds_land_every_acked_post_once_on_every_replica() {
     client.deploy_type("Feed", feed_fields(), &feed_module()).unwrap();
 
     const ACCOUNTS: usize = 12;
-    // Eight scatter their posts (completion commits); two more fan out
-    // one follower at a time (blocking commits) through the same window.
+    // Eight scatter their posts; two more fan out one follower at a time,
+    // a scatter of one per follower, through the same window.
     const POSTERS: usize = 10;
     const SCATTERING: usize = 8;
     const POSTS: usize = 3;
