@@ -37,13 +37,6 @@ pub struct CompactionTask {
     pub is_base_level: bool,
 }
 
-impl CompactionTask {
-    /// Total input bytes.
-    pub fn input_bytes(&self) -> u64 {
-        self.inputs.iter().chain(&self.next_level_inputs).map(|f| f.size).sum()
-    }
-}
-
 /// Decide whether any level needs compaction under `opts`.
 pub fn pick_compaction(version: &Version, opts: &Options) -> Option<CompactionTask> {
     // L0 by file count.
@@ -284,7 +277,8 @@ mod tests {
             build_table(&path, entries.iter().map(|(k, v)| (k, v.as_slice())), 256, 10).unwrap();
         let t = Table::open(&path).unwrap();
         let h = TableHandle::new(n, size, t);
-        vs.log_and_apply(VersionEdit { added: vec![(level, h)], deleted: vec![] }, 0).unwrap();
+        vs.log_and_apply(VersionEdit { added: vec![(level, h)], ..VersionEdit::default() }, 0)
+            .unwrap();
         n
     }
 

@@ -5,18 +5,18 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{mpsc, Arc, Weak};
 use std::time::Instant;
 
 use lambda_telemetry::{Counter, Registry};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 
 use crate::batch::{BatchOp, WriteBatch};
 use crate::block_cache::BlockCache;
 use crate::compaction::{pick_compaction, run_compaction_cached};
 use crate::iterator::{ChildIter, DbIterator, MergingIterator, VisibilityIterator};
 use crate::memtable::{LookupResult, MemTable};
-use crate::sstable::{CorruptionSink, Table, TableBuilder};
+use crate::sstable::{build_table_with, CorruptionSink, Table};
 use crate::types::{InternalKey, Key, SeqNo, Value, ValueKind, MAX_KEY_LEN, MAX_SEQNO};
 use crate::version::{table_path, wal_path, TableHandle, Version, VersionEdit, VersionSet};
 use crate::wal::{self, Wal};
@@ -45,8 +45,8 @@ pub struct DbStats {
     /// Write batches folded into group commits. Together with
     /// `commit_groups` this yields the mean group size.
     pub commit_group_batches: Counter,
-    /// Total microseconds writers spent parked in the commit queue waiting
-    /// for a leader to durably commit their batch.
+    /// Total microseconds [`Db::write`] callers spent blocked while another
+    /// thread committed their batch (nothing when the caller led).
     pub commit_stall_micros: Counter,
     /// Checksum/framing failures detected on any read path.
     pub corruptions_detected: Counter,
@@ -96,7 +96,7 @@ pub struct StatsSnapshot {
     pub commit_groups: u64,
     /// Write batches folded into group commits.
     pub commit_group_batches: u64,
-    /// Total microseconds writers spent parked in the commit queue.
+    /// Total microseconds `write` callers spent blocked in the commit queue.
     pub commit_stall_micros: u64,
     /// Checksum/framing failures detected on any read path.
     pub corruptions_detected: u64,
@@ -139,87 +139,39 @@ pub struct CorruptionEvent {
 }
 
 #[derive(Debug)]
-struct MemState {
-    active: MemTable,
-    immutable: Option<Arc<MemTable>>,
-}
-
-#[derive(Debug)]
 struct WriteState {
     wal: Wal,
     wal_number: u64,
 }
 
-/// Completion for a deferred write: invoked exactly once, on the thread
-/// that led the group commit containing the batch (or on the caller's
-/// thread when the caller itself led, or when validation failed).
+/// Completion for a write: invoked exactly once with the batch's outcome,
+/// on the thread that led the group commit containing the batch — the
+/// caller's own when it found nobody committing — or inline when
+/// validation failed.
 pub type WriteCallback = Box<dyn FnOnce(Result<()>) + Send>;
 
-/// Deferred completions collected while finishing a commit group, paired
-/// with the result each should be invoked with (run outside the locks).
-type FinishedWrites = Vec<(WriteCallback, Result<()>)>;
-
-/// A writer in the commit queue — a parked thread ([`Db::write`]) or a
-/// completion callback ([`Db::write_deferred`]).
+/// The group-commit queue: batches waiting to be committed, each with its
+/// completion, and whether some thread is leading (committing) right now.
 ///
-/// The queue implements leader/follower group commit: the writer at the
-/// front of the queue is the leader. It drains every batch queued behind it,
-/// appends them all to the WAL under one sync, assigns sequence numbers in
-/// queue order, then posts each follower its result and promotes the next
-/// queued writer (if any) to leader. Deferred writers never park: their
-/// callback is run by the committing thread once their batch is durable,
-/// and when one would be *promoted*, the finishing leader's thread simply
-/// leads that group too.
-struct CommitWaiter {
-    state: Mutex<WaiterState>,
-    cv: Condvar,
+/// A writer that finds `leading` clear takes the lead. Each pass of
+/// [`Db::lead`] takes the queued batches (all of them, or only the oldest
+/// with `Options::group_commit` off), appends them to the WAL under one
+/// sync, publishes them, gives the lead up, and only then runs their
+/// completions: a completion may itself write. It then flushes when the
+/// group filled the memtable, and takes the lead back while batches are
+/// still queued and no other thread took it.
+#[derive(Default)]
+struct CommitQueue {
+    pending: VecDeque<(WriteBatch, WriteCallback)>,
+    leading: bool,
 }
 
-impl std::fmt::Debug for CommitWaiter {
+impl std::fmt::Debug for CommitQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitWaiter").finish()
-    }
-}
-
-struct WaiterState {
-    /// The writer's batch; taken by the leader when it forms a group.
-    batch: Option<WriteBatch>,
-    /// Set when this waiter is promoted to leader of the next group.
-    leader: bool,
-    /// Set (with `result`) once a leader has committed this waiter's batch.
-    done: bool,
-    result: Option<Result<()>>,
-    /// Deferred completion; `None` for parked-thread writers. Present (and
-    /// untaken) exactly until the waiter is finished, so `is_some()` also
-    /// distinguishes deferred from parked waiters in the queue.
-    callback: Option<WriteCallback>,
-}
-
-impl CommitWaiter {
-    fn new(batch: WriteBatch) -> Self {
-        CommitWaiter {
-            state: Mutex::new(WaiterState {
-                batch: Some(batch),
-                leader: false,
-                done: false,
-                result: None,
-                callback: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn new_deferred(batch: WriteBatch, callback: WriteCallback) -> Self {
-        CommitWaiter {
-            state: Mutex::new(WaiterState {
-                batch: Some(batch),
-                leader: false,
-                done: false,
-                result: None,
-                callback: Some(callback),
-            }),
-            cv: Condvar::new(),
-        }
+        f.debug_struct("CommitQueue")
+            .field("pending", &self.pending.len())
+            .field("leading", &self.leading)
+            .finish()
     }
 }
 
@@ -228,8 +180,8 @@ struct DbInner {
     dir: PathBuf,
     opts: Options,
     write: Mutex<WriteState>,
-    commit_queue: Mutex<VecDeque<Arc<CommitWaiter>>>,
-    mem: RwLock<MemState>,
+    commit_queue: Mutex<CommitQueue>,
+    mem: RwLock<MemTable>,
     versions: Mutex<VersionSet>,
     current: RwLock<Arc<Version>>,
     last_seq: AtomicU64,
@@ -330,8 +282,8 @@ impl Db {
                 dir,
                 opts,
                 write: Mutex::new(WriteState { wal, wal_number }),
-                commit_queue: Mutex::new(VecDeque::new()),
-                mem: RwLock::new(MemState { active: MemTable::new(), immutable: None }),
+                commit_queue: Mutex::default(),
+                mem: RwLock::default(),
                 current: RwLock::new(versions.current()),
                 versions: Mutex::new(versions),
                 last_seq: AtomicU64::new(0),
@@ -365,51 +317,32 @@ impl Db {
                     if seq <= flushed {
                         continue; // already durable in a table
                     }
-                    match op {
-                        BatchOp::Put { key, value } => {
-                            mem.insert(key.clone(), seq, ValueKind::Put, value.clone());
-                        }
-                        BatchOp::Delete { key } => {
-                            mem.insert(key.clone(), seq, ValueKind::Deletion, Vec::new());
-                        }
-                    }
+                    insert_op(&mut mem, seq, op);
                     last_seq = last_seq.max(seq);
                 }
             }
         }
 
-        // Flush replayed data so the old WAL can be discarded.
-        if !mem.is_empty() {
-            let number = versions.allocate_file_number();
-            let path = table_path(&dir, number);
-            let mut b =
-                TableBuilder::create_with(&vfs, &path, opts.block_bytes, opts.bloom_bits_per_key)?;
-            for (k, v) in mem.iter() {
-                b.add(k, v)?;
-            }
-            let (size, _, _) = b.finish()?;
-            let table = Table::open_with(&vfs, &path, block_cache.clone())?;
-            versions.flushed_seq = last_seq;
-            versions.log_and_apply(
-                VersionEdit {
-                    added: vec![(0, TableHandle::new(number, size, table))],
-                    deleted: vec![],
-                },
-                last_seq,
-            )?;
-        }
-
+        // Flush replayed data and roll the log in one manifest edit, so the
+        // old WAL can be discarded.
         let wal_number = versions.allocate_file_number();
         let wal = Wal::create_with(&vfs, wal_path(&dir, wal_number))?;
-        versions.set_wal_number(wal_number, last_seq)?;
+        let added = if mem.is_empty() {
+            Vec::new()
+        } else {
+            let number = versions.allocate_file_number();
+            vec![(0, write_l0_table(&dir, &opts, &block_cache, number, &mem)?)]
+        };
+        let edit = VersionEdit { added, flushed: Some((last_seq, wal_number)), deleted: vec![] };
+        versions.log_and_apply(edit, last_seq)?;
         let _ = vfs.remove_file(&old_wal);
 
         let inner = Arc::new(DbInner {
             dir,
             opts,
             write: Mutex::new(WriteState { wal, wal_number }),
-            commit_queue: Mutex::new(VecDeque::new()),
-            mem: RwLock::new(MemState { active: MemTable::new(), immutable: None }),
+            commit_queue: Mutex::default(),
+            mem: RwLock::default(),
             current: RwLock::new(versions.current()),
             versions: Mutex::new(versions),
             last_seq: AtomicU64::new(last_seq),
@@ -448,268 +381,131 @@ impl Db {
     /// Commit a batch atomically: it is wholly visible (and durable in the
     /// WAL) or not at all.
     ///
-    /// Commits go through a group-commit queue: concurrent writers are
-    /// coalesced by a leader into one WAL append run with a single
-    /// `sync`/`flush`, which amortizes the durability cost across the group.
-    /// Sequence numbers are assigned in queue (arrival) order and a batch is
-    /// never visible to readers before it is durable in the WAL.
+    /// This is [`Db::write_deferred`] plus one join on a channel whose
+    /// sender rides in the completion: when nobody else is committing the
+    /// caller leads and the outcome is there on return; otherwise the
+    /// caller blocks until the leader that commits its batch sends it.
     ///
     /// # Errors
     /// Returns [`KvError::InvalidArgument`] for oversized keys and
     /// propagates storage errors.
     pub fn write(&self, batch: WriteBatch) -> Result<()> {
-        if batch.is_empty() {
-            return Ok(());
+        let (tx, rx) = mpsc::sync_channel(1);
+        self.write_deferred(batch, Box::new(move |res| drop(tx.send(res))));
+        if let Ok(res) = rx.try_recv() {
+            return res;
         }
-        validate_batch(&batch)?;
-
-        // Enqueue; the writer at the front of the queue leads the next group.
-        let waiter = Arc::new(CommitWaiter::new(batch));
-        let is_leader = {
-            let mut queue = self.inner.commit_queue.lock();
-            queue.push_back(Arc::clone(&waiter));
-            queue.len() == 1
-        };
-
-        if !is_leader {
-            // Follower: park until a leader commits our batch, or promotes
-            // us to lead the next group.
-            let parked = Instant::now();
-            let mut st = waiter.state.lock();
-            while !st.done && !st.leader {
-                waiter.cv.wait(&mut st);
-            }
-            let result = if st.done {
-                Some(st.result.take().expect("done waiter has a result"))
-            } else {
-                None
-            };
-            drop(st);
-            self.inner.stats.commit_stall_micros.add(parked.elapsed().as_micros() as u64);
-            if let Some(result) = result {
-                return result;
-            }
-            // Promoted: fall through and lead the next group.
-        }
-
-        self.commit_from(waiter)
+        let blocked = Instant::now();
+        let res = rx.recv().unwrap_or_else(|_| {
+            Err(KvError::Io(std::io::Error::other("commit ended without an outcome")))
+        });
+        self.inner.stats.commit_stall_micros.add(blocked.elapsed().as_micros() as u64);
+        res
     }
 
-    /// Commit a batch without parking this thread: `done` runs exactly once
-    /// with the batch's result — inline when validation fails or when this
-    /// thread ends up leading the group itself (nobody else was committing),
-    /// otherwise on whichever thread leads the group commit that makes the
-    /// batch durable.
+    /// Commit a batch without blocking on other writers: `done` runs exactly
+    /// once with the batch's outcome.
+    ///
+    /// Commits go through a group-commit queue: concurrent batches are
+    /// coalesced by one leading thread into a single WAL append run with
+    /// one `sync`/`flush`, which amortizes the durability cost across the
+    /// group. Sequence numbers are assigned in queue (arrival) order, and a
+    /// batch is never visible to readers before it is durable in the WAL.
+    /// When nobody is committing, this thread leads, and `done` runs here
+    /// before the call returns; otherwise the current leader commits the
+    /// batch and runs `done`. An invalid batch fails inline.
     ///
     /// This is what lets an invocation pipeline hand a write to the
     /// group-commit machinery and go serve other requests instead of
     /// stalling a thread on the WAL sync.
     pub fn write_deferred(&self, batch: WriteBatch, done: WriteCallback) {
         if batch.is_empty() {
-            done(Ok(()));
-            return;
+            return done(Ok(()));
         }
         if let Err(e) = validate_batch(&batch) {
-            done(Err(e));
-            return;
+            return done(Err(e));
         }
-        let waiter = Arc::new(CommitWaiter::new_deferred(batch, done));
-        let is_leader = {
+        let lead = {
             let mut queue = self.inner.commit_queue.lock();
-            queue.push_back(Arc::clone(&waiter));
-            queue.len() == 1
+            queue.pending.push_back((batch, done));
+            !std::mem::replace(&mut queue.leading, true)
         };
-        if is_leader {
-            // Nobody is committing: this thread leads (and runs `done`).
-            let _ = self.commit_from(waiter);
+        if lead {
+            self.lead();
         }
-        // Otherwise the current leader folds the batch into its group (or
-        // its thread is handed the lead when this waiter reaches the front)
-        // and runs `done` once the batch is durable.
     }
 
-    /// Lead group commits starting from `leader` (which must be the front
-    /// of the commit queue) until the queue is empty or a *parked* writer is
-    /// promoted. When the next-in-line writer is deferred there is no thread
-    /// to wake, so this thread keeps the lead and commits that group too.
-    /// All deferred completions collected along the way run here, after
-    /// every lock is released (a callback may well issue the next write).
-    ///
-    /// Returns the first group's result — the caller's own, when the caller
-    /// enqueued a batch.
-    fn commit_from(&self, mut leader: Arc<CommitWaiter>) -> Result<()> {
-        let mut first_result: Option<Result<()>> = None;
-        let mut callbacks: Vec<(WriteCallback, Result<()>)> = Vec::new();
+    /// Lead group commits while this thread holds the lead; see
+    /// [`CommitQueue`]. A group's completions run after the lead is given
+    /// up and before the flush that group may trigger.
+    fn lead(&self) {
         loop {
-            let (res, cbs, next) = self.lead_one_group(&leader);
-            callbacks.extend(cbs);
-            if first_result.is_none() {
-                first_result = Some(res);
+            let mut ws = self.inner.write.lock();
+            let (batches, callbacks): (Vec<WriteBatch>, Vec<WriteCallback>) = {
+                let mut queue = self.inner.commit_queue.lock();
+                let take = if self.inner.opts.group_commit { queue.pending.len() } else { 1 };
+                queue.pending.drain(..take).unzip()
+            };
+            let committed = self.commit_group(&mut ws, &batches);
+            drop(ws);
+            self.inner.commit_queue.lock().leading = false;
+
+            let full = self.inner.mem.read().approximate_bytes() > self.inner.opts.memtable_bytes;
+            for done in callbacks {
+                done(match &committed {
+                    Ok(()) => Ok(()),
+                    Err(e) => {
+                        Err(KvError::Io(std::io::Error::other(format!("group commit failed: {e}"))))
+                    }
+                });
             }
-            match next {
-                Some(n) => leader = n,
-                None => break,
+            if committed.is_ok() && full {
+                // The batches are durable and acknowledged; a failed flush
+                // leaves the memtable as it was, for the next one to retry.
+                let _ = self.flush_over(self.inner.opts.memtable_bytes);
             }
+
+            let mut queue = self.inner.commit_queue.lock();
+            if queue.leading || queue.pending.is_empty() {
+                return;
+            }
+            queue.leading = true;
         }
-        for (cb, res) in callbacks {
-            cb(res);
-        }
-        first_result.expect("led at least one group")
     }
 
-    /// Lead one group commit. `own` must be the front of the commit queue.
-    /// Returns `(own's result, deferred completions to run, the next
-    /// leader if it is deferred and this thread must keep committing)`.
-    fn lead_one_group(
-        &self,
-        own: &Arc<CommitWaiter>,
-    ) -> (Result<()>, FinishedWrites, Option<Arc<CommitWaiter>>) {
-        let mut ws = self.inner.write.lock();
-
-        // Form the group: every writer queued up to now, in arrival order.
-        // Members stay in the queue until their result is posted, so writers
-        // arriving mid-commit queue behind them as followers. With group
-        // commit disabled (ABL-GROUPCOMMIT `off`) the leader commits only
-        // its own batch; queued writers are promoted one at a time, which
-        // degenerates to per-batch append + sync under the write lock.
-        let group: Vec<Arc<CommitWaiter>> = if self.inner.opts.group_commit {
-            self.inner.commit_queue.lock().iter().cloned().collect()
-        } else {
-            vec![Arc::clone(own)]
-        };
-        debug_assert!(!group.is_empty() && Arc::ptr_eq(&group[0], own));
-
-        // Assign sequence numbers in queue order.
+    /// Append `batches` to the WAL in order under one sync, then publish
+    /// them to the memtable with consecutive sequence numbers. On an error
+    /// nothing is published and no state advances.
+    fn commit_group(&self, ws: &mut WriteState, batches: &[WriteBatch]) -> Result<()> {
         let first_seq = self.inner.last_seq.load(Ordering::Acquire) + 1;
-        let mut next_seq = first_seq;
-        let mut batches: Vec<(WriteBatch, SeqNo)> = Vec::with_capacity(group.len());
-        for w in &group {
-            let batch = w.state.lock().batch.take().expect("queued waiter has a batch");
-            let seq = next_seq;
-            next_seq += batch.len() as u64;
-            batches.push((batch, seq));
+        let mut seq = first_seq;
+        let mut bytes = 0u64;
+        for batch in batches {
+            let payload = batch.encode(seq);
+            ws.wal.append(&payload)?;
+            bytes += payload.len() as u64;
+            seq += batch.len() as u64;
+        }
+        if self.inner.opts.sync_wal {
+            ws.wal.sync()?;
+        } else {
+            ws.wal.flush()?;
         }
 
-        // One WAL append run and a single sync for the whole group.
-        let appended: Result<u64> = (|| {
-            let mut bytes = 0u64;
-            for (batch, seq) in &batches {
-                let payload = batch.encode(*seq);
-                ws.wal.append(&payload)?;
-                bytes += payload.len() as u64;
-            }
-            if self.inner.opts.sync_wal {
-                ws.wal.sync()?;
-            } else {
-                ws.wal.flush()?;
-            }
-            Ok(bytes)
-        })();
-
-        let bytes = match appended {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                // The whole group fails: nothing was applied, so no state
-                // advances and every writer sees an error.
-                let (cbs, next) = self.finish_group(&group, Some(&e));
-                drop(ws);
-                return (Err(e), cbs, next);
-            }
-        };
-
-        {
-            let mut mem = self.inner.mem.write();
-            for (batch, start) in &batches {
-                for (i, op) in batch.iter().enumerate() {
-                    let seq = start + i as u64;
-                    match op {
-                        BatchOp::Put { key, value } => {
-                            mem.active.insert(key.clone(), seq, ValueKind::Put, value.clone());
-                        }
-                        BatchOp::Delete { key } => {
-                            mem.active.insert(key.clone(), seq, ValueKind::Deletion, Vec::new());
-                        }
-                    }
-                }
-            }
+        let mut mem = self.inner.mem.write();
+        let mut seq = first_seq;
+        for op in batches.iter().flat_map(WriteBatch::iter) {
+            insert_op(&mut mem, seq, op);
+            seq += 1;
         }
-        self.inner.last_seq.store(next_seq - 1, Ordering::Release);
+        drop(mem);
+        self.inner.last_seq.store(seq - 1, Ordering::Release);
         let stats = &self.inner.stats;
         stats.wal_bytes.add(bytes);
-        stats.writes.add(group.len() as u64);
+        stats.writes.add(batches.len() as u64);
         stats.commit_groups.incr();
-        stats.commit_group_batches.add(group.len() as u64);
-
-        // Wake followers before the (possibly slow) flush below: their
-        // batches are durable and visible, so they need not wait for it.
-        // (Deferred completions still run only after `ws` is released, in
-        // `commit_from` — a callback may re-enter `write`.)
-        let (cbs, next) = self.finish_group(&group, None);
-
-        let needs_flush =
-            self.inner.mem.read().active.approximate_bytes() >= self.inner.opts.memtable_bytes;
-        let mut res = Ok(());
-        if needs_flush {
-            res = self.flush_locked(&mut ws);
-        }
-        drop(ws);
-        if needs_flush && res.is_ok() {
-            res = self.maybe_compact();
-        }
-        (res, cbs, next)
-    }
-
-    /// Pop the finished group off the queue, post each member its result and
-    /// promote the next queued writer (if any) to lead the following group.
-    ///
-    /// Parked members are woken through their condvar; deferred members'
-    /// callbacks are *returned* (paired with their result) for the caller to
-    /// run outside the locks. A parked next-in-line is promoted and woken; a
-    /// deferred next-in-line is returned so the current thread keeps the
-    /// lead.
-    fn finish_group(
-        &self,
-        group: &[Arc<CommitWaiter>],
-        err: Option<&KvError>,
-    ) -> (FinishedWrites, Option<Arc<CommitWaiter>>) {
-        let mut callbacks = Vec::new();
-        let mut queue = self.inner.commit_queue.lock();
-        for w in group {
-            let popped = queue.pop_front().expect("group members stay queued until finished");
-            debug_assert!(Arc::ptr_eq(&popped, w));
-            let mut st = popped.state.lock();
-            let result = match err {
-                None => Ok(()),
-                Some(e) => {
-                    Err(KvError::Io(std::io::Error::other(format!("group commit failed: {e}"))))
-                }
-            };
-            if let Some(cb) = st.callback.take() {
-                callbacks.push((cb, result));
-                continue;
-            }
-            st.done = true;
-            st.result = Some(result);
-            drop(st);
-            popped.cv.notify_one();
-        }
-        let next_deferred = match queue.front() {
-            None => None,
-            Some(next) => {
-                let mut st = next.state.lock();
-                if st.callback.is_some() {
-                    // No thread to wake: hand the lead back to the caller.
-                    drop(st);
-                    Some(Arc::clone(next))
-                } else {
-                    st.leader = true;
-                    drop(st);
-                    next.cv.notify_one();
-                    None
-                }
-            }
-        };
-        (callbacks, next_deferred)
+        stats.commit_group_batches.add(batches.len() as u64);
+        Ok(())
     }
 
     /// Read the newest committed value for `key`.
@@ -726,20 +522,10 @@ impl Db {
     /// Propagates storage errors.
     pub fn get_at(&self, key: &[u8], seq: SeqNo) -> Result<Option<Value>> {
         self.inner.stats.reads.incr();
-        {
-            let mem = self.inner.mem.read();
-            match mem.active.get(key, seq) {
-                LookupResult::Found(v) => return Ok(Some(v)),
-                LookupResult::Deleted => return Ok(None),
-                LookupResult::NotFound => {}
-            }
-            if let Some(imm) = &mem.immutable {
-                match imm.get(key, seq) {
-                    LookupResult::Found(v) => return Ok(Some(v)),
-                    LookupResult::Deleted => return Ok(None),
-                    LookupResult::NotFound => {}
-                }
-            }
+        match self.inner.mem.read().get(key, seq) {
+            LookupResult::Found(v) => return Ok(Some(v)),
+            LookupResult::Deleted => return Ok(None),
+            LookupResult::NotFound => {}
         }
         let version = self.inner.current.read().clone();
         // L0: newest file first (files are sorted by ascending number).
@@ -785,18 +571,9 @@ impl Db {
 
     /// Iterate over live keys in `[start, end)` as of `seq`.
     pub fn iter_range_at(&self, start: &[u8], end: Option<&[u8]>, seq: SeqNo) -> DbIterator {
-        let mut children: Vec<ChildIter> = Vec::new();
-        {
-            let mem = self.inner.mem.read();
-            let active: Vec<(InternalKey, Value)> =
-                mem.active.range_from(start).map(|(k, v)| (k.clone(), v.clone())).collect();
-            children.push(Box::new(active.into_iter()));
-            if let Some(imm) = &mem.immutable {
-                let entries: Vec<(InternalKey, Value)> =
-                    imm.range_from(start).map(|(k, v)| (k.clone(), v.clone())).collect();
-                children.push(Box::new(entries.into_iter()));
-            }
-        }
+        let active: Vec<(InternalKey, Value)> =
+            self.inner.mem.read().range_from(start).map(|(k, v)| (k.clone(), v.clone())).collect();
+        let mut children: Vec<ChildIter> = vec![Box::new(active.into_iter())];
         let version = self.inner.current.read().clone();
         let seek = InternalKey::seek(start.to_vec(), MAX_SEQNO);
         let sink = &self.inner.read_corruptions;
@@ -819,68 +596,66 @@ impl Db {
         self.iter_range(prefix, end.as_deref())
     }
 
-    /// Force the active memtable into an L0 table.
+    /// Force the memtable into an L0 table.
     ///
     /// # Errors
     /// Propagates storage errors.
     pub fn flush(&self) -> Result<()> {
+        self.flush_over(0)
+    }
+
+    /// Flush the memtable into an L0 table when it holds more than `bytes`
+    /// (re-checked under the write lock), then compact what needs it.
+    fn flush_over(&self, bytes: usize) -> Result<()> {
         let mut ws = self.inner.write.lock();
+        if self.inner.mem.read().approximate_bytes() <= bytes {
+            return Ok(());
+        }
         self.flush_locked(&mut ws)?;
         drop(ws);
         self.maybe_compact()
     }
 
+    /// Write the memtable to an L0 table and switch to a fresh WAL. Holding
+    /// `ws` keeps commits out, so the memtable cannot change meanwhile. The
+    /// WAL, the version and the memtable are swapped only once the table
+    /// and the manifest edit naming it are durable: a failure changes
+    /// nothing, and the next flush retries the same data.
     fn flush_locked(&self, ws: &mut WriteState) -> Result<()> {
-        // Rotate the memtable.
-        let imm = {
-            let mut mem = self.inner.mem.write();
-            if mem.active.is_empty() {
-                return Ok(());
-            }
-            let old = std::mem::take(&mut mem.active);
-            let arc = Arc::new(old);
-            mem.immutable = Some(Arc::clone(&arc));
-            arc
-        };
-        let last_seq = self.inner.last_seq.load(Ordering::Acquire);
-
-        // Rotate the WAL first so new writes land in a fresh log.
-        let vfs = &self.inner.opts.vfs;
-        let mut versions = self.inner.versions.lock();
-        let new_wal_number = versions.allocate_file_number();
-        let old_wal_number = ws.wal_number;
-        ws.wal = Wal::create_with(vfs, wal_path(&self.inner.dir, new_wal_number))?;
-        ws.wal_number = new_wal_number;
-
-        // Write the table.
+        let inner = &*self.inner;
+        let last_seq = inner.last_seq.load(Ordering::Acquire);
+        let mut versions = inner.versions.lock();
+        let wal_number = versions.allocate_file_number();
+        let wal_file = wal_path(&inner.dir, wal_number);
+        let wal = Wal::create_with(&inner.opts.vfs, &wal_file)?;
         let number = versions.allocate_file_number();
-        let path = table_path(&self.inner.dir, number);
-        let mut b = TableBuilder::create_with(
-            vfs,
-            &path,
-            self.inner.opts.block_bytes,
-            self.inner.opts.bloom_bits_per_key,
-        )?;
-        for (k, v) in imm.iter() {
-            b.add(k, v)?;
-        }
-        let (size, _, _) = b.finish()?;
-        let table = Table::open_with(vfs, &path, self.inner.block_cache.clone())?;
-        versions.flushed_seq = last_seq;
-        versions.wal_number = new_wal_number;
-        let new_version = versions.log_and_apply(
-            VersionEdit {
-                added: vec![(0, TableHandle::new(number, size, table))],
-                deleted: vec![],
-            },
-            last_seq,
-        )?;
+        let applied =
+            write_l0_table(&inner.dir, &inner.opts, &inner.block_cache, number, &inner.mem.read())
+                .and_then(|table| {
+                    let edit = VersionEdit {
+                        added: vec![(0, table)],
+                        flushed: Some((last_seq, wal_number)),
+                        deleted: vec![],
+                    };
+                    versions.log_and_apply(edit, last_seq)
+                });
         drop(versions);
+        let new_version = match applied {
+            Ok(version) => version,
+            Err(e) => {
+                let _ = inner.opts.vfs.remove_file(&wal_file);
+                return Err(e);
+            }
+        };
 
-        *self.inner.current.write() = new_version;
-        self.inner.mem.write().immutable = None;
-        let _ = self.inner.opts.vfs.remove_file(&wal_path(&self.inner.dir, old_wal_number));
-        self.inner.stats.flushes.incr();
+        let old_wal = std::mem::replace(&mut ws.wal_number, wal_number);
+        ws.wal = wal;
+        // The table is readable before the memtable empties, so a reader
+        // finds every entry in one or the other.
+        *inner.current.write() = new_version;
+        *inner.mem.write() = MemTable::new();
+        let _ = inner.opts.vfs.remove_file(&wal_path(&inner.dir, old_wal));
+        inner.stats.flushes.incr();
         Ok(())
     }
 
@@ -1097,7 +872,7 @@ impl Db {
         // still drop the table from the version so reads stop hitting it.
         let _ = self.inner.opts.vfs.rename(path, Path::new(&aside));
         let last_seq = self.inner.last_seq.load(Ordering::Acquire);
-        let edit = VersionEdit { added: vec![], deleted: vec![(level, number)] };
+        let edit = VersionEdit { deleted: vec![(level, number)], ..VersionEdit::default() };
         match versions.log_and_apply(edit, last_seq) {
             Ok(new_version) => {
                 drop(versions);
@@ -1127,6 +902,37 @@ fn spawn_scrubber(inner: &Arc<DbInner>) {
         };
         let _ = Db { inner }.scrub_pass();
     });
+}
+
+/// Insert one batch operation into `mem` at `seq`.
+fn insert_op(mem: &mut MemTable, seq: SeqNo, op: &BatchOp) {
+    match op {
+        BatchOp::Put { key, value } => mem.insert(key.clone(), seq, ValueKind::Put, value.clone()),
+        BatchOp::Delete { key } => mem.insert(key.clone(), seq, ValueKind::Deletion, Vec::new()),
+    }
+}
+
+/// Write `mem` as L0 table `number` in `dir`: the one table writer a flush
+/// and recovery share. A failed write removes its partial file.
+fn write_l0_table(
+    dir: &Path,
+    opts: &Options,
+    cache: &Option<Arc<BlockCache>>,
+    number: u64,
+    mem: &MemTable,
+) -> Result<Arc<TableHandle>> {
+    let path = table_path(dir, number);
+    let entries = mem.iter().map(|(k, v)| (k, v.as_slice()));
+    let written =
+        build_table_with(&opts.vfs, &path, entries, opts.block_bytes, opts.bloom_bits_per_key)
+            .and_then(|(size, _, _)| {
+                let table = Table::open_with(&opts.vfs, &path, cache.clone())?;
+                Ok(TableHandle::new(number, size, table))
+            });
+    if written.is_err() {
+        let _ = opts.vfs.remove_file(&path);
+    }
+    written
 }
 
 fn validate_batch(batch: &WriteBatch) -> Result<()> {
@@ -1163,6 +969,7 @@ pub fn prefix_successor(prefix: &[u8]) -> Option<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::{DiskFaultPlan, DiskFaultSpec, FaultVfs, FileKind};
 
     fn tmpdir(name: &str) -> PathBuf {
         let dir =
@@ -1589,6 +1396,10 @@ mod tests {
     fn group_commit_counts_every_batch() {
         let dir = tmpdir("groupstats");
         let db = Db::open(&dir, Options::small_for_tests()).unwrap();
+        for i in 0..50 {
+            db.put(format!("s-{i:03}").into_bytes(), b"v".to_vec()).unwrap();
+        }
+        assert_eq!(db.stats().commit_stall_micros, 0, "a lone writer always leads");
         let writers: Vec<_> = (0..8)
             .map(|t| {
                 let db = db.clone();
@@ -1603,9 +1414,9 @@ mod tests {
             w.join().unwrap();
         }
         let s = db.stats();
-        assert_eq!(s.writes, 400);
-        assert_eq!(s.commit_group_batches, 400);
-        assert!(s.commit_groups > 0 && s.commit_groups <= 400);
+        assert_eq!(s.writes, 450);
+        assert_eq!(s.commit_group_batches, 450);
+        assert!(s.commit_groups > 50 && s.commit_groups <= 450);
         assert!(s.mean_group_size() >= 1.0);
         for t in 0..8 {
             for i in 0..50 {
@@ -1714,32 +1525,136 @@ mod tests {
         fs::remove_dir_all(dir).ok();
     }
 
-    #[test]
-    fn deferred_callback_may_issue_the_next_write() {
-        let dir = tmpdir("defer-chain");
+    /// `writers` threads each hand a batch to `write_deferred` whose
+    /// completion issues the next, blocking write.
+    fn deferred_callbacks_issue_the_next_write(name: &str, writers: usize) {
+        let dir = tmpdir(name);
         let db = Db::open(&dir, Options::small_for_tests()).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        let db2 = db.clone();
-        let mut b = WriteBatch::new();
-        b.put(b"first".to_vec(), b"1".to_vec());
-        db.write_deferred(
-            b,
-            Box::new(move |res| {
-                res.unwrap();
-                // Continuation chains re-enter the commit path; this must
-                // not deadlock on the write or queue locks.
-                db2.put(b"second".to_vec(), b"2".to_vec()).unwrap();
-                tx.send(()).unwrap();
-            }),
-        );
-        rx.recv().unwrap();
-        assert_eq!(db.get(b"first").unwrap(), Some(b"1".to_vec()));
-        assert_eq!(db.get(b"second").unwrap(), Some(b"2".to_vec()));
+        let handles: Vec<_> = (0..writers)
+            .map(|t| {
+                let (db, tx) = (db.clone(), tx.clone());
+                std::thread::spawn(move || {
+                    for i in 0..20 {
+                        let (db2, tx) = (db.clone(), tx.clone());
+                        let mut b = WriteBatch::new();
+                        b.put(format!("first-{t}-{i:02}").into_bytes(), b"1".to_vec());
+                        db.write_deferred(
+                            b,
+                            Box::new(move |res| {
+                                res.unwrap();
+                                // Continuation chains re-enter the commit
+                                // path; this must not deadlock on the write
+                                // or queue locks.
+                                let second = format!("second-{t}-{i:02}").into_bytes();
+                                db2.put(second, b"2".to_vec()).unwrap();
+                                tx.send(()).unwrap();
+                            }),
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        drop(tx);
+        assert_eq!(rx.iter().count(), writers * 20, "every completion ran once");
+        for t in 0..writers {
+            for i in 0..20 {
+                let first = format!("first-{t}-{i:02}");
+                assert_eq!(db.get(first.as_bytes()).unwrap(), Some(b"1".to_vec()));
+                let second = format!("second-{t}-{i:02}");
+                assert_eq!(db.get(second.as_bytes()).unwrap(), Some(b"2".to_vec()));
+            }
+        }
+        assert_eq!(db.last_sequence(), 2 * 20 * writers as u64);
         fs::remove_dir_all(dir).ok();
     }
 
     #[test]
-    fn mixed_parked_and_deferred_writers_all_commit() {
+    fn deferred_callback_may_issue_the_next_write() {
+        deferred_callbacks_issue_the_next_write("defer-chain", 1);
+    }
+
+    #[test]
+    fn deferred_callbacks_of_concurrent_writers_may_issue_the_next_write() {
+        deferred_callbacks_issue_the_next_write("defer-chain-4", 4);
+    }
+
+    #[test]
+    fn a_completion_runs_before_the_flush_its_group_triggers() {
+        let dir = tmpdir("defer-before-flush");
+        let db = Db::open(&dir, Options::small_for_tests()).unwrap();
+        let mut b = WriteBatch::new();
+        b.put(b"big".to_vec(), vec![b'x'; Options::small_for_tests().memtable_bytes]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let db2 = db.clone();
+        db.write_deferred(
+            b,
+            Box::new(move |res| tx.send((res.is_ok(), db2.stats().flushes)).unwrap()),
+        );
+        let (ok, flushes_in_callback) = rx.recv().unwrap();
+        assert!(ok);
+        assert_eq!(flushes_in_callback, 0, "the completion does not wait for the flush");
+        assert_eq!(db.stats().flushes, 1, "the leader flushed before returning");
+        assert_eq!(db.get(b"big").unwrap().map(|v| v.len()), Some(4 << 10));
+        fs::remove_dir_all(dir).ok();
+    }
+
+    /// 20 puts, a flush whose `kind` files fail to write, 20 more puts,
+    /// then (with `reflush`) a flush that succeeds: every put is readable,
+    /// and still is after a reopen.
+    fn failed_flush_loses_nothing(name: &str, kind: FileKind, reflush: bool) {
+        let dir = tmpdir(name);
+        let fault = FaultVfs::seeded(DiskFaultPlan::new(), 3);
+        let opts =
+            Options { memtable_bytes: 1 << 20, vfs: fault.clone(), ..Options::small_for_tests() };
+        let keys: Vec<String> = (0..40).map(|i| format!("k-{i:02}")).collect();
+        let all_present = |db: &Db, when: &str| {
+            let found = keys.iter().filter(|k| db.get(k.as_bytes()).unwrap().is_some()).count();
+            assert_eq!(found, keys.len(), "{found}/40 puts readable {when}");
+        };
+
+        let db = Db::open(&dir, opts.clone()).unwrap();
+        for key in &keys[..20] {
+            db.put(key.clone().into_bytes(), b"v".to_vec()).unwrap();
+        }
+        let failing = DiskFaultSpec { write_error: 1.0, ..DiskFaultSpec::default() };
+        fault.set_plan(DiskFaultPlan::new().kind(kind, failing));
+        assert!(db.flush().is_err(), "the injected fault fails the flush");
+        fault.clear();
+        for key in &keys[20..] {
+            db.put(key.clone().into_bytes(), b"v".to_vec()).unwrap();
+        }
+        if reflush {
+            db.flush().unwrap();
+        }
+        all_present(&db, "before the reopen");
+        drop(db);
+
+        let db = Db::open(&dir, opts).unwrap();
+        all_present(&db, "after the reopen");
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_failed_table_write_keeps_later_puts_recoverable() {
+        failed_flush_loses_nothing("flush-fail-table", FileKind::Table, false);
+    }
+
+    #[test]
+    fn a_flush_after_a_failed_one_keeps_the_earlier_puts() {
+        failed_flush_loses_nothing("flush-fail-reflush", FileKind::Table, true);
+    }
+
+    #[test]
+    fn a_failed_manifest_write_keeps_later_puts_recoverable() {
+        failed_flush_loses_nothing("flush-fail-manifest", FileKind::Manifest, false);
+    }
+
+    #[test]
+    fn mixed_blocking_and_deferred_writers_all_commit() {
         let dir = tmpdir("defer-mixed");
         let db = Db::open(&dir, Options::small_for_tests()).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();

@@ -97,9 +97,10 @@ pub struct Options {
     /// benches that measure durability cost re-enable it.
     pub sync_wal: bool,
     /// Coalesce concurrent commits through the group-commit queue: the
-    /// front writer appends every queued batch and pays one WAL sync for
+    /// leading thread appends every queued batch and pays one WAL sync for
     /// the whole group. Disabling it (ABL-GROUPCOMMIT's `off` arm) makes
-    /// each writer append and sync its own batch under the write lock.
+    /// the leader take one queued batch per pass, so every batch pays its
+    /// own append and sync.
     pub group_commit: bool,
     /// Verify block checksums on every read.
     ///

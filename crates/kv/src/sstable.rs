@@ -29,9 +29,7 @@ use crate::block_cache::{BlockCache, DecodedBlock};
 use crate::bloom::BloomFilter;
 use crate::crc;
 use crate::memtable::LookupResult;
-use crate::types::{
-    cmp_encoded, get_varint32, put_varint32, InternalKey, Key, SeqNo, Value, ValueKind,
-};
+use crate::types::{cmp_encoded, get_varint32, put_varint32, InternalKey, SeqNo, Value, ValueKind};
 use crate::vfs::{self, RandomFile, Vfs, VfsFile};
 use crate::{KvError, Result};
 
@@ -727,11 +725,6 @@ pub fn build_table_with<'a>(
         b.add(k, v)?;
     }
     b.finish()
-}
-
-/// The user-key bounds `(smallest, largest)` of a table.
-pub fn user_key_range(t: &Table) -> (Key, Key) {
-    (t.smallest.user.clone(), t.largest.user.clone())
 }
 
 #[cfg(test)]

@@ -129,6 +129,9 @@ pub struct VersionEdit {
     pub added: Vec<(usize, Arc<TableHandle>)>,
     /// `(level, file_number)` pairs to remove.
     pub deleted: Vec<(usize, u64)>,
+    /// `(flushed_seq, wal_number)` after a flush: everything up to
+    /// `flushed_seq` is in tables, and `wal_number` is the live WAL.
+    pub flushed: Option<(SeqNo, u64)>,
 }
 
 /// Owns the current version, file-number allocation and manifest persistence.
@@ -179,7 +182,7 @@ impl VersionSet {
             wal_number: 0,
         };
         vs.wal_number = vs.allocate_file_number();
-        vs.write_manifest(0)?;
+        vs.write_manifest(&Version::empty(), 0, 0, vs.wal_number)?;
         Ok(vs)
     }
 
@@ -281,53 +284,66 @@ impl VersionSet {
     /// Removed files are marked obsolete (deleted when unpinned).
     ///
     /// # Errors
-    /// Propagates manifest-write failures; the in-memory version is only
-    /// swapped after the manifest is durable.
+    /// Propagates manifest-write failures. Nothing changes unless the
+    /// manifest is durable: the version, `flushed_seq` and `wal_number`
+    /// stay as they were, and the files the edit would have added are
+    /// deleted.
     pub fn log_and_apply(&mut self, edit: VersionEdit, last_seq: SeqNo) -> Result<Arc<Version>> {
         let mut new = (*self.current).clone();
+        let mut removed = Vec::new();
         for (level, number) in &edit.deleted {
             if let Some(files) = new.levels.get_mut(*level) {
                 if let Some(idx) = files.iter().position(|f| f.number == *number) {
-                    let removed = files.remove(idx);
-                    removed.mark_obsolete();
+                    removed.push(files.remove(idx));
                 }
             }
         }
-        for (level, handle) in edit.added {
+        for (level, handle) in &edit.added {
+            let level = *level;
             while new.levels.len() <= level {
                 new.levels.push(Vec::new());
             }
-            new.levels[level].push(handle);
+            new.levels[level].push(Arc::clone(handle));
             if level > 0 {
                 new.levels[level].sort_by(|a, b| a.table.smallest.user.cmp(&b.table.smallest.user));
             } else {
                 new.levels[0].sort_by_key(|f| f.number);
             }
         }
+        let (flushed_seq, wal_number) = edit.flushed.unwrap_or((self.flushed_seq, self.wal_number));
+        if let Err(e) = self.write_manifest(&new, last_seq, flushed_seq, wal_number) {
+            for (_, handle) in &edit.added {
+                handle.mark_obsolete();
+            }
+            return Err(e);
+        }
+        for file in removed {
+            file.mark_obsolete();
+        }
         self.current = Arc::new(new);
-        self.write_manifest(last_seq)?;
+        self.flushed_seq = flushed_seq;
+        self.wal_number = wal_number;
         Ok(self.current())
     }
 
-    /// Record a new live WAL number and persist it.
-    ///
-    /// # Errors
-    /// Propagates manifest-write failures.
-    pub fn set_wal_number(&mut self, wal: u64, last_seq: SeqNo) -> Result<()> {
-        self.wal_number = wal;
-        self.write_manifest(last_seq)
-    }
-
-    fn write_manifest(&mut self, last_seq: SeqNo) -> Result<()> {
-        self.manifest_number += 1;
-        let path = manifest_path(&self.dir, self.manifest_number);
+    /// Persist `version` and the counters as the next manifest and point
+    /// `CURRENT` at it; the manifest number advances only on success.
+    fn write_manifest(
+        &mut self,
+        version: &Version,
+        last_seq: SeqNo,
+        flushed_seq: SeqNo,
+        wal_number: u64,
+    ) -> Result<()> {
+        let number = self.manifest_number + 1;
+        let path = manifest_path(&self.dir, number);
         let mut body = Vec::new();
         body.extend_from_slice(&self.next_file.to_le_bytes());
         body.extend_from_slice(&last_seq.to_le_bytes());
-        body.extend_from_slice(&self.flushed_seq.to_le_bytes());
-        body.extend_from_slice(&self.wal_number.to_le_bytes());
-        body.extend_from_slice(&(self.current.levels.len() as u64).to_le_bytes());
-        for level in &self.current.levels {
+        body.extend_from_slice(&flushed_seq.to_le_bytes());
+        body.extend_from_slice(&wal_number.to_le_bytes());
+        body.extend_from_slice(&(version.levels.len() as u64).to_le_bytes());
+        for level in &version.levels {
             body.extend_from_slice(&(level.len() as u64).to_le_bytes());
             for f in level {
                 body.extend_from_slice(&f.number.to_le_bytes());
@@ -341,12 +357,13 @@ impl VersionSet {
         drop(file);
         // Atomically point CURRENT at the new manifest.
         let tmp = self.dir.join("CURRENT.tmp");
-        self.vfs.write(&tmp, format!("MANIFEST-{:012}\n", self.manifest_number).as_bytes())?;
+        self.vfs.write(&tmp, format!("MANIFEST-{number:012}\n").as_bytes())?;
         self.vfs.rename(&tmp, &self.dir.join("CURRENT"))?;
         // Best-effort cleanup of the previous manifest.
-        if self.manifest_number > 1 {
-            let _ = self.vfs.remove_file(&manifest_path(&self.dir, self.manifest_number - 1));
+        if self.manifest_number > 0 {
+            let _ = self.vfs.remove_file(&manifest_path(&self.dir, self.manifest_number));
         }
+        self.manifest_number = number;
         Ok(())
     }
 
@@ -394,7 +411,7 @@ mod tests {
         let t1 = make_table(&dir, n1, &["a", "b"]);
         let n2 = vs.allocate_file_number();
         let t2 = make_table(&dir, n2, &["c", "d"]);
-        let edit = VersionEdit { added: vec![(0, t1), (1, t2)], deleted: vec![] };
+        let edit = VersionEdit { added: vec![(0, t1), (1, t2)], ..VersionEdit::default() };
         vs.log_and_apply(edit, 42).unwrap();
 
         let rec = VersionSet::recover(&dir).unwrap();
@@ -413,10 +430,12 @@ mod tests {
         let n1 = vs.allocate_file_number();
         let t1 = make_table(&dir, n1, &["a"]);
         let path = t1.table.path().to_path_buf();
-        vs.log_and_apply(VersionEdit { added: vec![(0, t1)], deleted: vec![] }, 1).unwrap();
+        vs.log_and_apply(VersionEdit { added: vec![(0, t1)], ..VersionEdit::default() }, 1)
+            .unwrap();
         // Pin the old version like a reader would.
         let pinned = vs.current();
-        vs.log_and_apply(VersionEdit { added: vec![], deleted: vec![(0, n1)] }, 2).unwrap();
+        vs.log_and_apply(VersionEdit { deleted: vec![(0, n1)], ..VersionEdit::default() }, 2)
+            .unwrap();
         assert!(path.exists(), "pinned file must survive");
         drop(pinned);
         assert!(!path.exists(), "unpinned obsolete file must be deleted");
@@ -431,8 +450,11 @@ mod tests {
         let n2 = vs.allocate_file_number();
         let t1 = make_table(&dir, n1, &["a", "f"]);
         let t2 = make_table(&dir, n2, &["m", "z"]);
-        vs.log_and_apply(VersionEdit { added: vec![(1, t1), (2, t2)], deleted: vec![] }, 1)
-            .unwrap();
+        vs.log_and_apply(
+            VersionEdit { added: vec![(1, t1), (2, t2)], ..VersionEdit::default() },
+            1,
+        )
+        .unwrap();
         let v = vs.current();
         assert_eq!(v.overlapping(1, b"b", b"c").len(), 1);
         assert_eq!(v.overlapping(1, b"g", b"h").len(), 0);

@@ -169,11 +169,6 @@ impl Responder {
         self.inner.peer
     }
 
-    /// True for fire-and-forget requests whose reply is suppressed.
-    pub fn is_oneway(&self) -> bool {
-        self.inner.req_id == 0
-    }
-
     /// Complete the request. First reply wins; replies to one-way requests
     /// are accepted but never put on the wire.
     pub fn reply(&self, result: Result<Vec<u8>, String>) {

@@ -303,11 +303,6 @@ impl Network {
         Network { inner }
     }
 
-    /// A network with default intra-rack latency.
-    pub fn with_default_latency() -> Network {
-        Network::new(LatencyModel::default(), 0x1a_4b_da)
-    }
-
     /// Register `id`, returning its mailbox handle.
     ///
     /// # Panics

@@ -17,9 +17,7 @@ use rand::{Rng, SeedableRng};
 use lambda_coordinator::{CoordClient, CoordCmd, ShardId};
 use lambda_net::rpc::sync_handler;
 use lambda_net::{wire, Network, NodeId, RpcError, RpcNode};
-use lambda_objects::{
-    CacheStats, ConsistentCache, InvocationContext, InvokeError, ObjectId, TxCall,
-};
+use lambda_objects::{ConsistentCache, InvocationContext, InvokeError, ObjectId, TxCall};
 use lambda_vm::{Module, VmValue};
 
 use crate::placement::Placement;
@@ -421,11 +419,6 @@ impl StoreClient {
         for node in self.inner.placement.storage_nodes() {
             let _ = self.call(node, &req);
         }
-    }
-
-    /// Statistics of the edge cache, if enabled.
-    pub fn edge_cache_stats(&self) -> Option<CacheStats> {
-        self.inner.edge.get().map(|c| c.stats())
     }
 
     /// Route read-only invocations straight to the primary instead of

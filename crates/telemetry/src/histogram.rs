@@ -125,13 +125,6 @@ pub struct HistogramSnapshot {
     pub max_nanos: u64,
 }
 
-impl HistogramSnapshot {
-    /// Render nanoseconds as a human-friendly microsecond figure.
-    pub fn micros(nanos: u64) -> f64 {
-        nanos as f64 / 1_000.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
