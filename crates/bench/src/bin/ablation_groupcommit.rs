@@ -5,7 +5,8 @@
 //! where per-commit costs actually bite):
 //!
 //! * `off` — per-batch WAL append + fsync (the seed's behaviour);
-//! * `on` — leader/follower WAL group commit (the default).
+//! * `on` — WAL group commit: the leading thread appends every queued
+//!   batch under one fsync (the default).
 //!
 //! Replication is the same in both: per-shard windows coalescing committed
 //! write sets into `ReplicateBatch` rounds; the mean round size is
