@@ -18,7 +18,7 @@ use lambda_telemetry::{Counter, InvocationContext, Registry, Stage};
 use lambda_vm::{HostError, Interpreter, Limits, VmValue};
 
 use crate::cache::{CacheStats, ConsistentCache};
-use crate::error::{encode_error, InvokeError, Result};
+use crate::error::{decode_hook_error, encode_error, InvokeError, Result};
 use crate::host::{Boundary, NestedInvoker, ObjectHost};
 use crate::keys;
 use crate::object::{MethodMeta, MethodSet, ObjectId, ObjectType, TypeRegistry};
@@ -145,7 +145,7 @@ pub type InvokeCompletion = Box<dyn FnOnce(InvokeOutcome) + Send>;
 /// never parks: the hook starts the fan-out and runs each commit's `done`
 /// with that write set's outcome from whichever thread learns it (inline
 /// when there is nothing to wait for). A caller that must block parks on a
-/// channel of its own (`Engine::replicate_and_join`).
+/// channel of its own ([`ship_and_join`]).
 pub trait CommitHook: Send + Sync {
     /// Called after the local apply with one or more write sets — a single
     /// commit, a scatter's wave, a transaction's objects — so that an
@@ -317,8 +317,9 @@ thread_local! {
 }
 
 /// The one `WriteBatch` → [`WriteSetOps`] conversion: what a commit hook
-/// (and through it every backup) is handed for a committed batch.
-fn write_set_ops(batch: &WriteBatch) -> WriteSetOps {
+/// (and through it every backup) is handed for a committed batch, and what
+/// a raw write replicates.
+pub fn write_set_ops(batch: &WriteBatch) -> WriteSetOps {
     batch
         .iter()
         .map(|op| match op {
@@ -546,21 +547,6 @@ impl Engine {
         Some((hook, write_set_ops(batch)))
     }
 
-    /// Hand `sets`, already applied locally, to `hook` and park until each
-    /// has its outcome ([`ship_and_join`]), timed as `ctx`'s `replicate`
-    /// span.
-    fn replicate_and_join(
-        &self,
-        ctx: &InvocationContext,
-        hook: &dyn CommitHook,
-        sets: Vec<(ObjectId, WriteSetOps)>,
-    ) -> HookResult {
-        let start = Instant::now();
-        let replicated = ship_and_join(ctx, sets, |commits| hook.on_commit(commits));
-        self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
-        replicated
-    }
-
     /// Apply write sets produced on another node (the backup side of
     /// replication, or a state-transfer forward): all entries land in
     /// **one** storage batch — atomically and in commit order — bypassing
@@ -633,17 +619,37 @@ impl Engine {
         for (field, value) in fields {
             batch.put(keys::field_key(id, field.as_bytes()), value.to_vec());
         }
-        self.write_and_replicate(id, batch)
+        self.write_and_replicate(std::slice::from_ref(id), batch)?.map_err(decode_hook_error)
     }
 
-    /// Apply a lifecycle batch (create/delete) and replicate it, outside
-    /// any invocation.
-    fn write_and_replicate(&self, id: &ObjectId, batch: WriteBatch) -> Result<()> {
+    /// Apply `batch` outside any invocation — a create, a delete, a
+    /// transaction — and park until it is replicated: one write set per
+    /// object of `objects` that `batch` writes, handed to the hook in one
+    /// call so that they ship together ([`ship_and_join`]), timed as a
+    /// `replicate` span. The outer `Err` is the local write's failure, the
+    /// inner one replication's. Never called on a completion thread.
+    pub(crate) fn write_and_replicate(
+        &self,
+        objects: &[ObjectId],
+        batch: WriteBatch,
+    ) -> Result<HookResult> {
         let hooked = self.hooked(&batch);
         self.db.write(batch)?;
-        let Some((hook, ops)) = hooked else { return Ok(()) };
-        self.replicate_and_join(&InvocationContext::background(), &*hook, vec![(id.clone(), ops)])
-            .map_err(crate::error::decode_hook_error)
+        let Some((hook, ops)) = hooked else { return Ok(Ok(())) };
+        let sets = objects
+            .iter()
+            .filter_map(|object| {
+                let prefix = keys::object_prefix(object);
+                let own: WriteSetOps =
+                    ops.iter().filter(|(key, _)| key.starts_with(&prefix)).cloned().collect();
+                (!own.is_empty()).then(|| (object.clone(), own))
+            })
+            .collect();
+        let ctx = InvocationContext::background();
+        let start = Instant::now();
+        let replicated = ship_and_join(&ctx, sets, |commits| hook.on_commit(commits));
+        self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
+        Ok(replicated)
     }
 
     /// True when `id` exists on this node.
@@ -682,11 +688,15 @@ impl Engine {
         for (key, _) in self.db.scan_prefix(&prefix) {
             batch.delete(key);
         }
-        let deleted = if batch.is_empty() { Ok(()) } else { self.write_and_replicate(id, batch) };
+        let deleted = if batch.is_empty() {
+            Ok(Ok(()))
+        } else {
+            self.write_and_replicate(std::slice::from_ref(id), batch)
+        };
         // Whether or not replication acked, the local copy may be gone.
         self.cache.invalidate_object(id);
         self.forget_dedup_window(id);
-        deleted
+        deleted?.map_err(decode_hook_error)
     }
 
     /// Enumerate every object stored on this node (admin/rebalancing use;
@@ -939,19 +949,12 @@ impl Engine {
         // first delivery's commit is fully visible here.
         let dedup = ticket.is_some();
         if dedup {
-            match self.db.get(&keys::dedup_key(&object, ctx.invocation_id)) {
-                Ok(rec) => {
-                    if let Some(result) = rec.as_deref().and_then(decode_dedup_record) {
-                        self.duplicates_suppressed.incr();
-                        self.invocations.incr();
-                        drop(guard);
-                        return Executed::done(ticket, Ok((result, None)));
-                    }
+            if let Some(replayed) = self.replayed(&object, ctx.invocation_id).transpose() {
+                drop(guard);
+                if replayed.is_ok() {
+                    self.invocations.incr();
                 }
-                Err(e) => {
-                    drop(guard);
-                    return Executed::done(ticket, Err(e.into()));
-                }
+                return Executed::done(ticket, replayed.map(|result| (result, None)));
             }
         }
 
@@ -970,15 +973,7 @@ impl Engine {
         // Execute span: the method body proper (nested calls and their
         // commits run inside it; their own spans break that down).
         let exec_start = Instant::now();
-        let outcome: Result<VmValue> = match &ty.methods {
-            MethodSet::Bytecode(module) => self
-                .interpreter
-                .execute(module, &method, args.clone(), &mut host)
-                .map_err(InvokeError::from),
-            MethodSet::Native(reg) => {
-                reg.invoke(&method, args.clone(), &mut host).map_err(InvokeError::from)
-            }
-        };
+        let outcome = self.run_body(&ty, &method, args.clone(), &mut host);
         self.registry.record_span(ctx.trace_id, Stage::Execute, exec_start.elapsed());
         self.nested_calls.add(host.nested_calls);
 
@@ -1032,6 +1027,23 @@ impl Engine {
         }
         drop(guard);
         Executed::done(ticket, Ok((value, read_set)))
+    }
+
+    /// Run `method`'s body on `host`: bytecode through the metered VM,
+    /// native code directly.
+    pub(crate) fn run_body(
+        &self,
+        ty: &ObjectType,
+        method: &str,
+        args: Vec<VmValue>,
+        host: &mut ObjectHost<'_>,
+    ) -> Result<VmValue> {
+        match &ty.methods {
+            MethodSet::Bytecode(module) => {
+                self.interpreter.execute(module, method, args, host).map_err(InvokeError::from)
+            }
+            MethodSet::Native(reg) => reg.invoke(method, args, host).map_err(InvokeError::from),
+        }
     }
 
     /// Step 4: a mutating invocation's write set has committed (or failed
@@ -1202,9 +1214,9 @@ impl Engine {
     /// The local write is applied: invalidate what it touched — whether or
     /// not replication acked, resident results over those keys are stale —
     /// and count the commit once its replication outcome is in.
-    fn finish_commit(&self, touched: &[Vec<u8>], replicated: HookResult) -> Result<()> {
+    pub(crate) fn finish_commit(&self, touched: &[Vec<u8>], replicated: HookResult) -> Result<()> {
         self.cache.invalidate_keys(touched.iter().map(Vec::as_slice));
-        replicated.map_err(crate::error::decode_hook_error)?;
+        replicated.map_err(decode_hook_error)?;
         self.commits.incr();
         Ok(())
     }
@@ -1219,7 +1231,7 @@ impl Engine {
     /// would walk one tombstone per record ever retired — O(the object's
     /// whole mutation history) per write until compaction catches up,
     /// which decays hot-object throughput the longer it stays hot.
-    fn append_dedup_record(
+    pub(crate) fn append_dedup_record(
         &self,
         object: &ObjectId,
         invocation_id: u64,
@@ -1270,38 +1282,21 @@ impl Engine {
         self.dedup_windows.lock().remove(id);
     }
 
-    /// The interpreter (shared with the transaction extension).
-    pub(crate) fn interpreter_ref(&self) -> &Interpreter {
-        &self.interpreter
-    }
-
-    /// Commit a multi-object transaction batch: apply atomically, hand
-    /// every touched object's write set to the replication hook in one
-    /// call (so they ship together), park until each is acked, invalidate
-    /// caches. Runs on the transaction's thread, never a completion one.
-    pub(crate) fn commit_transaction_batch(
+    /// The recorded result of `object`'s invocation `invocation_id` while
+    /// its dedup record is in the window: a re-delivery, answered without
+    /// re-executing. Read under the object's guard, so the first delivery's
+    /// commit is fully visible.
+    pub(crate) fn replayed(
         &self,
-        objects: &[ObjectId],
-        batch: WriteBatch,
-        touched: &[Vec<u8>],
-    ) -> Result<()> {
-        let hooked = self.hooked(&batch);
-        self.db.write(batch)?;
-        let replicated = hooked.map_or(Ok(()), |(hook, ops)| {
-            let sets = objects
-                .iter()
-                .filter_map(|object| {
-                    let own: WriteSetOps = ops
-                        .iter()
-                        .filter(|(key, _)| keys::split_key(key).is_some_and(|(o, _)| &o == object))
-                        .cloned()
-                        .collect();
-                    (!own.is_empty()).then(|| (object.clone(), own))
-                })
-                .collect();
-            self.replicate_and_join(&InvocationContext::background(), &*hook, sets)
-        });
-        self.finish_commit(touched, replicated)
+        object: &ObjectId,
+        invocation_id: u64,
+    ) -> Result<Option<VmValue>> {
+        let record = self.db.get(&keys::dedup_key(object, invocation_id))?;
+        let result = record.as_deref().and_then(decode_dedup_record);
+        if result.is_some() {
+            self.duplicates_suppressed.incr();
+        }
+        Ok(result)
     }
 
     /// Counter snapshot (a view over the telemetry registry's `eng_*` and

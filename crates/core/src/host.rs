@@ -164,7 +164,13 @@ impl<'a> ObjectHost<'a> {
     ) -> Result<Vec<VmValue>, HostError> {
         self.ensure_writable()?;
         let Some(nested) = self.nested else {
-            return Err(HostError::InvokeFailed("no nested invoker configured".into()));
+            // A transaction's calls run without one: the call would escape
+            // the transaction's lock set.
+            return Err(HostError::InvokeFailed(
+                "nested invocations are not available here; inside a transaction, \
+                 list the call in the transaction instead"
+                    .into(),
+            ));
         };
         self.nested_calls += targets.len() as u64;
         let boundary = Boundary {

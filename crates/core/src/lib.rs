@@ -24,8 +24,12 @@
 //!   invalidated eagerly on overlapping commits and re-validated lazily by
 //!   value hash.
 //! * **Microshards** (§4.2): every object owns a dedicated key prefix and
-//!   can be [exported / imported / evicted](migration) wholesale without
+//!   can be [exported, installed and purged](migration) wholesale without
 //!   touching other objects.
+//! * **One host** ([`ObjectHost`]): every local caller of an object's
+//!   storage operations — an invocation, each call of a
+//!   [transaction](transaction), the raw storage API — runs them on the
+//!   same implementation.
 //!
 //! # Example
 //!
@@ -79,8 +83,8 @@ pub mod transaction;
 pub use buffer::{value_hash, WriteBuffer};
 pub use cache::{args_hash, CacheStats, ConsistentCache};
 pub use engine::{
-    ship_and_join, CommitCallback, CommitHook, DeferredCommit, Engine, EngineConfig, EngineStats,
-    InvokeCompletion, InvokeOutcome, InvokeRouter, ReadSet, WriteSetOps, DEDUP_WINDOW,
+    ship_and_join, write_set_ops, CommitCallback, CommitHook, DeferredCommit, Engine, EngineConfig,
+    EngineStats, InvokeCompletion, InvokeOutcome, InvokeRouter, ReadSet, WriteSetOps, DEDUP_WINDOW,
 };
 pub use error::{decode_error, encode_error, InvokeError, Result};
 pub use host::{Boundary, NestedInvoker, ObjectHost};

@@ -1,10 +1,12 @@
-//! Microshard migration: exporting, importing and moving whole objects.
+//! Microshard migration: exporting, installing and purging whole objects.
 //!
 //! §4.2: "objects are microshards. Because their content is self-contained,
 //! they can be migrated by themselves without causing disruption to
 //! computation involving other objects." An export takes the object's
-//! exclusive lock (so no mutating invocation is in flight), snapshots its
-//! whole key prefix, and the import applies it as one atomic batch.
+//! exclusive lock (so no mutating invocation is in flight) and snapshots its
+//! whole key prefix; an install replaces whatever copy the destination holds
+//! with it in one atomic batch; a purge is the install of an empty snapshot.
+//! A move is export → install at the destination → purge at the source.
 
 use serde::{Deserialize, Serialize};
 
@@ -38,40 +40,7 @@ impl Engine {
     /// # Errors
     /// [`InvokeError::UnknownObject`] when absent; storage failures.
     pub fn export_object(&self, id: &ObjectId) -> Result<ObjectSnapshot> {
-        let _guard = self.scheduler().acquire_exclusive(id);
-        if !self.object_exists(id) {
-            return Err(InvokeError::UnknownObject(id.to_string()));
-        }
-        let prefix = keys::object_prefix(id);
-        let mut entries = Vec::new();
-        for (key, value) in self.db().scan_prefix(&prefix) {
-            let (owner, suffix) = keys::split_key(&key)
-                .ok_or_else(|| InvokeError::Storage("malformed object key".into()))?;
-            debug_assert_eq!(&owner, id);
-            entries.push((suffix, value));
-        }
-        Ok(ObjectSnapshot { id: id.clone(), entries })
-    }
-
-    /// Import a snapshot, atomically materializing the object here.
-    ///
-    /// # Errors
-    /// [`InvokeError::AlreadyExists`] when an object with this id already
-    /// lives here; storage failures.
-    pub fn import_object(&self, snapshot: &ObjectSnapshot) -> Result<()> {
-        let _guard = self.scheduler().acquire_exclusive(&snapshot.id);
-        if self.object_exists(&snapshot.id) {
-            return Err(InvokeError::AlreadyExists(snapshot.id.to_string()));
-        }
-        let mut batch = WriteBatch::new();
-        for (suffix, value) in &snapshot.entries {
-            batch.put(keys::join_key(&snapshot.id, suffix), value.clone());
-        }
-        self.db().write(batch)?;
-        // Any cached results for a previous tenant of this id are invalid.
-        self.cache().invalidate_object(&snapshot.id);
-        self.forget_dedup_window(&snapshot.id);
-        Ok(())
+        self.export_object_with(id, ObjectSnapshot::clone)
     }
 
     /// Export `id` and, while still holding its exclusive lock, hand the
@@ -102,10 +71,10 @@ impl Engine {
         Ok(f(&ObjectSnapshot { id: id.clone(), entries }))
     }
 
-    /// Import a snapshot, replacing any existing copy of the object in one
-    /// atomic batch. The receiving half of shard state transfer, where a
-    /// stale local copy (crash-restart rejoin) must be superseded rather
-    /// than refused.
+    /// Install a snapshot, replacing any existing copy of the object in one
+    /// atomic batch: the receiving half of a migration or of shard state
+    /// transfer, where a stale local copy (crash-restart rejoin) must be
+    /// superseded rather than refused.
     ///
     /// # Errors
     /// Storage failures.
@@ -120,52 +89,20 @@ impl Engine {
             batch.put(keys::join_key(&snapshot.id, suffix), value.clone());
         }
         self.db().write(batch)?;
+        // Any cached results for a previous tenant of this id are invalid.
         self.cache().invalidate_object(&snapshot.id);
         self.forget_dedup_window(&snapshot.id);
         Ok(())
     }
 
-    /// Delete every local key of `id` without exporting it. Used when a
-    /// syncing backup wipes stale shard residue before state transfer.
+    /// Delete every local key of `id` — the install of an empty snapshot.
+    /// Used when a migration's source drops its copy, and when a syncing
+    /// backup wipes stale shard residue before state transfer.
     ///
     /// # Errors
-    /// Storage failures. Deleting an absent object is a no-op.
+    /// Storage failures. Purging an absent object is a no-op.
     pub fn purge_object(&self, id: &ObjectId) -> Result<()> {
-        let _guard = self.scheduler().acquire_exclusive(id);
-        let prefix = keys::object_prefix(id);
-        let mut batch = WriteBatch::new();
-        for (key, _) in self.db().scan_prefix(&prefix) {
-            batch.delete(key);
-        }
-        self.db().write(batch)?;
-        self.cache().invalidate_object(id);
-        self.forget_dedup_window(id);
-        Ok(())
-    }
-
-    /// Export + delete: the source half of a migration. The snapshot is
-    /// taken and the object removed under one exclusive lock acquisition,
-    /// so no invocation can slip in between (the migration cut-over).
-    ///
-    /// # Errors
-    /// Same as [`export_object`](Engine::export_object).
-    pub fn evict_object(&self, id: &ObjectId) -> Result<ObjectSnapshot> {
-        let _guard = self.scheduler().acquire_exclusive(id);
-        if !self.object_exists(id) {
-            return Err(InvokeError::UnknownObject(id.to_string()));
-        }
-        let prefix = keys::object_prefix(id);
-        let mut entries = Vec::new();
-        let mut batch = WriteBatch::new();
-        for (key, value) in self.db().scan_prefix(&prefix) {
-            let (_, suffix) = keys::split_key(&key)
-                .ok_or_else(|| InvokeError::Storage("malformed object key".into()))?;
-            entries.push((suffix, value));
-            batch.delete(key);
-        }
-        self.db().write(batch)?;
-        self.cache().invalidate_object(id);
-        Ok(ObjectSnapshot { id: id.clone(), entries })
+        self.install_object_replacing(&ObjectSnapshot { id: id.clone(), entries: Vec::new() })
     }
 }
 
@@ -230,7 +167,7 @@ mod tests {
         }
         let snapshot = src.export_object(&id).unwrap();
         assert!(snapshot.payload_bytes() > 0);
-        dst.import_object(&snapshot).unwrap();
+        dst.install_object_replacing(&snapshot).unwrap();
         // Full behaviour carried over: newest-first scan works on dst.
         let v = dst.invoke(&id, "read", vec![VmValue::Int(10)]).unwrap();
         match v {
@@ -250,16 +187,6 @@ mod tests {
     fn export_missing_object_fails() {
         let (engine, dir) = new_engine();
         assert!(matches!(engine.export_object(&oid("ghost")), Err(InvokeError::UnknownObject(_))));
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn import_refuses_to_overwrite() {
-        let (engine, dir) = new_engine();
-        let id = oid("user/a");
-        engine.create_object("User", &id, &[]).unwrap();
-        let snap = engine.export_object(&id).unwrap();
-        assert!(matches!(engine.import_object(&snap), Err(InvokeError::AlreadyExists(_))));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -294,6 +221,8 @@ mod tests {
         engine.invoke(&id, "add_post", vec![VmValue::str("p")]).unwrap();
         let n = engine.export_object_with(&id, |snap| snap.entries.len()).unwrap();
         assert!(n >= 3);
+        let snap = engine.export_object(&id).unwrap();
+        assert_eq!(snap.entries.len(), n, "meta + entry + counter + version");
         engine.purge_object(&id).unwrap();
         assert!(!engine.object_exists(&id));
         // Purging an absent object is a no-op, not an error.
@@ -302,21 +231,10 @@ mod tests {
             engine.export_object_with(&id, |_| ()),
             Err(InvokeError::UnknownObject(_))
         ));
-        std::fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn evict_removes_source_copy() {
-        let (engine, dir) = new_engine();
-        let id = oid("user/a");
-        engine.create_object("User", &id, &[]).unwrap();
-        engine.invoke(&id, "add_post", vec![VmValue::str("p")]).unwrap();
-        let snap = engine.evict_object(&id).unwrap();
-        assert!(!engine.object_exists(&id));
-        assert!(snap.entries.len() >= 3, "meta + entry + counter + version");
-        // Can re-import (a migration "bounce").
-        engine.import_object(&snap).unwrap();
-        assert!(engine.object_exists(&id));
+        // The purged copy can be installed again (a migration "bounce").
+        engine.install_object_replacing(&snap).unwrap();
+        let read = engine.invoke(&id, "read", vec![VmValue::Int(1)]).unwrap();
+        assert_eq!(read, VmValue::List(vec![VmValue::str("p")]));
         std::fs::remove_dir_all(dir).ok();
     }
 }

@@ -10,18 +10,33 @@
 //! global order — deadlock-free), one shared write buffer (each call sees
 //! the previous calls' uncommitted writes), and a single atomic commit.
 //!
+//! Each call runs on an [`ObjectHost`] — the one implementation of an
+//! object's storage operations — without a nested invoker: a call cannot
+//! escape the declared lock set through `host.invoke`. The host borrows the
+//! transaction-wide buffer for the call and hands it back. The commit goes
+//! through the engine's one write-and-replicate path, one write set per
+//! touched object, all shipped together.
+//!
+//! A transaction carrying an invocation id is remembered like an external
+//! mutation: the list of its call results is a dedup record in the first
+//! call's object, committed in the transaction's own batch, so a
+//! re-delivery (the client retrying after a lost reply) is answered from it
+//! instead of running twice.
+//!
 //! Scope: the transaction's objects must live on the same node (LambdaStore
 //! restricts transactions to objects co-located at one primary; cross-shard
 //! transactions would need two-phase commit on top, which the paper leaves
 //! open as well).
 
-use lambda_vm::{Host, HostError, VmValue};
+use lambda_telemetry::InvocationContext;
+use lambda_vm::VmValue;
 
 use crate::buffer::WriteBuffer;
 use crate::engine::Engine;
-use crate::error::{InvokeError, Result};
+use crate::error::Result;
+use crate::host::ObjectHost;
 use crate::keys;
-use crate::object::{MethodSet, ObjectId};
+use crate::object::ObjectId;
 
 /// One call inside a transaction.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -41,118 +56,6 @@ impl TxCall {
     }
 }
 
-/// The [`Host`] for one call within a transaction: reads and writes go
-/// through the transaction-wide buffer, so later calls observe earlier
-/// calls' effects; nothing reaches storage until the single commit.
-struct TxHost<'a> {
-    db: &'a lambda_kv::Db,
-    snapshot_seq: u64,
-    object: ObjectId,
-    buffer: &'a mut WriteBuffer,
-    read_only: bool,
-    logs: Vec<String>,
-}
-
-impl TxHost<'_> {
-    fn read_key(&mut self, full_key: &[u8]) -> std::result::Result<Option<Vec<u8>>, HostError> {
-        if let Some(buffered) = self.buffer.get(full_key) {
-            return Ok(buffered);
-        }
-        self.db.get_at(full_key, self.snapshot_seq).map_err(|e| HostError::Storage(e.to_string()))
-    }
-
-    fn ensure_writable(&self) -> std::result::Result<(), HostError> {
-        if self.read_only {
-            Err(HostError::ReadOnlyViolation)
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl Host for TxHost<'_> {
-    fn get(&mut self, key: &[u8]) -> std::result::Result<Option<Vec<u8>>, HostError> {
-        let full = keys::field_key(&self.object, key);
-        self.read_key(&full)
-    }
-
-    fn put(&mut self, key: &[u8], value: &[u8]) -> std::result::Result<(), HostError> {
-        self.ensure_writable()?;
-        self.buffer.put(keys::field_key(&self.object, key), value.to_vec());
-        Ok(())
-    }
-
-    fn delete(&mut self, key: &[u8]) -> std::result::Result<(), HostError> {
-        self.ensure_writable()?;
-        self.buffer.delete(keys::field_key(&self.object, key));
-        Ok(())
-    }
-
-    fn push(&mut self, field: &[u8], value: &[u8]) -> std::result::Result<(), HostError> {
-        self.ensure_writable()?;
-        let ckey = keys::counter_key(&self.object, field);
-        let len = keys::decode_counter(self.read_key(&ckey)?.as_deref());
-        self.buffer.put(keys::entry_key(&self.object, field, len), value.to_vec());
-        self.buffer.put(ckey, keys::encode_counter(len + 1));
-        Ok(())
-    }
-
-    fn scan(
-        &mut self,
-        field: &[u8],
-        limit: usize,
-        newest_first: bool,
-    ) -> std::result::Result<Vec<Vec<u8>>, HostError> {
-        let ckey = keys::counter_key(&self.object, field);
-        let len = keys::decode_counter(self.read_key(&ckey)?.as_deref());
-        let take = (limit as u64).min(len);
-        let mut out = Vec::with_capacity(take as usize);
-        let indices: Vec<u64> =
-            if newest_first { ((len - take)..len).rev().collect() } else { (0..take).collect() };
-        for i in indices {
-            if let Some(v) = self.read_key(&keys::entry_key(&self.object, field, i))? {
-                out.push(v);
-            }
-        }
-        Ok(out)
-    }
-
-    fn count(&mut self, field: &[u8]) -> std::result::Result<u64, HostError> {
-        let ckey = keys::counter_key(&self.object, field);
-        Ok(keys::decode_counter(self.read_key(&ckey)?.as_deref()))
-    }
-
-    fn invoke(
-        &mut self,
-        _object: &[u8],
-        _method: &str,
-        _args: Vec<VmValue>,
-    ) -> std::result::Result<VmValue, HostError> {
-        // Within a transaction every call is already in the atomic scope;
-        // dynamic nested invocation would escape the declared lock set.
-        Err(HostError::InvokeFailed(
-            "nested invocations are not allowed inside a transaction; \
-             list the call in the transaction instead"
-                .into(),
-        ))
-    }
-
-    fn self_id(&self) -> Vec<u8> {
-        self.object.0.clone()
-    }
-
-    fn now_millis(&mut self) -> i64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_millis() as i64)
-            .unwrap_or(0)
-    }
-
-    fn log(&mut self, msg: &str) {
-        self.logs.push(msg.to_string());
-    }
-}
-
 impl Engine {
     /// Execute `calls` as one serializable transaction: either every call
     /// commits (atomically, as one batch) or none do.
@@ -162,15 +65,21 @@ impl Engine {
     /// strict 2PL with a global lock order, so transactions never
     /// deadlock against each other.
     ///
+    /// `ctx.invocation_id` (0 = none) deduplicates re-deliveries: one that
+    /// arrives after the transaction committed gets the recorded results.
+    ///
     /// # Errors
     /// The first failing call aborts the whole transaction
-    /// ([`InvokeError::Aborted`] for voluntary aborts, [`InvokeError::Vm`]
-    /// for traps, ...); every object must exist and every method must be
-    /// public. Nested `host.invoke` inside a transaction fails the call.
-    pub fn invoke_transaction(&self, calls: &[TxCall]) -> Result<Vec<VmValue>> {
-        if calls.is_empty() {
-            return Ok(Vec::new());
-        }
+    /// ([`InvokeError::Aborted`](crate::InvokeError::Aborted) for voluntary
+    /// aborts, [`InvokeError::Vm`](crate::InvokeError::Vm) for traps, ...);
+    /// every object must exist and every method must be public. Nested
+    /// `host.invoke` inside a transaction fails the call.
+    pub fn invoke_transaction(
+        &self,
+        ctx: &InvocationContext,
+        calls: &[TxCall],
+    ) -> Result<Vec<VmValue>> {
+        let Some(first) = calls.first() else { return Ok(Vec::new()) };
         // Resolve types first (also validates object existence).
         let mut resolved = Vec::with_capacity(calls.len());
         for call in calls {
@@ -184,50 +93,53 @@ impl Engine {
         let _guards: Vec<_> =
             objects.iter().map(|o| self.scheduler().acquire_exclusive(o)).collect();
 
-        // One snapshot + one buffer for the whole transaction.
-        let snapshot_seq = self.db().last_sequence();
-        let mut buffer = WriteBuffer::new(false);
-        let mut results = Vec::with_capacity(calls.len());
-        for (call, (ty, meta)) in calls.iter().zip(&resolved) {
-            let mut host = TxHost {
-                db: self.db(),
-                snapshot_seq,
-                object: call.object.clone(),
-                buffer: &mut buffer,
-                read_only: meta.read_only,
-                logs: Vec::new(),
-            };
-            let outcome = match &ty.methods {
-                MethodSet::Bytecode(module) => self
-                    .interpreter_ref()
-                    .execute(module, &call.method, call.args.clone(), &mut host)
-                    .map_err(InvokeError::from),
-                MethodSet::Native(reg) => reg
-                    .invoke(&call.method, call.args.clone(), &mut host)
-                    .map_err(InvokeError::from),
-            };
-            match outcome {
-                Ok(v) => results.push(v),
-                Err(e) => {
-                    buffer.discard();
-                    return Err(e); // guards drop → locks release
-                }
+        let dedup = ctx.invocation_id != 0;
+        if dedup {
+            if let Some(VmValue::List(results)) = self.replayed(&first.object, ctx.invocation_id)? {
+                return Ok(results);
             }
         }
 
-        // Single atomic commit covering every touched object.
-        if !buffer.is_clean() {
-            let mut touched = buffer.written_keys();
-            let mut batch = buffer.take_batch();
-            for object in &objects {
-                let wrote =
-                    touched.iter().any(|k| keys::split_key(k).is_some_and(|(o, _)| &o == object));
-                if wrote {
-                    touched.push(self.bump_version(object, &mut batch));
-                }
-            }
-            self.commit_transaction_batch(&objects, batch, &touched)?;
+        // One snapshot + one buffer for the whole transaction.
+        let snapshot_seq = self.db().last_sequence();
+        let mut buffer = WriteBuffer::default();
+        let mut results = Vec::with_capacity(calls.len());
+        for (call, (ty, meta)) in calls.iter().zip(&resolved) {
+            let mut host = ObjectHost::new(
+                self.db(),
+                call.object.clone(),
+                snapshot_seq,
+                meta.read_only,
+                false,
+                None,
+                0,
+                None,
+            );
+            host.buffer = std::mem::take(&mut buffer);
+            let outcome = self.run_body(ty, &call.method, call.args.clone(), &mut host);
+            buffer = std::mem::take(&mut host.buffer);
+            // On error the buffer drops unapplied and the guards release.
+            results.push(outcome?);
         }
+        if buffer.is_clean() {
+            return Ok(results);
+        }
+
+        // Single atomic commit covering every touched object.
+        let mut touched = buffer.written_keys();
+        let mut batch = buffer.take_batch();
+        if dedup {
+            let record = VmValue::List(results.clone());
+            self.append_dedup_record(&first.object, ctx.invocation_id, &record, &mut batch);
+        }
+        for object in &objects {
+            let prefix = keys::object_prefix(object);
+            if batch.iter().any(|op| op.key().starts_with(&prefix)) {
+                touched.push(self.bump_version(object, &mut batch));
+            }
+        }
+        let replicated = self.write_and_replicate(&objects, batch)?;
+        self.finish_commit(&touched, replicated)?;
         Ok(results)
     }
 }
@@ -236,11 +148,13 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::error::InvokeError;
     use crate::object::{FieldDef, FieldKind, ObjectType, TypeRegistry};
     use lambda_kv::{Db, Options};
     use lambda_vm::assemble;
     use std::sync::atomic::{AtomicU32, Ordering};
     use std::sync::Arc;
+    use std::time::Duration;
 
     fn new_engine() -> (Arc<Engine>, std::path::PathBuf) {
         static COUNTER: AtomicU32 = AtomicU32::new(0);
@@ -301,13 +215,34 @@ mod tests {
                 host.invoke
                 ret
             }
+            fn note(1) {
+                push.s "history"
+                load 0
+                host.push
+                ret
+            }
+            fn history(1) ro det {
+                push.s "history"
+                push.i 100
+                load 0
+                host.scan
+                ret
+            }
+            fn notes(0) ro det {
+                push.s "history"
+                host.count
+                ret
+            }
             "#,
         )
         .unwrap();
         types.register(
             ObjectType::from_module(
                 "Account",
-                vec![FieldDef { name: "balance".into(), kind: FieldKind::Scalar }],
+                vec![
+                    FieldDef { name: "balance".into(), kind: FieldKind::Scalar },
+                    FieldDef { name: "history".into(), kind: FieldKind::Collection },
+                ],
                 module,
             )
             .unwrap(),
@@ -327,10 +262,13 @@ mod tests {
         engine.invoke(&oid("a"), "add", vec![VmValue::Int(100)]).unwrap();
 
         let results = engine
-            .invoke_transaction(&[
-                TxCall::new(oid("a"), "sub_checked", vec![VmValue::Int(30)]),
-                TxCall::new(oid("b"), "add", vec![VmValue::Int(30)]),
-            ])
+            .invoke_transaction(
+                &InvocationContext::background(),
+                &[
+                    TxCall::new(oid("a"), "sub_checked", vec![VmValue::Int(30)]),
+                    TxCall::new(oid("b"), "add", vec![VmValue::Int(30)]),
+                ],
+            )
             .unwrap();
         assert_eq!(results.len(), 2);
         assert_eq!(engine.invoke(&oid("a"), "balance", vec![]).unwrap(), VmValue::Int(70));
@@ -349,10 +287,13 @@ mod tests {
 
         // Second call overdraws: the first call's write must roll back too.
         let err = engine
-            .invoke_transaction(&[
-                TxCall::new(oid("b"), "add", vec![VmValue::Int(500)]),
-                TxCall::new(oid("a"), "sub_checked", vec![VmValue::Int(999)]),
-            ])
+            .invoke_transaction(
+                &InvocationContext::background(),
+                &[
+                    TxCall::new(oid("b"), "add", vec![VmValue::Int(500)]),
+                    TxCall::new(oid("a"), "sub_checked", vec![VmValue::Int(999)]),
+                ],
+            )
             .unwrap_err();
         assert!(matches!(err, InvokeError::Aborted(_)), "{err}");
         assert_eq!(engine.invoke(&oid("a"), "balance", vec![]).unwrap(), VmValue::Int(10));
@@ -365,13 +306,72 @@ mod tests {
         let (engine, dir) = new_engine();
         engine.create_object("Account", &oid("a"), &[]).unwrap();
         let results = engine
-            .invoke_transaction(&[
-                TxCall::new(oid("a"), "add", vec![VmValue::Int(5)]),
-                TxCall::new(oid("a"), "add", vec![VmValue::Int(7)]),
-                TxCall::new(oid("a"), "balance", vec![]),
-            ])
+            .invoke_transaction(
+                &InvocationContext::background(),
+                &[
+                    TxCall::new(oid("a"), "add", vec![VmValue::Int(5)]),
+                    TxCall::new(oid("a"), "add", vec![VmValue::Int(7)]),
+                    TxCall::new(oid("a"), "balance", vec![]),
+                ],
+            )
             .unwrap();
         assert_eq!(results[2], VmValue::Int(12), "read-your-writes inside the tx");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn collections_inside_a_transaction_see_the_earlier_calls_pushes() {
+        let (engine, dir) = new_engine();
+        engine.create_object("Account", &oid("a"), &[]).unwrap();
+        engine.invoke(&oid("a"), "note", vec![VmValue::str("committed")]).unwrap();
+        let results = engine
+            .invoke_transaction(
+                &InvocationContext::background(),
+                &[
+                    TxCall::new(oid("a"), "note", vec![VmValue::str("first")]),
+                    TxCall::new(oid("a"), "note", vec![VmValue::str("second")]),
+                    TxCall::new(oid("a"), "notes", vec![]),
+                    TxCall::new(oid("a"), "history", vec![VmValue::Int(1)]),
+                    TxCall::new(oid("a"), "history", vec![VmValue::Int(0)]),
+                ],
+            )
+            .unwrap();
+        let list = |items: &[&str]| VmValue::List(items.iter().map(|s| VmValue::str(*s)).collect());
+        assert_eq!(results[2], VmValue::Int(3), "count sees the buffered pushes");
+        assert_eq!(results[3], list(&["second", "first", "committed"]), "newest first");
+        assert_eq!(results[4], list(&["committed", "first", "second"]), "oldest first");
+        // Committed as written: a later invocation reads the same collection.
+        assert_eq!(engine.invoke(&oid("a"), "history", vec![VmValue::Int(1)]).unwrap(), results[3]);
+        assert_eq!(engine.invoke(&oid("a"), "notes", vec![]).unwrap(), VmValue::Int(3));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_redelivered_transaction_moves_the_money_once() {
+        let (engine, dir) = new_engine();
+        engine.create_object("Account", &oid("a"), &[]).unwrap();
+        engine.create_object("Account", &oid("b"), &[]).unwrap();
+        engine.invoke(&oid("a"), "add", vec![VmValue::Int(100)]).unwrap();
+        let transfer = [
+            TxCall::new(oid("a"), "sub_checked", vec![VmValue::Int(30)]),
+            TxCall::new(oid("b"), "add", vec![VmValue::Int(30)]),
+        ];
+        let balances = || {
+            let of = |o: &str| engine.invoke(&oid(o), "balance", vec![]).unwrap();
+            (of("a"), of("b"))
+        };
+        let ctx = InvocationContext::client(Duration::from_secs(60));
+        let first = engine.invoke_transaction(&ctx, &transfer).unwrap();
+        // The reply is lost and the client re-sends under the same id.
+        let again = engine.invoke_transaction(&ctx, &transfer).unwrap();
+        assert_eq!(again, first, "answered with the recorded results");
+        assert_eq!(balances(), (VmValue::Int(70), VmValue::Int(30)), "the money moved once");
+        assert_eq!(engine.stats().duplicates_suppressed, 1);
+        // Another id is another transfer; id 0 is never deduplicated.
+        let other = InvocationContext::client(Duration::from_secs(60));
+        engine.invoke_transaction(&other, &transfer).unwrap();
+        engine.invoke_transaction(&InvocationContext::background(), &transfer).unwrap();
+        assert_eq!(balances(), (VmValue::Int(10), VmValue::Int(90)));
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -381,7 +381,10 @@ mod tests {
         engine.create_object("Account", &oid("a"), &[]).unwrap();
         engine.create_object("Account", &oid("b"), &[]).unwrap();
         let err = engine
-            .invoke_transaction(&[TxCall::new(oid("a"), "sneaky_invoke", vec![VmValue::str("b")])])
+            .invoke_transaction(
+                &InvocationContext::background(),
+                &[TxCall::new(oid("a"), "sneaky_invoke", vec![VmValue::str("b")])],
+            )
             .unwrap_err();
         assert!(matches!(err, InvokeError::Nested(_)), "{err}");
         std::fs::remove_dir_all(dir).ok();
@@ -392,10 +395,13 @@ mod tests {
         let (engine, dir) = new_engine();
         engine.create_object("Account", &oid("a"), &[]).unwrap();
         assert!(matches!(
-            engine.invoke_transaction(&[
-                TxCall::new(oid("a"), "add", vec![VmValue::Int(1)]),
-                TxCall::new(oid("ghost"), "add", vec![VmValue::Int(1)]),
-            ]),
+            engine.invoke_transaction(
+                &InvocationContext::background(),
+                &[
+                    TxCall::new(oid("a"), "add", vec![VmValue::Int(1)]),
+                    TxCall::new(oid("ghost"), "add", vec![VmValue::Int(1)]),
+                ]
+            ),
             Err(InvokeError::UnknownObject(_))
         ));
         // The first call must not have executed.
@@ -421,10 +427,13 @@ mod tests {
                     for k in 0..20 {
                         let from = oid(&format!("acct{t}"));
                         let to = oid(&format!("acct{}", (t + 1 + k % (N - 1)) % N));
-                        let _ = engine.invoke_transaction(&[
-                            TxCall::new(from, "sub_checked", vec![VmValue::Int(3)]),
-                            TxCall::new(to, "add", vec![VmValue::Int(3)]),
-                        ]);
+                        let _ = engine.invoke_transaction(
+                            &InvocationContext::background(),
+                            &[
+                                TxCall::new(from, "sub_checked", vec![VmValue::Int(3)]),
+                                TxCall::new(to, "add", vec![VmValue::Int(3)]),
+                            ],
+                        );
                     }
                 });
             }
@@ -445,7 +454,10 @@ mod tests {
     #[test]
     fn empty_transaction_is_a_noop() {
         let (engine, dir) = new_engine();
-        assert_eq!(engine.invoke_transaction(&[]).unwrap(), Vec::<VmValue>::new());
+        assert_eq!(
+            engine.invoke_transaction(&InvocationContext::background(), &[]).unwrap(),
+            Vec::<VmValue>::new()
+        );
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -454,8 +466,12 @@ mod tests {
         let (engine, dir) = new_engine();
         engine.create_object("Account", &oid("a"), &[]).unwrap();
         // balance is ro: executing it inside a tx is fine and writes nothing.
-        let results =
-            engine.invoke_transaction(&[TxCall::new(oid("a"), "balance", vec![])]).unwrap();
+        let results = engine
+            .invoke_transaction(
+                &InvocationContext::background(),
+                &[TxCall::new(oid("a"), "balance", vec![])],
+            )
+            .unwrap();
         assert_eq!(results[0], VmValue::Int(0));
         assert_eq!(engine.object_version(&oid("a")), 0, "no version bump for pure reads");
         std::fs::remove_dir_all(dir).ok();
@@ -494,12 +510,13 @@ mod tests {
         ];
         let hook = Arc::new(Hook::default());
         engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
-        engine.invoke_transaction(&transfer).unwrap();
+        engine.invoke_transaction(&InvocationContext::background(), &transfer).unwrap();
         assert_eq!(*hook.calls.lock(), vec![vec![oid("a"), oid("b"), oid("c")]]);
 
         // One write set that fails to replicate fails the transaction.
         engine.set_commit_hook(Arc::new(Hook { failing: true, ..Hook::default() }));
-        let err = engine.invoke_transaction(&transfer).unwrap_err();
+        let err =
+            engine.invoke_transaction(&InvocationContext::background(), &transfer).unwrap_err();
         assert_eq!(err, InvokeError::Storage("replica down".into()));
         std::fs::remove_dir_all(dir).ok();
     }

@@ -22,7 +22,7 @@ enum Op {
     ReadBalance(u8),
     Push(u8, u8),
     CountLog(u8),
-    EvictAndReimport(u8),
+    Bounce(u8),
     Restart,
 }
 
@@ -34,7 +34,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         4 => (0u8..6).prop_map(Op::ReadBalance),
         3 => (0u8..6, any::<u8>()).prop_map(|(o, v)| Op::Push(o, v)),
         2 => (0u8..6).prop_map(Op::CountLog),
-        1 => (0u8..6).prop_map(Op::EvictAndReimport),
+        1 => (0u8..6).prop_map(Op::Bounce),
         1 => Just(Op::Restart),
     ]
 }
@@ -179,13 +179,15 @@ proptest! {
                         }
                     }
                 }
-                Op::EvictAndReimport(o) => {
-                    // A migration "bounce" must be a perfect no-op.
-                    match engine.evict_object(&oid(o)) {
+                Op::Bounce(o) => {
+                    // A migration "bounce" — export, purge, install, the
+                    // live migration's own sequence — must be a perfect no-op.
+                    match engine.export_object(&oid(o)) {
                         Ok(snapshot) => {
                             prop_assert!(model.contains_key(&o));
+                            engine.purge_object(&oid(o)).unwrap();
                             prop_assert!(!engine.object_exists(&oid(o)));
-                            engine.import_object(&snapshot).unwrap();
+                            engine.install_object_replacing(&snapshot).unwrap();
                         }
                         Err(InvokeError::UnknownObject(_)) => {
                             prop_assert!(!model.contains_key(&o));

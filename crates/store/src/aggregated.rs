@@ -294,7 +294,7 @@ impl NodeInner {
                 for call in &calls {
                     self.check_role(&call.object, false)?;
                 }
-                let results = self.engine.invoke_transaction(&calls)?;
+                let results = self.engine.invoke_transaction(ctx, &calls)?;
                 Ok(StoreResponse::Values(results))
             }
             StoreRequest::InstallShardChunk { shard, epoch, items } => {

@@ -4,9 +4,13 @@
 //! commits, through the same commit gate; what the baseline lacks is
 //! invocation-level consistency — atomicity, isolation, per-object
 //! scheduling — not storage replication.
+//!
+//! The collection calls run on an unguarded [`ObjectHost`] at the latest
+//! sequence: the same implementation of push, scan and count an invocation
+//! uses, so the layout has one definition.
 
-use lambda_kv::WriteBatch;
-use lambda_objects::{keys, InvocationContext, InvokeError, ObjectId};
+use lambda_objects::{keys, write_set_ops, InvocationContext, InvokeError, ObjectHost, ObjectId};
+use lambda_vm::Host;
 
 use crate::aggregated::NodeInner;
 use crate::proto::StoreResponse;
@@ -29,8 +33,9 @@ impl NodeInner {
     }
 
     /// Append to an object collection: a single round-trip
-    /// read-modify-write of the length counter, mirroring what the
-    /// aggregated host does locally.
+    /// read-modify-write of the length counter, with no object lock — two
+    /// concurrent pushes may take the same slot, as in any storage layer
+    /// without invocation-level isolation.
     pub(crate) fn raw_push(
         &self,
         ctx: &InvocationContext,
@@ -38,16 +43,12 @@ impl NodeInner {
         field: &[u8],
         value: Vec<u8>,
     ) -> Reply {
-        let oid = ObjectId::new(object);
-        let ckey = keys::counter_key(&oid, field);
-        let len = self.collection_len(&ckey)?;
-        let ekey = keys::entry_key(&oid, field, len);
-        let counter = keys::encode_counter(len + 1);
-        let mut batch = WriteBatch::new();
-        batch.put(ekey.clone(), value.clone());
-        batch.put(ckey.clone(), counter.clone());
+        let mut host = self.raw_host(object);
+        host.push(field, &value)?;
+        let batch = host.buffer.take_batch();
+        let ops = write_set_ops(&batch);
         self.engine.db().write(batch)?;
-        self.replicate_raw(ctx, vec![(ekey, Some(value)), (ckey, Some(counter))])
+        self.replicate_raw(ctx, ops)
     }
 
     pub(crate) fn raw_scan(
@@ -57,27 +58,19 @@ impl NodeInner {
         limit: u64,
         newest_first: bool,
     ) -> Reply {
-        let oid = ObjectId::new(object);
-        let len = self.collection_len(&keys::counter_key(&oid, field))?;
-        let take = limit.min(len);
-        let mut rows = Vec::with_capacity(take as usize);
-        let indices: Vec<u64> =
-            if newest_first { ((len - take)..len).rev().collect() } else { (0..take).collect() };
-        for i in indices {
-            if let Some(v) = self.engine.db().get(&keys::entry_key(&oid, field, i))? {
-                rows.push(v);
-            }
-        }
-        Ok(StoreResponse::Rows(rows))
+        let limit = usize::try_from(limit).unwrap_or(usize::MAX);
+        Ok(StoreResponse::Rows(self.raw_host(object).scan(field, limit, newest_first)?))
     }
 
     pub(crate) fn raw_count(&self, object: Vec<u8>, field: &[u8]) -> Reply {
-        let oid = ObjectId::new(object);
-        Ok(StoreResponse::Count(self.collection_len(&keys::counter_key(&oid, field))?))
+        Ok(StoreResponse::Count(self.raw_host(object).count(field)?))
     }
 
-    fn collection_len(&self, counter_key: &[u8]) -> Result<u64, InvokeError> {
-        Ok(keys::decode_counter(self.engine.db().get(counter_key)?.as_deref()))
+    /// A host for `object` that reads the latest committed state and holds
+    /// no lock.
+    fn raw_host(&self, object: Vec<u8>) -> ObjectHost<'_> {
+        let db = self.engine.db();
+        ObjectHost::new(db, ObjectId::new(object), db.last_sequence(), false, false, None, 0, None)
     }
 
     /// `ops` are applied locally: drop the cached results and memoised

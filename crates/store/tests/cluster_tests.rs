@@ -1406,3 +1406,66 @@ fn a_raw_push_invalidates_a_cached_read_at_the_primary() {
     feed(&["second", "first"]);
     cluster.shutdown();
 }
+
+#[test]
+fn raw_push_scan_and_count_agree_with_get_timeline() {
+    let module = assemble(
+        r#"
+        fn post(1) {
+            push.s "timeline"
+            load 0
+            host.push
+            ret
+        }
+        fn get_timeline(1) ro det {
+            push.s "timeline"
+            load 0
+            push.i 1
+            host.scan
+            ret
+        }
+        "#,
+    )
+    .expect("wall module assembles");
+    let fields = vec![FieldDef { name: "timeline".into(), kind: FieldKind::Collection }];
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Wall", fields, &module).unwrap();
+    let id = ObjectId::from("wall/agree");
+    client.create_object("Wall", &id, &[]).unwrap();
+    let (_, info) = client.placement().locate(&id).expect("located");
+    let raw = |req: StoreRequest| client.raw(info.primary, &req).unwrap();
+    // Entries written by invocations and by the raw API share one layout.
+    for (i, text) in ["a", "b", "c", "d", "e"].iter().enumerate() {
+        if i % 2 == 0 {
+            client.invoke(&id, "post", vec![VmValue::str(*text)], false).unwrap();
+        } else {
+            let push = StoreRequest::RawPush {
+                object: id.0.clone(),
+                field: b"timeline".to_vec(),
+                value: text.as_bytes().to_vec(),
+            };
+            assert_eq!(raw(push), StoreResponse::Ok);
+        }
+    }
+
+    let timeline = client.invoke(&id, "get_timeline", vec![VmValue::Int(1 << 40)], true).unwrap();
+    let newest_first: Vec<Vec<u8>> = match timeline {
+        VmValue::List(items) => items.into_iter().map(|v| v.as_bytes().unwrap().to_vec()).collect(),
+        other => panic!("expected a list, got {other}"),
+    };
+    let texts: Vec<&[u8]> = newest_first.iter().map(Vec::as_slice).collect();
+    assert_eq!(texts, [b"e", b"d", b"c", b"b", b"a"]);
+    let scan = |newest_first| StoreRequest::RawScan {
+        object: id.0.clone(),
+        field: b"timeline".to_vec(),
+        limit: u64::MAX,
+        newest_first,
+    };
+    assert_eq!(raw(scan(true)), StoreResponse::Rows(newest_first.clone()));
+    let oldest_first: Vec<Vec<u8>> = newest_first.iter().rev().cloned().collect();
+    assert_eq!(raw(scan(false)), StoreResponse::Rows(oldest_first));
+    let count = StoreRequest::RawCount { object: id.0.clone(), field: b"timeline".to_vec() };
+    assert_eq!(raw(count), StoreResponse::Count(newest_first.len() as u64));
+    cluster.shutdown();
+}

@@ -135,7 +135,11 @@ fn migration_snapshot_survives_transport_and_restart() {
         for i in 0..5 {
             engine.invoke(&id, "create_post", vec![VmValue::str(format!("p{i}"))]).unwrap();
         }
-        engine.evict_object(&id).unwrap()
+        // The live migration's sequence: export, install at the
+        // destination, purge at the source.
+        let snapshot = engine.export_object(&id).unwrap();
+        engine.purge_object(&id).unwrap();
+        snapshot
     };
     // Ship it over the wire format (as the migration RPC does).
     let bytes = lambdaobjects::net::wire::to_bytes(&snapshot).unwrap();
@@ -143,7 +147,7 @@ fn migration_snapshot_survives_transport_and_restart() {
         lambdaobjects::net::wire::from_bytes(&bytes).unwrap();
     {
         let engine = engine_at(&dst_dir);
-        engine.import_object(&shipped).unwrap();
+        engine.install_object_replacing(&shipped).unwrap();
         let tl = engine.invoke(&id, "get_timeline", vec![VmValue::Int(10)]).unwrap();
         assert_eq!(tl.as_list().unwrap().len(), 5);
     }
