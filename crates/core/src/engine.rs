@@ -62,12 +62,11 @@ pub struct EngineConfig {
     pub scheduler: SchedulerMode,
     /// Maximum nested-invocation depth.
     pub max_depth: usize,
-    /// Lowered-bytecode cache capacity in modules (0 re-lowers every
-    /// invocation).
+    /// Ignored: the VM keeps no module cache to size. Kept because the
+    /// `benchmark` package builds this struct by literal.
     pub lowered_cache_capacity: usize,
-    /// Run the reference (match-decode) interpreter instead of the
-    /// threaded one — for differential testing and before/after
-    /// benchmarking of the dispatch rewrite.
+    /// Ignored: the VM has one interpreter. Kept because the `benchmark`
+    /// package builds this struct by literal.
     pub reference_interpreter: bool,
 }
 
@@ -78,7 +77,7 @@ impl Default for EngineConfig {
             cache_capacity: 4096,
             scheduler: SchedulerMode::PerObject,
             max_depth: 16,
-            lowered_cache_capacity: lambda_vm::DEFAULT_LOWERED_CACHE_CAPACITY,
+            lowered_cache_capacity: 0,
             reference_interpreter: false,
         }
     }
@@ -500,11 +499,7 @@ impl Engine {
             cache: ConsistentCache::new(config.cache_capacity),
             cache_enabled: config.cache_capacity > 0,
             scheduler: Scheduler::with_registry(config.scheduler, &registry),
-            interpreter: if config.reference_interpreter {
-                Interpreter::reference(config.limits)
-            } else {
-                Interpreter::with_cache_capacity(config.limits, config.lowered_cache_capacity)
-            },
+            interpreter: Interpreter::new(config.limits),
             router: parking_lot::RwLock::new(None),
             commit_hook: parking_lot::RwLock::new(None),
             dedup_windows: parking_lot::Mutex::new(std::collections::BTreeMap::new()),

@@ -498,7 +498,6 @@ impl DisaggregatedCluster {
                 workers: config.workers,
                 rpc_timeout: Duration::from_secs(1),
                 limits: config.engine.limits,
-                lowered_cache_capacity: config.engine.lowered_cache_capacity,
             },
         );
         Ok(DisaggregatedCluster { core, compute })
@@ -543,7 +542,6 @@ impl ServerlessCluster {
                 workers: config.workers,
                 rpc_timeout: Duration::from_secs(1),
                 limits: config.engine.limits,
-                lowered_cache_capacity: config.engine.lowered_cache_capacity,
             },
             config.base_dir.join("gateway"),
         );

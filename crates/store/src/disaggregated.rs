@@ -36,9 +36,6 @@ pub struct ComputeConfig {
     pub rpc_timeout: Duration,
     /// VM limits per invocation.
     pub limits: Limits,
-    /// Lowered-bytecode cache capacity in modules (0 re-lowers every
-    /// invocation).
-    pub lowered_cache_capacity: usize,
 }
 
 impl ComputeConfig {
@@ -49,7 +46,6 @@ impl ComputeConfig {
             workers: 16,
             rpc_timeout: Duration::from_secs(1),
             limits: Limits::default(),
-            lowered_cache_capacity: lambda_vm::DEFAULT_LOWERED_CACHE_CAPACITY,
         }
     }
 }
@@ -83,10 +79,7 @@ impl FunctionExecutor {
             rpc,
             storage: config.storage.clone(),
             modules: RwLock::new(HashMap::new()),
-            interpreter: Interpreter::with_cache_capacity(
-                config.limits,
-                config.lowered_cache_capacity,
-            ),
+            interpreter: Interpreter::new(config.limits),
             rpc_timeout: config.rpc_timeout,
             read_rr: AtomicU64::new(0),
             storage_rpcs: AtomicU64::new(0),

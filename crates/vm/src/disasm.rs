@@ -3,11 +3,9 @@
 //! Used for debugging deployed types, for auditing what bytecode a node is
 //! about to execute, and as a round-trip test oracle for the assembler —
 //! `assemble(disassemble(m))` must behave identically to `m`. The
-//! differential fuzz suite (`tests/diff_interp.rs`) leans on both uses:
+//! interpreter fuzz suite (`tests/diff_interp.rs`) leans on both uses:
 //! round-tripped fuzz modules must stay fixed points *and* run
-//! identically under the reference and threaded interpreters (whose
-//! superinstruction fusion is invisible at this level — lowering happens
-//! after disassembly/assembly), and every divergence report embeds the
+//! identically to the originals, and every failure report embeds the
 //! disassembly of the offending module.
 
 use std::collections::BTreeSet;

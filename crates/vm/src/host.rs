@@ -190,7 +190,7 @@ impl Host for NullHost {
 
 /// An in-memory host exposing a plain map and collections — used by VM
 /// tests without pulling in the storage engine. Comparable and clonable
-/// so differential tests can diff the full post-execution host state.
+/// so the interpreter fuzz can compare the full post-execution host state.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MemoryHost {
     /// Flat fields.

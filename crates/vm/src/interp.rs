@@ -1,17 +1,19 @@
-//! The public interpreter facade: error/report types shared by both
-//! execution engines, and [`Interpreter`], which lowers modules through a
-//! [`LoweredCache`] and runs them on the threaded engine
-//! ([`crate::threaded`]). The original match-decode loop survives as
-//! [`crate::interp_ref::RefInterpreter`], the oracle for differential
-//! testing.
+//! The bytecode interpreter: [`Interpreter`], and the error and report
+//! types of one execution.
+//!
+//! There is one execution loop. It decodes each [`Instr`] as it dispatches
+//! it, charges fuel one instruction at a time before running it, and keeps
+//! the frame stack in a `Vec<Frame>`. Metering is exact: an execution stops
+//! at the first charge or allocation that crosses its [`Limits`], so a run
+//! that uses `f` fuel succeeds at a limit of `f` and fails with
+//! [`VmError::FuelExhausted`] at `f - 1`, and likewise for peak memory and
+//! [`VmError::MemoryLimit`]. The seeded fuzz in `tests/diff_interp.rs`
+//! checks those boundaries and that every run is deterministic.
 
 use std::fmt;
-use std::sync::Arc;
 
-use crate::bytecode::Module;
+use crate::bytecode::{HostFn, Instr, Module};
 use crate::host::{Host, HostError};
-use crate::interp_ref::RefInterpreter;
-use crate::threaded::LoweredCache;
 use crate::value::VmValue;
 use crate::Limits;
 
@@ -96,55 +98,30 @@ pub struct ExecutionReport {
 }
 
 /// Base fuel charged exactly once per host call, on top of per-byte
-/// argument/result charges. Shared by both interpreters.
+/// argument/result charges.
 pub const HOST_CALL_BASE_FUEL: u64 = 20;
 
-/// Default number of lowered modules the per-interpreter cache retains.
-pub const DEFAULT_LOWERED_CACHE_CAPACITY: usize = 64;
-
 /// Executes functions of a [`Module`] under [`Limits`].
-///
-/// Execution is two-stage: the module is lowered once into pre-decoded,
-/// direct-threaded form (cached by module hash, so repeat invocations of
-/// the same code skip lowering entirely) and then run by the threaded
-/// engine. Construct with [`reference`](Interpreter::reference) to run on
-/// the original match-decode loop instead — same observable semantics,
-/// used for differential testing and before/after benchmarks.
 #[derive(Debug, Clone)]
 pub struct Interpreter {
     limits: Limits,
-    cache: Arc<LoweredCache>,
-    reference: bool,
 }
 
 impl Interpreter {
-    /// Create an interpreter with the given resource limits and the
-    /// default lowered-code cache capacity.
+    /// Create an interpreter with the given resource limits.
     pub fn new(limits: Limits) -> Interpreter {
-        Interpreter::with_cache_capacity(limits, DEFAULT_LOWERED_CACHE_CAPACITY)
+        Interpreter { limits }
     }
 
-    /// Create an interpreter retaining at most `capacity` lowered modules
-    /// (0 disables caching; every execute re-lowers).
-    pub fn with_cache_capacity(limits: Limits, capacity: usize) -> Interpreter {
-        Interpreter { limits, cache: Arc::new(LoweredCache::new(capacity)), reference: false }
-    }
-
-    /// Create an interpreter that executes on the reference
-    /// (match-decode) engine. Observably identical, several times slower;
-    /// exists for differential testing and baseline benchmarks.
-    pub fn reference(limits: Limits) -> Interpreter {
-        Interpreter { limits, cache: Arc::new(LoweredCache::new(0)), reference: true }
+    /// Same as [`new`](Self::new): `capacity` is ignored, as there is no
+    /// module cache to size. Kept because the `benchmark` package calls it.
+    pub fn with_cache_capacity(limits: Limits, _capacity: usize) -> Interpreter {
+        Interpreter::new(limits)
     }
 
     /// The configured resource limits.
     pub fn limits(&self) -> Limits {
         self.limits
-    }
-
-    /// Number of modules currently held by the lowered-code cache.
-    pub fn lowered_modules(&self) -> usize {
-        self.cache.len()
     }
 
     /// Execute `function` with `args`, returning its result.
@@ -173,10 +150,6 @@ impl Interpreter {
         args: Vec<VmValue>,
         host: &mut dyn Host,
     ) -> Result<(VmValue, ExecutionReport), VmError> {
-        if self.reference {
-            return RefInterpreter::new(self.limits)
-                .execute_with_report(module, function, args, host);
-        }
         let (idx, def) = module
             .function(function)
             .ok_or_else(|| VmError::UnknownFunction(function.to_string()))?;
@@ -187,8 +160,501 @@ impl Interpreter {
                 got: args.len(),
             });
         }
-        let lowered = self.cache.get_or_lower(module);
-        crate::threaded::run(&lowered, module, self.limits, idx as usize, args, host)
+        let mut run =
+            Run { module, host, limits: self.limits, report: ExecutionReport::default(), mem: 0 };
+        let value = run.call(idx as usize, args)?;
+        Ok((value, run.report))
+    }
+}
+
+struct Frame {
+    func: usize,
+    pc: usize,
+    locals: Vec<VmValue>,
+    stack: Vec<VmValue>,
+}
+
+struct Run<'m, 'h> {
+    module: &'m Module,
+    host: &'h mut dyn Host,
+    limits: Limits,
+    report: ExecutionReport,
+    mem: usize,
+}
+
+impl Run<'_, '_> {
+    fn charge(&mut self, fuel: u64) -> Result<(), VmError> {
+        self.report.fuel_used += fuel;
+        if self.report.fuel_used > self.limits.fuel {
+            return Err(VmError::FuelExhausted);
+        }
+        Ok(())
+    }
+
+    fn alloc(&mut self, bytes: usize) -> Result<(), VmError> {
+        self.mem += bytes;
+        if self.mem > self.limits.memory_bytes {
+            return Err(VmError::MemoryLimit);
+        }
+        self.report.peak_memory = self.report.peak_memory.max(self.mem);
+        Ok(())
+    }
+
+    fn free(&mut self, bytes: usize) {
+        self.mem = self.mem.saturating_sub(bytes);
+    }
+
+    fn call(&mut self, func: usize, args: Vec<VmValue>) -> Result<VmValue, VmError> {
+        let mut frames: Vec<Frame> = Vec::new();
+        self.push_frame(&mut frames, func, args)?;
+
+        loop {
+            let frame = frames.last_mut().expect("at least one frame");
+            let code = &self.module.functions[frame.func].code;
+            if frame.pc >= code.len() {
+                // Fall off the end: implicit `ret` of Unit.
+                let ret = VmValue::Unit;
+                if self.pop_frame(&mut frames, ret)? {
+                    continue;
+                }
+                return Ok(VmValue::Unit);
+            }
+            let instr = code[frame.pc].clone();
+            frame.pc += 1;
+            self.report.instructions += 1;
+            self.charge(1)?;
+
+            match instr {
+                Instr::PushInt(v) => self.push(frames.last_mut().unwrap(), VmValue::Int(v))?,
+                Instr::PushBool(b) => self.push(frames.last_mut().unwrap(), VmValue::Bool(b))?,
+                Instr::PushUnit => self.push(frames.last_mut().unwrap(), VmValue::Unit)?,
+                Instr::PushConst(i) => {
+                    let c = self
+                        .module
+                        .constants
+                        .get(i as usize)
+                        .ok_or_else(|| VmError::BadReference(format!("constant {i}")))?
+                        .clone();
+                    self.push(frames.last_mut().unwrap(), VmValue::Bytes(c))?;
+                }
+                Instr::Dup => {
+                    let f = frames.last_mut().unwrap();
+                    let top = f.stack.last().ok_or(VmError::StackUnderflow)?.clone();
+                    self.push(frames.last_mut().unwrap(), top)?;
+                }
+                Instr::Pop => {
+                    let v = self.pop(frames.last_mut().unwrap())?;
+                    self.free(v.approx_bytes());
+                }
+                Instr::Swap => {
+                    let f = frames.last_mut().unwrap();
+                    let len = f.stack.len();
+                    if len < 2 {
+                        return Err(VmError::StackUnderflow);
+                    }
+                    f.stack.swap(len - 1, len - 2);
+                }
+                Instr::Load(i) => {
+                    let f = frames.last_mut().unwrap();
+                    let v = f
+                        .locals
+                        .get(i as usize)
+                        .ok_or_else(|| VmError::BadReference(format!("local {i}")))?
+                        .clone();
+                    self.push(frames.last_mut().unwrap(), v)?;
+                }
+                Instr::Store(i) => {
+                    let v = self.pop(frames.last_mut().unwrap())?;
+                    let f = frames.last_mut().unwrap();
+                    let slot = f
+                        .locals
+                        .get_mut(i as usize)
+                        .ok_or_else(|| VmError::BadReference(format!("local {i}")))?;
+                    // Memory: the popped value stays live in the local;
+                    // the old local content is freed.
+                    let old = std::mem::replace(slot, v);
+                    self.free(old.approx_bytes());
+                }
+                Instr::Add => self.int_binop(&mut frames, "add", i64::checked_add)?,
+                Instr::Sub => self.int_binop(&mut frames, "sub", i64::checked_sub)?,
+                Instr::Mul => self.int_binop(&mut frames, "mul", i64::checked_mul)?,
+                Instr::Div => self.int_binop(&mut frames, "div", i64::checked_div)?,
+                Instr::Mod => self.int_binop(&mut frames, "mod", i64::checked_rem)?,
+                Instr::Eq => {
+                    let b = self.pop(frames.last_mut().unwrap())?;
+                    let a = self.pop(frames.last_mut().unwrap())?;
+                    self.free(a.approx_bytes() + b.approx_bytes());
+                    self.push(frames.last_mut().unwrap(), VmValue::Bool(a == b))?;
+                }
+                Instr::Lt => self.cmp_binop(&mut frames, "lt", |o| o.is_lt())?,
+                Instr::Le => self.cmp_binop(&mut frames, "le", |o| o.is_le())?,
+                Instr::Not => {
+                    let v = self.pop(frames.last_mut().unwrap())?;
+                    self.free(v.approx_bytes());
+                    self.push(frames.last_mut().unwrap(), VmValue::Bool(!v.is_truthy()))?;
+                }
+                Instr::Concat => {
+                    let b = self.pop(frames.last_mut().unwrap())?;
+                    let a = self.pop(frames.last_mut().unwrap())?;
+                    match (a, b) {
+                        (VmValue::Bytes(mut a), VmValue::Bytes(b)) => {
+                            self.charge((b.len() / 16) as u64)?;
+                            a.extend_from_slice(&b);
+                            self.free(24 + b.len());
+                            self.push(frames.last_mut().unwrap(), VmValue::Bytes(a))?;
+                            // a grew by b.len: account for it.
+                            self.alloc(0)?;
+                        }
+                        (a, _) => return Err(VmError::Type { op: "concat", found: a.type_name() }),
+                    }
+                }
+                Instr::Len => {
+                    let v = self.pop(frames.last_mut().unwrap())?;
+                    let len = match &v {
+                        VmValue::Bytes(b) => b.len() as i64,
+                        VmValue::List(l) => l.len() as i64,
+                        other => return Err(VmError::Type { op: "len", found: other.type_name() }),
+                    };
+                    self.free(v.approx_bytes());
+                    self.push(frames.last_mut().unwrap(), VmValue::Int(len))?;
+                }
+                Instr::IntToBytes => {
+                    let v = self.pop_int(frames.last_mut().unwrap(), "itob")?;
+                    self.push(
+                        frames.last_mut().unwrap(),
+                        VmValue::Bytes(v.to_le_bytes().to_vec()),
+                    )?;
+                }
+                Instr::BytesToInt => {
+                    let v = self.pop(frames.last_mut().unwrap())?;
+                    let n = match &v {
+                        VmValue::Unit => 0,
+                        VmValue::Int(i) => *i,
+                        VmValue::Bytes(b) if b.len() <= 8 => {
+                            let mut buf = [0u8; 8];
+                            buf[..b.len()].copy_from_slice(b);
+                            i64::from_le_bytes(buf)
+                        }
+                        VmValue::Bytes(_) => {
+                            return Err(VmError::Trap("btoi: more than 8 bytes".into()))
+                        }
+                        other => {
+                            return Err(VmError::Type { op: "btoi", found: other.type_name() })
+                        }
+                    };
+                    self.free(v.approx_bytes());
+                    self.push(frames.last_mut().unwrap(), VmValue::Int(n))?;
+                }
+                Instr::MakeList(n) => {
+                    let f = frames.last_mut().unwrap();
+                    if f.stack.len() < n as usize {
+                        return Err(VmError::StackUnderflow);
+                    }
+                    let items = f.stack.split_off(f.stack.len() - n as usize);
+                    self.push(frames.last_mut().unwrap(), VmValue::List(items))?;
+                }
+                Instr::Index => {
+                    let idx = self.pop_int(frames.last_mut().unwrap(), "index")?;
+                    let list = self.pop(frames.last_mut().unwrap())?;
+                    match list {
+                        VmValue::List(items) => {
+                            let item = items.get(idx as usize).cloned().ok_or_else(|| {
+                                VmError::Trap(format!(
+                                    "list index {idx} out of bounds (len {})",
+                                    items.len()
+                                ))
+                            })?;
+                            self.free(VmValue::List(items).approx_bytes());
+                            self.push(frames.last_mut().unwrap(), item)?;
+                        }
+                        other => {
+                            return Err(VmError::Type { op: "index", found: other.type_name() })
+                        }
+                    }
+                }
+                Instr::Append => {
+                    let v = self.pop(frames.last_mut().unwrap())?;
+                    let list = self.pop(frames.last_mut().unwrap())?;
+                    match list {
+                        VmValue::List(mut items) => {
+                            items.push(v);
+                            self.push(frames.last_mut().unwrap(), VmValue::List(items))?;
+                        }
+                        other => {
+                            return Err(VmError::Type { op: "append", found: other.type_name() })
+                        }
+                    }
+                }
+                Instr::Jump(target) => {
+                    let f = frames.last_mut().unwrap();
+                    if target as usize > self.module.functions[f.func].code.len() {
+                        return Err(VmError::BadReference(format!("jump to {target}")));
+                    }
+                    f.pc = target as usize;
+                }
+                Instr::JumpIfFalse(target) => {
+                    let v = self.pop(frames.last_mut().unwrap())?;
+                    self.free(v.approx_bytes());
+                    if !v.is_truthy() {
+                        let f = frames.last_mut().unwrap();
+                        if target as usize > self.module.functions[f.func].code.len() {
+                            return Err(VmError::BadReference(format!("jump to {target}")));
+                        }
+                        f.pc = target as usize;
+                    }
+                }
+                Instr::Call(idx) => {
+                    let def = self
+                        .module
+                        .functions
+                        .get(idx as usize)
+                        .ok_or_else(|| VmError::BadReference(format!("function {idx}")))?;
+                    let arity = def.arity as usize;
+                    let f = frames.last_mut().unwrap();
+                    if f.stack.len() < arity {
+                        return Err(VmError::StackUnderflow);
+                    }
+                    let args = f.stack.split_off(f.stack.len() - arity);
+                    self.push_frame(&mut frames, idx as usize, args)?;
+                }
+                Instr::Ret => {
+                    let f = frames.last_mut().unwrap();
+                    let ret = f.stack.pop().unwrap_or(VmValue::Unit);
+                    if self.pop_frame(&mut frames, ret.clone())? {
+                        continue;
+                    }
+                    return Ok(ret);
+                }
+                Instr::Host(hf) => self.host_call(&mut frames, hf)?,
+                Instr::Trap(cidx) => {
+                    let msg = self
+                        .module
+                        .constants
+                        .get(cidx as usize)
+                        .map(|c| String::from_utf8_lossy(c).into_owned())
+                        .unwrap_or_else(|| format!("trap #{cidx}"));
+                    return Err(VmError::Trap(msg));
+                }
+            }
+        }
+    }
+
+    fn push_frame(
+        &mut self,
+        frames: &mut Vec<Frame>,
+        func: usize,
+        args: Vec<VmValue>,
+    ) -> Result<(), VmError> {
+        if frames.len() >= self.limits.call_depth {
+            return Err(VmError::CallDepthExceeded);
+        }
+        let def = &self.module.functions[func];
+        if args.len() != def.arity as usize {
+            return Err(VmError::ArityMismatch {
+                name: def.name.clone(),
+                expected: def.arity,
+                got: args.len(),
+            });
+        }
+        let mut locals = args;
+        locals.resize(def.locals.max(def.arity as u16) as usize, VmValue::Unit);
+        for v in &locals {
+            self.alloc(v.approx_bytes())?;
+        }
+        frames.push(Frame { func, pc: 0, locals, stack: Vec::new() });
+        self.charge(2)?;
+        Ok(())
+    }
+
+    /// Pop the current frame, pushing `ret` into the caller. Returns true
+    /// when execution continues (a caller remains).
+    fn pop_frame(&mut self, frames: &mut Vec<Frame>, ret: VmValue) -> Result<bool, VmError> {
+        let frame = frames.pop().expect("frame");
+        for v in frame.locals.iter().chain(frame.stack.iter()) {
+            self.free(v.approx_bytes());
+        }
+        if let Some(caller) = frames.last_mut() {
+            caller.stack.push(ret.clone());
+            self.alloc(ret.approx_bytes())?;
+            Ok(true)
+        } else {
+            Ok(false)
+        }
+    }
+
+    fn push(&mut self, frame: &mut Frame, v: VmValue) -> Result<(), VmError> {
+        self.alloc(v.approx_bytes())?;
+        frame.stack.push(v);
+        Ok(())
+    }
+
+    fn pop(&mut self, frame: &mut Frame) -> Result<VmValue, VmError> {
+        frame.stack.pop().ok_or(VmError::StackUnderflow)
+    }
+
+    fn pop_int(&mut self, frame: &mut Frame, op: &'static str) -> Result<i64, VmError> {
+        match self.pop(frame)? {
+            VmValue::Int(v) => Ok(v),
+            other => Err(VmError::Type { op, found: other.type_name() }),
+        }
+    }
+
+    fn int_binop(
+        &mut self,
+        frames: &mut [Frame],
+        op: &'static str,
+        f: fn(i64, i64) -> Option<i64>,
+    ) -> Result<(), VmError> {
+        let frame = frames.last_mut().unwrap();
+        let b = self.pop_int(frame, op)?;
+        let a = self.pop_int(frame, op)?;
+        let r = f(a, b).ok_or_else(|| VmError::Trap(format!("arithmetic fault in {op}")))?;
+        self.push(frames.last_mut().unwrap(), VmValue::Int(r))
+    }
+
+    fn cmp_binop(
+        &mut self,
+        frames: &mut [Frame],
+        op: &'static str,
+        accept: fn(std::cmp::Ordering) -> bool,
+    ) -> Result<(), VmError> {
+        let frame = frames.last_mut().unwrap();
+        let b = self.pop(frame)?;
+        let a = self.pop(frame)?;
+        let ord = match (&a, &b) {
+            (VmValue::Int(x), VmValue::Int(y)) => x.cmp(y),
+            (VmValue::Bytes(x), VmValue::Bytes(y)) => x.cmp(y),
+            (other, _) => return Err(VmError::Type { op, found: other.type_name() }),
+        };
+        self.free(a.approx_bytes() + b.approx_bytes());
+        self.push(frames.last_mut().unwrap(), VmValue::Bool(accept(ord)))
+    }
+
+    fn host_call(&mut self, frames: &mut [Frame], hf: HostFn) -> Result<(), VmError> {
+        self.report.host_calls += 1;
+        // The per-call base cost is charged exactly once, here; the
+        // generic 1-fuel dispatch charge for the `Host` instruction itself
+        // happened in the main loop before entering this function.
+        self.charge(HOST_CALL_BASE_FUEL)?;
+        let frame = frames.last_mut().unwrap();
+        let argc = hf.arg_count();
+        if frame.stack.len() < argc {
+            return Err(VmError::StackUnderflow);
+        }
+        let args = frame.stack.split_off(frame.stack.len() - argc);
+        for a in &args {
+            self.free(a.approx_bytes());
+            self.charge((a.approx_bytes() / 16) as u64)?;
+        }
+
+        let bytes_arg = |v: &VmValue, op: &'static str| -> Result<Vec<u8>, VmError> {
+            v.as_bytes().map(<[u8]>::to_vec).ok_or(VmError::Type { op, found: v.type_name() })
+        };
+        let int_arg = |v: &VmValue, op: &'static str| -> Result<i64, VmError> {
+            v.as_int().ok_or(VmError::Type { op, found: v.type_name() })
+        };
+
+        let result: VmValue = match hf {
+            HostFn::Get => {
+                let key = bytes_arg(&args[0], "host get")?;
+                match self.host.get(&key)? {
+                    Some(v) => VmValue::Bytes(v),
+                    None => VmValue::Unit,
+                }
+            }
+            HostFn::Put => {
+                let key = bytes_arg(&args[0], "host put")?;
+                let value = bytes_arg(&args[1], "host put")?;
+                self.charge((value.len() / 16) as u64)?;
+                self.host.put(&key, &value)?;
+                VmValue::Unit
+            }
+            HostFn::Delete => {
+                let key = bytes_arg(&args[0], "host delete")?;
+                self.host.delete(&key)?;
+                VmValue::Unit
+            }
+            HostFn::Push => {
+                let field = bytes_arg(&args[0], "host push")?;
+                let value = bytes_arg(&args[1], "host push")?;
+                self.charge((value.len() / 16) as u64)?;
+                self.host.push(&field, &value)?;
+                VmValue::Unit
+            }
+            HostFn::Scan => {
+                let field = bytes_arg(&args[0], "host scan")?;
+                let limit = int_arg(&args[1], "host scan")?.max(0) as usize;
+                let newest_first = args[2].is_truthy();
+                let rows = self.host.scan(&field, limit, newest_first)?;
+                let items: Vec<VmValue> = rows.into_iter().map(VmValue::Bytes).collect();
+                VmValue::List(items)
+            }
+            HostFn::Count => {
+                let field = bytes_arg(&args[0], "host count")?;
+                VmValue::Int(self.host.count(&field)? as i64)
+            }
+            HostFn::InvokeMany => {
+                let targets = match &args[0] {
+                    VmValue::List(items) => items
+                        .iter()
+                        .map(|v| {
+                            v.as_bytes().map(<[u8]>::to_vec).ok_or(VmError::Type {
+                                op: "host invoke_many",
+                                found: v.type_name(),
+                            })
+                        })
+                        .collect::<Result<Vec<_>, _>>()?,
+                    other => {
+                        return Err(VmError::Type {
+                            op: "host invoke_many",
+                            found: other.type_name(),
+                        })
+                    }
+                };
+                let method =
+                    String::from_utf8_lossy(&bytes_arg(&args[1], "host invoke_many")?).into_owned();
+                let call_args = match &args[2] {
+                    VmValue::List(items) => items.clone(),
+                    VmValue::Unit => Vec::new(),
+                    other => {
+                        return Err(VmError::Type {
+                            op: "host invoke_many",
+                            found: other.type_name(),
+                        })
+                    }
+                };
+                let results = self.host.invoke_many(targets, &method, call_args)?;
+                VmValue::List(results)
+            }
+            HostFn::Invoke => {
+                let object = bytes_arg(&args[0], "host invoke")?;
+                let method =
+                    String::from_utf8_lossy(&bytes_arg(&args[1], "host invoke")?).into_owned();
+                let call_args = match &args[2] {
+                    VmValue::List(items) => items.clone(),
+                    VmValue::Unit => Vec::new(),
+                    other => {
+                        return Err(VmError::Type { op: "host invoke", found: other.type_name() })
+                    }
+                };
+                self.host.invoke(&object, &method, call_args)?
+            }
+            HostFn::SelfId => VmValue::Bytes(self.host.self_id()),
+            HostFn::Time => VmValue::Int(self.host.now_millis()),
+            HostFn::Log => {
+                let msg = bytes_arg(&args[0], "host log")?;
+                self.host.log(&String::from_utf8_lossy(&msg));
+                VmValue::Unit
+            }
+            HostFn::Abort => {
+                let msg = bytes_arg(&args[0], "host abort")?;
+                return Err(VmError::Host(HostError::Aborted(
+                    String::from_utf8_lossy(&msg).into_owned(),
+                )));
+            }
+        };
+        self.charge((result.approx_bytes() / 16) as u64)?;
+        self.push(frames.last_mut().unwrap(), result)
     }
 }
 
@@ -558,21 +1024,16 @@ mod tests {
         assert_eq!(report.host_calls, 1);
         // Exact fuel: 2 (frame entry) + 6 (instructions) + host base +
         // result charge for the self_id bytes. Pinned so a double charge
-        // of HOST_CALL_BASE_FUEL in either engine fails loudly.
+        // of HOST_CALL_BASE_FUEL fails loudly.
         let id_charge = ((24 + host.self_id().len()) / 16) as u64;
         assert_eq!(report.fuel_used, 2 + 6 + HOST_CALL_BASE_FUEL + id_charge);
         assert!(report.peak_memory > 0);
-        let (_, ref_report) = Interpreter::reference(Limits::default())
-            .execute_with_report(&m, "work", vec![], &mut host)
-            .unwrap();
-        assert_eq!(report, ref_report);
     }
 
     #[test]
     fn host_call_base_fuel_charged_once() {
-        // One Get on an empty host: 2 (entry) + 2 (instructions) + base +
-        // 1 (arg bytes "key" = 27/16) + 1 (Unit result). Both engines must
-        // agree on the exact total.
+        // One Get on an empty host: 2 (entry) + 3 (instructions) + base +
+        // 1 (arg bytes "key" = 27/16) + 1 (Unit result).
         let mut builder = ModuleBuilder::new();
         let key = builder.constant(b"key".to_vec());
         let m = builder
@@ -584,58 +1045,13 @@ mod tests {
             ))
             .build();
         let expected = 2 + 3 + HOST_CALL_BASE_FUEL + ((24 + 3) / 16) as u64 + 1;
-        for interp in
-            [Interpreter::new(Limits::default()), Interpreter::reference(Limits::default())]
-        {
-            let mut host = MemoryHost::default();
-            let (v, report) = interp.execute_with_report(&m, "probe", vec![], &mut host).unwrap();
-            assert_eq!(v, VmValue::Unit);
-            assert_eq!(report.fuel_used, expected);
-            assert_eq!(report.host_calls, 1);
-        }
-    }
-
-    #[test]
-    fn lowered_cache_hits_on_repeat_executions() {
-        let m = ModuleBuilder::new()
-            .function(func("f", 0, 0, vec![Instr::PushInt(1), Instr::Ret]))
-            .build();
-        let interp = Interpreter::new(Limits::default());
         let mut host = MemoryHost::default();
-        for _ in 0..3 {
-            assert_eq!(interp.execute(&m, "f", vec![], &mut host).unwrap(), VmValue::Int(1));
-        }
-        assert_eq!(interp.lowered_modules(), 1);
-        // A different module occupies a second slot.
-        let m2 = ModuleBuilder::new()
-            .function(func("f", 0, 0, vec![Instr::PushInt(2), Instr::Ret]))
-            .build();
-        assert_eq!(interp.execute(&m2, "f", vec![], &mut host).unwrap(), VmValue::Int(2));
-        assert_eq!(interp.lowered_modules(), 2);
-    }
-
-    #[test]
-    fn lowered_cache_evicts_at_capacity() {
-        let interp = Interpreter::with_cache_capacity(Limits::default(), 2);
-        let mut host = MemoryHost::default();
-        for k in 0..5 {
-            let m = ModuleBuilder::new()
-                .function(func("f", 0, 0, vec![Instr::PushInt(k), Instr::Ret]))
-                .build();
-            assert_eq!(interp.execute(&m, "f", vec![], &mut host).unwrap(), VmValue::Int(k));
-        }
-        assert_eq!(interp.lowered_modules(), 2);
-    }
-
-    #[test]
-    fn zero_capacity_cache_still_executes() {
-        let interp = Interpreter::with_cache_capacity(Limits::default(), 0);
-        let m = ModuleBuilder::new()
-            .function(func("f", 0, 0, vec![Instr::PushInt(9), Instr::Ret]))
-            .build();
-        let mut host = MemoryHost::default();
-        assert_eq!(interp.execute(&m, "f", vec![], &mut host).unwrap(), VmValue::Int(9));
-        assert_eq!(interp.lowered_modules(), 0);
+        let (v, report) = Interpreter::new(Limits::default())
+            .execute_with_report(&m, "probe", vec![], &mut host)
+            .unwrap();
+        assert_eq!(v, VmValue::Unit);
+        assert_eq!(report.fuel_used, expected);
+        assert_eq!(report.host_calls, 1);
     }
 
     #[test]

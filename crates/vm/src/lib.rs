@@ -7,8 +7,11 @@
 //! into the storage process using WebAssembly, relying on three properties
 //! (§4.2): software fault isolation, metering ("checks can be added to limit
 //! the amount of computation a function invocation is allowed to perform"),
-//! and near-native dispatch. This crate reproduces those properties with a
-//! from-scratch stack-bytecode VM:
+//! and near-native dispatch. This crate reproduces the first two with a
+//! from-scratch stack-bytecode VM, and stands in for the third with one
+//! plain [`interpreter`](interp) that decodes each instruction as it runs
+//! it — the same VM on the aggregated and the disaggregated side, so the
+//! comparison between them stays fair:
 //!
 //! * untrusted code can only touch its own operand stack/locals and talk to
 //!   the outside world through a narrow, capability-style [`Host`]
@@ -18,9 +21,9 @@
 //!   crucially for the consistency model — that functions declared
 //!   *read-only* contain no mutating host calls, so they can safely run on
 //!   backup replicas;
-//! * execution is metered by **fuel** and a **memory ceiling**
-//!   ([`Limits`]); exhaustion aborts the invocation with an error instead
-//!   of wedging the storage node;
+//! * execution is metered exactly, one instruction at a time, by **fuel**
+//!   and a **memory ceiling** ([`Limits`]); exhaustion aborts the
+//!   invocation with an error instead of wedging the storage node;
 //! * an [`assembler`] compiles a small textual assembly language into
 //!   modules, playing the role of the paper's "functions in a format
 //!   specific to the implementation, e.g., as ELF binaries" (§3);
@@ -63,9 +66,7 @@ pub mod bytecode;
 pub mod disasm;
 pub mod host;
 pub mod interp;
-pub mod interp_ref;
 pub mod native;
-pub mod threaded;
 pub mod validate;
 pub mod value;
 
@@ -73,12 +74,8 @@ pub use assembler::{assemble, AssembleError};
 pub use bytecode::{FunctionDef, Instr, Module};
 pub use disasm::disassemble;
 pub use host::{Host, HostError, NullHost};
-pub use interp::{
-    ExecutionReport, Interpreter, VmError, DEFAULT_LOWERED_CACHE_CAPACITY, HOST_CALL_BASE_FUEL,
-};
-pub use interp_ref::RefInterpreter;
+pub use interp::{ExecutionReport, Interpreter, VmError, HOST_CALL_BASE_FUEL};
 pub use native::{NativeCtx, NativeFn, NativeRegistry};
-pub use threaded::LoweredCache;
 pub use validate::{validate_module, ValidateError};
 pub use value::VmValue;
 

@@ -7,9 +7,7 @@
 //! consistency machinery (write buffering, read-set tracking, read-only
 //! enforcement) is identical for both. Benchmarks use native methods to
 //! isolate VM dispatch overhead (ablation `MICRO` in DESIGN.md): they are
-//! the dispatch-free floor that the threaded interpreter's pre-decoded
-//! superinstruction loop (`threaded.rs`, measured by the `vm_dispatch`
-//! bench) closes in on.
+//! the dispatch-free floor against which the interpreter's cost is read.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -1,13 +1,21 @@
-//! Differential fuzzing of the threaded interpreter against the reference.
+//! Seeded fuzzing of the interpreter.
 //!
-//! Every generated-and-validated module is executed by both engines under a
-//! sweep of fuel / memory / call-depth limits, asserting byte-identical
-//! observable behaviour: the `Result` (value or error), the full ordered
-//! host-call trace, the final host state, and — on success — the exact
-//! [`ExecutionReport`]. This is the safety net that lets the threaded
-//! engine amortize fuel accounting and fuse superinstructions: any
-//! divergence in results, traps, host-call sequences or fuel-exhaustion
-//! outcomes fails loudly with the offending disassembly.
+//! Every generated-and-validated module is executed under a sweep of fuel /
+//! memory / call-depth limits. For each program the suite checks that:
+//!
+//! * nothing panics;
+//! * two runs under the same limits are identical: the `Result` (value or
+//!   error), the [`ExecutionReport`], the full ordered host-call trace and
+//!   the final host state;
+//! * limits only ever stop a run: under tighter limits a run either ends
+//!   exactly as it does under generous ones, or fails with a limit error
+//!   after a prefix of the same host calls;
+//! * metering is exact: a run that succeeds using fuel `f` succeeds again
+//!   with the identical report at a limit of `f` and fails with
+//!   `FuelExhausted` at `f - 1`; likewise `peak_memory` and `MemoryLimit`;
+//! * fuzzed modules round-trip through the disassembler as fixed points.
+//!
+//! Any failure names the offending disassembly.
 //!
 //! Deterministic by construction (seeded [`SmallRng`]); override with
 //! `DIFF_FUZZ_SEED` / `DIFF_FUZZ_PROGRAMS` to widen a local run.
@@ -15,13 +23,14 @@
 use lambda_vm::bytecode::{FunctionDef, HostFn, Instr};
 use lambda_vm::host::MemoryHost;
 use lambda_vm::{
-    assemble, disassemble, validate_module, Host, HostError, Interpreter, Limits, Module, VmValue,
+    assemble, disassemble, validate_module, ExecutionReport, Host, HostError, Interpreter, Limits,
+    Module, VmError, VmValue,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 // ---------------------------------------------------------------------------
-// Tracing host: records every capability call so the two engines' host-call
+// Tracing host: records every capability call so two runs' host-call
 // *sequences* (not just end states) can be compared.
 // ---------------------------------------------------------------------------
 
@@ -98,7 +107,7 @@ fn seeded_host() -> TraceHost {
 }
 
 // ---------------------------------------------------------------------------
-// Differential driver
+// Runs and checks
 // ---------------------------------------------------------------------------
 
 fn fuzz_seed() -> u64 {
@@ -122,66 +131,101 @@ fn big_limits() -> Limits {
     Limits { fuel: 1_000_000, memory_bytes: 1 << 20, call_depth: 16 }
 }
 
-/// Run one engine, returning everything observable about the execution.
-type Observed =
-    (Result<(VmValue, lambda_vm::ExecutionReport), lambda_vm::VmError>, Vec<String>, MemoryHost);
+/// Everything observable about one execution.
+type Observed = (Result<(VmValue, ExecutionReport), VmError>, Vec<String>, MemoryHost);
 
-fn observe(interp: &Interpreter, module: &Module, entry: &str, args: &[VmValue]) -> Observed {
+fn observe(module: &Module, entry: &str, args: &[VmValue], limits: Limits) -> Observed {
     let mut host = seeded_host();
-    let r = interp.execute_with_report(module, entry, args.to_vec(), &mut host);
+    let r = Interpreter::new(limits).execute_with_report(module, entry, args.to_vec(), &mut host);
     (r, host.trace, host.inner)
 }
 
-/// Execute `module` under both engines with `limits` and assert identical
-/// observable behaviour. Reports (fuel, memory, instructions, host calls)
-/// must match exactly on success; errors must match exactly on failure.
-fn assert_identical(module: &Module, entry: &str, args: &[VmValue], limits: Limits, label: &str) {
-    let (r_ref, t_ref, h_ref) = observe(&Interpreter::reference(limits), module, entry, args);
-    let threaded = Interpreter::with_cache_capacity(limits, 4);
-    let (r_thr, t_thr, h_thr) = observe(&threaded, module, entry, args);
-    let ctx = || format!("[{label}] limits={limits:?}\nargs={args:?}\n{}", disassemble(module));
-    match (&r_ref, &r_thr) {
-        (Ok((v1, rep1)), Ok((v2, rep2))) => {
-            assert_eq!(v1, v2, "result diverged {}", ctx());
-            assert_eq!(rep1, rep2, "report diverged {}", ctx());
-        }
-        (Err(e1), Err(e2)) => assert_eq!(e1, e2, "error diverged {}", ctx()),
-        _ => panic!("outcome diverged {}\nref={r_ref:?}\nthreaded={r_thr:?}", ctx()),
-    }
-    assert_eq!(t_ref, t_thr, "host-call trace diverged {}", ctx());
-    assert_eq!(h_ref, h_thr, "final host state diverged {}", ctx());
+fn context(module: &Module, args: &[VmValue], limits: Limits, label: &str) -> String {
+    format!("[{label}] limits={limits:?}\nargs={args:?}\n{}", disassemble(module))
 }
 
-/// Full sweep for one program: generous limits first, then fuel limits at
-/// and just below the observed consumption (to pin exhaustion boundaries),
-/// then memory and call-depth ceilings.
+/// Execute `module` twice under `limits` on fresh hosts and assert that
+/// the two runs are identical in every observable respect.
+fn run_twice(
+    module: &Module,
+    entry: &str,
+    args: &[VmValue],
+    limits: Limits,
+    label: &str,
+) -> Observed {
+    let first = observe(module, entry, args, limits);
+    let second = observe(module, entry, args, limits);
+    assert_eq!(first, second, "two runs diverged {}", context(module, args, limits, label));
+    first
+}
+
+/// A run under limits no looser than `big_limits()` either ends exactly as
+/// the unlimited run `full` did, or stops with a limit error (or `full`'s
+/// own error) after a prefix of `full`'s host calls.
+fn assert_only_stopped(seen: &Observed, full: &Observed, ctx: impl Fn() -> String) {
+    match &seen.0 {
+        Ok(_) => assert_eq!(seen, full, "a limited run finished differently {}", ctx()),
+        Err(e) => {
+            let limit_error = matches!(
+                e,
+                VmError::FuelExhausted | VmError::MemoryLimit | VmError::CallDepthExceeded
+            );
+            assert!(
+                limit_error || full.0.as_ref().err() == Some(e),
+                "a limited run failed with {e:?}, the full run with {:?} {}",
+                full.0,
+                ctx()
+            );
+            assert!(
+                full.1.starts_with(&seen.1),
+                "a limited run's host calls are not a prefix of the full run's {}",
+                ctx()
+            );
+        }
+    }
+}
+
+/// Full sweep for one program: generous limits first, then the exact fuel
+/// and memory boundaries of a successful run, then fuel, memory and
+/// call-depth ceilings, each run twice.
 fn check_program(module: &Module, entry: &str, args: &[VmValue]) {
     let big = big_limits();
-    assert_identical(module, entry, args, big, "big");
+    let full = run_twice(module, entry, args, big, "big");
 
     let mut fuels = vec![3, 17];
     let mut mems = vec![64, 300];
-    if let (Ok((_, report)), _, _) = observe(&Interpreter::reference(big), module, entry, args) {
-        let f = report.fuel_used;
-        fuels.extend([f, f.saturating_sub(1), f / 2]);
-        let p = report.peak_memory;
+    if let Ok((_, report)) = &full.0 {
+        let (f, p) = (report.fuel_used, report.peak_memory);
+        let at_fuel = Limits { fuel: f, ..big };
+        let ctx = || context(module, args, at_fuel, "fuel-boundary");
+        assert_eq!(observe(module, entry, args, at_fuel), full, "fuel = used {}", ctx());
+        let short = observe(module, entry, args, Limits { fuel: f - 1, ..big });
+        assert_eq!(short.0, Err(VmError::FuelExhausted), "fuel = used - 1 {}", ctx());
+        if p > 0 {
+            let at_mem = Limits { memory_bytes: p, ..big };
+            let ctx = || context(module, args, at_mem, "memory-boundary");
+            assert_eq!(observe(module, entry, args, at_mem), full, "memory = peak {}", ctx());
+            let short = observe(module, entry, args, Limits { memory_bytes: p - 1, ..big });
+            assert_eq!(short.0, Err(VmError::MemoryLimit), "memory = peak - 1 {}", ctx());
+        }
+        fuels.extend([f, f - 1, f / 2]);
         mems.extend([p, p.saturating_sub(1), p / 2]);
     }
     fuels.sort_unstable();
     fuels.dedup();
-    for fuel in fuels {
-        if fuel == 0 {
-            continue;
-        }
-        assert_identical(module, entry, args, Limits { fuel, ..big }, "fuel-sweep");
-    }
     mems.sort_unstable();
     mems.dedup();
-    for memory_bytes in mems {
-        assert_identical(module, entry, args, Limits { memory_bytes, ..big }, "memory-sweep");
-    }
-    for call_depth in [1, 2, 5] {
-        assert_identical(module, entry, args, Limits { call_depth, ..big }, "depth-sweep");
+    let sweeps = fuels
+        .into_iter()
+        .filter(|&fuel| fuel > 0)
+        .map(|fuel| (Limits { fuel, ..big }, "fuel-sweep"))
+        .chain(
+            mems.into_iter().map(|memory_bytes| (Limits { memory_bytes, ..big }, "memory-sweep")),
+        )
+        .chain([1, 2, 5].map(|call_depth| (Limits { call_depth, ..big }, "depth-sweep")));
+    for (limits, label) in sweeps {
+        let seen = run_twice(module, entry, args, limits, label);
+        assert_only_stopped(&seen, &full, || context(module, args, limits, label));
     }
 }
 
@@ -208,9 +252,8 @@ fn constant_pool() -> Vec<Vec<u8>> {
     vec![b"name".to_vec(), b"timeline".to_vec(), b"k1".to_vec(), b"\x01\x02".to_vec()]
 }
 
-/// Uniform-ish instruction soup. Weights favour the opcodes the fuser
-/// targets (loads, pushes, arithmetic, compare+branch) so fused and
-/// unfused boundaries both get heavy coverage.
+/// Uniform-ish instruction soup. Weights favour the opcodes ReTwis bodies
+/// run most (loads, stores, compare+branch, host calls).
 fn random_instr(rng: &mut SmallRng, code_len: usize) -> Instr {
     match rng.gen_range(0..24u32) {
         0 => Instr::PushInt(rng.gen_range(-4..100i64)),
@@ -277,9 +320,8 @@ fn random_args(rng: &mut SmallRng) -> Vec<VmValue> {
     vec![v]
 }
 
-/// A counted loop rich in fusable pairs: `load;load`, `add;store`,
-/// `push.i;store`, `lt;jz` with a back-edge — the exact shapes the
-/// superinstruction table targets.
+/// A counted loop: `load;load;add;store` accumulate, `push.i;store`
+/// initialisation and an `lt;jz` head with a back-edge.
 fn tmpl_sum_loop(rng: &mut SmallRng) -> (Module, Vec<VmValue>) {
     let n = rng.gen_range(1..30i64);
     let code = vec![
@@ -309,7 +351,7 @@ fn tmpl_sum_loop(rng: &mut SmallRng) -> (Module, Vec<VmValue>) {
 }
 
 /// Bytes-concatenation loop: grows memory, exercising the memory ceiling
-/// under amortized accounting.
+/// and the per-byte fuel charge of `concat`.
 fn tmpl_concat_loop(rng: &mut SmallRng) -> (Module, Vec<VmValue>) {
     let n = rng.gen_range(1..12i64);
     let code = vec![
@@ -416,9 +458,9 @@ fn single_fn_module(code: Vec<Instr>) -> Module {
 // ---------------------------------------------------------------------------
 
 /// Instruction soup: rejection-sampled through the validator, then run
-/// through the full limit sweep on both engines.
+/// through the full limit sweep.
 #[test]
-fn differential_soup_agrees() {
+fn random_programs_are_deterministic_and_exactly_metered() {
     let mut rng = SmallRng::seed_from_u64(fuzz_seed());
     let target = fuzz_programs();
     let mut valid = 0usize;
@@ -440,7 +482,7 @@ fn differential_soup_agrees() {
 /// Template programs with guaranteed-valid control flow: loops, recursion,
 /// host-dense bodies — the shapes ReTwis workloads actually execute.
 #[test]
-fn differential_templates_agree() {
+fn template_programs_are_deterministic_and_exactly_metered() {
     let mut rng = SmallRng::seed_from_u64(fuzz_seed() ^ 0x7e3b);
     for round in 0..20 {
         let programs = [
@@ -459,7 +501,7 @@ fn differential_templates_agree() {
 /// A hand-written ReTwis-flavoured module (post + timeline read) checked
 /// across the sweep, including read-only backup-style execution.
 #[test]
-fn differential_retwis_style_module() {
+fn retwis_style_module_is_deterministic_and_exactly_metered() {
     let m = assemble(
         r#"
         fn post(1) locals=2 {
@@ -501,8 +543,8 @@ fn differential_retwis_style_module() {
 }
 
 /// Fuzzed round-trip property: `disassemble` output reassembles to a
-/// module that disassembles to the same text and behaves identically on
-/// both engines.
+/// module that disassembles to the same text, behaves like the original,
+/// and holds the full limit sweep itself.
 #[test]
 fn fuzzed_modules_round_trip_through_disasm() {
     let mut rng = SmallRng::seed_from_u64(fuzz_seed() ^ 0x5eed);
@@ -521,11 +563,11 @@ fn fuzzed_modules_round_trip_through_disasm() {
             .unwrap_or_else(|e| panic!("disassembly must reassemble: {e}\n{text1}"));
         let text2 = disassemble(&m2);
         assert_eq!(text1, text2, "disassemble∘assemble must be a fixed point");
-        // The reassembled module must behave exactly like the original on
-        // both engines (constant-pool indices may be renumbered).
+        // The reassembled module must behave exactly like the original
+        // (constant-pool indices may be renumbered).
         let args = random_args(&mut rng);
-        let (r1, t1, h1) = observe(&Interpreter::new(big_limits()), &m, "f0", &args);
-        let (r2, t2, h2) = observe(&Interpreter::new(big_limits()), &m2, "f0", &args);
+        let (r1, t1, h1) = observe(&m, "f0", &args, big_limits());
+        let (r2, t2, h2) = observe(&m2, "f0", &args, big_limits());
         match (&r1, &r2) {
             (Ok((v1, _)), Ok((v2, _))) => assert_eq!(v1, v2, "{text1}"),
             (Err(e1), Err(e2)) => assert_eq!(e1, e2, "{text1}"),
@@ -533,15 +575,15 @@ fn fuzzed_modules_round_trip_through_disasm() {
         }
         assert_eq!(t1, t2, "{text1}");
         assert_eq!(h1, h2, "{text1}");
-        assert_identical(&m2, "f0", &args, big_limits(), "round-trip-vs-ref");
+        check_program(&m2, "f0", &args);
     }
     assert!(checked >= 40, "too few valid modules for round-trip: {checked}");
 }
 
-/// Abort must discard nothing observable differently between engines and
-/// surface the same `Aborted` error with the same trace prefix.
+/// A trap after a host write surfaces the same error and the same trace on
+/// every run, and under every limit that lets it get that far.
 #[test]
-fn differential_abort_paths() {
+fn abort_paths_are_deterministic() {
     let m = assemble(
         r#"
         fn boom(1) {

@@ -1,14 +1,14 @@
 //! Property tests for the validator's edge cases — and for the execution
-//! boundaries that the pre-decoded (threaded) interpreter must get right
-//! even when the validator lets a construct through.
+//! boundaries that the interpreter must get right even when the validator
+//! lets a construct through.
 //!
 //! Covered: jump targets that land past the end of a function (rejected)
 //! vs exactly at the end (accepted, executes as an implicit return); jumps
-//! that land in the *middle of a fusable instruction pair* (must suppress
-//! superinstruction fusion); operand indices that point past the constant
-//! pool / locals / function table ("truncated operand" analogs — all
-//! rejected before either interpreter sees them); the call-depth boundary;
-//! and empty function bodies.
+//! that land in the *middle of a common instruction pair* (`load;load`,
+//! `add;store`); operand indices that point past the constant pool /
+//! locals / function table ("truncated operand" analogs — all rejected
+//! before the interpreter sees them); the call-depth boundary; and empty
+//! function bodies.
 
 use proptest::prelude::*;
 
@@ -32,15 +32,9 @@ fn module_with(code: Vec<Instr>, arity: u8, locals: u16) -> Module {
     }
 }
 
-/// Run both engines on `module::f(args)` and assert identical outcomes,
-/// returning the shared result.
-fn both_engines(module: &Module, args: Vec<VmValue>, limits: Limits) -> Result<VmValue, VmError> {
-    let mut h1 = MemoryHost::default();
-    let mut h2 = MemoryHost::default();
-    let r_ref = Interpreter::reference(limits).execute(module, "f", args.clone(), &mut h1);
-    let r_thr = Interpreter::new(limits).execute(module, "f", args, &mut h2);
-    assert_eq!(r_ref, r_thr, "engines diverged on {module:?}");
-    r_thr
+/// Run `module::f(args)` on a fresh host.
+fn run_f(module: &Module, args: Vec<VmValue>, limits: Limits) -> Result<VmValue, VmError> {
+    Interpreter::new(limits).execute(module, "f", args, &mut MemoryHost::default())
 }
 
 proptest! {
@@ -67,7 +61,7 @@ proptest! {
 
     /// `Jump(code.len())` — exactly one past the last instruction — is the
     /// legal loop-exit encoding and must execute as an implicit unit
-    /// return on both engines.
+    /// return.
     #[test]
     fn jump_to_end_is_implicit_return(pad in 0usize..6) {
         let mut code = vec![Instr::Jump(0)]; // patched below
@@ -79,13 +73,13 @@ proptest! {
         code[0] = Instr::Jump(end);
         let m = module_with(code, 0, 0);
         validate_module(&m).expect("jump-to-end is valid");
-        let out = both_engines(&m, vec![], Limits::default());
+        let out = run_f(&m, vec![], Limits::default());
         prop_assert_eq!(out, Ok(VmValue::Unit));
     }
 
     /// Operand indices past their tables — constant pool, locals, function
     /// table — are the stack-VM analog of truncated operands. All must be
-    /// rejected statically, never reaching either interpreter.
+    /// rejected statically, never reaching the interpreter.
     #[test]
     fn truncated_operand_analogs_rejected(excess in 0u32..40) {
         let cases: Vec<Vec<Instr>> = vec![
@@ -105,7 +99,7 @@ proptest! {
 
     /// Call-depth boundary: `f(n)` recurses n times, needing n+1 frames.
     /// With `call_depth = d`, n = d-1 must succeed and n = d must fail
-    /// with CallDepthExceeded — identically on both engines.
+    /// with CallDepthExceeded.
     #[test]
     fn call_depth_boundary_is_exact(depth in 1usize..12) {
         let code = vec![
@@ -125,15 +119,14 @@ proptest! {
         let m = module_with(code, 1, 1);
         validate_module(&m).expect("recursive module is valid");
         let limits = Limits { fuel: 100_000, memory_bytes: 1 << 20, call_depth: depth };
-        let ok = both_engines(&m, vec![VmValue::Int(depth as i64 - 1)], limits);
+        let ok = run_f(&m, vec![VmValue::Int(depth as i64 - 1)], limits);
         prop_assert_eq!(ok, Ok(VmValue::Int(0)));
-        let too_deep = both_engines(&m, vec![VmValue::Int(depth as i64)], limits);
+        let too_deep = run_f(&m, vec![VmValue::Int(depth as i64)], limits);
         prop_assert_eq!(too_deep, Err(VmError::CallDepthExceeded));
     }
 
-    /// Empty function bodies validate and return Unit on both engines —
-    /// including through a call, which exercises the threaded engine's
-    /// synthetic implicit-return instruction in a callee frame.
+    /// Empty function bodies validate and return Unit — including through
+    /// a call, which exercises the implicit return in a callee frame.
     #[test]
     fn empty_bodies_return_unit(arity in 0u8..3, extra_locals in 0u16..4) {
         let locals = arity as u16 + extra_locals;
@@ -152,19 +145,18 @@ proptest! {
         });
         validate_module(&m).expect("empty bodies are valid");
         let args = (0..arity).map(|i| VmValue::Int(i as i64)).collect();
-        prop_assert_eq!(both_engines(&m, args, Limits::default()), Ok(VmValue::Unit));
-        let mut h1 = MemoryHost::default();
-        let mut h2 = MemoryHost::default();
-        let limits = Limits::default();
-        let r1 = Interpreter::reference(limits).execute(&m, "caller", vec![], &mut h1);
-        let r2 = Interpreter::new(limits).execute(&m, "caller", vec![], &mut h2);
-        prop_assert_eq!(&r1, &r2);
-        prop_assert_eq!(r1, Ok(VmValue::Unit));
+        prop_assert_eq!(run_f(&m, args, Limits::default()), Ok(VmValue::Unit));
+        let through_call = Interpreter::new(Limits::default()).execute(
+            &m,
+            "caller",
+            vec![],
+            &mut MemoryHost::default(),
+        );
+        prop_assert_eq!(through_call, Ok(VmValue::Unit));
     }
 
-    /// A branch landing on the *second* instruction of a `load;load` pair:
-    /// the fuser must treat the target as a leader and not fuse across it,
-    /// or the jumped path would skip half a superinstruction.
+    /// A branch landing on the *second* instruction of a `load;load` pair
+    /// must run exactly that instruction onward, not the whole pair.
     #[test]
     fn jump_into_middle_of_load_load_pair(x in -50i64..50, y in -50i64..50, cond in any::<bool>()) {
         let code = vec![
@@ -176,14 +168,14 @@ proptest! {
             Instr::Load(0),
             Instr::JumpIfFalse(9),
             Instr::Pop,          // fallthrough drops the dummy
-            Instr::Load(1),      // fusable pair first half
+            Instr::Load(1),      // pair first half
             Instr::Load(2),      // pair second half AND branch target
             Instr::Add,
             Instr::Ret,
         ];
         let m = module_with(code, 1, 3);
         validate_module(&m).expect("mid-pair branch target is valid bytecode");
-        let out = both_engines(&m, vec![VmValue::Bool(cond)], Limits::default());
+        let out = run_f(&m, vec![VmValue::Bool(cond)], Limits::default());
         let expected = if cond { x + y } else { 100 + y };
         prop_assert_eq!(out, Ok(VmValue::Int(expected)));
     }
@@ -196,14 +188,14 @@ proptest! {
             Instr::Load(0),
             Instr::JumpIfFalse(5),
             Instr::PushInt(b),
-            Instr::Add,          // fusable pair first half
+            Instr::Add,          // pair first half
             Instr::Store(1),     // pair second half AND branch target
             Instr::Load(1),
             Instr::Ret,
         ];
         let m = module_with(code, 1, 2);
         validate_module(&m).expect("mid-pair branch target is valid bytecode");
-        let out = both_engines(&m, vec![VmValue::Bool(cond)], Limits::default());
+        let out = run_f(&m, vec![VmValue::Bool(cond)], Limits::default());
         let expected = if cond { a + b } else { a };
         prop_assert_eq!(out, Ok(VmValue::Int(expected)));
     }
