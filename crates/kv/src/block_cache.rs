@@ -1,8 +1,11 @@
-//! A shared LRU cache of decoded SSTable blocks.
+//! A shared LRU cache of raw SSTable blocks.
 //!
 //! LevelDB ships an 8 MB block cache by default; this is the equivalent.
-//! Blocks are cached *after* parsing (entry vectors), so a hit skips both
-//! the `pread` and the prefix-decompression. Keys are
+//! A block is cached as the bytes read from disk (entries plus restart
+//! trailer, without the CRC) and only after its checksum and structure were
+//! verified, so a hit skips the `pread`, the CRC and the validation walk and
+//! readers search the bytes in place. Each block is charged at its length.
+//! Keys are
 //! `(table instance id, block offset)` — table ids are unique per opened
 //! reader, so stale entries of deleted files can never be observed and age
 //! out via LRU.
@@ -13,8 +16,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// A decoded data block: sorted `(encoded internal key, value)` pairs.
-pub type DecodedBlock = Arc<Vec<(Vec<u8>, Vec<u8>)>>;
+/// A verified data block as stored on disk: prefix-compressed entries
+/// followed by the restart trailer.
+pub type RawBlock = Arc<[u8]>;
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -25,19 +29,19 @@ pub struct BlockCacheStats {
     pub misses: u64,
     /// Blocks evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Current resident bytes (approximate).
+    /// Current resident block bytes.
     pub resident_bytes: u64,
 }
 
 struct CacheInner {
-    map: HashMap<(u64, u64), (DecodedBlock, usize, u64)>,
+    map: HashMap<(u64, u64), (RawBlock, usize, u64)>,
     /// LRU order: access tick → key.
     order: BTreeMap<u64, (u64, u64)>,
     bytes: usize,
     tick: u64,
 }
 
-/// A byte-bounded LRU of decoded blocks, shared by all tables of one
+/// A byte-bounded LRU of raw blocks, shared by all tables of one
 /// database.
 pub struct BlockCache {
     inner: Mutex<CacheInner>,
@@ -59,7 +63,7 @@ impl std::fmt::Debug for BlockCache {
 }
 
 impl BlockCache {
-    /// A cache bounded to roughly `capacity_bytes` of decoded entries.
+    /// A cache bounded to `capacity_bytes` of block bytes.
     pub fn new(capacity_bytes: usize) -> Arc<BlockCache> {
         Arc::new(BlockCache {
             inner: Mutex::new(CacheInner {
@@ -76,7 +80,7 @@ impl BlockCache {
     }
 
     /// Look up a block, refreshing its LRU position.
-    pub fn get(&self, table_id: u64, offset: u64) -> Option<DecodedBlock> {
+    pub fn get(&self, table_id: u64, offset: u64) -> Option<RawBlock> {
         let mut inner = self.inner.lock();
         let key = (table_id, offset);
         if let Some((block, _, old_tick)) =
@@ -97,9 +101,9 @@ impl BlockCache {
         }
     }
 
-    /// Insert a decoded block, evicting LRU entries past the budget.
-    pub fn insert(&self, table_id: u64, offset: u64, block: DecodedBlock) {
-        let size: usize = block.iter().map(|(k, v)| k.len() + v.len() + 32).sum::<usize>() + 64;
+    /// Insert a verified block, evicting LRU entries past the budget.
+    pub fn insert(&self, table_id: u64, offset: u64, block: RawBlock) {
+        let size = block.len();
         if size > self.capacity_bytes {
             return; // larger than the whole cache: skip
         }
@@ -169,15 +173,15 @@ impl BlockCache {
 mod tests {
     use super::*;
 
-    fn block(n: usize, bytes_each: usize) -> DecodedBlock {
-        Arc::new((0..n).map(|i| (format!("k{i}").into_bytes(), vec![0u8; bytes_each])).collect())
+    fn block(len: usize) -> RawBlock {
+        vec![0u8; len].into()
     }
 
     #[test]
     fn hit_after_insert_miss_before() {
         let cache = BlockCache::new(1 << 20);
         assert!(cache.get(1, 0).is_none());
-        cache.insert(1, 0, block(4, 16));
+        cache.insert(1, 0, block(128));
         assert!(cache.get(1, 0).is_some());
         let s = cache.stats();
         assert_eq!(s.hits, 1);
@@ -186,14 +190,14 @@ mod tests {
 
     #[test]
     fn lru_evicts_oldest_first() {
-        // Each block ≈ 4*(2+100+32)+64 ≈ 600 bytes; cap at ~3 blocks.
+        // Room for exactly three 600-byte blocks.
         let cache = BlockCache::new(1800);
-        cache.insert(1, 0, block(4, 100));
-        cache.insert(1, 1, block(4, 100));
-        cache.insert(1, 2, block(4, 100));
+        cache.insert(1, 0, block(600));
+        cache.insert(1, 1, block(600));
+        cache.insert(1, 2, block(600));
         // Touch block 0 so block 1 is the LRU.
         cache.get(1, 0);
-        cache.insert(1, 3, block(4, 100));
+        cache.insert(1, 3, block(600));
         assert!(cache.get(1, 0).is_some(), "recently used survives");
         assert!(cache.get(1, 1).is_none(), "LRU evicted");
         assert!(cache.stats().evictions >= 1);
@@ -202,16 +206,16 @@ mod tests {
     #[test]
     fn oversized_blocks_are_skipped() {
         let cache = BlockCache::new(128);
-        cache.insert(1, 0, block(10, 100));
+        cache.insert(1, 0, block(129));
         assert!(cache.is_empty());
     }
 
     #[test]
     fn reinsert_replaces_without_leaking_bytes() {
         let cache = BlockCache::new(1 << 20);
-        cache.insert(1, 0, block(4, 100));
+        cache.insert(1, 0, block(600));
         let before = cache.stats().resident_bytes;
-        cache.insert(1, 0, block(4, 100));
+        cache.insert(1, 0, block(600));
         assert_eq!(cache.stats().resident_bytes, before, "no double counting");
         assert_eq!(cache.len(), 1);
     }
@@ -219,9 +223,9 @@ mod tests {
     #[test]
     fn evict_table_clears_only_that_table() {
         let cache = BlockCache::new(1 << 20);
-        cache.insert(1, 0, block(2, 8));
-        cache.insert(1, 1, block(2, 8));
-        cache.insert(2, 0, block(2, 8));
+        cache.insert(1, 0, block(64));
+        cache.insert(1, 1, block(64));
+        cache.insert(2, 0, block(64));
         cache.evict_table(1);
         assert!(cache.get(1, 0).is_none());
         assert!(cache.get(2, 0).is_some());
@@ -232,8 +236,8 @@ mod tests {
     fn resident_bytes_tracks_content() {
         let cache = BlockCache::new(1 << 20);
         assert_eq!(cache.stats().resident_bytes, 0);
-        cache.insert(1, 0, block(4, 100));
-        assert!(cache.stats().resident_bytes > 400);
+        cache.insert(1, 0, block(600));
+        assert_eq!(cache.stats().resident_bytes, 600, "charged at its length");
         cache.evict_table(1);
         assert_eq!(cache.stats().resident_bytes, 0);
     }

@@ -569,22 +569,28 @@ impl Db {
         self.iter_range_at(start, end, self.inner.last_seq.load(Ordering::Acquire))
     }
 
-    /// Iterate over live keys in `[start, end)` as of `seq`.
+    /// Iterate over live keys in `[start, end)` as of `seq`. Only the
+    /// memtable entries in the range are copied, and only tables whose key
+    /// range overlaps it are opened (opening one reads a block).
     pub fn iter_range_at(&self, start: &[u8], end: Option<&[u8]>, seq: SeqNo) -> DbIterator {
-        let active: Vec<(InternalKey, Value)> =
-            self.inner.mem.read().range_from(start).map(|(k, v)| (k.clone(), v.clone())).collect();
+        let before_end = |user: &[u8]| end.is_none_or(|e| user < e);
+        let active: Vec<(InternalKey, Value)> = self
+            .inner
+            .mem
+            .read()
+            .range_from(start)
+            .take_while(|(k, _)| before_end(&k.user))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
         let mut children: Vec<ChildIter> = vec![Box::new(active.into_iter())];
         let version = self.inner.current.read().clone();
         let seek = InternalKey::seek(start.to_vec(), MAX_SEQNO);
         let sink = &self.inner.read_corruptions;
-        for f in version.levels[0].iter().rev() {
-            children.push(Box::new(f.table.iter_from(&seek).with_sink(Arc::clone(sink))));
-        }
-        for level in version.levels.iter().skip(1) {
-            for f in level {
-                if f.table.largest.user.as_slice() >= start {
-                    children.push(Box::new(f.table.iter_from(&seek).with_sink(Arc::clone(sink))));
-                }
+        // Newest first: the merger breaks ties between equal keys by rank.
+        let tables = version.levels[0].iter().rev().chain(version.levels.iter().skip(1).flatten());
+        for f in tables {
+            if f.table.largest.user.as_slice() >= start && before_end(&f.table.smallest.user) {
+                children.push(Box::new(f.table.iter_from(&seek).with_sink(Arc::clone(sink))));
             }
         }
         VisibilityIterator::new(MergingIterator::new(children), seq, end.map(|e| e.to_vec()))
@@ -1156,6 +1162,32 @@ mod tests {
         db.put(b"uzer".to_vec(), b"4".to_vec()).unwrap();
         let keys: Vec<Key> = db.scan_prefix(b"user/1/").map(|(k, _)| k).collect();
         assert_eq!(keys, vec![b"user/1/a".to_vec(), b"user/1/b".to_vec()]);
+        fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_prefix_scan_outside_every_table_reads_no_block() {
+        let dir = tmpdir("scanoutside");
+        let db = Db::open(&dir, Options::small_for_tests()).unwrap();
+        for i in 0..300 {
+            db.put(format!("key-{i:05}").into_bytes(), vec![0u8; 64]).unwrap();
+        }
+        db.compact_all().unwrap();
+        db.put(b"key-00001".to_vec(), b"new".to_vec()).unwrap();
+        db.flush().unwrap(); // an L0 table beside the compacted levels
+        let levels = db.level_sizes();
+        assert!(levels[0].0 > 0 && levels[1..].iter().any(|l| l.0 > 0), "{levels:?}");
+        let blocks_read = |db: &Db| {
+            let s = db.block_cache_stats().expect("cache configured");
+            (s.hits, s.misses)
+        };
+        let before = blocks_read(&db);
+        assert_eq!(db.scan_prefix(b"a").count(), 0, "below every table");
+        assert_eq!(db.scan_prefix(b"zz").count(), 0, "above every table");
+        assert_eq!(blocks_read(&db), before, "no table was opened");
+        let keys: Vec<Key> = db.scan_prefix(b"key-0000").map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), 10);
+        assert_ne!(blocks_read(&db), before, "an overlapping scan reads blocks");
         fs::remove_dir_all(dir).ok();
     }
 

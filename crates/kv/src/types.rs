@@ -105,13 +105,8 @@ impl InternalKey {
     /// Returns `None` when the buffer is too short or the kind byte is
     /// invalid.
     pub fn decode(buf: &[u8]) -> Option<InternalKey> {
-        if buf.len() < 8 {
-            return None;
-        }
-        let (user, tagb) = buf.split_at(buf.len() - 8);
-        let tag = !u64::from_be_bytes(tagb.try_into().ok()?);
-        let (seq, kind) = unpack_tag(tag);
-        Some(InternalKey { user: user.to_vec(), seq, kind: kind? })
+        let (user, seq, kind) = split_encoded(buf)?;
+        Some(InternalKey { user: user.to_vec(), seq, kind })
     }
 }
 
@@ -159,6 +154,15 @@ pub fn cmp_encoded(a: &[u8], b: &[u8]) -> Ordering {
     let (ub, tb) = b.split_at(b.len() - 8);
     // Tags are complemented big-endian, so byte order == (seq desc, kind desc).
     ua.cmp(ub).then_with(|| ta.cmp(tb))
+}
+
+/// Split an encoded internal key into `(user key, seq, kind)` without
+/// copying; `None` exactly when [`InternalKey::decode`] fails.
+pub(crate) fn split_encoded(buf: &[u8]) -> Option<(&[u8], SeqNo, ValueKind)> {
+    let split = buf.len().checked_sub(8)?;
+    let (user, tagb) = buf.split_at(split);
+    let (seq, kind) = unpack_tag(!u64::from_be_bytes(tagb.try_into().ok()?));
+    Some((user, seq, kind?))
 }
 
 /// Encode a `u32` as a LEB128-style varint (used in block formats).

@@ -18,9 +18,39 @@ enum Op {
     Reopen,
 }
 
+/// The key space: small, to generate overwrites and deletes of live keys,
+/// with chains of keys that are prefixes of one another (`p`, `p/`, `p/a`,
+/// ...), the case where byte order of encoded internal keys is not key
+/// order.
+fn all_keys() -> Vec<Vec<u8>> {
+    let mut keys: Vec<Vec<u8>> = (0u8..20).map(|i| format!("key-{i:02}").into_bytes()).collect();
+    for chain in [&b"p/a/b"[..], b"p/b", b"q\0\0", b"key-1\xff"] {
+        keys.extend((1..=chain.len()).map(|n| chain[..n].to_vec()));
+    }
+    keys.sort();
+    keys.dedup();
+    keys
+}
+
+/// Prefixes for bounded scans: inside, between and around the key space.
+const SCAN_PREFIXES: &[&[u8]] = &[
+    b"",
+    b"a",
+    b"key-0",
+    b"key-1",
+    b"key-1\xff",
+    b"key-19",
+    b"p",
+    b"p/",
+    b"p/a",
+    b"q",
+    b"q\0",
+    b"z",
+];
+
 fn key_strategy() -> impl Strategy<Value = Vec<u8>> {
-    // Small key space to generate overwrites and deletes of live keys.
-    (0u8..20).prop_map(|i| format!("key-{i:02}").into_bytes())
+    let keys = all_keys();
+    (0..keys.len()).prop_map(move |i| keys[i].clone())
 }
 
 fn value_strategy() -> impl Strategy<Value = Vec<u8>> {
@@ -44,15 +74,24 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn check_against_model(db: &Db, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
     // Point reads.
-    for i in 0..20u8 {
-        let key = format!("key-{i:02}").into_bytes();
-        assert_eq!(db.get(&key).unwrap(), model.get(&key).cloned(), "get {i}");
+    for key in all_keys() {
+        assert_eq!(db.get(&key).unwrap(), model.get(&key).cloned(), "get {key:?}");
     }
     // Full scan.
     let scanned: Vec<(Vec<u8>, Vec<u8>)> = db.iter().collect();
     let expected: Vec<(Vec<u8>, Vec<u8>)> =
         model.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
     assert_eq!(scanned, expected, "iteration mismatch");
+    // Bounded scans.
+    for prefix in SCAN_PREFIXES {
+        let scanned: Vec<(Vec<u8>, Vec<u8>)> = db.scan_prefix(prefix).collect();
+        let expected: Vec<(Vec<u8>, Vec<u8>)> = model
+            .range(prefix.to_vec()..)
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect();
+        assert_eq!(scanned, expected, "scan_prefix {prefix:?}");
+    }
 }
 
 proptest! {
