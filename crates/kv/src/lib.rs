@@ -90,7 +90,7 @@ pub struct Options {
     pub level_size_multiplier: u64,
     /// Bloom filter bits per key (0 disables bloom filters).
     pub bloom_bits_per_key: usize,
-    /// Shared decoded-block cache budget in bytes (0 disables it).
+    /// Shared block cache budget in bytes of raw blocks (0 disables it).
     pub block_cache_bytes: usize,
     /// `fsync` the WAL on every commit. Disabled by default because the
     /// simulated cluster issues thousands of tiny commits per second; the
