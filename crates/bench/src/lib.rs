@@ -1,18 +1,14 @@
 //! # lambda-bench
 //!
-//! The benchmark harness that regenerates every table and figure of the
-//! LambdaObjects paper (see DESIGN.md's per-experiment index):
+//! The paper-figure harnesses. `benchmark/` (see `BENCHMARK.json`) is the
+//! measured, gated benchmark; these binaries print the paper's tables in
+//! the paper's shape:
 //!
 //! | binary | artifact |
 //! |---|---|
 //! | `fig1_fig2` | Figure 1 (normalized ReTwis throughput) + Figure 2 (median/p99 latency) |
 //! | `table1` | Table 1 (architecture comparison with measured proxies) |
-//! | `ablation_cache` | §4.2.2 consistent-caching ablation |
-//! | `ablation_scheduler` | §4.2 per-object scheduling ablation |
-//! | `ablation_replication` | §4.2.1 replication-factor ablation |
-//! | `ablation_fanout` | §3.2 fan-out cost sweep |
-//!
-//! Criterion micro-benchmarks live under `benches/`.
+//! | `rebalance` | hotspot shift under the coordinator's rebalancer (`BENCH_rebalance.json`) |
 //!
 //! All binaries accept environment variables to scale the run:
 //! `RETWIS_ACCOUNTS`, `RETWIS_CLIENTS`, `RETWIS_FOLLOWS`,
@@ -37,8 +33,8 @@ pub fn env_f64(name: &str, default: f64) -> f64 {
 
 /// The workload configuration used by the figure/table harnesses.
 ///
-/// Defaults are scaled down from the paper (2,000 accounts, 48 clients,
-/// 4 s per workload) so a full run completes in minutes inside the
+/// Defaults are scaled down from the paper (1,000 accounts, 16 clients,
+/// 5 follows, 4 s per workload) so a full run completes in minutes inside the
 /// simulator; `BENCH_PAPER_SCALE=1` restores the paper's parameters.
 pub fn workload_config() -> WorkloadConfig {
     let paper = env_usize("BENCH_PAPER_SCALE", 0) == 1;
@@ -47,7 +43,7 @@ pub fn workload_config() -> WorkloadConfig {
     let follows = env_usize("RETWIS_FOLLOWS", if paper { 10 } else { 5 });
     let seconds = env_f64("RETWIS_SECONDS", if paper { 10.0 } else { 4.0 });
     // The paper does not specify follower skew; Retwis-style setups use a
-    // mildly skewed graph. θ=0.5 keeps hot accounts realistic without the
+    // mildly skewed graph. θ=0.3 keeps hot accounts realistic without the
     // degenerate celebrity fan-outs θ≈1 produces at small account counts.
     let theta = env_f64("RETWIS_THETA", 0.3);
     WorkloadConfig {

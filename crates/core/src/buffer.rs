@@ -15,6 +15,8 @@ use std::collections::BTreeMap;
 
 use lambda_kv::WriteBatch;
 
+use crate::cache::ReadSet;
+
 /// Stable hash of a possibly-absent value. Absence hashes differently from
 /// every present value.
 pub fn value_hash(v: Option<&[u8]>) -> u64 {
@@ -86,7 +88,7 @@ impl WriteBuffer {
     }
 
     /// The recorded read set.
-    pub fn read_set(&self) -> Vec<(Vec<u8>, u64)> {
+    pub fn read_set(&self) -> ReadSet {
         self.reads.iter().map(|(k, h)| (k.clone(), *h)).collect()
     }
 

@@ -63,6 +63,12 @@ struct EntryKey {
     args_hash: u64,
 }
 
+impl EntryKey {
+    fn new(object: &ObjectId, method: &str, args: &[VmValue]) -> EntryKey {
+        EntryKey { object: object.clone(), method: method.to_string(), args_hash: args_hash(args) }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
     result: VmValue,
@@ -92,6 +98,23 @@ struct CacheInner {
     /// count while the stamp still matches the live entry.
     order: VecDeque<(EntryKey, u64)>,
     next_seq: u64,
+}
+
+impl CacheInner {
+    /// Remove the entry under `key` and detach its read set from
+    /// `by_key`, so no key it read still points at it.
+    fn remove_entry(&mut self, key: &EntryKey) -> Option<Entry> {
+        let old = self.entries.remove(key)?;
+        for (k, _) in &old.read_set {
+            if let Some(set) = self.by_key.get_mut(k) {
+                set.remove(key);
+                if set.is_empty() {
+                    self.by_key.remove(k);
+                }
+            }
+        }
+        Some(old)
+    }
 }
 
 /// A miss in the type memo: the generation a name read from storage after
@@ -163,40 +186,14 @@ impl ConsistentCache {
     /// [`lookup_validated`](Self::lookup_validated) re-checks the read set
     /// anyway, for callers that bypass the commit paths.
     pub fn lookup(&self, object: &ObjectId, method: &str, args: &[VmValue]) -> Option<VmValue> {
-        self.lookup_with_read_set(object, method, args).map(|(v, _)| v)
-    }
-
-    /// Like [`lookup`](Self::lookup), but also returns the entry's recorded
-    /// read set — the server uses this to hand read sets to client-edge
-    /// caches without re-executing the method.
-    pub fn lookup_with_read_set(
-        &self,
-        object: &ObjectId,
-        method: &str,
-        args: &[VmValue],
-    ) -> Option<(VmValue, ReadSet)> {
         if self.capacity == 0 {
             return None;
         }
-        let key = EntryKey {
-            object: object.clone(),
-            method: method.to_string(),
-            args_hash: args_hash(args),
-        };
-        let entry = {
-            let inner = self.inner.lock();
-            inner.entries.get(&key).cloned()
-        };
-        match entry {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some((entry.result, entry.read_set))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let key = EntryKey::new(object, method, args);
+        let result = self.inner.lock().entries.get(&key).map(|e| e.result.clone());
+        let counter = if result.is_some() { &self.hits } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        result
     }
 
     /// Like [`lookup`](Self::lookup), but re-validates the entry's read set
@@ -213,15 +210,8 @@ impl ConsistentCache {
         if self.capacity == 0 {
             return None;
         }
-        let key = EntryKey {
-            object: object.clone(),
-            method: method.to_string(),
-            args_hash: args_hash(args),
-        };
-        let entry = {
-            let inner = self.inner.lock();
-            inner.entries.get(&key).cloned()
-        };
+        let key = EntryKey::new(object, method, args);
+        let entry = self.inner.lock().entries.get(&key).cloned();
         let Some(entry) = entry else {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -229,7 +219,7 @@ impl ConsistentCache {
         for (k, recorded) in &entry.read_set {
             if current_hash(k) != *recorded {
                 self.stale_hits.fetch_add(1, Ordering::Relaxed);
-                self.remove(&key);
+                self.inner.lock().remove_entry(&key);
                 return None;
             }
         }
@@ -249,11 +239,7 @@ impl ConsistentCache {
         if self.capacity == 0 {
             return;
         }
-        let key = EntryKey {
-            object: object.clone(),
-            method: method.to_string(),
-            args_hash: args_hash(args),
-        };
+        let key = EntryKey::new(object, method, args);
         let mut inner = self.inner.lock();
         // Drain queue tickets whose entries were invalidated (or replaced
         // under a newer stamp) out-of-band; they are not live and must not
@@ -268,17 +254,7 @@ impl ConsistentCache {
         // A replace: detach the old version's read set from the reverse
         // index first, so a key only the old version read no longer
         // invalidates the new entry.
-        let replacing = inner.entries.remove(&key);
-        if let Some(old) = &replacing {
-            for (k, _) in &old.read_set {
-                if let Some(set) = inner.by_key.get_mut(k) {
-                    set.remove(&key);
-                    if set.is_empty() {
-                        inner.by_key.remove(k);
-                    }
-                }
-            }
-        }
+        let replacing = inner.remove_entry(&key);
         // Capacity eviction (FIFO) — only when the insert actually grows
         // the map; replacing in place never needs a victim. Tickets with a
         // mismatched stamp are stale duplicates (their entry was
@@ -290,17 +266,8 @@ impl ConsistentCache {
                     break;
                 };
                 if inner.entries.get(&victim).is_some_and(|e| e.seq == stamp) {
-                    if let Some(old) = inner.entries.remove(&victim) {
-                        for (k, _) in &old.read_set {
-                            if let Some(set) = inner.by_key.get_mut(k) {
-                                set.remove(&victim);
-                                if set.is_empty() {
-                                    inner.by_key.remove(k);
-                                }
-                            }
-                        }
-                        self.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
+                    inner.remove_entry(&victim);
+                    self.evictions.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
@@ -337,16 +304,8 @@ impl ConsistentCache {
             }
         }
         for victim in victims {
-            if let Some(old) = inner.entries.remove(&victim) {
+            if inner.remove_entry(&victim).is_some() {
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
-                for (k, _) in &old.read_set {
-                    if let Some(set) = inner.by_key.get_mut(k) {
-                        set.remove(&victim);
-                        if set.is_empty() {
-                            inner.by_key.remove(k);
-                        }
-                    }
-                }
             }
         }
     }
@@ -359,16 +318,8 @@ impl ConsistentCache {
         let victims: Vec<EntryKey> =
             inner.entries.keys().filter(|k| &k.object == object).cloned().collect();
         for victim in victims {
-            if let Some(old) = inner.entries.remove(&victim) {
+            if inner.remove_entry(&victim).is_some() {
                 self.invalidations.fetch_add(1, Ordering::Relaxed);
-                for (k, _) in &old.read_set {
-                    if let Some(set) = inner.by_key.get_mut(k) {
-                        set.remove(&victim);
-                        if set.is_empty() {
-                            inner.by_key.remove(k);
-                        }
-                    }
-                }
             }
         }
     }
@@ -386,20 +337,6 @@ impl ConsistentCache {
         let mut memo = self.types.write();
         if memo.generation == miss.0 {
             memo.names.insert(object.0.clone(), name.to_string());
-        }
-    }
-
-    fn remove(&self, key: &EntryKey) {
-        let mut inner = self.inner.lock();
-        if let Some(old) = inner.entries.remove(key) {
-            for (k, _) in &old.read_set {
-                if let Some(set) = inner.by_key.get_mut(k) {
-                    set.remove(key);
-                    if set.is_empty() {
-                        inner.by_key.remove(k);
-                    }
-                }
-            }
         }
     }
 
@@ -596,16 +533,6 @@ mod tests {
         assert!(cache.lookup(&oid(), "b", &[]).is_none(), "true oldest evicted");
         assert_eq!(cache.lookup(&oid(), "c", &[]), Some(VmValue::Int(3)));
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn lookup_with_read_set_returns_the_recorded_reads() {
-        let cache = ConsistentCache::new(4);
-        let rs = read_set(&[(b"k1", Some(b"v1"))]);
-        cache.insert(&oid(), "get", &[], VmValue::Int(9), rs.clone());
-        let (v, got) = cache.lookup_with_read_set(&oid(), "get", &[]).unwrap();
-        assert_eq!(v, VmValue::Int(9));
-        assert_eq!(got, rs);
     }
 
     fn memo(cache: &ConsistentCache, id: &ObjectId, name: &str) {

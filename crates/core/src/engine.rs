@@ -58,7 +58,8 @@ pub struct EngineConfig {
     pub limits: Limits,
     /// Consistent-cache capacity in entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Scheduler discipline.
+    /// Ignored: [`SchedulerMode::PerObject`] is the one discipline. Kept
+    /// because the `benchmark` package builds this struct by literal.
     pub scheduler: SchedulerMode,
     /// Maximum nested-invocation depth.
     pub max_depth: usize,
@@ -124,16 +125,9 @@ type HookResult = std::result::Result<(), String>;
 /// with the replication outcome.
 pub type CommitCallback = Box<dyn FnOnce(HookResult) + Send>;
 
-/// A recorded read set: keys and value hashes, as cached by the
-/// consistent result cache (§4.2.2).
-pub type ReadSet = Vec<(Vec<u8>, u64)>;
-
-/// An invocation's final outcome: the result plus its recorded read set.
-/// The read set is `Some` only for cacheable (deterministic read-only)
-/// invocations — from the cache entry on a hit, from the execution's read
-/// buffer on a miss — so servers can feed client-edge result caches
-/// without a second execution.
-pub type InvokeOutcome = Result<(VmValue, Option<ReadSet>)>;
+/// An invocation's final outcome. A cacheable invocation's read set stays
+/// on the node, in its result cache (§4.2.2).
+pub type InvokeOutcome = Result<VmValue>;
 
 /// Completion for a deferred invocation: invoked exactly once with the
 /// final outcome.
@@ -383,7 +377,7 @@ impl Drop for InflightTicket {
 /// What [`Engine::resolve`] decided for one invocation.
 enum Resolved<'a> {
     /// Served from the consistent cache.
-    Hit(VmValue, ReadSet),
+    Hit(VmValue),
     /// A first delivery of this external mutation is still running.
     InFlight(InFlight<'a>),
     /// Run the method once the scheduler grants the object.
@@ -498,7 +492,7 @@ impl Engine {
             types,
             cache: ConsistentCache::new(config.cache_capacity),
             cache_enabled: config.cache_capacity > 0,
-            scheduler: Scheduler::with_registry(config.scheduler, &registry),
+            scheduler: Scheduler::with_registry(&registry),
             interpreter: Interpreter::new(config.limits),
             router: parking_lot::RwLock::new(None),
             commit_hook: parking_lot::RwLock::new(None),
@@ -759,8 +753,7 @@ impl Engine {
         let (tx, rx) = channel::bounded(1);
         let done: InvokeCompletion = Box::new(move |outcome| drop(tx.send(outcome)));
         self.arc().invoke_deferred_at(ctx, object, method, args, external, depth, None, done);
-        let outcome = rx.recv().unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())));
-        outcome.map(|(value, _)| value)
+        rx.recv().unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())))
     }
 
     /// Invoke without parking this thread: `done` runs exactly once with
@@ -803,7 +796,7 @@ impl Engine {
     ) {
         let call = match self.resolve(ctx, object, method, args, external, depth) {
             Err(e) => return done(Err(e)),
-            Ok(Resolved::Hit(value, read_set)) => return done(Ok((value, Some(read_set)))),
+            Ok(Resolved::Hit(value)) => return done(Ok(value)),
             Ok(Resolved::InFlight(first)) => return first.attach(done),
             Ok(Resolved::Run(call)) => call,
         };
@@ -878,10 +871,10 @@ impl Engine {
         if cacheable {
             // Plain O(1) lookup: every write path invalidates eagerly, so
             // resident entries are valid by construction (§4.2.2).
-            if let Some((hit, read_set)) = self.cache.lookup_with_read_set(object, method, &args) {
+            if let Some(hit) = self.cache.lookup(object, method, &args) {
                 self.cache_hits.incr();
                 self.invocations.incr();
-                return Ok(Resolved::Hit(hit, read_set));
+                return Ok(Resolved::Hit(hit));
             }
         }
         // Exactly-once, first half: an external mutation that carries an
@@ -949,7 +942,7 @@ impl Engine {
                 if replayed.is_ok() {
                     self.invocations.incr();
                 }
-                return Executed::done(ticket, replayed.map(|result| (result, None)));
+                return Executed::done(ticket, replayed);
             }
         }
 
@@ -1017,11 +1010,11 @@ impl Engine {
         let guard = host.guard.take();
         drop(host);
         self.invocations.incr();
-        if let Some(read_set) = &read_set {
-            self.cache.insert(&object, &method, &args, value.clone(), read_set.clone());
+        if let Some(read_set) = read_set {
+            self.cache.insert(&object, &method, &args, value.clone(), read_set);
         }
         drop(guard);
-        Executed::done(ticket, Ok((value, read_set)))
+        Executed::done(ticket, Ok(value))
     }
 
     /// Run `method`'s body on `host`: bytecode through the metered VM,
@@ -1045,7 +1038,7 @@ impl Engine {
     /// to): count it, release the object, and answer everyone waiting.
     fn finish_invocation(&self, tail: Tail, committed: Result<()>) -> InvokeOutcome {
         let Tail { value, guard, ticket } = tail;
-        let outcome = committed.map(|()| (value, None));
+        let outcome = committed.map(|()| value);
         if outcome.is_ok() {
             self.invocations.incr();
         }
@@ -1397,9 +1390,8 @@ impl NestedInvoker for Engine {
         let lost = || Err(InvokeError::Nested("scatter branch ended without an outcome".into()));
         Ok(results
             .into_iter()
-            .map(|outcome| match outcome.unwrap_or_else(lost) {
-                Ok((value, _)) => Ok(value),
-                Err(e) => Err(HostError::InvokeFailed(encode_error(&e))),
+            .map(|outcome| {
+                outcome.unwrap_or_else(lost).map_err(|e| HostError::InvokeFailed(encode_error(&e)))
             })
             .collect())
     }
@@ -1901,7 +1893,7 @@ mod tests {
                         true,
                         Box::new(move |outcome| tx.send(outcome).unwrap()),
                     );
-                    rx.recv().unwrap().map(|(value, _)| value)
+                    rx.recv().unwrap()
                 }
             }
         }

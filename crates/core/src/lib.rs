@@ -81,10 +81,10 @@ pub mod scheduler;
 pub mod transaction;
 
 pub use buffer::{value_hash, WriteBuffer};
-pub use cache::{args_hash, CacheStats, ConsistentCache};
+pub use cache::{args_hash, CacheStats, ConsistentCache, ReadSet};
 pub use engine::{
     ship_and_join, write_set_ops, CommitCallback, CommitHook, DeferredCommit, Engine, EngineConfig,
-    EngineStats, InvokeCompletion, InvokeOutcome, InvokeRouter, ReadSet, WriteSetOps, DEDUP_WINDOW,
+    EngineStats, InvokeCompletion, InvokeOutcome, InvokeRouter, WriteSetOps, DEDUP_WINDOW,
 };
 pub use error::{decode_error, encode_error, InvokeError, Result};
 pub use host::{Boundary, NestedInvoker, ObjectHost};

@@ -6,9 +6,7 @@
 //! "determine\[s\] the granularity of locks" by deciding what an object is.
 //!
 //! Mutating invocations take the object's lock exclusively; read-only
-//! invocations share it. Alternative modes exist for the scheduler
-//! ablation (ABL-SCHED in DESIGN.md): one global lock (coarse), or no
-//! locking at all (unsafe, for measuring what the locks cost).
+//! invocations share it.
 //!
 //! The lock is a FIFO queue of waiters rather than a thread-parking
 //! rwlock: a waiter is a continuation that the releasing thread runs when
@@ -28,17 +26,13 @@ use parking_lot::Mutex;
 use crate::error::InvokeError;
 use crate::object::ObjectId;
 
-/// Locking disciplines, selectable for ablation experiments.
+/// The locking discipline. There is one; the enum stays because the
+/// `benchmark` package names it in an `EngineConfig` literal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulerMode {
     /// One reader-writer lock per object (the paper's design).
     #[default]
     PerObject,
-    /// A single lock for the whole node (what a naive embedding would do).
-    Global,
-    /// No locking: invocation linearizability is **not** provided. Only for
-    /// measuring lock overhead against.
-    Unsafe,
 }
 
 /// Scheduler statistics — a thin view over the telemetry registry's
@@ -173,7 +167,7 @@ impl ObjectLock {
                 }
                 let w = st.queue.pop_front().expect("front exists");
                 st.writer = true;
-                let guard = ObjectGuard { lock: Some((Arc::clone(self), true)) };
+                let guard = ObjectGuard { lock: Arc::clone(self), exclusive: true };
                 grants.push((w.grant, Ok(guard)));
                 break;
             }
@@ -183,17 +177,16 @@ impl ObjectLock {
             }
             let w = st.queue.pop_front().expect("front exists");
             st.readers += 1;
-            let guard = ObjectGuard { lock: Some((Arc::clone(self), false)) };
+            let guard = ObjectGuard { lock: Arc::clone(self), exclusive: false };
             grants.push((w.grant, Ok(guard)));
         }
     }
 }
 
-/// Grants and tracks object locks.
+/// Grants and tracks object locks. `Default` gives it private counters.
+#[derive(Default)]
 pub struct Scheduler {
-    mode: SchedulerMode,
     locks: Mutex<HashMap<ObjectId, Arc<ObjectLock>>>,
-    global: Arc<ObjectLock>,
     exclusive: Counter,
     shared: Counter,
     shed: Counter,
@@ -201,7 +194,7 @@ pub struct Scheduler {
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduler").field("mode", &self.mode).finish()
+        f.debug_struct("Scheduler").finish()
     }
 }
 
@@ -210,7 +203,8 @@ impl std::fmt::Debug for Scheduler {
 /// thread through commit and replication completion — and be dropped
 /// wherever the reply finally happens.
 pub struct ObjectGuard {
-    lock: Option<(Arc<ObjectLock>, bool)>,
+    lock: Arc<ObjectLock>,
+    exclusive: bool,
 }
 
 impl std::fmt::Debug for ObjectGuard {
@@ -221,63 +215,32 @@ impl std::fmt::Debug for ObjectGuard {
 
 impl Drop for ObjectGuard {
     fn drop(&mut self) {
-        if let Some((lock, exclusive)) = self.lock.take() {
-            lock.release(exclusive);
-        }
+        self.lock.release(self.exclusive);
     }
 }
 
 impl Scheduler {
-    /// A scheduler with the given discipline and private counters.
-    pub fn new(mode: SchedulerMode) -> Scheduler {
-        let shed = Counter::new();
-        Scheduler {
-            mode,
-            locks: Mutex::new(HashMap::new()),
-            global: Arc::new(ObjectLock::new(shed.clone())),
-            exclusive: Counter::new(),
-            shared: Counter::new(),
-            shed,
-        }
-    }
-
     /// A scheduler whose counters live in `registry` (as `sched_exclusive`,
     /// `sched_shared`, `sched_shed`), so node stats and scheduler stats are
     /// views over the same cells.
-    pub fn with_registry(mode: SchedulerMode, registry: &Registry) -> Scheduler {
-        let shed = registry.counter("sched_shed");
+    pub fn with_registry(registry: &Registry) -> Scheduler {
         Scheduler {
-            mode,
             locks: Mutex::new(HashMap::new()),
-            global: Arc::new(ObjectLock::new(shed.clone())),
             exclusive: registry.counter("sched_exclusive"),
             shared: registry.counter("sched_shared"),
-            shed,
+            shed: registry.counter("sched_shed"),
         }
-    }
-
-    /// The active discipline.
-    pub fn mode(&self) -> SchedulerMode {
-        self.mode
     }
 
     fn lock_for(&self, object: &ObjectId) -> Arc<ObjectLock> {
-        match self.mode {
-            SchedulerMode::Global => Arc::clone(&self.global),
-            _ => {
-                let mut locks = self.locks.lock();
-                Arc::clone(
-                    locks
-                        .entry(object.clone())
-                        .or_insert_with(|| Arc::new(ObjectLock::new(self.shed.clone()))),
-                )
-            }
-        }
+        let mut locks = self.locks.lock();
+        let lock = locks.entry(object.clone());
+        Arc::clone(lock.or_insert_with(|| Arc::new(ObjectLock::new(self.shed.clone()))))
     }
 
-    /// The one acquire: every decision — deadline shed, counters, the
-    /// `Unsafe` bypass, immediate grant when the lock is free (FIFO: an
-    /// empty queue) or else a place in the queue — is made here. `grant`
+    /// The one acquire: every decision — deadline shed, counters,
+    /// immediate grant when the lock is free (FIFO: an empty queue) or else
+    /// a place in the queue — is made here. `grant`
     /// runs on *this* thread when the lock is free right now, else on
     /// whichever thread releases it. The public entry points only choose
     /// how the caller waits for it.
@@ -298,9 +261,6 @@ impl Scheduler {
         } else {
             self.shared.incr();
         }
-        if self.mode == SchedulerMode::Unsafe {
-            return grant(Ok(ObjectGuard { lock: None }));
-        }
         let lock = self.lock_for(object);
         let mut st = lock.state.lock();
         let free = !st.writer && st.queue.is_empty() && (!exclusive || st.readers == 0);
@@ -314,7 +274,7 @@ impl Scheduler {
             st.readers += 1;
         }
         drop(st);
-        run_grant(grant, Ok(ObjectGuard { lock: Some((lock, exclusive)) }));
+        run_grant(grant, Ok(ObjectGuard { lock, exclusive }));
     }
 
     /// Parked shell, without a deadline: the grant is handed over a
@@ -374,12 +334,6 @@ impl Scheduler {
     /// Number of objects with materialized locks.
     pub fn tracked_objects(&self) -> usize {
         self.locks.lock().len()
-    }
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Scheduler::new(SchedulerMode::PerObject)
     }
 }
 
@@ -454,32 +408,6 @@ mod tests {
         assert!(t.join().unwrap());
     }
 
-    #[test]
-    fn global_mode_serializes_everything() {
-        let sched = Scheduler::new(SchedulerMode::Global);
-        let g1 = sched.acquire_exclusive(&oid("a"));
-        let done = Arc::new(AtomicUsize::new(0));
-        let done2 = Arc::clone(&done);
-        let sched = Arc::new(sched);
-        let sched2 = Arc::clone(&sched);
-        let t = std::thread::spawn(move || {
-            let _g = sched2.acquire_exclusive(&oid("b"));
-            done2.store(1, Ordering::SeqCst);
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(done.load(Ordering::SeqCst), 0, "different object still blocked");
-        drop(g1);
-        t.join().unwrap();
-    }
-
-    #[test]
-    fn unsafe_mode_never_blocks() {
-        let sched = Scheduler::new(SchedulerMode::Unsafe);
-        let g1 = sched.acquire_exclusive(&oid("a"));
-        let g2 = sched.acquire_exclusive(&oid("a"));
-        drop((g1, g2));
-    }
-
     /// `acquire_deferred` where the grant or the shed happens inline.
     fn acquire_now(
         sched: &Scheduler,
@@ -529,7 +457,7 @@ mod tests {
     #[test]
     fn registry_backed_counters_are_shared() {
         let reg = lambda_telemetry::Registry::new();
-        let sched = Scheduler::with_registry(SchedulerMode::PerObject, &reg);
+        let sched = Scheduler::with_registry(&reg);
         let _g = sched.acquire_exclusive(&oid("a"));
         assert_eq!(reg.counter_value("sched_exclusive"), 1);
         assert_eq!(sched.stats().exclusive, 1);

@@ -154,8 +154,7 @@ pub type WriteCallback = Box<dyn FnOnce(Result<()>) + Send>;
 /// completion, and whether some thread is leading (committing) right now.
 ///
 /// A writer that finds `leading` clear takes the lead. Each pass of
-/// [`Db::lead`] takes the queued batches (all of them, or only the oldest
-/// with `Options::group_commit` off), appends them to the WAL under one
+/// [`Db::lead`] takes every queued batch, appends them to the WAL under one
 /// sync, publishes them, gives the lead up, and only then runs their
 /// completions: a completion may itself write. It then flushes when the
 /// group filled the memtable, and takes the lead back while batches are
@@ -443,8 +442,7 @@ impl Db {
             let mut ws = self.inner.write.lock();
             let (batches, callbacks): (Vec<WriteBatch>, Vec<WriteCallback>) = {
                 let mut queue = self.inner.commit_queue.lock();
-                let take = if self.inner.opts.group_commit { queue.pending.len() } else { 1 };
-                queue.pending.drain(..take).unzip()
+                queue.pending.drain(..).unzip()
             };
             let committed = self.commit_group(&mut ws, &batches);
             drop(ws);
@@ -1453,37 +1451,6 @@ mod tests {
         for t in 0..8 {
             for i in 0..50 {
                 assert!(db.get(format!("w{t}-{i:03}").as_bytes()).unwrap().is_some());
-            }
-        }
-        fs::remove_dir_all(dir).ok();
-    }
-
-    #[test]
-    fn group_commit_disabled_commits_one_batch_per_group() {
-        let dir = tmpdir("nogroup");
-        let db =
-            Db::open(&dir, Options { group_commit: false, ..Options::small_for_tests() }).unwrap();
-        let writers: Vec<_> = (0..4)
-            .map(|t| {
-                let db = db.clone();
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        db.put(format!("n{t}-{i:03}").into_bytes(), b"v".to_vec()).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for w in writers {
-            w.join().unwrap();
-        }
-        let s = db.stats();
-        assert_eq!(s.writes, 200);
-        assert_eq!(s.commit_group_batches, 200);
-        assert_eq!(s.commit_groups, 200, "disabled grouping: one batch per group");
-        assert_eq!(db.last_sequence(), 200);
-        for t in 0..4 {
-            for i in 0..50 {
-                assert!(db.get(format!("n{t}-{i:03}").as_bytes()).unwrap().is_some());
             }
         }
         fs::remove_dir_all(dir).ok();

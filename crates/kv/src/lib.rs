@@ -96,11 +96,9 @@ pub struct Options {
     /// simulated cluster issues thousands of tiny commits per second; the
     /// benches that measure durability cost re-enable it.
     pub sync_wal: bool,
-    /// Coalesce concurrent commits through the group-commit queue: the
-    /// leading thread appends every queued batch and pays one WAL sync for
-    /// the whole group. Disabling it (ABL-GROUPCOMMIT's `off` arm) makes
-    /// the leader take one queued batch per pass, so every batch pays its
-    /// own append and sync.
+    /// Ignored: concurrent commits always coalesce through the group-commit
+    /// queue, whose leader appends every queued batch under one WAL sync.
+    /// Kept because the `benchmark` package builds this struct by literal.
     pub group_commit: bool,
     /// Verify block checksums on every read.
     ///

@@ -67,7 +67,7 @@ pub fn user_module() -> Module {
         }
 
         ; create_post_seq(msg): the same post, fanned out one follower at
-        ; a time — the reference the ABL-FANOUT ablation compares against.
+        ; a time — the sequential reference the scatter is tested against.
         fn create_post_seq(1) locals=5 {
             host.self
             push.s "|"

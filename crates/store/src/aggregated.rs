@@ -13,8 +13,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use lambda_coordinator::{CoordClient, CoordEvent, Epoch, ShardId};
 use lambda_kv::Db;
 use lambda_net::rpc::{sync_handler, AdmissionPolicy, Responder, RpcConfig};
@@ -30,7 +28,7 @@ use crate::control::Control;
 use crate::lease::Leases;
 use crate::migrate::Migrations;
 use crate::placement::Placement;
-use crate::proto::{self, ClientPush, NodeStatsWire, StoreRequest, StoreResponse};
+use crate::proto::{self, NodeStatsWire, StoreRequest, StoreResponse};
 use crate::replication::ReplState;
 use crate::sync::SyncState;
 
@@ -117,10 +115,6 @@ pub(crate) struct NodeInner {
     q_inflight: Gauge,
     /// Requests refused by admission control, mirrored likewise.
     q_shed: Gauge,
-    /// Clients subscribed to the commit invalidation stream.
-    subscribers: Mutex<Vec<NodeId>>,
-    /// Invalidation frames pushed to subscribed clients.
-    invalidations_published: Counter,
     /// Replication windows, recent-commit rings and counters
     /// ([`crate::replication`]).
     pub(crate) repl: ReplState,
@@ -137,25 +131,6 @@ pub(crate) struct NodeInner {
 impl NodeInner {
     pub(crate) fn rpc(&self) -> &Arc<RpcNode> {
         self.rpc.get().expect("rpc initialized during start")
-    }
-
-    /// Push the written keys of a commit this node just applied to every
-    /// subscribed client-edge cache (oneway; a lost frame only costs the
-    /// subscriber a lazy re-validation miss later).
-    pub(crate) fn publish_invalidations<'a>(&self, written: impl Iterator<Item = &'a Vec<u8>>) {
-        let subs = self.subscribers.lock();
-        if subs.is_empty() {
-            return;
-        }
-        let keys: Vec<Vec<u8>> = written.cloned().collect();
-        if keys.is_empty() {
-            return;
-        }
-        let frame = wire::to_bytes(&ClientPush::Invalidate { keys }).expect("pushes serialize");
-        for &s in subs.iter() {
-            self.rpc().notify(s, frame.clone());
-            self.invalidations_published.incr();
-        }
     }
 
     /// `req` framed for one node-to-node hop on behalf of `ctx`, and the
@@ -262,13 +237,6 @@ impl NodeInner {
                 }
                 Ok(StoreResponse::Ok)
             }
-            StoreRequest::SubscribeInvalidations { subscriber } => {
-                let mut subs = self.subscribers.lock();
-                if !subs.contains(&subscriber) {
-                    subs.push(subscriber);
-                }
-                Ok(StoreResponse::Ok)
-            }
             StoreRequest::MigrateInstall { snapshot, shard } => {
                 self.migrate_install(snapshot, shard)?;
                 Ok(StoreResponse::Ok)
@@ -340,7 +308,6 @@ impl NodeInner {
             shed: qs.shed,
             follower_reads: self.leases.follower_reads.get(),
             lease_rejections: self.leases.rejections.get(),
-            invalidations_published: self.invalidations_published.get(),
             corruption_reports: self.control.corruption_reports.get(),
             promotion_resyncs: self.repl.promotion_resyncs.get(),
         }
@@ -429,8 +396,7 @@ impl InvokeRouter for NodeInner {
                 frame,
                 timeout,
                 Box::new(move |reply| {
-                    let value = proto::decode_reply(reply).and_then(StoreResponse::into_value);
-                    done(value.map(|value| (value, None)));
+                    done(proto::decode_reply(reply).and_then(StoreResponse::into_value));
                 }),
             ),
         }
@@ -493,8 +459,6 @@ impl AggregatedNode {
             q_depth: registry.gauge("rpc_queue_depth"),
             q_inflight: registry.gauge("rpc_inflight"),
             q_shed: registry.gauge("rpc_shed"),
-            subscribers: Mutex::new(Vec::new()),
-            invalidations_published: registry.counter("invalidations_published"),
             repl: ReplState::new(&registry),
             leases: Leases::new(
                 &registry,
@@ -531,7 +495,7 @@ impl AggregatedNode {
                     args,
                     read_only,
                     internal,
-                    collect_read_set,
+                    collect_read_set: _,
                 } = req
                 {
                     handler_inner.requests.incr();
@@ -550,15 +514,7 @@ impl AggregatedNode {
                         args,
                         !internal,
                         Box::new(move |result| {
-                            let reply = result.map(|(value, read_set)| match read_set {
-                                // Only cacheable (deterministic read-only)
-                                // invocations carry a read set, and only
-                                // when the client asked.
-                                Some(read_set) if collect_read_set => {
-                                    StoreResponse::CachedValue { value, read_set }
-                                }
-                                _ => StoreResponse::Value(value),
-                            });
+                            let reply = result.map(StoreResponse::Value);
                             busy.add(started.elapsed().as_nanos() as u64);
                             responder.reply(proto::encode_reply(reply));
                         }),

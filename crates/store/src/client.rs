@@ -8,20 +8,20 @@
 //! §4.2.1).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use lambda_coordinator::{CoordClient, CoordCmd, ShardId};
-use lambda_net::rpc::sync_handler;
-use lambda_net::{wire, Network, NodeId, RpcError, RpcNode};
-use lambda_objects::{ConsistentCache, InvocationContext, InvokeError, ObjectId, TxCall};
+use lambda_net::rpc::null_handler;
+use lambda_net::{Network, NodeId, RpcNode};
+use lambda_objects::{InvocationContext, InvokeError, ObjectId, TxCall};
 use lambda_vm::{Module, VmValue};
 
 use crate::placement::Placement;
-use crate::proto::{self, ClientPush, StoreRequest, StoreResponse};
+use crate::proto::{self, StoreRequest, StoreResponse};
 
 /// How long [`StoreClient::migrate_object`] waits for the coordinator's
 /// replicated state machine to drive a planned migration to commit (or
@@ -44,16 +44,10 @@ pub struct StoreClient {
 }
 
 struct ClientInner {
-    id: NodeId,
     rpc: Arc<RpcNode>,
     coord: Option<CoordClient>,
     placement: Placement,
     timeout: Duration,
-    /// Client-edge result cache for cacheable (deterministic read-only)
-    /// invocations, disabled until [`StoreClient::enable_edge_cache`] is
-    /// called. Kept correct by the commit invalidation stream the client
-    /// subscribes to: repeat reads short-circuit here without any RPC.
-    edge: Arc<OnceLock<Arc<ConsistentCache>>>,
     /// Per-attempt RPC cap: a fraction of the end-to-end budget, so one
     /// lost reply stalls a single attempt instead of consuming the whole
     /// deadline — the redelivery (same invocation id) is what the server's
@@ -63,8 +57,8 @@ struct ClientInner {
     /// Attempts beyond the first, across all operations of this client.
     client_retries: AtomicU64,
     /// When set, read-only invocations skip the replica rotation and go
-    /// straight to the primary (measurement ablation: the pre-lease read
-    /// path, with identical execution semantics).
+    /// straight to the primary (the pre-lease read path, with identical
+    /// execution semantics).
     pin_reads_to_primary: AtomicBool,
 }
 
@@ -237,24 +231,7 @@ impl StoreClient {
         coordinators: Vec<NodeId>,
         timeout: Duration,
     ) -> StoreClient {
-        // The client's endpoint doubles as the sink of the commit
-        // invalidation stream: storage nodes push `ClientPush::Invalidate`
-        // frames here once the client subscribes (edge cache enabled).
-        let edge: Arc<OnceLock<Arc<ConsistentCache>>> = Arc::new(OnceLock::new());
-        let push_edge = Arc::clone(&edge);
-        let rpc = RpcNode::start(
-            net,
-            id,
-            sync_handler(move |_, body| {
-                if let Some(cache) = push_edge.get() {
-                    if let Ok(ClientPush::Invalidate { keys }) = wire::from_bytes(&body) {
-                        cache.invalidate_keys(keys.iter().map(Vec::as_slice));
-                    }
-                }
-                Ok(vec![])
-            }),
-            1,
-        );
+        let rpc = RpcNode::start(net, id, null_handler(), 1);
         let coord = if coordinators.is_empty() {
             None
         } else {
@@ -262,12 +239,10 @@ impl StoreClient {
         };
         let client = StoreClient {
             inner: Arc::new(ClientInner {
-                id,
                 rpc,
                 coord,
                 placement: Placement::new(),
                 timeout,
-                edge,
                 attempt_timeout: (timeout / 5).max(Duration::from_millis(1)),
                 round_robin: AtomicU64::new(0),
                 client_retries: AtomicU64::new(0),
@@ -389,41 +364,9 @@ impl StoreClient {
         self.inner.client_retries.load(Ordering::Relaxed)
     }
 
-    /// Enable the client-edge result cache (idempotent; the first call's
-    /// `capacity` wins) and subscribe this client to every known storage
-    /// node's commit invalidation stream. Cacheable (deterministic
-    /// read-only) invocations then return server-recorded read sets, and
-    /// repeat reads short-circuit at the client without any RPC until a
-    /// commit writes one of the recorded keys.
-    ///
-    /// The invalidation stream is push-based and best-effort: frames ride
-    /// oneway messages and subscriptions live in node memory, so a node
-    /// restart silently drops this client until
-    /// [`resubscribe_invalidations`](Self::resubscribe_invalidations) runs
-    /// again. Intended for read-mostly workloads that tolerate a bounded
-    /// staleness window equal to one invalidation push in flight.
-    pub fn enable_edge_cache(&self, capacity: usize) {
-        let _ = self.inner.edge.set(Arc::new(ConsistentCache::new(capacity)));
-        self.resubscribe_invalidations();
-    }
-
-    /// (Re-)subscribe this client to the invalidation stream of every
-    /// storage node the placement currently knows. Call after adding or
-    /// restarting nodes; unreachable nodes are skipped.
-    pub fn resubscribe_invalidations(&self) {
-        if self.inner.edge.get().is_none() {
-            return;
-        }
-        self.refresh();
-        let req = StoreRequest::SubscribeInvalidations { subscriber: self.inner.id };
-        for node in self.inner.placement.storage_nodes() {
-            let _ = self.call(node, &req);
-        }
-    }
-
     /// Route read-only invocations straight to the primary instead of
-    /// rotating across leased replicas (measurement ablation: the
-    /// pre-lease read path, with identical execution semantics).
+    /// rotating across leased replicas (the pre-lease read path, with
+    /// identical execution semantics).
     pub fn pin_reads_to_primary(&self, pin: bool) {
         self.inner.pin_reads_to_primary.store(pin, Ordering::Relaxed);
     }
@@ -447,9 +390,6 @@ impl StoreClient {
         args: Vec<VmValue>,
         read_only: bool,
     ) -> Result<VmValue, InvokeError> {
-        if let Some(v) = self.edge_lookup(object, method, &args, read_only) {
-            return Ok(v);
-        }
         let ctx = InvocationContext::client(self.inner.timeout);
         self.invoke_ctx(&ctx, object, method, args, read_only)
     }
@@ -475,7 +415,7 @@ impl StoreClient {
         self.drive(Route::new(*ctx, object, read_only, None), |ctx, node| {
             let frame = self.invoke_frame(ctx, object, method, &args, read_only);
             let reply = self.inner.rpc.call(node, frame, self.attempt_timeout(ctx));
-            self.invoke_value(object, method, &args, reply)
+            proto::decode_reply(reply).and_then(StoreResponse::into_value)
         })
     }
 
@@ -495,10 +435,6 @@ impl StoreClient {
         read_only: bool,
         done: InvokeCallback,
     ) {
-        if let Some(v) = self.edge_lookup(object, method, &args, read_only) {
-            done(Ok(v));
-            return;
-        }
         self.start_async(None, object, method, args, read_only, done);
     }
 
@@ -538,24 +474,12 @@ impl StoreClient {
         .step();
     }
 
-    /// A cached result for a read, when the edge cache is on and holds one.
-    fn edge_lookup(
-        &self,
-        object: &ObjectId,
-        method: &str,
-        args: &[VmValue],
-        read_only: bool,
-    ) -> Option<VmValue> {
-        self.inner.edge.get().filter(|_| read_only)?.lookup(object, method, args)
-    }
-
     /// The transport timeout of one attempt under `ctx`.
     fn attempt_timeout(&self, ctx: &InvocationContext) -> Duration {
         ctx.rpc_timeout(self.inner.attempt_timeout)
     }
 
-    /// The `Invoke` frame of one attempt. Reads ask for their read set
-    /// whenever the edge cache could store the result.
+    /// The `Invoke` frame of one attempt.
     fn invoke_frame(
         &self,
         ctx: &InvocationContext,
@@ -570,29 +494,9 @@ impl StoreClient {
             args: args.to_vec(),
             read_only,
             internal: false,
-            collect_read_set: read_only && self.inner.edge.get().is_some(),
+            collect_read_set: false,
         };
         proto::encode_request(ctx, &req).expect("requests serialize")
-    }
-
-    /// What an `Invoke` attempt returned, as the invocation's value; a
-    /// result that came with its read set goes into the edge cache.
-    fn invoke_value(
-        &self,
-        object: &ObjectId,
-        method: &str,
-        args: &[VmValue],
-        reply: Result<Vec<u8>, RpcError>,
-    ) -> Result<VmValue, InvokeError> {
-        match proto::decode_reply(reply)? {
-            StoreResponse::CachedValue { value, read_set } => {
-                if let Some(cache) = self.inner.edge.get() {
-                    cache.insert(object, method, args, value.clone(), read_set);
-                }
-                Ok(value)
-            }
-            other => other.into_value(),
-        }
     }
 
     /// Create an object of a deployed type.
@@ -805,8 +709,7 @@ impl AsyncInvoke {
             frame,
             timeout,
             Box::new(move |reply| {
-                let object = &self.route.object;
-                match self.client.invoke_value(object, &self.method, &self.args, reply) {
+                match proto::decode_reply(reply).and_then(StoreResponse::into_value) {
                     Ok(v) => (self.done)(Ok(v)),
                     Err(e) => self.retry(e),
                 }
@@ -835,7 +738,7 @@ mod tests {
     use parking_lot::Mutex;
 
     use lambda_coordinator::{ClusterState, N_SLOTS};
-    use lambda_net::{Handler, LatencyModel, Responder};
+    use lambda_net::{wire, Handler, LatencyModel, Responder};
     use lambda_objects::{encode_error, Origin};
 
     use super::*;

@@ -41,5 +41,5 @@ pub use cluster::{
 };
 pub use disaggregated::{ComputeConfig, ComputeNode, FunctionExecutor};
 pub use placement::Placement;
-pub use proto::{ClientPush, NodeStatsWire, StoreRequest, StoreResponse, SyncItem};
+pub use proto::{NodeStatsWire, StoreRequest, StoreResponse, SyncItem};
 pub use serverless::{ServerlessConfig, ServerlessGateway};

@@ -132,10 +132,10 @@ pub enum StoreRequest {
         /// non-public methods (a production system would authenticate the
         /// sender; nodes are trusted here).
         internal: bool,
-        /// Client-edge caching: when set and the method is cacheable
-        /// (deterministic read-only), the node answers with
-        /// [`StoreResponse::CachedValue`] carrying the recorded read set so
-        /// the client can cache the result consistently.
+        /// Ignored: the node answers [`StoreResponse::Value`] either way
+        /// and keeps read sets to itself (results are cached on the node
+        /// only, §4.2.2). Kept because the benchmark builds this variant by
+        /// struct literal.
         collect_read_set: bool,
     },
     /// Instantiate an object.
@@ -270,26 +270,6 @@ pub enum StoreRequest {
         /// Lease duration from receipt.
         lease_nanos: u64,
     },
-    /// Client→node: register the sender for the commit invalidation
-    /// stream. The node pushes [`ClientPush::Invalidate`] frames with the
-    /// written keys of every commit it applies (primary or backup role),
-    /// keeping client-edge result caches consistent.
-    SubscribeInvalidations {
-        /// RPC id of the subscribing client.
-        subscriber: lambda_net::NodeId,
-    },
-}
-
-/// Unsolicited node→client frames (oneway pushes, outside the
-/// request/response pattern).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub enum ClientPush {
-    /// Keys written by a commit this node just applied; subscribed
-    /// client-edge caches drop every entry whose read set overlaps.
-    Invalidate {
-        /// The commit's written storage keys.
-        keys: Vec<Vec<u8>>,
-    },
 }
 
 /// One item of a shard state-transfer stream (primary → syncing backup).
@@ -343,8 +323,6 @@ pub struct NodeStatsWire {
     /// Reads refused because the node's lease was missing, expired, or
     /// epoch-stale (each bounces the client back to the primary).
     pub lease_rejections: u64,
-    /// Commit invalidation frames pushed to subscribed client-edge caches.
-    pub invalidations_published: u64,
     /// Disk-corruption reports proposed to the coordinator (one per shard
     /// this node was configured in when an unrecoverable kv corruption
     /// surfaced).
@@ -383,16 +361,6 @@ pub enum StoreResponse {
     Values(Vec<VmValue>),
     /// Object ids (ListObjects).
     Objects(Vec<Vec<u8>>),
-    /// Invocation result plus its recorded read set, answered to
-    /// [`StoreRequest::Invoke`] with `collect_read_set` when the method
-    /// was cacheable; non-cacheable methods still answer
-    /// [`StoreResponse::Value`].
-    CachedValue {
-        /// Invocation result.
-        value: VmValue,
-        /// `(key, value hash)` pairs the execution read (§4.2.2).
-        read_set: Vec<(Vec<u8>, u64)>,
-    },
 }
 
 #[cfg(test)]
@@ -444,7 +412,6 @@ mod tests {
                 lease_nanos: 0,
             },
             StoreRequest::RenewLease { shard: 3, epoch: 7, lease_nanos: 400_000_000 },
-            StoreRequest::SubscribeInvalidations { subscriber: lambda_net::NodeId(501) },
             StoreRequest::MigrateInstall {
                 snapshot: ObjectSnapshot {
                     id: ObjectId::from("user/2"),
@@ -509,31 +476,11 @@ mod tests {
             StoreResponse::Count(42),
             StoreResponse::Values(vec![VmValue::Unit, VmValue::Int(1)]),
             StoreResponse::Objects(vec![b"user/1".to_vec()]),
-            StoreResponse::CachedValue {
-                value: VmValue::List(vec![VmValue::Int(1)]),
-                read_set: vec![
-                    (b"user/1/tl/0".to_vec(), 0x9e3779b9),
-                    (b"user/1/tl#len".to_vec(), 7),
-                ],
-            },
         ];
         for r in resps {
             let bytes = wire::to_bytes(&r).unwrap();
             let back: StoreResponse = wire::from_bytes(&bytes).unwrap();
             assert_eq!(back, r);
-        }
-    }
-
-    #[test]
-    fn client_pushes_round_trip() {
-        let pushes = vec![
-            ClientPush::Invalidate { keys: vec![b"user/1/tl/0".to_vec(), b"user/1/v".to_vec()] },
-            ClientPush::Invalidate { keys: vec![] },
-        ];
-        for p in pushes {
-            let bytes = wire::to_bytes(&p).unwrap();
-            let back: ClientPush = wire::from_bytes(&bytes).unwrap();
-            assert_eq!(back, p);
         }
     }
 

@@ -612,7 +612,7 @@ impl NodeInner {
         );
     }
 
-    /// The commit gate, over one read of the placement and one of the
+    /// Locally applied write sets enter here. The commit gate, over one read of the placement and one of the
     /// clock, with this node's lease and sync state plugged in. A held
     /// group re-enters together through the RPC timer wheel (the object
     /// guards ride in the `done`s, so per-object commit order is preserved
@@ -656,16 +656,6 @@ impl NodeInner {
         }
     }
 
-    /// Locally applied write sets enter here. The edge-cache invalidation
-    /// stream fires for every one, before any gating: single-node mode
-    /// still publishes (the write is already durably applied).
-    fn replicate(&self, commits: Vec<DeferredCommit>, entry: MakeEntry) {
-        for commit in &commits {
-            self.publish_invalidations(commit.ops.iter().map(|(k, _)| k));
-        }
-        self.gate(commits, entry);
-    }
-
     /// Replicate a raw write's `ops` as a commit of `object`, parking the
     /// calling RPC worker until it is acked.
     pub(crate) fn commit_raw(
@@ -674,7 +664,7 @@ impl NodeInner {
         object: ObjectId,
         ops: WriteSetOps,
     ) -> Result<(), String> {
-        ship_and_join(ctx, vec![(object, ops)], |commits| self.replicate(commits, Entry::raw))
+        ship_and_join(ctx, vec![(object, ops)], |commits| self.gate(commits, Entry::raw))
     }
 
     /// Backup role: apply one `ReplicateBatch` frame — the lease grant it
@@ -691,7 +681,6 @@ impl NodeInner {
             entries.into_iter().map(|(o, ops)| (ObjectId::new(o), ops)).collect();
         self.engine.apply_replicated_batch(&entries)?;
         self.repl.record_recent(shard, entries.iter().map(|(oid, ops)| (oid, ops)));
-        self.publish_invalidations(entries.iter().flat_map(|(_, ops)| ops.iter().map(|(k, _)| k)));
         self.repl.applied.add(entries.len() as u64);
         Ok(())
     }
@@ -724,7 +713,7 @@ impl NodeInner {
 
 impl CommitHook for NodeInner {
     fn on_commit(&self, commits: Vec<DeferredCommit>) {
-        self.replicate(commits, Entry::guarded);
+        self.gate(commits, Entry::guarded);
     }
 }
 

@@ -1407,6 +1407,42 @@ fn a_raw_push_invalidates_a_cached_read_at_the_primary() {
     cluster.shutdown();
 }
 
+/// `collect_read_set` is ignored: a node records a read's result and read
+/// set in its own cache and answers a plain `Value`. The entry an asking
+/// client leaves serves any client, and another client's acked write is
+/// what the asker reads next.
+#[test]
+fn a_read_asking_for_its_read_set_gets_a_plain_value() {
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let (asker, other) = (cluster.client(), cluster.client());
+    asker.deploy_type("Account", account_fields(), &account_module()).unwrap();
+    let id = ObjectId::from("acct/read-set");
+    asker.create_object("Account", &id, &[]).unwrap();
+    asker.invoke(&id, "deposit", vec![VmValue::Int(5)], false).unwrap();
+    let (_, info) = asker.placement().locate(&id).expect("located");
+    let primary = cluster.core.storage.iter().find(|n| n.id() == info.primary).unwrap();
+    let ask = StoreRequest::Invoke {
+        object: id.0.clone(),
+        method: "balance".into(),
+        args: vec![],
+        read_only: true,
+        internal: false,
+        collect_read_set: true,
+    };
+    let balance = |client, req| read_at(client, info.primary, req).unwrap();
+
+    assert_eq!(balance(&asker, &ask), StoreResponse::Value(VmValue::Int(5)));
+    let hits = primary.stats().cache_hits;
+    let plain = read_request(&id, "balance");
+    assert_eq!(balance(&other, &plain), StoreResponse::Value(VmValue::Int(5)));
+    assert_eq!(primary.stats().cache_hits, hits + 1, "the asker's entry serves another client");
+
+    other.invoke(&id, "deposit", vec![VmValue::Int(2)], false).unwrap();
+    assert_eq!(balance(&asker, &ask), StoreResponse::Value(VmValue::Int(7)));
+    assert_eq!(as_int(asker.invoke(&id, "balance", vec![], true).unwrap()), 7);
+    cluster.shutdown();
+}
+
 #[test]
 fn raw_push_scan_and_count_agree_with_get_timeline() {
     let module = assemble(

@@ -5,9 +5,9 @@
 //! provides that path: Rust closures registered per object type, executing
 //! against the same [`Host`] capability interface as bytecode — so the
 //! consistency machinery (write buffering, read-set tracking, read-only
-//! enforcement) is identical for both. Benchmarks use native methods to
-//! isolate VM dispatch overhead (ablation `MICRO` in DESIGN.md): they are
-//! the dispatch-free floor against which the interpreter's cost is read.
+//! enforcement) is identical for both. Table 1's custom-service column
+//! runs ReTwis on native methods: the dispatch-free floor against which
+//! the interpreter's cost is read.
 
 use std::collections::HashMap;
 use std::fmt;
