@@ -160,6 +160,11 @@ pub struct DeferredCommit {
     /// Invoked exactly once with the replication outcome; `Err` describes
     /// the failure.
     pub done: CommitCallback,
+    /// The invocation's final value, on the last commit of a client-facing
+    /// (depth-0, external) invocation: once the write set is replicated,
+    /// that value is the client's answer, so the hook may have whoever
+    /// applies the set answer with it too. `None` on every other commit.
+    pub reply: Option<VmValue>,
 }
 
 /// The write sets a scatter's branches applied locally while its issue
@@ -282,7 +287,7 @@ pub fn ship_and_join(
         .map(|(object, ops)| {
             let tx = tx.clone();
             let done: CommitCallback = Box::new(move |acked| drop(tx.send(acked)));
-            DeferredCommit { ctx: *ctx, object, ops, done }
+            DeferredCommit { ctx: *ctx, object, ops, done, reply: None }
         })
         .collect();
     drop(tx);
@@ -808,6 +813,8 @@ impl Engine {
             let run = move || match this.execute_granted(call, queue_start, granted) {
                 Executed::Done(outcome) => done(outcome),
                 Executed::Commit(tail, pending) => {
+                    // A client-facing invocation's last commit knows its answer.
+                    let reply = (depth == 0 && external).then(|| tail.value.clone());
                     let engine = Arc::clone(&this);
                     let committed = Box::new(move |committed| {
                         // Releasing the object grants the next queued
@@ -817,7 +824,7 @@ impl Engine {
                         ON_COMPLETION_THREAD.set(outer);
                         done(outcome);
                     });
-                    this.commit_deferred(pending, wave, committed);
+                    this.commit_deferred(pending, wave, reply, committed);
                 }
             };
             // A method body runs where its grant lands, and one that nests
@@ -1078,10 +1085,13 @@ impl Engine {
     /// fan-out — or leave the write set with the scatter's open `wave` —
     /// and `done` runs wherever the last of them completes. The kv write is
     /// the invocation's `commit` span, the hook call its `replicate` span.
+    /// `reply` is the invocation's answer when this is the last commit of
+    /// a client-facing one ([`DeferredCommit::reply`]).
     fn commit_deferred(
         self: &Arc<Self>,
         pending: PendingCommit,
         wave: Option<Arc<Wave>>,
+        reply: Option<VmValue>,
         done: Box<dyn FnOnce(Result<()>) + Send>,
     ) {
         let PendingCommit { ctx, object, batch, touched } = pending;
@@ -1098,11 +1108,17 @@ impl Engine {
                 let Some((hook, ops)) = hooked else {
                     return done(this.finish_commit(&touched, Ok(())));
                 };
+                if reply.is_some() {
+                    // The client may hear the outcome from the backups
+                    // before the ack comes back here: what this node
+                    // caches over the write must be gone by then.
+                    this.cache.invalidate_keys(touched.iter().map(Vec::as_slice));
+                }
                 let engine = Arc::clone(&this);
                 let done: CommitCallback = Box::new(move |replicated| {
                     done(engine.finish_commit(&touched, replicated));
                 });
-                let commit = DeferredCommit { ctx, object, ops, done };
+                let commit = DeferredCommit { ctx, object, ops, done, reply };
                 let alone = match wave {
                     Some(wave) => wave.join(commit),
                     None => Some(commit),
@@ -1173,7 +1189,7 @@ impl Engine {
         let riding = wave.and_then(|wave| Some((wave, self.hooked(&pending.batch)?)));
         let Some((wave, (_, ops))) = riding else {
             let (tx, rx) = channel::bounded(1);
-            self.arc().commit_deferred(pending, None, Box::new(move |c| drop(tx.send(c))));
+            self.arc().commit_deferred(pending, None, None, Box::new(move |c| drop(tx.send(c))));
             rx.recv().unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())))?;
             drop(guard);
             return Ok(None);
@@ -1195,7 +1211,7 @@ impl Engine {
             ON_COMPLETION_THREAD.set(outer);
             drop(tx.send(committed));
         });
-        wave.lead(DeferredCommit { ctx, object, ops, done });
+        wave.lead(DeferredCommit { ctx, object, ops, done, reply: None });
         Ok(Some(rx))
     }
 

@@ -13,6 +13,13 @@
 //! The router admits requests into a depth-bounded run queue and sheds
 //! excess load with an explicit error *before* deadline budgets burn
 //! (see [`RpcConfig::queue_depth`] and [`AdmissionPolicy`]).
+//!
+//! A call may also complete by **replica replies**: third parties the
+//! callee names (the backups that applied a replicated write) each answer
+//! the caller directly with `(quorum, epoch, body)`, and once every member
+//! of the quorum has sent the same triple the call completes with the body
+//! — one link hop before the callee's own response, which stays the
+//! fallback ([`RpcNode::replica_reply`]).
 
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
@@ -26,11 +33,12 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::sim::{Network, NodeHandle, NodeId};
 
-/// Frame kind tags. `KIND_RESPONSE` is crate-visible so the simulator's
-/// fault injector can recognise ack frames for one-way reply loss.
+/// Frame kind tags. The two reply kinds are crate-visible so the
+/// simulator's fault injector can recognise them for one-way reply loss.
 const KIND_REQUEST: u8 = 1;
 pub(crate) const KIND_RESPONSE: u8 = 2;
 const KIND_ONEWAY: u8 = 3;
+pub(crate) const KIND_REPLICA_REPLY: u8 = 4;
 
 /// RPC failure modes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -137,6 +145,31 @@ fn decode_response_body(body: Vec<u8>) -> Result<Vec<u8>, RpcError> {
     }
 }
 
+// A replica reply's body: epoch, quorum size and members, then the payload
+// a successful response would carry.
+fn encode_replica_reply(quorum: &[NodeId], epoch: u64, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(12 + 4 * quorum.len() + body.len());
+    out.extend_from_slice(&epoch.to_le_bytes());
+    out.extend_from_slice(&(quorum.len() as u32).to_le_bytes());
+    for node in quorum {
+        out.extend_from_slice(&node.0.to_le_bytes());
+    }
+    out.extend_from_slice(body);
+    out
+}
+
+fn decode_replica_reply(bytes: &[u8]) -> Option<(Vec<NodeId>, u64, Vec<u8>)> {
+    let epoch = u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?);
+    let n = usize::try_from(u32::from_le_bytes(bytes.get(8..12)?.try_into().ok()?)).ok()?;
+    let end = n.checked_mul(4)?.checked_add(12)?;
+    let members = bytes.get(12..end)?;
+    let quorum = members
+        .chunks_exact(4)
+        .map(|id| NodeId(u32::from_le_bytes(id.try_into().expect("4 bytes"))))
+        .collect();
+    Some((quorum, epoch, bytes[end..].to_vec()))
+}
+
 /// Completion slot for one in-flight outbound call.
 enum PendingReply {
     /// A thread parked in [`RpcNode::call`].
@@ -167,6 +200,12 @@ impl Responder {
     /// The node that sent the request.
     pub fn peer(&self) -> NodeId {
         self.inner.peer
+    }
+
+    /// Where a replica reply to this request goes: `(caller, request id)`,
+    /// `None` for a one-way request (nobody waits for it).
+    pub fn route(&self) -> Option<(NodeId, u64)> {
+        (self.inner.req_id != 0).then_some((self.inner.peer, self.inner.req_id))
     }
 
     /// Complete the request. First reply wins; replies to one-way requests
@@ -295,8 +334,72 @@ struct TimerState {
     shutdown: bool,
 }
 
+/// Replica replies collected for one pending call.
+enum Parts {
+    /// Every part so far carried this `(quorum, epoch, body)`; `from` are
+    /// the quorum members that sent one.
+    Agreeing { quorum: Vec<NodeId>, epoch: u64, body: Vec<u8>, from: Vec<NodeId> },
+    /// Two parts disagreed: only the callee's own response completes the
+    /// call now.
+    Disagreed,
+}
+
+/// The outbound calls of one endpoint: each pending call's completion
+/// slot, and the replica replies collected for some of them. A part is
+/// kept only while its call is pending, so taking a call drops its parts.
+#[derive(Default)]
+struct Calls {
+    pending: HashMap<u64, PendingReply>,
+    parts: HashMap<u64, Parts>,
+}
+
+impl Calls {
+    /// Remove call `id` (its response, timeout or shutdown arrived).
+    fn take(&mut self, id: u64) -> Option<PendingReply> {
+        self.parts.remove(&id);
+        self.pending.remove(&id)
+    }
+
+    /// One replica reply from `from` for call `id`: the call and its body
+    /// once every member of `quorum` has sent the same `(quorum, epoch,
+    /// body)`. Parts for calls no longer pending, from nodes outside their
+    /// own quorum, or naming no quorum at all are dropped.
+    fn part(
+        &mut self,
+        id: u64,
+        from: NodeId,
+        quorum: Vec<NodeId>,
+        epoch: u64,
+        body: Vec<u8>,
+    ) -> Option<(PendingReply, Vec<u8>)> {
+        if !self.pending.contains_key(&id) || !quorum.contains(&from) {
+            return None;
+        }
+        let mut senders = match self.parts.remove(&id) {
+            None => Vec::new(),
+            Some(Parts::Agreeing { quorum: q, epoch: e, body: b, from })
+                if q == quorum && e == epoch && b == body =>
+            {
+                from
+            }
+            Some(_) => {
+                self.parts.insert(id, Parts::Disagreed);
+                return None;
+            }
+        };
+        if !senders.contains(&from) {
+            senders.push(from);
+        }
+        if !quorum.iter().all(|member| senders.contains(member)) {
+            self.parts.insert(id, Parts::Agreeing { quorum, epoch, body, from: senders });
+            return None;
+        }
+        Some((self.pending.remove(&id).expect("checked pending"), body))
+    }
+}
+
 struct RpcShared {
-    pending: Mutex<HashMap<u64, PendingReply>>,
+    calls: Mutex<Calls>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
     handle: Arc<NodeHandle>,
@@ -379,7 +482,7 @@ impl RpcNode {
         let net = net.clone();
         let (exec_tx, exec_rx) = channel::unbounded::<Task>();
         let shared = Arc::new(RpcShared {
-            pending: Mutex::new(HashMap::new()),
+            calls: Mutex::default(),
             next_id: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
             handle: Arc::clone(&handle),
@@ -426,7 +529,7 @@ impl RpcNode {
                                 drop(st);
                                 match entry.kind {
                                     TimerKind::CallTimeout(call_id) => {
-                                        let waiter = shared.pending.lock().remove(&call_id);
+                                        let waiter = shared.calls.lock().take(call_id);
                                         if let Some(reply) = waiter {
                                             shared.complete(reply, Err(RpcError::Timeout));
                                         }
@@ -521,9 +624,22 @@ impl RpcNode {
                                     let _ = job_tx.send(Job { from: env.from, req_id: 0, body });
                                 }
                                 Ok((KIND_RESPONSE, req_id, body)) => {
-                                    let waiter = shared.pending.lock().remove(&req_id);
+                                    let waiter = shared.calls.lock().take(req_id);
                                     if let Some(reply) = waiter {
                                         shared.complete(reply, decode_response_body(body));
+                                    }
+                                }
+                                Ok((KIND_REPLICA_REPLY, req_id, body)) => {
+                                    let Some((quorum, epoch, body)) = decode_replica_reply(&body)
+                                    else {
+                                        continue;
+                                    };
+                                    let done = shared
+                                        .calls
+                                        .lock()
+                                        .part(req_id, env.from, quorum, epoch, body);
+                                    if let Some((reply, body)) = done {
+                                        shared.complete(reply, Ok(body));
                                     }
                                 }
                                 Ok((other, _, _)) => {
@@ -581,13 +697,13 @@ impl RpcNode {
         }
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = channel::bounded(1);
-        self.shared.pending.lock().insert(id, PendingReply::Sync(tx));
+        self.shared.calls.lock().pending.insert(id, PendingReply::Sync(tx));
         let frame = encode_frame(KIND_REQUEST, id, &body);
         self.shared.handle.send(to, frame);
         match rx.recv_timeout(timeout) {
             Ok(result) => result,
             Err(_) => {
-                self.shared.pending.lock().remove(&id);
+                self.shared.calls.lock().take(id);
                 Err(RpcError::Timeout)
             }
         }
@@ -607,11 +723,11 @@ impl RpcNode {
 
     fn start_deferred(&self, to: NodeId, body: &[u8], timeout: Duration, done: ReplyCallback) {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        self.shared.pending.lock().insert(id, PendingReply::Callback(done));
+        self.shared.calls.lock().pending.insert(id, PendingReply::Callback(done));
         if self.shared.shutdown.load(Ordering::Acquire) {
             // `shutdown` may have drained `pending` before the insert:
             // nothing would ever complete (or drop) this call.
-            if let Some(reply) = self.shared.pending.lock().remove(&id) {
+            if let Some(reply) = self.shared.calls.lock().take(id) {
                 self.shared.complete(reply, Err(RpcError::Shutdown));
             }
             return;
@@ -686,6 +802,25 @@ impl RpcNode {
         }
     }
 
+    /// Answer call `req_id` of `to` on the callee's behalf, as one member of
+    /// `quorum`: the call completes with `body` once every member has sent
+    /// the same `(quorum, epoch, body)`, or with the callee's own response,
+    /// whichever comes first. `body` is what a successful response carries.
+    pub fn replica_reply(
+        &self,
+        to: NodeId,
+        req_id: u64,
+        quorum: &[NodeId],
+        epoch: u64,
+        body: &[u8],
+    ) {
+        if self.shared.shutdown.load(Ordering::Acquire) {
+            return;
+        }
+        let part = encode_replica_reply(quorum, epoch, body);
+        self.shared.handle.send(to, encode_frame(KIND_REPLICA_REPLY, req_id, &part));
+    }
+
     /// Send a one-way message (no response expected).
     pub fn notify(&self, to: NodeId, body: Vec<u8>) {
         if self.shared.shutdown.load(Ordering::Acquire) {
@@ -704,8 +839,11 @@ impl RpcNode {
             return;
         }
         // Fail all locally pending calls.
-        let drained: Vec<PendingReply> =
-            self.shared.pending.lock().drain().map(|(_, p)| p).collect();
+        let drained: Vec<PendingReply> = {
+            let mut calls = self.shared.calls.lock();
+            calls.parts.clear();
+            calls.pending.drain().map(|(_, p)| p).collect()
+        };
         for reply in drained {
             self.shared.complete(reply, Err(RpcError::Shutdown));
         }
@@ -1146,6 +1284,203 @@ mod tests {
         }
         assert_eq!(server.queue_stats().inflight, 0);
         net.shutdown();
+    }
+
+    /// A callee that parks each request's responder for the test to
+    /// answer, three replicas (3, 4, 5) to send parts, and a caller (2).
+    struct Parted {
+        net: Network,
+        caller: Arc<RpcNode>,
+        replicas: Vec<Arc<RpcNode>>,
+        parked: channel::Receiver<Responder>,
+    }
+
+    const QUORUM: [NodeId; 2] = [NodeId(3), NodeId(4)];
+
+    type Outcome = channel::Receiver<Result<Vec<u8>, RpcError>>;
+
+    impl Parted {
+        fn start() -> Parted {
+            let net = Network::new(LatencyModel::instant(), 1);
+            let (park, parked) = channel::unbounded();
+            let handler: Handler = Arc::new(move |_, _, responder| drop(park.send(responder)));
+            RpcNode::start(&net, NodeId(1), handler, 1);
+            let caller = RpcNode::start(&net, NodeId(2), null_handler(), 1);
+            let replicas =
+                (3..=5).map(|i| RpcNode::start(&net, NodeId(i), null_handler(), 1)).collect();
+            Parted { net, caller, replicas, parked }
+        }
+
+        /// Start a deferred call to the callee; its outcome and the
+        /// callee's responder for it.
+        fn call(&self, timeout: Duration) -> (Outcome, Responder) {
+            let (tx, rx) = channel::unbounded();
+            let done: ReplyCallback = Box::new(move |res| drop(tx.send(res)));
+            self.caller.call_deferred(NodeId(1), b"req".to_vec(), timeout, done);
+            (rx, self.parked.recv_timeout(Duration::from_secs(2)).expect("request arrives"))
+        }
+
+        /// Replica `id` answers `responder`'s call with one part.
+        fn part(&self, id: u32, responder: &Responder, quorum: &[NodeId], epoch: u64, body: &[u8]) {
+            let (to, req_id) = responder.route().expect("a call, not a one-way");
+            self.replicas[id as usize - 3].replica_reply(to, req_id, quorum, epoch, body);
+        }
+
+        fn parts(&self) -> usize {
+            self.caller.shared.calls.lock().parts.len()
+        }
+
+        /// Wait until the caller's router holds `n` calls' parts.
+        fn wait_parts(&self, n: usize) {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while self.parts() != n {
+                assert!(Instant::now() < deadline, "parts table never reached {n}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    fn quiet(outcome: &Outcome) {
+        let got = outcome.recv_timeout(Duration::from_millis(50));
+        assert!(got.is_err(), "the call completed early: {got:?}");
+    }
+
+    fn got(outcome: &Outcome) -> Result<Vec<u8>, RpcError> {
+        outcome.recv_timeout(Duration::from_secs(2)).expect("the call completes")
+    }
+
+    #[test]
+    fn a_call_completes_on_a_full_quorum_of_parts_exactly_once() {
+        let rig = Parted::start();
+        let (outcome, responder) = rig.call(Duration::from_secs(5));
+        rig.part(3, &responder, &QUORUM, 7, b"v");
+        rig.wait_parts(1);
+        quiet(&outcome);
+        rig.part(4, &responder, &QUORUM, 7, b"v");
+        assert_eq!(got(&outcome), Ok(b"v".to_vec()));
+        // The callee's own response, after the parts, finds no call.
+        responder.reply(Ok(b"own".to_vec()));
+        quiet(&outcome);
+        assert_eq!(rig.parts(), 0, "completion drops the parts");
+        assert!(rig.caller.shared.calls.lock().pending.is_empty());
+        rig.net.shutdown();
+    }
+
+    #[test]
+    fn a_blocking_call_completes_on_parts_too() {
+        let rig = Parted::start();
+        let caller = Arc::clone(&rig.caller);
+        let call = std::thread::spawn(move || {
+            caller.call(NodeId(1), b"req".to_vec(), Duration::from_secs(5))
+        });
+        let responder = rig.parked.recv_timeout(Duration::from_secs(2)).expect("request arrives");
+        for id in [3, 4] {
+            rig.part(id, &responder, &QUORUM, 1, b"v");
+        }
+        assert_eq!(call.join().unwrap(), Ok(b"v".to_vec()));
+        assert_eq!(rig.parts(), 0);
+        rig.net.shutdown();
+    }
+
+    #[test]
+    fn a_part_from_outside_its_quorum_is_ignored() {
+        let rig = Parted::start();
+        let (outcome, responder) = rig.call(Duration::from_secs(5));
+        // Node 5 is no member: its parts neither count nor disagree.
+        rig.part(5, &responder, &QUORUM, 1, b"other");
+        rig.part(3, &responder, &QUORUM, 1, b"v");
+        rig.part(5, &responder, &QUORUM, 1, b"v");
+        rig.wait_parts(1);
+        quiet(&outcome);
+        rig.part(4, &responder, &QUORUM, 1, b"v");
+        assert_eq!(got(&outcome), Ok(b"v".to_vec()));
+        assert_eq!(rig.parts(), 0);
+        rig.net.shutdown();
+    }
+
+    #[test]
+    fn disagreeing_parts_fall_back_to_the_callees_response() {
+        let rig = Parted::start();
+        // A different body, epoch or quorum is a disagreement, and agreeing
+        // parts from every member afterwards do not revive the collection.
+        let quorum = [NodeId(3), NodeId(4), NodeId(5)];
+        for (epoch, body, second_quorum) in
+            [(1, &b"b"[..], &quorum[..]), (2, b"a", &quorum), (1, b"a", &QUORUM)]
+        {
+            let (outcome, responder) = rig.call(Duration::from_secs(5));
+            rig.part(3, &responder, &quorum, 1, b"a");
+            rig.part(4, &responder, second_quorum, epoch, body);
+            for id in [3, 4, 5] {
+                rig.part(id, &responder, &quorum, 1, b"a");
+            }
+            quiet(&outcome);
+            responder.reply(Ok(b"own".to_vec()));
+            assert_eq!(got(&outcome), Ok(b"own".to_vec()));
+            assert_eq!(rig.parts(), 0);
+        }
+        rig.net.shutdown();
+    }
+
+    #[test]
+    fn a_full_response_before_the_parts_completes_the_call_once() {
+        let rig = Parted::start();
+        let (outcome, responder) = rig.call(Duration::from_secs(5));
+        responder.reply(Err("own".into()));
+        assert_eq!(got(&outcome), Err(RpcError::Remote("own".into())));
+        for id in [3, 4] {
+            rig.part(id, &responder, &QUORUM, 1, b"v");
+        }
+        quiet(&outcome);
+        assert_eq!(rig.parts(), 0, "parts of a finished call are dropped");
+        rig.net.shutdown();
+    }
+
+    #[test]
+    fn parts_for_unknown_ids_and_empty_quorums_are_dropped() {
+        let rig = Parted::start();
+        rig.replicas[0].replica_reply(NodeId(2), 999, &QUORUM, 1, b"v");
+        let (outcome, responder) = rig.call(Duration::from_secs(5));
+        rig.part(3, &responder, &[], 1, b"v");
+        quiet(&outcome);
+        assert_eq!(rig.parts(), 0);
+        responder.reply(Ok(b"own".to_vec()));
+        assert_eq!(got(&outcome), Ok(b"own".to_vec()));
+        rig.net.shutdown();
+    }
+
+    #[test]
+    fn timeout_and_shutdown_drop_the_parts() {
+        let rig = Parted::start();
+        let (outcome, responder) = rig.call(Duration::from_millis(100));
+        rig.part(3, &responder, &QUORUM, 1, b"v");
+        rig.wait_parts(1);
+        assert_eq!(got(&outcome), Err(RpcError::Timeout));
+        assert_eq!(rig.parts(), 0, "a timeout drops the parts");
+        let (outcome, responder) = rig.call(Duration::from_secs(5));
+        rig.part(3, &responder, &QUORUM, 1, b"v");
+        rig.wait_parts(1);
+        rig.caller.shutdown();
+        assert_eq!(got(&outcome), Err(RpcError::Shutdown));
+        assert_eq!(rig.parts(), 0, "shutdown drops the parts");
+        rig.net.shutdown();
+    }
+
+    #[test]
+    fn one_way_requests_have_no_route_and_replica_replies_round_trip() {
+        let net = Network::new(LatencyModel::instant(), 1);
+        let (tx, rx) = channel::unbounded();
+        let handler: Handler = Arc::new(move |_, _, responder: Responder| {
+            drop(tx.send(responder.route()));
+        });
+        let _server = RpcNode::start(&net, NodeId(1), handler, 1);
+        let client = RpcNode::start(&net, NodeId(2), null_handler(), 1);
+        client.notify(NodeId(1), vec![]);
+        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), None);
+        net.shutdown();
+        let body = encode_replica_reply(&QUORUM, 9, b"body");
+        assert_eq!(decode_replica_reply(&body), Some((QUORUM.to_vec(), 9, b"body".to_vec())));
+        assert_eq!(decode_replica_reply(&body[..15]), None, "a cut quorum is malformed");
+        assert_eq!(decode_replica_reply(&[0; 5]), None);
     }
 
     #[test]

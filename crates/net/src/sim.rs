@@ -127,9 +127,10 @@ pub struct FaultSpec {
     pub delay: f64,
     /// Extra latency applied when a delay fault fires.
     pub delay_spike: Duration,
-    /// Additional drop probability applied only to RPC *response* frames:
-    /// the request executes at the receiver, but its ack never returns.
-    /// This is the classic at-least-once hazard for retrying clients.
+    /// Additional drop probability applied only to RPC *reply* frames —
+    /// responses and replica replies: the request executes at the
+    /// receiver, but its ack never returns. This is the classic
+    /// at-least-once hazard for retrying clients.
     pub reply_loss: f64,
 }
 
@@ -437,7 +438,10 @@ impl Network {
         let mut duplicate_delay = None;
         if let Some((plan, rng)) = self.inner.faults.lock().as_mut() {
             if let Some(spec) = plan.spec_for(from, to) {
-                let is_reply = payload.first() == Some(&crate::rpc::KIND_RESPONSE);
+                let is_reply = matches!(
+                    payload.first(),
+                    Some(&crate::rpc::KIND_RESPONSE | &crate::rpc::KIND_REPLICA_REPLY)
+                );
                 let drop_p = spec.drop + if is_reply { spec.reply_loss } else { 0.0 };
                 if drop_p > 0.0 && rng.gen::<f64>() < drop_p {
                     stats.messages_dropped.fetch_add(1, Ordering::Relaxed);
@@ -856,11 +860,13 @@ mod tests {
         // A request-shaped frame goes through...
         a.send(NodeId(2), vec![crate::rpc::KIND_RESPONSE + 10, 0, 0]);
         assert!(b.recv_timeout(Duration::from_secs(1)).is_ok());
-        // ...a response-shaped frame (an ack) is lost.
-        a.send(NodeId(2), vec![crate::rpc::KIND_RESPONSE, 0, 0]);
-        assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
+        // ...a response-shaped frame (an ack) and a replica reply are lost.
+        for kind in [crate::rpc::KIND_RESPONSE, crate::rpc::KIND_REPLICA_REPLY] {
+            a.send(NodeId(2), vec![kind, 0, 0]);
+            assert!(b.recv_timeout(Duration::from_millis(50)).is_err());
+        }
         let (dropped, _, _) = net.fault_stats();
-        assert_eq!(dropped, 1);
+        assert_eq!(dropped, 2);
         net.shutdown();
     }
 

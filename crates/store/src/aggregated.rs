@@ -226,9 +226,16 @@ impl NodeInner {
                 self.engine.types().register(ty);
                 Ok(StoreResponse::Ok)
             }
-            StoreRequest::ReplicateBatch { shard, epoch, entries, lease_nanos } => {
+            StoreRequest::ReplicateBatch {
+                shard,
+                epoch,
+                entries,
+                lease_nanos,
+                replies,
+                quorum,
+            } => {
                 self.fence_stale_epoch(shard, epoch)?;
-                self.apply_replicated(shard, epoch, entries, lease_nanos)?;
+                self.apply_replicated(shard, epoch, entries, lease_nanos, replies, &quorum)?;
                 Ok(StoreResponse::Ok)
             }
             StoreRequest::RenewLease { shard, epoch, lease_nanos } => {
@@ -482,13 +489,16 @@ impl AggregatedNode {
         let handler: Handler =
             Arc::new(move |_from: NodeId, body: Vec<u8>, responder: Responder| {
                 let started = Instant::now();
-                let (ctx, req) = match proto::decode_request(&body) {
+                let (mut ctx, req) = match proto::decode_request(&body) {
                     Ok(decoded) => decoded,
                     Err(e) => {
                         responder.reply(Err(e.to_string()));
                         return;
                     }
                 };
+                // Lent to the request's work: the backups that apply its
+                // last write set may answer the caller too.
+                ctx.reply_to = responder.route().map(|(caller, req_id)| (caller.0, req_id));
                 if let StoreRequest::Invoke {
                     object,
                     method,

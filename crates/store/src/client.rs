@@ -358,6 +358,11 @@ impl StoreClient {
         }
     }
 
+    /// This client's network endpoint.
+    pub fn id(&self) -> NodeId {
+        self.inner.rpc.id()
+    }
+
     /// How many routing retries (attempts beyond an operation's first)
     /// this client has performed.
     pub fn retries_performed(&self) -> u64 {
@@ -760,6 +765,7 @@ mod tests {
             origin: Origin::Client,
             invocation_id,
             attempt: 0,
+            reply_to: None,
         }
     }
 

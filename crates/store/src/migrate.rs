@@ -266,6 +266,8 @@ impl NodeInner {
                 epoch: info.epoch,
                 entries: vec![(oid.0.clone(), ops)],
                 lease_nanos: 0,
+                replies: vec![],
+                quorum: vec![],
             };
             for backup in info.backups.iter().filter(|b| !in_target(**b)) {
                 let _ = self.call_peer(&ctx, *backup, &req);

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 use lambda_coordinator::{Epoch, ShardId};
 use lambda_net::wire::{self, RequestHeader, WireError, HEADER_VERSION};
-use lambda_net::RpcError;
+use lambda_net::{NodeId, RpcError};
 use lambda_objects::{
     decode_error, encode_error, migration::ObjectSnapshot, FieldDef, InvocationContext,
     InvokeError, TxCall, WriteSetOps,
@@ -180,6 +180,15 @@ pub enum StoreRequest {
         /// grants nothing (the primary withholds leases while its own
         /// coordinator contact is stale).
         lease_nanos: u64,
+        /// Client answers riding with the write sets: once the whole frame
+        /// has applied, the backup sends each `(client, request id, reply
+        /// body)` to its client as a replica reply. Set on a round's first
+        /// attempt only.
+        replies: Vec<(NodeId, u64, Vec<u8>)>,
+        /// The backups of the round's first attempt, each of which must
+        /// send a client the same reply before it counts (empty without
+        /// `replies`).
+        quorum: Vec<NodeId>,
     },
     /// Coordinator-owned migration: install (or replace) a snapshot shipped
     /// by the source shard's migration runner. It overwrites any earlier
@@ -410,6 +419,16 @@ mod tests {
                     (b"user/2".to_vec(), vec![(b"x".to_vec(), Some(b"y".to_vec()))]),
                 ],
                 lease_nanos: 0,
+                replies: vec![],
+                quorum: vec![],
+            },
+            StoreRequest::ReplicateBatch {
+                shard: 3,
+                epoch: 7,
+                entries: vec![(b"user/1".to_vec(), vec![(b"k".to_vec(), None)])],
+                lease_nanos: 400_000_000,
+                replies: vec![(NodeId(30_001), 42, b"reply".to_vec())],
+                quorum: vec![NodeId(2), NodeId(3)],
             },
             StoreRequest::RenewLease { shard: 3, epoch: 7, lease_nanos: 400_000_000 },
             StoreRequest::MigrateInstall {

@@ -70,6 +70,10 @@ const RECENT_COMMITS_CAP: usize = 32;
 /// `(object id bytes, write set)` — one committed write set on the wire.
 type WriteSet = (Vec<u8>, WriteSetOps);
 
+/// `(client, request id, reply body)` — a client's answer riding with the
+/// write set that decides it.
+type Routed = (NodeId, u64, Vec<u8>);
+
 // -- The commit gate -----------------------------------------------------------
 
 /// The commit gate's verdict on a group of locally applied write sets.
@@ -137,6 +141,8 @@ pub(crate) struct ReplState {
     pub(crate) applied: Counter,
     /// Promotion re-syncs completed (ring replays after failover).
     pub(crate) promotion_resyncs: Counter,
+    /// Replica replies sent to clients in the backup role.
+    replica_replies: Counter,
 }
 
 impl ReplState {
@@ -151,6 +157,7 @@ impl ReplState {
             recent_commits: Mutex::default(),
             applied: registry.counter("node_replications_applied"),
             promotion_resyncs: registry.counter("node_promotion_resyncs"),
+            replica_replies: registry.counter("node_replica_replies"),
         }
     }
 
@@ -296,22 +303,42 @@ struct Entry {
     /// The committer holds the object's guard until this write set is
     /// acked (debug builds check the no-shared-object rule over these).
     guarded: bool,
+    /// The client's answer, when the committer lent its request's route
+    /// and the answer is known once this set is replicated.
+    reply: Option<Routed>,
 }
 
 /// What kind of committer stands behind a gated write set.
 type MakeEntry = fn(DeferredCommit, &ShardInfo) -> Entry;
 
 impl Entry {
-    /// An engine commit: its object's guard is held until `done` runs.
-    fn guarded(commit: DeferredCommit, info: &ShardInfo) -> Entry {
-        let DeferredCommit { ctx, object, ops, done } = commit;
-        let (epoch, backups) = (info.epoch, info.backups.clone());
-        Entry { set: (object.0, ops), epoch, backups, ctx, done, guarded: true }
+    /// An engine commit: its object's guard is held until `done` runs. The
+    /// last commit of a client-facing invocation answers with its value.
+    fn guarded(mut commit: DeferredCommit, info: &ShardInfo) -> Entry {
+        let reply = commit.reply.take().map(StoreResponse::Value);
+        Entry::new(commit, info, true, reply)
     }
 
-    /// A raw write: no guard, no per-key replication order.
+    /// A raw write: no guard, no per-key replication order. Its request
+    /// answers `Ok` once it is replicated.
     fn raw(commit: DeferredCommit, info: &ShardInfo) -> Entry {
-        Entry { guarded: false, ..Entry::guarded(commit, info) }
+        Entry::new(commit, info, false, Some(StoreResponse::Ok))
+    }
+
+    /// `reply` is encoded once, exactly as the request handler would, when
+    /// the committer lent its request's route.
+    fn new(
+        commit: DeferredCommit,
+        info: &ShardInfo,
+        guarded: bool,
+        reply: Option<StoreResponse>,
+    ) -> Entry {
+        let DeferredCommit { ctx, object, ops, done, .. } = commit;
+        let reply = ctx.reply_to.zip(reply).and_then(|((client, req_id), reply)| {
+            Some((NodeId(client), req_id, proto::encode_reply(Ok(reply)).ok()?))
+        });
+        let (epoch, backups) = (info.epoch, info.backups.clone());
+        Entry { set: (object.0, ops), epoch, backups, ctx, done, guarded, reply }
     }
 }
 
@@ -405,6 +432,9 @@ struct Round {
     /// Who still has to ack: shrinks to the laggards across retries.
     backups: Vec<NodeId>,
     sets: Vec<WriteSet>,
+    /// The client answers of the routed sets among `sets`, until the first
+    /// attempt's frame takes them.
+    replies: Vec<Routed>,
     down: InvocationContext,
     attempt: u32,
     waiters: Vec<CommitCallback>,
@@ -422,8 +452,8 @@ impl Round {
         sets: Vec<WriteSet>,
     ) -> Round {
         let down = ctx.for_downstream();
-        let (waiters, tracked) = (Vec::new(), Vec::new());
-        Round { shard, epoch, backups, sets, down, attempt: 0, waiters, tracked }
+        let (replies, waiters, tracked) = (Vec::new(), Vec::new(), Vec::new());
+        Round { shard, epoch, backups, sets, replies, down, attempt: 0, waiters, tracked }
     }
 
     /// A round of one queued write set (a window's round starts as one).
@@ -439,6 +469,7 @@ impl Round {
             self.tracked.push(entry.set.0.clone());
         }
         self.sets.push(entry.set);
+        self.replies.extend(entry.reply);
         self.waiters.push(entry.done);
     }
 
@@ -447,14 +478,21 @@ impl Round {
     /// the caller) at this send time — backups fence stale-epoch frames,
     /// and departure fences must cover what the backups actually hold.
     /// Serialized once; the refcounted body is shared by every send of the
-    /// fan-out.
+    /// fan-out. The client answers ride on the first attempt only, with its
+    /// backups as their quorum: a retry re-targets a subset, so the quorum
+    /// a client would wait for no longer holds, and the primary's own
+    /// reply answers instead.
     fn frame(&mut self, lease_nanos: u64) -> Bytes {
         let entries = std::mem::take(&mut self.sets);
+        let replies = std::mem::take(&mut self.replies);
+        let quorum = if replies.is_empty() { Vec::new() } else { self.backups.clone() };
         let req = StoreRequest::ReplicateBatch {
             shard: self.shard,
             epoch: self.epoch,
             entries,
             lease_nanos,
+            replies,
+            quorum,
         };
         let body = proto::encode_request(&self.down, &req).expect("requests serialize");
         if let StoreRequest::ReplicateBatch { entries, .. } = req {
@@ -543,12 +581,17 @@ pub(crate) fn after_round(
 
 impl NodeInner {
     /// One attempt's frame and timeout, with the lease grant it carries
-    /// recorded at this send time. The first attempt is bounded by the
+    /// recorded at this send time. The attempt is counted now, not at its
+    /// acks: the backups may answer the client before those arrive, and
+    /// whoever reads the counters after the client's answer finds the
+    /// round counted. The first attempt is bounded by the
     /// invocation's remaining budget; retries deliberately run on the
     /// node's full RPC timeout: once locally durable, finishing replication
     /// is the system's obligation, and a budget squeezed to zero would turn
     /// the retry loop into a hot spin of instant timeouts.
     fn next_attempt(&self, round: &mut Round) -> (Bytes, Duration) {
+        self.repl.rounds.incr();
+        self.repl.entries.add(round.sets.len() as u64);
         let lease = self.leases.grant(round.shard, &round.backups, Instant::now());
         let timeout = match round.attempt {
             0 => round.down.rpc_timeout(self.rpc_timeout),
@@ -564,8 +607,6 @@ impl NodeInner {
         round: &mut Round,
         replies: &[Result<Vec<u8>, RpcError>],
     ) -> Option<Result<(), String>> {
-        self.repl.rounds.incr();
-        self.repl.entries.add(round.sets.len() as u64);
         let failed = failed_acks(&round.backups, replies);
         let shutting_down = self.shutdown.load(Ordering::Acquire);
         match after_round(&self.placement, self.id, round.shard, failed, shutting_down) {
@@ -667,14 +708,18 @@ impl NodeInner {
         ship_and_join(ctx, vec![(object, ops)], |commits| self.gate(commits, Entry::raw))
     }
 
-    /// Backup role: apply one `ReplicateBatch` frame — the lease grant it
-    /// carries, then its write sets, atomically and in order.
+    /// Backup role: apply one `ReplicateBatch` frame, which the caller has
+    /// checked against a stale epoch — the lease grant it carries, then its
+    /// write sets, atomically and in order — and once all of it has
+    /// applied, send each of its client answers as one member of `quorum`.
     pub(crate) fn apply_replicated(
         &self,
         shard: ShardId,
         epoch: Epoch,
         entries: Vec<WriteSet>,
         lease_nanos: u64,
+        replies: Vec<Routed>,
+        quorum: &[NodeId],
     ) -> Result<(), InvokeError> {
         self.leases.accept(shard, epoch, lease_nanos, Instant::now());
         let entries: Vec<(ObjectId, WriteSetOps)> =
@@ -682,6 +727,10 @@ impl NodeInner {
         self.engine.apply_replicated_batch(&entries)?;
         self.repl.record_recent(shard, entries.iter().map(|(oid, ops)| (oid, ops)));
         self.repl.applied.add(entries.len() as u64);
+        for (client, req_id, body) in replies {
+            self.repl.replica_replies.incr();
+            self.rpc().replica_reply(client, req_id, quorum, epoch, &body);
+        }
         Ok(())
     }
 
@@ -723,6 +772,7 @@ mod tests {
     use crossbeam::channel;
     use lambda_coordinator::{ClusterState, CoordCmd, N_SLOTS};
     use lambda_objects::error::decode_hook_error;
+    use lambda_vm::VmValue;
 
     const ME: NodeId = NodeId(1);
 
@@ -968,7 +1018,7 @@ mod tests {
 
     fn commit(tag: &str, done: CommitCallback) -> DeferredCommit {
         let ctx = InvocationContext::background();
-        DeferredCommit { ctx, object: ObjectId::from(tag), ops: Vec::new(), done }
+        DeferredCommit { ctx, object: ObjectId::from(tag), ops: Vec::new(), done, reply: None }
     }
 
     fn info(epoch: Epoch, backups: &[u32]) -> ShardInfo {
@@ -1086,6 +1136,48 @@ mod tests {
     }
 
     #[test]
+    fn client_answers_ride_the_first_attempt_only_with_the_backups_as_quorum() {
+        let routed = |tag: &str, reply: Option<VmValue>| {
+            let mut commit = commit(tag, Box::new(|_| {}));
+            commit.ctx.reply_to = Some((77, 5));
+            DeferredCommit { reply, ..commit }
+        };
+        let info = info(1, &[2, 3]);
+        let entries = [
+            Entry::guarded(routed("user/1", Some(VmValue::Int(3))), &info),
+            // Routed but without an answer: a boundary, a branch, a create.
+            Entry::guarded(routed("user/2", None), &info),
+            // An answer without a route: an invocation no client waits on.
+            Entry::guarded(
+                DeferredCommit { reply: Some(VmValue::Unit), ..commit("user/3", Box::new(|_| {})) },
+                &info,
+            ),
+            Entry::raw(routed("user/4", None), &info),
+        ];
+        let mut rounds = Window::new(0).push(entries);
+        assert_eq!(rounds.len(), 1);
+        let answer = |reply| proto::encode_reply(Ok(reply)).unwrap();
+        let Ok((_, StoreRequest::ReplicateBatch { replies, quorum, .. })) =
+            proto::decode_request(&rounds[0].frame(0))
+        else {
+            panic!("a replication frame");
+        };
+        let want = vec![
+            (NodeId(77), 5, answer(StoreResponse::Value(VmValue::Int(3)))),
+            (NodeId(77), 5, answer(StoreResponse::Ok)),
+        ];
+        assert_eq!((replies, quorum), (want, vec![NodeId(2), NodeId(3)]));
+        // The retry re-targets a laggard and carries no answers.
+        rounds[0].backups = vec![NodeId(3)];
+        let Ok((_, StoreRequest::ReplicateBatch { replies, quorum, entries, .. })) =
+            proto::decode_request(&rounds[0].frame(0))
+        else {
+            panic!("a replication frame");
+        };
+        assert_eq!((replies, quorum, entries.len()), (vec![], vec![], 4));
+    }
+
+    #[test]
     fn frame_builder_restamps_epoch_and_lease_per_attempt() {
         let ctx = InvocationContext::background();
         let sets = vec![(b"o".to_vec(), vec![(b"k".to_vec(), None)])];
@@ -1098,6 +1190,8 @@ mod tests {
                 epoch: 5,
                 entries: sets.clone(),
                 lease_nanos: lease,
+                replies: vec![],
+                quorum: vec![],
             };
             assert_eq!(req, want);
         }

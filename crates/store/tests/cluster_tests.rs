@@ -1505,3 +1505,167 @@ fn raw_push_scan_and_count_agree_with_get_timeline() {
     assert_eq!(raw(count), StoreResponse::Count(newest_first.len() as u64));
     cluster.shutdown();
 }
+
+// -- Backups answer the client -------------------------------------------------
+
+fn replica_replies(node: &lambda_store::AggregatedNode) -> u64 {
+    node.registry().counter_value("node_replica_replies")
+}
+
+/// A cluster with one funded account, the client, and the account's
+/// primary and backups.
+fn funded_account(
+    tag: &str,
+) -> (AggregatedCluster, lambda_store::StoreClient, ObjectId, NodeId, Vec<NodeId>) {
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Account", account_fields(), &account_module()).unwrap();
+    let id = ObjectId::from(tag);
+    client.create_object("Account", &id, &[]).unwrap();
+    client.invoke(&id, "deposit", vec![VmValue::Int(10)], false).unwrap();
+    let (_, info) = client.placement().locate(&id).expect("located");
+    // The client may hear of the deposit before the primary has its acks:
+    // a read there waits for them, behind the deposit's guard.
+    let primary = node(&cluster, info.primary);
+    assert_eq!(primary.engine().invoke(&id, "balance", vec![]), Ok(VmValue::Int(10)));
+    (cluster, client, id, info.primary, info.backups)
+}
+
+fn node(cluster: &AggregatedCluster, id: NodeId) -> &lambda_store::AggregatedNode {
+    cluster.core.storage.iter().find(|n| n.id() == id).expect("a storage node")
+}
+
+#[test]
+fn a_single_commit_write_completes_by_the_backups_replies() {
+    let (cluster, client, id, primary, backups) = funded_account("acct/parts");
+    let before: Vec<u64> = backups.iter().map(|b| replica_replies(node(&cluster, *b))).collect();
+    // The primary's own answers never reach the client: only the backups'
+    // can complete the write, and a retry would show.
+    let plan = FaultPlan::new().link(primary, client.id(), FaultSpec::lose_replies());
+    cluster.core.net.set_fault_plan(plan, chaos_seed(1));
+    let retries = client.retries_performed();
+    let balance = client.invoke(&id, "deposit", vec![VmValue::Int(5)], false).unwrap();
+    assert_eq!(as_int(balance), 15);
+    assert_eq!(client.retries_performed(), retries, "completed by parts, not by a retry");
+    for (backup, before) in backups.iter().zip(before) {
+        assert_eq!(replica_replies(node(&cluster, *backup)), before + 1, "node-{}", backup.0);
+        // The write the client holds is at every backup: a leased read
+        // there right away sees it.
+        let read = read_at(&client, *backup, &read_request(&id, "balance")).unwrap();
+        assert_eq!(read, StoreResponse::Value(VmValue::Int(15)), "node-{}", backup.0);
+    }
+    cluster.core.net.clear_fault_plan();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_read_at_the_primary_after_a_write_answered_by_parts_sees_it() {
+    // `funded_account` left the balance of 10 in the primary's result cache.
+    let (cluster, client, id, primary, backups) = funded_account("acct/parts-then-read");
+    // The backups' acks never reach the primary, so it holds the write
+    // unacked while the client already has its answer from the parts.
+    let mut plan = FaultPlan::new();
+    for backup in &backups {
+        plan = plan.link(*backup, primary, FaultSpec::lose_replies());
+    }
+    cluster.core.net.set_fault_plan(plan, chaos_seed(3));
+    let balance = client.invoke(&id, "deposit", vec![VmValue::Int(5)], false).unwrap();
+    assert_eq!(as_int(balance), 15);
+    std::thread::scope(|s| {
+        let read = s.spawn(|| read_at(&client, primary, &read_request(&id, "balance")));
+        std::thread::sleep(Duration::from_millis(50));
+        cluster.core.net.clear_fault_plan();
+        assert_eq!(read.join().unwrap().unwrap(), StoreResponse::Value(VmValue::Int(15)));
+    });
+    cluster.shutdown();
+}
+
+#[test]
+fn a_write_whose_parts_are_cut_off_completes_by_the_primary() {
+    let (cluster, client, id, _, backups) = funded_account("acct/cut-parts");
+    for backup in &backups {
+        cluster.core.net.cut_link(*backup, client.id());
+    }
+    let retries = client.retries_performed();
+    let sent: u64 = backups.iter().map(|b| replica_replies(node(&cluster, *b))).sum();
+    let balance = client.invoke(&id, "deposit", vec![VmValue::Int(5)], false).unwrap();
+    assert_eq!(as_int(balance), 15);
+    assert_eq!(client.retries_performed(), retries, "the primary's reply answered");
+    let now: u64 = backups.iter().map(|b| replica_replies(node(&cluster, *b))).sum();
+    assert_eq!(now, sent + backups.len() as u64, "the parts were sent, and lost");
+    for backup in &backups {
+        cluster.core.net.heal_link(*backup, client.id());
+    }
+    cluster.shutdown();
+}
+
+#[test]
+fn a_retried_round_sends_no_parts_and_completes_by_the_primary() {
+    let (cluster, client, id, primary, backups) = funded_account("acct/retried");
+    let (lost, other) = (backups[0], backups[1]);
+    let count = |n: NodeId, name: &str| node(&cluster, n).registry().counter_value(name);
+    let parts = |n: NodeId| count(n, "node_replica_replies");
+    let (lost_parts, other_parts) = (parts(lost), parts(other));
+    let (lost_applied, repl_retries) =
+        (count(lost, "node_replications_applied"), count(primary, "node_repl_retries"));
+    let retries = client.retries_performed();
+    // The first attempt's frame to `lost` is dropped, so only `other`
+    // answers the client and the round is re-sent to `lost` alone.
+    cluster.core.net.cut_link(primary, lost);
+    std::thread::scope(|s| {
+        let write = s.spawn(|| client.invoke(&id, "deposit", vec![VmValue::Int(5)], false));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while parts(other) == other_parts {
+            assert!(Instant::now() < deadline, "the first attempt never reached {other:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Well inside the first attempt's timeout: the retry gets through.
+        std::thread::sleep(Duration::from_millis(20));
+        cluster.core.net.heal_link(primary, lost);
+        assert_eq!(as_int(write.join().unwrap().unwrap()), 15);
+    });
+    assert_eq!(client.retries_performed(), retries, "the primary's reply answered");
+    assert!(count(primary, "node_repl_retries") > repl_retries, "the round was re-sent");
+    assert!(count(lost, "node_replications_applied") > lost_applied, "the retry applied");
+    assert_eq!(parts(lost), lost_parts, "a retry carries no parts");
+    assert_eq!(parts(other), other_parts + 1);
+    cluster.shutdown();
+}
+
+#[test]
+fn a_disaggregated_raw_put_completes_by_the_backups_replies() {
+    let cluster = DisaggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    let compute = lambda_store::ids::COMPUTE;
+    let deploy = StoreRequest::DeployType {
+        name: "Account".into(),
+        fields: account_fields(),
+        module: account_module(),
+    };
+    assert_eq!(client.raw(compute, &deploy).unwrap(), StoreResponse::Ok);
+    // The compute layer writes to the shard's primary, whose own answers
+    // to it are lost: each raw put completes by the backups' replies. The
+    // executor calls storage from an endpoint of its own (`ComputeNode::start`).
+    let executor = NodeId(compute.0 + 30_000);
+    let primary = cluster.core.storage_ids[0];
+    let backups = &cluster.core.storage_ids[1..];
+    let parts = || -> u64 { cluster.core.storage.iter().map(|n| replica_replies(n)).sum() };
+    let before = parts();
+    let plan = FaultPlan::new().link(primary, executor, FaultSpec::lose_replies());
+    cluster.core.net.set_fault_plan(plan, chaos_seed(2));
+    let create = StoreRequest::CreateObject {
+        type_name: "Account".into(),
+        object: b"acct/raw-parts".to_vec(),
+        fields: vec![("balance".into(), 7i64.to_le_bytes().to_vec())],
+    };
+    assert_eq!(client.raw(compute, &create).unwrap(), StoreResponse::Ok);
+    cluster.core.net.clear_fault_plan();
+    // Two raw puts (meta and one field), each answered by both backups.
+    assert_eq!(parts(), before + 2 * backups.len() as u64);
+    let meta = lambda_objects::keys::meta_key(&ObjectId::from("acct/raw-parts"));
+    for backup in backups {
+        let got = client.raw(*backup, &StoreRequest::RawGet { key: meta.clone() }).unwrap();
+        assert_eq!(got, StoreResponse::MaybeBytes(Some(b"Account".to_vec())));
+    }
+    cluster.shutdown();
+}

@@ -61,6 +61,11 @@ pub struct InvocationContext {
     pub invocation_id: u64,
     /// Which delivery attempt this is (0 = first send).
     pub attempt: u32,
+    /// The request this invocation answers, as `(caller node id, request
+    /// id)`, lent by the node that received it so that the backups which
+    /// apply its last write set can answer the caller too. Local to that
+    /// node: it never crosses the wire, and downstream work drops it.
+    pub reply_to: Option<(u32, u64)>,
 }
 
 impl InvocationContext {
@@ -72,6 +77,7 @@ impl InvocationContext {
             origin: Origin::Client,
             invocation_id: next_invocation_id(),
             attempt: 0,
+            reply_to: None,
         }
     }
 
@@ -84,6 +90,7 @@ impl InvocationContext {
             origin: Origin::Background,
             invocation_id: 0,
             attempt: 0,
+            reply_to: None,
         }
     }
 
@@ -96,7 +103,14 @@ impl InvocationContext {
         } else {
             Some(Instant::now() + Duration::from_nanos(budget_nanos))
         };
-        Self { trace_id, deadline, origin: Origin::from_wire(origin), invocation_id: 0, attempt: 0 }
+        Self {
+            trace_id,
+            deadline,
+            origin: Origin::from_wire(origin),
+            invocation_id: 0,
+            attempt: 0,
+            reply_to: None,
+        }
     }
 
     /// The remaining budget to serialize for the next hop
@@ -136,9 +150,10 @@ impl InvocationContext {
     }
 
     /// This context as seen by work a node does on behalf of it (same
-    /// trace and deadline, origin becomes [`Origin::Node`]).
+    /// trace and deadline, origin becomes [`Origin::Node`], no reply route:
+    /// only the node that received the request answers it).
     pub fn for_downstream(&self) -> Self {
-        Self { origin: Origin::Node, ..*self }
+        Self { origin: Origin::Node, reply_to: None, ..*self }
     }
 }
 
@@ -230,6 +245,8 @@ mod tests {
         assert_eq!(down.deadline, ctx.deadline);
         assert_eq!(down.origin, Origin::Node);
         assert_eq!(down.invocation_id, ctx.invocation_id);
+        let routed = InvocationContext { reply_to: Some((2, 9)), ..ctx };
+        assert_eq!(routed.for_downstream().reply_to, None);
     }
 
     #[test]
