@@ -11,9 +11,12 @@
 //!   storage.
 //!
 //! Measured rows: median/p99 latency of a mixed ReTwis workload,
-//! throughput, node occupancy (average in-flight requests per storage
-//! node, busy-time / wall-time — the paper's "resource utilization" row:
-//! higher means the provisioned nodes do more useful work per second),
+//! throughput, node occupancy (per storage node, the time its RPC workers
+//! spend in request handlers over wall time: how many workers are busy on
+//! average, not how many requests are in flight — a deferred invocation
+//! waiting on a lock, a commit or replication acks holds no worker; the
+//! paper's "resource utilization" row: higher means the provisioned nodes
+//! do more useful work per second),
 //! cold starts, consistency guarantee (from the design), and an
 //! elasticity proxy (time to migrate one object to another shard, which
 //! is what scaling in/out costs per microshard).

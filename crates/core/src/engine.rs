@@ -18,8 +18,8 @@ use lambda_telemetry::{Counter, InvocationContext, Registry, Stage};
 use lambda_vm::{HostError, Interpreter, Limits, VmValue};
 
 use crate::cache::{CacheStats, ConsistentCache};
-use crate::error::{decode_hook_error, encode_error, InvokeError, Result};
-use crate::host::{Boundary, NestedInvoker, ObjectHost};
+use crate::error::{encode_error, InvokeError, Result};
+use crate::host::{Boundary, ObjectHost};
 use crate::keys;
 use crate::object::{MethodMeta, MethodSet, ObjectId, ObjectType, TypeRegistry};
 use crate::scheduler::{ObjectGuard, Scheduler, SchedulerMode, SchedulerStats};
@@ -118,12 +118,10 @@ pub struct EngineStats {
 /// deletes, as shipped by primary-to-backup replication.
 pub type WriteSetOps = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 
-/// A commit hook's verdict: `Err` describes the replication failure.
-type HookResult = std::result::Result<(), String>;
-
 /// Completion for a deferred commit-hook fan-out: invoked exactly once
-/// with the replication outcome.
-pub type CommitCallback = Box<dyn FnOnce(HookResult) + Send>;
+/// with the replication outcome, whose error is the one the committing
+/// invocation fails with.
+pub type CommitCallback = Box<dyn FnOnce(Result<()>) + Send>;
 
 /// An invocation's final outcome. A cacheable invocation's read set stays
 /// on the node, in its result cache (§4.2.2).
@@ -157,8 +155,7 @@ pub struct DeferredCommit {
     pub object: ObjectId,
     /// The operations just committed locally (`None` value = deletion).
     pub ops: WriteSetOps,
-    /// Invoked exactly once with the replication outcome; `Err` describes
-    /// the failure.
+    /// Invoked exactly once with the replication outcome.
     pub done: CommitCallback,
     /// The invocation's final value, on the last commit of a client-facing
     /// (depth-0, external) invocation: once the write set is replicated,
@@ -275,7 +272,7 @@ pub fn ship_and_join(
     ctx: &InvocationContext,
     sets: Vec<(ObjectId, WriteSetOps)>,
     ship: impl FnOnce(Vec<DeferredCommit>),
-) -> std::result::Result<(), String> {
+) -> Result<()> {
     debug_assert!(
         !ON_COMPLETION_THREAD.get(),
         "a blocking commit on a completion thread waits for itself"
@@ -294,7 +291,7 @@ pub fn ship_and_join(
     ship(commits);
     let acks = join_all(&rx, sent);
     if acks.len() < sent {
-        return Err(LOST.into());
+        return Err(InvokeError::Storage(LOST.into()));
     }
     acks.into_iter().collect()
 }
@@ -613,23 +610,23 @@ impl Engine {
         for (field, value) in fields {
             batch.put(keys::field_key(id, field.as_bytes()), value.to_vec());
         }
-        self.write_and_replicate(std::slice::from_ref(id), batch)?.map_err(decode_hook_error)
+        self.write_and_replicate(std::slice::from_ref(id), batch)
     }
 
     /// Apply `batch` outside any invocation — a create, a delete, a
     /// transaction — and park until it is replicated: one write set per
     /// object of `objects` that `batch` writes, handed to the hook in one
     /// call so that they ship together ([`ship_and_join`]), timed as a
-    /// `replicate` span. The outer `Err` is the local write's failure, the
-    /// inner one replication's. Never called on a completion thread.
+    /// `replicate` span. The `Err` is the local write's failure or
+    /// replication's. Never called on a completion thread.
     pub(crate) fn write_and_replicate(
         &self,
         objects: &[ObjectId],
         batch: WriteBatch,
-    ) -> Result<HookResult> {
+    ) -> Result<()> {
         let hooked = self.hooked(&batch);
         self.db.write(batch)?;
-        let Some((hook, ops)) = hooked else { return Ok(Ok(())) };
+        let Some((hook, ops)) = hooked else { return Ok(()) };
         let sets = objects
             .iter()
             .filter_map(|object| {
@@ -643,7 +640,7 @@ impl Engine {
         let start = Instant::now();
         let replicated = ship_and_join(&ctx, sets, |commits| hook.on_commit(commits));
         self.registry.record_span(ctx.trace_id, Stage::Replicate, start.elapsed());
-        Ok(replicated)
+        replicated
     }
 
     /// True when `id` exists on this node.
@@ -683,14 +680,14 @@ impl Engine {
             batch.delete(key);
         }
         let deleted = if batch.is_empty() {
-            Ok(Ok(()))
+            Ok(())
         } else {
             self.write_and_replicate(std::slice::from_ref(id), batch)
         };
         // Whether or not replication acked, the local copy may be gone.
         self.cache.invalidate_object(id);
         self.forget_dedup_window(id);
-        deleted?.map_err(decode_hook_error)
+        deleted
     }
 
     /// Enumerate every object stored on this node (admin/rebalancing use;
@@ -772,7 +769,7 @@ impl Engine {
     /// scheduling, span and counter behaviour for all. The method body
     /// still parks its thread at a nested call — a single `host.invoke` is
     /// a scatter of one — until its boundary commit and every branch have
-    /// answered ([`NestedInvoker::invoke_nested_many`]).
+    /// answered ([`Engine::invoke_nested_many`]).
     pub fn invoke_deferred(
         self: &Arc<Self>,
         ctx: &InvocationContext,
@@ -1218,9 +1215,9 @@ impl Engine {
     /// The local write is applied: invalidate what it touched — whether or
     /// not replication acked, resident results over those keys are stale —
     /// and count the commit once its replication outcome is in.
-    pub(crate) fn finish_commit(&self, touched: &[Vec<u8>], replicated: HookResult) -> Result<()> {
+    pub(crate) fn finish_commit(&self, touched: &[Vec<u8>], replicated: Result<()>) -> Result<()> {
         self.cache.invalidate_keys(touched.iter().map(Vec::as_slice));
-        replicated.map_err(decode_hook_error)?;
+        replicated?;
         self.commits.incr();
         Ok(())
     }
@@ -1336,8 +1333,23 @@ fn decode_dedup_record(rec: &[u8]) -> Option<VmValue> {
     VmValue::decode(rec.get(8..)?)
 }
 
-impl NestedInvoker for Engine {
-    fn invoke_nested_many(
+/// Nested cross-object invocations: per §3.1, the parts of an invocation
+/// before and after a nested call are two separate invocations, the
+/// caller's lock released in between ([`ObjectHost`]'s `scatter`).
+impl Engine {
+    /// Commit `boundary` and run one nested invocation of `method(args)`
+    /// per target as a single scatter, then park until the commit and
+    /// every branch have answered; one result per target, in target order.
+    /// The caller's lock travels in `boundary` and is released once its
+    /// writes are committed, before or together with the branches'. Each
+    /// branch is an invocation of its own: own lock, own atomic commit,
+    /// own abort. `ctx` is the caller's context: the branches inherit the
+    /// trace identity and the *remaining* deadline budget.
+    ///
+    /// # Errors
+    /// The boundary commit's storage/replication failure, as
+    /// [`HostError::Storage`].
+    pub(crate) fn invoke_nested_many(
         &self,
         ctx: &InvocationContext,
         boundary: Boundary,
@@ -1412,7 +1424,9 @@ impl NestedInvoker for Engine {
             .collect())
     }
 
-    fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64) {
+    /// Re-acquire `object`'s exclusive lock for the caller's resumption,
+    /// and report the snapshot sequence the resumed invocation reads at.
+    pub(crate) fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64) {
         let guard = self.scheduler.acquire_exclusive(object);
         (guard, self.db.last_sequence())
     }
@@ -1928,7 +1942,7 @@ mod tests {
             let fail = self.fail.load(std::sync::atomic::Ordering::SeqCst);
             for DeferredCommit { object, ops, done, .. } in commits {
                 self.seen.lock().push((object, ops));
-                done(if fail { Err("replica down".into()) } else { Ok(()) });
+                done(if fail { Err(InvokeError::Storage("replica down".into())) } else { Ok(()) });
             }
         }
     }
@@ -2851,7 +2865,11 @@ mod scatter_tests {
     impl CommitHook for FailingOn {
         fn on_commit(&self, commits: Vec<DeferredCommit>) {
             for c in commits {
-                (c.done)(if c.object == self.0 { Err("replica down".into()) } else { Ok(()) });
+                (c.done)(if c.object == self.0 {
+                    Err(InvokeError::Storage("replica down".into()))
+                } else {
+                    Ok(())
+                });
             }
         }
     }

@@ -131,18 +131,6 @@ pub fn encode_error(e: &InvokeError) -> String {
     }
 }
 
-/// Map a commit-hook failure string back to a typed error: a hook that
-/// needs a specific variant to reach the client (the migration handoff
-/// fence's `ObjectMoved`) embeds one via [`encode_error`]; plain fence
-/// strings stay [`InvokeError::Storage`].
-pub fn decode_hook_error(msg: String) -> InvokeError {
-    if msg.contains('\x1f') {
-        decode_error(&msg)
-    } else {
-        InvokeError::Storage(msg)
-    }
-}
-
 /// Decode an error produced by [`encode_error`]; unknown inputs map to
 /// [`InvokeError::Nested`].
 pub fn decode_error(s: &str) -> InvokeError {

@@ -11,59 +11,23 @@ use lambda_telemetry::InvocationContext;
 use lambda_vm::{Host, HostError, VmValue};
 
 use crate::buffer::WriteBuffer;
+use crate::engine::Engine;
 use crate::keys;
 use crate::object::ObjectId;
 use crate::scheduler::ObjectGuard;
 
 /// The caller's side of a nested call's §3.1 boundary, handed to
-/// [`NestedInvoker::invoke_nested_many`]: the writes made before the call
-/// and the object lock they were made under.
-pub struct Boundary {
+/// [`Engine::invoke_nested_many`]: the writes made before the call and the
+/// object lock they were made under.
+pub(crate) struct Boundary {
     /// The calling object.
-    pub source: ObjectId,
+    pub(crate) source: ObjectId,
     /// The pre-call write set (may be empty).
-    pub batch: WriteBatch,
+    pub(crate) batch: WriteBatch,
     /// Every key `batch` writes.
-    pub written_keys: Vec<Vec<u8>>,
+    pub(crate) written_keys: Vec<Vec<u8>>,
     /// The caller's lock; released once `batch` has committed.
-    pub guard: Option<ObjectGuard>,
-}
-
-/// The engine-side services a nested cross-object invocation needs.
-///
-/// Per §3.1 of the paper, the parts of an invocation before and after a
-/// nested call are **two separate invocations**: the caller's writes commit
-/// at the boundary, its object lock is *released* while the nested call
-/// runs (which is what makes cyclic fan-outs — mutual followers, a user
-/// following themselves — deadlock-free), and execution resumes as a fresh
-/// invocation under a re-acquired lock at a new snapshot. Every nested call
-/// is a scatter: a single `host.invoke` is a scatter of one target.
-pub trait NestedInvoker: Sync {
-    /// Commit `boundary` and run one nested invocation of `method(args)`
-    /// per target as a single scatter, then park until the commit and
-    /// every branch have answered; one result per target, in target order.
-    /// The caller's lock travels in `boundary` and is released once its
-    /// writes are committed, before or together with the branches'. Each
-    /// branch is an invocation of its own: own lock, own atomic commit,
-    /// own abort. `ctx` is the caller's context: the branches inherit the
-    /// trace identity and the *remaining* deadline budget.
-    ///
-    /// # Errors
-    /// The boundary commit's storage/replication failure, as
-    /// [`HostError::Storage`].
-    fn invoke_nested_many(
-        &self,
-        ctx: &InvocationContext,
-        boundary: Boundary,
-        targets: &[ObjectId],
-        method: &str,
-        args: &[VmValue],
-        depth: usize,
-    ) -> Result<Vec<Result<VmValue, HostError>>, HostError>;
-
-    /// Re-acquire `object`'s exclusive lock for the caller's resumption,
-    /// and report the snapshot sequence the resumed invocation reads at.
-    fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64);
+    pub(crate) guard: Option<ObjectGuard>,
 }
 
 /// The [`Host`] implementation for one executing invocation.
@@ -75,7 +39,7 @@ pub struct ObjectHost<'a> {
     /// Pending writes + read set.
     pub buffer: WriteBuffer,
     read_only: bool,
-    nested: Option<&'a dyn NestedInvoker>,
+    nested: Option<&'a Engine>,
     /// Nesting depth of this invocation (0 = client-facing).
     depth: usize,
     /// The object lock held for this invocation; released across nested
@@ -109,7 +73,7 @@ impl<'a> ObjectHost<'a> {
         snapshot_seq: u64,
         read_only: bool,
         track_reads: bool,
-        nested: Option<&'a dyn NestedInvoker>,
+        nested: Option<&'a Engine>,
         depth: usize,
         guard: Option<ObjectGuard>,
     ) -> ObjectHost<'a> {

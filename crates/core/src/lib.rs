@@ -87,7 +87,7 @@ pub use engine::{
     EngineStats, InvokeCompletion, InvokeOutcome, InvokeRouter, WriteSetOps, DEDUP_WINDOW,
 };
 pub use error::{decode_error, encode_error, InvokeError, Result};
-pub use host::{Boundary, NestedInvoker, ObjectHost};
+pub use host::ObjectHost;
 pub use migration::ObjectSnapshot;
 pub use object::{FieldDef, FieldKind, MethodMeta, MethodSet, ObjectId, ObjectType, TypeRegistry};
 pub use scheduler::{GrantCallback, ObjectGuard, Scheduler, SchedulerMode, SchedulerStats};

@@ -138,7 +138,7 @@ impl Engine {
                 touched.push(self.bump_version(object, &mut batch));
             }
         }
-        let replicated = self.write_and_replicate(&objects, batch)?;
+        let replicated = self.write_and_replicate(&objects, batch);
         self.finish_commit(&touched, replicated)?;
         Ok(results)
     }
@@ -494,7 +494,11 @@ mod tests {
                 let last = commits.len() - 1;
                 for (i, commit) in commits.into_iter().enumerate() {
                     let nack = self.failing && i == last;
-                    (commit.done)(if nack { Err("replica down".into()) } else { Ok(()) });
+                    (commit.done)(if nack {
+                        Err(InvokeError::Storage("replica down".into()))
+                    } else {
+                        Ok(())
+                    });
                 }
             }
         }

@@ -1,5 +1,6 @@
 //! Backends: how each architecture serves the ReTwis operations.
 
+use crossbeam::channel;
 use lambda_net::NodeId;
 use lambda_objects::{InvokeError, ObjectId};
 use lambda_store::{StoreClient, StoreRequest};
@@ -99,22 +100,20 @@ pub struct EndpointBackend {
 }
 
 impl EndpointBackend {
-    fn invoke_at(
+    /// Invoke `method` on account `i` at the endpoint: `invoke_async_at`
+    /// plus one join, so both sides of a comparison take one client path.
+    fn invoke(
         &self,
-        object: Vec<u8>,
+        i: usize,
         method: &str,
         args: Vec<VmValue>,
         read_only: bool,
     ) -> Result<VmValue, InvokeError> {
-        let req = StoreRequest::Invoke {
-            object,
-            method: method.to_string(),
-            args,
-            read_only,
-            internal: false,
-            collect_read_set: false,
-        };
-        self.client.raw(self.endpoint, &req)?.into_value()
+        let (tx, rx) = channel::bounded(1);
+        let id = ObjectId::new(account_id(i));
+        let done = Box::new(move |outcome| drop(tx.send(outcome)));
+        self.client.invoke_async_at(self.endpoint, &id, method, args, read_only, done);
+        rx.recv().unwrap_or_else(|_| Err(InvokeError::Nested("client shut down".into())))
     }
 }
 
@@ -138,23 +137,15 @@ impl RetwisBackend for EndpointBackend {
     }
 
     fn follow(&self, target: usize, follower: usize) -> Result<(), InvokeError> {
-        self.invoke_at(
-            account_id(target),
-            "follow",
-            vec![VmValue::Bytes(account_id(follower))],
-            false,
-        )
-        .map(|_| ())
+        self.invoke(target, "follow", vec![VmValue::Bytes(account_id(follower))], false).map(|_| ())
     }
 
     fn post(&self, author: usize, msg: &str) -> Result<(), InvokeError> {
-        self.invoke_at(account_id(author), "create_post", vec![VmValue::str(msg)], false)
-            .map(|_| ())
+        self.invoke(author, "create_post", vec![VmValue::str(msg)], false).map(|_| ())
     }
 
     fn get_timeline(&self, user: usize, limit: i64) -> Result<usize, InvokeError> {
-        let v =
-            self.invoke_at(account_id(user), "get_timeline", vec![VmValue::Int(limit)], true)?;
+        let v = self.invoke(user, "get_timeline", vec![VmValue::Int(limit)], true)?;
         Ok(v.as_list().map(<[VmValue]>::len).unwrap_or(0))
     }
 

@@ -196,6 +196,35 @@ impl NodeInner {
         }
     }
 
+    /// Serve one request of the service endpoint. `Invoke` is served as a
+    /// *deferred reply*: the worker hands the parked `Responder` to the
+    /// engine's continuation chain and is released while the invocation
+    /// waits on the object lock, the group commit, or replication acks —
+    /// the reply is a completion, not a return value. Every other request
+    /// kind replies inline.
+    fn serve(&self, body: &[u8], responder: Responder) {
+        let (mut ctx, req) = match proto::decode_request(body) {
+            Ok(decoded) => decoded,
+            Err(e) => return responder.reply(Err(e.to_string())),
+        };
+        // Lent to the request's work: the backups that apply its last
+        // write set may answer the caller too.
+        ctx.reply_to = responder.route().map(|(caller, req_id)| (caller.0, req_id));
+        let StoreRequest::Invoke { object, method, args, read_only, internal, .. } = req else {
+            return responder.reply(proto::encode_reply(self.handle(&ctx, req)));
+        };
+        self.requests.incr();
+        let oid = ObjectId::new(object);
+        if let Err(e) = self.check_role(&oid, read_only) {
+            return responder.reply(Err(encode_error(&e)));
+        }
+        self.control.tally_invoke(oid.as_bytes());
+        let done: InvokeCompletion = Box::new(move |result| {
+            responder.reply(proto::encode_reply(result.map(StoreResponse::Value)));
+        });
+        self.engine.invoke_deferred(&ctx, &oid, &method, args, !internal, done);
+    }
+
     fn handle(
         &self,
         ctx: &InvocationContext,
@@ -479,61 +508,15 @@ impl AggregatedNode {
             registry,
         });
 
-        // Service endpoint. `Invoke` is served as a *deferred reply*: the
-        // worker thread hands the parked `Responder` to the engine's
-        // continuation chain and is released while the invocation waits on
-        // the object lock, the group commit, or replication acks — the
-        // reply is a completion, not a return value. Every other request
-        // kind still replies inline.
+        // Service endpoint (`NodeInner::serve`).
         let handler_inner = Arc::clone(&inner);
         let handler: Handler =
             Arc::new(move |_from: NodeId, body: Vec<u8>, responder: Responder| {
+                // Worker time: a deferred reply's wait for the lock, the kv
+                // commit or the acks happens after the worker is released.
                 let started = Instant::now();
-                let (mut ctx, req) = match proto::decode_request(&body) {
-                    Ok(decoded) => decoded,
-                    Err(e) => {
-                        responder.reply(Err(e.to_string()));
-                        return;
-                    }
-                };
-                // Lent to the request's work: the backups that apply its
-                // last write set may answer the caller too.
-                ctx.reply_to = responder.route().map(|(caller, req_id)| (caller.0, req_id));
-                if let StoreRequest::Invoke {
-                    object,
-                    method,
-                    args,
-                    read_only,
-                    internal,
-                    collect_read_set: _,
-                } = req
-                {
-                    handler_inner.requests.incr();
-                    let oid = ObjectId::new(object);
-                    if let Err(e) = handler_inner.check_role(&oid, read_only) {
-                        handler_inner.busy_nanos.add(started.elapsed().as_nanos() as u64);
-                        responder.reply(Err(encode_error(&e)));
-                        return;
-                    }
-                    handler_inner.control.tally_invoke(oid.as_bytes());
-                    let busy = handler_inner.busy_nanos.clone();
-                    handler_inner.engine.invoke_deferred(
-                        &ctx,
-                        &oid,
-                        &method,
-                        args,
-                        !internal,
-                        Box::new(move |result| {
-                            let reply = result.map(StoreResponse::Value);
-                            busy.add(started.elapsed().as_nanos() as u64);
-                            responder.reply(proto::encode_reply(reply));
-                        }),
-                    );
-                    return;
-                }
-                let result = proto::encode_reply(handler_inner.handle(&ctx, req));
+                handler_inner.serve(&body, responder);
                 handler_inner.busy_nanos.add(started.elapsed().as_nanos() as u64);
-                responder.reply(result);
             });
         // Admission control: once the run queue is over depth, requests
         // born at a client are refused with a retryable `Overloaded`

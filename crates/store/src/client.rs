@@ -7,10 +7,12 @@
 //! (the paper's "clients... will reissue their request if needed",
 //! §4.2.1).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -109,9 +111,9 @@ enum Next {
 /// The routing loop of one *logical* invocation, as a state machine: every
 /// attempt carries the same invocation id (so servers can deduplicate
 /// redeliveries), a bumped attempt number, and spends from the one shared
-/// deadline budget — a retry never resets the clock. The two ways to wait
-/// ([`StoreClient::drive`] parks, [`AsyncInvoke`] completes) only carry
-/// out what [`begin`](Route::begin) and [`settle`](Route::settle) decide.
+/// deadline budget — a retry never resets the clock. [`Operation`] only
+/// carries out what [`begin`](Route::begin) and [`settle`](Route::settle)
+/// decide.
 struct Route {
     /// The context each attempt travels under; `attempt` counts deliveries.
     ctx: InvocationContext,
@@ -278,17 +280,9 @@ impl StoreClient {
     fn call(&self, node: NodeId, req: &StoreRequest) -> Result<StoreResponse, InvokeError> {
         // One-shot call outside any routing loop: fresh context, full
         // client timeout as its budget.
-        self.call_ctx(&InvocationContext::client(self.inner.timeout), node, req)
-    }
-
-    fn call_ctx(
-        &self,
-        ctx: &InvocationContext,
-        node: NodeId,
-        req: &StoreRequest,
-    ) -> Result<StoreResponse, InvokeError> {
-        let frame = proto::encode_request(ctx, req).expect("requests serialize");
-        proto::decode_reply(self.inner.rpc.call(node, frame, self.attempt_timeout(ctx)))
+        let ctx = InvocationContext::client(self.inner.timeout);
+        let frame = proto::encode_request(&ctx, req).expect("requests serialize");
+        proto::decode_reply(self.inner.rpc.call(node, frame, self.attempt_timeout(&ctx)))
     }
 
     /// Pick the node for the next attempt. Reads rotate across the live
@@ -328,34 +322,36 @@ impl StoreClient {
         Ok(info.primary)
     }
 
-    fn with_routing<T>(
-        &self,
-        object: &ObjectId,
-        read_only: bool,
-        op: impl FnMut(&InvocationContext, NodeId) -> Result<T, InvokeError>,
-    ) -> Result<T, InvokeError> {
-        let ctx = InvocationContext::client(self.inner.timeout);
-        self.drive(Route::new(ctx, object, read_only, None), op)
+    /// Walk `route` with `req` and complete `done` with the reply that
+    /// ends it: the one way this client runs a routed request.
+    fn start(&self, route: Route, req: StoreRequest, done: RouteCallback) {
+        Operation { client: self.clone(), route, req, sent: false, done }.step();
     }
 
-    /// Walk `route` on this thread: `op` delivers one attempt (it parks in
-    /// `rpc.call`), pauses are sleeps.
-    fn drive<T>(
+    /// Park for the outcome of what `start` starts with the `done` it is
+    /// handed. The sender rides in `done`, so an operation dropped unrun —
+    /// its endpoint shut down, or the stopped timer refused its retry —
+    /// ends the wait with an error instead of hanging it. Never on this
+    /// client's own completion threads: the operation's replies and pauses
+    /// need them (DESIGN.md §10).
+    fn join<T: Send + 'static>(
         &self,
-        mut route: Route,
-        mut op: impl FnMut(&InvocationContext, NodeId) -> Result<T, InvokeError>,
+        start: impl FnOnce(Box<dyn FnOnce(Result<T, InvokeError>) + Send>),
     ) -> Result<T, InvokeError> {
-        loop {
-            let err = match route.begin(self).and_then(|node| op(&route.ctx, node)) {
-                Ok(v) => return Ok(v),
-                Err(e) => e,
-            };
-            match route.settle(err, || self.refresh_moved()) {
-                Next::Done(e) => return Err(e),
-                Next::RetryNow => {}
-                Next::RetryAfter(pause) => std::thread::sleep(pause),
-            }
-        }
+        debug_assert!(
+            COMPLETING.get() != Some(self.id()),
+            "a blocking call on its client's completion thread waits for itself"
+        );
+        let (tx, rx) = channel::bounded(1);
+        start(Box::new(move |outcome| drop(tx.send(outcome))));
+        rx.recv().unwrap_or_else(|_| Err(InvokeError::Nested(LOST.into())))
+    }
+
+    /// A client-born write of `object`, routed to its primary under a fresh
+    /// context whose budget is the client timeout, plus one join.
+    fn write(&self, object: &ObjectId, req: StoreRequest) -> Result<StoreResponse, InvokeError> {
+        let ctx = InvocationContext::client(self.inner.timeout);
+        self.join(|done| self.start(Route::new(ctx, object, false, None), req, done))
     }
 
     /// This client's network endpoint.
@@ -383,7 +379,9 @@ impl StoreClient {
     /// invocation id (every redelivery is deduplicable server-side), a
     /// single deadline budget equal to the client timeout, and the context
     /// (trace id + budget + origin + invocation id + attempt) travels with
-    /// each attempt in the wire envelope.
+    /// each attempt in the wire envelope. It is
+    /// [`invoke_async`](StoreClient::invoke_async) plus one join: this
+    /// thread parks for the outcome, never for an attempt or a pause.
     ///
     /// # Errors
     /// Any [`InvokeError`], after routing retries are exhausted;
@@ -417,21 +415,18 @@ impl StoreClient {
         args: Vec<VmValue>,
         read_only: bool,
     ) -> Result<VmValue, InvokeError> {
-        self.drive(Route::new(*ctx, object, read_only, None), |ctx, node| {
-            let frame = self.invoke_frame(ctx, object, method, &args, read_only);
-            let reply = self.inner.rpc.call(node, frame, self.attempt_timeout(ctx));
-            proto::decode_reply(reply).and_then(StoreResponse::into_value)
-        })
+        let route = Route::new(*ctx, object, read_only, None);
+        self.join(|done| self.start_invoke(route, method, args, done))
     }
 
     /// Invoke `method` on `object` without parking this thread: `done`
     /// runs on the client's RPC completion executor once the invocation
     /// succeeds, exhausts its retries, or spends its deadline budget.
     ///
-    /// Same logical invocation and same routing loop as
-    /// [`invoke`](StoreClient::invoke), but backoff pauses are timer
-    /// events, not parked threads, so an open-loop generator can keep
-    /// thousands of invocations in flight from a handful of threads.
+    /// The routing loop of [`invoke`](StoreClient::invoke) without its
+    /// join: backoff pauses are timer events, not parked threads, so an
+    /// open-loop generator can keep thousands of invocations in flight
+    /// from a handful of threads.
     pub fn invoke_async(
         &self,
         object: &ObjectId,
@@ -440,7 +435,8 @@ impl StoreClient {
         read_only: bool,
         done: InvokeCallback,
     ) {
-        self.start_async(None, object, method, args, read_only, done);
+        let ctx = InvocationContext::client(self.inner.timeout);
+        self.start_invoke(Route::new(ctx, object, read_only, None), method, args, done);
     }
 
     /// Like [`invoke_async`](StoreClient::invoke_async), but every attempt
@@ -456,27 +452,24 @@ impl StoreClient {
         read_only: bool,
         done: InvokeCallback,
     ) {
-        self.start_async(Some(endpoint), object, method, args, read_only, done);
+        let ctx = InvocationContext::client(self.inner.timeout);
+        self.start_invoke(Route::new(ctx, object, read_only, Some(endpoint)), method, args, done);
     }
 
-    fn start_async(
-        &self,
-        pinned: Option<NodeId>,
-        object: &ObjectId,
-        method: &str,
-        args: Vec<VmValue>,
-        read_only: bool,
-        done: InvokeCallback,
-    ) {
-        let ctx = InvocationContext::client(self.inner.timeout);
-        AsyncInvoke {
-            client: self.clone(),
-            route: Route::new(ctx, object, read_only, pinned),
+    /// Start invoking `method(args)` along `route`; `done` gets the value.
+    fn start_invoke(&self, route: Route, method: &str, args: Vec<VmValue>, done: InvokeCallback) {
+        let req = StoreRequest::Invoke {
+            object: route.object.0.clone(),
             method: method.to_string(),
             args,
-            done,
-        }
-        .step();
+            read_only: route.read_only,
+            internal: false,
+            collect_read_set: false,
+        };
+        let done = Box::new(move |reply: Result<StoreResponse, InvokeError>| {
+            done(reply.and_then(StoreResponse::into_value))
+        });
+        self.start(route, req, done);
     }
 
     /// The transport timeout of one attempt under `ctx`.
@@ -484,33 +477,13 @@ impl StoreClient {
         ctx.rpc_timeout(self.inner.attempt_timeout)
     }
 
-    /// The `Invoke` frame of one attempt.
-    fn invoke_frame(
-        &self,
-        ctx: &InvocationContext,
-        object: &ObjectId,
-        method: &str,
-        args: &[VmValue],
-        read_only: bool,
-    ) -> Vec<u8> {
-        let req = StoreRequest::Invoke {
-            object: object.0.clone(),
-            method: method.to_string(),
-            args: args.to_vec(),
-            read_only,
-            internal: false,
-            collect_read_set: false,
-        };
-        proto::encode_request(ctx, &req).expect("requests serialize")
-    }
-
     /// Create an object of a deployed type.
     ///
     /// Creation is retried like any other write, and a create is not
-    /// deduplicated server-side, so `AlreadyExists` on a retry attempt is
-    /// treated as success: the ambiguous earlier attempt committed before
-    /// its reply was lost. A conflict on the very first attempt still
-    /// errors. (A concurrent create of the same id by another client during
+    /// deduplicated server-side, so `AlreadyExists` after an earlier
+    /// attempt was sent is treated as success: the ambiguous earlier
+    /// attempt committed before its reply was lost. A conflict on the
+    /// first attempt sent still errors. (A concurrent create of the same id by another client during
     /// our retry window is absorbed the same way — acceptable because
     /// creates of a given id are expected to have one owner.)
     ///
@@ -522,19 +495,12 @@ impl StoreClient {
         object: &ObjectId,
         fields: &[(&str, &[u8])],
     ) -> Result<(), InvokeError> {
-        let attempted = std::cell::Cell::new(false);
-        self.with_routing(object, false, |ctx, node| {
-            let retrying = attempted.replace(true);
-            let req = StoreRequest::CreateObject {
-                type_name: type_name.to_string(),
-                object: object.0.clone(),
-                fields: fields.iter().map(|(f, v)| (f.to_string(), v.to_vec())).collect(),
-            };
-            match self.call_ctx(ctx, node, &req).and_then(StoreResponse::into_ok) {
-                Err(InvokeError::AlreadyExists(_)) if retrying => Ok(()),
-                outcome => outcome,
-            }
-        })
+        let req = StoreRequest::CreateObject {
+            type_name: type_name.to_string(),
+            object: object.0.clone(),
+            fields: fields.iter().map(|(f, v)| (f.to_string(), v.to_vec())).collect(),
+        };
+        self.write(object, req)?.into_ok()
     }
 
     /// Delete an object.
@@ -542,10 +508,8 @@ impl StoreClient {
     /// # Errors
     /// Any [`InvokeError`].
     pub fn delete_object(&self, object: &ObjectId) -> Result<(), InvokeError> {
-        self.with_routing(object, false, |ctx, node| {
-            let req = StoreRequest::DeleteObject { object: object.0.clone() };
-            self.call_ctx(ctx, node, &req)?.into_ok()
-        })
+        let req = StoreRequest::DeleteObject { object: object.0.clone() };
+        self.write(object, req)?.into_ok()
     }
 
     /// Deploy a bytecode object type to every registered storage node.
@@ -655,10 +619,7 @@ impl StoreClient {
             return Ok(Vec::new());
         };
         let object = first.object.clone();
-        self.with_routing(&object, false, |ctx, node| {
-            let req = StoreRequest::Transact { calls: calls.clone() };
-            self.call_ctx(ctx, node, &req)?.into_values()
-        })
+        self.write(&object, StoreRequest::Transact { calls })?.into_values()
     }
 
     /// Enumerate the objects stored on `node`.
@@ -688,36 +649,63 @@ impl StoreClient {
 /// Completion for [`StoreClient::invoke_async`].
 pub type InvokeCallback = Box<dyn FnOnce(Result<VmValue, InvokeError>) + Send>;
 
-/// One in-flight logical invocation of the completion-driven shell: it
-/// walks its [`Route`] on the client's RPC completion executor — each
-/// attempt is a `call_deferred`, each pause a timer event.
-struct AsyncInvoke {
-    client: StoreClient,
-    route: Route,
-    method: String,
-    args: Vec<VmValue>,
-    done: InvokeCallback,
+/// Completion of one routed request: the decoded reply that ended it.
+type RouteCallback = Box<dyn FnOnce(Result<StoreResponse, InvokeError>) + Send>;
+
+/// What a blocking call ends with when its operation was dropped unrun.
+const LOST: &str = "client endpoint shut down before the request had an outcome";
+
+thread_local! {
+    /// The client endpoint one of whose completions this thread is
+    /// running, while it runs it.
+    static COMPLETING: Cell<Option<NodeId>> = const { Cell::new(None) };
 }
 
-impl AsyncInvoke {
+/// Run `f` as a completion of client endpoint `client`.
+fn completing(client: NodeId, f: impl FnOnce()) {
+    let outer = COMPLETING.replace(Some(client));
+    f();
+    COMPLETING.set(outer);
+}
+
+/// One in-flight routed request: it walks its [`Route`] on the client's
+/// RPC completion executor — each attempt a `call_deferred` of `req` under
+/// the route's context, each pause a timer event.
+struct Operation {
+    client: StoreClient,
+    route: Route,
+    req: StoreRequest,
+    /// An attempt was sent (`begin` picked a node); a failed `begin` sends
+    /// nothing, although it spends an attempt number.
+    sent: bool,
+    done: RouteCallback,
+}
+
+impl Operation {
     fn step(mut self) {
         let node = match self.route.begin(&self.client) {
             Ok(node) => node,
             Err(e) => return self.retry(e),
         };
-        let Route { ctx, object, read_only, .. } = &self.route;
-        let frame = self.client.invoke_frame(ctx, object, &self.method, &self.args, *read_only);
-        let timeout = self.client.attempt_timeout(ctx);
+        // A create is not deduplicated server-side: after an earlier
+        // attempt was sent, `AlreadyExists` is that attempt's commit.
+        let committed_before = std::mem::replace(&mut self.sent, true)
+            && matches!(self.req, StoreRequest::CreateObject { .. });
+        let frame = proto::encode_request(&self.route.ctx, &self.req).expect("requests serialize");
+        let timeout = self.client.attempt_timeout(&self.route.ctx);
         let rpc = Arc::clone(&self.client.inner.rpc);
         rpc.call_deferred(
             node,
             frame,
             timeout,
             Box::new(move |reply| {
-                match proto::decode_reply(reply).and_then(StoreResponse::into_value) {
-                    Ok(v) => (self.done)(Ok(v)),
+                completing(self.client.id(), move || match proto::decode_reply(reply) {
+                    Ok(response) => (self.done)(Ok(response)),
+                    Err(InvokeError::AlreadyExists(_)) if committed_before => {
+                        (self.done)(Ok(StoreResponse::Ok))
+                    }
                     Err(e) => self.retry(e),
-                }
+                })
             }),
         );
     }
@@ -728,7 +716,8 @@ impl AsyncInvoke {
             Next::RetryNow => self.step(),
             Next::RetryAfter(pause) => {
                 let rpc = Arc::clone(&self.client.inner.rpc);
-                rpc.schedule(pause, Box::new(move || self.step()));
+                let client = self.client.id();
+                rpc.schedule(pause, Box::new(move || completing(client, move || self.step())));
             }
         }
     }
@@ -736,7 +725,6 @@ impl AsyncInvoke {
 
 #[cfg(test)]
 mod tests {
-    use std::cell::Cell;
     use std::collections::{HashMap, VecDeque};
     use std::sync::mpsc;
 
@@ -885,8 +873,8 @@ mod tests {
             InvokeError::ShardUnavailable(s()),
             InvokeError::Overloaded(s()),
         ];
-        // Both shells build their `Route` the same way, so the same
-        // identity draws the same pauses whichever shell waits them out.
+        // Every entry point builds its `Route` the same way, so the same
+        // identity draws the same pauses whichever entry point started it.
         let first = walk(42, &script);
         assert_eq!(first, walk(42, &script));
         assert_ne!(first, walk(43, &script), "jitter is seeded by the identity");
@@ -903,6 +891,8 @@ mod tests {
     /// What a scripted node does with the next request it receives.
     #[derive(Debug, Clone)]
     enum Reply {
+        /// Serve it: an `Invoke` gets this value, a `Transact` a list of
+        /// it, anything else a plain `Ok`.
         Value(i64),
         Fail(InvokeError),
         /// Keep the request unanswered: the attempt times out.
@@ -912,8 +902,21 @@ mod tests {
     /// `(node, attempt, invocation id)` per request, in arrival order.
     type Seen = Arc<Mutex<Vec<(NodeId, u32, u64)>>>;
 
-    /// A coordinator-less client over a static one-shard placement
-    /// (primary `P`, backups `B1`, `B2`) whose nodes answer from scripts.
+    /// A static one-shard placement over primary `P` and backups `B1`,
+    /// `B2`; `lost` marks the shard as having lost every replica.
+    fn one_shard(lost: bool) -> ClusterState {
+        let mut state = ClusterState::default();
+        for node in [P, B1, B2] {
+            state.apply(&CoordCmd::RegisterNode { node });
+        }
+        state.apply(&CoordCmd::CreateShard { shard: 0, replicas: vec![P, B1, B2] });
+        state.apply(&CoordCmd::AssignSlots { shard: 0, slots: (0..N_SLOTS).collect() });
+        state.shards.get_mut(&0).expect("created").lost = lost;
+        state
+    }
+
+    /// A coordinator-less client over [`one_shard`] whose nodes answer
+    /// from scripts.
     struct Scripted {
         net: Network,
         nodes: Vec<Arc<RpcNode>>,
@@ -934,14 +937,22 @@ mod tests {
                     let held: Mutex<Vec<Responder>> = Mutex::default();
                     let seen = Arc::clone(&seen);
                     let handler: Handler = Arc::new(move |_, body, responder: Responder| {
-                        let (ctx, _) = proto::decode_request(&body).expect("enveloped request");
+                        let (ctx, req) = proto::decode_request(&body).expect("enveloped request");
                         seen.lock().push((node, ctx.attempt, ctx.invocation_id));
                         // A route that outruns its script ends on an error
-                        // no shell retries.
+                        // the client does not retry.
                         let exhausted = Reply::Fail(InvokeError::Vm("script exhausted".into()));
                         match script.lock().pop_front().unwrap_or(exhausted) {
                             Reply::Value(v) => {
-                                let resp = StoreResponse::Value(VmValue::Int(v));
+                                let resp = match req {
+                                    StoreRequest::Invoke { .. } => {
+                                        StoreResponse::Value(VmValue::Int(v))
+                                    }
+                                    StoreRequest::Transact { .. } => {
+                                        StoreResponse::Values(vec![VmValue::Int(v)])
+                                    }
+                                    _ => StoreResponse::Ok,
+                                };
                                 responder.reply(Ok(wire::to_bytes(&resp).expect("serializes")));
                             }
                             Reply::Fail(e) => responder.reply(Err(encode_error(&e))),
@@ -951,16 +962,8 @@ mod tests {
                     RpcNode::start(&net, node, handler, 1)
                 })
                 .collect();
-
-            let mut state = ClusterState::default();
-            for node in [P, B1, B2] {
-                state.apply(&CoordCmd::RegisterNode { node });
-            }
-            state.apply(&CoordCmd::CreateShard { shard: 0, replicas: vec![P, B1, B2] });
-            state.apply(&CoordCmd::AssignSlots { shard: 0, slots: (0..N_SLOTS).collect() });
-            state.shards.get_mut(&0).expect("created").lost = lost;
             let client = StoreClient::new(&net, NodeId(900), Vec::new(), timeout);
-            assert!(client.placement().update(state));
+            assert!(client.placement().update(one_shard(lost)));
             Scripted { net, nodes, seen, client }
         }
 
@@ -973,46 +976,54 @@ mod tests {
         }
     }
 
-    #[derive(Debug, Clone, Copy, PartialEq)]
-    enum Shell {
-        Parked,
-        Completion,
+    /// One client entry point: it runs a scenario's request (`read_only`
+    /// is the invocations' routing hint) and gives the outcome as a value.
+    type Entry = (&'static str, fn(&StoreClient, bool) -> Result<VmValue, InvokeError>);
+
+    fn args() -> Vec<VmValue> {
+        vec![VmValue::Int(1)]
     }
 
-    fn invoke_through(
-        shell: Shell,
-        client: &StoreClient,
-        pinned: Option<NodeId>,
-        read_only: bool,
-    ) -> Result<VmValue, InvokeError> {
-        let args = vec![VmValue::Int(1)];
-        if shell == Shell::Parked {
-            // No parked entry point takes an endpoint; the scenario that
-            // pins one pins the primary, where placement routes anyway.
-            return client.invoke(&object(), "m", args, read_only);
-        }
+    /// Start a completion-driven invocation and wait for its `done`.
+    fn joined(start: impl FnOnce(InvokeCallback)) -> Result<VmValue, InvokeError> {
         let (tx, rx) = mpsc::channel();
-        let done: InvokeCallback = Box::new(move |result| tx.send(result).expect("test waits"));
-        match pinned {
-            Some(endpoint) => {
-                client.invoke_async_at(endpoint, &object(), "m", args, read_only, done)
-            }
-            None => client.invoke_async(&object(), "m", args, read_only, done),
-        }
+        start(Box::new(move |result| tx.send(result).expect("test waits")));
         rx.recv_timeout(Duration::from_secs(5)).expect("the invocation completes")
     }
 
+    const INVOKE: Entry = ("invoke", |client, ro| client.invoke(&object(), "m", args(), ro));
+    const INVOKE_ASYNC: Entry = ("invoke_async", |client, ro| {
+        joined(|done| client.invoke_async(&object(), "m", args(), ro, done))
+    });
+    /// Pinned to the primary, where placement routes a write anyway.
+    const INVOKE_ASYNC_AT: Entry = ("invoke_async_at", |client, ro| {
+        joined(|done| client.invoke_async_at(P, &object(), "m", args(), ro, done))
+    });
+    const CREATE: Entry = ("create_object", |client, _| {
+        client.create_object("T", &object(), &[]).map(|()| VmValue::Unit)
+    });
+    const DELETE: Entry =
+        ("delete_object", |client, _| client.delete_object(&object()).map(|()| VmValue::Unit));
+    const TRANSACT: Entry = ("transact", |client, _| {
+        client.transact(vec![TxCall::new(object(), "m", args())]).map(VmValue::List)
+    });
+
+    /// Every way to invoke a method.
+    const INVOCATIONS: &[Entry] = &[INVOKE, INVOKE_ASYNC, INVOKE_ASYNC_AT];
+    /// The invocation entry points that route by placement: a scenario
+    /// about where placement sends an attempt has no fixed endpoint.
+    const ROUTED: &[Entry] = &[INVOKE, INVOKE_ASYNC];
+
     struct Scenario {
         name: &'static str,
+        entries: &'static [Entry],
         scripts: Vec<(NodeId, Vec<Reply>)>,
         read_only: bool,
         /// Reads issued first to turn the replica rotation past the primary.
         warmup_reads: usize,
         lost: bool,
-        /// The async side sends every attempt here.
-        pinned: Option<NodeId>,
         timeout: Duration,
-        want: Result<i64, InvokeError>,
+        want: Result<VmValue, InvokeError>,
         /// `(node, attempt)` per delivery; `None` when the deadline, not
         /// the script, decides how many there are.
         want_route: Option<Vec<(NodeId, u32)>>,
@@ -1022,29 +1033,29 @@ mod tests {
         fn default() -> Scenario {
             Scenario {
                 name: "",
+                entries: INVOCATIONS,
                 scripts: Vec::new(),
                 read_only: false,
                 warmup_reads: 0,
                 lost: false,
-                pinned: None,
                 timeout: Duration::from_secs(5),
-                want: Ok(1),
+                want: Ok(VmValue::Int(1)),
                 want_route: None,
             }
         }
     }
 
     /// `(result, deliveries, retries performed)` of one scenario through
-    /// one shell, on a fresh client.
+    /// one entry point, on a fresh client.
     type Outcome = (Result<VmValue, InvokeError>, Vec<(NodeId, u32)>, u64);
 
-    fn run(scn: &Scenario, shell: Shell) -> Outcome {
+    fn run(scn: &Scenario, (entry, issue): Entry) -> Outcome {
         let cluster = Scripted::start(&scn.scripts, scn.lost, scn.timeout);
         for _ in 0..scn.warmup_reads {
-            invoke_through(shell, &cluster.client, None, true).expect("warm-up read");
+            issue(&cluster.client, true).expect("warm-up read");
         }
         cluster.seen.lock().clear();
-        let result = invoke_through(shell, &cluster.client, scn.pinned, scn.read_only);
+        let result = issue(&cluster.client, scn.read_only);
         let retries = cluster.client.retries_performed();
         // A delivery whose attempt timed out at the client the moment it
         // was sent may still be on its way to the handler's log.
@@ -1055,7 +1066,7 @@ mod tests {
         }
         let seen = std::mem::take(&mut *cluster.seen.lock());
         cluster.stop();
-        let who = format!("{} through {shell:?}", scn.name);
+        let who = format!("{} through {entry}", scn.name);
         if let Some((_, _, id)) = seen.first() {
             assert!(seen.iter().all(|(_, _, i)| i == id), "{who}: one invocation id, {seen:?}");
         }
@@ -1063,26 +1074,28 @@ mod tests {
     }
 
     #[test]
-    fn both_client_shells_take_the_same_route() {
+    fn every_entry_point_takes_the_same_route() {
         use Reply::{Fail, Hold, Value};
         let s = || "scripted".to_string();
+        let int = |v| Ok(VmValue::Int(v));
         let scenarios = vec![
             Scenario {
                 name: "WrongNode, then served",
                 scripts: vec![(P, vec![Fail(InvokeError::WrongNode(s())), Value(5)])],
-                want: Ok(5),
+                want: int(5),
                 want_route: Some(vec![(P, 0), (P, 1)]),
                 ..Scenario::default()
             },
             Scenario {
                 name: "a backup without a lease redirects to the primary",
+                entries: ROUTED,
                 scripts: vec![
                     (P, vec![Value(0), Value(6)]),
                     (B1, vec![Fail(InvokeError::LeaseExpired(s()))]),
                 ],
                 read_only: true,
                 warmup_reads: 1,
-                want: Ok(6),
+                want: int(6),
                 want_route: Some(vec![(B1, 0), (P, 1)]),
                 ..Scenario::default()
             },
@@ -1096,7 +1109,7 @@ mod tests {
                         Value(7),
                     ],
                 )],
-                want: Ok(7),
+                want: int(7),
                 want_route: Some(vec![(P, 0), (P, 1), (P, 2)]),
                 ..Scenario::default()
             },
@@ -1111,7 +1124,7 @@ mod tests {
                         Value(8),
                     ],
                 )],
-                want: Ok(8),
+                want: int(8),
                 want_route: Some(vec![(P, 0), (P, 1), (P, 2), (P, 3)]),
                 ..Scenario::default()
             },
@@ -1126,14 +1139,14 @@ mod tests {
                         Value(9),
                     ],
                 )],
-                want: Ok(9),
+                want: int(9),
                 want_route: Some(vec![(P, 0), (P, 1), (P, 2), (P, 3)]),
                 ..Scenario::default()
             },
             Scenario {
                 name: "replication failed at the primary",
                 scripts: vec![(P, vec![Fail(InvokeError::Storage(s())), Value(10)])],
-                want: Ok(10),
+                want: int(10),
                 want_route: Some(vec![(P, 0), (P, 1)]),
                 ..Scenario::default()
             },
@@ -1149,12 +1162,12 @@ mod tests {
                 scripts: vec![(P, vec![Hold, Value(11)])],
                 // One attempt may wait a fifth of this.
                 timeout: Duration::from_millis(250),
-                want: Ok(11),
+                want: int(11),
                 want_route: Some(vec![(P, 0), (P, 1)]),
                 ..Scenario::default()
             },
             Scenario {
-                name: "every attempt to one endpoint",
+                name: "redirected, then shed",
                 scripts: vec![(
                     P,
                     vec![
@@ -1163,13 +1176,14 @@ mod tests {
                         Value(12),
                     ],
                 )],
-                pinned: Some(P),
-                want: Ok(12),
+                want: int(12),
                 want_route: Some(vec![(P, 0), (P, 1), (P, 2)]),
                 ..Scenario::default()
             },
             Scenario {
                 name: "the shard lost every replica",
+                // An endpoint is called as given, lost shard or not.
+                entries: ROUTED,
                 lost: true,
                 timeout: Duration::from_millis(30),
                 want: Err(InvokeError::DeadlineExceeded),
@@ -1182,33 +1196,62 @@ mod tests {
                 want: Err(InvokeError::DeadlineExceeded),
                 ..Scenario::default()
             },
+            Scenario {
+                name: "a create whose first attempt committed unanswered",
+                entries: &[CREATE],
+                scripts: vec![(P, vec![Hold, Fail(InvokeError::AlreadyExists(s()))])],
+                timeout: Duration::from_millis(250),
+                want: Ok(VmValue::Unit),
+                want_route: Some(vec![(P, 0), (P, 1)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "a create of an existing object",
+                entries: &[CREATE],
+                scripts: vec![(P, vec![Fail(InvokeError::AlreadyExists(s()))])],
+                want: Err(InvokeError::AlreadyExists(s())),
+                want_route: Some(vec![(P, 0)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "a redirected delete",
+                entries: &[DELETE],
+                scripts: vec![(P, vec![Fail(InvokeError::WrongNode(s())), Value(0)])],
+                want: Ok(VmValue::Unit),
+                want_route: Some(vec![(P, 0), (P, 1)]),
+                ..Scenario::default()
+            },
+            Scenario {
+                name: "a redirected transaction",
+                entries: &[TRANSACT],
+                scripts: vec![(P, vec![Fail(InvokeError::WrongNode(s())), Value(13)])],
+                want: Ok(VmValue::List(vec![VmValue::Int(13)])),
+                want_route: Some(vec![(P, 0), (P, 1)]),
+                ..Scenario::default()
+            },
         ];
         for scn in &scenarios {
-            let parked = run(scn, Shell::Parked);
-            let completion = run(scn, Shell::Completion);
-            let want = scn.want.clone().map(VmValue::Int);
-            match &scn.want_route {
-                Some(route) => {
-                    let want = (want, route.clone(), route.len() as u64 - 1);
-                    assert_eq!(parked, want, "{} parked", scn.name);
-                    assert_eq!(completion, want, "{} completion", scn.name);
-                }
-                // How many deliveries fit in the budget depends on jitter
-                // drawn from identities the entry points mint, so the two
-                // runs agree on the shape of the route, not its length.
-                None => {
-                    for (shell, (result, route, retries)) in
-                        [("parked", &parked), ("completion", &completion)]
-                    {
-                        let who = format!("{} {shell}", scn.name);
-                        assert_eq!(*result, want, "{who}");
-                        assert!(*retries >= 1, "{who}: the loop went around");
+            for &entry in scn.entries {
+                let (result, route, retries) = run(scn, entry);
+                let who = format!("{} through {}", scn.name, entry.0);
+                assert_eq!(result, scn.want, "{who}");
+                match &scn.want_route {
+                    Some(want) => {
+                        assert_eq!(route, *want, "{who}");
+                        assert_eq!(retries, want.len() as u64 - 1, "{who}");
+                    }
+                    // How many deliveries fit in the budget depends on
+                    // jitter drawn from identities the entry points mint,
+                    // so the runs agree on the shape of the route, not its
+                    // length.
+                    None => {
+                        assert!(retries >= 1, "{who}: the loop went around");
                         if scn.lost {
                             assert!(route.is_empty(), "{who}: a lost shard is never called");
                         } else {
                             let counted: Vec<(NodeId, u32)> =
-                                (0..=*retries as u32).map(|attempt| (P, attempt)).collect();
-                            assert_eq!(*route, counted, "{who}");
+                                (0..=retries as u32).map(|attempt| (P, attempt)).collect();
+                            assert_eq!(route, counted, "{who}");
                         }
                     }
                 }
@@ -1217,17 +1260,54 @@ mod tests {
     }
 
     #[test]
+    fn a_create_counts_already_exists_as_its_own_only_after_a_send() {
+        // No replica to call at first: the failed `begin`s spend attempt
+        // numbers but send nothing.
+        let cluster = Scripted::start(
+            &[(P, vec![Reply::Fail(InvokeError::AlreadyExists("x".into()))])],
+            true,
+            Duration::from_secs(5),
+        );
+        let result = std::thread::scope(|s| {
+            let create = s.spawn(|| (CREATE.1)(&cluster.client, false));
+            while cluster.client.retries_performed() == 0 {
+                std::thread::yield_now();
+            }
+            let mut revived = one_shard(false);
+            revived.version = cluster.client.placement().version() + 1;
+            assert!(cluster.client.placement().update(revived));
+            create.join().expect("the create returns")
+        });
+        assert_eq!(result, Err(InvokeError::AlreadyExists("x".into())));
+        let seen = cluster.seen.lock().clone();
+        assert!(matches!(seen[..], [(P, attempt, _)] if attempt > 0), "{seen:?}");
+        cluster.stop();
+    }
+
+    #[test]
+    fn a_blocking_call_on_a_shut_down_client_fails_at_once() {
+        let cluster = Scripted::start(&[], false, Duration::from_secs(5));
+        cluster.client.shutdown();
+        for (entry, issue) in [INVOKE, CREATE, DELETE, TRANSACT] {
+            let start = Instant::now();
+            let result = issue(&cluster.client, false);
+            assert_eq!(result, Err(InvokeError::Nested(LOST.into())), "{entry}");
+            // Walking the route's backoff would take about a second.
+            assert!(start.elapsed() < Duration::from_millis(200), "{entry}: {:?}", start.elapsed());
+        }
+        assert!(cluster.seen.lock().is_empty(), "nothing was sent");
+        cluster.stop();
+    }
+
+    #[test]
     fn a_spent_budget_fails_before_the_first_attempt_at_every_entry_point() {
         let cluster = Scripted::start(&[], false, Duration::ZERO);
         let client = &cluster.client;
-        let args = || vec![VmValue::Int(1)];
         let spent = InvocationContext::from_wire(9, 0, Origin::Client.to_wire());
-        let results = [
-            client.invoke(&object(), "m", args(), false),
-            client.invoke_ctx(&spent, &object(), "m", args(), false),
-            invoke_through(Shell::Completion, client, None, false),
-            invoke_through(Shell::Completion, client, Some(P), false),
-        ];
+        let mut results = vec![client.invoke_ctx(&spent, &object(), "m", args(), false)];
+        for (_, issue) in [INVOKE, INVOKE_ASYNC, INVOKE_ASYNC_AT, CREATE, DELETE, TRANSACT] {
+            results.push(issue(client, false));
+        }
         for result in results {
             assert_eq!(result, Err(InvokeError::DeadlineExceeded));
         }

@@ -315,7 +315,9 @@ pub struct NodeStatsWire {
     /// Redelivered mutations answered from the dedup window without
     /// re-executing.
     pub duplicates_suppressed: u64,
-    /// Nanoseconds spent actually executing requests (utilization).
+    /// Nanoseconds the RPC workers spent in request handlers (utilization):
+    /// a deferred invocation's wait for its lock, commit or acks is not
+    /// counted, since it holds no worker.
     pub busy_nanos: u64,
     /// Nanoseconds since the node started.
     pub uptime_nanos: u64,

@@ -83,7 +83,7 @@ impl NodeInner {
     ) -> Reply {
         self.engine.cache().invalidate_keys(ops.iter().map(|(key, _)| key.as_slice()));
         if let Some((oid, _)) = ops.first().and_then(|(key, _)| keys::split_key(key)) {
-            self.commit_raw(ctx, oid, ops).map_err(lambda_objects::error::decode_hook_error)?;
+            self.commit_raw(ctx, oid, ops)?;
         }
         Ok(StoreResponse::Ok)
     }

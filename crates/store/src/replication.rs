@@ -36,8 +36,8 @@ use parking_lot::Mutex;
 use lambda_coordinator::{Epoch, MigrationInfo, MigrationPhase, ShardId, ShardInfo};
 use lambda_net::{wire, NodeId, RpcError};
 use lambda_objects::{
-    encode_error, ship_and_join, CommitCallback, CommitHook, Counter, DeferredCommit,
-    InvocationContext, InvokeError, ObjectId, Registry, WriteSetOps,
+    ship_and_join, CommitCallback, CommitHook, Counter, DeferredCommit, InvocationContext,
+    InvokeError, ObjectId, Registry, WriteSetOps,
 };
 
 use crate::aggregated::NodeInner;
@@ -81,8 +81,8 @@ type Routed = (NodeId, u64, Vec<u8>);
 pub(crate) enum Gate {
     /// Nothing to replicate (no shard map: single-node mode).
     Skip,
-    /// Never ack these commits: the hook error to surface.
-    Fail(String),
+    /// Never ack these commits: the error they fail with.
+    Fail(InvokeError),
     /// Ask again after this long. The writes are already durable locally,
     /// so an error here would strand them at the primary while the client's
     /// retry dedups into an ack nobody replicated; waiting keeps them in
@@ -101,16 +101,18 @@ pub(crate) type Located = Option<(ShardId, ShardInfo, Option<MigrationInfo>)>;
 type Group = (ShardId, ShardInfo, Vec<(DeferredCommit, Option<MigrationInfo>)>);
 
 /// The fence error for a primary whose shard moved on under it.
-fn fenced(me: NodeId, shard: ShardId, info: &ShardInfo) -> Option<String> {
-    if info.lost {
-        return Some(format!("fenced: shard {shard} lost every replica (epoch {})", info.epoch));
-    }
-    (info.primary != me).then(|| {
+fn fenced(me: NodeId, shard: ShardId, info: &ShardInfo) -> Option<InvokeError> {
+    let why = if info.lost {
+        format!("fenced: shard {shard} lost every replica (epoch {})", info.epoch)
+    } else if info.primary != me {
         format!(
             "fenced: node-{} is no longer primary for shard {shard} (epoch {})",
             me.0, info.epoch
         )
-    })
+    } else {
+        return None;
+    };
+    Some(InvokeError::Storage(why))
 }
 
 /// Replication state of one node: the windows, the recent-commit rings,
@@ -226,7 +228,7 @@ impl ReplState {
         shutting_down: bool,
         commits: Vec<(DeferredCommit, Located)>,
         mut fence_remaining: impl FnMut(ShardId) -> Option<Duration>,
-        mut forward: impl FnMut(ShardId, &ShardInfo, &DeferredCommit) -> Result<(), String>,
+        mut forward: impl FnMut(ShardId, &ShardInfo, &DeferredCommit) -> Result<(), InvokeError>,
     ) -> Vec<(Gate, Vec<DeferredCommit>)> {
         let mut verdicts = Vec::new();
         let mut groups: Vec<Group> = Vec::new();
@@ -248,7 +250,7 @@ impl ReplState {
             let mut shipping = Vec::new();
             for (commit, migration) in group {
                 match self.handoff_fence(migration.as_ref(), &commit.object, shard) {
-                    Some(moved) => verdicts.push((Gate::Fail(encode_error(&moved)), vec![commit])),
+                    Some(moved) => verdicts.push((Gate::Fail(moved), vec![commit])),
                     None => shipping.push(commit),
                 }
             }
@@ -501,7 +503,7 @@ impl Round {
         Bytes::from(body)
     }
 
-    fn complete(self, outcome: &Result<(), String>) {
+    fn complete(self, outcome: &Result<(), InvokeError>) {
         for done in self.waiters {
             done(outcome.clone());
         }
@@ -528,7 +530,7 @@ fn failed_acks(backups: &[NodeId], replies: &[Result<Vec<u8>, RpcError>]) -> Vec
 /// What to do after one fan-out.
 #[derive(Debug, PartialEq)]
 pub(crate) enum Next {
-    Done(Result<(), String>),
+    Done(Result<(), InvokeError>),
     /// Re-send to `backups`, stamped `epoch`.
     Retry {
         epoch: Epoch,
@@ -562,7 +564,7 @@ pub(crate) fn after_round(
         return Next::Done(Ok(()));
     }
     if shutting_down {
-        return Next::Done(Err("node shutting down".into()));
+        return Next::Done(Err(InvokeError::Storage("node shutting down".into())));
     }
     let Some(info) = placement.shard_info(shard) else {
         return Next::Done(Ok(()));
@@ -606,7 +608,7 @@ impl NodeInner {
         &self,
         round: &mut Round,
         replies: &[Result<Vec<u8>, RpcError>],
-    ) -> Option<Result<(), String>> {
+    ) -> Option<Result<(), InvokeError>> {
         let failed = failed_acks(&round.backups, replies);
         let shutting_down = self.shutdown.load(Ordering::Acquire);
         match after_round(&self.placement, self.id, round.shard, failed, shutting_down) {
@@ -704,7 +706,7 @@ impl NodeInner {
         ctx: &InvocationContext,
         object: ObjectId,
         ops: WriteSetOps,
-    ) -> Result<(), String> {
+    ) -> Result<(), InvokeError> {
         ship_and_join(ctx, vec![(object, ops)], |commits| self.gate(commits, Entry::raw))
     }
 
@@ -771,7 +773,6 @@ mod tests {
     use super::*;
     use crossbeam::channel;
     use lambda_coordinator::{ClusterState, CoordCmd, N_SLOTS};
-    use lambda_objects::error::decode_hook_error;
     use lambda_vm::VmValue;
 
     const ME: NodeId = NodeId(1);
@@ -841,11 +842,13 @@ mod tests {
     fn post_round_deposed_or_lost_is_a_fenced_error() {
         let mut st = cluster();
         reconfigure(&mut st, 2, &[3]);
-        let Next::Done(Err(deposed)) = after(&st, &[2]) else { panic!("deposed must fence") };
-        assert!(deposed.starts_with("fenced: node-1 is no longer primary"), "{deposed}");
+        let deposed = after(&st, &[2]);
+        let fence = "fenced: node-1 is no longer primary for shard 0 (epoch 2)";
+        assert_eq!(deposed, Next::Done(Err(InvokeError::Storage(fence.into()))));
         mark_lost(&mut st);
-        let Next::Done(Err(lost)) = after(&st, &[2]) else { panic!("lost must fence") };
-        assert!(lost.starts_with("fenced: shard 0 lost every replica"), "{lost}");
+        let lost = after(&st, &[2]);
+        let fence = "fenced: shard 0 lost every replica (epoch 3)";
+        assert_eq!(lost, Next::Done(Err(InvokeError::Storage(fence.into()))));
     }
 
     #[test]
@@ -853,7 +856,7 @@ mod tests {
         let st = cluster();
         let p = placement(&st);
         let down = after_round(&p, ME, 0, vec![NodeId(2)], true);
-        assert_eq!(down, Next::Done(Err("node shutting down".into())));
+        assert_eq!(down, Next::Done(Err(InvokeError::Storage("node shutting down".into()))));
         assert_eq!(after_round(&p, ME, 99, vec![NodeId(2)], false), Next::Done(Ok(())));
     }
 
@@ -865,7 +868,7 @@ mod tests {
         shutting_down: bool,
         tags: &[&str],
         fence: impl FnMut(ShardId) -> Option<Duration>,
-        forward: impl FnMut(ShardId, &ShardInfo, &DeferredCommit) -> Result<(), String>,
+        forward: impl FnMut(ShardId, &ShardInfo, &DeferredCommit) -> Result<(), InvokeError>,
     ) -> Vec<(Gate, Vec<String>)> {
         let commits: Vec<DeferredCommit> =
             tags.iter().map(|tag| commit(tag, Box::new(|_| {}))).collect();
@@ -884,7 +887,7 @@ mod tests {
         repl: &ReplState,
         shutting_down: bool,
         fence: Option<Duration>,
-        forward: Result<(), String>,
+        forward: Result<(), InvokeError>,
     ) -> Gate {
         let mut verdicts =
             gate_call(st, repl, shutting_down, &["user/1"], |_| fence, |_, _, _| forward.clone());
@@ -915,9 +918,13 @@ mod tests {
     fn gate_fails_a_deposed_primary_and_a_lost_shard() {
         let mut st = cluster();
         reconfigure(&mut st, 2, &[3]);
-        assert!(matches!(gate(&st), Gate::Fail(e) if e.contains("no longer primary")));
+        assert!(
+            matches!(gate(&st), Gate::Fail(InvokeError::Storage(e)) if e.contains("no longer primary"))
+        );
         mark_lost(&mut st);
-        assert!(matches!(gate(&st), Gate::Fail(e) if e.contains("lost every replica")));
+        assert!(
+            matches!(gate(&st), Gate::Fail(InvokeError::Storage(e)) if e.contains("lost every replica"))
+        );
     }
 
     #[test]
@@ -928,17 +935,17 @@ mod tests {
         assert!(matches!(gate(&st), Gate::Ship { .. }), "planned migrations fence nothing");
         st.apply(&CoordCmd::MigrationHandoff { object });
         let registry = Registry::new();
-        let Gate::Fail(err) = gate_with(&st, &ReplState::new(&registry), false, None, Ok(()))
-        else {
-            panic!("handoff must fail the commit");
-        };
-        assert!(matches!(decode_hook_error(err), InvokeError::ObjectMoved(_)));
+        let gate = gate_with(&st, &ReplState::new(&registry), false, None, Ok(()));
+        assert!(matches!(gate, Gate::Fail(InvokeError::ObjectMoved(_))), "{gate:?}");
         assert_eq!(registry.counter_value("node_migration_fenced"), 1);
         // In a group, the handing-off set fails alone and the rest ships.
         let repl = ReplState::new(&registry);
         let verdicts =
             gate_call(&st, &repl, false, &["user/2", "user/1"], |_| None, |_, _, _| Ok(()));
-        assert!(matches!(&verdicts[0], (Gate::Fail(_), moved) if *moved == group(&["user/1"])));
+        assert!(matches!(
+            &verdicts[0],
+            (Gate::Fail(InvokeError::ObjectMoved(_)), moved) if *moved == group(&["user/1"])
+        ));
         assert!(matches!(&verdicts[1], (Gate::Ship { .. }, rest) if *rest == group(&["user/2"])));
         assert_eq!(verdicts.len(), 2);
     }
@@ -968,7 +975,7 @@ mod tests {
         let forward = |_: ShardId, _: &ShardInfo, c: &DeferredCommit| {
             offered.push(String::from_utf8_lossy(&c.object.0).into_owned());
             match c.object == ObjectId::from("user/2") {
-                true => Err("no session at this epoch yet".to_string()),
+                true => Err(InvokeError::Storage("no session at this epoch yet".into())),
                 false => Ok(()),
             }
         };
@@ -1004,16 +1011,16 @@ mod tests {
         // The fence is consulted before the forward: a held commit offers
         // nothing to syncing recruits until it re-gates.
         assert_eq!(
-            gate_with(&st, &repl, false, Some(wait), Err("unused".into())),
+            gate_with(&st, &repl, false, Some(wait), Err(InvokeError::Storage("unused".into()))),
             Gate::Hold(wait)
         );
         assert_eq!(registry.counter_value("lease_fenced_commits"), 1);
-        let moved = Err("placement moved".to_string());
+        let moved = InvokeError::Storage("placement moved".into());
         assert_eq!(
-            gate_with(&st, &repl, false, None, moved.clone()),
+            gate_with(&st, &repl, false, None, Err(moved.clone())),
             Gate::Hold(FORWARD_RETRY_PAUSE)
         );
-        assert_eq!(gate_with(&st, &repl, true, None, moved), Gate::Fail("placement moved".into()));
+        assert_eq!(gate_with(&st, &repl, true, None, Err(moved.clone())), Gate::Fail(moved));
     }
 
     fn commit(tag: &str, done: CommitCallback) -> DeferredCommit {
@@ -1108,9 +1115,10 @@ mod tests {
         let mut next = window.finish(&out[0]);
         assert_eq!(objects(&next), vec![vec!["blocking", "completion"]]);
         assert!(parked.try_recv().is_err(), "nobody is answered before the round's outcome");
-        next.remove(0).complete(&Err("fenced".into()));
-        assert_eq!(parked.try_recv(), Ok(Err("fenced".into())));
-        assert_eq!(completed.try_recv(), Ok(Err("fenced".into())));
+        let fenced = InvokeError::Storage("fenced".into());
+        next.remove(0).complete(&Err(fenced.clone()));
+        assert_eq!(parked.try_recv(), Ok(Err(fenced.clone())));
+        assert_eq!(completed.try_recv(), Ok(Err(fenced)));
     }
 
     #[test]

@@ -109,6 +109,11 @@ impl SyncSession {
         })
     }
 
+    /// The error an offer this session can no longer honour fails with.
+    fn refusal(&self, why: &str) -> InvokeError {
+        InvokeError::Storage(format!("sync session to {} {why}", self.peer))
+    }
+
     /// Enqueue one stream item. In Streaming this returns immediately; in
     /// Draining/Admitted it blocks until the item is shipped to the peer.
     ///
@@ -117,15 +122,15 @@ impl SyncSession {
     /// durability promise: a hard failure, or the session closed before
     /// the item shipped (the caller's commit must fail so the client
     /// retries against fresh placement).
-    fn offer(&self, item: SyncItem) -> Result<(), String> {
+    fn offer(&self, item: SyncItem) -> Result<(), InvokeError> {
         let mut st = self.state.lock();
         match st.phase {
             SyncPhase::Done => {
-                return Err(format!("sync session to {} closed; retry", self.peer));
+                return Err(self.refusal("closed; retry"));
             }
             SyncPhase::Failed { hard } => {
                 return if hard {
-                    Err(format!("sync session to {} failed after admission", self.peer))
+                    Err(self.refusal("failed after admission"))
                 } else {
                     Ok(()) // recruit abandoned pre-promise; nothing owed
                 };
@@ -146,11 +151,11 @@ impl SyncSession {
             }
             match st.phase {
                 SyncPhase::Failed { hard: true } => {
-                    return Err(format!("sync session to {} failed after admission", self.peer));
+                    return Err(self.refusal("failed after admission"));
                 }
                 SyncPhase::Failed { hard: false } => return Ok(()),
                 SyncPhase::Done => {
-                    return Err(format!("sync session to {} closed before ship; retry", self.peer));
+                    return Err(self.refusal("closed before ship; retry"));
                 }
                 _ => {}
             }
@@ -301,7 +306,7 @@ impl NodeInner {
         syncing: &[NodeId],
         object: &ObjectId,
         ops: &[(Vec<u8>, Option<Vec<u8>>)],
-    ) -> Result<(), String> {
+    ) -> Result<(), InvokeError> {
         if syncing.is_empty() {
             return Ok(());
         }
@@ -334,10 +339,10 @@ impl NodeInner {
                     *self.sync.forward_gaps.lock().entry(shard).or_insert(0) += 1;
                     continue;
                 }
-                return Err(format!(
+                return Err(InvokeError::Storage(format!(
                     "placement moved while forwarding to syncing backup {peer} \
                      at epoch {epoch}; retry"
-                ));
+                )));
             };
             session.offer(SyncItem::Forward { object: object.0.clone(), ops: ops.to_vec() })?;
             self.sync.enqueued.incr();

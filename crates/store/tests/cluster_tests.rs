@@ -1633,6 +1633,34 @@ fn a_retried_round_sends_no_parts_and_completes_by_the_primary() {
 }
 
 #[test]
+fn a_deposit_charges_its_primary_the_handler_time_alone() {
+    let (cluster, client, id, primary, _) = funded_account("acct/busy");
+    let count = |name| node(&cluster, primary).registry().counter_value(name);
+    let (busy, commits) = (count("node_busy_nanos"), count("eng_commits"));
+    cluster.core.net.set_latency(lambda_net::LatencyModel {
+        base: Duration::from_millis(20),
+        jitter: Duration::ZERO,
+        per_byte: Duration::ZERO,
+        drop_probability: 0.0,
+    });
+    let balance = client.invoke(&id, "deposit", vec![VmValue::Int(5)], false).unwrap();
+    assert_eq!(as_int(balance), 15);
+    // The backups answered the client; the primary counts the commit once
+    // their acks are in.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while count("eng_commits") == commits {
+        assert!(Instant::now() < deadline, "the primary never counted the commit");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    cluster.core.net.set_latency(lambda_net::LatencyModel::instant());
+    // The replication round trip alone takes 40 ms; the worker was
+    // released when the round left.
+    let charged = Duration::from_nanos(count("node_busy_nanos") - busy);
+    assert!(charged < Duration::from_millis(10), "{charged:?}");
+    cluster.shutdown();
+}
+
+#[test]
 fn a_disaggregated_raw_put_completes_by_the_backups_replies() {
     let cluster = DisaggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
     let client = cluster.client();
