@@ -158,26 +158,41 @@ pub struct DeferredCommit {
     /// Invoked exactly once with the replication outcome.
     pub done: CommitCallback,
     /// The invocation's final value, on the last commit of a client-facing
-    /// (depth-0, external) invocation: once the write set is replicated,
-    /// that value is the client's answer, so the hook may have whoever
-    /// applies the set answer with it too. `None` on every other commit.
+    /// (depth-0, external) invocation — or, when such an invocation's body
+    /// ran on ahead of its last scatter's acks and wrote nothing after it,
+    /// on that scatter's boundary: once the write set and everything
+    /// shipped with it are replicated, that value is the client's answer,
+    /// so the hook may have whoever applies the set answer with it too.
+    /// `None` on every other commit.
     pub reply: Option<VmValue>,
 }
 
-/// The write sets a scatter's branches applied locally while its issue
-/// loop was still running, behind the scatter's own boundary commit when
-/// that rides along; the loop's end hands them to the commit hook in one
-/// call. A branch that commits later (its object was busy, or another
-/// thread led its kv group) goes to the hook on its own — once the
-/// boundary is acked, so that no replica holds the branch without it.
+/// One scatter: the write sets its branches applied locally while its
+/// issue loop was still running, behind the scatter's own boundary commit
+/// when that rides along, and the outcomes the scatter waits for. The
+/// shipment goes to the commit hook in one call when the wave closes. A
+/// branch that commits later (its object was busy, or another thread led
+/// its kv group) goes to the hook on its own — once the boundary is acked,
+/// so that no replica holds the branch without it.
 ///
 /// A branch in the wave keeps its object's guard until the wave has
 /// shipped and been acked, so the wave is open only while its issue thread
 /// cannot park: a branch body that reaches a nested call on that thread
 /// closes and ships it first ([`Engine::ship_open_wave`]) — the call may
-/// need a sibling's guard.
-struct Wave {
+/// need a sibling's guard. A client-facing body that resumed before the
+/// acks ([`Engine::invoke_nested_many`]) keeps its wave open until its own
+/// next nested call or its return, and ships it there.
+pub(crate) struct Wave {
+    engine: Arc<Engine>,
+    /// The scatter may carry its invocation's answer (DESIGN.md §10): each
+    /// write set that joins drops the primary's cached results over its
+    /// keys right after its local write, as a routed commit does.
+    answering: bool,
+    /// The caller's guard while its boundary rides: released with the
+    /// boundary's outcome, unless the body resumed early and took it back.
+    guard: parking_lot::Mutex<Option<ObjectGuard>>,
     state: parking_lot::Mutex<WaveState>,
+    outcomes: parking_lot::Mutex<Outcomes>,
 }
 
 enum WaveState {
@@ -189,10 +204,87 @@ enum WaveState {
     Closed,
 }
 
+/// What a wave's waiter is owed, counted down by the completions that
+/// carry it; `then` runs once with the last of it.
+struct Outcomes {
+    boundary: Result<()>,
+    /// Each branch's answer: its value once its write set is in the open
+    /// shipment, or its outcome when it finished without one.
+    answers: Vec<Option<InvokeOutcome>>,
+    branches: Vec<Option<InvokeOutcome>>,
+    owed: usize,
+    then: Option<Box<dyn FnOnce(Fanned) + Send>>,
+}
+
+/// A wave's outcomes, all in.
+struct Fanned {
+    boundary: Result<()>,
+    branches: Vec<InvokeOutcome>,
+}
+
+impl Fanned {
+    /// The error a parked join hands the body, as it always has: the
+    /// boundary's failure, else the first failed branch in target order.
+    fn error(&self) -> Option<HostError> {
+        if let Err(e) = &self.boundary {
+            return Some(HostError::Storage(e.to_string()));
+        }
+        let failed = self.branches.iter().find_map(|outcome| outcome.as_ref().err());
+        failed.map(|e| HostError::InvokeFailed(encode_error(e)))
+    }
+}
+
+/// Which of a wave's outcomes an [`Owed`] stands for.
+#[derive(Clone, Copy)]
+enum Slot {
+    Boundary,
+    Branch(usize),
+}
+
+/// One outcome a wave is owed. Dropped unpaid — its completion was
+/// dropped unrun, its endpoint shut down — it pays the lost-outcome error,
+/// so that the wave's waiter is not left hanging.
+struct Owed {
+    wave: Arc<Wave>,
+    slot: Slot,
+    paid: bool,
+}
+
+impl Owed {
+    fn pay(mut self, outcome: InvokeOutcome) {
+        self.paid = true;
+        self.wave.record(self.slot, outcome);
+    }
+}
+
+impl Drop for Owed {
+    fn drop(&mut self) {
+        if !self.paid {
+            let lost = match self.slot {
+                Slot::Branch(_) => InvokeError::Nested(BRANCH_LOST.into()),
+                Slot::Boundary => InvokeError::Storage(LOST.into()),
+            };
+            self.wave.record(self.slot, Err(lost));
+        }
+    }
+}
+
 impl Wave {
-    fn start() -> Arc<Wave> {
-        let state = WaveState::Open { shipment: Vec::new(), led: false };
-        Arc::new(Wave { state: parking_lot::Mutex::new(state) })
+    fn start(engine: &Engine, branches: usize, answering: bool) -> Arc<Wave> {
+        let outcomes = Outcomes {
+            boundary: Ok(()),
+            answers: vec![None; branches],
+            branches: vec![None; branches],
+            owed: 0,
+            then: None,
+        };
+        Arc::new(Wave {
+            engine: engine.arc(),
+            answering,
+            guard: parking_lot::Mutex::new(None),
+            state: parking_lot::Mutex::new(WaveState::Open { shipment: Vec::new(), led: false }),
+            outcomes: parking_lot::Mutex::new(outcomes),
+        })
     }
 
     /// Put the scatter's boundary commit at the front of the shipment.
@@ -203,10 +295,17 @@ impl Wave {
         }
     }
 
-    /// Leave `commit` with the wave; a closed wave hands it back.
-    fn join(&self, commit: DeferredCommit) -> Option<DeferredCommit> {
+    /// Leave branch `i`'s `commit` with the wave; a closed wave hands it
+    /// back. The branch's `value` answers the body once its write set is in
+    /// the open shipment.
+    fn join(&self, commit: DeferredCommit, i: usize, value: VmValue) -> Option<DeferredCommit> {
         match &mut *self.state.lock() {
-            WaveState::Open { shipment: held, .. } | WaveState::Behind(held) => {
+            WaveState::Open { shipment, .. } => {
+                shipment.push(commit);
+                self.outcomes.lock().answers[i].get_or_insert(Ok(value));
+                None
+            }
+            WaveState::Behind(held) => {
                 held.push(commit);
                 None
             }
@@ -232,19 +331,99 @@ impl Wave {
         *state = WaveState::Closed;
         late
     }
-}
 
-/// Owned by a riding boundary's `done`: once that has run, or been dropped
-/// unrun, the commits that waited behind the boundary go to the hook.
-struct Behind {
-    engine: Arc<Engine>,
-    wave: Arc<Wave>,
-}
-
-impl Drop for Behind {
-    fn drop(&mut self) {
-        self.engine.ship(self.wave.settle());
+    /// After the issue loop: every branch's value, when the shipment is
+    /// still open and each branch has answered with one — its write set in
+    /// the shipment, or finished without one. A branch that failed is left
+    /// to the parked join: the body then sees the error it always has.
+    fn answered(&self) -> Option<Vec<InvokeOutcome>> {
+        let state = self.state.lock();
+        if !matches!(*state, WaveState::Open { .. }) {
+            return None;
+        }
+        let outcomes = self.outcomes.lock();
+        outcomes.answers.iter().map(|answer| answer.clone().filter(Result::is_ok)).collect()
     }
+
+    /// One more outcome the wave is owed.
+    fn owe(self: &Arc<Self>, slot: Slot) -> Owed {
+        self.outcomes.lock().owed += 1;
+        Owed { wave: Arc::clone(self), slot, paid: false }
+    }
+
+    fn record(&self, slot: Slot, outcome: InvokeOutcome) {
+        let fire = {
+            let mut outcomes = self.outcomes.lock();
+            match slot {
+                Slot::Boundary => outcomes.boundary = outcome.map(drop),
+                Slot::Branch(i) => {
+                    outcomes.answers[i].get_or_insert_with(|| outcome.clone());
+                    outcomes.branches[i] = Some(outcome);
+                }
+            }
+            outcomes.owed -= 1;
+            match outcomes.owed {
+                0 => outcomes.then.take().map(|then| (then, outcomes.fanned())),
+                _ => None,
+            }
+        };
+        if let Slot::Boundary = slot {
+            // What waited behind the boundary goes now, and so does the
+            // caller's guard.
+            self.engine.ship(self.settle());
+            drop(self.guard.lock().take());
+        }
+        if let Some((then, fanned)) = fire {
+            then(fanned);
+        }
+    }
+
+    /// Run `then` with the outcomes once all of them are in: at once, on
+    /// this thread, when they already are.
+    fn then(&self, then: Box<dyn FnOnce(Fanned) + Send>) {
+        let fanned = {
+            let mut outcomes = self.outcomes.lock();
+            if outcomes.owed > 0 {
+                outcomes.then = Some(then);
+                return;
+            }
+            outcomes.fanned()
+        };
+        then(fanned);
+    }
+
+    /// Park for the outcomes. Only for threads that are provably not in
+    /// the completion pool (DESIGN.md §10).
+    fn wait(&self) -> Fanned {
+        let (tx, rx) = channel::bounded(1);
+        self.then(Box::new(move |fanned| drop(tx.send(fanned))));
+        rx.recv().expect("every owed outcome is paid, or paid as lost when dropped")
+    }
+}
+
+impl Outcomes {
+    /// Called once nothing is owed, so every branch has paid.
+    fn fanned(&mut self) -> Fanned {
+        let paid = |b: &mut Option<InvokeOutcome>| b.take().expect("every branch owes one outcome");
+        Fanned {
+            boundary: self.boundary.clone(),
+            branches: self.branches.iter_mut().map(paid).collect(),
+        }
+    }
+}
+
+/// A branch commit's place in its scatter's wave: the wave, the branch's
+/// index and its value, which answers the body once the write set is in
+/// the open shipment.
+type Seat = (Arc<Wave>, usize, VmValue);
+
+/// What [`Engine::invoke_nested_many`] hands back to the body.
+pub(crate) struct Scattered {
+    /// One result per target, in target order.
+    pub(crate) results: Vec<std::result::Result<VmValue, HostError>>,
+    /// Set when the body resumed early: its wave, still open, and the
+    /// caller's guard, which was never released.
+    pub(crate) early: Option<(Arc<Wave>, Option<ObjectGuard>)>,
 }
 
 /// Park for `n` outcomes arriving over `rx` from completions. A completion
@@ -255,9 +434,18 @@ fn join_all<T>(rx: &channel::Receiver<T>, n: usize) -> Vec<T> {
     (0..n).map_while(|_| rx.recv().ok()).collect()
 }
 
+/// A scatter's branch outcomes as the body sees them.
+fn host_results(outcomes: Vec<InvokeOutcome>) -> Vec<std::result::Result<VmValue, HostError>> {
+    let failed = |e: InvokeError| HostError::InvokeFailed(encode_error(&e));
+    outcomes.into_iter().map(|outcome| outcome.map_err(failed)).collect()
+}
+
 /// A parked join's error when the completion it waits for was dropped
 /// unrun.
 const LOST: &str = "replication ended without an outcome";
+
+/// A scatter branch's error when its completion was dropped unrun.
+const BRANCH_LOST: &str = "scatter branch ended without an outcome";
 
 /// Hand `sets`, already applied locally, to `ship` as commits whose `done`s
 /// report to this thread, and park until each has its outcome: a blocking
@@ -397,6 +585,9 @@ struct Call {
     read_only: bool,
     nests: bool,
     cacheable: bool,
+    /// A client-facing (depth-0, external) invocation: its value is the
+    /// client's answer.
+    answers: bool,
     /// `Some` exactly for external mutations carrying an invocation id —
     /// the ones the dedup window remembers.
     ticket: Option<InflightTicket>,
@@ -408,6 +599,9 @@ enum Executed {
     Done(InvokeOutcome),
     /// The method succeeded and wrote: commit, then finish.
     Commit(Tail, PendingCommit),
+    /// The body resumed early from its last scatter, whose wave is still
+    /// open: finish once the wave has its outcomes.
+    Held(Settle),
 }
 
 impl Executed {
@@ -424,6 +618,19 @@ struct Tail {
     value: VmValue,
     guard: Option<ObjectGuard>,
     ticket: Option<InflightTicket>,
+}
+
+/// A body that returned with its last scatter's wave still open.
+struct Settle {
+    /// The guard and ticket; `value` is the body's, when it succeeded.
+    tail: Tail,
+    /// The body's own outcome: its final part, if it wrote one, or its
+    /// error. The final part commits only once the wave replicated.
+    body: Result<Option<PendingCommit>>,
+    wave: Arc<Wave>,
+    /// For the error the body would have failed with, had its scatter
+    /// joined ([`passed_on`]).
+    ty: Arc<ObjectType>,
 }
 
 /// A write set ready to commit: version already bumped.
@@ -769,7 +976,9 @@ impl Engine {
     /// scheduling, span and counter behaviour for all. The method body
     /// still parks its thread at a nested call — a single `host.invoke` is
     /// a scatter of one — until its boundary commit and every branch have
-    /// answered ([`Engine::invoke_nested_many`]).
+    /// answered, unless a client-facing body may run on ahead of the acks
+    /// ([`Engine::invoke_nested_many`]); then `done` runs once that
+    /// scatter's wave has its outcomes.
     pub fn invoke_deferred(
         self: &Arc<Self>,
         ctx: &InvocationContext,
@@ -782,8 +991,8 @@ impl Engine {
         self.invoke_deferred_at(ctx, object, method, args, external, 0, None, done);
     }
 
-    /// [`Engine::invoke_deferred`] at nesting depth `depth`; with `wave`,
-    /// as one branch of that scatter.
+    /// [`Engine::invoke_deferred`] at nesting depth `depth`; with `branch`,
+    /// as that branch of a scatter's wave.
     #[allow(clippy::too_many_arguments)]
     fn invoke_deferred_at(
         self: &Arc<Self>,
@@ -793,7 +1002,7 @@ impl Engine {
         args: Vec<VmValue>,
         external: bool,
         depth: usize,
-        wave: Option<Arc<Wave>>,
+        branch: Option<(Arc<Wave>, usize)>,
         done: InvokeCompletion,
     ) {
         let call = match self.resolve(ctx, object, method, args, external, depth) {
@@ -804,24 +1013,21 @@ impl Engine {
         };
         let this = Arc::clone(self);
         let object = call.object.clone();
-        let (exclusive, nests) = (!call.read_only, call.nests);
+        let (exclusive, nests, answers) = (!call.read_only, call.nests, call.answers);
         let queue_start = Instant::now();
         let granted = move |granted| {
             let run = move || match this.execute_granted(call, queue_start, granted) {
                 Executed::Done(outcome) => done(outcome),
+                Executed::Held(settle) => this.finish_held(settle, done),
                 Executed::Commit(tail, pending) => {
                     // A client-facing invocation's last commit knows its answer.
-                    let reply = (depth == 0 && external).then(|| tail.value.clone());
+                    let reply = answers.then(|| tail.value.clone());
+                    // A branch in a wave answers the body with its value.
+                    let seat = branch.map(|(wave, i)| (wave, i, tail.value.clone()));
                     let engine = Arc::clone(&this);
-                    let committed = Box::new(move |committed| {
-                        // Releasing the object grants the next queued
-                        // invocation, on this thread: mark it for what it is.
-                        let outer = ON_COMPLETION_THREAD.replace(true);
-                        let outcome = engine.finish_invocation(tail, committed);
-                        ON_COMPLETION_THREAD.set(outer);
-                        done(outcome);
-                    });
-                    this.commit_deferred(pending, wave, reply, committed);
+                    let committed =
+                        Box::new(move |committed| engine.finish_completed(tail, committed, done));
+                    this.commit_deferred(pending, seat, reply, committed);
                 }
             };
             // A method body runs where its grant lands, and one that nests
@@ -908,6 +1114,7 @@ impl Engine {
             read_only: meta.read_only,
             nests: meta.nests,
             cacheable,
+            answers: depth == 0 && external,
             ticket,
         }))
     }
@@ -922,7 +1129,19 @@ impl Engine {
         queue_start: Instant,
         granted: Result<ObjectGuard>,
     ) -> Executed {
-        let Call { ctx, object, ty, method, args, depth, read_only, cacheable, ticket, .. } = call;
+        let Call {
+            ctx,
+            object,
+            ty,
+            method,
+            args,
+            depth,
+            read_only,
+            cacheable,
+            answers,
+            ticket,
+            ..
+        } = call;
         // The scheduler re-checks the deadline at dequeue and sheds
         // expired work here — before any execute/commit cycles are spent.
         let guard = match granted {
@@ -961,6 +1180,7 @@ impl Engine {
             Some(guard),
         );
         host.ctx = ctx;
+        host.answering = answers;
 
         // Execute span: the method body proper (nested calls and their
         // commits run inside it; their own spans break that down).
@@ -969,24 +1189,25 @@ impl Engine {
         self.registry.record_span(ctx.trace_id, Stage::Execute, exec_start.elapsed());
         self.nested_calls.add(host.nested_calls);
 
+        // A body that resumed early from its last scatter finishes with
+        // that scatter's wave; it still holds its guard.
+        let held = host.held.take().map(|wave| (wave, host.guard.take()));
         let value = match outcome {
             Ok(value) => value,
             Err(e) => {
                 host.buffer.discard();
                 drop(host);
+                let e = unwrap_nested(e);
+                if let Some((wave, guard)) = held {
+                    let tail = Tail { value: VmValue::Unit, guard, ticket };
+                    return Executed::Held(Settle { tail, body: Err(e), wave, ty });
+                }
                 self.aborts.incr();
-                // Unwrap nested-error encoding so callers see the original.
-                let e = match e {
-                    InvokeError::Nested(msg) if msg.contains('\x1f') => {
-                        crate::error::decode_error(&msg)
-                    }
-                    e => e,
-                };
                 return Executed::done(ticket, Err(e));
             }
         };
         debug_assert!(!read_only || host.buffer.is_clean(), "read-only invocation buffered writes");
-        if !host.buffer.is_clean() {
+        let last = (!host.buffer.is_clean()).then(|| {
             let written = host.buffer.written_keys();
             let mut batch = host.buffer.take_batch();
             if dedup {
@@ -996,11 +1217,17 @@ impl Engine {
                 // backups, preserving exactly-once across failover.
                 self.append_dedup_record(&object, ctx.invocation_id, &value, &mut batch);
             }
+            self.pending_commit(&ctx, &object, batch, written)
+        });
+        if let Some((wave, guard)) = held {
+            let tail = Tail { value, guard, ticket };
+            return Executed::Held(Settle { tail, body: Ok(last), wave, ty });
+        }
+        if let Some(pending) = last {
             // The guard outlives the host: it is held through commit and
             // replication and released wherever the invocation finishes.
             let guard = host.guard.take();
             drop(host);
-            let pending = self.pending_commit(&ctx, &object, batch, written);
             return Executed::Commit(Tail { value, guard, ticket }, pending);
         }
         // The insert happens while the object guard is still held: a
@@ -1053,6 +1280,16 @@ impl Engine {
         outcome
     }
 
+    /// [`Engine::finish_invocation`] from a completion, and answer `done`.
+    /// Releasing the object grants the next queued invocation, on this
+    /// thread: mark it for what it is.
+    fn finish_completed(&self, tail: Tail, committed: Result<()>, done: InvokeCompletion) {
+        let outer = ON_COMPLETION_THREAD.replace(true);
+        let outcome = self.finish_invocation(tail, committed);
+        ON_COMPLETION_THREAD.set(outer);
+        done(outcome);
+    }
+
     // -- Commit (step 3) -----------------------------------------------------
 
     /// Stamp `object`'s next commit version into `batch`; returns the
@@ -1079,7 +1316,7 @@ impl Engine {
 
     /// Commit without parking: hand the batch to the deferred group
     /// commit, then (on the committing thread) start the hook's deferred
-    /// fan-out — or leave the write set with the scatter's open `wave` —
+    /// fan-out — or leave the write set with the scatter's wave at `seat` —
     /// and `done` runs wherever the last of them completes. The kv write is
     /// the invocation's `commit` span, the hook call its `replicate` span.
     /// `reply` is the invocation's answer when this is the last commit of
@@ -1087,7 +1324,7 @@ impl Engine {
     fn commit_deferred(
         self: &Arc<Self>,
         pending: PendingCommit,
-        wave: Option<Arc<Wave>>,
+        seat: Option<Seat>,
         reply: Option<VmValue>,
         done: Box<dyn FnOnce(Result<()>) + Send>,
     ) {
@@ -1105,7 +1342,7 @@ impl Engine {
                 let Some((hook, ops)) = hooked else {
                     return done(this.finish_commit(&touched, Ok(())));
                 };
-                if reply.is_some() {
+                if reply.is_some() || seat.as_ref().is_some_and(|(wave, ..)| wave.answering) {
                     // The client may hear the outcome from the backups
                     // before the ack comes back here: what this node
                     // caches over the write must be gone by then.
@@ -1116,8 +1353,8 @@ impl Engine {
                     done(engine.finish_commit(&touched, replicated));
                 });
                 let commit = DeferredCommit { ctx, object, ops, done, reply };
-                let alone = match wave {
-                    Some(wave) => wave.join(commit),
+                let alone = match seat {
+                    Some((wave, i, value)) => wave.join(commit, i, value),
                     None => Some(commit),
                 };
                 if let Some(commit) = alone {
@@ -1167,20 +1404,20 @@ impl Engine {
     }
 
     /// Commit a scatter's boundary. When it rides in `wave`, the kv write
-    /// happens here, ahead of every branch's, and the write set leads the
-    /// wave's shipment; the returned channel brings its outcome, and the
-    /// caller's guard is released when that is known. Otherwise the commit
-    /// takes the one commit path and this thread parks for its ack, then
-    /// releases the guard.
+    /// happens here, ahead of every branch's, the write set leads the
+    /// wave's shipment, and the caller's guard waits in the wave for the
+    /// boundary's outcome: `Ok(true)`. Otherwise the commit takes the one
+    /// commit path and this thread parks for its ack, then releases the
+    /// guard; an empty boundary just releases it.
     fn commit_boundary(
         &self,
         ctx: &InvocationContext,
         boundary: Boundary,
         wave: Option<&Arc<Wave>>,
-    ) -> Result<Option<channel::Receiver<Result<()>>>> {
+    ) -> Result<bool> {
         let Boundary { source, batch, written_keys, guard } = boundary;
         if batch.is_empty() {
-            return Ok(None);
+            return Ok(false);
         }
         let pending = self.pending_commit(ctx, &source, batch, written_keys);
         let riding = wave.and_then(|wave| Some((wave, self.hooked(&pending.batch)?)));
@@ -1189,27 +1426,28 @@ impl Engine {
             self.arc().commit_deferred(pending, None, None, Box::new(move |c| drop(tx.send(c))));
             rx.recv().unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())))?;
             drop(guard);
-            return Ok(None);
+            return Ok(false);
         };
         let PendingCommit { ctx, object, batch, touched } = pending;
         let commit_start = Instant::now();
         self.db.write(batch)?;
         self.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
-        let (tx, rx) = channel::bounded(1);
+        if wave.answering {
+            // As in `commit_deferred`: the answer may leave with the wave.
+            self.cache.invalidate_keys(touched.iter().map(Vec::as_slice));
+        }
+        *wave.guard.lock() = guard;
+        let owed = wave.owe(Slot::Boundary);
         let engine = self.arc();
-        let behind = Behind { engine: Arc::clone(&engine), wave: Arc::clone(wave) };
         let done: CommitCallback = Box::new(move |replicated| {
-            // As in `invoke_deferred_at`: releasing the object grants the
+            // As in `finish_completed`: releasing the object grants the
             // next queued invocation on this thread.
             let outer = ON_COMPLETION_THREAD.replace(true);
-            let committed = engine.finish_commit(&touched, replicated);
-            drop(behind);
-            drop(guard);
+            owed.pay(engine.finish_commit(&touched, replicated).map(|()| VmValue::Unit));
             ON_COMPLETION_THREAD.set(outer);
-            drop(tx.send(committed));
         });
         wave.lead(DeferredCommit { ctx, object, ops, done, reply: None });
-        Ok(Some(rx))
+        Ok(true)
     }
 
     /// The local write is applied: invalidate what it touched — whether or
@@ -1326,6 +1564,25 @@ impl Engine {
     }
 }
 
+/// A body's error as its caller sees it: a nested error's encoding
+/// unwrapped to the original.
+fn unwrap_nested(e: InvokeError) -> InvokeError {
+    match e {
+        InvokeError::Nested(msg) if msg.contains('\x1f') => crate::error::decode_error(&msg),
+        e => e,
+    }
+}
+
+/// The error a body of `ty` fails with when a host call returns `e` and
+/// the body passes it on — what a scatter's parked join would have made
+/// the body fail with.
+fn passed_on(ty: &ObjectType, e: HostError) -> InvokeError {
+    unwrap_nested(match &ty.methods {
+        MethodSet::Bytecode(_) => InvokeError::from(lambda_vm::VmError::Host(e)),
+        MethodSet::Native(_) => InvokeError::from(e),
+    })
+}
+
 /// Decode a dedup record's stored result (layout: `version (u64 LE) ‖
 /// encoded VmValue`). `None` on malformed records — the invocation then
 /// re-executes, the safe direction for corrupted state.
@@ -1346,9 +1603,18 @@ impl Engine {
     /// own abort. `ctx` is the caller's context: the branches inherit the
     /// trace identity and the *remaining* deadline budget.
     ///
+    /// A client-facing caller (`answering`) does not park when that is
+    /// safe: its boundary rides in the wave, and every branch answered
+    /// with a value during the issue loop, its write set in the wave's
+    /// open shipment or finished without one. It then resumes at once with the branches'
+    /// values, keeps its lock, and the wave stays open until the caller's
+    /// next nested call ([`Engine::join_held`]) or its return
+    /// ([`Engine::finish_held`]) — [`Scattered::early`].
+    ///
     /// # Errors
     /// The boundary commit's storage/replication failure, as
     /// [`HostError::Storage`].
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn invoke_nested_many(
         &self,
         ctx: &InvocationContext,
@@ -1357,71 +1623,105 @@ impl Engine {
         method: &str,
         args: &[VmValue],
         depth: usize,
-    ) -> std::result::Result<Vec<std::result::Result<VmValue, HostError>>, HostError> {
+        answering: bool,
+    ) -> std::result::Result<Scattered, HostError> {
         // This scatter may itself be a branch body on the issue thread of
         // an outer wave, and its joins park behind a sibling whose guard is
         // held until that wave has shipped.
         self.ship_open_wave();
         let this = self.arc();
         let router = self.router.read().clone();
-        let wave = Wave::start();
         // The one decision: the boundary rides in the wave when the replica
         // set that applies it applies every branch too, in the same round;
         // otherwise it is acked before any branch is issued.
         let rides = router.as_ref().is_none_or(|router| {
             targets.iter().all(|target| router.co_located(&boundary.source, target))
         });
+        let answering = answering && rides && !boundary.batch.is_empty();
+        let wave = Wave::start(self, targets.len(), answering);
         let storage = |e: InvokeError| HostError::Storage(e.to_string());
-        let boundary =
-            self.commit_boundary(ctx, boundary, rides.then_some(&wave)).map_err(storage)?;
+        let led = self.commit_boundary(ctx, boundary, rides.then_some(&wave)).map_err(storage)?;
         OPEN_WAVE.set(Some(Arc::clone(&wave)));
-        let (tx, rx) = channel::unbounded();
         // Issue every branch from this thread. A branch whose object is
         // free runs its body and its kv commit right here, inside the
         // call; one whose object is busy, or lives elsewhere, answers
         // from the thread that finishes it.
+        let mut remote = false;
         for (i, target) in targets.iter().enumerate() {
-            let tx = tx.clone();
-            let done: InvokeCompletion = Box::new(move |outcome| drop(tx.send((i, outcome))));
+            let owed = wave.owe(Slot::Branch(i));
+            let done: InvokeCompletion = Box::new(move |outcome| owed.pay(outcome));
             let local = match &router {
                 Some(router) => router.route_deferred(ctx, target, method, args, done),
                 None => Some(done),
             };
-            if let Some(done) = local {
-                let wave = Some(Arc::clone(&wave));
-                this.invoke_deferred_at(
-                    ctx,
-                    target,
-                    method,
-                    args.to_vec(),
-                    false,
-                    depth,
-                    wave,
-                    done,
-                );
-            }
+            let Some(done) = local else {
+                remote = true;
+                continue;
+            };
+            let branch = Some((Arc::clone(&wave), i));
+            this.invoke_deferred_at(ctx, target, method, args.to_vec(), false, depth, branch, done);
         }
-        drop(tx);
-        // One hook call for everything the loop applied locally.
         OPEN_WAVE.take();
+        let answered = (answering && led && !remote).then(|| wave.answered()).flatten();
+        if let Some(answers) = answered {
+            let guard = wave.guard.lock().take();
+            return Ok(Scattered { results: host_results(answers), early: Some((wave, guard)) });
+        }
+        // One hook call for everything the loop applied locally.
         self.ship(wave.close());
-        let mut results: Vec<Option<InvokeOutcome>> = targets.iter().map(|_| None).collect();
-        for (i, outcome) in join_all(&rx, targets.len()) {
-            results[i] = Some(outcome);
+        let Fanned { boundary, branches, .. } = wave.wait();
+        boundary.map_err(storage)?;
+        Ok(Scattered { results: host_results(branches), early: None })
+    }
+
+    /// Ship the wave a body resumed early from and park until it has its
+    /// outcomes: the body's next nested call does this before its boundary
+    /// commits, so it goes on only from its last scatter's real outcome.
+    ///
+    /// # Errors
+    /// The error that scatter's own join would have returned.
+    pub(crate) fn join_held(&self, wave: Arc<Wave>) -> std::result::Result<(), HostError> {
+        self.ship(wave.close());
+        wave.wait().error().map_or(Ok(()), Err)
+    }
+
+    /// Finish an invocation whose body returned with its last scatter's
+    /// wave still open, without parking. With no final part the client's
+    /// answer rides on the boundary at the shipment's front (an error
+    /// return carries none), and the wave ships. Once the boundary and
+    /// every branch have their outcomes, the invocation finishes as a
+    /// parked join would have let it: on a failure, with the error the body
+    /// would have failed with, and a final part is discarded unwritten, so
+    /// no dedup record keeps an answer the client never got. Otherwise a
+    /// final part commits then, carrying the answer, and the invocation
+    /// finishes with that commit.
+    fn finish_held(self: &Arc<Self>, settle: Settle, done: InvokeCompletion) {
+        let Settle { tail, body, wave, ty } = settle;
+        let mut shipment = wave.close();
+        if let (Ok(None), Some(boundary)) = (&body, shipment.first_mut()) {
+            boundary.reply = Some(tail.value.clone());
         }
-        if let Some(acked) = boundary {
-            acked
-                .recv()
-                .unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())))
-                .map_err(storage)?;
-        }
-        let lost = || Err(InvokeError::Nested("scatter branch ended without an outcome".into()));
-        Ok(results
-            .into_iter()
-            .map(|outcome| {
-                outcome.unwrap_or_else(lost).map_err(|e| HostError::InvokeFailed(encode_error(&e)))
-            })
-            .collect())
+        let engine = Arc::clone(self);
+        wave.then(Box::new(move |fanned| {
+            let committed = match (fanned.error(), body) {
+                (Some(e), _) => Err(passed_on(&ty, e)),
+                (None, Err(e)) => Err(e),
+                (None, Ok(None)) => Ok(()),
+                (None, Ok(Some(last))) => {
+                    let answer = Some(tail.value.clone());
+                    let finishing = Arc::clone(&engine);
+                    let committed = Box::new(move |committed| {
+                        finishing.finish_completed(tail, committed, done)
+                    });
+                    return engine.commit_deferred(last, None, answer, committed);
+                }
+            };
+            if committed.is_err() {
+                engine.aborts.incr();
+            }
+            engine.finish_completed(tail, committed, done);
+        }));
+        self.ship(shipment);
     }
 
     /// Re-acquire `object`'s exclusive lock for the caller's resumption,
@@ -2702,21 +3002,32 @@ mod scatter_tests {
     #[derive(Default)]
     struct HeldHook {
         calls: parking_lot::Mutex<Vec<Vec<ObjectId>>>,
-        held: parking_lot::Mutex<Vec<CommitCallback>>,
+        held: parking_lot::Mutex<Vec<(ObjectId, CommitCallback)>>,
     }
 
     impl CommitHook for HeldHook {
         fn on_commit(&self, commits: Vec<DeferredCommit>) {
             self.calls.lock().push(commits.iter().map(|c| c.object.clone()).collect());
-            self.held.lock().extend(commits.into_iter().map(|c| c.done));
+            self.held.lock().extend(commits.into_iter().map(|c| (c.object, c.done)));
         }
     }
 
     impl HeldHook {
         /// Ack everything held so far.
         fn release(&self) {
+            self.release_failing(None);
+        }
+
+        /// Fail the write sets held for `object`, ack every other.
+        fn release_failing(&self, object: Option<&ObjectId>) {
             let held = std::mem::take(&mut *self.held.lock());
-            held.into_iter().for_each(|done| done(Ok(())));
+            for (held, done) in held {
+                done(if Some(&held) == object {
+                    Err(InvokeError::Storage("replica down".into()))
+                } else {
+                    Ok(())
+                });
+            }
         }
 
         fn calls(&self) -> Vec<Vec<ObjectId>> {
@@ -2812,7 +3123,41 @@ mod scatter_tests {
         hook.release();
         assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap().is_ok());
         assert_eq!(scatter.join().unwrap().unwrap(), ids(&targets));
+
+        // The body resumed before that ack: a client-facing `post` whose
+        // branches all joined the wave. When a round it ran on ahead of
+        // fails, the invocation fails as the parked join would have made
+        // it, and the caller's next invocation still waits for the round.
+        let scatter = spawn_invoke(&engine, &src, "post", &targets);
+        wait_for("the second wave", || hook.calls().len() == 3);
+        assert_eq!(hook.calls()[2], vec![src.clone(), targets[0].clone(), targets[1].clone()]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
+        engine.invoke_deferred(&ctx, &src, "receive", vec![VmValue::str("then")], false, done);
+        assert_eq!(ran_on.lock().len(), 5, "the caller is still held");
+        hook.release_failing(Some(&targets[0]));
+        let err = scatter.join().unwrap().unwrap_err();
+        assert_eq!(err, parked_join_error(&targets[0]));
+        wait_for("the queued invocation to commit", || hook.calls().len() == 4);
+        assert_eq!(hook.calls()[3], vec![src.clone()]);
+        hook.release();
+        assert!(rx.recv_timeout(Duration::from_secs(10)).unwrap().is_ok());
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// What a native `post` fails with when the write set of its branch on
+    /// `failing` fails to replicate and the scatter parks for its acks: the
+    /// boundary is acked alone first ([`Apart`]), so the join waits.
+    fn parked_join_error(failing: &ObjectId) -> InvokeError {
+        let (engine, _, dir) = native_engine();
+        let name = failing.to_string();
+        let nodes = create(&engine, "Native", &["parked/src", &name, "parked/other"]);
+        engine.set_router(Arc::new(Apart));
+        engine.set_commit_hook(Arc::new(FailingOn(failing.clone())));
+        let args = vec![ids(&nodes[1..]), VmValue::str("x")];
+        let err = engine.invoke(&nodes[0], "post", args).unwrap_err();
+        std::fs::remove_dir_all(dir).ok();
+        err
     }
 
     #[test]
@@ -2936,5 +3281,248 @@ mod scatter_tests {
             }
             std::fs::remove_dir_all(dir).ok();
         }
+    }
+
+    // -- Resuming before the acks -----------------------------------------
+
+    /// [`native_engine`] plus a `Noter` type whose bodies note each resume
+    /// from a nested call: `post(targets, payload)` keeps a copy and
+    /// scatters `receive` to the `Native` targets; `broadcast` does not keep
+    /// one, so its boundary is empty; `post_and_keep` writes once more after
+    /// the scatter, and `post_and_abort` fails after it; `post_each` keeps a
+    /// copy before a `host.invoke` of each target in turn.
+    fn noting_engine() -> (Arc<Engine>, Arc<parking_lot::Mutex<Vec<String>>>, std::path::PathBuf) {
+        let (engine, _, dir) = native_engine();
+        let notes = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let mut reg = NativeRegistry::new();
+        let scatters = [("post", true), ("broadcast", false), ("post_and_keep", true)];
+        for (name, keep) in scatters.into_iter().chain([("post_and_abort", true)]) {
+            let notes = Arc::clone(&notes);
+            reg.register(name, false, false, true, move |ctx| {
+                let Some(VmValue::List(targets)) = ctx.args.first().cloned() else {
+                    return Err(HostError::Aborted("no targets".into()));
+                };
+                let targets = targets.iter().filter_map(|t| t.as_bytes().map(<[u8]>::to_vec));
+                let payload = ctx.bytes_arg(1)?;
+                if keep {
+                    ctx.host.push(b"inbox", &payload)?;
+                }
+                let args = vec![VmValue::Bytes(payload.clone())];
+                let results = ctx.host.invoke_many(targets.collect(), "receive", args)?;
+                notes.lock().push(format!("{name} resumed"));
+                match name {
+                    "post_and_keep" => ctx.host.push(b"inbox", &payload)?,
+                    "post_and_abort" => return Err(HostError::Aborted("after the scatter".into())),
+                    _ => {}
+                }
+                Ok(VmValue::List(results))
+            });
+        }
+        let noted = Arc::clone(&notes);
+        reg.register("post_each", false, false, true, move |ctx| {
+            let Some(VmValue::List(targets)) = ctx.args.first().cloned() else {
+                return Err(HostError::Aborted("no targets".into()));
+            };
+            let payload = ctx.bytes_arg(1)?;
+            for (i, target) in targets.iter().filter_map(VmValue::as_bytes).enumerate() {
+                ctx.host.push(b"inbox", &payload)?;
+                ctx.host.invoke(target, "receive", vec![VmValue::Bytes(payload.clone())])?;
+                noted.lock().push(format!("call {i} resumed"));
+            }
+            Ok(VmValue::Unit)
+        });
+        reg.register("inbox_count", true, true, true, |ctx| {
+            Ok(VmValue::Int(ctx.host.count(b"inbox")? as i64))
+        });
+        let inbox = vec![FieldDef { name: "inbox".into(), kind: FieldKind::Collection }];
+        engine.types().register(ObjectType::from_native("Noter", inbox, reg));
+        (engine, notes, dir)
+    }
+
+    /// One hook call: each write set's object and the answer it carries.
+    type Answered = Vec<(ObjectId, Option<VmValue>)>;
+
+    /// Acks every commit at once and records each call.
+    #[derive(Default)]
+    struct AnswerHook(parking_lot::Mutex<Vec<Answered>>);
+
+    impl CommitHook for AnswerHook {
+        fn on_commit(&self, commits: Vec<DeferredCommit>) {
+            self.0
+                .lock()
+                .push(commits.iter().map(|c| (c.object.clone(), c.reply.clone())).collect());
+            commits.into_iter().for_each(|c| (c.done)(Ok(())));
+        }
+    }
+
+    #[test]
+    fn the_answer_rides_on_the_boundary_or_on_a_final_part_after_the_wave_and_an_error_carries_none(
+    ) {
+        let (engine, notes, dir) = noting_engine();
+        let src = create(&engine, "Noter", &["a/src"]).remove(0);
+        let targets = create(&engine, "Native", &["a/0", "a/1"]);
+        let hook = Arc::new(AnswerHook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+        let post = |method| engine.invoke(&src, method, vec![ids(&targets), VmValue::str("p")]);
+
+        assert_eq!(post("post").unwrap(), ids(&targets));
+        let answer = Some(ids(&targets));
+        let wave = |first: Option<VmValue>| {
+            let mut wave = vec![(src.clone(), first)];
+            wave.extend(targets.iter().map(|t| (t.clone(), None)));
+            wave
+        };
+        assert_eq!(*hook.0.lock(), vec![wave(answer.clone())], "on the boundary, one call");
+
+        hook.0.lock().clear();
+        assert_eq!(post("post_and_keep").unwrap(), ids(&targets));
+        let keep = vec![wave(None), vec![(src.clone(), answer)]];
+        assert_eq!(*hook.0.lock(), keep, "on the final part, once the wave replicated");
+
+        hook.0.lock().clear();
+        let err = post("post_and_abort").unwrap_err();
+        assert_eq!(err, InvokeError::Aborted("after the scatter".into()));
+        assert_eq!(*hook.0.lock(), vec![wave(None)], "an error return ships the wave bare");
+
+        let resumed = ["post resumed", "post_and_keep resumed", "post_and_abort resumed"];
+        assert_eq!(*notes.lock(), resumed);
+        let count = |id| engine.invoke(id, "inbox_count", vec![]).unwrap();
+        assert_eq!(count(&src), VmValue::Int(4), "one copy each, and one more kept after");
+        assert_eq!(count(&targets[0]), VmValue::Int(3), "the aborted body's branches committed");
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_final_part_after_a_failed_wave_is_never_written_so_a_redelivery_runs_the_body_again() {
+        let (engine, notes, dir) = noting_engine();
+        let src = create(&engine, "Noter", &["r/src"]).remove(0);
+        let targets = create(&engine, "Native", &["r/0", "r/1"]);
+        let args = vec![ids(&targets), VmValue::str("p")];
+        let ctx = InvocationContext::client(Duration::from_secs(30));
+        let deliver = |attempt| {
+            let ctx = InvocationContext { attempt, ..ctx };
+            engine.invoke_ctx(&ctx, &src, "post_and_keep", args.clone(), true, 0)
+        };
+
+        // The body runs on ahead of the acks, and the branch on `0` fails
+        // to replicate: the invocation fails as the parked join would have
+        // made it, and its final part, with the dedup record, is dropped.
+        engine.set_commit_hook(Arc::new(FailingOn(targets[0].clone())));
+        assert_eq!(deliver(0).unwrap_err(), parked_join_error(&targets[0]));
+        assert_eq!(*notes.lock(), ["post_and_keep resumed"]);
+
+        // So a re-delivery with the same invocation id runs the body again,
+        // fan-out and all; once that is recorded, a third is answered from
+        // the record.
+        engine.set_commit_hook(Arc::new(AnswerHook::default()));
+        assert_eq!(deliver(1).unwrap(), ids(&targets));
+        assert_eq!(*notes.lock(), ["post_and_keep resumed"; 2]);
+        assert_eq!(engine.stats().duplicates_suppressed, 0);
+        assert_eq!(deliver(2).unwrap(), ids(&targets));
+        assert_eq!(engine.stats().duplicates_suppressed, 1);
+        assert_eq!(notes.lock().len(), 2);
+        let count = |id| engine.invoke(id, "inbox_count", vec![]).unwrap();
+        assert_eq!(count(&src), VmValue::Int(3), "two boundaries, one final part");
+        assert_eq!(count(&targets[1]), VmValue::Int(2));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_scatter_with_a_busy_target_resumes_only_after_the_acks() {
+        let (engine, notes, dir) = noting_engine();
+        let src = create(&engine, "Noter", &["bz/src"]).remove(0);
+        let targets = create(&engine, "Native", &["bz/0", "bz/1"]);
+        let hook = Arc::new(HeldHook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+
+        let busy = engine.scheduler().acquire_exclusive(&targets[1]);
+        let scatter = spawn_invoke(&engine, &src, "post", &targets);
+        wait_for("the wave", || !hook.calls().is_empty());
+        assert_eq!(hook.calls(), vec![vec![src.clone(), targets[0].clone()]]);
+        drop(busy);
+        assert_eq!(hook.calls().len(), 1, "the late branch waits behind the boundary");
+        hook.release();
+        assert_eq!(hook.calls()[1], vec![targets[1].clone()]);
+        assert!(notes.lock().is_empty(), "the body waits for every ack");
+        hook.release();
+        assert_eq!(scatter.join().unwrap().unwrap(), ids(&targets));
+        assert_eq!(*notes.lock(), ["post resumed"]);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// Serves `0` elsewhere — its branch answers at once, from the router —
+    /// and every other target here; counts every target as co-located.
+    struct Remote(ObjectId);
+
+    impl InvokeRouter for Remote {
+        fn route_deferred(
+            &self,
+            _: &InvocationContext,
+            target: &ObjectId,
+            _: &str,
+            _: &[VmValue],
+            done: InvokeCompletion,
+        ) -> Option<InvokeCompletion> {
+            if *target != self.0 {
+                return Some(done);
+            }
+            done(Ok(VmValue::Bytes(target.0.clone())));
+            None
+        }
+
+        fn co_located(&self, _: &ObjectId, _: &ObjectId) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_scatter_with_an_empty_boundary_or_a_remote_target_never_resumes_early() {
+        for (method, remote) in [("broadcast", false), ("post", true)] {
+            let (engine, notes, dir) = noting_engine();
+            let src = create(&engine, "Noter", &["e/src"]).remove(0);
+            let targets = create(&engine, "Native", &["e/0", "e/1"]);
+            let hook = Arc::new(HeldHook::default());
+            engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+            if remote {
+                engine.set_router(Arc::new(Remote(targets[1].clone())));
+            }
+            let scatter = spawn_invoke(&engine, &src, method, &targets);
+            wait_for("the wave", || !hook.calls().is_empty());
+            let want = match remote {
+                true => vec![src.clone(), targets[0].clone()],
+                false => targets.clone(),
+            };
+            assert_eq!(hook.calls(), vec![want], "{method}");
+            assert!(notes.lock().is_empty(), "{method}: the body waits for the acks");
+            hook.release();
+            assert_eq!(scatter.join().unwrap().unwrap(), ids(&targets), "{method}");
+            assert_eq!(*notes.lock(), [format!("{method} resumed")]);
+            std::fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    #[test]
+    fn a_body_that_nests_twice_joins_the_first_wave_before_its_second_boundary_commits() {
+        let (engine, notes, dir) = noting_engine();
+        let src = create(&engine, "Noter", &["t/src"]).remove(0);
+        let targets = create(&engine, "Native", &["t/0", "t/1"]);
+        let hook = Arc::new(HeldHook::default());
+        engine.set_commit_hook(Arc::clone(&hook) as Arc<dyn CommitHook>);
+
+        let scatter = spawn_invoke(&engine, &src, "post_each", &targets);
+        // The first call resumed at once; the second ships its wave and
+        // parks for that wave's acks with its own boundary still buffered.
+        wait_for("the first wave", || !hook.calls().is_empty());
+        assert_eq!(hook.calls(), vec![vec![src.clone(), targets[0].clone()]]);
+        assert_eq!(*notes.lock(), ["call 0 resumed"]);
+        assert_eq!(engine.object_version(&src), 1, "the second boundary has not committed");
+        hook.release();
+        wait_for("the second wave", || hook.calls().len() == 2);
+        assert_eq!(hook.calls()[1], vec![src.clone(), targets[1].clone()]);
+        assert_eq!(engine.object_version(&src), 2);
+        assert_eq!(*notes.lock(), ["call 0 resumed", "call 1 resumed"]);
+        hook.release();
+        assert_eq!(scatter.join().unwrap().unwrap(), VmValue::Unit);
+        std::fs::remove_dir_all(dir).ok();
     }
 }

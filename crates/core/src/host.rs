@@ -6,12 +6,14 @@
 //! invocation's write buffer, and forwards cross-object invocations to the
 //! engine — which commits the buffered writes first, per §3.1.
 
+use std::sync::Arc;
+
 use lambda_kv::{Db, WriteBatch};
 use lambda_telemetry::InvocationContext;
 use lambda_vm::{Host, HostError, VmValue};
 
 use crate::buffer::WriteBuffer;
-use crate::engine::Engine;
+use crate::engine::{Engine, Scattered, Wave};
 use crate::keys;
 use crate::object::ObjectId;
 use crate::scheduler::ObjectGuard;
@@ -43,7 +45,9 @@ pub struct ObjectHost<'a> {
     /// Nesting depth of this invocation (0 = client-facing).
     depth: usize,
     /// The object lock held for this invocation; released across nested
-    /// calls and re-acquired afterwards (§3.1 boundary semantics).
+    /// calls and re-acquired afterwards (§3.1 boundary semantics) — or, when
+    /// a client-facing body resumes before its scatter's acks, kept through
+    /// the call and held until that scatter's wave has its outcome.
     pub guard: Option<ObjectGuard>,
     /// Collected log lines (surfaced in invocation reports).
     pub logs: Vec<String>,
@@ -52,6 +56,11 @@ pub struct ObjectHost<'a> {
     /// The invocation's context (trace identity + deadline); inherited by
     /// nested calls. Defaults to an unbounded background context.
     pub ctx: InvocationContext,
+    /// A client-facing invocation: its value is the client's answer, so a
+    /// scatter may resume it before the acks.
+    pub(crate) answering: bool,
+    /// The last scatter's wave, while the body runs on ahead of its acks.
+    pub(crate) held: Option<Arc<Wave>>,
 }
 
 impl std::fmt::Debug for ObjectHost<'_> {
@@ -89,6 +98,8 @@ impl<'a> ObjectHost<'a> {
             logs: Vec::new(),
             nested_calls: 0,
             ctx: InvocationContext::background(),
+            answering: false,
+            held: None,
         }
     }
 
@@ -120,6 +131,12 @@ impl<'a> ObjectHost<'a> {
     /// even through follower cycles or self-invocations; afterwards we
     /// resume as a fresh invocation — lock re-acquired, snapshot advanced
     /// to see everything committed in the meantime.
+    ///
+    /// A client-facing body may instead resume right after the issue loop,
+    /// its lock never released, while the scatter's wave stays open
+    /// ([`Engine::invoke_nested_many`]). The next scatter then first ships
+    /// that wave and joins its outcomes, and fails as that scatter's own
+    /// join would have; the body's return ships it otherwise.
     fn scatter(
         &mut self,
         targets: &[ObjectId],
@@ -136,6 +153,9 @@ impl<'a> ObjectHost<'a> {
                     .into(),
             ));
         };
+        if let Some(held) = self.held.take() {
+            nested.join_held(held)?;
+        }
         self.nested_calls += targets.len() as u64;
         let boundary = Boundary {
             source: self.object.clone(),
@@ -144,15 +164,34 @@ impl<'a> ObjectHost<'a> {
             guard: self.guard.take(),
         };
         let had_guard = boundary.guard.is_some();
-        let out =
-            nested.invoke_nested_many(&self.ctx, boundary, targets, method, args, self.depth + 1);
-        // Resumed even when the boundary failed: the body may go on.
-        if had_guard {
-            let (guard, seq) = nested.reacquire(&self.object);
-            self.guard = Some(guard);
-            self.snapshot_seq = seq;
+        let depth = self.depth + 1;
+        let out = nested.invoke_nested_many(
+            &self.ctx,
+            boundary,
+            targets,
+            method,
+            args,
+            depth,
+            self.answering,
+        );
+        match out {
+            Ok(Scattered { results, early: Some((held, guard)) }) => {
+                // Resumed before the acks: our lock was never released.
+                self.guard = guard;
+                self.held = Some(held);
+                self.snapshot_seq = self.db.last_sequence();
+                results.into_iter().collect()
+            }
+            out => {
+                // Resumed even when the boundary failed: the body may go on.
+                if had_guard {
+                    let (guard, seq) = nested.reacquire(&self.object);
+                    self.guard = Some(guard);
+                    self.snapshot_seq = seq;
+                }
+                out?.results.into_iter().collect()
+            }
         }
-        out?.into_iter().collect()
     }
 
     fn collection_len(&mut self, field: &[u8]) -> Result<u64, HostError> {

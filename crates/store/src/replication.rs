@@ -247,7 +247,7 @@ impl ReplState {
                 verdicts.push((Gate::Fail(err), group.into_iter().map(|(c, _)| c).collect()));
                 continue;
             }
-            let mut shipping = Vec::new();
+            let (mut shipping, grouped) = (Vec::new(), group.len());
             for (commit, migration) in group {
                 match self.handoff_fence(migration.as_ref(), &commit.object, shard) {
                     Some(moved) => verdicts.push((Gate::Fail(moved), vec![commit])),
@@ -256,6 +256,12 @@ impl ReplState {
             }
             if shipping.is_empty() {
                 continue;
+            }
+            if shipping.len() < grouped {
+                // A client's answer on one set of a group (a scatter's)
+                // stands for all of it: a group that leaves in parts
+                // carries none, and the primary's own reply answers.
+                shipping.iter_mut().for_each(|commit| commit.reply = None);
             }
             if let Some(wait) = fence_remaining(shard) {
                 self.lease_fenced_commits.add(shipping.len() as u64);

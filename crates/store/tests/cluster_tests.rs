@@ -1051,7 +1051,7 @@ fn feed_module() -> Module {
             host.push
             ret
         }
-        fn feed(0) ro {
+        fn feed(0) ro det {
             push.s "timeline"
             push.i 1000000
             push.i 0
@@ -1576,6 +1576,86 @@ fn a_read_at_the_primary_after_a_write_answered_by_parts_sees_it() {
         std::thread::sleep(Duration::from_millis(50));
         cluster.core.net.clear_fault_plan();
         assert_eq!(read.join().unwrap().unwrap(), StoreResponse::Value(VmValue::Int(15)));
+    });
+    cluster.shutdown();
+}
+
+/// A one-shard cluster with a `Feed` poster `tag/0` followed by
+/// `tag/1..=followers`, the client, and the shard's primary and backups.
+fn followed_poster(
+    tag: &str,
+    followers: usize,
+) -> (AggregatedCluster, lambda_store::StoreClient, Vec<ObjectId>, NodeId, Vec<NodeId>) {
+    let cluster = AggregatedCluster::build(ClusterConfig::for_tests()).unwrap();
+    let client = cluster.client();
+    client.deploy_type("Feed", feed_fields(), &feed_module()).unwrap();
+    let accounts: Vec<ObjectId> =
+        (0..=followers).map(|i| ObjectId::from(format!("{tag}/{i}").as_str())).collect();
+    for id in &accounts {
+        client.create_object("Feed", id, &[]).unwrap();
+    }
+    for f in &accounts[1..] {
+        client.invoke(&accounts[0], "follow", vec![VmValue::Bytes(f.0.clone())], false).unwrap();
+    }
+    // The client may hear of the last follow before the primary has its
+    // acks: a read there waits for them, behind the follow's guard.
+    let (_, info) = client.placement().locate(&accounts[0]).expect("located");
+    let primary = node(&cluster, info.primary);
+    primary.engine().invoke(&accounts[0], "feed", vec![]).unwrap();
+    (cluster, client, accounts, info.primary, info.backups)
+}
+
+#[test]
+fn a_colocated_post_completes_by_the_backups_replies() {
+    let (cluster, client, accounts, primary, backups) = followed_poster("parts-post", 5);
+    let before: Vec<u64> = backups.iter().map(|b| replica_replies(node(&cluster, *b))).collect();
+    // The primary's own answers never reach the client: only the backups'
+    // can complete the post, and a retry would show.
+    let plan = FaultPlan::new().link(primary, client.id(), FaultSpec::lose_replies());
+    cluster.core.net.set_fault_plan(plan, chaos_seed(5));
+    let retries = client.retries_performed();
+    let posted = client.invoke(&accounts[0], "post", vec![VmValue::str("hello")], false).unwrap();
+    assert_eq!(posted, VmValue::Unit);
+    assert_eq!(client.retries_performed(), retries, "completed by parts, not by a retry");
+    for (backup, before) in backups.iter().zip(before) {
+        assert_eq!(replica_replies(node(&cluster, *backup)), before + 1, "node-{}", backup.0);
+        // Every write set of the post is at every backup: a leased read
+        // there right away sees it in each feed.
+        for id in &accounts {
+            let read = read_at(&client, *backup, &read_request(id, "feed")).unwrap();
+            let want = StoreResponse::Value(VmValue::List(vec![VmValue::str("hello")]));
+            assert_eq!(read, want, "{id} on node-{}", backup.0);
+        }
+    }
+    cluster.core.net.clear_fault_plan();
+    cluster.shutdown();
+}
+
+#[test]
+fn a_followers_feed_read_at_the_primary_after_a_post_answered_by_parts_sees_it() {
+    let (cluster, client, accounts, primary, backups) = followed_poster("parts-feed", 2);
+    let follower = &accounts[2];
+    // The follower's empty feed is in the primary's result cache.
+    let empty = StoreResponse::Value(VmValue::List(vec![]));
+    let hits = node(&cluster, primary).stats().cache_hits;
+    for _ in 0..2 {
+        assert_eq!(read_at(&client, primary, &read_request(follower, "feed")).unwrap(), empty);
+    }
+    assert_eq!(node(&cluster, primary).stats().cache_hits, hits + 1, "the second read hits");
+    // The backups' acks never reach the primary, so it holds the post
+    // unacked while the client already has its answer from the parts.
+    let mut plan = FaultPlan::new();
+    for backup in &backups {
+        plan = plan.link(*backup, primary, FaultSpec::lose_replies());
+    }
+    cluster.core.net.set_fault_plan(plan, chaos_seed(7));
+    client.invoke(&accounts[0], "post", vec![VmValue::str("news")], false).unwrap();
+    std::thread::scope(|s| {
+        let read = s.spawn(|| read_at(&client, primary, &read_request(follower, "feed")));
+        std::thread::sleep(Duration::from_millis(50));
+        cluster.core.net.clear_fault_plan();
+        let want = StoreResponse::Value(VmValue::List(vec![VmValue::str("news")]));
+        assert_eq!(read.join().unwrap().unwrap(), want);
     });
     cluster.shutdown();
 }

@@ -18,7 +18,9 @@
 # Prints, per workload x end-to-end metric: both medians with their
 # quartiles, wins/losses/ties of the change over the pairs, and whether the
 # medians differ by more than the parent's interquartile range (the rule
-# for claiming a gain: >= 9 of 10 wins and "yes"). Exits 1 if any run says
+# for claiming a gain: >= 9 of 10 wins and "yes"); with fewer than 4
+# complete pairs the quartiles are interpolated from one to three runs, so
+# that verdict reads "n/a". Exits 1 if any run says
 # `"correct": false`, has `failed` > 0, or prints no result.
 #
 # Only tools guaranteed on a stock runner are used (git, cargo, awk, tar).
@@ -158,7 +160,7 @@ for w in "${workloads[@]}"; do
                 printf "%-14s %-11s %10.3f [%7.3f, %7.3f] %10.3f [%7.3f, %7.3f] %3d/%d/%d %s\n", w, m,
                     pm, quantile(ps, n, .25), quantile(ps, n, .75),
                     cm, quantile(cs, n, .25), quantile(cs, n, .75),
-                    wins, losses, ties, (gap > iqr ? "yes" : "no")
+                    wins, losses, ties, (n < 4 ? "n/a" : gap > iqr ? "yes" : "no")
             }' "$results"
     done
 done
