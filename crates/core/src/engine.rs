@@ -15,7 +15,7 @@ use crossbeam::channel;
 use lambda_kv::batch::BatchOp;
 use lambda_kv::{Db, WriteBatch};
 use lambda_telemetry::{Counter, InvocationContext, Registry, Stage};
-use lambda_vm::{HostError, Interpreter, Limits, VmValue};
+use lambda_vm::{HostError, Interpreter, Limits, NestedCall, Step, Suspended, VmValue};
 
 use crate::cache::{CacheStats, ConsistentCache};
 use crate::error::{encode_error, InvokeError, Result};
@@ -176,12 +176,13 @@ pub struct DeferredCommit {
 /// so that no replica holds the branch without it.
 ///
 /// A branch in the wave keeps its object's guard until the wave has
-/// shipped and been acked, so the wave is open only while its issue thread
-/// cannot park: a branch body that reaches a nested call on that thread
-/// closes and ships it first ([`Engine::ship_open_wave`]) — the call may
-/// need a sibling's guard. A client-facing body that resumed before the
-/// acks ([`Engine::invoke_nested_many`]) keeps its wave open until its own
-/// next nested call or its return, and ships it there.
+/// shipped and been acked. A branch body that reaches a nested call during
+/// the issue loop closes and ships the wave first ([`Engine::ship_open_wave`]):
+/// the call may need a sibling's guard, which would otherwise stay held
+/// until the whole loop had run and its wave had been acked. A
+/// client-facing body that resumed before the acks ([`Engine::issue`])
+/// keeps its wave open until its own next nested call or its return, and
+/// ships it there.
 pub(crate) struct Wave {
     engine: Arc<Engine>,
     /// The scatter may carry its invocation's answer (DESIGN.md §10): each
@@ -223,8 +224,8 @@ struct Fanned {
 }
 
 impl Fanned {
-    /// The error a parked join hands the body, as it always has: the
-    /// boundary's failure, else the first failed branch in target order.
+    /// The error the body resumes with: the boundary's failure, else the
+    /// first failed branch in target order.
     fn error(&self) -> Option<HostError> {
         if let Err(e) = &self.boundary {
             return Some(HostError::Storage(e.to_string()));
@@ -232,39 +233,45 @@ impl Fanned {
         let failed = self.branches.iter().find_map(|outcome| outcome.as_ref().err());
         failed.map(|e| HostError::InvokeFailed(encode_error(e)))
     }
+
+    /// What the body resumes with: one value per target, or the error.
+    fn answer(self) -> Answer {
+        match self.error() {
+            Some(e) => Err(e),
+            None => Ok(self.branches.into_iter().map(|b| b.expect("no branch failed")).collect()),
+        }
+    }
 }
 
-/// Which of a wave's outcomes an [`Owed`] stands for.
+/// Which of a wave's outcomes a completion owes it ([`Wave::owe`]).
 #[derive(Clone, Copy)]
 enum Slot {
     Boundary,
     Branch(usize),
 }
 
-/// One outcome a wave is owed. Dropped unpaid — its completion was
-/// dropped unrun, its endpoint shut down — it pays the lost-outcome error,
-/// so that the wave's waiter is not left hanging.
-struct Owed {
-    wave: Arc<Wave>,
-    slot: Slot,
-    paid: bool,
-}
+/// One outcome a wave is owed ([`Wave::owe`]), paid exactly once: with
+/// the outcome, or — dropped unpaid, its completion lost (a hook that lost
+/// `done`, an endpoint shut down) — with the lost-outcome error, so that
+/// the wave's waiter is not left hanging.
+struct Owed(Option<(Arc<Wave>, Slot)>);
 
 impl Owed {
     fn pay(mut self, outcome: InvokeOutcome) {
-        self.paid = true;
-        self.wave.record(self.slot, outcome);
+        if let Some((wave, slot)) = self.0.take() {
+            wave.record(slot, outcome);
+        }
     }
 }
 
 impl Drop for Owed {
     fn drop(&mut self) {
-        if !self.paid {
-            let lost = match self.slot {
+        if let Some((wave, slot)) = self.0.take() {
+            let lost = match slot {
                 Slot::Branch(_) => InvokeError::Nested(BRANCH_LOST.into()),
                 Slot::Boundary => InvokeError::Storage(LOST.into()),
             };
-            self.wave.record(self.slot, Err(lost));
+            wave.record(slot, Err(lost));
         }
     }
 }
@@ -335,20 +342,20 @@ impl Wave {
     /// After the issue loop: every branch's value, when the shipment is
     /// still open and each branch has answered with one — its write set in
     /// the shipment, or finished without one. A branch that failed is left
-    /// to the parked join: the body then sees the error it always has.
-    fn answered(&self) -> Option<Vec<InvokeOutcome>> {
+    /// to the wave's outcomes: the body then resumes with that error.
+    fn answered(&self) -> Option<Vec<VmValue>> {
         let state = self.state.lock();
         if !matches!(*state, WaveState::Open { .. }) {
             return None;
         }
         let outcomes = self.outcomes.lock();
-        outcomes.answers.iter().map(|answer| answer.clone().filter(Result::is_ok)).collect()
+        outcomes.answers.iter().map(|answer| answer.clone()?.ok()).collect()
     }
 
     /// One more outcome the wave is owed.
     fn owe(self: &Arc<Self>, slot: Slot) -> Owed {
         self.outcomes.lock().owed += 1;
-        Owed { wave: Arc::clone(self), slot, paid: false }
+        Owed(Some((Arc::clone(self), slot)))
     }
 
     fn record(&self, slot: Slot, outcome: InvokeOutcome) {
@@ -391,14 +398,6 @@ impl Wave {
         };
         then(fanned);
     }
-
-    /// Park for the outcomes. Only for threads that are provably not in
-    /// the completion pool (DESIGN.md §10).
-    fn wait(&self) -> Fanned {
-        let (tx, rx) = channel::bounded(1);
-        self.then(Box::new(move |fanned| drop(tx.send(fanned))));
-        rx.recv().expect("every owed outcome is paid, or paid as lost when dropped")
-    }
 }
 
 impl Outcomes {
@@ -417,31 +416,8 @@ impl Outcomes {
 /// the open shipment.
 type Seat = (Arc<Wave>, usize, VmValue);
 
-/// What [`Engine::invoke_nested_many`] hands back to the body.
-pub(crate) struct Scattered {
-    /// One result per target, in target order.
-    pub(crate) results: Vec<std::result::Result<VmValue, HostError>>,
-    /// Set when the body resumed early: its wave, still open, and the
-    /// caller's guard, which was never released.
-    pub(crate) early: Option<(Arc<Wave>, Option<ObjectGuard>)>,
-}
-
-/// Park for `n` outcomes arriving over `rx` from completions. A completion
-/// dropped unrun (its endpoint shut down) drops its sender, so the wait
-/// ends instead of hanging. Only for threads that are provably not in the
-/// completion pool (DESIGN.md §10).
-fn join_all<T>(rx: &channel::Receiver<T>, n: usize) -> Vec<T> {
-    (0..n).map_while(|_| rx.recv().ok()).collect()
-}
-
-/// A scatter's branch outcomes as the body sees them.
-fn host_results(outcomes: Vec<InvokeOutcome>) -> Vec<std::result::Result<VmValue, HostError>> {
-    let failed = |e: InvokeError| HostError::InvokeFailed(encode_error(&e));
-    outcomes.into_iter().map(|outcome| outcome.map_err(failed)).collect()
-}
-
-/// A parked join's error when the completion it waits for was dropped
-/// unrun.
+/// The error of a wait — a parked join, or a body waiting on a commit —
+/// whose completion was dropped unrun.
 const LOST: &str = "replication ended without an outcome";
 
 /// A scatter branch's error when its completion was dropped unrun.
@@ -465,6 +441,7 @@ pub fn ship_and_join(
         !ON_COMPLETION_THREAD.get(),
         "a blocking commit on a completion thread waits for itself"
     );
+    debug_assert!(!in_method_body(), "a method body parks its thread");
     let (tx, rx) = channel::unbounded();
     let sent = sets.len();
     let commits = sets
@@ -477,7 +454,7 @@ pub fn ship_and_join(
         .collect();
     drop(tx);
     ship(commits);
-    let acks = join_all(&rx, sent);
+    let acks: Vec<_> = (0..sent).map_while(|_| rx.recv().ok()).collect();
     if acks.len() < sent {
         return Err(InvokeError::Storage(LOST.into()));
     }
@@ -491,12 +468,35 @@ type DedupWindow = std::collections::VecDeque<(u64, Vec<u8>)>;
 thread_local! {
     /// Set while this thread finishes a deferred commit — i.e. while it may
     /// be one of the RPC endpoint's completion threads, which must never
-    /// park (see [`Engine::invoke_deferred`]).
+    /// park (DESIGN.md §10, the completion-pool rule).
     static ON_COMPLETION_THREAD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 
     /// The wave whose issue loop this thread is running, while it is open.
     static OPEN_WAVE: std::cell::RefCell<Option<Arc<Wave>>> =
         const { std::cell::RefCell::new(None) };
+
+    /// The bodies this thread drives ([`Engine::advance`]), by
+    /// [`Running::id`], each with the resume asked for it meanwhile.
+    static DRIVING: std::cell::RefCell<Vec<(u64, Option<Resume>)>> =
+        const { std::cell::RefCell::new(Vec::new()) };
+
+    /// Set while a method body — bytecode or native — runs on this thread.
+    static IN_BODY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// True while a method body runs on this thread. A body never parks: it
+/// stops at a nested call and is resumed with the answer, so every parked
+/// wait `debug_assert`s this is false.
+pub fn in_method_body() -> bool {
+    IN_BODY.get()
+}
+
+/// Run one step of a method body, marked for [`in_method_body`].
+fn in_body<T>(step: impl FnOnce() -> T) -> T {
+    let outer = IN_BODY.replace(true);
+    let out = step();
+    IN_BODY.set(outer);
+    out
 }
 
 /// The one `WriteBatch` → [`WriteSetOps`] conversion: what a commit hook
@@ -583,7 +583,6 @@ struct Call {
     args: Vec<VmValue>,
     depth: usize,
     read_only: bool,
-    nests: bool,
     cacheable: bool,
     /// A client-facing (depth-0, external) invocation: its value is the
     /// client's answer.
@@ -593,24 +592,39 @@ struct Call {
     ticket: Option<InflightTicket>,
 }
 
-/// What [`Engine::execute_granted`] left to do.
-enum Executed {
-    /// Nothing: the outcome is final and the object released.
-    Done(InvokeOutcome),
-    /// The method succeeded and wrote: commit, then finish.
-    Commit(Tail, PendingCommit),
-    /// The body resumed early from its last scatter, whose wave is still
-    /// open: finish once the wave has its outcomes.
-    Held(Settle),
+/// Settle `ticket` with `outcome` and answer `done`.
+fn answer(ticket: Option<InflightTicket>, done: InvokeCompletion, outcome: InvokeOutcome) {
+    if let Some(mut ticket) = ticket {
+        ticket.settle(&outcome);
+    }
+    done(outcome);
 }
 
-impl Executed {
-    fn done(ticket: Option<InflightTicket>, outcome: InvokeOutcome) -> Executed {
-        if let Some(mut ticket) = ticket {
-            ticket.settle(&outcome);
-        }
-        Executed::Done(outcome)
-    }
+/// A granted invocation from its body's start to its finish. It holds no
+/// thread: between steps it waits in a wave's continuation, a lock's
+/// queue, or the slot of the [`Engine::advance`] that still drives it.
+struct Running {
+    /// This body's own number, unique in the process.
+    id: u64,
+    call: Call,
+    /// The scatter's wave and the branch's index, for a scatter branch.
+    branch: Option<(Arc<Wave>, usize)>,
+    done: InvokeCompletion,
+    host: ObjectHost,
+    exec_start: Instant,
+    /// The last scatter's wave, while the body runs on ahead of its acks.
+    held: Option<Arc<Wave>>,
+}
+
+/// A body's answer to a nested call.
+type Answer = std::result::Result<Vec<VmValue>, HostError>;
+
+/// A body and the answer it is to resume with.
+type Resume = (Running, Suspended, Answer);
+
+/// Answer a body's nested call and run it on: one step, on this thread.
+pub(crate) fn resume_body(body: Suspended, answer: Answer, host: &mut ObjectHost) -> Result<Step> {
+    in_body(|| body.resume(answer, host)).map_err(InvokeError::from)
 }
 
 /// What a mutating invocation carries across its commit.
@@ -618,19 +632,6 @@ struct Tail {
     value: VmValue,
     guard: Option<ObjectGuard>,
     ticket: Option<InflightTicket>,
-}
-
-/// A body that returned with its last scatter's wave still open.
-struct Settle {
-    /// The guard and ticket; `value` is the body's, when it succeeded.
-    tail: Tail,
-    /// The body's own outcome: its final part, if it wrote one, or its
-    /// error. The final part commits only once the wave replicated.
-    body: Result<Option<PendingCommit>>,
-    wave: Arc<Wave>,
-    /// For the error the body would have failed with, had its scatter
-    /// joined ([`passed_on`]).
-    ty: Arc<ObjectType>,
 }
 
 /// A write set ready to commit: version already bumped.
@@ -919,9 +920,10 @@ impl Engine {
 
     // -- Invocation ----------------------------------------------------------
     //
-    // Four steps — `resolve`, `execute_granted`, `commit_deferred`,
-    // `finish_invocation` — hold every decision, and `invoke_deferred_at`
-    // is the one path through them; `invoke_ctx` parks for its outcome.
+    // Four steps — `resolve`, `execute_granted` (and the body's steps to
+    // `finish`), `commit_deferred`, `finish_completed` — hold every
+    // decision, and `invoke_deferred_at` is the one path through them;
+    // `invoke_ctx` parks for its outcome.
 
     /// Invoke a public method from outside (a client request) under a
     /// fresh unbounded context.
@@ -959,6 +961,7 @@ impl Engine {
             !ON_COMPLETION_THREAD.get(),
             "a blocking invoke on a completion thread waits for itself"
         );
+        debug_assert!(!in_method_body(), "a method body parks its thread");
         let (tx, rx) = channel::bounded(1);
         let done: InvokeCompletion = Box::new(move |outcome| drop(tx.send(outcome)));
         self.arc().invoke_deferred_at(ctx, object, method, args, external, depth, None, done);
@@ -974,11 +977,9 @@ impl Engine {
     ///
     /// The one path every invocation takes, so the same cache, dedup,
     /// scheduling, span and counter behaviour for all. The method body
-    /// still parks its thread at a nested call — a single `host.invoke` is
-    /// a scatter of one — until its boundary commit and every branch have
-    /// answered, unless a client-facing body may run on ahead of the acks
-    /// ([`Engine::invoke_nested_many`]); then `done` runs once that
-    /// scatter's wave has its outcomes.
+    /// parks no thread either: at a nested call — a single `host.invoke` is
+    /// a scatter of one — it stops, and resumes on whichever thread brings
+    /// the call's answer ([`Engine::nest`]).
     pub fn invoke_deferred(
         self: &Arc<Self>,
         ctx: &InvocationContext,
@@ -1012,35 +1013,9 @@ impl Engine {
             Ok(Resolved::Run(call)) => call,
         };
         let this = Arc::clone(self);
-        let object = call.object.clone();
-        let (exclusive, nests, answers) = (!call.read_only, call.nests, call.answers);
+        let (object, exclusive) = (call.object.clone(), !call.read_only);
         let queue_start = Instant::now();
-        let granted = move |granted| {
-            let run = move || match this.execute_granted(call, queue_start, granted) {
-                Executed::Done(outcome) => done(outcome),
-                Executed::Held(settle) => this.finish_held(settle, done),
-                Executed::Commit(tail, pending) => {
-                    // A client-facing invocation's last commit knows its answer.
-                    let reply = answers.then(|| tail.value.clone());
-                    // A branch in a wave answers the body with its value.
-                    let seat = branch.map(|(wave, i)| (wave, i, tail.value.clone()));
-                    let engine = Arc::clone(&this);
-                    let committed =
-                        Box::new(move |committed| engine.finish_completed(tail, committed, done));
-                    this.commit_deferred(pending, seat, reply, committed);
-                }
-            };
-            // A method body runs where its grant lands, and one that nests
-            // parks there. On a completion thread that wedges the node: the
-            // pool's threads wait for locks whose holders wait for the pool
-            // (DESIGN.md §10). Such a body starts on a thread of its own —
-            // detached, because the completion thread cannot wait for it.
-            if nests && ON_COMPLETION_THREAD.get() {
-                let _ = std::thread::Builder::new().name("granted-body".into()).spawn(run);
-            } else {
-                run();
-            }
-        };
+        let granted = move |granted| this.execute_granted(call, queue_start, granted, branch, done);
         self.scheduler.acquire_deferred(&object, exclusive, ctx, Box::new(granted));
     }
 
@@ -1112,7 +1087,6 @@ impl Engine {
             args,
             depth,
             read_only: meta.read_only,
-            nests: meta.nests,
             cacheable,
             answers: depth == 0 && external,
             ticket,
@@ -1120,115 +1094,202 @@ impl Engine {
     }
 
     /// Step 2, on the thread that was granted the object: dedup replay,
-    /// method execution, and — for a read — the cache insert. Returns the
-    /// final outcome (guard released), or the write set still to commit
-    /// (guard held through the commit).
+    /// then the method body's first step.
     fn execute_granted(
-        &self,
+        self: &Arc<Self>,
         call: Call,
         queue_start: Instant,
         granted: Result<ObjectGuard>,
-    ) -> Executed {
-        let Call {
-            ctx,
-            object,
-            ty,
-            method,
-            args,
-            depth,
-            read_only,
-            cacheable,
-            answers,
-            ticket,
-            ..
-        } = call;
+        branch: Option<(Arc<Wave>, usize)>,
+        done: InvokeCompletion,
+    ) {
         // The scheduler re-checks the deadline at dequeue and sheds
         // expired work here — before any execute/commit cycles are spent.
         let guard = match granted {
             Ok(guard) => guard,
             Err(e) => {
                 self.aborts.incr();
-                return Executed::done(ticket, Err(e));
+                return answer(call.ticket, done, Err(e));
             }
         };
-        self.registry.record_span(ctx.trace_id, Stage::Queue, queue_start.elapsed());
+        self.registry.record_span(call.ctx.trace_id, Stage::Queue, queue_start.elapsed());
 
         // Exactly-once, second half: a redelivered mutation (the client
         // re-sent after a lost ack) whose invocation id is still in the
         // object's dedup window is answered from the recorded result
         // without re-executing. Checked under the object guard, so the
         // first delivery's commit is fully visible here.
-        let dedup = ticket.is_some();
-        if dedup {
-            if let Some(replayed) = self.replayed(&object, ctx.invocation_id).transpose() {
+        if call.ticket.is_some() {
+            if let Some(replayed) = self.replayed(&call.object, call.ctx.invocation_id).transpose()
+            {
                 drop(guard);
                 if replayed.is_ok() {
                     self.invocations.incr();
                 }
-                return Executed::done(ticket, replayed);
+                return answer(call.ticket, done, replayed);
             }
         }
 
+        let (object, seq) = (call.object.clone(), self.db.last_sequence());
         let mut host = ObjectHost::new(
-            &self.db,
-            object.clone(),
-            self.db.last_sequence(),
-            read_only,
-            cacheable,
-            Some(self),
-            depth,
+            self.db.clone(),
+            object,
+            seq,
+            call.read_only,
+            call.cacheable,
             Some(guard),
         );
-        host.ctx = ctx;
-        host.answering = answers;
-
-        // Execute span: the method body proper (nested calls and their
-        // commits run inside it; their own spans break that down).
+        // Execute span: the method body from its start to its return
+        // (nested calls and their commits run inside it; their own spans
+        // break that down).
         let exec_start = Instant::now();
-        let outcome = self.run_body(&ty, &method, args.clone(), &mut host);
-        self.registry.record_span(ctx.trace_id, Stage::Execute, exec_start.elapsed());
-        self.nested_calls.add(host.nested_calls);
+        let step = self.start_body(&call.ty, &call.method, call.args.clone(), &mut host);
+        static BODIES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        let id = BODIES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let running = Running { id, call, branch, done, host, exec_start, held: None };
+        self.advance(running, step);
+    }
 
-        // A body that resumed early from its last scatter finishes with
-        // that scatter's wave; it still holds its guard.
-        let held = host.held.take().map(|wave| (wave, host.guard.take()));
+    /// Start `method`'s body on `host`: bytecode through the metered VM,
+    /// native code directly; one step, to its return or first nested call.
+    pub(crate) fn start_body(
+        &self,
+        ty: &ObjectType,
+        method: &str,
+        args: Vec<VmValue>,
+        host: &mut ObjectHost,
+    ) -> Result<Step> {
+        in_body(|| match &ty.methods {
+            MethodSet::Bytecode(module) => {
+                self.interpreter.start(Arc::clone(module), method, args, host)
+            }
+            MethodSet::Native(reg) => reg.start(method, args, host),
+        })
+        .map_err(InvokeError::from)
+    }
+
+    /// Drive a body from one of its steps: a returned body finishes, and a
+    /// nested call its host answers at once, or one answered before it
+    /// returns ([`Engine::resume`]), resumes it in this loop — so a body
+    /// whose calls are all answered that way does not grow the stack call
+    /// by call. Any other call leaves it waiting ([`Engine::nest`]).
+    fn advance(self: &Arc<Self>, running: Running, step: Result<Step>) {
+        DRIVING.with_borrow_mut(|driving| driving.push((running.id, None)));
+        let mut next = Some((running, step));
+        while let Some((running, step)) = next {
+            match step {
+                Err(e) => self.finish_body(running, Err(e)),
+                Ok(Step::Done(value, _)) => self.finish_body(running, Ok(value)),
+                Ok(Step::Suspended(body)) => {
+                    match running.host.answer_at_once(&body.call().targets) {
+                        Some(answer) => self.resume(running, body, answer),
+                        None => self.nest(running, body),
+                    }
+                }
+            }
+            let resumed = DRIVING.with_borrow_mut(|driving| driving.last_mut()?.1.take());
+            next = resumed.map(|(mut running, body, answer)| {
+                let step = resume_body(body, answer, &mut running.host);
+                (running, step)
+            });
+        }
+        DRIVING.with_borrow_mut(Vec::pop);
+    }
+
+    /// Answer the body's nested call and drive it on, on this thread. A
+    /// body still driven here — its call answered before it returned —
+    /// goes on in its own [`Engine::advance`] once the call has returned.
+    fn resume(self: &Arc<Self>, running: Running, body: Suspended, answer: Answer) {
+        let resume = DRIVING.with_borrow_mut(|driving| {
+            match driving.iter_mut().find(|(id, _)| *id == running.id) {
+                Some((_, slot)) => *slot = Some((running, body, answer)),
+                None => return Some((running, body, answer)),
+            }
+            None
+        });
+        if let Some((mut running, body, answer)) = resume {
+            let step = resume_body(body, answer, &mut running.host);
+            self.advance(running, step);
+        }
+    }
+
+    /// [`Engine::resume`] once the body's object is granted again. Never
+    /// shed: the lock was the body's own before its nested call.
+    fn resume_granted(self: &Arc<Self>, running: Running, body: Suspended, answer: Answer) {
+        let (engine, object) = (Arc::clone(self), running.call.object.clone());
+        let granted = move |granted: Result<ObjectGuard>| {
+            let mut running = running;
+            running.host.resume_with(Some(granted.expect("a grant without a deadline")));
+            engine.resume(running, body, answer);
+        };
+        let unbounded = InvocationContext::background();
+        self.scheduler.acquire_deferred(&object, true, &unbounded, Box::new(granted));
+    }
+
+    /// The body returned or failed. One that ran on ahead of its last
+    /// scatter's acks finishes on that wave's outcomes: a successful
+    /// return with no final part puts its answer on the boundary, the
+    /// shipment's front, and the wave ships; then a failed boundary or
+    /// branch fails the invocation as the body would have failed had it
+    /// resumed on it, and its final part is discarded unwritten, so no
+    /// dedup record keeps an answer the client never got.
+    fn finish_body(self: &Arc<Self>, mut running: Running, outcome: Result<VmValue>) {
+        let trace_id = running.call.ctx.trace_id;
+        self.registry.record_span(trace_id, Stage::Execute, running.exec_start.elapsed());
+        let Some(wave) = running.held.take() else { return self.finish(running, outcome) };
+        let mut shipment = wave.close();
+        if let (Ok(value), Some(boundary)) = (&outcome, shipment.first_mut()) {
+            if running.host.buffer.is_clean() {
+                boundary.reply = Some(value.clone());
+            }
+        }
+        let engine = Arc::clone(self);
+        wave.then(Box::new(move |fanned| {
+            let outcome = fanned.error().map_or(outcome, |e| Err(e.into()));
+            engine.finish(running, outcome);
+        }));
+        self.ship(shipment);
+    }
+
+    /// The body's outcome is final: a failure aborts, a write set commits
+    /// (step 3) and then finishes, and a read inserts its result into the
+    /// cache.
+    fn finish(self: &Arc<Self>, running: Running, outcome: Result<VmValue>) {
+        let Running { call, branch, done, mut host, .. } = running;
+        let Call { ctx, object, method, args, read_only, cacheable, answers, ticket, .. } = call;
         let value = match outcome {
             Ok(value) => value,
             Err(e) => {
                 host.buffer.discard();
                 drop(host);
-                let e = unwrap_nested(e);
-                if let Some((wave, guard)) = held {
-                    let tail = Tail { value: VmValue::Unit, guard, ticket };
-                    return Executed::Held(Settle { tail, body: Err(e), wave, ty });
-                }
                 self.aborts.incr();
-                return Executed::done(ticket, Err(e));
+                return answer(ticket, done, Err(unwrap_nested(e)));
             }
         };
         debug_assert!(!read_only || host.buffer.is_clean(), "read-only invocation buffered writes");
-        let last = (!host.buffer.is_clean()).then(|| {
+        if !host.buffer.is_clean() {
             let written = host.buffer.written_keys();
             let mut batch = host.buffer.take_batch();
-            if dedup {
+            if ticket.is_some() {
                 // The record joins the invocation's own write set, so one
                 // atomic commit makes the effects and the memory of them
                 // durable together — and the same ops replicate to
                 // backups, preserving exactly-once across failover.
                 self.append_dedup_record(&object, ctx.invocation_id, &value, &mut batch);
             }
-            self.pending_commit(&ctx, &object, batch, written)
-        });
-        if let Some((wave, guard)) = held {
-            let tail = Tail { value, guard, ticket };
-            return Executed::Held(Settle { tail, body: Ok(last), wave, ty });
-        }
-        if let Some(pending) = last {
+            let pending = self.pending_commit(&ctx, &object, batch, written);
             // The guard outlives the host: it is held through commit and
             // replication and released wherever the invocation finishes.
-            let guard = host.guard.take();
+            let tail = Tail { value, guard: host.guard.take(), ticket };
             drop(host);
-            return Executed::Commit(Tail { value, guard, ticket }, pending);
+            // A client-facing invocation's last commit knows its answer.
+            let reply = answers.then(|| tail.value.clone());
+            // A branch in a wave answers the body with its value.
+            let seat = branch.map(|(wave, i)| (wave, i, tail.value.clone()));
+            let engine = Arc::clone(self);
+            let committed =
+                Box::new(move |committed| engine.finish_completed(tail, committed, done));
+            return self.commit_deferred(pending, seat, reply, committed);
         }
         // The insert happens while the object guard is still held: a
         // concurrent exclusive apply (replication landing this object's
@@ -1245,49 +1306,23 @@ impl Engine {
             self.cache.insert(&object, &method, &args, value.clone(), read_set);
         }
         drop(guard);
-        Executed::done(ticket, Ok(value))
+        answer(ticket, done, Ok(value));
     }
 
-    /// Run `method`'s body on `host`: bytecode through the metered VM,
-    /// native code directly.
-    pub(crate) fn run_body(
-        &self,
-        ty: &ObjectType,
-        method: &str,
-        args: Vec<VmValue>,
-        host: &mut ObjectHost<'_>,
-    ) -> Result<VmValue> {
-        match &ty.methods {
-            MethodSet::Bytecode(module) => {
-                self.interpreter.execute(module, method, args, host).map_err(InvokeError::from)
-            }
-            MethodSet::Native(reg) => reg.invoke(method, args, host).map_err(InvokeError::from),
-        }
-    }
-
-    /// Step 4: a mutating invocation's write set has committed (or failed
-    /// to): count it, release the object, and answer everyone waiting.
-    fn finish_invocation(&self, tail: Tail, committed: Result<()>) -> InvokeOutcome {
+    /// Step 4, from the commit's completion: a mutating invocation's write
+    /// set has committed (or failed to): count it, release the object, and
+    /// answer everyone waiting. Releasing the object grants the next queued
+    /// invocation, on this thread: mark it for what it is.
+    fn finish_completed(&self, tail: Tail, committed: Result<()>, done: InvokeCompletion) {
         let Tail { value, guard, ticket } = tail;
         let outcome = committed.map(|()| value);
         if outcome.is_ok() {
             self.invocations.incr();
         }
-        drop(guard);
-        if let Some(mut ticket) = ticket {
-            ticket.settle(&outcome);
-        }
-        outcome
-    }
-
-    /// [`Engine::finish_invocation`] from a completion, and answer `done`.
-    /// Releasing the object grants the next queued invocation, on this
-    /// thread: mark it for what it is.
-    fn finish_completed(&self, tail: Tail, committed: Result<()>, done: InvokeCompletion) {
         let outer = ON_COMPLETION_THREAD.replace(true);
-        let outcome = self.finish_invocation(tail, committed);
+        drop(guard);
         ON_COMPLETION_THREAD.set(outer);
-        done(outcome);
+        answer(ticket, done, outcome);
     }
 
     // -- Commit (step 3) -----------------------------------------------------
@@ -1403,34 +1438,43 @@ impl Engine {
         }
     }
 
-    /// Commit a scatter's boundary. When it rides in `wave`, the kv write
-    /// happens here, ahead of every branch's, the write set leads the
-    /// wave's shipment, and the caller's guard waits in the wave for the
-    /// boundary's outcome: `Ok(true)`. Otherwise the commit takes the one
-    /// commit path and this thread parks for its ack, then releases the
-    /// guard; an empty boundary just releases it.
+    /// Commit a scatter's boundary, then run `then`: with `Ok(true)` when
+    /// it rides in `wave` — the kv write happens here, ahead of every
+    /// branch's, the write set leads the wave's shipment, and the caller's
+    /// guard waits in the wave for the boundary's outcome. Otherwise the
+    /// commit takes the one commit path and `then` runs from its ack, the
+    /// guard released first (an ack lost unrun drops `then`, and the body
+    /// with it, as it would drop an invocation's own last commit's
+    /// completion); an empty boundary just releases it. The
+    /// riding write may run on a completion thread: it waits only for a kv
+    /// group leader, never for the completion pool (DESIGN.md §10).
     fn commit_boundary(
-        &self,
+        self: &Arc<Self>,
         ctx: &InvocationContext,
         boundary: Boundary,
         wave: Option<&Arc<Wave>>,
-    ) -> Result<bool> {
+        then: impl FnOnce(Result<bool>) + Send + 'static,
+    ) {
         let Boundary { source, batch, written_keys, guard } = boundary;
         if batch.is_empty() {
-            return Ok(false);
+            drop(guard);
+            return then(Ok(false));
         }
         let pending = self.pending_commit(ctx, &source, batch, written_keys);
         let riding = wave.and_then(|wave| Some((wave, self.hooked(&pending.batch)?)));
         let Some((wave, (_, ops))) = riding else {
-            let (tx, rx) = channel::bounded(1);
-            self.arc().commit_deferred(pending, None, None, Box::new(move |c| drop(tx.send(c))));
-            rx.recv().unwrap_or_else(|_| Err(InvokeError::Storage(LOST.into())))?;
-            drop(guard);
-            return Ok(false);
+            let acked = Box::new(move |committed: Result<()>| {
+                drop(guard);
+                then(committed.map(|()| false));
+            });
+            return self.commit_deferred(pending, None, None, acked);
         };
         let PendingCommit { ctx, object, batch, touched } = pending;
         let commit_start = Instant::now();
-        self.db.write(batch)?;
+        if let Err(e) = self.db.write(batch) {
+            drop(guard);
+            return then(Err(e.into()));
+        }
         self.registry.record_span(ctx.trace_id, Stage::Commit, commit_start.elapsed());
         if wave.answering {
             // As in `commit_deferred`: the answer may leave with the wave.
@@ -1447,7 +1491,7 @@ impl Engine {
             ON_COMPLETION_THREAD.set(outer);
         });
         wave.lead(DeferredCommit { ctx, object, ops, done, reply: None });
-        Ok(true)
+        then(Ok(true));
     }
 
     /// The local write is applied: invalidate what it touched — whether or
@@ -1573,16 +1617,6 @@ fn unwrap_nested(e: InvokeError) -> InvokeError {
     }
 }
 
-/// The error a body of `ty` fails with when a host call returns `e` and
-/// the body passes it on — what a scatter's parked join would have made
-/// the body fail with.
-fn passed_on(ty: &ObjectType, e: HostError) -> InvokeError {
-    unwrap_nested(match &ty.methods {
-        MethodSet::Bytecode(_) => InvokeError::from(lambda_vm::VmError::Host(e)),
-        MethodSet::Native(_) => InvokeError::from(e),
-    })
-}
-
 /// Decode a dedup record's stored result (layout: `version (u64 LE) ‖
 /// encoded VmValue`). `None` on malformed records — the invocation then
 /// re-executes, the safe direction for corrupted state.
@@ -1592,66 +1626,87 @@ fn decode_dedup_record(rec: &[u8]) -> Option<VmValue> {
 
 /// Nested cross-object invocations: per §3.1, the parts of an invocation
 /// before and after a nested call are two separate invocations, the
-/// caller's lock released in between ([`ObjectHost`]'s `scatter`).
+/// caller's lock released in between. The body stops at the call and
+/// holds no thread until the call's answer resumes it.
 impl Engine {
-    /// Commit `boundary` and run one nested invocation of `method(args)`
-    /// per target as a single scatter, then park until the commit and
-    /// every branch have answered; one result per target, in target order.
-    /// The caller's lock travels in `boundary` and is released once its
-    /// writes are committed, before or together with the branches'. Each
-    /// branch is an invocation of its own: own lock, own atomic commit,
-    /// own abort. `ctx` is the caller's context: the branches inherit the
-    /// trace identity and the *remaining* deadline budget.
-    ///
-    /// A client-facing caller (`answering`) does not park when that is
-    /// safe: its boundary rides in the wave, and every branch answered
-    /// with a value during the issue loop, its write set in the wave's
-    /// open shipment or finished without one. It then resumes at once with the branches'
-    /// values, keeps its lock, and the wave stays open until the caller's
-    /// next nested call ([`Engine::join_held`]) or its return
-    /// ([`Engine::finish_held`]) — [`Scattered::early`].
-    ///
-    /// # Errors
-    /// The boundary commit's storage/replication failure, as
-    /// [`HostError::Storage`].
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn invoke_nested_many(
-        &self,
-        ctx: &InvocationContext,
-        boundary: Boundary,
-        targets: &[ObjectId],
-        method: &str,
-        args: &[VmValue],
-        depth: usize,
-        answering: bool,
-    ) -> std::result::Result<Scattered, HostError> {
-        // This scatter may itself be a branch body on the issue thread of
-        // an outer wave, and its joins park behind a sibling whose guard is
-        // held until that wave has shipped.
+    /// Answer the nested call `body` stopped at. A body that ran on ahead
+    /// of its last scatter's acks first ships that wave and waits for its
+    /// outcomes: it goes on only from that scatter's real outcome, and a
+    /// failure resumes it with the error, its new boundary uncommitted.
+    fn nest(self: &Arc<Self>, mut running: Running, body: Suspended) {
+        let Some(held) = running.held.take() else { return self.scatter(running, body) };
+        let engine = Arc::clone(self);
+        held.then(Box::new(move |fanned| match fanned.error() {
+            Some(e) => engine.resume(running, body, Err(e)),
+            None => engine.scatter(running, body),
+        }));
+        self.ship(held.close());
+    }
+
+    /// Commit the body's boundary, then run the call's method on every
+    /// target as one scatter: each branch an invocation of its own (own
+    /// lock, own atomic commit, own abort) under the caller's trace and
+    /// *remaining* deadline budget. The caller's lock travels with the
+    /// boundary and is released once its writes are committed. The one
+    /// decision: the boundary rides in the wave when the replica set that
+    /// applies it applies every branch too, in the same round; otherwise
+    /// it is acked before any branch is issued. A failed boundary resumes
+    /// the body with [`HostError::Storage`].
+    fn scatter(self: &Arc<Self>, mut running: Running, body: Suspended) {
+        let targets: Vec<ObjectId> =
+            body.call().targets.iter().cloned().map(ObjectId::new).collect();
+        self.nested_calls.add(targets.len() as u64);
+        // A branch body nesting on an outer wave's issue thread: its call
+        // may need a sibling's guard, held until that wave has shipped.
         self.ship_open_wave();
-        let this = self.arc();
+        let boundary = running.host.boundary();
         let router = self.router.read().clone();
-        // The one decision: the boundary rides in the wave when the replica
-        // set that applies it applies every branch too, in the same round;
-        // otherwise it is acked before any branch is issued.
         let rides = router.as_ref().is_none_or(|router| {
             targets.iter().all(|target| router.co_located(&boundary.source, target))
         });
-        let answering = answering && rides && !boundary.batch.is_empty();
+        let answering = running.call.answers && rides && !boundary.batch.is_empty();
         let wave = Wave::start(self, targets.len(), answering);
-        let storage = |e: InvokeError| HostError::Storage(e.to_string());
-        let led = self.commit_boundary(ctx, boundary, rides.then_some(&wave)).map_err(storage)?;
+        let (engine, issuing, ctx) = (Arc::clone(self), Arc::clone(&wave), running.call.ctx);
+        self.commit_boundary(&ctx, boundary, rides.then_some(&wave), move |committed| {
+            match committed {
+                Ok(led) => engine.issue(running, body, issuing, targets, led),
+                Err(e) => {
+                    engine.resume_granted(running, body, Err(HostError::Storage(e.to_string())))
+                }
+            }
+        });
+    }
+
+    /// Issue every branch from this thread: one whose object is free runs
+    /// its body and its kv commit right here, inside the loop; one whose
+    /// object is busy, or lives elsewhere, answers from the thread that
+    /// finishes it. Then the body resumes, one of two ways:
+    /// - a client-facing body whose boundary rides in the wave (`led`),
+    ///   every branch having answered with a value during the loop and
+    ///   left its write set in the wave's open shipment (or none), resumes
+    ///   here on those values, keeping its lock; its wave stays open until
+    ///   its next nested call ([`Engine::nest`]) or its return
+    ///   ([`Engine::finish_body`]);
+    /// - every other scatter ships its wave and resumes on the durable
+    ///   outcomes, on whichever thread delivers the last of them.
+    fn issue(
+        self: &Arc<Self>,
+        mut running: Running,
+        body: Suspended,
+        wave: Arc<Wave>,
+        targets: Vec<ObjectId>,
+        led: bool,
+    ) {
+        let router = self.router.read().clone();
+        let (ctx, depth) = (running.call.ctx, running.call.depth + 1);
+        let NestedCall { method, args, .. } = body.call();
         OPEN_WAVE.set(Some(Arc::clone(&wave)));
-        // Issue every branch from this thread. A branch whose object is
-        // free runs its body and its kv commit right here, inside the
-        // call; one whose object is busy, or lives elsewhere, answers
-        // from the thread that finishes it.
         let mut remote = false;
         for (i, target) in targets.iter().enumerate() {
             let owed = wave.owe(Slot::Branch(i));
             let done: InvokeCompletion = Box::new(move |outcome| owed.pay(outcome));
             let local = match &router {
-                Some(router) => router.route_deferred(ctx, target, method, args, done),
+                Some(router) => router.route_deferred(&ctx, target, method, args, done),
                 None => Some(done),
             };
             let Some(done) = local else {
@@ -1659,76 +1714,29 @@ impl Engine {
                 continue;
             };
             let branch = Some((Arc::clone(&wave), i));
-            this.invoke_deferred_at(ctx, target, method, args.to_vec(), false, depth, branch, done);
+            self.invoke_deferred_at(
+                &ctx,
+                target,
+                method,
+                args.to_vec(),
+                false,
+                depth,
+                branch,
+                done,
+            );
         }
         OPEN_WAVE.take();
-        let answered = (answering && led && !remote).then(|| wave.answered()).flatten();
-        if let Some(answers) = answered {
+        let early = (wave.answering && led && !remote).then(|| wave.answered()).flatten();
+        if let Some(values) = early {
             let guard = wave.guard.lock().take();
-            return Ok(Scattered { results: host_results(answers), early: Some((wave, guard)) });
+            running.host.resume_with(guard);
+            running.held = Some(wave);
+            return self.resume(running, body, Ok(values));
         }
         // One hook call for everything the loop applied locally.
         self.ship(wave.close());
-        let Fanned { boundary, branches, .. } = wave.wait();
-        boundary.map_err(storage)?;
-        Ok(Scattered { results: host_results(branches), early: None })
-    }
-
-    /// Ship the wave a body resumed early from and park until it has its
-    /// outcomes: the body's next nested call does this before its boundary
-    /// commits, so it goes on only from its last scatter's real outcome.
-    ///
-    /// # Errors
-    /// The error that scatter's own join would have returned.
-    pub(crate) fn join_held(&self, wave: Arc<Wave>) -> std::result::Result<(), HostError> {
-        self.ship(wave.close());
-        wave.wait().error().map_or(Ok(()), Err)
-    }
-
-    /// Finish an invocation whose body returned with its last scatter's
-    /// wave still open, without parking. With no final part the client's
-    /// answer rides on the boundary at the shipment's front (an error
-    /// return carries none), and the wave ships. Once the boundary and
-    /// every branch have their outcomes, the invocation finishes as a
-    /// parked join would have let it: on a failure, with the error the body
-    /// would have failed with, and a final part is discarded unwritten, so
-    /// no dedup record keeps an answer the client never got. Otherwise a
-    /// final part commits then, carrying the answer, and the invocation
-    /// finishes with that commit.
-    fn finish_held(self: &Arc<Self>, settle: Settle, done: InvokeCompletion) {
-        let Settle { tail, body, wave, ty } = settle;
-        let mut shipment = wave.close();
-        if let (Ok(None), Some(boundary)) = (&body, shipment.first_mut()) {
-            boundary.reply = Some(tail.value.clone());
-        }
         let engine = Arc::clone(self);
-        wave.then(Box::new(move |fanned| {
-            let committed = match (fanned.error(), body) {
-                (Some(e), _) => Err(passed_on(&ty, e)),
-                (None, Err(e)) => Err(e),
-                (None, Ok(None)) => Ok(()),
-                (None, Ok(Some(last))) => {
-                    let answer = Some(tail.value.clone());
-                    let finishing = Arc::clone(&engine);
-                    let committed = Box::new(move |committed| {
-                        finishing.finish_completed(tail, committed, done)
-                    });
-                    return engine.commit_deferred(last, None, answer, committed);
-                }
-            };
-            if committed.is_err() {
-                engine.aborts.incr();
-            }
-            engine.finish_completed(tail, committed, done);
-        }));
-        self.ship(shipment);
-    }
-
-    /// Re-acquire `object`'s exclusive lock for the caller's resumption,
-    /// and report the snapshot sequence the resumed invocation reads at.
-    pub(crate) fn reacquire(&self, object: &ObjectId) -> (ObjectGuard, u64) {
-        let guard = self.scheduler.acquire_exclusive(object);
-        (guard, self.db.last_sequence())
+        wave.then(Box::new(move |fanned| engine.resume_granted(running, body, fanned.answer())));
     }
 }
 
@@ -2454,41 +2462,6 @@ mod tests {
     }
 
     #[test]
-    fn a_completion_thread_never_runs_the_next_queued_method_body() {
-        // A one-thread "completion pool", played by the test: commits
-        // complete only when that thread runs their callbacks, in order.
-        // If finishing Y on it ran the queued Z inline, Z's nested call
-        // would park the pool's only thread on B — held by X, whose
-        // completion is next in the same pool — and nothing would finish.
-        // Z's body joins its nested call on a thread of its own, so the
-        // pool keeps running until Z has answered.
-        let env = setup(EngineConfig::default());
-        let (a, b) = (oid("c/a"), oid("c/b"));
-        env.engine.create_object("Counter", &a, &[("count", b"0")]).unwrap();
-        env.engine.create_object("Counter", &b, &[("count", b"0")]).unwrap();
-        let (acks_tx, acks) = channel::unbounded();
-        env.engine.set_commit_hook(Arc::new(Pool(acks_tx)));
-        let (tx, rx) = std::sync::mpsc::channel();
-        let start = |id: &ObjectId, method: &str, args: Vec<VmValue>| {
-            let ctx = InvocationContext::client(std::time::Duration::from_secs(30));
-            let tx = tx.clone();
-            let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
-            env.engine.invoke_deferred(&ctx, id, method, args, true, done);
-        };
-        start(&a, "bump_raw", vec![VmValue::str("y")]); // Y: holds A, awaits the pool
-        start(&b, "bump_raw", vec![VmValue::str("x")]); // X: holds B, awaits the pool
-        start(&a, "poke_other", vec![VmValue::str("c/b"), VmValue::str("z")]); // Z: behind Y
-        assert_eq!(acks.len(), 2, "Y and X are waiting for their acks");
-        let stop_pool = run_pool(acks);
-        for _ in 0..3 {
-            let outcome = rx.recv_timeout(std::time::Duration::from_secs(10));
-            assert!(outcome.expect("the pool thread wedged").is_ok());
-        }
-        stop_pool();
-        assert_eq!(env.engine.invoke(&b, "read_count", vec![]).unwrap(), VmValue::str("z"));
-    }
-
-    #[test]
     fn deferred_invoke_queued_behind_holder_completes_on_releasing_thread() {
         let env = setup(EngineConfig::default());
         let id = oid("c/hot");
@@ -2773,8 +2746,10 @@ mod scatter_tests {
 
     // -- The wave ----------------------------------------------------------
 
-    use lambda_vm::NativeRegistry;
+    use lambda_vm::{Host, NativeCtx, NativeRegistry};
     use std::thread::ThreadId;
+
+    type HostResult<T> = std::result::Result<T, HostError>;
     use std::time::Duration;
 
     /// Acks everything at once and records the objects of each call.
@@ -2788,30 +2763,63 @@ mod scatter_tests {
         }
     }
 
+    /// `(targets, payload)`: keep the payload when `keep`, then scatter
+    /// `receive(payload)` to the targets; answer with their results.
+    fn scatter_receive(ctx: &mut NativeCtx<'_>, keep: bool) -> HostResult<Step> {
+        let targets = match ctx.args.first() {
+            Some(VmValue::List(ids)) => {
+                ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec)).collect()
+            }
+            _ => Vec::new(),
+        };
+        let payload = ctx.bytes_arg(1)?;
+        if keep {
+            ctx.host.push(b"inbox", &payload)?;
+        }
+        let args = vec![VmValue::Bytes(payload)];
+        Ok(Step::invoke_many(targets, "receive", args, |_, results| {
+            Ok(VmValue::List(results?).into())
+        }))
+    }
+
+    /// `relay(to, payload)`: keep the payload, and unless `to` is this
+    /// object, call `receive` on it — by `host.invoke`, or by a scatter of
+    /// one for the payload "scatter" — and keep it once more after.
+    fn relay(ctx: &mut NativeCtx<'_>) -> HostResult<Step> {
+        let (to, payload) = (ctx.bytes_arg(0)?, ctx.bytes_arg(1)?);
+        ctx.host.push(b"inbox", &payload)?;
+        let me = ctx.host.self_id();
+        if to == me {
+            return Ok(VmValue::Bytes(me).into());
+        }
+        let (args, scatter) = (vec![VmValue::Bytes(payload.clone())], payload == b"scatter");
+        let after = move |host: &mut dyn Host| {
+            host.push(b"inbox", &payload)?;
+            Ok(VmValue::Bytes(me).into())
+        };
+        Ok(match scatter {
+            true => Step::invoke_many(vec![to], "receive", args, move |host, received| {
+                received?;
+                after(host)
+            }),
+            false => Step::invoke(to, "receive", args, move |host, received| {
+                received?;
+                after(host)
+            }),
+        })
+    }
+
     /// A native `Node`: `broadcast(targets, payload)` scatters `receive`,
     /// which notes the thread it ran on and answers with its own id;
     /// `post(targets, payload)` keeps a copy first, so that its scatter has
     /// a boundary to commit.
-    fn native_engine() -> (Arc<Engine>, Arc<parking_lot::Mutex<Vec<ThreadId>>>, std::path::PathBuf)
-    {
+    type Noted<T> = Arc<parking_lot::Mutex<Vec<T>>>;
+
+    fn native_engine() -> (Arc<Engine>, Noted<ThreadId>, std::path::PathBuf) {
         let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let mut reg = NativeRegistry::new();
         for (name, keep) in [("broadcast", false), ("post", true)] {
-            reg.register(name, false, false, true, move |ctx| {
-                let targets = match ctx.args.first() {
-                    Some(VmValue::List(ids)) => {
-                        ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec)).collect()
-                    }
-                    _ => Vec::new(),
-                };
-                let payload = ctx.bytes_arg(1)?;
-                if keep {
-                    ctx.host.push(b"inbox", &payload)?;
-                }
-                let results =
-                    ctx.host.invoke_many(targets, "receive", vec![VmValue::Bytes(payload)])?;
-                Ok(VmValue::List(results))
-            });
+            reg.register(name, false, false, true, move |ctx| scatter_receive(ctx, keep));
         }
         let threads = Arc::clone(&ran_on);
         reg.register("receive", false, false, false, move |ctx| {
@@ -2831,22 +2839,11 @@ mod scatter_tests {
             };
             let targets = ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec)).collect();
             let args = vec![ids[0].clone(), VmValue::Bytes(ctx.bytes_arg(1)?)];
-            Ok(VmValue::List(ctx.host.invoke_many(targets, "relay", args)?))
+            Ok(Step::invoke_many(targets, "relay", args, |_, results| {
+                Ok(VmValue::List(results?).into())
+            }))
         });
-        reg.register("relay", false, false, false, |ctx| {
-            let (to, payload) = (ctx.bytes_arg(0)?, ctx.bytes_arg(1)?);
-            ctx.host.push(b"inbox", &payload)?;
-            if to != ctx.host.self_id() {
-                let args = vec![VmValue::Bytes(payload.clone())];
-                if payload == b"scatter" {
-                    ctx.host.invoke_many(vec![to], "receive", args)?;
-                } else {
-                    ctx.host.invoke(&to, "receive", args)?;
-                }
-                ctx.host.push(b"inbox", &payload)?;
-            }
-            Ok(VmValue::Bytes(ctx.host.self_id()))
-        });
+        reg.register("relay", false, false, false, relay);
         let (engine, dir) = scatter_engine();
         let inbox = vec![FieldDef { name: "inbox".into(), kind: FieldKind::Collection }];
         engine.types().register(ObjectType::from_native("Native", inbox, reg));
@@ -3189,19 +3186,25 @@ mod scatter_tests {
 
     #[test]
     fn a_boundary_whose_done_is_dropped_fails_the_scatter_instead_of_hanging_it() {
-        let (engine, _, dir) = native_engine();
-        let src = create(&engine, "Native", &["x/src"]).remove(0);
-        let targets = create(&engine, "Native", &["x/0", "x/1"]);
-        engine.set_commit_hook(Arc::new(super::tests::DroppingHook));
-        let scatter = spawn_invoke(&engine, &src, "post", &targets);
-        let deadline = Instant::now() + Duration::from_secs(2);
-        while !scatter.is_finished() {
-            assert!(Instant::now() < deadline, "the scatter hung on a lost completion");
-            std::thread::sleep(Duration::from_millis(1));
+        // A boundary riding in the wave, and one acked on its own.
+        for apart in [false, true] {
+            let (engine, _, dir) = native_engine();
+            let src = create(&engine, "Native", &["x/src"]).remove(0);
+            let targets = create(&engine, "Native", &["x/0", "x/1"]);
+            engine.set_commit_hook(Arc::new(super::tests::DroppingHook));
+            if apart {
+                engine.set_router(Arc::new(Apart));
+            }
+            let scatter = spawn_invoke(&engine, &src, "post", &targets);
+            let deadline = Instant::now() + Duration::from_secs(2);
+            while !scatter.is_finished() {
+                assert!(Instant::now() < deadline, "the scatter hung on a lost completion");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let err = scatter.join().unwrap().unwrap_err();
+            assert!(err.to_string().contains(LOST), "apart: {apart}: {err}");
+            std::fs::remove_dir_all(dir).ok();
         }
-        let err = scatter.join().unwrap().unwrap_err();
-        assert!(err.to_string().contains(LOST), "{err}");
-        std::fs::remove_dir_all(dir).ok();
     }
 
     /// Fails the write sets of one object, acks every other.
@@ -3234,27 +3237,73 @@ mod scatter_tests {
     }
 
     #[test]
-    fn a_scatter_granted_on_the_completion_thread_joins_off_it() {
-        // The completion-pool rule (DESIGN.md §10): a parked join woken by
-        // completions must not sit on a pool thread. A one-thread pool,
-        // played by the test, acks every commit in order. Y holds A until
-        // the pool acks it; Z queues behind Y and is therefore granted on
-        // the pool thread. Z is a scatter, whose join waits for its
-        // branches' acks, or a `relay`: a single `host.invoke`, a scatter
-        // of one whose join also waits for its boundary's. Were Z's body to
-        // run on the pool thread, it would wait for acks only that thread
-        // can deliver.
+    fn a_nesting_body_granted_on_the_completion_thread_resumes_there() {
+        // The completion-pool rule (DESIGN.md §10): a completion thread
+        // never parks. A one-thread pool, played by the test, acks every
+        // commit in order. Y holds A until the pool acks it; Z queues
+        // behind Y and is therefore granted on the pool thread, from Y's
+        // commit completion. Z nests: a scatter, whose branches' acks only
+        // the pool delivers, or a `relay`, a single `host.invoke` whose
+        // boundary's ack does too. Had Z's body parked there, the pool
+        // would wait for itself. It stops at its call instead, and the pool
+        // thread resumes it once the acks are in: both steps of Z run on
+        // that one thread, so none was spawned for it.
         use super::tests::{run_pool, Pool};
         for method in ["broadcast", "relay"] {
             let (engine, _, dir) = native_engine();
-            let nodes = create(&engine, "Native", &["p/a", "p/b", "p/c"]);
+            // Z's bodies note the thread of each step: their start and their
+            // resume.
+            let steps = Arc::new(parking_lot::Mutex::new(Vec::new()));
+            let note = |steps: &Arc<parking_lot::Mutex<Vec<ThreadId>>>| {
+                steps.lock().push(std::thread::current().id());
+                Arc::clone(steps)
+            };
+            let mut reg = NativeRegistry::new();
+            let noted = Arc::clone(&steps);
+            reg.register("broadcast", false, false, true, move |ctx| {
+                let noted = note(&noted);
+                let Some(VmValue::List(ids)) = ctx.args.first().cloned() else {
+                    return Err(HostError::Aborted("no targets".into()));
+                };
+                let targets = ids.iter().filter_map(|id| id.as_bytes().map(<[u8]>::to_vec));
+                let args = vec![VmValue::Bytes(ctx.bytes_arg(1)?)];
+                Ok(Step::invoke_many(targets.collect(), "receive", args, move |_, results| {
+                    note(&noted);
+                    Ok(VmValue::List(results?).into())
+                }))
+            });
+            let noted = Arc::clone(&steps);
+            reg.register("relay", false, false, false, move |ctx| {
+                let noted = note(&noted);
+                let (to, payload) = (ctx.bytes_arg(0)?, ctx.bytes_arg(1)?);
+                ctx.host.push(b"inbox", &payload)?;
+                let args = vec![VmValue::Bytes(payload.clone())];
+                Ok(Step::invoke(to, "receive", args, move |host, received| {
+                    note(&noted);
+                    received?;
+                    host.push(b"inbox", &payload)?;
+                    Ok(VmValue::Unit.into())
+                }))
+            });
+            reg.register("receive", false, false, false, |ctx| {
+                ctx.host.push(b"inbox", &ctx.bytes_arg(0)?)?;
+                Ok(VmValue::Bytes(ctx.host.self_id()))
+            });
+            reg.register("inbox_count", true, true, true, |ctx| {
+                Ok(VmValue::Int(ctx.host.count(b"inbox")? as i64))
+            });
+            let inbox = vec![FieldDef { name: "inbox".into(), kind: FieldKind::Collection }];
+            engine.types().register(ObjectType::from_native("Noted", inbox, reg));
+            let nodes = create(&engine, "Noted", &["p/a", "p/b", "p/c"]);
             let (acks_tx, acks) = channel::unbounded();
             engine.set_commit_hook(Arc::new(Pool(acks_tx)));
             let (tx, rx) = std::sync::mpsc::channel();
             let start = |method: &str, args: Vec<VmValue>| {
                 let ctx = InvocationContext::client(Duration::from_secs(30));
                 let tx = tx.clone();
-                let done: InvokeCompletion = Box::new(move |outcome| tx.send(outcome).unwrap());
+                let done: InvokeCompletion = Box::new(move |outcome| {
+                    tx.send((outcome, std::thread::current().id())).unwrap()
+                });
                 engine.invoke_deferred(&ctx, &nodes[0], method, args, false, done);
             };
             start("receive", vec![VmValue::str("y")]); // Y: holds A, awaits the pool
@@ -3265,13 +3314,19 @@ mod scatter_tests {
             };
             start(method, vec![to, VmValue::str("z")]); // Z: behind Y
             assert_eq!(acks.len(), 1, "Y waits for its ack, Z for Y");
+            assert!(steps.lock().is_empty(), "{method}: Z waits for A");
 
             let stop_pool = run_pool(acks);
-            for _ in 0..2 {
+            let mut outcomes = (0..2).map(|_| {
                 let outcome = rx.recv_timeout(Duration::from_secs(10));
-                assert!(outcome.expect("the pool thread wedged").is_ok(), "{method}");
-            }
+                outcome.expect("the pool thread wedged")
+            });
+            let (y, pool) = outcomes.next().unwrap();
+            let (z, _) = outcomes.next().unwrap();
             stop_pool();
+            assert!(y.is_ok() && z.is_ok(), "{method}: {y:?} {z:?}");
+            assert_ne!(pool, std::thread::current().id(), "Y finished on the pool thread");
+            assert_eq!(*steps.lock(), [pool; 2], "{method}: Z started and resumed on the pool");
             // Y's `receive`, then the scatter's one per branch, or the
             // relay's two at A around the one at B.
             let want = if method == "relay" { [3, 1, 0] } else { [1, 1, 1] };
@@ -3291,8 +3346,8 @@ mod scatter_tests {
     /// one, so its boundary is empty; `post_and_keep` writes once more after
     /// the scatter, and `post_and_abort` fails after it; `post_each` keeps a
     /// copy before a `host.invoke` of each target in turn.
-    fn noting_engine() -> (Arc<Engine>, Arc<parking_lot::Mutex<Vec<String>>>, std::path::PathBuf) {
-        let (engine, _, dir) = native_engine();
+    fn noting_engine() -> (Arc<Engine>, Noted<String>, Noted<ThreadId>, std::path::PathBuf) {
+        let (engine, ran_on, dir) = native_engine();
         let notes = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let mut reg = NativeRegistry::new();
         let scatters = [("post", true), ("broadcast", false), ("post_and_keep", true)];
@@ -3308,14 +3363,20 @@ mod scatter_tests {
                     ctx.host.push(b"inbox", &payload)?;
                 }
                 let args = vec![VmValue::Bytes(payload.clone())];
-                let results = ctx.host.invoke_many(targets.collect(), "receive", args)?;
-                notes.lock().push(format!("{name} resumed"));
-                match name {
-                    "post_and_keep" => ctx.host.push(b"inbox", &payload)?,
-                    "post_and_abort" => return Err(HostError::Aborted("after the scatter".into())),
-                    _ => {}
-                }
-                Ok(VmValue::List(results))
+                let notes = Arc::clone(&notes);
+                let then = move |host: &mut dyn Host, results: HostResult<Vec<VmValue>>| {
+                    let results = results?;
+                    notes.lock().push(format!("{name} resumed"));
+                    match name {
+                        "post_and_keep" => host.push(b"inbox", &payload)?,
+                        "post_and_abort" => {
+                            return Err(HostError::Aborted("after the scatter".into()))
+                        }
+                        _ => {}
+                    }
+                    Ok(VmValue::List(results).into())
+                };
+                Ok(Step::invoke_many(targets.collect(), "receive", args, then))
             });
         }
         let noted = Arc::clone(&notes);
@@ -3323,20 +3384,35 @@ mod scatter_tests {
             let Some(VmValue::List(targets)) = ctx.args.first().cloned() else {
                 return Err(HostError::Aborted("no targets".into()));
             };
+            let targets = targets.iter().filter_map(|t| t.as_bytes().map(<[u8]>::to_vec)).collect();
             let payload = ctx.bytes_arg(1)?;
-            for (i, target) in targets.iter().filter_map(VmValue::as_bytes).enumerate() {
-                ctx.host.push(b"inbox", &payload)?;
-                ctx.host.invoke(target, "receive", vec![VmValue::Bytes(payload.clone())])?;
-                noted.lock().push(format!("call {i} resumed"));
-            }
-            Ok(VmValue::Unit)
+            post_each(ctx.host, targets, 0, payload, Arc::clone(&noted))
         });
         reg.register("inbox_count", true, true, true, |ctx| {
             Ok(VmValue::Int(ctx.host.count(b"inbox")? as i64))
         });
         let inbox = vec![FieldDef { name: "inbox".into(), kind: FieldKind::Collection }];
         engine.types().register(ObjectType::from_native("Noter", inbox, reg));
-        (engine, notes, dir)
+        (engine, notes, ran_on, dir)
+    }
+
+    /// `post_each` from its `i`th target on: keep a copy, `host.invoke` the
+    /// target, note the resume, and go on with the next.
+    fn post_each(
+        host: &mut dyn Host,
+        targets: Vec<Vec<u8>>,
+        i: usize,
+        payload: Vec<u8>,
+        notes: Noted<String>,
+    ) -> HostResult<Step> {
+        let Some(target) = targets.get(i).cloned() else { return Ok(VmValue::Unit.into()) };
+        host.push(b"inbox", &payload)?;
+        let args = vec![VmValue::Bytes(payload.clone())];
+        Ok(Step::invoke(target, "receive", args, move |host, received| {
+            received?;
+            notes.lock().push(format!("call {i} resumed"));
+            post_each(host, targets, i + 1, payload, notes)
+        }))
     }
 
     /// One hook call: each write set's object and the answer it carries.
@@ -3358,7 +3434,7 @@ mod scatter_tests {
     #[test]
     fn the_answer_rides_on_the_boundary_or_on_a_final_part_after_the_wave_and_an_error_carries_none(
     ) {
-        let (engine, notes, dir) = noting_engine();
+        let (engine, notes, _, dir) = noting_engine();
         let src = create(&engine, "Noter", &["a/src"]).remove(0);
         let targets = create(&engine, "Native", &["a/0", "a/1"]);
         let hook = Arc::new(AnswerHook::default());
@@ -3394,7 +3470,7 @@ mod scatter_tests {
 
     #[test]
     fn a_final_part_after_a_failed_wave_is_never_written_so_a_redelivery_runs_the_body_again() {
-        let (engine, notes, dir) = noting_engine();
+        let (engine, notes, _, dir) = noting_engine();
         let src = create(&engine, "Noter", &["r/src"]).remove(0);
         let targets = create(&engine, "Native", &["r/0", "r/1"]);
         let args = vec![ids(&targets), VmValue::str("p")];
@@ -3429,7 +3505,7 @@ mod scatter_tests {
 
     #[test]
     fn a_scatter_with_a_busy_target_resumes_only_after_the_acks() {
-        let (engine, notes, dir) = noting_engine();
+        let (engine, notes, _, dir) = noting_engine();
         let src = create(&engine, "Noter", &["bz/src"]).remove(0);
         let targets = create(&engine, "Native", &["bz/0", "bz/1"]);
         let hook = Arc::new(HeldHook::default());
@@ -3478,7 +3554,7 @@ mod scatter_tests {
     #[test]
     fn a_scatter_with_an_empty_boundary_or_a_remote_target_never_resumes_early() {
         for (method, remote) in [("broadcast", false), ("post", true)] {
-            let (engine, notes, dir) = noting_engine();
+            let (engine, notes, _, dir) = noting_engine();
             let src = create(&engine, "Noter", &["e/src"]).remove(0);
             let targets = create(&engine, "Native", &["e/0", "e/1"]);
             let hook = Arc::new(HeldHook::default());
@@ -3503,7 +3579,7 @@ mod scatter_tests {
 
     #[test]
     fn a_body_that_nests_twice_joins_the_first_wave_before_its_second_boundary_commits() {
-        let (engine, notes, dir) = noting_engine();
+        let (engine, notes, _, dir) = noting_engine();
         let src = create(&engine, "Noter", &["t/src"]).remove(0);
         let targets = create(&engine, "Native", &["t/0", "t/1"]);
         let hook = Arc::new(HeldHook::default());
@@ -3511,7 +3587,7 @@ mod scatter_tests {
 
         let scatter = spawn_invoke(&engine, &src, "post_each", &targets);
         // The first call resumed at once; the second ships its wave and
-        // parks for that wave's acks with its own boundary still buffered.
+        // waits for that wave's acks with its own boundary still buffered.
         wait_for("the first wave", || !hook.calls().is_empty());
         assert_eq!(hook.calls(), vec![vec![src.clone(), targets[0].clone()]]);
         assert_eq!(*notes.lock(), ["call 0 resumed"]);
@@ -3524,5 +3600,32 @@ mod scatter_tests {
         hook.release();
         assert_eq!(scatter.join().unwrap().unwrap(), VmValue::Unit);
         std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn a_body_whose_calls_are_answered_at_once_resumes_in_a_loop_on_its_own_thread() {
+        // Every `post_each` call has its answer before the call returns:
+        // with no hook, or through a hook that acks at once. Each resume
+        // goes back to the body's own `advance` loop, so a thousand calls
+        // neither grow the stack (each resume a step deeper overflows it)
+        // nor hop to a `lock-grant-drain` thread every 32 grants.
+        for hooked in [false, true] {
+            let (engine, notes, ran_on, dir) = noting_engine();
+            let src = create(&engine, "Noter", &["l/src"]).remove(0);
+            let names: Vec<String> = (0..1000).map(|i| format!("l/{i}")).collect();
+            let targets =
+                create(&engine, "Native", &names.iter().map(String::as_str).collect::<Vec<_>>());
+            if hooked {
+                engine.set_commit_hook(Arc::new(AnswerHook::default()));
+            }
+            let args = vec![ids(&targets), VmValue::str("p")];
+            assert_eq!(engine.invoke(&src, "post_each", args).unwrap(), VmValue::Unit);
+            assert_eq!(notes.lock().len(), targets.len(), "hooked: {hooked}");
+            let me = std::thread::current().id();
+            assert!(ran_on.lock().iter().all(|t| *t == me), "hooked: {hooked}");
+            let n = engine.invoke(&src, "inbox_count", vec![]).unwrap();
+            assert_eq!(n, VmValue::Int(targets.len() as i64));
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 }

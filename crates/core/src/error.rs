@@ -89,10 +89,10 @@ impl From<lambda_kv::KvError> for InvokeError {
 }
 
 impl From<VmError> for InvokeError {
+    /// A failed host call fails bytecode and native bodies alike.
     fn from(e: VmError) -> Self {
         match e {
-            VmError::Host(HostError::Aborted(msg)) => InvokeError::Aborted(msg),
-            VmError::Host(HostError::InvokeFailed(msg)) => InvokeError::Nested(msg),
+            VmError::Host(e) => InvokeError::from(e),
             other => InvokeError::Vm(other.to_string()),
         }
     }

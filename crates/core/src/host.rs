@@ -2,25 +2,21 @@
 //!
 //! Scopes every storage operation to the current object's key prefix (the
 //! LambdaObjects rule that "an object's functions can only modify data
-//! associated with the object itself", §1), routes reads through the
-//! invocation's write buffer, and forwards cross-object invocations to the
-//! engine — which commits the buffered writes first, per §3.1.
-
-use std::sync::Arc;
+//! associated with the object itself", §1) and routes reads through the
+//! invocation's write buffer. A cross-object invocation is not a host
+//! call: the body stops at it, and the engine answers it — committing the
+//! buffered writes first, per §3.1 ([`ObjectHost::boundary`]).
 
 use lambda_kv::{Db, WriteBatch};
-use lambda_telemetry::InvocationContext;
 use lambda_vm::{Host, HostError, VmValue};
 
 use crate::buffer::WriteBuffer;
-use crate::engine::{Engine, Scattered, Wave};
 use crate::keys;
 use crate::object::ObjectId;
 use crate::scheduler::ObjectGuard;
 
-/// The caller's side of a nested call's §3.1 boundary, handed to
-/// [`Engine::invoke_nested_many`]: the writes made before the call and the
-/// object lock they were made under.
+/// The caller's side of a nested call's §3.1 boundary: the writes made
+/// before the call and the object lock they were made under.
 pub(crate) struct Boundary {
     /// The calling object.
     pub(crate) source: ObjectId,
@@ -32,18 +28,16 @@ pub(crate) struct Boundary {
     pub(crate) guard: Option<ObjectGuard>,
 }
 
-/// The [`Host`] implementation for one executing invocation.
-pub struct ObjectHost<'a> {
-    db: &'a Db,
+/// The [`Host`] implementation for one executing invocation. It owns its
+/// handles, so it travels with a body suspended at a nested call.
+pub struct ObjectHost {
+    db: Db,
     /// The invocation reads at this sequence (advanced by nested commits).
     snapshot_seq: u64,
     object: ObjectId,
     /// Pending writes + read set.
     pub buffer: WriteBuffer,
     read_only: bool,
-    nested: Option<&'a Engine>,
-    /// Nesting depth of this invocation (0 = client-facing).
-    depth: usize,
     /// The object lock held for this invocation; released across nested
     /// calls and re-acquired afterwards (§3.1 boundary semantics) — or, when
     /// a client-facing body resumes before its scatter's acks, kept through
@@ -51,19 +45,9 @@ pub struct ObjectHost<'a> {
     pub guard: Option<ObjectGuard>,
     /// Collected log lines (surfaced in invocation reports).
     pub logs: Vec<String>,
-    /// Number of nested invocations performed.
-    pub nested_calls: u64,
-    /// The invocation's context (trace identity + deadline); inherited by
-    /// nested calls. Defaults to an unbounded background context.
-    pub ctx: InvocationContext,
-    /// A client-facing invocation: its value is the client's answer, so a
-    /// scatter may resume it before the acks.
-    pub(crate) answering: bool,
-    /// The last scatter's wave, while the body runs on ahead of its acks.
-    pub(crate) held: Option<Arc<Wave>>,
 }
 
-impl std::fmt::Debug for ObjectHost<'_> {
+impl std::fmt::Debug for ObjectHost {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ObjectHost")
             .field("object", &self.object)
@@ -73,33 +57,24 @@ impl std::fmt::Debug for ObjectHost<'_> {
     }
 }
 
-impl<'a> ObjectHost<'a> {
+impl ObjectHost {
     /// Create a host for an invocation of `object`.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
-        db: &'a Db,
+        db: Db,
         object: ObjectId,
         snapshot_seq: u64,
         read_only: bool,
         track_reads: bool,
-        nested: Option<&'a Engine>,
-        depth: usize,
         guard: Option<ObjectGuard>,
-    ) -> ObjectHost<'a> {
+    ) -> ObjectHost {
         ObjectHost {
             db,
             snapshot_seq,
             object,
             buffer: WriteBuffer::new(track_reads),
             read_only,
-            nested,
-            depth,
             guard,
             logs: Vec::new(),
-            nested_calls: 0,
-            ctx: InvocationContext::background(),
-            answering: false,
-            held: None,
         }
     }
 
@@ -124,74 +99,40 @@ impl<'a> ObjectHost<'a> {
         }
     }
 
-    /// The §3.1 nested-call boundary around one scatter of `method(args)`
-    /// to `targets`: the writes so far and our object lock go to the
-    /// engine, which commits the writes and releases the lock once they are
-    /// acked — so the nested calls (and everyone else) can make progress
-    /// even through follower cycles or self-invocations; afterwards we
-    /// resume as a fresh invocation — lock re-acquired, snapshot advanced
-    /// to see everything committed in the meantime.
-    ///
-    /// A client-facing body may instead resume right after the issue loop,
-    /// its lock never released, while the scatter's wave stays open
-    /// ([`Engine::invoke_nested_many`]). The next scatter then first ships
-    /// that wave and joins its outcomes, and fails as that scatter's own
-    /// join would have; the body's return ships it otherwise.
-    fn scatter(
-        &mut self,
-        targets: &[ObjectId],
-        method: &str,
-        args: &[VmValue],
-    ) -> Result<Vec<VmValue>, HostError> {
-        self.ensure_writable()?;
-        let Some(nested) = self.nested else {
-            // A transaction's calls run without one: the call would escape
-            // the transaction's lock set.
-            return Err(HostError::InvokeFailed(
-                "nested invocations are not available here; inside a transaction, \
-                 list the call in the transaction instead"
-                    .into(),
-            ));
-        };
-        if let Some(held) = self.held.take() {
-            nested.join_held(held)?;
+    /// A nested call's answer when it needs no engine: refused in a
+    /// read-only context (defense in depth — the validator rejects nested
+    /// calls in read-only bytecode), and an empty target list at once.
+    pub(crate) fn answer_at_once(
+        &self,
+        targets: &[Vec<u8>],
+    ) -> Option<Result<Vec<VmValue>, HostError>> {
+        if let Err(e) = self.ensure_writable() {
+            return Some(Err(e));
         }
-        self.nested_calls += targets.len() as u64;
-        let boundary = Boundary {
+        targets.is_empty().then(|| Ok(Vec::new()))
+    }
+
+    /// The §3.1 boundary of a nested call: the writes so far and our
+    /// object lock go to the engine, which commits the writes and releases
+    /// the lock once they are acked — so the nested calls (and everyone
+    /// else) can make progress even through follower cycles or
+    /// self-invocations.
+    pub(crate) fn boundary(&mut self) -> Boundary {
+        Boundary {
             source: self.object.clone(),
             written_keys: self.buffer.written_keys(),
             batch: self.buffer.take_batch(),
             guard: self.guard.take(),
-        };
-        let had_guard = boundary.guard.is_some();
-        let depth = self.depth + 1;
-        let out = nested.invoke_nested_many(
-            &self.ctx,
-            boundary,
-            targets,
-            method,
-            args,
-            depth,
-            self.answering,
-        );
-        match out {
-            Ok(Scattered { results, early: Some((held, guard)) }) => {
-                // Resumed before the acks: our lock was never released.
-                self.guard = guard;
-                self.held = Some(held);
-                self.snapshot_seq = self.db.last_sequence();
-                results.into_iter().collect()
-            }
-            out => {
-                // Resumed even when the boundary failed: the body may go on.
-                if had_guard {
-                    let (guard, seq) = nested.reacquire(&self.object);
-                    self.guard = Some(guard);
-                    self.snapshot_seq = seq;
-                }
-                out?.results.into_iter().collect()
-            }
         }
+    }
+
+    /// Resume after a nested call as a fresh invocation: `guard` held —
+    /// re-acquired, or never released when the body ran on ahead of the
+    /// acks — and the snapshot advanced to see everything committed in the
+    /// meantime.
+    pub(crate) fn resume_with(&mut self, guard: Option<ObjectGuard>) {
+        self.guard = guard;
+        self.snapshot_seq = self.db.last_sequence();
     }
 
     fn collection_len(&mut self, field: &[u8]) -> Result<u64, HostError> {
@@ -200,7 +141,7 @@ impl<'a> ObjectHost<'a> {
     }
 }
 
-impl Host for ObjectHost<'_> {
+impl Host for ObjectHost {
     fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, HostError> {
         let full = keys::field_key(&self.object, key);
         self.read_key(&full)
@@ -257,33 +198,6 @@ impl Host for ObjectHost<'_> {
         self.collection_len(field)
     }
 
-    fn invoke(
-        &mut self,
-        object: &[u8],
-        method: &str,
-        args: Vec<VmValue>,
-    ) -> Result<VmValue, HostError> {
-        let mut results = self.scatter(&[ObjectId::new(object.to_vec())], method, &args)?;
-        Ok(results.pop().expect("a scatter answers once per target"))
-    }
-
-    fn invoke_many(
-        &mut self,
-        targets: Vec<Vec<u8>>,
-        method: &str,
-        args: Vec<VmValue>,
-    ) -> Result<Vec<VmValue>, HostError> {
-        if targets.is_empty() {
-            self.ensure_writable()?;
-            return Ok(Vec::new());
-        }
-        // One boundary for the whole scatter — "updating many follower
-        // timelines at once is done quickly by running the store_post
-        // calls in parallel" (§3.2).
-        let targets: Vec<ObjectId> = targets.into_iter().map(ObjectId::new).collect();
-        self.scatter(&targets, method, &args)
-    }
-
     fn self_id(&self) -> Vec<u8> {
         self.object.0.clone()
     }
@@ -320,7 +234,7 @@ mod tests {
     #[test]
     fn get_put_round_trip_through_buffer() {
         let (db, dir) = tmpdb("rt");
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), false, false, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), false, false, None);
         assert_eq!(host.get(b"name").unwrap(), None);
         host.put(b"name", b"ada").unwrap();
         assert_eq!(host.get(b"name").unwrap(), Some(b"ada".to_vec()), "read-your-writes");
@@ -334,7 +248,7 @@ mod tests {
         let (db, dir) = tmpdb("scope");
         // Pre-populate another object's field.
         db.put(keys::field_key(&ObjectId::from("user/2"), b"name"), b"other".to_vec()).unwrap();
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), false, false, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), false, false, None);
         assert_eq!(host.get(b"name").unwrap(), None, "cannot see other objects");
         std::fs::remove_dir_all(dir).ok();
     }
@@ -342,7 +256,7 @@ mod tests {
     #[test]
     fn read_only_host_rejects_mutations() {
         let (db, dir) = tmpdb("ro");
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), true, false, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), true, false, None);
         assert_eq!(host.put(b"k", b"v"), Err(HostError::ReadOnlyViolation));
         assert_eq!(host.delete(b"k"), Err(HostError::ReadOnlyViolation));
         assert_eq!(host.push(b"f", b"v"), Err(HostError::ReadOnlyViolation));
@@ -353,7 +267,7 @@ mod tests {
     #[test]
     fn push_and_scan_orders() {
         let (db, dir) = tmpdb("coll");
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), false, false, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), false, false, None);
         for i in 0..5 {
             host.push(b"tl", format!("p{i}").as_bytes()).unwrap();
         }
@@ -379,7 +293,7 @@ mod tests {
         db.put(keys::entry_key(&oid(), b"tl", 0), b"c0".to_vec()).unwrap();
         db.put(keys::entry_key(&oid(), b"tl", 1), b"c1".to_vec()).unwrap();
         db.put(keys::counter_key(&oid(), b"tl"), keys::encode_counter(2)).unwrap();
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), false, false, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), false, false, None);
         host.push(b"tl", b"b2").unwrap();
         assert_eq!(host.count(b"tl").unwrap(), 3);
         assert_eq!(
@@ -394,7 +308,7 @@ mod tests {
         let (db, dir) = tmpdb("snap");
         db.put(keys::field_key(&oid(), b"k"), b"old".to_vec()).unwrap();
         let seq = db.last_sequence();
-        let mut host = ObjectHost::new(&db, oid(), seq, false, false, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), seq, false, false, None);
         // Another commit lands after the host's snapshot.
         db.put(keys::field_key(&oid(), b"k"), b"new".to_vec()).unwrap();
         assert_eq!(host.get(b"k").unwrap(), Some(b"old".to_vec()));
@@ -404,7 +318,7 @@ mod tests {
     #[test]
     fn read_set_tracks_reads_and_skips_own_writes() {
         let (db, dir) = tmpdb("reads");
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), true, true, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), true, true, None);
         host.get(b"name").unwrap();
         host.count(b"tl").unwrap();
         let rs = host.buffer.read_set();
@@ -415,15 +329,17 @@ mod tests {
     #[test]
     fn invoke_without_engine_fails_cleanly() {
         let (db, dir) = tmpdb("noeng");
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), false, false, None, 0, None);
-        assert!(matches!(host.invoke(b"user/2", "m", vec![]), Err(HostError::InvokeFailed(_))));
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), false, false, None);
+        // A host answers no nested call itself: the body stops at it, and
+        // the engine answers it (`Engine::nest`).
+        assert_eq!(host.invoke(b"user/2", "m", vec![]), Err(HostError::Unsupported("invoke")));
         std::fs::remove_dir_all(dir).ok();
     }
 
     #[test]
     fn self_id_and_logging() {
         let (db, dir) = tmpdb("misc");
-        let mut host = ObjectHost::new(&db, oid(), db.last_sequence(), false, false, None, 0, None);
+        let mut host = ObjectHost::new(db.clone(), oid(), db.last_sequence(), false, false, None);
         assert_eq!(host.self_id(), b"user/1".to_vec());
         host.log("hello");
         assert_eq!(host.logs, vec!["hello".to_string()]);

@@ -11,8 +11,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use lambda_vm::bytecode::HostFn;
-use lambda_vm::{validate_module, Instr, Module, NativeRegistry, ValidateError};
+use lambda_vm::{validate_module, Module, NativeRegistry, ValidateError};
 
 /// Identifies an object. Arbitrary bytes; application-meaningful ids like
 /// `user/alice` are encouraged because microshard pins use them directly.
@@ -89,10 +88,6 @@ impl fmt::Debug for MethodSet {
     }
 }
 
-fn may_nest(instr: &Instr) -> bool {
-    matches!(instr, Instr::Call(_) | Instr::Host(HostFn::Invoke | HostFn::InvokeMany))
-}
-
 /// Metadata about one method, uniform across bytecode and native.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MethodMeta {
@@ -102,10 +97,6 @@ pub struct MethodMeta {
     pub deterministic: bool,
     /// Externally callable.
     pub public: bool,
-    /// May invoke other objects — and so park its thread at the nested
-    /// call. Conservative: any bytecode method containing a nested-invoke
-    /// host call or a local call, and any mutating native method.
-    pub nests: bool,
 }
 
 /// A deployable object type: schema + methods.
@@ -154,15 +145,11 @@ impl ObjectType {
                 read_only: f.read_only,
                 deterministic: f.deterministic,
                 public: f.public,
-                // Nested invokes are mutating host calls: a validated
-                // read-only method has none, so reads skip the scan.
-                nests: !f.read_only && f.code.iter().any(may_nest),
             }),
             MethodSet::Native(reg) => reg.method(method).map(|m| MethodMeta {
                 read_only: m.read_only,
                 deterministic: m.deterministic,
                 public: m.public,
-                nests: !m.read_only,
             }),
         }
     }
@@ -261,7 +248,7 @@ mod tests {
         let ty = ObjectType::from_native("Thing", vec![], reg);
         assert_eq!(
             ty.method_meta("peek"),
-            Some(MethodMeta { read_only: true, deterministic: true, public: false, nests: false })
+            Some(MethodMeta { read_only: true, deterministic: true, public: false })
         );
         assert_eq!(ty.method_names(), vec!["peek".to_string(), "touch".to_string()]);
     }

@@ -67,8 +67,7 @@ const GRANT_INLINE_DEPTH: usize = 32;
 
 /// Run a grant continuation, bounding how deep continuation chains grow
 /// on this stack; past the limit the remainder of the chain moves to a
-/// fresh thread (never back onto a frame that might be blocked waiting
-/// to reacquire — that would deadlock the host's nested-invoke resume).
+/// fresh thread.
 fn run_grant(grant: GrantCallback, result: Result<ObjectGuard, InvokeError>) {
     let depth = GRANT_DEPTH.with(std::cell::Cell::get);
     if depth >= GRANT_INLINE_DEPTH {
@@ -281,8 +280,11 @@ impl Scheduler {
     /// channel. (Sound as "deferred plus `recv()`", although a grant runs
     /// on the *releasing* thread and that may be a completion: nothing that
     /// parks here sits on the completion pool — DESIGN.md §10, the
-    /// completion-pool rule.)
+    /// completion-pool rule. Its callers are creates, deletes,
+    /// transactions, migration steps and backup applies; never a method
+    /// body, which resumes through `acquire_deferred`.)
     fn acquire_parked(&self, object: &ObjectId, exclusive: bool) -> ObjectGuard {
+        debug_assert!(!crate::engine::in_method_body(), "a method body parks its thread");
         let (tx, rx) = channel::bounded(1);
         self.acquire(object, exclusive, None, Box::new(move |res| drop(tx.send(res))));
         rx.recv().expect("lock queue never drops waiters").expect("no deadline: cannot be shed")

@@ -11,8 +11,9 @@
 //! the previous calls' uncommitted writes), and a single atomic commit.
 //!
 //! Each call runs on an [`ObjectHost`] — the one implementation of an
-//! object's storage operations — without a nested invoker: a call cannot
-//! escape the declared lock set through `host.invoke`. The host borrows the
+//! object's storage operations — and nothing answers its nested calls: a
+//! call cannot escape the declared lock set through `host.invoke`. The
+//! host borrows the
 //! transaction-wide buffer for the call and hands it back. The commit goes
 //! through the engine's one write-and-replicate path, one write set per
 //! touched object, all shipped together.
@@ -29,14 +30,14 @@
 //! open as well).
 
 use lambda_telemetry::InvocationContext;
-use lambda_vm::VmValue;
+use lambda_vm::{HostError, Step, VmValue};
 
 use crate::buffer::WriteBuffer;
-use crate::engine::Engine;
+use crate::engine::{resume_body, Engine};
 use crate::error::Result;
 use crate::host::ObjectHost;
 use crate::keys;
-use crate::object::ObjectId;
+use crate::object::{ObjectId, ObjectType};
 
 /// One call inside a transaction.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -106,17 +107,15 @@ impl Engine {
         let mut results = Vec::with_capacity(calls.len());
         for (call, (ty, meta)) in calls.iter().zip(&resolved) {
             let mut host = ObjectHost::new(
-                self.db(),
+                self.db().clone(),
                 call.object.clone(),
                 snapshot_seq,
                 meta.read_only,
                 false,
                 None,
-                0,
-                None,
             );
             host.buffer = std::mem::take(&mut buffer);
-            let outcome = self.run_body(ty, &call.method, call.args.clone(), &mut host);
+            let outcome = self.run_call(ty, &call.method, call.args.clone(), &mut host);
             buffer = std::mem::take(&mut host.buffer);
             // On error the buffer drops unapplied and the guards release.
             results.push(outcome?);
@@ -141,6 +140,32 @@ impl Engine {
         let replicated = self.write_and_replicate(&objects, batch);
         self.finish_commit(&touched, replicated)?;
         Ok(results)
+    }
+
+    /// Run one call's body to its end. Nothing answers a nested call here:
+    /// each one fails, as it would escape the transaction's lock set.
+    fn run_call(
+        &self,
+        ty: &ObjectType,
+        method: &str,
+        args: Vec<VmValue>,
+        host: &mut ObjectHost,
+    ) -> Result<VmValue> {
+        let mut step = self.start_body(ty, method, args, host)?;
+        loop {
+            let body = match step {
+                Step::Done(value, _) => return Ok(value),
+                Step::Suspended(body) => body,
+            };
+            let refused = host.answer_at_once(&body.call().targets).unwrap_or_else(|| {
+                Err(HostError::InvokeFailed(
+                    "nested invocations are not available here; inside a transaction, \
+                     list the call in the transaction instead"
+                        .into(),
+                ))
+            });
+            step = resume_body(body, refused, host)?;
+        }
     }
 }
 

@@ -14,7 +14,7 @@
 //! identical, which the tests verify.
 
 use lambda_objects::{FieldDef, FieldKind, ObjectType};
-use lambda_vm::{assemble, HostError, Module, NativeCtx, NativeRegistry, VmValue};
+use lambda_vm::{assemble, HostError, Module, NativeCtx, NativeRegistry, Step, VmValue};
 
 /// The type name used for ReTwis user objects.
 pub const USER_TYPE: &str = "User";
@@ -187,20 +187,31 @@ fn store_own_post(ctx: &mut NativeCtx<'_>) -> Result<(Vec<u8>, Vec<Vec<u8>>), Ho
     Ok((post, ctx.host.scan(b"followers", usize::MAX, false)?))
 }
 
+/// `create_post_seq`'s fan-out: one `host.invoke` of `store_post` per
+/// follower, each resumed from the last.
+fn store_each(post: Vec<u8>, mut followers: std::vec::IntoIter<Vec<u8>>) -> Step {
+    let Some(follower) = followers.next() else { return VmValue::Unit.into() };
+    let args = vec![VmValue::Bytes(post.clone())];
+    Step::invoke(follower, "store_post", args, move |_, stored| {
+        stored?;
+        Ok(store_each(post, followers))
+    })
+}
+
 /// The trusted-native implementation of the same type.
 pub fn user_type_native() -> ObjectType {
     let mut reg = NativeRegistry::new();
     reg.register("create_post", false, false, true, |ctx| {
         let (post, followers) = store_own_post(ctx)?;
-        ctx.host.invoke_many(followers, "store_post", vec![VmValue::Bytes(post)])?;
-        Ok(VmValue::Unit)
+        let args = vec![VmValue::Bytes(post)];
+        Ok(Step::invoke_many(followers, "store_post", args, |_, stored| {
+            stored?;
+            Ok(VmValue::Unit.into())
+        }))
     });
     reg.register("create_post_seq", false, false, true, |ctx| {
         let (post, followers) = store_own_post(ctx)?;
-        for follower in followers {
-            ctx.host.invoke(&follower, "store_post", vec![VmValue::Bytes(post.clone())])?;
-        }
-        Ok(VmValue::Unit)
+        Ok(store_each(post, followers.into_iter()))
     });
     reg.register("store_post", false, false, false, |ctx| {
         let post = ctx.bytes_arg(0)?;

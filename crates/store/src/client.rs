@@ -342,6 +342,7 @@ impl StoreClient {
             COMPLETING.get() != Some(self.id()),
             "a blocking call on its client's completion thread waits for itself"
         );
+        debug_assert!(!lambda_objects::in_method_body(), "a method body parks its thread");
         let (tx, rx) = channel::bounded(1);
         start(Box::new(move |outcome| drop(tx.send(outcome))));
         rx.recv().unwrap_or_else(|_| Err(InvokeError::Nested(LOST.into())))

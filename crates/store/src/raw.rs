@@ -68,9 +68,9 @@ impl NodeInner {
 
     /// A host for `object` that reads the latest committed state and holds
     /// no lock.
-    fn raw_host(&self, object: Vec<u8>) -> ObjectHost<'_> {
+    fn raw_host(&self, object: Vec<u8>) -> ObjectHost {
         let db = self.engine.db();
-        ObjectHost::new(db, ObjectId::new(object), db.last_sequence(), false, false, None, 0, None)
+        ObjectHost::new(db.clone(), ObjectId::new(object), db.last_sequence(), false, false, None)
     }
 
     /// `ops` are applied locally: drop the cached results and memoised

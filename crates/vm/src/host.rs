@@ -94,16 +94,22 @@ pub trait Host {
 
     /// Invoke `method` on another `object`. Per the consistency model
     /// (§3.1) the implementation commits the current invocation's writes
-    /// before the nested call starts.
+    /// before the nested call starts. Only a synchronous host answers it
+    /// here ([`Interpreter::execute`](crate::Interpreter::execute)); one
+    /// that steps bodies ([`Interpreter::start`](crate::Interpreter::start))
+    /// answers the [`NestedCall`](crate::NestedCall) itself, and keeps this
+    /// default.
     ///
     /// # Errors
     /// Propagates failures of the nested invocation.
     fn invoke(
         &mut self,
-        object: &[u8],
-        method: &str,
-        args: Vec<VmValue>,
-    ) -> Result<VmValue, HostError>;
+        _object: &[u8],
+        _method: &str,
+        _args: Vec<VmValue>,
+    ) -> Result<VmValue, HostError> {
+        Err(HostError::Unsupported("invoke"))
+    }
 
     /// Scatter `method(args)` to every object in `targets`, returning one
     /// result per target (in order). The default runs the calls
@@ -168,14 +174,6 @@ impl Host for NullHost {
     }
     fn count(&mut self, _field: &[u8]) -> Result<u64, HostError> {
         Err(HostError::Unsupported("count"))
-    }
-    fn invoke(
-        &mut self,
-        _object: &[u8],
-        _method: &str,
-        _args: Vec<VmValue>,
-    ) -> Result<VmValue, HostError> {
-        Err(HostError::Unsupported("invoke"))
     }
     fn self_id(&self) -> Vec<u8> {
         b"null".to_vec()

@@ -9,11 +9,20 @@
 //! [`VmError::FuelExhausted`] at `f - 1`, and likewise for peak memory and
 //! [`VmError::MemoryLimit`]. The seeded fuzz in `tests/diff_interp.rs`
 //! checks those boundaries and that every run is deterministic.
+//!
+//! A body is a value: [`Interpreter::start`] runs it until it returns or
+//! reaches a nested call (`host.invoke` / `host.invoke_many`), and hands
+//! back a [`Suspended`] that owns the frames, the fuel and memory
+//! accounting and the module; [`Suspended::resume`] answers the call and
+//! runs on. [`Interpreter::execute`] is that plus a loop answering each
+//! call from the synchronous [`Host::invoke`] / [`Host::invoke_many`].
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::bytecode::{HostFn, Instr, Module};
 use crate::host::{Host, HostError};
+use crate::native::NativeThen;
 use crate::value::VmValue;
 use crate::Limits;
 
@@ -139,7 +148,8 @@ impl Interpreter {
         self.execute_with_report(module, function, args, host).map(|(v, _)| v)
     }
 
-    /// Execute and also return resource accounting.
+    /// Execute and also return resource accounting: [`start`](Self::start)
+    /// plus a loop that answers each nested call from `host`.
     ///
     /// # Errors
     /// Same as [`execute`](Self::execute).
@@ -150,6 +160,38 @@ impl Interpreter {
         args: Vec<VmValue>,
         host: &mut dyn Host,
     ) -> Result<(VmValue, ExecutionReport), VmError> {
+        let mut machine = self.machine(module, function, args)?;
+        loop {
+            match machine.run(module, host)? {
+                Exit::Return(value) => return Ok((value, machine.report)),
+                Exit::Call(call) => machine.answer(call.many, call.answer_from(host))?,
+            }
+        }
+    }
+
+    /// Start `function` with `args`: run it until it returns or stops at
+    /// its first nested call.
+    ///
+    /// # Errors
+    /// Same as [`execute`](Self::execute), up to the first nested call.
+    pub fn start(
+        &self,
+        module: Arc<Module>,
+        function: &str,
+        args: Vec<VmValue>,
+        host: &mut dyn Host,
+    ) -> Result<Step, VmError> {
+        let machine = self.machine(&module, function, args)?;
+        Suspended::step(module, machine, host)
+    }
+
+    /// A machine about to run `function`'s first instruction.
+    fn machine(
+        &self,
+        module: &Module,
+        function: &str,
+        args: Vec<VmValue>,
+    ) -> Result<Machine, VmError> {
         let (idx, def) = module
             .function(function)
             .ok_or_else(|| VmError::UnknownFunction(function.to_string()))?;
@@ -160,10 +202,118 @@ impl Interpreter {
                 got: args.len(),
             });
         }
-        let mut run =
-            Run { module, host, limits: self.limits, report: ExecutionReport::default(), mem: 0 };
-        let value = run.call(idx as usize, args)?;
-        Ok((value, run.report))
+        let mut machine = Machine { limits: self.limits, ..Machine::default() };
+        let mut frames = Vec::new();
+        machine.push_frame(module, &mut frames, idx as usize, args)?;
+        machine.frames = frames;
+        Ok(machine)
+    }
+}
+
+/// The nested call a body stopped at: `method(args)` on every object of
+/// `targets`, as one scatter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NestedCall {
+    /// The objects called, in order: one for `host.invoke`.
+    pub targets: Vec<Vec<u8>>,
+    /// The method called on each.
+    pub method: String,
+    /// The arguments each call gets.
+    pub args: Vec<VmValue>,
+    /// `host.invoke_many`, answered with the list of results, rather than
+    /// `host.invoke`, answered with its one result.
+    pub many: bool,
+}
+
+impl NestedCall {
+    /// Answer the call from a synchronous host, one result per target.
+    ///
+    /// # Errors
+    /// Whatever the host's call fails with.
+    pub fn answer_from(self, host: &mut dyn Host) -> Result<Vec<VmValue>, HostError> {
+        let NestedCall { mut targets, method, args, many } = self;
+        if many {
+            host.invoke_many(targets, &method, args)
+        } else {
+            let target = targets.pop().expect("host.invoke names one target");
+            host.invoke(&target, &method, args).map(|value| vec![value])
+        }
+    }
+}
+
+/// What a body did when started or resumed.
+#[derive(Debug)]
+pub enum Step {
+    /// It returned, with its value and the whole run's accounting (none
+    /// for a native body).
+    Done(VmValue, ExecutionReport),
+    /// It stopped at a nested call.
+    Suspended(Suspended),
+}
+
+/// A body stopped at a nested call, ready to go on once the call is
+/// answered: a bytecode body's frames, pc, fuel and memory accounting and
+/// module, or a native body's continuation. Owns everything, so it can
+/// wait anywhere and resume on any thread.
+pub struct Suspended {
+    call: NestedCall,
+    rest: Rest,
+}
+
+enum Rest {
+    Bytecode(Arc<Module>, Machine),
+    Native(NativeThen),
+}
+
+impl fmt::Debug for Suspended {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Suspended").field("call", &self.call).finish()
+    }
+}
+
+impl Suspended {
+    /// The call the body waits on.
+    pub fn call(&self) -> &NestedCall {
+        &self.call
+    }
+
+    /// Answer the call — one result per target, or the error the call
+    /// failed with — and run the body on to its return or its next nested
+    /// call. `host` serves the body's other host calls from here on.
+    ///
+    /// # Errors
+    /// Any [`VmError`]: `VmError::Host(e)` at once for an `Err(e)` answer
+    /// to a bytecode body.
+    pub fn resume(
+        self,
+        answer: Result<Vec<VmValue>, HostError>,
+        host: &mut dyn Host,
+    ) -> Result<Step, VmError> {
+        match self.rest {
+            Rest::Bytecode(module, mut machine) => {
+                machine.answer(self.call.many, answer)?;
+                Suspended::step(module, machine, host)
+            }
+            Rest::Native(then) => Ok(then(host, answer)?),
+        }
+    }
+
+    /// A native body's stop at `call`, going on with `then`.
+    pub(crate) fn native(call: NestedCall, then: NativeThen) -> Step {
+        Step::Suspended(Suspended { call, rest: Rest::Native(then) })
+    }
+
+    fn step(
+        module: Arc<Module>,
+        mut machine: Machine,
+        host: &mut dyn Host,
+    ) -> Result<Step, VmError> {
+        Ok(match machine.run(&module, host)? {
+            Exit::Return(value) => Step::Done(value, machine.report),
+            Exit::Call(call) => {
+                Step::Suspended(Suspended { call, rest: Rest::Bytecode(module, machine) })
+            }
+        })
     }
 }
 
@@ -174,15 +324,23 @@ struct Frame {
     stack: Vec<VmValue>,
 }
 
-struct Run<'m, 'h> {
-    module: &'m Module,
-    host: &'h mut dyn Host,
+/// How a run of the loop ended.
+enum Exit {
+    Return(VmValue),
+    Call(NestedCall),
+}
+
+/// One body's state between runs of the loop.
+#[derive(Default)]
+struct Machine {
+    /// Empty while the loop runs (it holds them) and after the return.
+    frames: Vec<Frame>,
     limits: Limits,
     report: ExecutionReport,
     mem: usize,
 }
 
-impl Run<'_, '_> {
+impl Machine {
     fn charge(&mut self, fuel: u64) -> Result<(), VmError> {
         self.report.fuel_used += fuel;
         if self.report.fuel_used > self.limits.fuel {
@@ -204,20 +362,48 @@ impl Run<'_, '_> {
         self.mem = self.mem.saturating_sub(bytes);
     }
 
-    fn call(&mut self, func: usize, args: Vec<VmValue>) -> Result<VmValue, VmError> {
-        let mut frames: Vec<Frame> = Vec::new();
-        self.push_frame(&mut frames, func, args)?;
+    /// Run the loop until the body returns or stops at a nested call.
+    fn run(&mut self, module: &Module, host: &mut dyn Host) -> Result<Exit, VmError> {
+        let mut frames = std::mem::take(&mut self.frames);
+        let exit = self.run_frames(module, host, &mut frames);
+        self.frames = frames;
+        exit
+    }
 
+    /// Push the answer to the nested call the body stopped at, as that
+    /// host call's result.
+    fn answer(
+        &mut self,
+        many: bool,
+        answer: Result<Vec<VmValue>, HostError>,
+    ) -> Result<(), VmError> {
+        let mut results = answer?;
+        let result = match many {
+            true => VmValue::List(results),
+            false => results.pop().expect("one result per target"),
+        };
+        self.charge((result.approx_bytes() / 16) as u64)?;
+        self.alloc(result.approx_bytes())?;
+        self.frames.last_mut().expect("a suspended body has a frame").stack.push(result);
+        Ok(())
+    }
+
+    fn run_frames(
+        &mut self,
+        module: &Module,
+        host: &mut dyn Host,
+        frames: &mut Vec<Frame>,
+    ) -> Result<Exit, VmError> {
         loop {
             let frame = frames.last_mut().expect("at least one frame");
-            let code = &self.module.functions[frame.func].code;
+            let code = &module.functions[frame.func].code;
             if frame.pc >= code.len() {
                 // Fall off the end: implicit `ret` of Unit.
                 let ret = VmValue::Unit;
-                if self.pop_frame(&mut frames, ret)? {
+                if self.pop_frame(frames, ret)? {
                     continue;
                 }
-                return Ok(VmValue::Unit);
+                return Ok(Exit::Return(VmValue::Unit));
             }
             let instr = code[frame.pc].clone();
             frame.pc += 1;
@@ -229,8 +415,7 @@ impl Run<'_, '_> {
                 Instr::PushBool(b) => self.push(frames.last_mut().unwrap(), VmValue::Bool(b))?,
                 Instr::PushUnit => self.push(frames.last_mut().unwrap(), VmValue::Unit)?,
                 Instr::PushConst(i) => {
-                    let c = self
-                        .module
+                    let c = module
                         .constants
                         .get(i as usize)
                         .ok_or_else(|| VmError::BadReference(format!("constant {i}")))?
@@ -275,19 +460,19 @@ impl Run<'_, '_> {
                     let old = std::mem::replace(slot, v);
                     self.free(old.approx_bytes());
                 }
-                Instr::Add => self.int_binop(&mut frames, "add", i64::checked_add)?,
-                Instr::Sub => self.int_binop(&mut frames, "sub", i64::checked_sub)?,
-                Instr::Mul => self.int_binop(&mut frames, "mul", i64::checked_mul)?,
-                Instr::Div => self.int_binop(&mut frames, "div", i64::checked_div)?,
-                Instr::Mod => self.int_binop(&mut frames, "mod", i64::checked_rem)?,
+                Instr::Add => self.int_binop(frames, "add", i64::checked_add)?,
+                Instr::Sub => self.int_binop(frames, "sub", i64::checked_sub)?,
+                Instr::Mul => self.int_binop(frames, "mul", i64::checked_mul)?,
+                Instr::Div => self.int_binop(frames, "div", i64::checked_div)?,
+                Instr::Mod => self.int_binop(frames, "mod", i64::checked_rem)?,
                 Instr::Eq => {
                     let b = self.pop(frames.last_mut().unwrap())?;
                     let a = self.pop(frames.last_mut().unwrap())?;
                     self.free(a.approx_bytes() + b.approx_bytes());
                     self.push(frames.last_mut().unwrap(), VmValue::Bool(a == b))?;
                 }
-                Instr::Lt => self.cmp_binop(&mut frames, "lt", |o| o.is_lt())?,
-                Instr::Le => self.cmp_binop(&mut frames, "le", |o| o.is_le())?,
+                Instr::Lt => self.cmp_binop(frames, "lt", |o| o.is_lt())?,
+                Instr::Le => self.cmp_binop(frames, "le", |o| o.is_le())?,
                 Instr::Not => {
                     let v = self.pop(frames.last_mut().unwrap())?;
                     self.free(v.approx_bytes());
@@ -387,7 +572,7 @@ impl Run<'_, '_> {
                 }
                 Instr::Jump(target) => {
                     let f = frames.last_mut().unwrap();
-                    if target as usize > self.module.functions[f.func].code.len() {
+                    if target as usize > module.functions[f.func].code.len() {
                         return Err(VmError::BadReference(format!("jump to {target}")));
                     }
                     f.pc = target as usize;
@@ -397,15 +582,14 @@ impl Run<'_, '_> {
                     self.free(v.approx_bytes());
                     if !v.is_truthy() {
                         let f = frames.last_mut().unwrap();
-                        if target as usize > self.module.functions[f.func].code.len() {
+                        if target as usize > module.functions[f.func].code.len() {
                             return Err(VmError::BadReference(format!("jump to {target}")));
                         }
                         f.pc = target as usize;
                     }
                 }
                 Instr::Call(idx) => {
-                    let def = self
-                        .module
+                    let def = module
                         .functions
                         .get(idx as usize)
                         .ok_or_else(|| VmError::BadReference(format!("function {idx}")))?;
@@ -415,20 +599,23 @@ impl Run<'_, '_> {
                         return Err(VmError::StackUnderflow);
                     }
                     let args = f.stack.split_off(f.stack.len() - arity);
-                    self.push_frame(&mut frames, idx as usize, args)?;
+                    self.push_frame(module, frames, idx as usize, args)?;
                 }
                 Instr::Ret => {
                     let f = frames.last_mut().unwrap();
                     let ret = f.stack.pop().unwrap_or(VmValue::Unit);
-                    if self.pop_frame(&mut frames, ret.clone())? {
+                    if self.pop_frame(frames, ret.clone())? {
                         continue;
                     }
-                    return Ok(ret);
+                    return Ok(Exit::Return(ret));
                 }
-                Instr::Host(hf) => self.host_call(&mut frames, hf)?,
+                Instr::Host(hf) => {
+                    if let Some(call) = self.host_call(host, frames, hf)? {
+                        return Ok(Exit::Call(call));
+                    }
+                }
                 Instr::Trap(cidx) => {
-                    let msg = self
-                        .module
+                    let msg = module
                         .constants
                         .get(cidx as usize)
                         .map(|c| String::from_utf8_lossy(c).into_owned())
@@ -441,6 +628,7 @@ impl Run<'_, '_> {
 
     fn push_frame(
         &mut self,
+        module: &Module,
         frames: &mut Vec<Frame>,
         func: usize,
         args: Vec<VmValue>,
@@ -448,7 +636,7 @@ impl Run<'_, '_> {
         if frames.len() >= self.limits.call_depth {
             return Err(VmError::CallDepthExceeded);
         }
-        let def = &self.module.functions[func];
+        let def = &module.functions[func];
         if args.len() != def.arity as usize {
             return Err(VmError::ArityMismatch {
                 name: def.name.clone(),
@@ -530,7 +718,14 @@ impl Run<'_, '_> {
         self.push(frames.last_mut().unwrap(), VmValue::Bool(accept(ord)))
     }
 
-    fn host_call(&mut self, frames: &mut [Frame], hf: HostFn) -> Result<(), VmError> {
+    /// Run host call `hf`; a nested call is not run but handed back, with
+    /// its result still to be pushed ([`Machine::answer`]).
+    fn host_call(
+        &mut self,
+        host: &mut dyn Host,
+        frames: &mut [Frame],
+        hf: HostFn,
+    ) -> Result<Option<NestedCall>, VmError> {
         self.report.host_calls += 1;
         // The per-call base cost is charged exactly once, here; the
         // generic 1-fuel dispatch charge for the `Host` instruction itself
@@ -557,7 +752,7 @@ impl Run<'_, '_> {
         let result: VmValue = match hf {
             HostFn::Get => {
                 let key = bytes_arg(&args[0], "host get")?;
-                match self.host.get(&key)? {
+                match host.get(&key)? {
                     Some(v) => VmValue::Bytes(v),
                     None => VmValue::Unit,
                 }
@@ -566,32 +761,32 @@ impl Run<'_, '_> {
                 let key = bytes_arg(&args[0], "host put")?;
                 let value = bytes_arg(&args[1], "host put")?;
                 self.charge((value.len() / 16) as u64)?;
-                self.host.put(&key, &value)?;
+                host.put(&key, &value)?;
                 VmValue::Unit
             }
             HostFn::Delete => {
                 let key = bytes_arg(&args[0], "host delete")?;
-                self.host.delete(&key)?;
+                host.delete(&key)?;
                 VmValue::Unit
             }
             HostFn::Push => {
                 let field = bytes_arg(&args[0], "host push")?;
                 let value = bytes_arg(&args[1], "host push")?;
                 self.charge((value.len() / 16) as u64)?;
-                self.host.push(&field, &value)?;
+                host.push(&field, &value)?;
                 VmValue::Unit
             }
             HostFn::Scan => {
                 let field = bytes_arg(&args[0], "host scan")?;
                 let limit = int_arg(&args[1], "host scan")?.max(0) as usize;
                 let newest_first = args[2].is_truthy();
-                let rows = self.host.scan(&field, limit, newest_first)?;
+                let rows = host.scan(&field, limit, newest_first)?;
                 let items: Vec<VmValue> = rows.into_iter().map(VmValue::Bytes).collect();
                 VmValue::List(items)
             }
             HostFn::Count => {
                 let field = bytes_arg(&args[0], "host count")?;
-                VmValue::Int(self.host.count(&field)? as i64)
+                VmValue::Int(host.count(&field)? as i64)
             }
             HostFn::InvokeMany => {
                 let targets = match &args[0] {
@@ -623,8 +818,7 @@ impl Run<'_, '_> {
                         })
                     }
                 };
-                let results = self.host.invoke_many(targets, &method, call_args)?;
-                VmValue::List(results)
+                return Ok(Some(NestedCall { targets, method, args: call_args, many: true }));
             }
             HostFn::Invoke => {
                 let object = bytes_arg(&args[0], "host invoke")?;
@@ -637,13 +831,14 @@ impl Run<'_, '_> {
                         return Err(VmError::Type { op: "host invoke", found: other.type_name() })
                     }
                 };
-                self.host.invoke(&object, &method, call_args)?
+                let targets = vec![object];
+                return Ok(Some(NestedCall { targets, method, args: call_args, many: false }));
             }
-            HostFn::SelfId => VmValue::Bytes(self.host.self_id()),
-            HostFn::Time => VmValue::Int(self.host.now_millis()),
+            HostFn::SelfId => VmValue::Bytes(host.self_id()),
+            HostFn::Time => VmValue::Int(host.now_millis()),
             HostFn::Log => {
                 let msg = bytes_arg(&args[0], "host log")?;
-                self.host.log(&String::from_utf8_lossy(&msg));
+                host.log(&String::from_utf8_lossy(&msg));
                 VmValue::Unit
             }
             HostFn::Abort => {
@@ -654,7 +849,8 @@ impl Run<'_, '_> {
             }
         };
         self.charge((result.approx_bytes() / 16) as u64)?;
-        self.push(frames.last_mut().unwrap(), result)
+        self.push(frames.last_mut().unwrap(), result)?;
+        Ok(None)
     }
 }
 
@@ -997,6 +1193,93 @@ mod tests {
     fn fall_through_returns_unit() {
         let m = ModuleBuilder::new().function(func("empty", 0, 0, vec![])).build();
         assert_eq!(run(&m, "empty", vec![]).unwrap(), VmValue::Unit);
+    }
+
+    #[test]
+    fn a_body_suspended_two_frames_deep_resumes_with_its_callers_state() {
+        // main keeps 10 in a local and 7 on its stack, then calls mid; mid
+        // keeps 5 on its stack and calls leaf; leaf keeps 1 on its stack and
+        // stops at `host.invoke`. Each frame lists what it kept around the
+        // call, so the value shows every frame's stack and locals as they
+        // were when the body stopped, and the answer on top of leaf's.
+        let mut builder = ModuleBuilder::new();
+        let method = builder.constant("m");
+        let module = builder
+            .function(func(
+                "main",
+                1,
+                2,
+                vec![
+                    Instr::PushInt(10),
+                    Instr::Store(1),
+                    Instr::PushInt(7),
+                    Instr::Load(0),
+                    Instr::Call(1),
+                    Instr::Load(1),
+                    Instr::MakeList(3),
+                    Instr::Ret,
+                ],
+            ))
+            .function(func(
+                "mid",
+                1,
+                1,
+                vec![
+                    Instr::PushInt(5),
+                    Instr::Load(0),
+                    Instr::Call(2),
+                    Instr::MakeList(2),
+                    Instr::Ret,
+                ],
+            ))
+            .function(func(
+                "leaf",
+                1,
+                1,
+                vec![
+                    Instr::PushInt(1),
+                    Instr::Load(0),
+                    Instr::PushConst(method),
+                    Instr::PushInt(3),
+                    Instr::MakeList(1),
+                    Instr::Host(HostFn::Invoke),
+                    Instr::MakeList(2),
+                    Instr::Ret,
+                ],
+            ))
+            .build();
+        let module = Arc::new(module);
+        let interp = Interpreter::new(Limits::default());
+        let mut host = MemoryHost::default();
+        let args = vec![VmValue::str("peer")];
+        let Step::Suspended(body) =
+            interp.start(Arc::clone(&module), "main", args, &mut host).unwrap()
+        else {
+            panic!("the body returned without its nested call");
+        };
+        let call = NestedCall {
+            targets: vec![b"peer".to_vec()],
+            method: "m".into(),
+            args: vec![VmValue::Int(3)],
+            many: false,
+        };
+        assert_eq!(*body.call(), call);
+        // The answer `MemoryHost` gives, so that `execute` on one runs the
+        // same body in one piece.
+        let Step::Done(value, report) = body.resume(Ok(vec![VmValue::Unit]), &mut host).unwrap()
+        else {
+            panic!("the body stopped again");
+        };
+        let leaf = VmValue::List(vec![VmValue::Int(1), VmValue::Unit]);
+        let mid = VmValue::List(vec![VmValue::Int(5), leaf]);
+        assert_eq!(value, VmValue::List(vec![VmValue::Int(7), mid, VmValue::Int(10)]));
+        assert!(host.invocations.is_empty(), "the host answered no call itself");
+
+        let mut whole = MemoryHost::default();
+        let args = vec![VmValue::str("peer")];
+        let run = interp.execute_with_report(&module, "main", args, &mut whole).unwrap();
+        assert_eq!(run, (value, report), "suspending changed nothing observable");
+        assert_eq!(whole.invocations, vec![(call.targets[0].clone(), call.method, call.args)]);
     }
 
     #[test]

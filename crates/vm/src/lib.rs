@@ -74,8 +74,10 @@ pub use assembler::{assemble, AssembleError};
 pub use bytecode::{FunctionDef, Instr, Module};
 pub use disasm::disassemble;
 pub use host::{Host, HostError, NullHost};
-pub use interp::{ExecutionReport, Interpreter, VmError, HOST_CALL_BASE_FUEL};
-pub use native::{NativeCtx, NativeFn, NativeRegistry};
+pub use interp::{
+    ExecutionReport, Interpreter, NestedCall, Step, Suspended, VmError, HOST_CALL_BASE_FUEL,
+};
+pub use native::{NativeCtx, NativeFn, NativeRegistry, NativeThen};
 pub use validate::{validate_module, ValidateError};
 pub use value::VmValue;
 

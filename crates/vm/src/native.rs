@@ -8,12 +8,18 @@
 //! enforcement) is identical for both. Table 1's custom-service column
 //! runs ReTwis on native methods: the dispatch-free floor against which
 //! the interpreter's cost is read.
+//!
+//! A native body has the bytecode body's shape, a [`Step`]: it returns a
+//! value, or stops at a nested call ([`Step::invoke`], [`Step::invoke_many`])
+//! with the closure that goes on with the call's answer ([`NativeThen`]),
+//! which may stop at another.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::host::{Host, HostError};
+use crate::interp::{ExecutionReport, NestedCall, Step, Suspended, VmError};
 use crate::value::VmValue;
 
 /// Execution context handed to a native function.
@@ -55,8 +61,55 @@ impl NativeCtx<'_> {
     }
 }
 
+/// The rest of a native body after a nested call: handed the host and the
+/// call's answer (one result per target, or the error the call failed
+/// with), it runs to the return or to the next nested call.
+pub type NativeThen = Box<
+    dyn FnOnce(&mut dyn Host, Result<Vec<VmValue>, HostError>) -> Result<Step, HostError> + Send,
+>;
+
+impl From<VmValue> for Step {
+    /// A native body's return.
+    fn from(value: VmValue) -> Self {
+        Step::Done(value, ExecutionReport::default())
+    }
+}
+
+impl Step {
+    /// A native body's stop at `host.invoke(target, method, args)`; `then`
+    /// gets its result.
+    pub fn invoke(
+        target: Vec<u8>,
+        method: &str,
+        args: Vec<VmValue>,
+        then: impl FnOnce(&mut dyn Host, Result<VmValue, HostError>) -> Result<Step, HostError>
+            + Send
+            + 'static,
+    ) -> Step {
+        let call = NestedCall { targets: vec![target], method: method.into(), args, many: false };
+        Suspended::native(
+            call,
+            Box::new(move |host, answer| then(host, answer.map(|mut r| r.remove(0)))),
+        )
+    }
+
+    /// A native body's stop at `host.invoke_many(targets, method, args)`;
+    /// `then` gets the results, one per target.
+    pub fn invoke_many(
+        targets: Vec<Vec<u8>>,
+        method: &str,
+        args: Vec<VmValue>,
+        then: impl FnOnce(&mut dyn Host, Result<Vec<VmValue>, HostError>) -> Result<Step, HostError>
+            + Send
+            + 'static,
+    ) -> Step {
+        let call = NestedCall { targets, method: method.into(), args, many: true };
+        Suspended::native(call, Box::new(then))
+    }
+}
+
 /// A trusted native method body.
-pub type NativeFn = Arc<dyn Fn(&mut NativeCtx<'_>) -> Result<VmValue, HostError> + Send + Sync>;
+pub type NativeFn = Arc<dyn Fn(&mut NativeCtx<'_>) -> Result<Step, HostError> + Send + Sync>;
 
 /// Metadata + body of one native method.
 #[derive(Clone)]
@@ -97,19 +150,19 @@ impl NativeRegistry {
     }
 
     /// Register a method. Replaces an existing method of the same name.
-    pub fn register(
+    /// `body` returns a [`VmValue`], or a [`Step`] when it nests.
+    pub fn register<R: Into<Step>>(
         &mut self,
         name: impl Into<String>,
         read_only: bool,
         deterministic: bool,
         public: bool,
-        body: impl Fn(&mut NativeCtx<'_>) -> Result<VmValue, HostError> + Send + Sync + 'static,
+        body: impl Fn(&mut NativeCtx<'_>) -> Result<R, HostError> + Send + Sync + 'static,
     ) -> &mut Self {
         let name = name.into();
-        self.methods.insert(
-            name.clone(),
-            NativeMethod { name, read_only, deterministic, public, body: Arc::new(body) },
-        );
+        let body: NativeFn = Arc::new(move |ctx| body(ctx).map(Into::into));
+        self.methods
+            .insert(name.clone(), NativeMethod { name, read_only, deterministic, public, body });
         self
     }
 
@@ -135,22 +188,23 @@ impl NativeRegistry {
         self.methods.is_empty()
     }
 
-    /// Invoke `name` with `args` against `host`.
+    /// Start `name` with `args` against `host`: run it to its return or to
+    /// its first nested call.
     ///
     /// # Errors
-    /// [`HostError::InvokeFailed`] for unknown methods; otherwise whatever
-    /// the method returns.
-    pub fn invoke(
+    /// `VmError::Host`: [`HostError::InvokeFailed`] for unknown methods;
+    /// otherwise whatever the method returns.
+    pub fn start(
         &self,
         name: &str,
         args: Vec<VmValue>,
         host: &mut dyn Host,
-    ) -> Result<VmValue, HostError> {
+    ) -> Result<Step, VmError> {
         let m = self
             .method(name)
             .ok_or_else(|| HostError::InvokeFailed(format!("unknown native method {name:?}")))?;
         let mut ctx = NativeCtx { host, args };
-        (m.body)(&mut ctx)
+        Ok((m.body)(&mut ctx)?)
     }
 }
 
@@ -158,6 +212,20 @@ impl NativeRegistry {
 mod tests {
     use super::*;
     use crate::host::MemoryHost;
+
+    /// Run `name` to its end; none of these methods nests.
+    fn invoke(
+        r: &NativeRegistry,
+        name: &str,
+        args: Vec<VmValue>,
+        host: &mut MemoryHost,
+    ) -> Result<VmValue, HostError> {
+        match r.start(name, args, host) {
+            Ok(Step::Done(value, _)) => Ok(value),
+            Err(VmError::Host(e)) => Err(e),
+            other => panic!("{other:?}"),
+        }
+    }
 
     fn registry() -> NativeRegistry {
         let mut r = NativeRegistry::new();
@@ -182,8 +250,8 @@ mod tests {
     fn invoke_round_trip() {
         let r = registry();
         let mut host = MemoryHost::default();
-        r.invoke("store", vec![VmValue::str("k"), VmValue::str("v")], &mut host).unwrap();
-        let out = r.invoke("fetch", vec![VmValue::str("k")], &mut host).unwrap();
+        invoke(&r, "store", vec![VmValue::str("k"), VmValue::str("v")], &mut host).unwrap();
+        let out = invoke(&r, "fetch", vec![VmValue::str("k")], &mut host).unwrap();
         assert_eq!(out, VmValue::str("v"));
     }
 
@@ -191,7 +259,10 @@ mod tests {
     fn unknown_method_fails() {
         let r = registry();
         let mut host = MemoryHost::default();
-        assert!(matches!(r.invoke("missing", vec![], &mut host), Err(HostError::InvokeFailed(_))));
+        assert!(matches!(
+            invoke(&r, "missing", vec![], &mut host),
+            Err(HostError::InvokeFailed(_))
+        ));
     }
 
     #[test]
@@ -200,7 +271,7 @@ mod tests {
         let mut host = MemoryHost::default();
         // store with an int arg where bytes are expected.
         let err =
-            r.invoke("store", vec![VmValue::Int(1), VmValue::str("v")], &mut host).unwrap_err();
+            invoke(&r, "store", vec![VmValue::Int(1), VmValue::str("v")], &mut host).unwrap_err();
         assert!(matches!(err, HostError::InvokeFailed(_)));
     }
 
@@ -221,7 +292,7 @@ mod tests {
         let r = registry();
         let mut host = MemoryHost { read_only: true, ..MemoryHost::default() };
         let err =
-            r.invoke("store", vec![VmValue::str("k"), VmValue::str("v")], &mut host).unwrap_err();
+            invoke(&r, "store", vec![VmValue::str("k"), VmValue::str("v")], &mut host).unwrap_err();
         assert_eq!(err, HostError::ReadOnlyViolation);
     }
 }

@@ -13,7 +13,12 @@
 //! * metering is exact: a run that succeeds using fuel `f` succeeds again
 //!   with the identical report at a limit of `f` and fails with
 //!   `FuelExhausted` at `f - 1`; likewise `peak_memory` and `MemoryLimit`;
-//! * fuzzed modules round-trip through the disassembler as fixed points.
+//! * fuzzed modules round-trip through the disassembler as fixed points;
+//! * suspending changes nothing observable: a program that reaches
+//!   `host.invoke` / `host.invoke_many` gives the same result, report and
+//!   host-call trace through `start` / `resume`, fed the same answers, as
+//!   through `execute`, and the exact fuel and memory boundaries hold for
+//!   budgets that run out after a resume.
 //!
 //! Any failure names the offending disassembly.
 //!
@@ -24,10 +29,11 @@ use lambda_vm::bytecode::{FunctionDef, HostFn, Instr};
 use lambda_vm::host::MemoryHost;
 use lambda_vm::{
     assemble, disassemble, validate_module, ExecutionReport, Host, HostError, Interpreter, Limits,
-    Module, VmError, VmValue,
+    Module, Step, VmError, VmValue,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Tracing host: records every capability call so two runs' host-call
@@ -77,7 +83,8 @@ impl Host for TraceHost {
         args: Vec<VmValue>,
     ) -> Result<VmValue, HostError> {
         self.trace.push(format!("invoke {object:?} {method} {args:?}"));
-        self.inner.invoke(object, method, args)
+        // Answered with the target's id, so that answers carry bytes.
+        self.inner.invoke(object, method, args).map(|_| VmValue::Bytes(object.to_vec()))
     }
     fn self_id(&self) -> Vec<u8> {
         self.inner.self_id()
@@ -140,6 +147,66 @@ fn observe(module: &Module, entry: &str, args: &[VmValue], limits: Limits) -> Ob
     (r, host.trace, host.inner)
 }
 
+/// [`observe`] through `start` / `resume`, each nested call answered as
+/// `execute` answers it; also how many times the body stopped.
+fn observe_stepped(
+    module: &Module,
+    entry: &str,
+    args: &[VmValue],
+    limits: Limits,
+) -> (Observed, usize) {
+    let mut host = seeded_host();
+    let module = Arc::new(module.clone());
+    let mut step = Interpreter::new(limits).start(module, entry, args.to_vec(), &mut host);
+    let mut stops = 0;
+    let r = loop {
+        match step {
+            Err(e) => break Err(e),
+            Ok(Step::Done(value, report)) => break Ok((value, report)),
+            Ok(Step::Suspended(body)) => {
+                stops += 1;
+                let answer = body.call().clone().answer_from(&mut host);
+                step = body.resume(answer, &mut host);
+            }
+        }
+    };
+    ((r, host.trace, host.inner), stops)
+}
+
+/// A program that reaches a nested call runs the same through `start` /
+/// `resume` as through `execute` (`full`), and its exact fuel and memory
+/// boundaries hold there too. Returns whether the program stopped at one.
+fn check_suspension(module: &Module, entry: &str, args: &[VmValue], full: &Observed) -> bool {
+    let big = big_limits();
+    let (stepped, stops) = observe_stepped(module, entry, args, big);
+    if stops == 0 {
+        return false;
+    }
+    let ctx = |limits| context(module, args, limits, "suspension");
+    assert_eq!(stepped, *full, "start/resume diverged from execute {}", ctx(big));
+    let Ok((_, report)) = &full.0 else { return true };
+    let (f, p) = (report.fuel_used, report.peak_memory);
+    let at_fuel = Limits { fuel: f, ..big };
+    assert_eq!(
+        observe_stepped(module, entry, args, at_fuel).0,
+        *full,
+        "fuel = used {}",
+        ctx(at_fuel)
+    );
+    let short = Limits { fuel: f - 1, ..big };
+    let (starved, _) = observe_stepped(module, entry, args, short);
+    assert_eq!(starved.0, Err(VmError::FuelExhausted), "fuel = used - 1 {}", ctx(short));
+    if p > 0 {
+        let at_mem = Limits { memory_bytes: p, ..big };
+        let (seen, _) = observe_stepped(module, entry, args, at_mem);
+        assert_eq!(seen, *full, "memory = peak {}", ctx(at_mem));
+        let short = Limits { memory_bytes: p - 1, ..big };
+        let (starved, _) = observe_stepped(module, entry, args, short);
+        assert_eq!(starved.0, Err(VmError::MemoryLimit), "memory = peak - 1 {}", ctx(short));
+    }
+    true
+}
+
 fn context(module: &Module, args: &[VmValue], limits: Limits, label: &str) -> String {
     format!("[{label}] limits={limits:?}\nargs={args:?}\n{}", disassemble(module))
 }
@@ -187,10 +254,12 @@ fn assert_only_stopped(seen: &Observed, full: &Observed, ctx: impl Fn() -> Strin
 
 /// Full sweep for one program: generous limits first, then the exact fuel
 /// and memory boundaries of a successful run, then fuel, memory and
-/// call-depth ceilings, each run twice.
-fn check_program(module: &Module, entry: &str, args: &[VmValue]) {
+/// call-depth ceilings, each run twice; and the suspension check. Returns
+/// whether the program stopped at a nested call.
+fn check_program(module: &Module, entry: &str, args: &[VmValue]) -> bool {
     let big = big_limits();
     let full = run_twice(module, entry, args, big, "big");
+    let suspended = check_suspension(module, entry, args, &full);
 
     let mut fuels = vec![3, 17];
     let mut mems = vec![64, 300];
@@ -227,6 +296,7 @@ fn check_program(module: &Module, entry: &str, args: &[VmValue]) {
         let seen = run_twice(module, entry, args, limits, label);
         assert_only_stopped(&seen, &full, || context(module, args, limits, label));
     }
+    suspended
 }
 
 // ---------------------------------------------------------------------------
@@ -438,6 +508,53 @@ fn tmpl_fib(rng: &mut SmallRng) -> (Module, Vec<VmValue>) {
     (single_fn_module(code), vec![VmValue::Int(n)])
 }
 
+/// Nested calls from a callee's frame: `f1` calls `host.invoke`, keeps the
+/// answer in a local, then scatters it with `host.invoke_many`; `f0` lists
+/// what it kept in its own local and on its stack around the call. (The
+/// instruction soup almost never builds a well-typed call, so this is
+/// where the suspension check runs.)
+fn tmpl_nested_calls(rng: &mut SmallRng) -> (Module, Vec<VmValue>) {
+    let (kept, stacked) = (rng.gen_range(-5..50i64), rng.gen_range(-5..50i64));
+    let f0 = vec![
+        Instr::PushInt(kept),
+        Instr::Store(1),
+        Instr::PushInt(stacked),
+        Instr::Call(1),
+        Instr::Load(1),
+        Instr::MakeList(3),
+        Instr::Ret,
+    ];
+    let f1 = vec![
+        Instr::PushConst(0),
+        Instr::PushConst(2),
+        Instr::PushInt(rng.gen_range(0..9i64)),
+        Instr::MakeList(1),
+        Instr::Host(HostFn::Invoke),
+        Instr::Store(0),
+        Instr::PushConst(1),
+        Instr::PushConst(3),
+        Instr::MakeList(2),
+        Instr::PushConst(2),
+        Instr::Load(0),
+        Instr::MakeList(1),
+        Instr::Host(HostFn::InvokeMany),
+        Instr::Load(0),
+        Instr::MakeList(2),
+        Instr::Ret,
+    ];
+    let mut module = single_fn_module(f0);
+    module.functions.push(FunctionDef {
+        name: "f1".into(),
+        arity: 0,
+        locals: 1,
+        read_only: false,
+        deterministic: false,
+        public: false,
+        code: f1,
+    });
+    (module, vec![VmValue::Unit])
+}
+
 fn single_fn_module(code: Vec<Instr>) -> Module {
     Module {
         constants: constant_pool(),
@@ -490,10 +607,12 @@ fn template_programs_are_deterministic_and_exactly_metered() {
             tmpl_concat_loop(&mut rng),
             tmpl_host_heavy(&mut rng),
             tmpl_fib(&mut rng),
+            tmpl_nested_calls(&mut rng),
         ];
         for (i, (m, args)) in programs.iter().enumerate() {
             validate_module(m).unwrap_or_else(|e| panic!("template {i} round {round}: {e}"));
-            check_program(m, "f0", args);
+            let suspended = check_program(m, "f0", args);
+            assert_eq!(suspended, i == 4, "template {i} round {round}: stops at a nested call");
         }
     }
 }
